@@ -40,6 +40,7 @@ from repro.backend.protocol import (
 )
 from repro.core.cache import ICCache
 from repro.core.descriptors import VectorDescriptor
+from repro.core.index import DEFAULT_DTYPE
 from repro.core.policies import make_policy
 from repro.core.tasks import KIND_RECOGNITION
 from repro.vision.features import EmbeddingSpace
@@ -81,7 +82,7 @@ class EdgeService:
             metric=cache["metric"],
             descriptor_dim=int(rec["descriptor_dim"]),
             ttl_s=cache.get("ttl_s"),
-            vector_dtype=cache.get("vector_dtype", "float64"))
+            vector_dtype=cache.get("vector_dtype", DEFAULT_DTYPE))
         for cls in payload.get("warm_classes", ()):
             result = RecognitionResult(label=int(cls), confidence=0.97)
             self.cache.insert(

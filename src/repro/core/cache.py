@@ -44,6 +44,9 @@ class CacheEntry:
         last_access: Simulated time of the most recent hit.
         hits: Number of lookups served by this entry.
         expires_at: Absolute expiry time, or None.
+        sketch_signature: The affinity-sketch bucket a vector descriptor
+            was counted into at insert (None for hash kinds), kept so
+            the drop does not recompute it.
     """
 
     entry_id: int
@@ -55,6 +58,7 @@ class CacheEntry:
     last_access: float = 0.0
     hits: int = 0
     expires_at: float | None = None
+    sketch_signature: int | None = None
 
     def expired(self, now: float) -> bool:
         return self.expires_at is not None and now >= self.expires_at
@@ -127,7 +131,7 @@ class ICCache:
         ttl_s: Optional lifetime; expired entries never hit and are purged
             lazily.
         vector_dtype: Storage dtype for vector indexes ("float32"
-            default, "float64" compatibility mode, "int8" scalar
+            default, "float64" oracle tier, "int8" scalar
             quantized); see :mod:`repro.core.index`.
     """
 
@@ -463,7 +467,7 @@ class ICCache:
         self._entries[entry.entry_id] = entry
         self._bytes += entry.size_bytes
         self.policy.on_insert(entry)
-        self._sketch_add(descriptor)
+        self._sketch_add(entry)
         self.stats.insertions += 1
         return entry
 
@@ -509,7 +513,7 @@ class ICCache:
                         entry = self._entries.pop(entry_id)
                         self._bytes -= entry.size_bytes
                         self.policy.on_remove(entry)
-                        self._sketch_remove(entry.descriptor)
+                        self._sketch_remove(entry)
                         self.stats.insertions -= 1
                 pending.clear()
                 raise
@@ -543,7 +547,7 @@ class ICCache:
             self._entries[entry.entry_id] = entry
             self._bytes += entry.size_bytes
             self.policy.on_insert(entry)
-            self._sketch_add(descriptor)
+            self._sketch_add(entry)
             self.stats.insertions += 1
             out.append(entry)
         flush()
@@ -575,22 +579,21 @@ class ICCache:
         self._indexes[entry.descriptor.kind].remove(entry.entry_id)
         self._bytes -= entry.size_bytes
         self.policy.on_remove(entry)
-        self._sketch_remove(entry.descriptor)
+        self._sketch_remove(entry)
 
-    def _sketch_add(self, descriptor: Descriptor) -> None:
+    def _sketch_add(self, entry: CacheEntry) -> None:
+        descriptor = entry.descriptor
         if not isinstance(descriptor, VectorDescriptor):
             return
         sketch = self._sketches.get(descriptor.kind)
         if sketch is None:
             sketch = self._sketches[descriptor.kind] = AffinitySketch()
-        sketch.add(descriptor.vector)
+        entry.sketch_signature = sketch.add(descriptor.vector)
 
-    def _sketch_remove(self, descriptor: Descriptor) -> None:
-        if not isinstance(descriptor, VectorDescriptor):
-            return
-        sketch = self._sketches.get(descriptor.kind)
-        if sketch is not None:
-            sketch.remove(descriptor.vector)
+    def _sketch_remove(self, entry: CacheEntry) -> None:
+        if entry.sketch_signature is not None:
+            self._sketches[entry.descriptor.kind].discard(
+                entry.sketch_signature)
 
     def __repr__(self) -> str:
         return (f"ICCache({len(self)} entries, "

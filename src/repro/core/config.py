@@ -169,12 +169,13 @@ class CacheConfig:
     ttl_s: float | None = None
     #: Fixed edge-side bookkeeping time charged per insert.
     insert_ms: float = 1.0
-    #: Vector storage dtype ("float32", "float64", "int8").  The
-    #: deployment default stays "float64" — the historical arithmetic —
-    #: so every pinned golden digest is bit-identical; scenarios opt
-    #: into "float32"/"int8" for the memory/throughput win (see
-    #: docs/index_tiers.md).
-    vector_dtype: str = "float64"
+    #: Vector storage dtype ("float32", "float64", "int8").  Descriptors
+    #: are float32 at the source, so the "float32" default stores them
+    #: value-exactly and the memory-bound scan streams half the bytes;
+    #: "float64" is the oracle tier (every pinned golden digest is
+    #: bit-identical under both) and "int8" trades recall margin for
+    #: memory (see docs/index_tiers.md).
+    vector_dtype: str = "float32"
 
     def __post_init__(self) -> None:
         if self.capacity_mb <= 0:

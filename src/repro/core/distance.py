@@ -28,8 +28,8 @@ Dtype contract: when *both* the matrix and the queries arrive as
 float32, the whole pipeline (gemm, norms, clipping) runs in float32 —
 half the memory traffic and roughly double the BLAS throughput, which
 is what the float32 index tier buys.  Any other input combination is
-computed in float64 exactly as before, so the float64 compatibility
-mode stays bit-identical to the historical arithmetic.
+computed in float64 exactly as before, so the float64 oracle tier
+stays bit-identical to the historical arithmetic.
 """
 
 from __future__ import annotations

@@ -25,12 +25,13 @@ live rows are always the dense prefix ``matrix[:n]`` and every query is
 one contiguous BLAS pass with no masking.  Cosine queries reuse the
 cached norms instead of re-running ``np.linalg.norm`` over the store.
 
-The store is dtype-parametric.  ``"float32"`` is the default — client
-descriptors are float32 already (:class:`~repro.core.descriptors
-.VectorDescriptor` stores float32 vectors), so halving the bytes loses
-no input precision, only gemm accumulation width — and ``"float64"`` is
-the compatibility mode the deployment pipeline pins so historical
-golden digests stay byte-identical.  ``"int8"`` selects
+The store is dtype-parametric.  ``"float32"`` is the default, here and
+in the deployment config — client descriptors are float32 already
+(:class:`~repro.core.descriptors.VectorDescriptor` stores float32
+vectors), so halving the bytes loses no input precision, only gemm
+accumulation width — and ``"float64"`` is the oracle tier: the
+historical arithmetic, under which every golden digest is pinned too.
+``"int8"`` selects
 :class:`_QuantizedVectorStore`: scalar quantization with per-row
 scale/offset (4x smaller again), dequantized chunk-by-chunk at query
 time.  Decision-stability margins scale with the dtype: float64 wobble
@@ -43,8 +44,11 @@ Batch API contract
 lookups in a single vectorized pass and returns one ``(entry_id,
 distance) | None`` per descriptor, **in input order**, with the same
 match decisions the equivalent sequence of ``query`` calls would make
-(``query`` itself is implemented as a batch of one, so both paths share
-one arithmetic pipeline).  An empty input returns an empty list.  The
+(``query`` itself is implemented as a batch of one).  A batch of one
+cosine query over float storage is answered by the store's single-query
+kernel (:meth:`_VectorStore.nearest_cosine`), bit-identical to the full
+distance kernel it falls back to.  An empty input returns an empty
+list.  The
 :class:`LinearIndex` form is one all-pairs BLAS call; the
 :class:`LshIndex` form computes every table signature of every query in
 one ``(Q, n_tables*n_bits)`` matmul with vectorized bit-packing (no
@@ -189,8 +193,9 @@ class AffinitySketch:
     Folds every vector through :func:`_sketch_space` and a fixed set of
     :data:`SKETCH_BITS` random hyperplanes (deterministic from the
     module seed, so all parties agree), keeping a count of live entries
-    per signature.  ``add``/``remove`` are O(dim); ``summary()``
-    snapshots the multiset for gossip.
+    per signature.  ``add``/``remove`` are O(dim), ``discard`` (remove
+    by the signature ``add`` returned) O(1); ``summary()`` snapshots the
+    multiset for gossip.
     """
 
     def __init__(self, n_bits: int = SKETCH_BITS):
@@ -209,13 +214,18 @@ class AffinitySketch:
         bits = (self._planes @ _sketch_space(vector)) > 0
         return int(bits @ self._weights)
 
-    def add(self, vector: np.ndarray) -> None:
+    def add(self, vector: np.ndarray) -> int:
+        """Count ``vector`` in; returns its signature for :meth:`discard`."""
         sig = self.signature(vector)
         self._counts[sig] = self._counts.get(sig, 0) + 1
         self.n += 1
+        return sig
 
     def remove(self, vector: np.ndarray) -> None:
-        sig = self.signature(vector)
+        self.discard(self.signature(vector))
+
+    def discard(self, sig: int) -> None:
+        """Count out one vector by the signature :meth:`add` returned."""
         left = self._counts.get(sig, 0) - 1
         if left > 0:
             self._counts[sig] = left
@@ -238,7 +248,7 @@ class IndexEntryExists(ValueError):
 
 #: Storage dtype vector indexes use unless told otherwise.  Descriptor
 #: vectors are float32 at the source, so float32 storage is value-exact;
-#: only gemm accumulation differs from the "float64" compatibility mode.
+#: only gemm accumulation differs from the "float64" oracle tier.
 DEFAULT_DTYPE = "float32"
 
 #: Valid ``dtype`` arguments for vector stores / indexes.
@@ -340,6 +350,50 @@ class _VectorStore:
         if hi is None:
             hi = len(self._row_ids)
         return queries @ self._matrix[lo:hi].T
+
+    def nearest_cosine(self, query: np.ndarray, lo: int, hi: int,
+                       eps: float) -> tuple[int, float] | None:
+        """Nearest row of the non-empty range [lo, hi) to one query.
+
+        The single-query form of the exact cosine scan: one gemv, one
+        scaling pass and two ``argmax`` rank the rows (for a fixed
+        query, cosine distance is monotone non-increasing in
+        ``dot / row_norm``), then the arithmetic of
+        :func:`~repro.core.distance.cosine_distance_batch` — same
+        operation order, dtype and degenerate-norm handling — runs on
+        the best and runner-up rows only, so the ``(entry_id,
+        distance)`` returned is bit-identical to an ``argmin`` over the
+        full kernel's distances.  Score space may mis-order rows whose
+        distances differ by a rounding error, so a runner-up within
+        ``eps`` of the best, like a zero (or non-finite) query norm,
+        returns None: the caller runs the full kernel instead.
+        """
+        queries = query[None, :]
+        # The full kernel's own expressions, so both round identically.
+        query_norm = np.linalg.norm(queries, axis=1)[0]
+        if not query_norm > 0.0:
+            return None
+        dots = self.dots(queries, lo, hi)[0]
+        row_norms = self._norms[lo:hi]
+
+        def exact(col: int) -> float:
+            row_norm = row_norms[col]
+            if row_norm == 0.0:
+                return 2.0
+            cos = dots[col] / query_norm / row_norm
+            return float(1.0 - min(max(cos, -1.0), 1.0))
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = dots / row_norms
+            scores[row_norms == 0.0] = -np.inf
+            best = int(scores.argmax())
+            distance = exact(best)
+            if hi - lo > 1:
+                scores[best] = -np.inf
+                # ``not >`` so a NaN distance falls back too.
+                if not exact(int(scores.argmax())) - distance > eps:
+                    return None
+        return self._row_ids[lo + best], distance
 
     def swap_rows(self, i: int, j: int) -> None:
         """Swap two live rows in place (vectors, norms, tags, ids)."""
@@ -763,6 +817,9 @@ class LinearIndex(DescriptorIndex):
         self._metric_batch = get_metric_batch(metric)
         self._store = _make_store(dtype)
         self._eps = _decision_eps(dtype)
+        #: Whether the store's single-query kernel can answer for it.
+        self._float_cosine = (metric == "cosine" and isinstance(
+            self._store, _VectorStore))
         self.last_query_cost_s: float | None = None
 
     def insert(self, entry_id: int, descriptor: Descriptor) -> None:
@@ -808,6 +865,11 @@ class LinearIndex(DescriptorIndex):
         self.last_query_cost_s = self.lookup_cost_s()
         if len(self._store) == 0:
             return [None] * len(vecs)
+        if len(vecs) == 1 and self._float_cosine:
+            nearest = self._store.nearest_cosine(
+                vecs[0], 0, len(self._store), self._eps)
+            if nearest is not None:
+                return [nearest if nearest[1] <= threshold else None]
         queries = np.stack(vecs)
         distances = self._store.distances(self._metric_batch, queries)
         best = np.argmin(distances, axis=1)
@@ -1452,6 +1514,9 @@ class FusedLinearCore:
         self._metric_batch = get_metric_batch(metric)
         self._store = _make_store(dtype)
         self._eps = _decision_eps(dtype)
+        #: Whether the store's single-query kernel can answer for it.
+        self._float_cosine = (metric == "cosine" and isinstance(
+            self._store, _VectorStore))
         self._codes: dict[str, int] = {}
         self._views: dict[str, _FusedKindView] = {}
         self._counts: dict[int, int] = {}     # code -> live rows
@@ -1570,14 +1635,22 @@ class FusedLinearCore:
             return []
         if len(self._store) == 0:
             return [None] * len(vecs)
+        if len(vecs) == 1 and self._float_cosine:
+            code = self._codes.get(kinds[0])
+            if code is None or self._counts[code] == 0:
+                return [None]
+            lo, hi = self._segment(code)
+            nearest = self._store.nearest_cosine(vecs[0], lo, hi, self._eps)
+            if nearest is not None:
+                return [nearest if nearest[1] <= thresholds[0] else None]
         if len(vecs) > 1:
             self.fused_batches += 1
-        # Multi-query cosine bursts over float storage take the pruned
-        # score-space path; everything else (single queries — including
-        # boundary re-answers — other metrics, int8 storage) runs the
-        # full distance kernel.
-        fast = (len(vecs) > 1 and self.metric_name == "cosine"
-                and isinstance(self._store, _VectorStore))
+        # Cosine over float storage never streams the full distance
+        # block unless it has to: one query took the store's
+        # single-query kernel above (and is here only because that
+        # declined), a burst takes the pruned score-space path.  Other
+        # metrics and int8 storage run the full distance kernel.
+        fast = len(vecs) > 1 and self._float_cosine
         results: list[tuple[int, float] | None] = [None] * len(vecs)
         by_kind: dict[str, list[int]] = {}
         for q, kind in enumerate(kinds):

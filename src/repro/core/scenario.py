@@ -515,7 +515,7 @@ class EdgePolicySpec:
             ``CacheConfig.vector_index``.  See docs/index_tiers.md.
         vector_dtype: Override the vector storage dtype for every edge
             cache — ``"float32"`` (4 B/element), ``"float64"``
-            (compatibility mode), or ``"int8"`` (scalar-quantized,
+            (the oracle tier), or ``"int8"`` (scalar-quantized,
             1 B/element).  Empty string (default) inherits
             ``CacheConfig.vector_dtype``.
         layer_tap_budget_frac: Per-edge activation byte budget for

@@ -224,9 +224,9 @@ class TierRow:
     The workload mirrors a metro aggregation cache: one dominant vector
     kind (recognition descriptors, 95% of rows) plus a thin secondary
     kind sharing the same dimension, probed by near-duplicate queries.
-    ``float64_perkind_us`` is the deployment-default path (one float64
-    LinearIndex per kind); the other timings are the opt-in tiers this
-    PR adds.  Memory columns are the allocated store bytes for the same
+    ``float64_perkind_us`` is the oracle-tier baseline (one float64
+    LinearIndex per kind); ``fused_float32_us`` is the deployment
+    default.  Memory columns are the allocated store bytes for the same
     population inserted in one burst (so capacity equals occupancy and
     dtypes compare like for like).
     """
@@ -285,10 +285,10 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
     ``threshold``), so exact search always matches and approximate
     recall is measured against real positives.  Tiers:
 
-    * per-kind float64 ``LinearIndex`` — the deployment default and the
+    * per-kind float64 ``LinearIndex`` — the oracle tier and the
       timing/recall baseline;
     * fused float32 ``FusedLinearCore`` — one stacked matmul across
-      kinds, the recommended tier;
+      kinds, the deployment default;
     * int8 ``LinearIndex`` — scalar-quantized storage, the memory tier;
     * float32 ``IvfIndex`` (auto-sized) — the sublinear tier.
     """
@@ -322,8 +322,8 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
         # Build every tier up front, then time them interleaved so the
         # comparisons share environmental conditions.
         #
-        # Baseline tier: one float64 LinearIndex per kind, exactly what
-        # an ICCache on the compatibility defaults holds.
+        # Baseline tier: one float64 LinearIndex per kind — the
+        # historical arithmetic every other tier is compared against.
         f64_rec = LinearIndex(dtype="float64")
         f64_rec.insert_batch(rec_items)
         f64_aux = LinearIndex(dtype="float64")

@@ -42,8 +42,17 @@ GOLDEN_ISOLATED = \
 
 
 class TestSeedEquivalence:
+    #: Storage dtype under test; None leaves the deployment default.
+    vector_dtype: str | None = None
+
+    def config(self, seed: int) -> CoICConfig:
+        cfg = CoICConfig(seed=seed)
+        if self.vector_dtype is not None:
+            cfg.cache.vector_dtype = self.vector_dtype
+        return cfg
+
     def test_single_edge_facade_matches_pre_refactor(self):
-        cfg = CoICConfig(seed=3)
+        cfg = self.config(seed=3)
         cfg.network.wifi_mbps = 100
         cfg.network.backhaul_mbps = 10
         dep = CoICDeployment(cfg, n_clients=2)
@@ -64,7 +73,7 @@ class TestSeedEquivalence:
         assert recorder_digest(dep.recorder) == GOLDEN_SINGLE
 
     def test_federated_facade_matches_pre_refactor(self):
-        cfg = CoICConfig(seed=7)
+        cfg = self.config(seed=7)
         cfg.network.wifi_mbps = 100
         cfg.network.backhaul_mbps = 10
         fed = FederatedDeployment(cfg, n_edges=3, clients_per_edge=2,
@@ -83,12 +92,18 @@ class TestSeedEquivalence:
         assert recorder_digest(fed.recorder) == GOLDEN_FEDERATED
 
     def test_isolated_facade_matches_pre_refactor(self):
-        fed = FederatedDeployment(CoICConfig(seed=7), n_edges=2,
+        fed = FederatedDeployment(self.config(seed=7), n_edges=2,
                                   federate=False)
         fed.run_tasks(fed.clients[0][0], [fed.model_load_task(1)])
         fed.env.run()
         fed.run_tasks(fed.clients[1][0], [fed.model_load_task(1)])
         assert recorder_digest(fed.recorder) == GOLDEN_ISOLATED
+
+
+class TestSeedEquivalenceFloat64(TestSeedEquivalence):
+    """The same digests under the float64 oracle tier."""
+
+    vector_dtype = "float64"
 
 
 # The full default-policy metro scenario (4 federated edges, moving
@@ -120,11 +135,23 @@ def default_metro_digest(make_deployment, policy=None, config=None) -> str:
 
 
 class TestMetroGoldenDigest:
-    def test_default_metro_matches_pre_layer_reuse(self, make_deployment):
-        assert default_metro_digest(make_deployment) == GOLDEN_METRO
+    #: Storage dtype under test; None leaves the deployment default.
+    vector_dtype: str | None = None
+
+    @pytest.fixture
+    def config(self, make_config):
+        config = make_config()
+        if self.vector_dtype is not None:
+            config.cache.vector_dtype = self.vector_dtype
+        return config
+
+    def test_default_metro_matches_pre_layer_reuse(self, make_deployment,
+                                                   config):
+        assert default_metro_digest(make_deployment,
+                                    config=config) == GOLDEN_METRO
 
     def test_inert_policy_is_byte_identical_to_no_policy(
-            self, make_deployment):
+            self, make_deployment, config):
         # EdgePolicySpec() — admission off, offload off, prewarm off,
         # layer_reuse=False — must not perturb the default chain: the
         # knobs added by the overload/affinity/layer-reuse layers only
@@ -132,10 +159,11 @@ class TestMetroGoldenDigest:
         from repro.core.scenario import EdgePolicySpec
 
         assert default_metro_digest(
-            make_deployment, policy=EdgePolicySpec()) == GOLDEN_METRO
+            make_deployment, policy=EdgePolicySpec(),
+            config=config) == GOLDEN_METRO
 
-    def test_all_free_open_market_is_byte_identical(self,
-                                                    make_deployment):
+    def test_all_free_open_market_is_byte_identical(self, make_deployment,
+                                                    config):
         # Declaring operators with zero prices and open consent wires
         # the FederationBroker into every probe order — and must not
         # move a byte: the broker filters and bills, it never re-ranks,
@@ -151,7 +179,7 @@ class TestMetroGoldenDigest:
             (OperatorSpec(name="metroA"), OperatorSpec(name="metroB")),
             {"edge0": "metroA", "edge1": "metroA",
              "edge2": "metroB", "edge3": "metroB"})
-        dep = make_deployment(spec=spec)
+        dep = make_deployment(spec=spec, config=config)
         drive_scenario(dep, 60.0, request_interval_s=2.0)
         assert recorder_digest(dep.recorder) == GOLDEN_METRO
         # The market really was on the path: the broker exists and the
@@ -162,22 +190,21 @@ class TestMetroGoldenDigest:
 
     def test_explicit_float64_compat_is_byte_identical(
             self, make_deployment, make_config):
-        # Spelling out the compatibility dtype must be a no-op: the
-        # deployment default *is* float64 storage, and the fused linear
-        # core reproduces the historical per-kind arithmetic exactly.
+        # The float64 oracle tier — the historical arithmetic — pins
+        # the same digest as the float32 deployment default: storage
+        # width moves no decision.
         config = make_config()
         config.cache.vector_dtype = "float64"
         assert default_metro_digest(make_deployment,
                                     config=config) == GOLDEN_METRO
 
     def test_threaded_lookup_fanout_is_byte_identical(
-            self, make_deployment, make_config):
+            self, make_deployment, config):
         # lookup_threads routes every same-tick batch lookup through
         # the TickLookupFanout thread pool; telemetry must stay
         # byte-identical to the sequential run.
         from repro.eval.experiments.mobility_exp import drive_scenario
 
-        config = make_config()
         config.lookup_threads = 2
         dep = default_metro_deployment(make_deployment, config=config)
         drive_scenario(dep, 60.0, request_interval_s=2.0)
@@ -190,14 +217,22 @@ class TestMetroGoldenDigest:
             sum(edge.lookup_batches for edge in dep.edges)
 
 
+class TestMetroGoldenDigestFloat64(TestMetroGoldenDigest):
+    """The same digests under the float64 oracle tier."""
+
+    vector_dtype = "float64"
+    #: Already this class's ``test_default_metro_matches_pre_layer_reuse``.
+    test_explicit_float64_compat_is_byte_identical = None
+
+
 class TestPolicyIndexOverrides:
     def test_policy_overrides_reach_every_cache(self, make_deployment):
         from repro.core.scenario import EdgePolicySpec
 
         dep = make_deployment(policy=EdgePolicySpec(
-            vector_index="ivf:16:4", vector_dtype="float32"))
+            vector_index="ivf:16:4", vector_dtype="int8"))
         for cache in dep.caches:
-            assert cache.vector_dtype == "float32"
+            assert cache.vector_dtype == "int8"
             assert cache._vector_index_spec == "ivf:16:4"
 
     def test_empty_overrides_inherit_config(self, make_deployment):
@@ -205,7 +240,7 @@ class TestPolicyIndexOverrides:
 
         dep = make_deployment(policy=EdgePolicySpec())
         for cache in dep.caches:
-            assert cache.vector_dtype == "float64"
+            assert cache.vector_dtype == CoICConfig().cache.vector_dtype
             assert cache._vector_index_spec == "linear"
 
 

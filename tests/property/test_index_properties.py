@@ -5,8 +5,14 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.core.descriptors import VectorDescriptor
-from repro.core.distance import pairwise
-from repro.core.index import IvfIndex, LinearIndex, LshIndex
+from repro.core.distance import cosine_distance_batch, pairwise
+from repro.core.index import (
+    FusedLinearCore,
+    IvfIndex,
+    LinearIndex,
+    LshIndex,
+    _decision_eps,
+)
 
 DIM = 8
 
@@ -102,6 +108,83 @@ def test_linear_query_batch_identical_to_sequential(stored, queries,
             # Decisions are exact; reported distances wobble within the
             # dtype's gemm margin (float32 default: ~1e-7).
             assert abs(got[1] - want[1]) < 1e-5
+
+
+def full_kernel_answer(store, query, lo, hi, threshold):
+    """The oracle: ``argmin`` over the full distance kernel's block."""
+    if hi == lo:
+        return None
+    sub = store.distances(cosine_distance_batch, query[None, :], lo, hi)[0]
+    best = int(np.argmin(sub))
+    d = float(sub[best])
+    return (store.id_at(lo + best), d) if d <= threshold else None
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       dtype=st.sampled_from(("float32", "float64")),
+       occupancy=st.sampled_from((0, 1, 2, 65, 1000)),
+       duplicate=st.booleans(), zero_row=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_single_query_kernel_identical_to_full_kernel(
+        seed, dtype, occupancy, duplicate, zero_row):
+    """One-query answers are bit-identical to the full-kernel oracle.
+
+    Kind "a" holds ``occupancy`` rows — optionally with an exact
+    duplicate pair and an all-zero row — inside a fused core whose
+    other segments ("pad" before, "b" after, "void" empty) must never
+    leak into the answer; a dedicated LinearIndex holds the same rows.
+    Exact ties and the all-zero query must take the fallback branch.
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(occupancy, DIM)).astype(np.float32)
+    if duplicate and occupancy >= 2:
+        rows[rng.integers(1, occupancy)] = rows[0]
+    if zero_row and occupancy >= 1:
+        rows[occupancy - 1] = 0.0
+    tied = occupancy >= 2 and any(
+        np.array_equal(rows[0], r) for r in rows[1:])
+
+    core = FusedLinearCore(dtype=dtype)
+    linear = LinearIndex(dtype=dtype)
+    core.view("pad").insert(10_000, vd(rng.normal(size=DIM)))
+    core.view("void")
+    for i, row in enumerate(rows):
+        core.view("a").insert(i, VectorDescriptor("a", row))
+        if i % 7 == 0:
+            core.view("b").insert(20_000 + i, VectorDescriptor(
+                "b", rng.normal(size=DIM).astype(np.float32)))
+        linear.insert(i, VectorDescriptor("a", row))
+    eps = _decision_eps(dtype)
+    lo, hi = core._segment(core._codes["a"]) if occupancy else (0, 0)
+
+    queries = [np.zeros(DIM, dtype=np.float32),
+               rng.normal(size=DIM).astype(np.float32)]
+    if occupancy:
+        queries.append(rows[0])
+        queries.append(rows[0] + rng.normal(size=DIM).astype(np.float32)
+                       * np.float32(0.05))
+    for q in queries:
+        cast = q.astype(dtype)
+        for index, store, span in ((core.view("a"), core._store, (lo, hi)),
+                                   (linear, linear._store,
+                                    (0, occupancy))):
+            open_answer = full_kernel_answer(store, cast, *span,
+                                             threshold=2.0)
+            edge = 0.1 if open_answer is None else open_answer[1]
+            for threshold in (0.0, 0.1, 2.0, edge,
+                              float(np.nextafter(edge, -1.0))):
+                want = full_kernel_answer(store, cast, *span,
+                                          threshold=threshold)
+                got = index.query(VectorDescriptor("a", q), threshold)
+                assert got == want
+            if occupancy:
+                declined = store.nearest_cosine(cast, *span, eps) is None
+                if not q.any() or (tied and np.array_equal(q, rows[0])):
+                    assert declined
+                elif occupancy == 1:
+                    assert not declined
+    assert core.view("void").query(VectorDescriptor("void", queries[1]),
+                                   2.0) is None
 
 
 @given(stored=st.lists(finite_vector, min_size=1, max_size=20),
