@@ -1,8 +1,8 @@
 """A7c — metro cluster throughput per cache configuration.
 
 End-to-end companion to ``bench_index_scaling``: drives the federated
-4-edge metro spec once per cache configuration (compatibility float64,
-fused float32, float32 IVF) and records simulated requests served per
+4-edge metro spec once per cache configuration (oracle float64,
+float32 linear, float32 IVF) and records simulated requests served per
 second of host wall clock per core in
 ``BENCH_cluster_throughput.json``.
 """

@@ -8,8 +8,8 @@ records the before/after speedup over the seed implementation in
 
 The second half scales the cache to metro-aggregation occupancy
 (10^5-10^6 entries) and compares the storage/index tiers: per-kind
-float64 LinearIndex (the compatibility default) vs the fused float32
-core, int8 scalar-quantized storage, and the IVF coarse-quantizer —
+LinearIndex in float64 (the oracle tier) vs float32 (the deployment
+default), int8 scalar-quantized storage, and the IVF coarse-quantizer —
 wall time, allocated memory, and recall per tier.
 """
 
@@ -47,16 +47,16 @@ def test_index_scaling(benchmark, smoke):
         table, title="A7 — descriptor index scaling (wall clock)"))
 
     tier_table = [[t.n_entries, f"{t.float64_perkind_us:.0f}",
-                   f"{t.fused_float32_us:.0f}", f"{t.int8_us:.0f}",
-                   f"{t.ivf_us:.0f}", f"{t.fused_speedup:.1f}x",
+                   f"{t.float32_perkind_us:.0f}", f"{t.int8_us:.0f}",
+                   f"{t.ivf_us:.0f}", f"{t.float32_speedup:.1f}x",
                    f"{t.float64_memory_mb:.0f}",
                    f"{t.float32_memory_mb:.0f}",
                    f"{t.int8_memory_mb:.0f}", f"{t.ivf_memory_mb:.0f}",
                    f"{t.ivf_recall:.3f}", f"{t.ivf_candidates:.0f}"]
                   for t in tiers]
     emit(format_table(
-        ["entries", "f64/kind us/q", "fused f32 us/q", "int8 us/q",
-         "ivf us/q", "fused speedup", "f64 MB", "f32 MB", "int8 MB",
+        ["entries", "f64/kind us/q", "f32/kind us/q", "int8 us/q",
+         "ivf us/q", "f32 speedup", "f64 MB", "f32 MB", "int8 MB",
          "ivf MB", "ivf recall", "ivf candidates"],
         tier_table, title="A7b — storage/index tiers at scale"))
 
@@ -77,7 +77,7 @@ def test_index_scaling(benchmark, smoke):
     for t in tiers:
         # Exact tiers agree with the float64 baseline; quantization and
         # coarse probing may give up a bounded sliver of recall.
-        assert t.fused_recall == 1.0
+        assert t.float32_recall == 1.0
         assert t.int8_recall >= 0.99
         assert 0.0 <= t.ivf_recall <= 1.0
         assert t.ivf_trainings >= 1  # sizes are past min_train
@@ -85,7 +85,7 @@ def test_index_scaling(benchmark, smoke):
         # Storage dtypes are the memory story: half and ~a-quarter.
         assert t.float32_memory_mb <= 0.55 * t.float64_memory_mb
         assert t.int8_memory_mb <= 0.35 * t.float32_memory_mb
-        for field in (t.float64_perkind_us, t.fused_float32_us,
+        for field in (t.float64_perkind_us, t.float32_perkind_us,
                       t.int8_us, t.ivf_us, t.ivf_memory_mb):
             assert field > 0.0
 
@@ -106,13 +106,14 @@ def test_index_scaling(benchmark, smoke):
     assert by_n[10_000].batch_speedup >= 5.0
     assert by_n[10_000].sig_speedup >= 3.0
 
-    # Scale-tier targets.  At 10^5 the fused float32 path at least
-    # doubles per-kind float64 throughput; IVF grows sublinearly
+    # Scale-tier targets.  At 10^5 the scan is memory-bound, so half
+    # the bytes is about half the time (2.2x measured; the floor leaves
+    # room for container noise); IVF grows sublinearly
     # (10x the entries for well under 10x the query time) while holding
     # the recall floor; by 10^6 it also beats the exact scan outright.
     t_small, t_large = tiers[0], tiers[-1]
     assert t_small.n_entries >= 100_000
-    assert t_small.fused_speedup >= 2.0
+    assert t_small.float32_speedup >= 1.5
     assert t_large.ivf_us / t_small.ivf_us <= 6.0
     for t in tiers:
         assert t.ivf_recall >= 0.95
@@ -121,7 +122,7 @@ def test_index_scaling(benchmark, smoke):
     benchmark.extra_info["speedup_at_largest"] = (
         large.linear_wall_us / large.lsh_wall_us)
     benchmark.extra_info["batch_speedup_10k"] = by_n[10_000].batch_speedup
-    benchmark.extra_info["fused_speedup_100k"] = t_small.fused_speedup
+    benchmark.extra_info["float32_speedup_100k"] = t_small.float32_speedup
 
     emit_json("index_scaling", {
         "workload": {"n_queries": 50, "dim": 128, "metric": "cosine"},
@@ -146,15 +147,15 @@ def test_index_scaling(benchmark, smoke):
         "tier_rows": [{
             "entries": t.n_entries,
             "float64_perkind_us_per_query": t.float64_perkind_us,
-            "fused_float32_us_per_query": t.fused_float32_us,
+            "float32_perkind_us_per_query": t.float32_perkind_us,
             "int8_us_per_query": t.int8_us,
             "ivf_us_per_query": t.ivf_us,
-            "fused_speedup_vs_float64": t.fused_speedup,
+            "float32_speedup_vs_float64": t.float32_speedup,
             "float64_memory_mb": t.float64_memory_mb,
             "float32_memory_mb": t.float32_memory_mb,
             "int8_memory_mb": t.int8_memory_mb,
             "ivf_memory_mb": t.ivf_memory_mb,
-            "fused_recall": t.fused_recall,
+            "float32_recall": t.float32_recall,
             "int8_recall": t.int8_recall,
             "ivf_recall": t.ivf_recall,
             "ivf_candidates": t.ivf_candidates,

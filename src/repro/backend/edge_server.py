@@ -80,7 +80,6 @@ class EdgeService:
             policy=make_policy(cache["policy"]),
             vector_index=cache["vector_index"],
             metric=cache["metric"],
-            descriptor_dim=int(rec["descriptor_dim"]),
             ttl_s=cache.get("ttl_s"),
             vector_dtype=cache.get("vector_dtype", DEFAULT_DTYPE))
         for cls in payload.get("warm_classes", ()):

@@ -21,9 +21,7 @@ from repro.core.index import (
     AffinitySketch,
     DescriptorIndex,
     ExactIndex,
-    FusedLinearCore,
     SketchSummary,
-    _FusedKindView,
     make_index,
 )
 from repro.core.policies import EvictionPolicy, LruPolicy, TtlPolicy
@@ -123,11 +121,8 @@ class ICCache:
             pass one explicitly.
         vector_index: Spec for vector-kind indexes ("linear", "lsh",
             "lsh:T:B", "ivf", "ivf:K:P") — hash kinds always use the
-            exact index.  Under "linear", all vector kinds of one
-            dimension share a :class:`~repro.core.index.FusedLinearCore`,
-            so a mixed-kind lookup burst is one stacked matmul.
+            exact index.
         metric: Distance metric for vector indexes.
-        descriptor_dim: Vector dimension (needed to pre-build LSH planes).
         ttl_s: Optional lifetime; expired entries never hit and are purged
             lazily.
         vector_dtype: Storage dtype for vector indexes ("float32"
@@ -140,7 +135,6 @@ class ICCache:
                  default_threshold: float = 0.1,
                  vector_index: str = "linear",
                  metric: str = "cosine",
-                 descriptor_dim: int = 128,
                  ttl_s: float | None = None,
                  vector_dtype: str = DEFAULT_DTYPE):
         if capacity_bytes <= 0:
@@ -159,13 +153,9 @@ class ICCache:
         self.stats = CacheStats()
         self._vector_index_spec = vector_index
         self._metric = metric
-        self._descriptor_dim = descriptor_dim
         self.vector_dtype = vector_dtype
         self._entries: dict[int, CacheEntry] = {}
         self._indexes: dict[str, DescriptorIndex] = {}
-        #: One fused linear core per vector dimension ("linear" spec
-        #: only); every vector kind of that dim is a view into it.
-        self._fused_cores: dict[int, FusedLinearCore] = {}
         #: Per-vector-kind affinity sketches, maintained incrementally on
         #: every insert/drop; snapshot with :meth:`summary` for gossip.
         self._sketches: dict[str, AffinitySketch] = {}
@@ -244,10 +234,9 @@ class ICCache:
                   descriptor: Descriptor | None = None) -> DescriptorIndex:
         """The per-kind index, created on first use.
 
-        Hash kinds get an :class:`ExactIndex`.  Under the "linear" spec
-        a vector kind gets a view into the per-dimension fused core (one
-        stacked matmul covers every kind of that dim); other specs get a
-        dedicated index per kind.
+        Hash kinds get an :class:`ExactIndex`; a vector kind gets its
+        own index of the configured spec, built at the dimension of the
+        kind's first descriptor.
         """
         index = self._indexes.get(kind)
         if index is None:
@@ -255,35 +244,19 @@ class ICCache:
                 raise KeyError(f"no index for kind {kind!r} yet")
             if isinstance(descriptor, HashDescriptor):
                 index = ExactIndex()
-            elif self._vector_index_spec == "linear":
-                dim = descriptor.dim
-                core = self._fused_cores.get(dim)
-                if core is None:
-                    core = self._fused_cores[dim] = FusedLinearCore(
-                        metric=self._metric, dtype=self.vector_dtype)
-                index = core.view(kind)
             else:
                 index = make_index(self._vector_index_spec,
-                                   dim=self._descriptor_dim,
+                                   dim=descriptor.dim,
                                    metric=self._metric,
                                    dtype=self.vector_dtype)
             self._indexes[kind] = index
         return index
 
     def index_memory_bytes(self) -> int:
-        """Allocated bytes across all vector index storage.
-
-        Fused views share one core per dimension; the core is counted
-        once, not once per kind.
-        """
-        seen: set[int] = set()
+        """Allocated bytes across all vector index storage."""
         total = 0
         for index in self._indexes.values():
-            target = getattr(index, "_core", index)
-            if id(target) in seen:
-                continue
-            seen.add(id(target))
-            memory = getattr(target, "memory_bytes", None)
+            memory = getattr(index, "memory_bytes", None)
             if memory is not None:
                 total += memory()
         return total
@@ -318,11 +291,8 @@ class ICCache:
         Returns one entry-or-None per descriptor, in input order, with
         match decisions, stats, and policy updates identical to the
         equivalent sequence of :meth:`lookup` calls.  Descriptors may
-        mix kinds; kinds sharing a fused linear core are answered by
-        one stacked cross-kind matmul
-        (:meth:`~repro.core.index.FusedLinearCore.query_multi`), other
-        kinds by one
-        :meth:`~repro.core.index.DescriptorIndex.query_batch` each.
+        mix kinds; each ``(kind, threshold)`` group is answered by one
+        :meth:`~repro.core.index.DescriptorIndex.query_batch`.
         ``thresholds`` gives a per-descriptor match threshold (None
         entries fall back like ``threshold``); it wins over
         ``threshold`` when both are passed.  Simulated lookup *pricing*
@@ -381,32 +351,15 @@ class ICCache:
                        ) -> list[tuple[int, float] | None]:
         """Raw index answers for a batch, in input order.
 
-        Kinds whose index is a view into a shared
-        :class:`~repro.core.index.FusedLinearCore` are gathered across
-        kinds and answered by one ``query_multi`` (one stacked matmul
-        per core); everything else groups by ``(kind, threshold)`` and
-        answers through ``query_batch``.
+        Groups by ``(kind, threshold)``; each group is one
+        ``query_batch`` against its kind's index.
         """
         matches: list[tuple[int, float] | None] = [None] * len(descriptors)
-        fused: dict[int, tuple[FusedLinearCore, list[int]]] = {}
         by_kind: dict[tuple[str, float], list[int]] = {}
         for i, descriptor in enumerate(descriptors):
-            index = self._indexes.get(descriptor.kind)
-            if index is None:
-                continue
-            if isinstance(index, _FusedKindView):
-                core = index._core
-                fused.setdefault(id(core), (core, []))[1].append(i)
-            else:
+            if descriptor.kind in self._indexes:
                 by_kind.setdefault((descriptor.kind, thresholds[i]),
                                    []).append(i)
-        for core, positions in fused.values():
-            found = core.query_multi(
-                [descriptors[i].kind for i in positions],
-                [descriptors[i] for i in positions],
-                [thresholds[i] for i in positions])
-            for i, result in zip(positions, found):
-                matches[i] = result
         for (kind, threshold), positions in by_kind.items():
             index = self._indexes[kind]
             found = index.query_batch([descriptors[i] for i in positions],

@@ -389,7 +389,6 @@ class ClusterDeployment(DeploymentDriverMixin):
                 policy=make_policy(cfg.cache.policy),
                 vector_index=vector_index,
                 metric=cfg.cache.metric,
-                descriptor_dim=rec.descriptor_dim,
                 ttl_s=cfg.cache.ttl_s,
                 vector_dtype=vector_dtype)
             self.caches.append(cache)
@@ -428,19 +427,6 @@ class ClusterDeployment(DeploymentDriverMixin):
             self.edges.append(node)
         self.edge_by_name = dict(zip(self.edge_names, self.edges))
         self.cache_by_name = dict(zip(self.edge_names, self.caches))
-
-        # -- lookup fan-out --------------------------------------------------
-        # One shared rendezvous: every edge's same-tick batch lookup
-        # joins one wave, optionally executed on threads.  Bit-identical
-        # to inline flushing (see repro.core.parallel).
-        self.lookup_fanout = None
-        if cfg.lookup_threads > 0:
-            from repro.core.parallel import TickLookupFanout
-
-            self.lookup_fanout = TickLookupFanout(
-                self.env, workers=cfg.lookup_threads)
-            for node in self.edges:
-                node.lookup_fanout = self.lookup_fanout
 
         # -- affinity gossip -------------------------------------------------
         # Each edge pushes a CacheSummary snapshot to every backhaul

@@ -209,17 +209,9 @@ class CoICConfig:
     cloud_workers: int = 8
     #: Client-side RPC deadline.
     request_timeout_s: float = 60.0
-    #: Wall-clock threads for same-tick batched lookups across
-    #: co-located edges (0 = inline, the default).  Results are
-    #: bit-identical to sequential execution — the thread pool only
-    #: overlaps disjoint per-edge BLAS passes; simulated time is
-    #: unaffected.  See repro.core.parallel.
-    lookup_threads: int = 0
 
     def __post_init__(self) -> None:
         if self.edge_workers < 1 or self.cloud_workers < 1:
             raise ValueError("worker counts must be >= 1")
         if self.request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be > 0")
-        if self.lookup_threads < 0:
-            raise ValueError("lookup_threads must be >= 0")

@@ -113,18 +113,13 @@ class EdgeNode:
         self.pipeline = pipeline
         #: digest -> completion event, for miss coalescing on hash tasks.
         self._inflight: dict[str, Event] = {}
-        #: Same-tick lookups awaiting one fused batch pass, as
-        #: (descriptor, threshold, waiter) in arrival order — all kinds
-        #: share the one list because the cache's fused core answers a
-        #: mixed-kind burst in one stacked matmul.
+        #: Same-tick lookups awaiting one batch pass, as (descriptor,
+        #: threshold, waiter) in arrival order — all kinds share the
+        #: one list; the cache groups the burst per (kind, threshold).
         self._pending_lookups: list[
             tuple[Descriptor, float, Event]] = []
         self.batched_lookups = 0
         self.lookup_batches = 0
-        #: Optional :class:`~repro.core.parallel.TickLookupFanout`
-        #: shared by co-located edges; installed by the deployment when
-        #: ``config.lookup_threads > 0``.  None = flush inline.
-        self.lookup_fanout = None
         self.requests_served = 0
         #: Responses abandoned because the client's access link went
         #: down first (the client gave up on the request and moved on —
@@ -229,10 +224,9 @@ class EdgeNode:
         Requests whose cost timeout lands on the same simulated instant
         are collected — across descriptor kinds — and answered by a
         single :meth:`ICCache.lookup_batch` call with per-item
-        thresholds; under the fused linear core the whole mixed burst
-        is one stacked matmul.  The burst of co-located users that the
-        multi-user sharing ablation hammers becomes one BLAS pass
-        instead of N scans.  Simulated timing and match decisions are
+        thresholds.  The burst of co-located users that the multi-user
+        sharing ablation hammers becomes one BLAS pass per kind instead
+        of N scans.  Simulated timing and match decisions are
         identical to per-request lookups: every request still pays its
         own ``lookup_cost_s`` and the batch pass itself adds zero
         simulated time.
@@ -261,14 +255,8 @@ class EdgeNode:
         ordered = [item for group in groups.values() for item in group]
         descriptors = [d for d, _, _ in ordered]
         thresholds = [t for _, t, _ in ordered]
-        now = self.env.now
-        if self.lookup_fanout is not None:
-            entries = yield self.lookup_fanout.submit(
-                lambda: self.cache.lookup_batch(
-                    descriptors, now=now, thresholds=thresholds))
-        else:
-            entries = self.cache.lookup_batch(descriptors, now=now,
-                                              thresholds=thresholds)
+        entries = self.cache.lookup_batch(descriptors, now=self.env.now,
+                                          thresholds=thresholds)
         self.batched_lookups += len(ordered)
         self.lookup_batches += 1
         for (_, _, waiter), entry in zip(ordered, entries):

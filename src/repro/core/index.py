@@ -271,9 +271,7 @@ class _VectorStore:
     Rows live in the dense prefix ``matrix[:n]``.  Inserts append;
     capacity doubles when full (amortized O(dim) per insert).  Removes
     swap the last live row into the freed slot (O(dim), order not
-    preserved).  ``norms[:n]`` always mirrors ``matrix[:n]``.  Each row
-    carries an int32 *tag* (default 0) that survives swap-compaction —
-    the fused multi-kind index stores its kind code there.
+    preserved).  ``norms[:n]`` always mirrors ``matrix[:n]``.
 
     Args:
         dtype: ``"float32"`` (default) or ``"float64"``; the matrix,
@@ -290,7 +288,6 @@ class _VectorStore:
         self.compute_dtype = np.dtype(dtype)
         self._matrix: np.ndarray | None = None  # (capacity, dim)
         self._norms: np.ndarray | None = None   # (capacity,)
-        self._tags: np.ndarray | None = None    # (capacity,) int32
         self._row_ids: list[int] = []           # row -> entry_id
         self._row_of: dict[int, int] = {}       # entry_id -> row
         self.dim: int | None = None
@@ -311,11 +308,6 @@ class _VectorStore:
         """Cached Euclidean norms of the live rows; (n,) view."""
         return self._norms[:len(self._row_ids)]
 
-    @property
-    def tags(self) -> np.ndarray:
-        """Per-row int32 tags of the live rows; (n,) view."""
-        return self._tags[:len(self._row_ids)]
-
     def id_at(self, row: int) -> int:
         return self._row_ids[row]
 
@@ -331,29 +323,13 @@ class _VectorStore:
         """``(vectors, norms)`` of the given rows, in row order."""
         return self._matrix[rows], self._norms[rows]
 
-    def distances(self, metric_batch, queries: np.ndarray,
-                  lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """(Q, hi - lo) distances of a query block against rows [lo, hi).
+    def distances(self, metric_batch, queries: np.ndarray) -> np.ndarray:
+        """(Q, n) distances of a query block against every live row."""
+        return metric_batch(self.matrix, queries, row_norms=self.norms)
 
-        Defaults cover every live row.  The restriction is a view, not a
-        gather: callers that keep related rows contiguous (the fused
-        core's kind segments) pay flops only for the rows they ask for.
-        """
-        if hi is None:
-            hi = len(self._row_ids)
-        return metric_batch(self._matrix[lo:hi], queries,
-                            row_norms=self._norms[lo:hi])
-
-    def dots(self, queries: np.ndarray,
-             lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Raw (Q, hi - lo) inner products against rows [lo, hi)."""
-        if hi is None:
-            hi = len(self._row_ids)
-        return queries @ self._matrix[lo:hi].T
-
-    def nearest_cosine(self, query: np.ndarray, lo: int, hi: int,
+    def nearest_cosine(self, query: np.ndarray,
                        eps: float) -> tuple[int, float] | None:
-        """Nearest row of the non-empty range [lo, hi) to one query.
+        """Nearest live row of a non-empty store to one query.
 
         The single-query form of the exact cosine scan: one gemv, one
         scaling pass and two ``argmax`` rank the rows (for a fixed
@@ -373,8 +349,8 @@ class _VectorStore:
         query_norm = np.linalg.norm(queries, axis=1)[0]
         if not query_norm > 0.0:
             return None
-        dots = self.dots(queries, lo, hi)[0]
-        row_norms = self._norms[lo:hi]
+        dots = (queries @ self.matrix.T)[0]
+        row_norms = self.norms
 
         def exact(col: int) -> float:
             row_norm = row_norms[col]
@@ -388,37 +364,23 @@ class _VectorStore:
             scores[row_norms == 0.0] = -np.inf
             best = int(scores.argmax())
             distance = exact(best)
-            if hi - lo > 1:
+            if len(row_norms) > 1:
                 scores[best] = -np.inf
                 # ``not >`` so a NaN distance falls back too.
                 if not exact(int(scores.argmax())) - distance > eps:
                     return None
-        return self._row_ids[lo + best], distance
-
-    def swap_rows(self, i: int, j: int) -> None:
-        """Swap two live rows in place (vectors, norms, tags, ids)."""
-        if i == j:
-            return
-        self._matrix[[i, j]] = self._matrix[[j, i]]
-        self._norms[[i, j]] = self._norms[[j, i]]
-        self._tags[[i, j]] = self._tags[[j, i]]
-        id_i, id_j = self._row_ids[i], self._row_ids[j]
-        self._row_ids[i], self._row_ids[j] = id_j, id_i
-        self._row_of[id_i] = j
-        self._row_of[id_j] = i
+        return self._row_ids[best], distance
 
     def memory_bytes(self) -> int:
-        """Allocated array bytes (matrix + norms + tags)."""
+        """Allocated array bytes (matrix + norms)."""
         if self._matrix is None:
             return 0
-        return (self._matrix.nbytes + self._norms.nbytes
-                + self._tags.nbytes)
+        return self._matrix.nbytes + self._norms.nbytes
 
     def _allocate(self, capacity: int, dim: int) -> None:
         self.dim = dim
         self._matrix = np.empty((capacity, dim), dtype=self.compute_dtype)
         self._norms = np.empty(capacity, dtype=self.compute_dtype)
-        self._tags = np.zeros(capacity, dtype=np.int32)
 
     def _grow(self, capacity: int) -> None:
         n = len(self._row_ids)
@@ -428,11 +390,8 @@ class _VectorStore:
         grown_norms = np.empty(capacity, dtype=self.compute_dtype)
         grown_norms[:n] = self._norms[:n]
         self._norms = grown_norms
-        grown_tags = np.zeros(capacity, dtype=np.int32)
-        grown_tags[:n] = self._tags[:n]
-        self._tags = grown_tags
 
-    def add(self, entry_id: int, vec: np.ndarray, tag: int = 0) -> None:
+    def add(self, entry_id: int, vec: np.ndarray) -> None:
         if self._matrix is None:
             self._allocate(max(self.MIN_CAPACITY, 1), vec.shape[0])
         n = len(self._row_ids)
@@ -440,12 +399,11 @@ class _VectorStore:
             self._grow(2 * n)
         self._matrix[n] = vec
         self._norms[n] = np.linalg.norm(self._matrix[n])
-        self._tags[n] = tag
         self._row_ids.append(entry_id)
         self._row_of[entry_id] = n
 
     def add_batch(self, entry_ids: typing.Sequence[int],
-                  matrix: np.ndarray, tag: int = 0) -> None:
+                  matrix: np.ndarray) -> None:
         """Append many rows at once: one copy, at most one growth.
 
         ``matrix`` is (k, dim) and row j belongs to ``entry_ids[j]``.
@@ -464,7 +422,6 @@ class _VectorStore:
                 capacity *= 2
             self._grow(capacity)
         self._matrix[n:n + k] = matrix
-        self._tags[n:n + k] = tag
         for j, entry_id in enumerate(entry_ids):
             # Per-row norms on purpose: an axis-1 reduction rounds
             # differently than the BLAS norm add() uses, and cached
@@ -481,7 +438,6 @@ class _VectorStore:
         if row != last:
             self._matrix[row] = self._matrix[last]
             self._norms[row] = self._norms[last]
-            self._tags[row] = self._tags[last]
             self._row_ids[row] = last_id
             self._row_of[last_id] = row
 
@@ -513,7 +469,6 @@ class _QuantizedVectorStore:
         self._scales: np.ndarray | None = None   # (capacity,) float32
         self._offsets: np.ndarray | None = None  # (capacity,) float32
         self._norms: np.ndarray | None = None    # (capacity,) float32
-        self._tags: np.ndarray | None = None     # (capacity,) int32
         self._row_ids: list[int] = []
         self._row_of: dict[int, int] = {}
         self.dim: int | None = None
@@ -538,10 +493,6 @@ class _QuantizedVectorStore:
         """Cached norms of the dequantized live rows; (n,) view."""
         return self._norms[:len(self._row_ids)]
 
-    @property
-    def tags(self) -> np.ndarray:
-        return self._tags[:len(self._row_ids)]
-
     def id_at(self, row: int) -> int:
         return self._row_ids[row]
 
@@ -564,43 +515,27 @@ class _QuantizedVectorStore:
         return self._dequant(np.asarray(rows, dtype=np.intp)), \
             self._norms[rows]
 
-    def distances(self, metric_batch, queries: np.ndarray,
-                  lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """(Q, hi - lo) distances, dequantizing :data:`CHUNK` at a time.
+    def distances(self, metric_batch, queries: np.ndarray) -> np.ndarray:
+        """(Q, n) distances, dequantizing :data:`CHUNK` rows at a time.
 
-        Defaults cover every live row.  Chunk boundaries depend only on
-        the row range, never on the query count, so a batch of Q and Q
-        batches of one run byte-identical arithmetic per (query, row)
-        pair.
+        Chunk boundaries depend only on the row count, never on the
+        query count, so a batch of Q and Q batches of one run
+        byte-identical arithmetic per (query, row) pair.
         """
-        if hi is None:
-            hi = len(self._row_ids)
+        n = len(self._row_ids)
         blocks = []
-        for start in range(lo, hi, self.CHUNK):
-            rows = np.arange(start, min(start + self.CHUNK, hi),
+        for start in range(0, n, self.CHUNK):
+            rows = np.arange(start, min(start + self.CHUNK, n),
                              dtype=np.intp)
             blocks.append(metric_batch(self._dequant(rows), queries,
                                        row_norms=self._norms[rows]))
         return np.concatenate(blocks, axis=1)
 
-    def swap_rows(self, i: int, j: int) -> None:
-        """Swap two live rows in place (codes, affine params, tags, ids)."""
-        if i == j:
-            return
-        for name in ("_codes", "_scales", "_offsets", "_norms", "_tags"):
-            arr = getattr(self, name)
-            arr[[i, j]] = arr[[j, i]]
-        id_i, id_j = self._row_ids[i], self._row_ids[j]
-        self._row_ids[i], self._row_ids[j] = id_j, id_i
-        self._row_of[id_i] = j
-        self._row_of[id_j] = i
-
     def memory_bytes(self) -> int:
         if self._codes is None:
             return 0
         return (self._codes.nbytes + self._scales.nbytes
-                + self._offsets.nbytes + self._norms.nbytes
-                + self._tags.nbytes)
+                + self._offsets.nbytes + self._norms.nbytes)
 
     def _quantize(self, vec: np.ndarray
                   ) -> tuple[np.ndarray, np.float32, np.float32]:
@@ -619,19 +554,16 @@ class _QuantizedVectorStore:
         self._scales = np.empty(capacity, dtype=np.float32)
         self._offsets = np.empty(capacity, dtype=np.float32)
         self._norms = np.empty(capacity, dtype=np.float32)
-        self._tags = np.zeros(capacity, dtype=np.int32)
 
     def _grow(self, capacity: int) -> None:
         n = len(self._row_ids)
-        for name in ("_codes", "_scales", "_offsets", "_norms", "_tags"):
+        for name in ("_codes", "_scales", "_offsets", "_norms"):
             old = getattr(self, name)
-            shape = (capacity,) + old.shape[1:]
-            grown = (np.zeros if name == "_tags" else np.empty)(
-                shape, dtype=old.dtype)
+            grown = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
             grown[:n] = old[:n]
             setattr(self, name, grown)
 
-    def _set_row(self, row: int, vec: np.ndarray, tag: int) -> None:
+    def _set_row(self, row: int, vec: np.ndarray) -> None:
         codes, scale, offset = self._quantize(
             np.asarray(vec, dtype=np.float32))
         self._codes[row] = codes
@@ -639,20 +571,19 @@ class _QuantizedVectorStore:
         self._offsets[row] = offset
         self._norms[row] = np.linalg.norm(
             self._dequant(np.array([row], dtype=np.intp))[0])
-        self._tags[row] = tag
 
-    def add(self, entry_id: int, vec: np.ndarray, tag: int = 0) -> None:
+    def add(self, entry_id: int, vec: np.ndarray) -> None:
         if self._codes is None:
             self._allocate(max(self.MIN_CAPACITY, 1), vec.shape[0])
         n = len(self._row_ids)
         if n == self._codes.shape[0]:
             self._grow(2 * n)
-        self._set_row(n, vec, tag)
+        self._set_row(n, vec)
         self._row_ids.append(entry_id)
         self._row_of[entry_id] = n
 
     def add_batch(self, entry_ids: typing.Sequence[int],
-                  matrix: np.ndarray, tag: int = 0) -> None:
+                  matrix: np.ndarray) -> None:
         k = len(entry_ids)
         if k == 0:
             return
@@ -667,7 +598,7 @@ class _QuantizedVectorStore:
         for j, entry_id in enumerate(entry_ids):
             # Row-at-a-time so batch and scalar inserts quantize (and
             # cache norms) bit-identically.
-            self._set_row(n + j, matrix[j], tag)
+            self._set_row(n + j, matrix[j])
             self._row_ids.append(entry_id)
             self._row_of[entry_id] = n + j
 
@@ -680,7 +611,6 @@ class _QuantizedVectorStore:
             self._scales[row] = self._scales[last]
             self._offsets[row] = self._offsets[last]
             self._norms[row] = self._norms[last]
-            self._tags[row] = self._tags[last]
             self._row_ids[row] = last_id
             self._row_of[last_id] = row
 
@@ -806,7 +736,7 @@ class LinearIndex(DescriptorIndex):
     """
 
     #: Cost model: fixed overhead + per-stored-vector scan cost.  The
-    #: per-vector figure corresponds to a 128-d fused multiply-add pass.
+    #: per-vector figure corresponds to a 128-d multiply-add pass.
     BASE_COST_S = 5e-5
     PER_VECTOR_COST_S = 2.5e-7
 
@@ -866,8 +796,7 @@ class LinearIndex(DescriptorIndex):
         if len(self._store) == 0:
             return [None] * len(vecs)
         if len(vecs) == 1 and self._float_cosine:
-            nearest = self._store.nearest_cosine(
-                vecs[0], 0, len(self._store), self._eps)
+            nearest = self._store.nearest_cosine(vecs[0], self._eps)
             if nearest is not None:
                 return [nearest if nearest[1] <= threshold else None]
         queries = np.stack(vecs)
@@ -1480,346 +1409,6 @@ class IvfIndex(DescriptorIndex):
                 f"descriptor is {descriptor.dim}-d")
         return np.asarray(descriptor.vector,
                           dtype=self._store.compute_dtype)
-
-
-class FusedLinearCore:
-    """One shared linear store for every vector kind of one dimension.
-
-    The per-kind :class:`LinearIndex` layout answers a mixed-kind burst
-    with one matmul *per kind*; at small per-kind occupancies the gemm
-    setup dominates.  The fused core keeps all kinds' vectors in one
-    :class:`_VectorStore` (the per-row int32 tag is the kind code),
-    *clustered by kind*: each kind's rows form one contiguous segment,
-    segments ordered by kind-code creation.  A burst spanning kinds
-    stacks each kind's queries and runs one contiguous-view matmul per
-    queried segment — the same flops a dedicated per-kind index would
-    pay, with none of the per-call dispatch or the gather a
-    tag-scattered layout would need.  Inserts keep the clustering by
-    rotating later segments one row (O(later kinds) row swaps, O(dim)
-    each); removes rotate them back.
-
-    Kinds surface as :class:`_FusedKindView` facades that implement the
-    full :class:`DescriptorIndex` interface, so the cache's bookkeeping
-    (per-kind stats, rematch-after-expiry, cost charging) is unchanged;
-    views price lookups at *per-kind* occupancy, exactly as a dedicated
-    LinearIndex would, so simulated time is independent of fusion.  For
-    a single-kind store the fused arithmetic degenerates to the
-    dedicated LinearIndex arithmetic (same matrix, same BLAS calls).
-    """
-
-    def __init__(self, metric: str = "cosine", dtype: str = DEFAULT_DTYPE):
-        self.metric_name = metric
-        self.dtype = dtype
-        self._metric = get_metric(metric)
-        self._metric_batch = get_metric_batch(metric)
-        self._store = _make_store(dtype)
-        self._eps = _decision_eps(dtype)
-        #: Whether the store's single-query kernel can answer for it.
-        self._float_cosine = (metric == "cosine" and isinstance(
-            self._store, _VectorStore))
-        self._codes: dict[str, int] = {}
-        self._views: dict[str, _FusedKindView] = {}
-        self._counts: dict[int, int] = {}     # code -> live rows
-        self._owner: dict[int, int] = {}      # entry_id -> code
-        #: Stacked (cross-kind) matmuls answered; the fusion win metric.
-        self.fused_batches = 0
-
-    def view(self, kind: str) -> "_FusedKindView":
-        """The DescriptorIndex facade for one kind (created on demand)."""
-        if kind not in self._views:
-            code = len(self._codes)
-            self._codes[kind] = code
-            self._counts[code] = 0
-            self._views[kind] = _FusedKindView(self, kind, code)
-        return self._views[kind]
-
-    def kind_len(self, code: int) -> int:
-        return self._counts.get(code, 0)
-
-    def _segment(self, code: int) -> tuple[int, int]:
-        """``[lo, hi)`` row range of ``code``'s contiguous segment.
-
-        Codes are assigned densely in creation order, so boundaries are
-        prefix sums of the per-code counts.
-        """
-        lo = 0
-        for c in range(code):
-            lo += self._counts.get(c, 0)
-        return lo, lo + self._counts.get(code, 0)
-
-    def _later_codes(self, code: int) -> list[int]:
-        """Codes after ``code`` whose segments are non-empty, in order."""
-        return [c for c in range(code + 1, len(self._codes))
-                if self._counts.get(c, 0) > 0]
-
-    def _clusterize(self, row: int, code: int) -> None:
-        """Move the appended row at ``row`` to the end of its segment.
-
-        Chain-swaps with each later segment's first row (highest code
-        first): every later segment rotates by one row but stays
-        contiguous, and the new row lands right after its own kind's
-        rows.  The caller increments ``_counts[code]`` afterwards.
-        """
-        for later in reversed(self._later_codes(code)):
-            lo, _ = self._segment(later)
-            self._store.swap_rows(row, lo)
-            row = lo
-
-    def _insert(self, code: int, entry_id: int,
-                descriptor: Descriptor) -> None:
-        vec = self._validate(descriptor)
-        if entry_id in self._store:
-            raise IndexEntryExists(f"entry {entry_id} already indexed")
-        self._store.add(entry_id, vec, tag=code)
-        self._clusterize(len(self._store) - 1, code)
-        self._counts[code] += 1
-        self._owner[entry_id] = code
-
-    def _insert_batch(self, code: int, items: typing.Sequence[
-            tuple[int, Descriptor]]) -> None:
-        ids: list[int] = []
-        vecs: list[np.ndarray] = []
-        seen: set[int] = set()
-        for entry_id, descriptor in items:
-            if entry_id in self._store or entry_id in seen:
-                raise IndexEntryExists(f"entry {entry_id} already indexed")
-            seen.add(entry_id)
-            ids.append(entry_id)
-            vecs.append(self._validate(descriptor))
-        if not ids:
-            return
-        appended_at = len(self._store)
-        self._store.add_batch(ids, np.stack(vecs), tag=code)
-        for j, entry_id in enumerate(ids):
-            # Row j's swaps only touch positions <= appended_at + j, so
-            # rows j+1.. sit untouched at the tail until their turn —
-            # the final layout matches len(ids) scalar inserts exactly.
-            self._clusterize(appended_at + j, code)
-            self._counts[code] += 1
-            self._owner[entry_id] = code
-
-    def _remove(self, code: int, entry_id: int) -> None:
-        if self._owner.get(entry_id) != code:
-            raise KeyError(f"entry {entry_id} not in index")
-        _, hi = self._segment(code)
-        pos = int(self._store.rows_for([entry_id])[0])
-        # Swap the doomed row to its segment's end, then through each
-        # later segment's end until it is the global last row; later
-        # segments rotate back by one and the store's swap-compact
-        # remove then pops it without displacing anything.
-        self._store.swap_rows(pos, hi - 1)
-        pos = hi - 1
-        for later in self._later_codes(code):
-            _, lhi = self._segment(later)
-            self._store.swap_rows(pos, lhi - 1)
-            pos = lhi - 1
-        self._store.remove(entry_id)
-        del self._owner[entry_id]
-        self._counts[code] -= 1
-
-    def query_multi(self, kinds: typing.Sequence[str],
-                    descriptors: typing.Sequence[Descriptor],
-                    thresholds: typing.Sequence[float]
-                    ) -> list[tuple[int, float] | None]:
-        """Answer a mixed-kind burst, one segment matmul per kind.
-
-        ``kinds[q]`` scopes query q's answer to that kind's rows;
-        ``thresholds[q]`` is its match threshold.  Each queried kind's
-        stacked queries hit only that kind's contiguous row segment —
-        the flops of a dedicated per-kind index, without its per-call
-        overhead or any column gather.  Results in input order,
-        decision-identical to per-kind sequential queries.
-        """
-        vecs = [self._validate(d) for d in descriptors]
-        if not vecs:
-            return []
-        if len(self._store) == 0:
-            return [None] * len(vecs)
-        if len(vecs) == 1 and self._float_cosine:
-            code = self._codes.get(kinds[0])
-            if code is None or self._counts[code] == 0:
-                return [None]
-            lo, hi = self._segment(code)
-            nearest = self._store.nearest_cosine(vecs[0], lo, hi, self._eps)
-            if nearest is not None:
-                return [nearest if nearest[1] <= thresholds[0] else None]
-        if len(vecs) > 1:
-            self.fused_batches += 1
-        # Cosine over float storage never streams the full distance
-        # block unless it has to: one query took the store's
-        # single-query kernel above (and is here only because that
-        # declined), a burst takes the pruned score-space path.  Other
-        # metrics and int8 storage run the full distance kernel.
-        fast = len(vecs) > 1 and self._float_cosine
-        results: list[tuple[int, float] | None] = [None] * len(vecs)
-        by_kind: dict[str, list[int]] = {}
-        for q, kind in enumerate(kinds):
-            by_kind.setdefault(kind, []).append(q)
-        for kind, qrows in by_kind.items():
-            code = self._codes.get(kind)
-            if code is None or self._counts.get(code, 0) == 0:
-                continue  # no rows of this kind: results stay None
-            lo, hi = self._segment(code)
-            queries = np.stack([vecs[q] for q in qrows])
-            if fast:
-                best, best_distance, runner_up = self._cosine_topk(
-                    queries, lo, hi)
-            else:
-                sub = self._store.distances(self._metric_batch, queries,
-                                            lo, hi)
-                best = np.argmin(sub, axis=1)
-                best_distance = sub[np.arange(len(qrows)), best]
-                if sub.shape[1] > 1:
-                    runner_up = np.partition(sub, 1, axis=1)[:, 1]
-                else:
-                    runner_up = np.full(len(qrows), np.inf)
-            for i, q in enumerate(qrows):
-                d = float(best_distance[i])
-                threshold = thresholds[q]
-                if len(vecs) > 1 and (
-                        abs(d - threshold) <= self._eps
-                        or runner_up[i] - d <= self._eps):
-                    # Same boundary rule as LinearIndex.query_batch:
-                    # near a tie or the threshold edge, re-answer
-                    # through the batch-of-one path so stacked and
-                    # sequential decisions stay element-wise identical.
-                    # The pruned path leans on this too: any candidate
-                    # pair it could mis-order differs by at most a
-                    # rounding error, far inside the eps band.
-                    results[q] = self.query_multi(
-                        [kind], [descriptors[q]], [threshold])[0]
-                    continue
-                if d <= threshold:
-                    results[q] = (self._store.id_at(lo + int(best[i])), d)
-        return results
-
-    def _cosine_topk(self, queries: np.ndarray, lo: int, hi: int
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Best/runner-up cosine distances over rows [lo, hi), pruned.
-
-        The full kernel spends most of its wall time streaming the
-        (Q, n) block through normalization, clip, and subtract passes.
-        For *selection* those passes are redundant: for a fixed query,
-        cosine distance is monotone non-increasing in the norm-scaled
-        inner product, so one raw gemm plus a single scaling pass ranks
-        every row.  The exact kernel arithmetic — same operation order,
-        same dtype, same degenerate-norm handling as
-        :func:`~repro.core.distance.cosine_distance_batch` — then runs
-        on just the two selected candidates per query, so the distances
-        returned are bit-identical to the full kernel's.  Score space
-        may mis-order candidates separated by at most a rounding error
-        (it divides in a different order, and clipped ties collapse);
-        such pairs land within the caller's eps re-answer band, never
-        in a direct decision.
-
-        Returns ``(best_col, best_distance, runner_up_distance)`` with
-        columns relative to ``lo``.
-        """
-        store = self._store
-        dots = store.dots(queries, lo, hi)
-        row_norms = store.norms[lo:hi]
-        query_norms = np.linalg.norm(queries, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = dots / row_norms[None, :]
-        degenerate_r = row_norms == 0.0
-        if degenerate_r.any():
-            scores[:, degenerate_r] = -np.inf
-        rows = np.arange(len(queries))
-        best = np.argmax(scores, axis=1)
-        if scores.shape[1] > 1:
-            scores[rows, best] = -np.inf
-            second = np.argmax(scores, axis=1)
-        else:
-            second = None
-
-        def exact(cols: np.ndarray) -> np.ndarray:
-            # Per-element replica of cosine_distance_batch: divide by
-            # the query norm, then the row norm, force degenerate pairs
-            # to maximum distance, clip, subtract — in that order.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cos = dots[rows, cols] / query_norms
-                cos = cos / row_norms[cols]
-            cos[query_norms == 0.0] = -1.0
-            cos[row_norms[cols] == 0.0] = -1.0
-            np.clip(cos, -1.0, 1.0, out=cos)
-            np.subtract(1.0, cos, out=cos)
-            return cos
-
-        best_distance = exact(best)
-        if second is None:
-            runner_up = np.full(len(queries), np.inf)
-        else:
-            runner_up = exact(second)
-        return best, best_distance, runner_up
-
-    def memory_bytes(self) -> int:
-        """Allocated storage bytes of the shared store."""
-        return self._store.memory_bytes()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def _validate(self, descriptor: Descriptor) -> np.ndarray:
-        if not isinstance(descriptor, VectorDescriptor):
-            raise TypeError("FusedLinearCore stores VectorDescriptor keys")
-        vec = np.asarray(descriptor.vector,
-                         dtype=self._store.compute_dtype)
-        if self._store.dim is not None and vec.shape[0] != self._store.dim:
-            raise ValueError(
-                f"dimension mismatch: index is {self._store.dim}-d, "
-                f"descriptor is {vec.shape[0]}-d")
-        return vec
-
-
-class _FusedKindView(DescriptorIndex):
-    """One kind's :class:`DescriptorIndex` facade over a fused core.
-
-    Mutations and queries delegate to the shared
-    :class:`FusedLinearCore`, scoped to this view's kind code; pricing
-    reports per-kind occupancy so the simulated lookup cost matches a
-    dedicated :class:`LinearIndex` of the same kind exactly.
-    """
-
-    def __init__(self, core: FusedLinearCore, kind: str, code: int):
-        self._core = core
-        self.kind = kind
-        self._code = code
-        self.metric_name = core.metric_name
-        self.dtype = core.dtype
-        self.last_query_cost_s: float | None = None
-
-    def insert(self, entry_id: int, descriptor: Descriptor) -> None:
-        self._core._insert(self._code, entry_id, descriptor)
-
-    def insert_batch(self, items: typing.Sequence[
-            tuple[int, Descriptor]]) -> None:
-        self._core._insert_batch(self._code, items)
-
-    def remove(self, entry_id: int) -> None:
-        self._core._remove(self._code, entry_id)
-
-    def query(self, descriptor: Descriptor,
-              threshold: float) -> tuple[int, float] | None:
-        return self.query_batch([descriptor], threshold)[0]
-
-    def query_batch(self, descriptors: typing.Sequence[Descriptor],
-                    threshold: float) -> list[tuple[int, float] | None]:
-        results = self._core.query_multi(
-            [self.kind] * len(descriptors), descriptors,
-            [threshold] * len(descriptors))
-        self.last_query_cost_s = self.lookup_cost_s()
-        return results
-
-    def lookup_cost_s(self) -> float:
-        return (LinearIndex.BASE_COST_S
-                + LinearIndex.PER_VECTOR_COST_S * len(self))
-
-    def memory_bytes(self) -> int:
-        """Bytes of the *shared* core store (not a per-kind share)."""
-        return self._core.memory_bytes()
-
-    def __len__(self) -> int:
-        return self._core.kind_len(self._code)
 
 
 def make_index(spec: str, dim: int = 128, metric: str = "cosine",

@@ -508,7 +508,7 @@ class EdgePolicySpec:
             .CoICClient`.  0 keeps the pre-backoff behaviour: the app
             sees the ``shed`` outcome immediately.
         vector_index: Override the deployment's vector index tier for
-            every edge cache — ``"linear"`` (fused brute force),
+            every edge cache — ``"linear"`` (exact brute force),
             ``"lsh"``/``"lsh:T:B"``, ``"ivf"``/``"ivf:K"``/``"ivf:K:P"``
             (coarse-quantizer probe, for 1e5+ entry caches), or
             ``"exact"``.  Empty string (default) inherits

@@ -4,7 +4,7 @@ The index tiers are measured in isolation by ``index_scaling``; this
 experiment asks the whole-system question — how fast does the simulator
 push recognition requests through the 4-edge metro spec under each
 cache configuration?  One row per configuration: the float64/linear
-oracle tier, the fused float32 deployment default, and float32 IVF.  The
+oracle tier, the float32/linear deployment default, and float32 IVF.  The
 metric is simulated requests completed per second of host wall clock
 per core (the driver is single-threaded, so cores == 1); simulated
 outcomes (hit ratio, latency) ride along to show the tiers do not
@@ -28,7 +28,7 @@ from repro.eval.experiments.mobility_exp import drive_scenario
 
 DEFAULT_CONFIGS = (
     ("float64_linear", "linear", "float64"),
-    ("float32_fused", "linear", "float32"),
+    ("float32_linear", "linear", "float32"),
     ("float32_ivf", "ivf", "float32"),
 )
 

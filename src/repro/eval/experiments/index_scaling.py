@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.descriptors import VectorDescriptor
 from repro.core.distance import get_metric
-from repro.core.index import FusedLinearCore, IvfIndex, LinearIndex, LshIndex
+from repro.core.index import IvfIndex, LinearIndex, LshIndex
 from repro.sim.rng import RngStreams
 from repro.vision.features import EmbeddingSpace
 
@@ -225,31 +225,32 @@ class TierRow:
     kind (recognition descriptors, 95% of rows) plus a thin secondary
     kind sharing the same dimension, probed by near-duplicate queries.
     ``float64_perkind_us`` is the oracle-tier baseline (one float64
-    LinearIndex per kind); ``fused_float32_us`` is the deployment
-    default.  Memory columns are the allocated store bytes for the same
+    LinearIndex per kind); ``float32_perkind_us`` is the same layout in
+    the deployment-default dtype, so their ratio isolates storage
+    width.  Memory columns are the allocated store bytes for the same
     population inserted in one burst (so capacity equals occupancy and
     dtypes compare like for like).
     """
 
     n_entries: int
     float64_perkind_us: float
-    fused_float32_us: float
+    float32_perkind_us: float
     int8_us: float
     ivf_us: float
     float64_memory_mb: float
     float32_memory_mb: float
     int8_memory_mb: float
     ivf_memory_mb: float
-    fused_recall: float
+    float32_recall: float
     int8_recall: float
     ivf_recall: float
     ivf_candidates: float
     ivf_trainings: int
 
     @property
-    def fused_speedup(self) -> float:
-        """Fused float32 batch throughput over per-kind float64."""
-        return self.float64_perkind_us / self.fused_float32_us
+    def float32_speedup(self) -> float:
+        """Per-kind float32 batch throughput over per-kind float64."""
+        return self.float64_perkind_us / self.float32_perkind_us
 
 
 def _time_interleaved(thunks: dict[str, typing.Callable[[], object]],
@@ -287,8 +288,7 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
 
     * per-kind float64 ``LinearIndex`` — the oracle tier and the
       timing/recall baseline;
-    * fused float32 ``FusedLinearCore`` — one stacked matmul across
-      kinds, the deployment default;
+    * per-kind float32 ``LinearIndex`` — the deployment default;
     * int8 ``LinearIndex`` — scalar-quantized storage, the memory tier;
     * float32 ``IvfIndex`` (auto-sized) — the sublinear tier.
     """
@@ -315,7 +315,6 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
                              vector=population[probe_rows[q]] + jitter[q])
             for q in range(n_queries)]
         kinds = [q.kind for q in queries]
-        thresholds = [threshold] * n_queries
         rec_queries = [q for q in queries if q.kind == "recognition"]
         aux_queries = [q for q in queries if q.kind == "aux"]
 
@@ -329,19 +328,17 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
         f64_aux = LinearIndex(dtype="float64")
         f64_aux.insert_batch(aux_items)
 
-        # Fused float32 tier: both kinds in one store, mixed bursts
-        # answered by one stacked matmul.
-        fused = FusedLinearCore(dtype="float32")
-        fused.view("aux").insert_batch(aux_items)
-        fused.view("recognition").insert_batch(rec_items)
+        # Deployment-default tier: the same per-kind layout in float32.
+        f32_rec = LinearIndex(dtype="float32")
+        f32_rec.insert_batch(rec_items)
+        f32_aux = LinearIndex(dtype="float32")
+        f32_aux.insert_batch(aux_items)
 
-        # Memory is compared on single-burst stores (capacity ==
+        # Every store is filled in a single burst (capacity ==
         # occupancy); incremental growth doubles capacity at the same
-        # rate for every dtype, so the single-burst ratio is the
+        # rate for every dtype, so the single-burst memory ratio is the
         # deployed ratio.
-        f32_mem = LinearIndex(dtype="float32")
-        f32_mem.insert_batch(items)
-
+        #
         # int8 tier: scalar-quantized storage, one store for all rows.
         int8 = LinearIndex(dtype="int8")
         int8.insert_batch(items)
@@ -353,16 +350,20 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
         walls = _time_interleaved({
             "f64": lambda: (f64_rec.query_batch(rec_queries, threshold),
                             f64_aux.query_batch(aux_queries, threshold)),
-            "fused": lambda: fused.query_multi(kinds, queries,
-                                               thresholds),
+            "f32": lambda: (f32_rec.query_batch(rec_queries, threshold),
+                            f32_aux.query_batch(aux_queries, threshold)),
             "int8": lambda: int8.query_batch(queries, threshold),
             "ivf": lambda: ivf.query_batch(queries, threshold),
         }, timing_reps)
 
-        rec_truth = iter(f64_rec.query_batch(rec_queries, threshold))
-        aux_truth = iter(f64_aux.query_batch(aux_queries, threshold))
-        truth = [next(rec_truth) if kind == "recognition"
-                 else next(aux_truth) for kind in kinds]
+        def per_kind(rec_index, aux_index):
+            """Per-kind batch answers, merged back into query order."""
+            rec = iter(rec_index.query_batch(rec_queries, threshold))
+            aux = iter(aux_index.query_batch(aux_queries, threshold))
+            return [next(rec) if kind == "recognition" else next(aux)
+                    for kind in kinds]
+
+        truth = per_kind(f64_rec, f64_aux)
 
         def recall_of(results):
             matched = [(a, b) for a, b in zip(truth, results)
@@ -372,22 +373,23 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
             return sum(1 for a, b in matched
                        if b is not None and b[0] == a[0]) / len(matched)
 
-        fused_results = fused.query_multi(kinds, queries, thresholds)
+        f32_results = per_kind(f32_rec, f32_aux)
         int8_results = int8.query_batch(queries, threshold)
         ivf_results = ivf.query_batch(queries, threshold)
 
         rows.append(TierRow(
             n_entries=n_entries,
             float64_perkind_us=walls["f64"] / n_queries * 1e6,
-            fused_float32_us=walls["fused"] / n_queries * 1e6,
+            float32_perkind_us=walls["f32"] / n_queries * 1e6,
             int8_us=walls["int8"] / n_queries * 1e6,
             ivf_us=walls["ivf"] / n_queries * 1e6,
             float64_memory_mb=(f64_rec.memory_bytes()
                                + f64_aux.memory_bytes()) / 1e6,
-            float32_memory_mb=f32_mem.memory_bytes() / 1e6,
+            float32_memory_mb=(f32_rec.memory_bytes()
+                               + f32_aux.memory_bytes()) / 1e6,
             int8_memory_mb=int8.memory_bytes() / 1e6,
             ivf_memory_mb=ivf.memory_bytes() / 1e6,
-            fused_recall=recall_of(fused_results),
+            float32_recall=recall_of(f32_results),
             int8_recall=recall_of(int8_results),
             ivf_recall=recall_of(ivf_results),
             ivf_candidates=float(ivf.last_candidates),

@@ -154,12 +154,36 @@ class TestLookupCost:
         assert cache.lookup_cost_s("recognition") > small
 
     def test_lsh_index_spec_used_for_vectors(self):
-        cache = ICCache(capacity_bytes=10_000, vector_index="lsh:4:8",
-                        descriptor_dim=8)
+        cache = ICCache(capacity_bytes=10_000, vector_index="lsh:4:8")
         cache.insert(vd([1, 0, 0, 0, 0, 0, 0, 0]), "x", 10)
         from repro.core.index import LshIndex
 
         assert isinstance(cache.index_for("recognition"), LshIndex)
+
+    @pytest.mark.parametrize("spec", ["linear", "lsh", "ivf"])
+    def test_each_kind_indexed_at_its_own_dimension(self, spec):
+        # Recognition descriptors are 128-d, layer-reuse keys are 32-d
+        # input sketches: every tier builds each kind's index at the
+        # dimension of that kind's descriptors.
+        rng = np.random.default_rng(3)
+        cache = ICCache(capacity_bytes=100, vector_index=spec,
+                        default_threshold=1e-3)
+        rows = {"recognition": rng.normal(size=(5, 128)),
+                "layer:conv3": rng.normal(size=(5, 32))}
+        for i in range(5):
+            for kind, block in rows.items():
+                cache.insert(vd(block[i], kind=kind), (kind, i), 10)
+        # Ten 10-byte entries fill the cache; the next two inserts
+        # evict the oldest entry of each kind (LRU).
+        for kind, block in rows.items():
+            hit = cache.lookup(vd(block[4], kind=kind))
+            assert hit is not None and hit.result == (kind, 4)
+        cache.insert(vd(rng.normal(size=128)), "new", 10)
+        cache.insert(vd(rng.normal(size=32), kind="layer:conv3"), "new", 10)
+        assert cache.stats.evictions == 2
+        for kind, block in rows.items():
+            assert cache.lookup(vd(block[0], kind=kind)) is None
+            assert len(cache.index_for(kind)) == 5
 
 
 class TestLookupBatch:
@@ -291,17 +315,18 @@ class TestStorageTiers:
         cache.insert(vd([1, 0, 0]), "obj", 10)
         assert cache.lookup(vd([0.99, 0.05, 0])) is not None
 
-    def test_index_memory_bytes_counts_fused_core_once(self):
+    def test_index_memory_bytes_sums_per_kind_stores(self):
         cache = ICCache(capacity_bytes=100_000)
         for i in range(32):
             cache.insert(vd([1, 0, 0, i], kind="recognition"), "a", 10)
+        for i in range(100):
             cache.insert(vd([0, 1, 0, i], kind="pano"), "b", 10)
-        # Both vector kinds share one fused core (same dim): the
-        # dedup walk must not double-count its store.
+        # Two same-dimension kinds, two dedicated stores (different
+        # capacities after growth): the cache reports their sum.
         per_kind = [cache.index_for("recognition").memory_bytes(),
                     cache.index_for("pano").memory_bytes()]
-        assert per_kind[0] == per_kind[1]  # shared store, same bytes
-        assert cache.index_memory_bytes() == per_kind[0]
+        assert 0 < per_kind[0] < per_kind[1]
+        assert cache.index_memory_bytes() == sum(per_kind)
 
     def test_float64_cache_memory_doubles_float32(self):
         def filled(dtype):

@@ -198,24 +198,6 @@ class TestMetroGoldenDigest:
         assert default_metro_digest(make_deployment,
                                     config=config) == GOLDEN_METRO
 
-    def test_threaded_lookup_fanout_is_byte_identical(
-            self, make_deployment, config):
-        # lookup_threads routes every same-tick batch lookup through
-        # the TickLookupFanout thread pool; telemetry must stay
-        # byte-identical to the sequential run.
-        from repro.eval.experiments.mobility_exp import drive_scenario
-
-        config.lookup_threads = 2
-        dep = default_metro_deployment(make_deployment, config=config)
-        drive_scenario(dep, 60.0, request_interval_s=2.0)
-        assert recorder_digest(dep.recorder) == GOLDEN_METRO
-        # The fanout really was on the path: every flushed batch from
-        # every edge went through a wave.
-        assert dep.lookup_fanout is not None
-        assert dep.lookup_fanout.waves > 0
-        assert dep.lookup_fanout.fanned_out == \
-            sum(edge.lookup_batches for edge in dep.edges)
-
 
 class TestMetroGoldenDigestFloat64(TestMetroGoldenDigest):
     """The same digests under the float64 oracle tier."""

@@ -6,7 +6,6 @@ import pytest
 from repro.core.descriptors import HashDescriptor, VectorDescriptor
 from repro.core.index import (
     ExactIndex,
-    FusedLinearCore,
     IndexEntryExists,
     IvfIndex,
     LinearIndex,
@@ -405,98 +404,3 @@ class TestMemoryFootprint:
         assert ivf.trained
         linear = self._filled()
         assert ivf.memory_bytes() > linear.memory_bytes()
-
-
-class TestFusedSegments:
-    """The fused core keeps each kind's rows in one contiguous segment."""
-
-    DIM = 8
-
-    def _assert_clustered(self, core):
-        tags = core._store.tags
-        boundary = 0
-        for kind, code in sorted(core._codes.items(), key=lambda kv: kv[1]):
-            count = core._counts[code]
-            segment = tags[boundary:boundary + count]
-            assert (segment == code).all(), (
-                f"kind {kind} segment not contiguous: {tags.tolist()}")
-            assert core._segment(code) == (boundary, boundary + count)
-            boundary += count
-        assert boundary == len(core._store)
-
-    def test_interleaved_churn_keeps_segments_contiguous(self):
-        rng = np.random.default_rng(5)
-        core = FusedLinearCore(dtype="float32")
-        views = {k: core.view(k) for k in ("a", "b", "c")}
-        entry = 0
-        inserted = []
-        for round_no in range(6):
-            for kind in ("a", "b", "c", "b", "a"):
-                views[kind].insert(
-                    entry, vec(kind, rng.normal(size=self.DIM)))
-                inserted.append((kind, entry))
-                entry += 1
-                self._assert_clustered(core)
-            # A mid-stream batch lands like the same scalar inserts.
-            batch = [(entry + j,
-                      vec("b", rng.normal(size=self.DIM)))
-                     for j in range(3)]
-            views["b"].insert_batch(batch)
-            inserted.extend(("b", eid) for eid, _ in batch)
-            entry += 3
-            self._assert_clustered(core)
-            # Remove from the middle of an early segment: later
-            # segments rotate back and stay contiguous.
-            kind, eid = inserted.pop(rng.integers(len(inserted)))
-            views[kind].remove(eid)
-            self._assert_clustered(core)
-        for kind in ("a", "b", "c"):
-            assert core.kind_len(core._codes[kind]) == sum(
-                1 for k, _ in inserted if k == kind)
-
-    def test_queries_stay_scoped_after_churn(self):
-        rng = np.random.default_rng(7)
-        core = FusedLinearCore(dtype="float32")
-        targets = {}
-        for code_kind in ("a", "b", "c"):
-            view = core.view(code_kind)
-            for j in range(20):
-                eid = ord(code_kind) * 1000 + j
-                v = rng.normal(size=self.DIM)
-                view.insert(eid, vec(code_kind, v))
-                targets[(code_kind, j)] = (eid, v)
-        core._remove(core._codes["a"], targets[("a", 3)][0])
-        core._remove(core._codes["b"], targets[("b", 0)][0])
-        for (kind, j), (eid, v) in targets.items():
-            if (kind, j) in (("a", 3), ("b", 0)):
-                continue
-            got = core.view(kind).query(vec(kind, v), threshold=1e-4)
-            assert got is not None and got[0] == eid
-
-    def test_multi_query_matches_dedicated_per_kind_indexes(self):
-        """Pruned fused answers == dedicated LinearIndex answers."""
-        rng = np.random.default_rng(11)
-        core = FusedLinearCore(dtype="float32")
-        dedicated = {k: LinearIndex(dtype="float32") for k in ("x", "y")}
-        for offset, kind in ((0, "x"), (1000, "y")):
-            view = core.view(kind)
-            for j in range(150):
-                v = rng.normal(size=self.DIM)
-                if j % 37 == 0:
-                    v = np.zeros(self.DIM)  # degenerate rows too
-                view.insert(offset + j, vec(kind, v))
-                dedicated[kind].insert(offset + j, vec(kind, v))
-        kinds, probes = [], []
-        for j in range(64):
-            kind = "x" if j % 3 else "y"
-            base = rng.normal(size=self.DIM)
-            if j % 17 == 0:
-                base = np.zeros(self.DIM)  # degenerate queries too
-            kinds.append(kind)
-            probes.append(vec(kind, base))
-        fused = core.query_multi(kinds, probes, [0.6] * len(probes))
-        for kind in ("x", "y"):
-            qrows = [q for q, k in enumerate(kinds) if k == kind]
-            expect = dedicated[kind].query_batch(
-                [probes[q] for q in qrows], threshold=0.6)
-            assert [fused[q] for q in qrows] == expect

@@ -136,9 +136,9 @@ class TestCacheInsertBatch:
     def test_matches_sequential_semantics(self):
         rng = np.random.default_rng(7)
         items = self._items(rng, 20)
-        batched = ICCache(capacity_bytes=10_000, descriptor_dim=DIM)
+        batched = ICCache(capacity_bytes=10_000)
         entries = batched.insert_batch(items, now=1.0)
-        sequential = ICCache(capacity_bytes=10_000, descriptor_dim=DIM)
+        sequential = ICCache(capacity_bytes=10_000)
         for descriptor, result, size in items:
             sequential.insert(descriptor, result, size, now=1.0)
 
@@ -152,7 +152,7 @@ class TestCacheInsertBatch:
 
     def test_eviction_mid_batch(self):
         rng = np.random.default_rng(8)
-        cache = ICCache(capacity_bytes=1_000, descriptor_dim=DIM)
+        cache = ICCache(capacity_bytes=1_000)
         entries = cache.insert_batch(self._items(rng, 15, size_bytes=100))
         assert all(e is not None for e in entries)
         # 15 x 100 B into 1000 B: five evictions, accounting intact.
@@ -165,7 +165,7 @@ class TestCacheInsertBatch:
 
     def test_oversize_rejected_in_place(self):
         rng = np.random.default_rng(9)
-        cache = ICCache(capacity_bytes=500, descriptor_dim=DIM)
+        cache = ICCache(capacity_bytes=500)
         items = [(vec_descriptor(rng), "small", 100),
                  (vec_descriptor(rng), "huge", 501),
                  (vec_descriptor(rng), "small2", 100)]
@@ -177,7 +177,7 @@ class TestCacheInsertBatch:
 
     def test_mixed_kinds_share_one_batch(self):
         rng = np.random.default_rng(10)
-        cache = ICCache(capacity_bytes=10_000, descriptor_dim=DIM)
+        cache = ICCache(capacity_bytes=10_000)
         items = [
             (vec_descriptor(rng), "vec0", 100),
             (HashDescriptor(kind="model_load", digest="aa"), "model", 200),
@@ -192,13 +192,13 @@ class TestCacheInsertBatch:
 
     def test_negative_size_raises(self):
         rng = np.random.default_rng(11)
-        cache = ICCache(capacity_bytes=500, descriptor_dim=DIM)
+        cache = ICCache(capacity_bytes=500)
         with pytest.raises(ValueError):
             cache.insert_batch([(vec_descriptor(rng), "x", -1)])
 
     def test_index_failure_rolls_back_pending_entries(self):
         rng = np.random.default_rng(12)
-        cache = ICCache(capacity_bytes=10_000, descriptor_dim=DIM)
+        cache = ICCache(capacity_bytes=10_000)
         good = vec_descriptor(rng)
         cache.insert(good, "seed", 100)
         bad = VectorDescriptor(kind="recognition",

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from repro.core.descriptors import VectorDescriptor
 from repro.core.distance import cosine_distance_batch, pairwise
 from repro.core.index import (
-    FusedLinearCore,
     IvfIndex,
     LinearIndex,
     LshIndex,
@@ -110,14 +109,14 @@ def test_linear_query_batch_identical_to_sequential(stored, queries,
             assert abs(got[1] - want[1]) < 1e-5
 
 
-def full_kernel_answer(store, query, lo, hi, threshold):
+def full_kernel_answer(store, query, threshold):
     """The oracle: ``argmin`` over the full distance kernel's block."""
-    if hi == lo:
+    if len(store) == 0:
         return None
-    sub = store.distances(cosine_distance_batch, query[None, :], lo, hi)[0]
+    sub = store.distances(cosine_distance_batch, query[None, :])[0]
     best = int(np.argmin(sub))
     d = float(sub[best])
-    return (store.id_at(lo + best), d) if d <= threshold else None
+    return (store.id_at(best), d) if d <= threshold else None
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -129,11 +128,9 @@ def test_single_query_kernel_identical_to_full_kernel(
         seed, dtype, occupancy, duplicate, zero_row):
     """One-query answers are bit-identical to the full-kernel oracle.
 
-    Kind "a" holds ``occupancy`` rows — optionally with an exact
-    duplicate pair and an all-zero row — inside a fused core whose
-    other segments ("pad" before, "b" after, "void" empty) must never
-    leak into the answer; a dedicated LinearIndex holds the same rows.
-    Exact ties and the all-zero query must take the fallback branch.
+    A LinearIndex holds ``occupancy`` rows — optionally with an exact
+    duplicate pair and an all-zero row.  Exact ties and the all-zero
+    query must take the fallback branch.
     """
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(occupancy, DIM)).astype(np.float32)
@@ -144,18 +141,11 @@ def test_single_query_kernel_identical_to_full_kernel(
     tied = occupancy >= 2 and any(
         np.array_equal(rows[0], r) for r in rows[1:])
 
-    core = FusedLinearCore(dtype=dtype)
-    linear = LinearIndex(dtype=dtype)
-    core.view("pad").insert(10_000, vd(rng.normal(size=DIM)))
-    core.view("void")
+    index = LinearIndex(dtype=dtype)
     for i, row in enumerate(rows):
-        core.view("a").insert(i, VectorDescriptor("a", row))
-        if i % 7 == 0:
-            core.view("b").insert(20_000 + i, VectorDescriptor(
-                "b", rng.normal(size=DIM).astype(np.float32)))
-        linear.insert(i, VectorDescriptor("a", row))
+        index.insert(i, VectorDescriptor("a", row))
+    store = index._store
     eps = _decision_eps(dtype)
-    lo, hi = core._segment(core._codes["a"]) if occupancy else (0, 0)
 
     queries = [np.zeros(DIM, dtype=np.float32),
                rng.normal(size=DIM).astype(np.float32)]
@@ -165,26 +155,19 @@ def test_single_query_kernel_identical_to_full_kernel(
                        * np.float32(0.05))
     for q in queries:
         cast = q.astype(dtype)
-        for index, store, span in ((core.view("a"), core._store, (lo, hi)),
-                                   (linear, linear._store,
-                                    (0, occupancy))):
-            open_answer = full_kernel_answer(store, cast, *span,
-                                             threshold=2.0)
-            edge = 0.1 if open_answer is None else open_answer[1]
-            for threshold in (0.0, 0.1, 2.0, edge,
-                              float(np.nextafter(edge, -1.0))):
-                want = full_kernel_answer(store, cast, *span,
-                                          threshold=threshold)
-                got = index.query(VectorDescriptor("a", q), threshold)
-                assert got == want
-            if occupancy:
-                declined = store.nearest_cosine(cast, *span, eps) is None
-                if not q.any() or (tied and np.array_equal(q, rows[0])):
-                    assert declined
-                elif occupancy == 1:
-                    assert not declined
-    assert core.view("void").query(VectorDescriptor("void", queries[1]),
-                                   2.0) is None
+        open_answer = full_kernel_answer(store, cast, threshold=2.0)
+        edge = 0.1 if open_answer is None else open_answer[1]
+        for threshold in (0.0, 0.1, 2.0, edge,
+                          float(np.nextafter(edge, -1.0))):
+            want = full_kernel_answer(store, cast, threshold=threshold)
+            got = index.query(VectorDescriptor("a", q), threshold)
+            assert got == want
+        if occupancy:
+            declined = store.nearest_cosine(cast, eps) is None
+            if not q.any() or (tied and np.array_equal(q, rows[0])):
+                assert declined
+            elif occupancy == 1:
+                assert not declined
 
 
 @given(stored=st.lists(finite_vector, min_size=1, max_size=20),
@@ -224,6 +207,42 @@ def test_cache_lookup_batch_identical_to_sequential(stored, queries):
     want = [sequential.lookup(p, now=1.0) for p in probes]
     assert [e and e.entry_id for e in got] == \
         [e and e.entry_id for e in want]
+    assert batched.stats == sequential.stats
+
+
+kind_name = st.sampled_from(("recognition", "pano", "layer:conv3"))
+
+
+@given(stored=st.lists(st.tuples(kind_name, finite_vector),
+                       min_size=1, max_size=15),
+       queries=st.lists(
+           st.tuples(kind_name, finite_vector,
+                     st.sampled_from((None, 0.0, 0.05, 0.3, 2.0))),
+           min_size=1, max_size=10))
+@settings(max_examples=50, deadline=None)
+def test_cache_mixed_kind_lookup_batch_identical_to_sequential(stored,
+                                                               queries):
+    """A burst mixing kinds and per-item thresholds (one index per
+    kind, grouped by ``(kind, threshold)``) answers, counts and ages
+    entries exactly as the same lookups issued one by one."""
+    from repro.core.cache import ICCache
+
+    batched = ICCache(capacity_bytes=1_000_000, default_threshold=0.3)
+    sequential = ICCache(capacity_bytes=1_000_000, default_threshold=0.3)
+    for cache in (batched, sequential):
+        for i, (kind, vec) in enumerate(stored):
+            cache.insert(VectorDescriptor(kind, np.asarray(
+                vec, dtype=np.float32)), result=i, size_bytes=8)
+    probes = [VectorDescriptor(kind, np.asarray(q, dtype=np.float32))
+              for kind, q, _ in queries]
+    thresholds = [t for _, _, t in queries]
+    got = batched.lookup_batch(probes, now=1.0, thresholds=thresholds)
+    want = [sequential.lookup(p, now=1.0, threshold=t)
+            for p, t in zip(probes, thresholds)]
+    assert [e and e.entry_id for e in got] == \
+        [e and e.entry_id for e in want]
+    assert [(e.entry_id, e.hits) for e in batched.entries()] == \
+        [(e.entry_id, e.hits) for e in sequential.entries()]
     assert batched.stats == sequential.stats
 
 

@@ -97,7 +97,7 @@ def test_plan_never_costlier_than_full_inference(tap_mask, base_threshold,
     plan's remaining FLOPs (and device time) never exceed a full pass —
     partial inference is a pure discount, never a penalty."""
     taps = [name for name, keep in zip(_LAYER_NAMES, tap_mask) if keep]
-    cache = ICCache(capacity_bytes=10**9, descriptor_dim=SKETCH_DIM)
+    cache = ICCache(capacity_bytes=10**9)
     manager = LayerCacheManager(_VGG, cache, tap_layers=taps,
                                 base_threshold=base_threshold,
                                 tighten=tighten)
@@ -140,7 +140,7 @@ def cache_workload(draw):
 
 
 def _build(stored, hashes):
-    cache = ICCache(capacity_bytes=10**9, descriptor_dim=DIM)
+    cache = ICCache(capacity_bytes=10**9)
     for i, (kind, v) in enumerate(stored):
         cache.insert(VectorDescriptor(kind=kind,
                                       vector=arr(v).astype(np.float32)),
