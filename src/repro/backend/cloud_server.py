@@ -15,7 +15,13 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.backend.protocol import ProtocolError, read_frame, write_frame
+from repro.backend.protocol import (
+    BAD_FIELD,
+    ProtocolError,
+    bad_frame_reply,
+    read_frame,
+    write_frame,
+)
 
 
 def cloud_latency_s(shim: dict, input_bytes: int) -> float:
@@ -75,12 +81,17 @@ class CloudService:
                     break
                 op = message.get("op")
                 if op == "resolve":
-                    await asyncio.sleep(cloud_latency_s(
-                        self.shim, int(message.get("input_bytes", 0))))
+                    try:
+                        label = int(message["object_class"])
+                        input_bytes = int(message.get("input_bytes", 0))
+                    except BAD_FIELD as exc:
+                        await write_frame(writer, bad_frame_reply(op, exc))
+                        continue
+                    await asyncio.sleep(cloud_latency_s(self.shim,
+                                                        input_bytes))
                     self.resolved += 1
-                    await write_frame(writer, {
-                        "op": "resolved",
-                        "label": int(message["object_class"])})
+                    await write_frame(writer, {"op": "resolved",
+                                               "label": label})
                 elif op == "stats":
                     await write_frame(writer, {"op": "counters",
                                                "resolved": self.resolved})

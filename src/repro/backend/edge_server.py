@@ -33,7 +33,9 @@ from __future__ import annotations
 import asyncio
 
 from repro.backend.protocol import (
+    BAD_FIELD,
     ProtocolError,
+    bad_frame_reply,
     call,
     read_frame,
     write_frame,
@@ -160,8 +162,16 @@ class EdgeService:
                     break
                 op = message.get("op")
                 if op == "recognize":
-                    await write_frame(writer,
-                                      await self._recognize(message))
+                    try:
+                        capture = (int(message["object_class"]),
+                                   float(message.get("viewpoint", 0.0)),
+                                   int(message["capture_id"]),
+                                   int(message.get("input_bytes", 0)))
+                    except BAD_FIELD as exc:
+                        reply = bad_frame_reply(op, exc)
+                    else:
+                        reply = await self._recognize(*capture)
+                    await write_frame(writer, reply)
                 elif op == "stats":
                     await write_frame(writer,
                                       {"op": "counters", **self.counters()})
@@ -189,7 +199,8 @@ class EdgeService:
                 and self.queue_limit is not None
                 and self.active > int(self.queue_limit))
 
-    async def _recognize(self, message: dict) -> dict:
+    async def _recognize(self, object_class: int, viewpoint: float,
+                         capture_id: int, input_bytes: int) -> dict:
         if self._draining or self._overloaded():
             # Mirror the simulated admission controller: refuse with a
             # drain hint proportional to the backlog rather than queue
@@ -205,10 +216,8 @@ class EdgeService:
             loop = asyncio.get_running_loop()
             if self.extraction_s > 0.0:
                 await asyncio.sleep(self.extraction_s)
-            observation = self.space.observe(
-                int(message["object_class"]),
-                float(message.get("viewpoint", 0.0)),
-                noise_key=int(message["capture_id"]))
+            observation = self.space.observe(object_class, viewpoint,
+                                             noise_key=capture_id)
             descriptor = VectorDescriptor(kind=KIND_RECOGNITION,
                                           vector=observation.vector)
             entry = self.cache.lookup(descriptor, now=loop.time(),
@@ -220,7 +229,8 @@ class EdgeService:
                         "label": int(entry.result.label),
                         "served_by": self.name}
             started = loop.time()
-            label = await self._resolve_via_cloud(message)
+            label = await self._resolve_via_cloud(object_class, capture_id,
+                                                  input_bytes)
             result = RecognitionResult(label=label, confidence=0.97)
             self.cache.insert(descriptor, result, result.size_bytes,
                               now=loop.time(),
@@ -233,16 +243,15 @@ class EdgeService:
             if self.active == 0:
                 self._idle.set()
 
-    async def _resolve_via_cloud(self, message: dict) -> int:
+    async def _resolve_via_cloud(self, object_class: int, capture_id: int,
+                                 input_bytes: int) -> int:
         """Escalate one miss over the persistent cloud connection."""
         if self.cloud_addr is None:
             # Cloudless fallback (protocol tests): the edge itself is
             # the oracle, with no latency shim.
-            return int(message["object_class"])
-        request = {"op": "resolve",
-                   "object_class": int(message["object_class"]),
-                   "capture_id": int(message["capture_id"]),
-                   "input_bytes": int(message.get("input_bytes", 0))}
+            return object_class
+        request = {"op": "resolve", "object_class": object_class,
+                   "capture_id": capture_id, "input_bytes": input_bytes}
         async with self._cloud_lock:
             for attempt in (0, 1):
                 if self._cloud_streams is None:

@@ -224,6 +224,9 @@ class RealClient:
                     continue
                 return OUTCOME_ERROR, None, {"error": str(exc)}, ""
             served_by = reply.get("served_by", "")
+            if reply.get("op") == "error":
+                return (OUTCOME_ERROR, None,
+                        {"error": str(reply.get("error", ""))}, served_by)
             if reply.get("outcome") == "shed":
                 if retried < self.shed_retries:
                     retried += 1

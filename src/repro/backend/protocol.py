@@ -20,6 +20,9 @@ Frame vocabulary (the ``op`` field):
 ``stats``      -> edge/cloud: counters probe; answered by ``counters``.
 ``shutdown``   -> edge/cloud: drain in-flight work, answer ``bye``
                with final counters, close and exit.
+``error``      edge/cloud -> sender: the frame named an unknown ``op``
+               or lacked a (well-typed) field; ``error`` says which.
+               The connection stays usable.
 ========== =========================================================
 
 Ground truth rides inside the request (``object_class``) exactly as it
@@ -56,11 +59,26 @@ def encode_frame(message: dict) -> bytes:
 
 def decode_body(body: bytes) -> dict:
     """Parse a frame body; the result must be a JSON object."""
-    message = json.loads(body.decode("utf-8"))
+    try:
+        message = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors; a
+        # body nested past the interpreter's stack is a RecursionError.
+        raise ProtocolError(f"undecodable frame body: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError(f"frame body must be a JSON object, "
                             f"got {type(message).__name__}")
     return message
+
+
+#: What reading a typed field out of a frame (``int(message["x"])``) can
+#: raise: absent, not a number, a string that is not one, JSON Infinity.
+BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def bad_frame_reply(op: str, exc: Exception) -> dict:
+    """The ``error`` frame answering a :data:`BAD_FIELD` failure."""
+    return {"op": "error", "error": f"bad {op} frame: {exc!r}"}
 
 
 async def read_frame(reader: asyncio.StreamReader) -> dict | None:

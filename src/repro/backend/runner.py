@@ -98,15 +98,10 @@ def build_edge_payload(spec: "ScenarioSpec", edge_name: str,
                        config: CoICConfig,
                        cloud: tuple[str, int] | None) -> dict:
     """The JSON-safe construction dict for one edge's EdgeService."""
-    espec = next(e for e in spec.edges if e.name == edge_name)
     rec = config.recognition
-    vector_index = config.cache.vector_index
-    vector_dtype = config.cache.vector_dtype
     admission = "none"
     queue_limit = None
     if spec.policy is not None:
-        vector_index = spec.policy.vector_index or vector_index
-        vector_dtype = spec.policy.vector_dtype or vector_dtype
         admission = spec.policy.admission
         queue_limit = spec.policy.queue_limit
     warm_classes: list[int] = []
@@ -124,16 +119,8 @@ def build_edge_payload(spec: "ScenarioSpec", edge_name: str,
             "threshold": rec.threshold,
             "max_viewpoint_delta": rec.max_viewpoint_delta,
         },
-        "cache": {
-            "capacity_bytes": (int(espec.cache_mb * 1e6)
-                               if espec.cache_mb is not None
-                               else config.cache.capacity_bytes),
-            "policy": config.cache.policy,
-            "vector_index": vector_index,
-            "metric": config.cache.metric,
-            "ttl_s": config.cache.ttl_s,
-            "vector_dtype": vector_dtype,
-        },
+        "cache": spec.edge_cache_settings(spec.edge(edge_name),
+                                          config.cache),
         "warm_classes": warm_classes,
         "admission": admission,
         "queue_limit": queue_limit,

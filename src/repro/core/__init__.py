@@ -5,8 +5,10 @@ The cooperative immersive-computing framework, assembled from:
 * :mod:`~repro.core.descriptors` — feature descriptors: vectors for DNN
   recognition (threshold matching), content hashes for 3D models and
   panoramas (exact matching).
-* :mod:`~repro.core.index` — descriptor indexes: exact table, linear ANN
-  scan, and hyperplane-LSH ANN.
+* :mod:`~repro.core.index` — descriptor indexes: exact table, linear
+  scan, hyperplane LSH and IVF, over the row stores of
+  :mod:`~repro.core.store`; :mod:`~repro.core.sketch` — input and
+  affinity sketches.
 * :mod:`~repro.core.cache` / :mod:`~repro.core.policies` — the edge IC
   cache with byte-capacity enforcement and pluggable eviction.
 * :mod:`~repro.core.client` / :mod:`~repro.core.edge` /

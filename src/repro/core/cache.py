@@ -15,16 +15,10 @@ import itertools
 import typing
 
 from repro.core.descriptors import Descriptor, HashDescriptor, VectorDescriptor
-from repro.core.index import (
-    DEFAULT_DTYPE,
-    STORE_DTYPES,
-    AffinitySketch,
-    DescriptorIndex,
-    ExactIndex,
-    SketchSummary,
-    make_index,
-)
+from repro.core.index import DescriptorIndex, ExactIndex, make_index
 from repro.core.policies import EvictionPolicy, LruPolicy, TtlPolicy
+from repro.core.sketch import AffinitySketch, SketchSummary
+from repro.core.store import DEFAULT_DTYPE, STORE_DTYPES
 
 
 @dataclasses.dataclass
@@ -88,7 +82,7 @@ class CacheSummary:
     What one edge tells its backhaul neighbours about itself so their
     affinity balancers can estimate "would an offload to me hit?":
     per-kind live entry counts plus, for vector kinds, the
-    :class:`~repro.core.index.SketchSummary` signature multiset.  The
+    :class:`~repro.core.sketch.SketchSummary` signature multiset.  The
     snapshot is *stale by design* — it is refreshed on the gossip
     interval, not per insert — and ``size_bytes`` is what the gossip
     message pays on the wire.
@@ -127,7 +121,7 @@ class ICCache:
             lazily.
         vector_dtype: Storage dtype for vector indexes ("float32"
             default, "float64" oracle tier, "int8" scalar
-            quantized); see :mod:`repro.core.index`.
+            quantized); see :mod:`repro.core.store`.
     """
 
     def __init__(self, capacity_bytes: int,

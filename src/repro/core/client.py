@@ -209,7 +209,7 @@ class CoICClient:
             # not a backbone pass — deterministic per capture, so the
             # edge's affinity balancer and any cache summary agree on
             # its signature.
-            from repro.core.index import SKETCH_COST_S, SKETCH_DIM, \
+            from repro.core.sketch import SKETCH_COST_S, SKETCH_DIM, \
                 input_sketch
 
             yield SKETCH_COST_S

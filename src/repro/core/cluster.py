@@ -370,27 +370,13 @@ class ClusterDeployment(DeploymentDriverMixin):
             neighbours[lspec.a].append(lspec.b)
             neighbours[lspec.b].append(lspec.a)
 
-        # Scenario policy may override the deployment's index tier /
-        # storage dtype for every edge cache (empty string = inherit).
-        vector_index = cfg.cache.vector_index
-        vector_dtype = cfg.cache.vector_dtype
-        if spec.policy is not None:
-            vector_index = spec.policy.vector_index or vector_index
-            vector_dtype = spec.policy.vector_dtype or vector_dtype
-
         self.edges: list[EdgeNode] = []
         self.caches: list[ICCache] = []
         self.edge_recognizers: list[Recognizer] = []
         for espec in spec.edges:
-            cache = ICCache(
-                capacity_bytes=(int(espec.cache_mb * 1e6)
-                                if espec.cache_mb is not None
-                                else cfg.cache.capacity_bytes),
-                policy=make_policy(cfg.cache.policy),
-                vector_index=vector_index,
-                metric=cfg.cache.metric,
-                ttl_s=cfg.cache.ttl_s,
-                vector_dtype=vector_dtype)
+            settings = spec.edge_cache_settings(espec, cfg.cache)
+            cache = ICCache(**dict(settings,
+                                   policy=make_policy(settings["policy"])))
             self.caches.append(cache)
             stream_name = ("vision.edge" if len(spec.edges) == 1
                            else f"vision.edge.{espec.name}")

@@ -54,7 +54,7 @@ from repro.core.cache import ICCache
 from repro.core.cluster import ClusterDeployment
 from repro.core.descriptors import Descriptor
 from repro.core.edge import EdgeNode
-from repro.core.index import AffinitySketch
+from repro.core.sketch import AffinitySketch
 from repro.core.metrics import OUTCOME_HIT
 from repro.core.scenario import ScenarioSpec
 from repro.net.message import Message

@@ -28,13 +28,11 @@ import numpy as np
 
 from repro.core.cache import ICCache
 from repro.core.descriptors import VectorDescriptor
-from repro.core.index import SKETCH_COST_S, SKETCH_DIM, input_sketch
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.vision.dnn import ComputeDevice, DnnModel
 
-__all__ = ["SKETCH_COST_S", "SKETCH_DIM", "input_sketch",
-           "LAYER_KIND_PREFIX", "LayerReusePlan", "LayerCacheManager"]
+__all__ = ["LAYER_KIND_PREFIX", "LayerReusePlan", "LayerCacheManager"]
 
 #: Descriptor-kind namespace of layer-activation entries; the transport
 #: layer (handoff pre-warm, federation sync) filters on this prefix.

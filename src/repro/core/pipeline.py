@@ -207,7 +207,7 @@ class LayerReuseStage(Stage):
             yield from _noop()
             return
         from repro.core.descriptors import VectorDescriptor
-        from repro.core.index import SKETCH_COST_S, input_sketch
+        from repro.core.sketch import SKETCH_COST_S, input_sketch
 
         observation = None
         sketch = ctx.msg.headers.get("sketch")
@@ -673,7 +673,7 @@ class AffinityLoadBalancer(PeerLoadBalancer):
                  broker=None):
         super().__init__(margin=margin, broker=broker)
         self.kind = kind
-        from repro.core.index import AffinitySketch
+        from repro.core.sketch import AffinitySketch
 
         #: Signature-only sketch (shared deterministic hyperplanes).
         self._sketch = AffinitySketch()

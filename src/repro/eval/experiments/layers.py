@@ -22,7 +22,8 @@ import numpy as np
 
 from repro.core.cache import ICCache
 from repro.core.distance import pairwise
-from repro.core.layer_cache import LayerCacheManager, input_sketch
+from repro.core.layer_cache import LayerCacheManager
+from repro.core.sketch import input_sketch
 from repro.vision.features import EmbeddingSpace
 from repro.vision.model_zoo import EDGE_CPU_2018, vgg16
 

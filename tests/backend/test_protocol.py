@@ -5,13 +5,18 @@ import struct
 
 import pytest
 
+from repro.backend.cloud_server import CloudService
+from repro.backend.edge_server import EdgeService
+from repro.backend.loadgen import RealClient, WorkloadItem
 from repro.backend.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
+    call,
     decode_body,
     encode_frame,
     read_frame,
 )
+from repro.core.metrics import MetricsRecorder, OUTCOME_ERROR, OUTCOME_MISS
 
 
 def read_from_bytes(data: bytes, eof: bool = True):
@@ -73,3 +78,102 @@ class TestFraming:
     def test_non_object_body_rejected(self):
         with pytest.raises(ProtocolError, match="JSON object"):
             decode_body(b"[1, 2, 3]")
+
+    @pytest.mark.parametrize("body", [
+        b"\xff\xfe{}",                     # not UTF-8
+        b"{not json",                       # UTF-8, not JSON
+        b"[" * 100_000,                     # nested past the stack
+    ], ids=["non-utf8", "non-json", "too-deep"])
+    def test_undecodable_body_is_a_protocol_error(self, body):
+        # Every caller's ``except`` names ProtocolError: a body that
+        # cannot be decoded must not surface as a bare ValueError.
+        with pytest.raises(ProtocolError, match="undecodable"):
+            decode_body(body)
+        with pytest.raises(ProtocolError, match="undecodable"):
+            read_from_bytes(struct.pack(">I", len(body)) + body)
+
+
+EDGE_PAYLOAD = {
+    "name": "edge0",
+    "recognition": {"descriptor_dim": 16, "n_classes": 4,
+                    "viewpoint_scale": 0.02, "noise_sigma": 0.005,
+                    "seed": 0, "threshold": None,
+                    "max_viewpoint_delta": 5.0},
+    "cache": {"capacity_bytes": 10_000_000, "policy": "lru",
+              "vector_index": "linear", "metric": "cosine", "ttl_s": None},
+    "warm_classes": [], "admission": "none", "queue_limit": None,
+    "cloud": None,  # cloudless: the edge itself is the oracle
+}
+
+
+async def exchange(service, frames):
+    """Start ``service``, send ``frames`` down ONE connection in order."""
+    await service.start()
+    reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                   service.port)
+    try:
+        return [await call(reader, writer, frame) for frame in frames]
+    finally:
+        writer.close()
+        await service.stop()
+
+
+class TestMalformedFrames:
+    """A bad frame costs an ``error`` reply, not the connection."""
+
+    def test_edge_answers_bad_recognize_frames_and_keeps_serving(self):
+        async def _run():
+            service = EdgeService(EDGE_PAYLOAD)
+            replies = await exchange(service, [
+                {"op": "recognize"},
+                {"op": "recognize", "object_class": "x", "capture_id": 1},
+                {"op": "recognize", "object_class": 2, "capture_id": 1},
+            ])
+            return replies, service
+
+        (missing, ill_typed, good), service = asyncio.run(_run())
+        assert missing["op"] == "error" and "object_class" in missing["error"]
+        assert ill_typed["op"] == "error"
+        assert good["outcome"] == OUTCOME_MISS and good["label"] == 2
+        counters = service.counters()
+        assert counters["served"] == 1 and counters["misses"] == 1
+        assert service.active == 0
+
+    def test_cloud_answers_a_resolve_frame_without_object_class(self):
+        async def _run():
+            service = CloudService({"backhaul_mbps": 1000.0,
+                                    "backhaul_delay_ms": 0.0,
+                                    "inference_s": 0.0})
+            replies = await exchange(service, [
+                {"op": "resolve"},
+                {"op": "resolve", "object_class": 3},
+            ])
+            return replies, service.resolved
+
+        (bad, good), resolved = asyncio.run(_run())
+        assert bad["op"] == "error" and "object_class" in bad["error"]
+        assert good == {"op": "resolved", "label": 3}
+        assert resolved == 1
+
+    def test_client_records_an_error_reply_as_an_error_outcome(self):
+        # object_class "x" reaches the edge as an ill-typed field; the
+        # client must record the refusal, not die on KeyError('label').
+        recorder = MetricsRecorder()
+        item = WorkloadItem(client="m0", edge="edge0", seq=0, capture_id=1,
+                            object_class="x", viewpoint=0.0, input_bytes=0)
+
+        async def _run():
+            service = EdgeService(EDGE_PAYLOAD)
+            await service.start()
+            client = RealClient("m0", [("edge0", ("127.0.0.1",
+                                                   service.port))],
+                                [item], recorder, timeout_s=5.0)
+            try:
+                await client.run()
+            finally:
+                await service.stop()
+
+        asyncio.run(_run())
+        (record,) = recorder.records
+        assert record.outcome == OUTCOME_ERROR
+        assert "bad recognize frame" in record.detail["error"]

@@ -15,14 +15,13 @@ import pytest
 
 from repro.core.cache import CacheSummary, ICCache
 from repro.core.descriptors import HashDescriptor, VectorDescriptor
-from repro.core.index import (
+from repro.core.layer_cache import LAYER_KIND_PREFIX
+from repro.core.sketch import (
     AffinitySketch,
     SKETCH_DIM,
     SketchSummary,
     input_sketch,
 )
-from repro.core.layer_cache import LAYER_KIND_PREFIX, input_sketch as \
-    layer_input_sketch
 from repro.core.metrics import OUTCOME_HIT, OUTCOME_MISS
 from repro.core.pipeline import AffinityLoadBalancer, PeerLoadBalancer
 from repro.core.scenario import (
@@ -500,7 +499,7 @@ class TestLayerPrewarmTransport:
     def test_layer_entries_ride_the_prewarm_push(self, make_deployment):
         dep = make_deployment(spec=layer_spec(), edge_workers=2)
         manager = dep.layer_managers["edge0"]
-        sketch = layer_input_sketch(dep.space.observe(5, 0.0).vector)
+        sketch = input_sketch(dep.space.observe(5, 0.0).vector)
         manager.insert(sketch, now=0.0)
         assert dep.prewarm("edge0", "edge1", client_name="m0")
         dep.run_for(5.0)
@@ -546,7 +545,7 @@ class TestLayerPrewarmTransport:
     def test_sync_federation_layer_switch(self, make_deployment):
         dep = make_deployment(spec=layer_spec(), edge_workers=2)
         manager = dep.layer_managers["edge0"]
-        sketch = layer_input_sketch(dep.space.observe(5, 0.0).vector)
+        sketch = input_sketch(dep.space.observe(5, 0.0).vector)
         manager.insert(sketch, now=0.0)
         assert dep.sync_federation() == 0  # layers excluded by default
         assert len(dep.cache_by_name["edge1"]) == 0

@@ -299,19 +299,59 @@ class TestContiguousStore:
             hit = index.query(vec("r", v), threshold=1e-5)
             assert hit is not None
 
-    def test_lsh_store_survives_churn(self):
-        index = LshIndex(dim=8, n_tables=4, n_bits=4)
+    BUILDERS = {
+        "linear": lambda dtype: LinearIndex(dtype=dtype),
+        "lsh": lambda dtype: LshIndex(dim=8, n_tables=4, n_bits=4,
+                                      dtype=dtype),
+        # min_train=32: the churn crosses the first training (32 rows)
+        # and a re-training (128), so the inverted lists churn too.
+        "ivf": lambda dtype: IvfIndex(dim=8, min_train=32, dtype=dtype),
+    }
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64", "int8"])
+    @pytest.mark.parametrize("tier", ["linear", "lsh", "ivf"])
+    def test_lsh_store_survives_churn(self, tier, dtype):
+        """Interleaved insert / insert_batch / remove leaves every tier
+        and store indistinguishable from an index built in one go."""
         rng = np.random.default_rng(7)
-        population = rng.normal(size=(80, 8))
-        for i, v in enumerate(population):
-            index.insert(i, vec("r", v))
-        for i in range(40):
+        population = rng.normal(size=(200, 8))
+        live: dict[int, np.ndarray] = {}
+
+        def batch(ids_rows):
+            live.update(ids_rows)
+            return [(i, vec("r", row)) for i, row in ids_rows]
+
+        index = self.BUILDERS[tier](dtype)
+        for item in batch([(i, population[i]) for i in range(80)]):
+            index.insert(*item)                   # grows 64 -> 128
+        index.insert_batch(batch([(i, population[i])
+                                  for i in range(80, 150)]))  # -> 256
+        for i in range(0, 150, 3):                # swap-compaction
             index.remove(i)
-        for i in range(40):
-            index.insert(100 + i, vec("r", population[i]))
-        assert len(index) == 80
-        hit = index.query(vec("r", population[10]), threshold=1e-5)
-        assert hit is not None and hit[0] == 110  # the reinserted id
+            del live[i]
+        # Removed vectors come back under new ids, in freed slots.
+        index.insert_batch(batch([(1000 + i, population[i])
+                                  for i in range(0, 60, 3)]))
+        for item in batch([(i, population[i]) for i in range(150, 200)]):
+            index.insert(*item)
+        for i in range(151, 200, 2):
+            index.remove(i)
+            del live[i]
+
+        fresh = self.BUILDERS[tier](dtype)
+        fresh.insert_batch([(i, vec("r", row)) for i, row in live.items()])
+        assert len(index) == len(fresh) == len(live)
+        for i, row in enumerate(population):
+            got = index.query(vec("r", row), threshold=1e-3)
+            want = fresh.query(vec("r", row), threshold=1e-3)
+            # Membership: a live vector answers with its (latest) id, a
+            # removed one finds nothing that close.
+            owners = [k for k in (i, 1000 + i) if k in live]
+            assert (got is not None) == bool(owners)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] == want[0] == owners[-1]
+                assert got[1] == pytest.approx(want[1], abs=1e-6)
 
 
 class TestLshCostModel:

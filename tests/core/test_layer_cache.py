@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.cache import ICCache
-from repro.core.layer_cache import (
-    LayerCacheManager,
-    LayerReusePlan,
-    SKETCH_DIM,
-    input_sketch,
-)
+from repro.core.layer_cache import LayerCacheManager, LayerReusePlan
+from repro.core.sketch import SKETCH_DIM, input_sketch
 from repro.vision.features import EmbeddingSpace
 from repro.vision.model_zoo import EDGE_CPU_2018, vgg16
 

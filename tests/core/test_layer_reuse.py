@@ -173,7 +173,7 @@ class TestPartialServing:
         # It now folds the shipped vector into sketch space — identical
         # to the edge-computed sketch, since capture extraction is
         # deterministic — so cached taps serve these requests too.
-        from repro.core.index import input_sketch
+        from repro.core.sketch import input_sketch
 
         cfg = make_config()
         cfg.recognition.descriptor_source = "client"
@@ -248,7 +248,7 @@ class TestPartialServing:
 
     def test_false_full_result_reuse_is_scored_incorrect(
             self, make_deployment):
-        from repro.core.index import input_sketch
+        from repro.core.sketch import input_sketch
         from repro.vision.recognition import RecognitionResult
 
         dep = make_deployment(clients=(("m0",), ()),
@@ -283,7 +283,7 @@ class TestPartialServing:
         # shallow tap thresholds) must surface class 99, scored
         # incorrect.
         from repro.core.distance import pairwise
-        from repro.core.index import input_sketch
+        from repro.core.sketch import input_sketch
 
         dep = make_deployment(clients=(("m0",), ()),
                               policy=reuse_policy())
@@ -310,7 +310,7 @@ class TestPartialServing:
 
     def test_payload_less_final_tap_cannot_serve_full_result(
             self, make_deployment):
-        from repro.core.index import input_sketch
+        from repro.core.sketch import input_sketch
 
         dep = make_deployment(clients=(("m0",), ()),
                               policy=reuse_policy())

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache import CacheSummary
-from repro.core.index import AffinitySketch
+from repro.core.sketch import AffinitySketch
 from repro.core.market import Bid, FederationBroker
 from repro.core.metrics import (
     LEDGER_FEDERATION,

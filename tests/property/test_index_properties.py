@@ -130,7 +130,8 @@ def test_single_query_kernel_identical_to_full_kernel(
 
     A LinearIndex holds ``occupancy`` rows — optionally with an exact
     duplicate pair and an all-zero row.  Exact ties and the all-zero
-    query must take the fallback branch.
+    query must take the fallback branch.  An IvfIndex too small to have
+    trained runs the same scan, so it must give the same answers.
     """
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(occupancy, DIM)).astype(np.float32)
@@ -142,8 +143,11 @@ def test_single_query_kernel_identical_to_full_kernel(
         np.array_equal(rows[0], r) for r in rows[1:])
 
     index = LinearIndex(dtype=dtype)
+    untrained = IvfIndex(dim=DIM, dtype=dtype, min_train=occupancy + 2)
     for i, row in enumerate(rows):
         index.insert(i, VectorDescriptor("a", row))
+        untrained.insert(i, VectorDescriptor("a", row))
+    assert not untrained.trained
     store = index._store
     eps = _decision_eps(dtype)
 
@@ -162,6 +166,8 @@ def test_single_query_kernel_identical_to_full_kernel(
             want = full_kernel_answer(store, cast, threshold=threshold)
             got = index.query(VectorDescriptor("a", q), threshold)
             assert got == want
+            assert untrained.query(VectorDescriptor("a", q),
+                                   threshold) == want
         if occupancy:
             declined = store.nearest_cosine(cast, eps) is None
             if not q.any() or (tied and np.array_equal(q, rows[0])):

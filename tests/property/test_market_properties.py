@@ -178,7 +178,7 @@ def test_degenerate_markets_match_affinity(loads, margin, holders,
     """With arbitrary gossip state: the market-mode affinity pick in a
     free or single-operator market equals the broker-less pick."""
     from repro.core.cache import CacheSummary
-    from repro.core.index import AffinitySketch
+    from repro.core.sketch import AffinitySketch
 
     rng = np.random.Generator(np.random.PCG64(content_seed))
     content = rng.normal(size=128)

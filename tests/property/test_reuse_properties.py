@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from repro.core.cache import ICCache
 from repro.core.descriptors import HashDescriptor, VectorDescriptor
-from repro.core.index import AffinitySketch, SKETCH_DIM
+from repro.core.sketch import AffinitySketch, SKETCH_DIM
 from repro.core.layer_cache import LayerCacheManager
 from repro.vision.model_zoo import EDGE_CPU_2018, vgg16
 
