@@ -31,6 +31,15 @@ def recorder_digest(recorder) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def order_free_digest(recorder) -> str:
+    """:func:`recorder_digest` over the *sorted* rows: pins which
+    records exist, not the order same-instant completions append in."""
+    blob = repr(sorted((r.task_kind, r.outcome, r.user, r.start_s.hex(),
+                        r.end_s.hex(), r.correct)
+                       for r in recorder.records))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 # Digests captured on the pre-refactor constructors (commit cb4e7b1)
 # for the exact workloads below.
 GOLDEN_SINGLE = \
@@ -114,6 +123,11 @@ class TestSeedEquivalenceFloat64(TestSeedEquivalence):
 # not just the facade paths — fails loudly here.
 GOLDEN_METRO = \
     "822117df5d52f71e831f00081604d6be36be4e2ae372adb443d836195b6f6033"
+# The same run's record *multiset* (rows sorted before hashing).  A
+# change that only reorders completions sharing a simulated instant
+# moves GOLDEN_METRO and must leave this one alone.
+GOLDEN_METRO_ORDER_FREE = \
+    "8182cff170080e7df37c6e03a2421acc63da82b70f9a9ffa22f61c2e7c84724a"
 
 
 def default_metro_deployment(make_deployment, policy=None, config=None):
@@ -125,13 +139,14 @@ def default_metro_deployment(make_deployment, policy=None, config=None):
     return make_deployment(spec=spec, config=config)
 
 
-def default_metro_digest(make_deployment, policy=None, config=None) -> str:
+def default_metro_digest(make_deployment, policy=None, config=None,
+                         digest=recorder_digest) -> str:
     from repro.eval.experiments.mobility_exp import drive_scenario
 
     dep = default_metro_deployment(make_deployment, policy=policy,
                                    config=config)
     drive_scenario(dep, 60.0, request_interval_s=2.0)
-    return recorder_digest(dep.recorder)
+    return digest(dep.recorder)
 
 
 class TestMetroGoldenDigest:
@@ -149,6 +164,11 @@ class TestMetroGoldenDigest:
                                                    config):
         assert default_metro_digest(make_deployment,
                                     config=config) == GOLDEN_METRO
+
+    def test_default_metro_record_multiset(self, make_deployment, config):
+        assert default_metro_digest(
+            make_deployment, config=config,
+            digest=order_free_digest) == GOLDEN_METRO_ORDER_FREE
 
     def test_inert_policy_is_byte_identical_to_no_policy(
             self, make_deployment, config):
