@@ -99,30 +99,6 @@ def test_simulated_transfer_throughput(benchmark):
     assert elapsed > 0
 
 
-def test_cache_vector_lookup_batch_64(benchmark):
-    """A 64-request burst through one lookup_batch pass."""
-    cache = _filled_cache(1000)
-    probes = [VectorDescriptor(
-        "recognition", SPACE.observe(cls, 0.3, noise_key=20_000 + cls).vector)
-        for cls in range(0, 640, 10)]
-    results = benchmark(cache.lookup_batch, probes, 0.0, 0.2)
-    assert len(results) == 64
-    assert any(r is not None for r in results)
-
-
-def test_linear_index_query_batch_64_of_5k(benchmark):
-    index = LinearIndex()
-    for cls in range(1000):
-        for k in range(5):
-            vec = SPACE.observe(cls, 0.1 * k, noise_key=cls * 10 + k).vector
-            index.insert(cls * 10 + k, VectorDescriptor("r", vec))
-    probes = [VectorDescriptor(
-        "r", SPACE.observe(cls, 0.05, noise_key=90_000 + cls).vector)
-        for cls in range(64)]
-    results = benchmark(index.query_batch, probes, 0.2)
-    assert sum(r is not None for r in results) >= 32
-
-
 def test_lsh_index_insert_1k(benchmark):
     """Insert-heavy workload: matmul signatures, no per-bit loop."""
     descriptors = [VectorDescriptor(

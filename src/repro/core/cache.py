@@ -6,6 +6,11 @@ descriptors match exactly.  Each descriptor *kind* gets its own index —
 recognition vectors never collide with model hashes — while all kinds
 share one byte budget under one eviction policy, because they share the
 edge box's memory.
+
+One read path: :meth:`ICCache.lookup` answers one descriptor with one
+index ``query`` — a request is one lookup.  Writes also come in bursts
+(warm-up, pre-warm pushes, federation sync), so :meth:`ICCache.insert`
+has a batched sibling, :meth:`ICCache.insert_batch`.
 """
 
 from __future__ import annotations
@@ -272,7 +277,19 @@ class ICCache:
         if threshold is None:
             threshold = self.default_threshold
         found = index.query(descriptor, threshold)
-        entry, _purged = self._settle(found, now)
+        if found is None:
+            self.stats.misses += 1
+            return None
+        entry = self._entries[found[0]]
+        if entry.expired(now):
+            self._drop(entry)
+            self.stats.expirations += 1
+            self.stats.misses += 1
+            return None
+        entry.hits += 1
+        entry.last_access = now
+        self.policy.on_access(entry)
+        self.stats.hits += 1
         return entry
 
     def lookup_batch(self, descriptors: typing.Sequence[Descriptor],
@@ -280,104 +297,24 @@ class ICCache:
                      threshold: float | None = None,
                      thresholds: typing.Sequence[float | None] | None = None
                      ) -> list[CacheEntry | None]:
-        """Answer a burst of lookups in one vectorized index pass.
+        """``[lookup(d, now, t) ...]`` in input order — a plain loop.
 
-        Returns one entry-or-None per descriptor, in input order, with
-        match decisions, stats, and policy updates identical to the
-        equivalent sequence of :meth:`lookup` calls.  Descriptors may
-        mix kinds; each ``(kind, threshold)`` group is answered by one
-        :meth:`~repro.core.index.DescriptorIndex.query_batch`.
-        ``thresholds`` gives a per-descriptor match threshold (None
-        entries fall back like ``threshold``); it wins over
-        ``threshold`` when both are passed.  Simulated lookup *pricing*
-        stays with the caller (the edge charges per request via
-        :meth:`lookup_cost_s`).
+        ``thresholds`` gives one match threshold per descriptor and
+        wins over the burst-wide ``threshold``; None falls back like
+        :meth:`lookup`.  Nothing in the program calls this: a request
+        is one :meth:`lookup`.  It is kept, signature unchanged,
+        because the repo benchmark's tracer (``bench/layer_trace.py``)
+        wraps it by name.
         """
         descriptors = list(descriptors)
         if thresholds is None:
-            fill = self.default_threshold if threshold is None else threshold
-            per_item = [fill] * len(descriptors)
-        else:
-            per_item = [self.default_threshold if t is None else t
-                        for t in thresholds]
-            if len(per_item) != len(descriptors):
-                raise ValueError(
-                    f"thresholds has {len(per_item)} entries for "
-                    f"{len(descriptors)} descriptors")
-        matches = self._batch_matches(descriptors, per_item)
-        results: list[CacheEntry | None] = [None] * len(descriptors)
-        for i, descriptor in enumerate(descriptors):
-            self.stats.lookups += 1
-            entry, purged = self._settle(matches[i], now)
-            results[i] = entry
-            if purged:
-                # The purge changed this kind's index: answers already
-                # computed for later same-kind descriptors may point at
-                # the dropped entry, so recompute them.
-                self._rematch(descriptors, matches, i + 1,
-                              descriptor.kind, per_item)
-        return results
-
-    def _settle(self, found: tuple[int, float] | None,
-                now: float) -> tuple[CacheEntry | None, bool]:
-        """Shared hit/miss/expiry bookkeeping for a raw index answer.
-
-        Returns ``(entry_or_None, purged)`` where ``purged`` reports an
-        expired-entry drop (which mutates the kind's index).
-        """
-        if found is None:
-            self.stats.misses += 1
-            return None, False
-        entry = self._entries[found[0]]
-        if entry.expired(now):
-            self._drop(entry)
-            self.stats.expirations += 1
-            self.stats.misses += 1
-            return None, True
-        entry.hits += 1
-        entry.last_access = now
-        self.policy.on_access(entry)
-        self.stats.hits += 1
-        return entry, False
-
-    def _batch_matches(self, descriptors: typing.Sequence[Descriptor],
-                       thresholds: typing.Sequence[float]
-                       ) -> list[tuple[int, float] | None]:
-        """Raw index answers for a batch, in input order.
-
-        Groups by ``(kind, threshold)``; each group is one
-        ``query_batch`` against its kind's index.
-        """
-        matches: list[tuple[int, float] | None] = [None] * len(descriptors)
-        by_kind: dict[tuple[str, float], list[int]] = {}
-        for i, descriptor in enumerate(descriptors):
-            if descriptor.kind in self._indexes:
-                by_kind.setdefault((descriptor.kind, thresholds[i]),
-                                   []).append(i)
-        for (kind, threshold), positions in by_kind.items():
-            index = self._indexes[kind]
-            found = index.query_batch([descriptors[i] for i in positions],
-                                      threshold)
-            for i, result in zip(positions, found):
-                matches[i] = result
-        return matches
-
-    def _rematch(self, descriptors: typing.Sequence[Descriptor],
-                 matches: list[tuple[int, float] | None], start: int,
-                 kind: str, thresholds: typing.Sequence[float]) -> None:
-        """Recompute pending answers of ``kind`` after an index mutation."""
-        groups: dict[float, list[int]] = {}
-        for i in range(start, len(descriptors)):
-            if descriptors[i].kind == kind:
-                groups.setdefault(thresholds[i], []).append(i)
-        if not groups:
-            return
-        index = self._indexes.get(kind)
-        for threshold, positions in groups.items():
-            found = index.query_batch(
-                [descriptors[i] for i in positions], threshold)
-            for i, result in zip(positions, found):
-                matches[i] = result
+            thresholds = [threshold] * len(descriptors)
+        elif len(thresholds) != len(descriptors):
+            raise ValueError(
+                f"thresholds has {len(thresholds)} entries for "
+                f"{len(descriptors)} descriptors")
+        return [self.lookup(descriptor, now, t)
+                for descriptor, t in zip(descriptors, thresholds)]
 
     def lookup_cost_s(self, kind: str) -> float:
         """Simulated seconds a lookup against ``kind`` costs right now."""

@@ -7,8 +7,8 @@ Two call forms per metric, one implementation:
   a (D,) query.  This is what the per-query index scan uses.
 * **matrix-vs-batch** — ``metric_batch(matrix, queries, row_norms=None,
   query_norms=None) -> (Q, N) distances`` for a (Q, D) query block.  One
-  BLAS call covers the whole burst; this is what
-  :meth:`repro.core.index.DescriptorIndex.query_batch` uses.
+  BLAS call covers the block; the row stores' ``distances`` and IVF's
+  cell assignment and k-means training use it.
 
 The single-query form delegates to the batch form, so both paths share
 one arithmetic pipeline and produce consistent match decisions.

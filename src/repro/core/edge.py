@@ -28,8 +28,9 @@ baked in here: swap the pipeline's admit stage
 (:class:`~repro.core.pipeline.AdmissionControlStage`) and this node
 sheds, redirects, or borrows a neighbour without touching the code
 below.  This module keeps the primitive operations the stages compose:
-extraction, batched lookup, the cloud miss paths, and response sending
-(every response is tagged with the serving edge id in ``served_by``).
+extraction, the charged cache lookup, the cloud miss paths, and
+response sending (every response is tagged with the serving edge id in
+``served_by``).
 """
 
 from __future__ import annotations
@@ -113,13 +114,6 @@ class EdgeNode:
         self.pipeline = pipeline
         #: digest -> completion event, for miss coalescing on hash tasks.
         self._inflight: dict[str, Event] = {}
-        #: Same-tick lookups awaiting one batch pass, as (descriptor,
-        #: threshold, waiter) in arrival order — all kinds share the
-        #: one list; the cache groups the burst per (kind, threshold).
-        self._pending_lookups: list[
-            tuple[Descriptor, float, Event]] = []
-        self.batched_lookups = 0
-        self.lookup_batches = 0
         self.requests_served = 0
         #: Responses abandoned because the client's access link went
         #: down first (the client gave up on the request and moved on —
@@ -215,52 +209,18 @@ class EdgeNode:
         return self.rpc.respond(msg, size_bytes=size_bytes, payload=payload,
                                 kind=kind, headers=tagged)
 
-    # -- batched cache lookups -----------------------------------------------------
+    # -- cache lookup -------------------------------------------------------------
 
-    def _batched_lookup(self, descriptor: Descriptor, threshold: float):
-        """Charge one lookup's simulated cost, then resolve it in a
-        shared vectorized pass.
+    def _lookup(self, descriptor: Descriptor,
+                threshold: float | None = None):
+        """Charge one lookup's simulated cost, then probe the cache.
 
-        Requests whose cost timeout lands on the same simulated instant
-        are collected — across descriptor kinds — and answered by a
-        single :meth:`ICCache.lookup_batch` call with per-item
-        thresholds.  The burst of co-located users that the multi-user
-        sharing ablation hammers becomes one BLAS pass per kind instead
-        of N scans.  Simulated timing and match decisions are
-        identical to per-request lookups: every request still pays its
-        own ``lookup_cost_s`` and the batch pass itself adds zero
-        simulated time.
+        Pay-then-probe: expiry and recency are judged at the instant
+        the lookup completes, not when it was requested.
         """
         yield self.cache.lookup_cost_s(descriptor.kind)
-        if not self._pending_lookups:
-            self.env.process(self._flush_lookups())
-        waiter = self.env.event()
-        self._pending_lookups.append((descriptor, threshold, waiter))
-        entry = yield waiter
-        return entry
-
-    def _flush_lookups(self):
-        # A zero timeout lets every same-tick request register first.
-        yield 0.0
-        batch, self._pending_lookups = self._pending_lookups, []
-        if not batch:
-            return
-        # Stable-group by (kind, threshold), first-seen order: bursts
-        # settle (stats, recency, expiry purges) in exactly the order
-        # the historical per-key flush processes produced.
-        groups: dict[tuple[str, float], list[
-            tuple[Descriptor, float, Event]]] = {}
-        for item in batch:
-            groups.setdefault((item[0].kind, item[1]), []).append(item)
-        ordered = [item for group in groups.values() for item in group]
-        descriptors = [d for d, _, _ in ordered]
-        thresholds = [t for _, t, _ in ordered]
-        entries = self.cache.lookup_batch(descriptors, now=self.env.now,
-                                          thresholds=thresholds)
-        self.batched_lookups += len(ordered)
-        self.lookup_batches += 1
-        for (_, _, waiter), entry in zip(ordered, entries):
-            waiter.succeed(entry)
+        return self.cache.lookup(descriptor, now=self.env.now,
+                                 threshold=threshold)
 
     # -- serve loop ----------------------------------------------------------------
 

@@ -26,9 +26,8 @@ Message formats and backhaul cost
 =================================
 * ``peer_lookup`` — request: the descriptor alone, so the probe costs
   ``descriptor.size_bytes`` on the routed inter-edge path (a few
-  hundred bytes for a 128-d vector).  Vector probes join the asked
-  edge's same-tick batched lookup pass, so a federated burst costs one
-  vectorized scan, not N.
+  hundred bytes for a 128-d vector); the asked edge charges and runs
+  one cache lookup per probe, like a local request.
 * ``peer_result`` — response: 96 B for a miss; the *full result bytes*
   for a hit (recognition annotations, loaded model geometry, panorama
   frames — megabytes for the latter two, which is why
@@ -132,15 +131,7 @@ class FederatedEdgeNode(EdgeNode):
     def _handle_peer_lookup(self, msg: Message):
         """Answer another edge's cache probe (descriptor only)."""
         descriptor: Descriptor = msg.payload
-        if descriptor.is_vector:
-            # Vector probes join the same same-tick batch pass as local
-            # recognition lookups — one vectorized scan serves both.
-            entry = yield from self._batched_lookup(descriptor,
-                                                    self.match_threshold)
-        else:
-            yield self.cache.lookup_cost_s(descriptor.kind)
-            entry = self.cache.lookup(descriptor, now=self.env.now,
-                                      threshold=None)
+        entry = yield from self._lookup(descriptor, self.match_threshold)
         headers = None
         extra_bytes = 0
         if self.summary_piggyback:

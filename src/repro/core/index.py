@@ -18,26 +18,11 @@ Four implementations behind one interface:
 Vector descriptors live in the row stores of :mod:`repro.core.store`;
 the three vector indexes share one skeleton, :class:`_VectorIndex`
 (validation, atomic insert/remove, the exact scan), and add only their
-search structure.  Decision-stability margins scale with the storage
-dtype: float64 wobble is ~1e-13, float32 gemm-order wobble is ~1e-6, so
-the boundary re-answer epsilon is 1e-9 / 1e-5 respectively.
-
-Batch API contract
-==================
-``query_batch(descriptors, threshold)`` answers a burst of same-kind
-lookups in a single vectorized pass and returns one ``(entry_id,
-distance) | None`` per descriptor, **in input order**, with the same
-match decisions the equivalent sequence of ``query`` calls would make
-(``query`` itself is implemented as a batch of one).  A batch of one
-cosine query over float storage is answered by the store's single-query
-kernel (:meth:`~repro.core.store._VectorStore.nearest_cosine`),
-bit-identical to the full distance kernel it falls back to.  An empty
-input returns an empty list.  The
-:class:`LinearIndex` form is one all-pairs BLAS call; the
-:class:`LshIndex` form computes every table signature of every query in
-one ``(Q, n_tables*n_bits)`` matmul with vectorized bit-packing (no
-per-bit Python loop) and re-ranks per-query candidate sets against the
-shared matrix/norm cache.
+search structure.  ``query`` answers one descriptor — the only form a
+served request takes; over cosine float storage the exact scan is the
+store's single-query kernel
+(:meth:`~repro.core.store._VectorStore.nearest_cosine`), bit-identical
+to the full distance kernel it falls back to on a near-tie.
 
 Lookup pricing
 ==============
@@ -67,11 +52,12 @@ class IndexEntryExists(ValueError):
 
 
 def _decision_eps(dtype: str) -> float:
-    """Decision-stability margin for batch-vs-sequential re-answers.
+    """How close a runner-up must be for the single-query kernel to
+    decline and the full kernel to break the tie.
 
-    Far wider than the dtype's BLAS summation-order wobble (~1e-13 for
-    float64 accumulation, ~1e-6 for float32), far narrower than any
-    real match margin.
+    Far wider than the dtype's rounding wobble (~1e-13 for float64
+    accumulation, ~1e-6 for float32), far narrower than any real match
+    margin.
     """
     return 1e-9 if dtype == "float64" else 1e-5
 
@@ -79,8 +65,8 @@ def _decision_eps(dtype: str) -> float:
 class DescriptorIndex:
     """Interface shared by all index types."""
 
-    #: Realized cost of the most recent query (mean per-descriptor cost
-    #: for a batch), recorded atomically by query()/query_batch().
+    #: Realized cost of the most recent query, recorded atomically by
+    #: query().
     last_query_cost_s: float | None = None
 
     def insert(self, entry_id: int, descriptor: Descriptor) -> None:
@@ -112,15 +98,6 @@ class DescriptorIndex:
               threshold: float) -> tuple[int, float] | None:
         """Best match within ``threshold`` as ``(entry_id, distance)``."""
         raise NotImplementedError
-
-    def query_batch(self, descriptors: typing.Sequence[Descriptor],
-                    threshold: float) -> list[tuple[int, float] | None]:
-        """Answer many lookups at once; results in input order.
-
-        Equivalent to ``[self.query(d, threshold) for d in descriptors]``
-        but vectorized where the index supports it.
-        """
-        return [self.query(d, threshold) for d in descriptors]
 
     def lookup_cost_s(self) -> float:
         """Simulated seconds one query is expected to cost right now.
@@ -188,9 +165,8 @@ class _VectorIndex(DescriptorIndex):
     removal, cached row norms).  This base validates descriptors, keeps
     ``insert``/``insert_batch``/``remove`` atomic over that store, and
     owns the exact scan; a subclass adds its search structure by
-    implementing ``query_batch`` and, to keep the structure in step with
-    the store, the ``_added`` / ``_removing`` hooks.  ``query`` is a
-    batch of one.
+    implementing ``query`` and, to keep the structure in step with the
+    store, the ``_added`` / ``_removing`` hooks.
     """
 
     #: Vector dimension: fixed at construction by LSH/IVF (they draw
@@ -270,49 +246,25 @@ class _VectorIndex(DescriptorIndex):
     def _removing(self, entry_id: int) -> None:
         """Hook: ``entry_id`` is about to leave the store."""
 
-    def query(self, descriptor: Descriptor,
-              threshold: float) -> tuple[int, float] | None:
-        return self.query_batch([descriptor], threshold)[0]
+    def _exact_scan(self, vec: np.ndarray,
+                    threshold: float) -> tuple[int, float] | None:
+        """Exact nearest neighbour of one validated query vector.
 
-    def _exact_scan(self, vecs: list[np.ndarray], threshold: float
-                    ) -> list[tuple[int, float] | None]:
-        """Exact nearest neighbour of each validated query vector.
-
-        One query over cosine float storage takes the store's
-        single-query kernel; everything else (and whatever the kernel
-        declines) is one all-pairs (Q, n) distance block.
+        Cosine float storage takes the store's single-query kernel;
+        everything else (and whatever the kernel declines) is one
+        (1, n) pass of the full distance kernel.
         """
         if len(self._store) == 0:
-            return [None] * len(vecs)
-        if len(vecs) == 1 and self._float_cosine:
-            nearest = self._store.nearest_cosine(vecs[0], self._eps)
+            return None
+        if self._float_cosine:
+            nearest = self._store.nearest_cosine(vec, self._eps)
             if nearest is not None:
-                return [nearest if nearest[1] <= threshold else None]
-        distances = self._store.distances(self._metric_batch, np.stack(vecs))
-        best = np.argmin(distances, axis=1)
-        best_distance = distances[np.arange(len(vecs)), best]
-        if distances.shape[1] > 1:
-            runner_up = np.partition(distances, 1, axis=1)[:, 1]
-        else:
-            runner_up = np.full(len(vecs), np.inf)
-        results: list[tuple[int, float] | None] = []
-        for q, row in enumerate(best):
-            d = float(best_distance[q])
-            if len(vecs) > 1 and (
-                    abs(d - threshold) <= self._eps
-                    or runner_up[q] - d <= self._eps):
-                # Boundary case: a one-query gemm and a Q-query gemm may
-                # round differently (summation order), which could flip
-                # an exact tie or a threshold-edge decision.  Re-answer
-                # as a batch of one — the same arithmetic a sequential
-                # query() uses — so batch and sequential decisions stay
-                # element-wise identical.
-                results.append(self._exact_scan([vecs[q]], threshold)[0])
-            elif d <= threshold:
-                results.append((self._store.id_at(int(row)), d))
-            else:
-                results.append(None)
-        return results
+                return nearest if nearest[1] <= threshold else None
+        distances = self._store.distances(self._metric_batch,
+                                          vec[None, :])[0]
+        best = int(np.argmin(distances))
+        d = float(distances[best])
+        return (self._store.id_at(best), d) if d <= threshold else None
 
     def _rerank(self, ids: list[int], vec: np.ndarray,
                 threshold: float) -> tuple[int, float] | None:
@@ -337,8 +289,7 @@ class LinearIndex(_VectorIndex):
     """Exact nearest-neighbour by brute-force vectorized scan.
 
     Queries never rebuild storage and cosine lookups skip the
-    whole-store norm pass; ``query_batch`` answers Q lookups with a
-    single (Q, N) BLAS call.
+    whole-store norm pass.
     """
 
     #: Cost model: fixed overhead + per-stored-vector scan cost.  The
@@ -346,13 +297,11 @@ class LinearIndex(_VectorIndex):
     BASE_COST_S = 5e-5
     PER_VECTOR_COST_S = 2.5e-7
 
-    def query_batch(self, descriptors: typing.Sequence[Descriptor],
-                    threshold: float) -> list[tuple[int, float] | None]:
-        vecs = [self._validate(d) for d in descriptors]
-        if not vecs:
-            return []
+    def query(self, descriptor: Descriptor,
+              threshold: float) -> tuple[int, float] | None:
+        vec = self._validate(descriptor)
         self.last_query_cost_s = self.lookup_cost_s()
-        return self._exact_scan(vecs, threshold)
+        return self._exact_scan(vec, threshold)
 
     def lookup_cost_s(self) -> float:
         return self.BASE_COST_S + self.PER_VECTOR_COST_S * len(self._store)
@@ -362,9 +311,10 @@ class LshIndex(_VectorIndex):
     """Random-hyperplane LSH with exact re-ranking of candidates.
 
     All hyperplanes live in one ``(n_tables * n_bits, dim)`` matrix, so
-    the signatures of a query batch are a single matmul followed by
-    vectorized bit-packing — no per-bit Python loop anywhere.  Candidate
-    re-ranking reuses the store's matrix and its cached norms.
+    the signatures of a query — or of a whole insert burst — are a
+    single matmul followed by vectorized bit-packing, no per-bit Python
+    loop anywhere.  Candidate re-ranking reuses the store's matrix and
+    its cached norms.
 
     Recall floor: on near-duplicate workloads (query within a small
     perturbation of a stored vector) the default configuration holds
@@ -439,24 +389,15 @@ class LshIndex(_VectorIndex):
                 if not bucket:
                     del self._tables[table][int(sig)]
 
-    def query_batch(self, descriptors: typing.Sequence[Descriptor],
-                    threshold: float) -> list[tuple[int, float] | None]:
-        vecs = [self._validate(d) for d in descriptors]
-        if not vecs:
-            return []
-        signatures = self._signatures_batch(np.stack(vecs))
-        results: list[tuple[int, float] | None] = []
-        total_candidates = 0
-        for q, vec in enumerate(vecs):
-            candidates: set[int] = set()
-            for table in range(self.n_tables):
-                candidates |= self._tables[table].get(
-                    int(signatures[q, table]), _EMPTY_BUCKET)
-            self.last_candidates = len(candidates)
-            total_candidates += len(candidates)
-            results.append(self._rerank(list(candidates), vec, threshold))
-        self.last_query_cost_s = self._price(total_candidates / len(vecs))
-        return results
+    def query(self, descriptor: Descriptor,
+              threshold: float) -> tuple[int, float] | None:
+        vec = self._validate(descriptor)
+        candidates: set[int] = set()
+        for table, sig in enumerate(self._signatures(vec)):
+            candidates |= self._tables[table].get(int(sig), _EMPTY_BUCKET)
+        self.last_candidates = len(candidates)
+        self.last_query_cost_s = self._price(len(candidates))
+        return self._rerank(list(candidates), vec, threshold)
 
     def _price(self, n_candidates: float) -> float:
         return (self.BASE_COST_S
@@ -647,56 +588,22 @@ class IvfIndex(_VectorIndex):
 
     # -- queries ---------------------------------------------------------------
 
-    def query_batch(self, descriptors: typing.Sequence[Descriptor],
-                    threshold: float) -> list[tuple[int, float] | None]:
-        vecs = [self._validate(d) for d in descriptors]
-        if not vecs:
-            return []
+    def query(self, descriptor: Descriptor,
+              threshold: float) -> tuple[int, float] | None:
+        vec = self._validate(descriptor)
         if self._centroids is None or len(self._store) == 0:
             self.last_candidates = len(self._store)
             self.last_query_cost_s = self.lookup_cost_s()
-            return self._exact_scan(vecs, threshold)
-        queries = np.stack(vecs)
-        cdist = self._metric_batch(self._centroids, queries,
-                                   row_norms=self._centroid_norms)
-        order = np.argsort(cdist, axis=1, kind="stable")
-        nprobe = self._effective_nprobe()
-        results: list[tuple[int, float] | None] = []
-        total_candidates = 0
-        for q in range(len(vecs)):
-            if len(vecs) > 1 and self._probe_boundary(cdist[q], order[q],
-                                                      nprobe):
-                # The probe cut sits inside gemm summation-order wobble:
-                # a (Q, K) and a (1, K) centroid ranking could pick
-                # different cells.  Re-answer through the batch-of-one
-                # path — the same arithmetic a sequential query() uses —
-                # so batch and sequential decisions stay identical.
-                results.append(self.query_batch([descriptors[q]],
-                                                threshold)[0])
-                total_candidates += self.last_candidates
-                continue
-            candidates: set[int] = set()
-            for cell in order[q, :nprobe]:
-                candidates |= self._lists[int(cell)]
-            total_candidates += len(candidates)
-            results.append(self._rerank(sorted(candidates), queries[q],
-                                        threshold))
-        self.last_candidates = int(round(total_candidates / len(vecs)))
-        self.last_query_cost_s = self._price(total_candidates / len(vecs))
-        return results
-
-    def _probe_boundary(self, dist_row: np.ndarray, order_row: np.ndarray,
-                        nprobe: int) -> bool:
-        """True when the nprobe cut could flip under gemm wobble.
-
-        Any cell swapping across the cut requires two of the first
-        ``nprobe + 1`` sorted centroid distances to sit within the
-        wobble margin of each other, so checking those gaps suffices.
-        """
-        if nprobe >= len(order_row):
-            return False
-        window = dist_row[order_row[:nprobe + 1]]
-        return bool((np.diff(window) <= self._eps).any())
+            return self._exact_scan(vec, threshold)
+        order = np.argsort(self._metric(
+            self._centroids, vec, row_norms=self._centroid_norms),
+            kind="stable")
+        candidates: set[int] = set()
+        for cell in order[:self._effective_nprobe()]:
+            candidates |= self._lists[int(cell)]
+        self.last_candidates = len(candidates)
+        self.last_query_cost_s = self._price(len(candidates))
+        return self._rerank(sorted(candidates), vec, threshold)
 
     # -- pricing / introspection -----------------------------------------------
 

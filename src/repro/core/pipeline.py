@@ -15,7 +15,7 @@ map onto Figure 1 of the paper (the middle "MEC platform" box):
    pull the client-supplied descriptor out of the headers.
 3. **lookup** — "Extract IC Feature" + "IC cache lookup": edge-side
    descriptor extraction on the bounded worker pool when the client
-   sent only the frame, then the (batched) cache probe.
+   sent only the frame, then the cache probe.
 4. **resolve** — the hit/miss fork of Figure 1: a hit is returned as
    is; a miss rides the cloud forward / peer federation / coalescing
    machinery and is inserted into the cache on the way back.
@@ -238,17 +238,14 @@ class LayerReuseStage(Stage):
                 sketch = input_sketch(observation.vector)
                 ctx.layer_observation = observation
         ctx.layer_sketch = sketch
-        # Walk the taps deep-to-shallow, paying each probe's lookup
-        # cost at the instant it runs (same pay-then-probe convention
-        # as every other lookup path, so expiry and recency are judged
-        # at the true probe time); the deepest acceptable match wins.
+        # Walk the taps deep-to-shallow, one charged lookup per probed
+        # tap (the manager plans over this edge's own cache); the
+        # deepest acceptable match wins.
         resume_after = None
         matched = None
         for name, kind, threshold in manager.probe_sequence():
-            yield manager.cache.lookup_cost_s(kind)
-            found = manager.cache.lookup(
-                VectorDescriptor(kind=kind, vector=sketch),
-                now=edge.env.now, threshold=threshold)
+            found = yield from edge._lookup(
+                VectorDescriptor(kind=kind, vector=sketch), threshold)
             if found is None or not manager.servable(name, found):
                 # No match — or a marker-only final-tap entry with no
                 # result to return — keep walking; a shallower tap can
@@ -397,8 +394,8 @@ class LookupStage(Stage):
                     layers=manager.layers_through(
                         manager.network.feature_layer),
                     source_class=ctx.task.frame.object_class)
-        ctx.entry = yield from edge._batched_lookup(ctx.descriptor,
-                                                    edge.match_threshold)
+        ctx.entry = yield from edge._lookup(ctx.descriptor,
+                                            edge.match_threshold)
         # Per-edge coarse hit evidence: what the layer-reuse stage's
         # default-chain baseline reads.  Deliberately *not* the cache's
         # global stats — layer-tap probes would drown the signal.
@@ -407,8 +404,7 @@ class LookupStage(Stage):
             edge.coarse_hits += 1
 
     def _hash_lookup(self, edge: "EdgeNode", ctx: RequestContext):
-        yield edge.cache.lookup_cost_s(ctx.task.kind)
-        ctx.entry = edge.cache.lookup(ctx.descriptor, now=edge.env.now)
+        ctx.entry = yield from edge._lookup(ctx.descriptor)
         if ctx.entry is not None:
             return
         pending = edge._inflight.get(ctx.descriptor.digest)

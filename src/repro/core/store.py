@@ -295,8 +295,7 @@ class _QuantizedVectorStore(_RowStore):
         """(Q, n) distances, dequantizing :data:`CHUNK` rows at a time.
 
         Chunk boundaries depend only on the row count, never on the
-        query count, so a batch of Q and Q batches of one run
-        byte-identical arithmetic per (query, row) pair.
+        query count.
         """
         n = len(self._row_ids)
         blocks = []

@@ -1,14 +1,14 @@
-"""A7 — descriptor index scaling: linear scan vs LSH, scalar vs batch.
+"""A7 — descriptor index scaling: linear scan vs LSH, one query at a time.
 
 The edge cache's vector lookups sit on the latency-critical path of
 every recognition request, and the poster's "simple" implementation is a
 linear scan.  This experiment fills both index types to increasing
-occupancy and measures (a) real wall-clock query time of the per-query
-and batched (`query_batch`) paths, (b) the simulated cost model the edge
-charges, (c) LSH recall against the exact scan — the price paid for
-sub-linear lookups — and (d) the speedup over the pre-optimization
-implementation (`_LegacyLinearScan`), which is what BENCH json files
-track as the before/after trajectory.
+occupancy and measures (a) real wall-clock time of ``query`` — one
+descriptor per call, the only form a served request takes — (b) the
+simulated cost model the edge charges, (c) LSH recall against the exact
+scan — the price paid for sub-linear lookups — and (d) the speedup over
+the pre-optimization implementation (`_LegacyLinearScan`), which is
+what BENCH json files track as the before/after trajectory.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ class _LegacyLinearScan:
     Rebuilds the scan matrix with ``np.stack`` after any mutation and
     recomputes every row norm inside the metric on every query — exactly
     what :class:`LinearIndex` did before contiguous storage, cached
-    norms, and the batch API.  Only used for before/after reporting.
+    norms and the single-query kernel.  Only used for before/after
+    reporting.
     """
 
     def __init__(self, metric: str = "cosine"):
@@ -83,10 +84,8 @@ class IndexRow:
 
     n_entries: int
     linear_wall_us: float
-    linear_batch_us: float
     legacy_linear_us: float
     lsh_wall_us: float
-    lsh_batch_us: float
     lsh_sig_us: float
     legacy_sig_us: float
     linear_model_us: float
@@ -95,9 +94,9 @@ class IndexRow:
     lsh_candidates: float
 
     @property
-    def batch_speedup(self) -> float:
-        """Throughput gain of the batched path over the seed's scan."""
-        return self.legacy_linear_us / self.linear_batch_us
+    def speedup(self) -> float:
+        """Per-query gain of the exact scan over the seed's scan."""
+        return self.legacy_linear_us / self.linear_wall_us
 
     @property
     def sig_speedup(self) -> float:
@@ -128,7 +127,7 @@ def run_index_scaling(sizes: typing.Sequence[int] = DEFAULT_SIZES,
                       dim: int = 128, n_queries: int = 50,
                       threshold: float = 0.15,
                       seed: int = 0) -> list[IndexRow]:
-    """Measure both indexes, both query paths, at each occupancy."""
+    """Measure both indexes at each occupancy."""
     rng = RngStreams(seed)
     space = EmbeddingSpace(dim=dim, n_classes=max(sizes), seed=seed)
     rows = []
@@ -162,17 +161,9 @@ def run_index_scaling(sizes: typing.Sequence[int] = DEFAULT_SIZES,
         linear_wall = (time.perf_counter() - start) / n_queries
 
         start = time.perf_counter()
-        linear_batch_results = linear.query_batch(queries, threshold)
-        linear_batch_wall = (time.perf_counter() - start) / n_queries
-
-        start = time.perf_counter()
         lsh_results = [lsh.query(q, threshold) for q in queries]
         lsh_wall = (time.perf_counter() - start) / n_queries
         candidates = lsh.last_candidates
-
-        start = time.perf_counter()
-        lsh_batch_results = lsh.query_batch(queries, threshold)
-        lsh_batch_wall = (time.perf_counter() - start) / n_queries
 
         # Insert-path cost: signature computation, new vs seed per-bit
         # loop, over a sample of the stored vectors.
@@ -187,13 +178,11 @@ def run_index_scaling(sizes: typing.Sequence[int] = DEFAULT_SIZES,
             _legacy_signatures(legacy_planes, vec)
         legacy_sig_wall = (time.perf_counter() - start) / len(sample)
 
-        # The optimized paths must agree with the seed path's decisions.
-        # Cross-implementation comparisons skip queries whose best
-        # distance sits within float wobble of the threshold — different
-        # arithmetic pipelines may legitimately disagree there.
+        # The optimized scan must agree with the seed path's decisions.
+        # The comparison skips queries whose best distance sits within
+        # float wobble of the threshold — different arithmetic pipelines
+        # may legitimately disagree there.
         _check_decisions(linear_results, legacy_results, threshold)
-        _check_decisions(linear_batch_results, linear_results, threshold)
-        _check_decisions(lsh_batch_results, lsh_results, threshold)
 
         matched = [(a, b) for a, b in zip(linear_results, lsh_results)
                    if a is not None]
@@ -204,10 +193,8 @@ def run_index_scaling(sizes: typing.Sequence[int] = DEFAULT_SIZES,
         rows.append(IndexRow(
             n_entries=n_entries,
             linear_wall_us=linear_wall * 1e6,
-            linear_batch_us=linear_batch_wall * 1e6,
             legacy_linear_us=legacy_wall * 1e6,
             lsh_wall_us=lsh_wall * 1e6,
-            lsh_batch_us=lsh_batch_wall * 1e6,
             lsh_sig_us=sig_wall * 1e6,
             legacy_sig_us=legacy_sig_wall * 1e6,
             linear_model_us=linear.lookup_cost_s() * 1e6,
@@ -249,7 +236,7 @@ class TierRow:
 
     @property
     def float32_speedup(self) -> float:
-        """Per-kind float32 batch throughput over per-kind float64."""
+        """Per-kind float32 per-query time over per-kind float64."""
         return self.float64_perkind_us / self.float32_perkind_us
 
 
@@ -314,9 +301,6 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
             VectorDescriptor(kind=descriptors[probe_rows[q]].kind,
                              vector=population[probe_rows[q]] + jitter[q])
             for q in range(n_queries)]
-        kinds = [q.kind for q in queries]
-        rec_queries = [q for q in queries if q.kind == "recognition"]
-        aux_queries = [q for q in queries if q.kind == "aux"]
 
         # Build every tier up front, then time them interleaved so the
         # comparisons share environmental conditions.
@@ -347,21 +331,21 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
         ivf = IvfIndex(dim=dim, dtype="float32", seed=seed)
         ivf.insert_batch(items)
 
-        walls = _time_interleaved({
-            "f64": lambda: (f64_rec.query_batch(rec_queries, threshold),
-                            f64_aux.query_batch(aux_queries, threshold)),
-            "f32": lambda: (f32_rec.query_batch(rec_queries, threshold),
-                            f32_aux.query_batch(aux_queries, threshold)),
-            "int8": lambda: int8.query_batch(queries, threshold),
-            "ivf": lambda: ivf.query_batch(queries, threshold),
-        }, timing_reps)
-
         def per_kind(rec_index, aux_index):
-            """Per-kind batch answers, merged back into query order."""
-            rec = iter(rec_index.query_batch(rec_queries, threshold))
-            aux = iter(aux_index.query_batch(aux_queries, threshold))
-            return [next(rec) if kind == "recognition" else next(aux)
-                    for kind in kinds]
+            """Each probe against its own kind's index, in query order."""
+            return [(rec_index if q.kind == "recognition"
+                     else aux_index).query(q, threshold) for q in queries]
+
+        def one_index(index):
+            return [index.query(q, threshold) for q in queries]
+
+        # One ``query`` per probe, as a served request issues them.
+        walls = _time_interleaved({
+            "f64": lambda: per_kind(f64_rec, f64_aux),
+            "f32": lambda: per_kind(f32_rec, f32_aux),
+            "int8": lambda: one_index(int8),
+            "ivf": lambda: one_index(ivf),
+        }, timing_reps)
 
         truth = per_kind(f64_rec, f64_aux)
 
@@ -374,8 +358,8 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
                        if b is not None and b[0] == a[0]) / len(matched)
 
         f32_results = per_kind(f32_rec, f32_aux)
-        int8_results = int8.query_batch(queries, threshold)
-        ivf_results = ivf.query_batch(queries, threshold)
+        int8_results = one_index(int8)
+        ivf_results = one_index(ivf)
 
         rows.append(TierRow(
             n_entries=n_entries,

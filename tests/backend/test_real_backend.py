@@ -208,6 +208,54 @@ class TestRobustness:
         assert bye["shed"] == 1 and bye["cache_entries"] == 1
 
 
+    def test_dead_cloud_costs_an_error_reply_not_the_connection(self):
+        # The cloud address refuses connections.  A cold capture gets
+        # an error reply on the same connection (the simulated edge
+        # answers an unreachable cloud the same way), hits + misses ==
+        # served still holds, and the connection keeps serving.
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            dead_port = probe.getsockname()[1]
+        payload = {
+            "name": "edge0",
+            "recognition": {"descriptor_dim": 16, "n_classes": 4,
+                            "viewpoint_scale": 0.02, "noise_sigma": 0.005,
+                            "seed": 0, "threshold": None,
+                            "max_viewpoint_delta": 5.0},
+            "cache": {"capacity_bytes": 10_000_000, "policy": "lru",
+                      "vector_index": "linear", "metric": "cosine",
+                      "ttl_s": None, "vector_dtype": "float64"},
+            "warm_classes": [1], "admission": "none", "queue_limit": None,
+            "cloud": {"host": "127.0.0.1", "port": dead_port},
+        }
+
+        async def _run():
+            service = EdgeService(payload)
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port)
+            try:
+                cold = await call(reader, writer, {
+                    "op": "recognize", "capture_id": 1, "object_class": 2})
+                warm = await call(reader, writer, {
+                    "op": "recognize", "capture_id": 2, "object_class": 1})
+                counters = await call(reader, writer, {"op": "stats"})
+            finally:
+                writer.close()
+                await service.stop()
+            return cold, warm, counters
+
+        cold, warm, counters = asyncio.run(_run())
+        assert cold["op"] == "error" and cold["served_by"] == "edge0"
+        assert cold["error"].startswith("cloud unreachable")
+        assert warm["outcome"] == OUTCOME_HIT and warm["label"] == 1
+        assert (counters["served"], counters["hits"],
+                counters["misses"]) == (1, 1, 0)
+        assert counters["cache_entries"] == 1
+
+
 class TestRunnerValidation:
     def test_unknown_mode_is_rejected(self):
         with pytest.raises(ValueError, match="mode"):

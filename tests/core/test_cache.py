@@ -187,26 +187,7 @@ class TestLookupCost:
 
 
 class TestLookupBatch:
-    """lookup_batch must be indistinguishable from sequential lookups."""
-
-    def _twin_caches(self, **kwargs):
-        return (ICCache(capacity_bytes=10_000, **kwargs),
-                ICCache(capacity_bytes=10_000, **kwargs))
-
-    def test_matches_sequential_including_stats(self):
-        batched, sequential = self._twin_caches(default_threshold=0.1)
-        stored = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        for cache in (batched, sequential):
-            for i, v in enumerate(stored):
-                cache.insert(vd(v), result=f"obj{i}", size_bytes=10)
-        probes = [vd([0.99, 0.05, 0]), vd([0.6, 0.6, 0]),
-                  vd([0, 0.02, 0.99]), vd([0, 1, 0])]
-        got = batched.lookup_batch(probes, now=3.0)
-        want = [sequential.lookup(p, now=3.0) for p in probes]
-        assert [e and e.entry_id for e in got] == \
-            [e and e.entry_id for e in want]
-        assert [e and e.hits for e in got] == [e and e.hits for e in want]
-        assert batched.stats == sequential.stats
+    """lookup_batch is ``[lookup(d) ...]``: concrete answers and stats."""
 
     def test_mixed_kinds_one_call(self):
         cache = ICCache(capacity_bytes=10_000)
@@ -248,22 +229,6 @@ class TestLookupBatch:
         assert (cache.stats.hits, cache.stats.misses) == (1, 2)
         assert len(cache) == 1
 
-    def test_batch_policy_recency_order(self):
-        # LRU recency must reflect batch order exactly as sequential.
-        batched, sequential = self._twin_caches(
-            policy=make_policy("lru"))
-        for cache in (batched, sequential):
-            cache.insert(hd("aa"), "a", 400, now=0.0)
-            cache.insert(hd("bb"), "b", 400, now=0.0)
-        batched.lookup_batch([hd("aa"), hd("bb")], now=1.0)
-        sequential.lookup(hd("aa"), now=1.0)
-        sequential.lookup(hd("bb"), now=1.0)
-        # Force one eviction in each; the same victim must be chosen.
-        batched.insert(hd("cc"), "c", 400, now=2.0)
-        sequential.insert(hd("cc"), "c", 400, now=2.0)
-        assert ([e.result for e in batched.entries()]
-                == [e.result for e in sequential.entries()])
-
 
 class TestPerItemThresholds:
     """lookup_batch accepts one threshold per descriptor."""
@@ -288,20 +253,26 @@ class TestPerItemThresholds:
             cache.lookup_batch([vd([1, 0])], thresholds=[0.1, 0.2])
 
     def test_matches_sequential_per_threshold(self):
-        batched = ICCache(capacity_bytes=10_000, default_threshold=0.0)
-        sequential = ICCache(capacity_bytes=10_000, default_threshold=0.0)
+        """The one ``lookup_batch == [lookup ...]`` case: mixed kinds,
+        per-item thresholds and an entry that expires mid-burst."""
+        batched = ICCache(capacity_bytes=10_000, default_threshold=0.0,
+                          ttl_s=5.0)
+        sequential = ICCache(capacity_bytes=10_000, default_threshold=0.0,
+                             ttl_s=5.0)
         for cache in (batched, sequential):
-            cache.insert(vd([1, 0, 0]), "a", 10)
-            cache.insert(vd([0, 1, 0], kind="pano"), "b", 10)
+            cache.insert(vd([1, 0, 0]), "stale", 10, now=0.0)
+            cache.insert(vd([0, 1, 0], kind="pano"), "b", 10, now=8.0)
+            cache.insert(hd("aa"), "model", 10, now=8.0)
         probes = [vd([0.9, 0.1, 0]), vd([0.1, 0.9, 0], kind="pano"),
-                  vd([1, 0, 0])]
-        thresholds = [0.5, 0.5, 0.001]
-        got = batched.lookup_batch(probes, thresholds=thresholds)
-        want = [sequential.lookup(p, threshold=t)
+                  hd("aa"), vd([1, 0, 0]), hd("bb")]
+        thresholds = [0.5, 0.5, None, 0.001, None]
+        got = batched.lookup_batch(probes, now=10.0, thresholds=thresholds)
+        want = [sequential.lookup(p, now=10.0, threshold=t)
                 for p, t in zip(probes, thresholds)]
         assert [e and e.result for e in got] == \
-            [e and e.result for e in want]
+            [e and e.result for e in want] == [None, "b", "model", None, None]
         assert batched.stats == sequential.stats
+        assert batched.stats.expirations == 1
 
 
 class TestStorageTiers:

@@ -24,20 +24,22 @@ from repro.core.scenario import (
 )
 
 
+def _rows(recorder) -> list[tuple]:
+    """Every record's observable fields (floats in exact hex form)."""
+    return [(r.task_kind, r.outcome, r.user, r.start_s.hex(),
+             r.end_s.hex(), r.correct) for r in recorder.records]
+
+
 def recorder_digest(recorder) -> str:
-    """A byte-exact fingerprint of every record's observable fields."""
-    blob = repr([(r.task_kind, r.outcome, r.user, r.start_s.hex(),
-                  r.end_s.hex(), r.correct) for r in recorder.records])
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """A byte-exact fingerprint of the records, in append order."""
+    return hashlib.sha256(repr(_rows(recorder)).encode()).hexdigest()
 
 
 def order_free_digest(recorder) -> str:
     """:func:`recorder_digest` over the *sorted* rows: pins which
     records exist, not the order same-instant completions append in."""
-    blob = repr(sorted((r.task_kind, r.outcome, r.user, r.start_s.hex(),
-                        r.end_s.hex(), r.correct)
-                       for r in recorder.records))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(
+        repr(sorted(_rows(recorder))).encode()).hexdigest()
 
 
 # Digests captured on the pre-refactor constructors (commit cb4e7b1)
@@ -121,8 +123,15 @@ class TestSeedEquivalenceFloat64(TestSeedEquivalence):
 # workload exercises mobility, handoff and federation peer probes in
 # one run, so *any* stage-chain edit that perturbs default behaviour —
 # not just the facade paths — fails loudly here.
+#
+# Re-pinned once (from 822117df…6033) when the edge's same-tick lookup
+# window was deleted: a lookup no longer waits out a zero timeout behind
+# a flush process, so completions sharing a simulated instant append in
+# a different order (four rows swap with a same-``end_s`` neighbour).
+# The record multiset did not move — see GOLDEN_METRO_ORDER_FREE,
+# pinned before that change and untouched by it.
 GOLDEN_METRO = \
-    "822117df5d52f71e831f00081604d6be36be4e2ae372adb443d836195b6f6033"
+    "f9fb8fcecfbe2629101f79e8792bbc87bcbb4308ade3c6305bdf730c0715ceba"
 # The same run's record *multiset* (rows sorted before hashing).  A
 # change that only reorders completions sharing a simulated instant
 # moves GOLDEN_METRO and must leave this one alone.

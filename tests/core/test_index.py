@@ -195,73 +195,6 @@ class TestMakeIndex:
             make_index("ivf:x", dim=32)
 
 
-class TestQueryBatch:
-    """query_batch must agree element-wise with sequential query calls."""
-
-    def _fill(self, index, vectors):
-        for i, v in enumerate(vectors):
-            index.insert(i, vec("r", v))
-
-    def test_empty_batch(self):
-        assert LinearIndex().query_batch([], 0.5) == []
-        assert LshIndex(dim=4).query_batch([], 0.5) == []
-        assert ExactIndex().query_batch([], 0.5) == []
-
-    def test_batch_on_empty_index(self):
-        probes = [vec("r", [1, 0]), vec("r", [0, 1])]
-        assert LinearIndex().query_batch(probes, 2.0) == [None, None]
-        assert LshIndex(dim=2).query_batch(probes, 2.0) == [None, None]
-
-    # Distance-value agreement between a (Q, N) gemm and a (1, N) gemm
-    # is dtype-bound: float64 wobble is ~1e-13, float32 ~1e-7.  Match
-    # *decisions* must agree exactly in every dtype.
-    DIST_TOL = {"float64": 1e-9, "float32": 1e-5, "int8": 1e-5}
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32", "int8"])
-    def test_linear_batch_matches_sequential(self, dtype):
-        rng = np.random.default_rng(11)
-        population = rng.normal(size=(60, 16))
-        index = LinearIndex(dtype=dtype)
-        self._fill(index, population)
-        probes = [vec("r", population[i] + rng.normal(0, 0.05, 16))
-                  for i in range(20)]
-        probes += [vec("r", rng.normal(size=16)) for _ in range(10)]
-        batch = index.query_batch(probes, threshold=0.05)
-        sequential = [index.query(p, threshold=0.05) for p in probes]
-        assert len(batch) == len(sequential)
-        for got, want in zip(batch, sequential):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got[0] == want[0]
-                assert got[1] == pytest.approx(want[1],
-                                               abs=self.DIST_TOL[dtype])
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_lsh_batch_matches_sequential(self, dtype):
-        rng = np.random.default_rng(12)
-        population = rng.normal(size=(120, 32))
-        population /= np.linalg.norm(population, axis=1, keepdims=True)
-        index = LshIndex(dim=32, n_tables=6, n_bits=8, dtype=dtype)
-        self._fill(index, population)
-        probes = [vec("r", population[i] + rng.normal(0, 0.02, 32))
-                  for i in range(30)]
-        batch = index.query_batch(probes, threshold=0.05)
-        sequential = [index.query(p, threshold=0.05) for p in probes]
-        for got, want in zip(batch, sequential):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got[0] == want[0]
-                assert got[1] == pytest.approx(want[1],
-                                               abs=self.DIST_TOL[dtype])
-
-    def test_exact_batch_uses_sequential_fallback(self):
-        index = ExactIndex()
-        index.insert(1, HashDescriptor("m", "aa"))
-        got = index.query_batch(
-            [HashDescriptor("m", "aa"), HashDescriptor("m", "bb")], 0.0)
-        assert got == [(1, 0.0), None]
-
-
 class TestContiguousStore:
     """Amortized growth and swap-compacted removal, via the public API."""
 

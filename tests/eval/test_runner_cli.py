@@ -19,6 +19,22 @@ class TestRegistry:
                          "index", "speculative", "federation"):
             assert expected in names
 
+    def test_every_experiment_module_is_registered(self):
+        """No orphans: each module under ``eval/experiments/`` backs a
+        registry entry, so an experiment nothing can run fails here."""
+        import pathlib
+
+        import repro.eval.experiments as package
+        from repro.eval import runner
+
+        experiment_names()  # populates the registry
+        registered = {fn.__module__ for fn in runner._REGISTRY.values()}
+        on_disk = {
+            f"{package.__name__}.{path.stem}"
+            for path in pathlib.Path(package.__file__).parent.glob("*.py")
+            if path.stem != "__init__"}
+        assert on_disk == registered
+
     def test_run_by_name_with_overrides(self):
         result = run_experiment("fig2a", pairs=((90, 9),), repeats=1)
         assert len(result.rows) == 1

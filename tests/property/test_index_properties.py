@@ -86,29 +86,6 @@ def test_insert_remove_consistency(stored, removals):
             # Survivors are found unless a duplicate vector shadows them.
 
 
-@given(stored=st.lists(finite_vector, min_size=1, max_size=20),
-       queries=st.lists(finite_vector, min_size=0, max_size=10),
-       threshold=st.floats(min_value=0.0, max_value=2.0))
-@settings(max_examples=80, deadline=None)
-def test_linear_query_batch_identical_to_sequential(stored, queries,
-                                                    threshold):
-    """Batched answers match the sequential path element-wise."""
-    index = LinearIndex()
-    for i, vec in enumerate(stored):
-        index.insert(i, vd(vec))
-    probes = [vd(q) for q in queries]
-    batch = index.query_batch(probes, threshold)
-    sequential = [index.query(p, threshold) for p in probes]
-    assert len(batch) == len(sequential)
-    for got, want in zip(batch, sequential):
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got[0] == want[0]
-            # Decisions are exact; reported distances wobble within the
-            # dtype's gemm margin (float32 default: ~1e-7).
-            assert abs(got[1] - want[1]) < 1e-5
-
-
 def full_kernel_answer(store, query, threshold):
     """The oracle: ``argmin`` over the full distance kernel's block."""
     if len(store) == 0:
@@ -176,124 +153,6 @@ def test_single_query_kernel_identical_to_full_kernel(
                 assert not declined
 
 
-@given(stored=st.lists(finite_vector, min_size=1, max_size=20),
-       queries=st.lists(finite_vector, min_size=0, max_size=10),
-       threshold=st.floats(min_value=0.0, max_value=2.0))
-@settings(max_examples=60, deadline=None)
-def test_lsh_query_batch_identical_to_sequential(stored, queries,
-                                                 threshold):
-    index = LshIndex(dim=DIM, n_tables=6, n_bits=4)
-    for i, vec in enumerate(stored):
-        index.insert(i, vd(vec))
-    probes = [vd(q) for q in queries]
-    batch = index.query_batch(probes, threshold)
-    sequential = [index.query(p, threshold) for p in probes]
-    for got, want in zip(batch, sequential):
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got[0] == want[0]
-            assert abs(got[1] - want[1]) < 1e-5
-
-
-@given(stored=st.lists(finite_vector, min_size=1, max_size=15),
-       queries=st.lists(finite_vector, min_size=1, max_size=8))
-@settings(max_examples=50, deadline=None)
-def test_cache_lookup_batch_identical_to_sequential(stored, queries):
-    """Two identical caches, one batched and one sequential, stay
-    indistinguishable: same hits, same stats, same recency effects."""
-    from repro.core.cache import ICCache
-
-    batched = ICCache(capacity_bytes=1_000_000, default_threshold=0.3)
-    sequential = ICCache(capacity_bytes=1_000_000, default_threshold=0.3)
-    for cache in (batched, sequential):
-        for i, vec in enumerate(stored):
-            cache.insert(vd(vec), result=i, size_bytes=8)
-    probes = [vd(q) for q in queries]
-    got = batched.lookup_batch(probes, now=1.0)
-    want = [sequential.lookup(p, now=1.0) for p in probes]
-    assert [e and e.entry_id for e in got] == \
-        [e and e.entry_id for e in want]
-    assert batched.stats == sequential.stats
-
-
-kind_name = st.sampled_from(("recognition", "pano", "layer:conv3"))
-
-
-@given(stored=st.lists(st.tuples(kind_name, finite_vector),
-                       min_size=1, max_size=15),
-       queries=st.lists(
-           st.tuples(kind_name, finite_vector,
-                     st.sampled_from((None, 0.0, 0.05, 0.3, 2.0))),
-           min_size=1, max_size=10))
-@settings(max_examples=50, deadline=None)
-def test_cache_mixed_kind_lookup_batch_identical_to_sequential(stored,
-                                                               queries):
-    """A burst mixing kinds and per-item thresholds (one index per
-    kind, grouped by ``(kind, threshold)``) answers, counts and ages
-    entries exactly as the same lookups issued one by one."""
-    from repro.core.cache import ICCache
-
-    batched = ICCache(capacity_bytes=1_000_000, default_threshold=0.3)
-    sequential = ICCache(capacity_bytes=1_000_000, default_threshold=0.3)
-    for cache in (batched, sequential):
-        for i, (kind, vec) in enumerate(stored):
-            cache.insert(VectorDescriptor(kind, np.asarray(
-                vec, dtype=np.float32)), result=i, size_bytes=8)
-    probes = [VectorDescriptor(kind, np.asarray(q, dtype=np.float32))
-              for kind, q, _ in queries]
-    thresholds = [t for _, _, t in queries]
-    got = batched.lookup_batch(probes, now=1.0, thresholds=thresholds)
-    want = [sequential.lookup(p, now=1.0, threshold=t)
-            for p, t in zip(probes, thresholds)]
-    assert [e and e.entry_id for e in got] == \
-        [e and e.entry_id for e in want]
-    assert [(e.entry_id, e.hits) for e in batched.entries()] == \
-        [(e.entry_id, e.hits) for e in sequential.entries()]
-    assert batched.stats == sequential.stats
-
-
-@given(stored=st.lists(finite_vector, min_size=1, max_size=20),
-       queries=st.lists(finite_vector, min_size=0, max_size=8),
-       threshold=st.floats(min_value=0.0, max_value=2.0))
-@settings(max_examples=50, deadline=None)
-def test_ivf_query_batch_identical_to_sequential(stored, queries,
-                                                 threshold):
-    """IVF batched answers match the sequential path element-wise,
-    both before training (exact-scan fallback) and after."""
-    index = IvfIndex(dim=DIM, min_train=8, seed=3)
-    for i, vec in enumerate(stored):
-        index.insert(i, vd(vec))
-    probes = [vd(q) for q in queries]
-    batch = index.query_batch(probes, threshold)
-    sequential = [index.query(p, threshold) for p in probes]
-    assert len(batch) == len(sequential)
-    for got, want in zip(batch, sequential):
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got[0] == want[0]
-            assert abs(got[1] - want[1]) < 1e-5
-
-
-@given(stored=st.lists(finite_vector, min_size=1, max_size=20),
-       queries=st.lists(finite_vector, min_size=0, max_size=8),
-       threshold=st.floats(min_value=0.0, max_value=2.0))
-@settings(max_examples=50, deadline=None)
-def test_int8_query_batch_identical_to_sequential(stored, queries,
-                                                  threshold):
-    """Scalar-quantized storage: batch == sequential, decision-exact."""
-    index = LinearIndex(dtype="int8")
-    for i, vec in enumerate(stored):
-        index.insert(i, vd(vec))
-    probes = [vd(q) for q in queries]
-    batch = index.query_batch(probes, threshold)
-    sequential = [index.query(p, threshold) for p in probes]
-    for got, want in zip(batch, sequential):
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got[0] == want[0]
-            assert abs(got[1] - want[1]) < 1e-5
-
-
 @given(stored=st.lists(finite_vector, min_size=2, max_size=20),
        removals=st.data())
 @settings(max_examples=40, deadline=None)
@@ -336,8 +195,8 @@ def test_ivf_recall_floor_vs_exact_across_seeds():
         assert ivf.trained, f"seed {seed}: expected a trained quantizer"
         probes = [vd(population[i] + rng.normal(0, 0.02, 64))
                   for i in range(100)]
-        truth = linear.query_batch(probes, threshold=0.05)
-        got = ivf.query_batch(probes, threshold=0.05)
+        truth = [linear.query(p, threshold=0.05) for p in probes]
+        got = [ivf.query(p, threshold=0.05) for p in probes]
         matched = [(a, b) for a, b in zip(truth, got) if a is not None]
         assert matched, f"seed {seed}: ground truth found no matches"
         recall = sum(1 for a, b in matched
@@ -359,8 +218,8 @@ def test_lsh_recall_floor_across_seeds():
             lsh.insert(i, vd(vec))
         probes = [vd(population[i] + rng.normal(0, 0.02, 64))
                   for i in range(60)]
-        truth = linear.query_batch(probes, threshold=0.05)
-        got = lsh.query_batch(probes, threshold=0.05)
+        truth = [linear.query(p, threshold=0.05) for p in probes]
+        got = [lsh.query(p, threshold=0.05) for p in probes]
         matched = [(a, b) for a, b in zip(truth, got) if a is not None]
         assert matched, f"seed {seed}: ground truth found no matches"
         recall = sum(1 for a, b in matched

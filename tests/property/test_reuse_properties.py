@@ -1,9 +1,8 @@
 """Property tests for the reuse machinery behind partial inference.
 
 Generalizes the fixed-case identity tests: the affinity sketch is a
-true multiset (insert/drop round-trips to empty), a layer-reuse plan
-can never cost more than full inference, and ``ICCache.lookup_batch``
-stays decision-identical to sequential lookups under arbitrary bursts.
+true multiset (insert/drop round-trips to empty) and a layer-reuse plan
+can never cost more than full inference.
 Runs under the derandomized ``tier1`` profile (see ``tests/conftest``).
 """
 
@@ -12,7 +11,6 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.core.cache import ICCache
-from repro.core.descriptors import HashDescriptor, VectorDescriptor
 from repro.core.sketch import AffinitySketch, SKETCH_DIM
 from repro.core.layer_cache import LayerCacheManager
 from repro.vision.model_zoo import EDGE_CPU_2018, vgg16
@@ -117,70 +115,3 @@ def test_plan_never_costlier_than_full_inference(tap_mask, base_threshold,
             # Resuming must skip at least the resumed layer's FLOPs.
             assert plan.compute_gflops < _VGG.total_gflops or \
                 _VGG.gflops_between(None, plan.resume_after) == 0.0
-
-
-# -- batch lookup identity ----------------------------------------------------
-
-
-_KINDS = ("recognition", "aux")
-
-
-@st.composite
-def cache_workload(draw):
-    stored = draw(st.lists(
-        st.tuples(st.sampled_from(_KINDS), finite_vector),
-        min_size=1, max_size=12))
-    hashes = draw(st.lists(st.sampled_from("abcdef"), min_size=0,
-                           max_size=4))
-    queries = draw(st.lists(st.one_of(
-        st.tuples(st.sampled_from(_KINDS), finite_vector),
-        st.sampled_from("abcdef12")), min_size=1, max_size=15))
-    threshold = draw(st.floats(min_value=0.0, max_value=2.0))
-    return stored, hashes, queries, threshold
-
-
-def _build(stored, hashes):
-    cache = ICCache(capacity_bytes=10**9)
-    for i, (kind, v) in enumerate(stored):
-        cache.insert(VectorDescriptor(kind=kind,
-                                      vector=arr(v).astype(np.float32)),
-                     f"r{i}", 100, now=float(i))
-    for digest in hashes:
-        cache.insert(HashDescriptor("model_load", digest), digest, 50)
-    return cache
-
-
-def _descriptor(query):
-    if isinstance(query, tuple):
-        kind, v = query
-        return VectorDescriptor(kind=kind,
-                                vector=arr(v).astype(np.float32))
-    return HashDescriptor("model_load", query)
-
-
-@given(workload=cache_workload())
-@settings(max_examples=60)
-def test_lookup_batch_identical_to_sequential(workload):
-    """One vectorized pass answers exactly like N sequential lookups —
-    same entries, same stats, same recency/frequency state — under
-    random mixed-kind bursts (the edge's micro-batcher contract)."""
-    stored, hashes, queries, threshold = workload
-    sequential = _build(stored, hashes)
-    batched = _build(stored, hashes)
-    descriptors = [_descriptor(q) for q in queries]
-
-    expected = [sequential.lookup(d, now=100.0, threshold=threshold)
-                for d in descriptors]
-    got = batched.lookup_batch(descriptors, now=100.0, threshold=threshold)
-
-    assert [e.entry_id if e else None for e in got] == \
-        [e.entry_id if e else None for e in expected]
-    assert batched.stats.hits == sequential.stats.hits
-    assert batched.stats.misses == sequential.stats.misses
-    assert batched.stats.lookups == sequential.stats.lookups
-    # Recency/frequency side effects agree entry by entry.
-    seq_state = {e.entry_id: (e.hits, e.last_access)
-                 for e in sequential.entries()}
-    bat_state = {e.entry_id: (e.hits, e.last_access)
-                 for e in batched.entries()}
-    assert seq_state == bat_state

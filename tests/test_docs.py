@@ -29,8 +29,10 @@ def test_relative_links_resolve():
         import check_links
     finally:
         sys.path.pop(0)
-    for doc in (README, SPEC_DOC):
+    for doc in (README, *sorted((ROOT / "docs").glob("*.md"))):
         assert check_links.broken_links(doc) == [], f"broken links in {doc}"
+        assert check_links.broken_paths(doc) == [], \
+            f"{doc} quotes paths that do not exist"
 
 
 def test_every_readme_experiment_is_registered():
