@@ -90,7 +90,7 @@ def test_simulated_transfer_throughput(benchmark):
 
         def sender(env):
             for _ in range(100):
-                yield link.transfer(Message(size_bytes=10_000))
+                yield from link.transfer(Message(size_bytes=10_000))
 
         env.run(until=env.process(sender(env)))
         return env.now

@@ -17,6 +17,7 @@ from repro.core.tasks import (
     PanoramaTask,
     RecognitionTask,
 )
+from repro.net.transport import RpcError
 from repro.sim.kernel import Environment
 from repro.sim.resources import Resource
 
@@ -53,6 +54,7 @@ class CloudNode:
         self.config = config
         self.compute = Resource(env, capacity=workers)
         self.requests_served = 0
+        self.responses_dropped = 0
         env.process(self._serve())
 
     def _serve(self):
@@ -77,8 +79,12 @@ class CloudNode:
         finally:
             self.compute.release(slot)
         self.requests_served += 1
-        yield self.rpc.respond(msg, size_bytes=size, payload=result,
-                               kind="ic_result")
+        try:
+            yield self.rpc.respond(msg, size_bytes=size, payload=result,
+                                   kind="ic_result")
+        except RpcError:
+            # The asking edge is cut off: its call times out over there.
+            self.responses_dropped += 1
 
     def _do_recognition(self, task: RecognitionTask):
         """Full DNN inference on the uploaded frame."""

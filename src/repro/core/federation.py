@@ -143,14 +143,15 @@ class FederatedEdgeNode(EdgeNode):
             summary = self.cache.summary(exclude_prefix=LAYER_KIND_PREFIX)
             headers = {"peer_summary": summary}
             extra_bytes = summary.size_bytes
-        if entry is None:
-            yield self.rpc.respond(msg, size_bytes=96 + extra_bytes,
-                                   payload=None, kind="peer_result",
+        result = None if entry is None else entry.result
+        size = 96 if result is None else result.size_bytes
+        try:
+            yield self.rpc.respond(msg, size_bytes=size + extra_bytes,
+                                   payload=result, kind="peer_result",
                                    headers=headers)
-        else:
-            yield self.rpc.respond(
-                msg, size_bytes=entry.result.size_bytes + extra_bytes,
-                payload=entry.result, kind="peer_result", headers=headers)
+        except RpcError:
+            # The asking edge is cut off: its probe times out over there.
+            self.responses_dropped += 1
 
     # -- the federated miss path -------------------------------------------------
 

@@ -5,6 +5,8 @@ cable behaves: messages wait in a FIFO transmit queue, each occupies the
 transmitter for ``size_bits / rate`` seconds (serialization), then spends
 ``propagation + jitter`` seconds in flight.  Several messages can be in
 flight simultaneously (pipelining), but only one serializes at a time.
+A hop costs no process: :meth:`Link.transfer` is a generator the sending
+process runs inline, so a message is one process however long its path.
 
 Rate and impairments are mutable at runtime — the paper shapes its testbed
 with ``tc``, and :class:`~repro.net.shaper.TrafficShaper` drives these
@@ -16,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.sim.events import Event
 from repro.sim.kernel import Environment
 from repro.sim.resources import Resource
 
@@ -147,26 +148,19 @@ class Link:
 
     # -- transfer ------------------------------------------------------------
 
-    def transfer(self, message: "Message") -> Event:
-        """Send ``message`` across the link.
+    def transfer(self, message: "Message") -> typing.Generator:
+        """Carry ``message`` across the link, inside the caller's process.
 
-        Returns an event that succeeds with the message on delivery, or
-        fails with :class:`TransferLost` / :class:`LinkDown`.
+        A generator to be driven with ``yield from``: returns the message
+        on delivery, raises :class:`TransferLost` / :class:`LinkDown`.
         """
-        done = self.env.event()
-        self.env.process(self._transfer_proc(message, done))
-        return done
-
-    def _transfer_proc(self, message: "Message", done: Event):
         if not self.up:
-            done.fail(LinkDown(f"link {self.name} is down"))
-            return
+            raise LinkDown(f"link {self.name} is down")
         req = self._transmitter.request()
         yield req
         try:
             if not self.up:
-                done.fail(LinkDown(f"link {self.name} is down"))
-                return
+                raise LinkDown(f"link {self.name} is down")
             tx_time = self.serialization_delay(message.size_bytes)
             # Bare-number yield: allocation-free per-hop delay (these
             # dominate city-scale runs).
@@ -179,8 +173,7 @@ class Link:
         # the far side would look identical to the sender).
         if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
             self.stats.messages_lost += 1
-            done.fail(TransferLost(message))
-            return
+            raise TransferLost(message)
 
         flight = self.propagation_s
         if self.jitter_s > 0:
@@ -189,7 +182,7 @@ class Link:
 
         self.stats.messages_sent += 1
         self.stats.bytes_sent += message.size_bytes
-        done.succeed(message)
+        return message
 
     def __repr__(self) -> str:
         return (f"Link({self.name!r}, {self.bandwidth_bps / 1e6:.1f} Mbps, "

@@ -155,8 +155,9 @@ class Topology:
 
         Weight-only changes (bandwidth, impairments) just drop routes;
         the adjacency and transit views only move on an admin up/down
-        transition, where both endpoints' transit memberships can flip
-        (src's out-degree changed; dst's reachability from src changed).
+        transition: src's out-degree changed, so its membership in every
+        in-neighbour's view can flip; dst's out-links did not, so only
+        its entry in src's view appears or goes.
         """
         present = dst in self._up_adj[src]
         if link.up and not present:
@@ -168,7 +169,7 @@ class Topology:
             del self._up_adj[src][dst]
             del self._up_radj[dst][src]
             self._refresh_transit(src)
-            self._refresh_transit(dst)
+            self._transit_adj[src].pop(dst, None)
         self._drop_routes(src, dst)
 
     def _refresh_transit(self, name: str) -> None:
@@ -276,8 +277,9 @@ class Topology:
         ends reduces a city route (client -> edge -> ... -> edge ->
         client) to at most one small Dijkstra between well-connected
         interior nodes — and usually to none at all.  Returns ``None``
-        when the peels collide or cycle; the caller falls back to a full
-        Dijkstra, so this is an exact shortcut, not a heuristic.
+        when the peels collide, cycle or would pass through a terminal
+        host; the caller falls back to a full Dijkstra, so this is an
+        exact shortcut, not a heuristic.
         """
         up_adj = self._up_adj
         up_radj = self._up_radj
@@ -289,7 +291,7 @@ class Topology:
                 break
             prefix.append(src)
             src = next(iter(out))
-            if src in peeled:
+            if src in peeled or (src != dst and src in self._terminal):
                 return None
             peeled.add(src)
         suffix: list[str] = []
@@ -301,7 +303,7 @@ class Topology:
             dst = next(iter(into))
             if dst == src:
                 break
-            if dst in peeled:
+            if dst in peeled or dst in self._terminal:
                 return None
             peeled.add(dst)
         suffix.reverse()

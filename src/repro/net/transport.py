@@ -1,13 +1,16 @@
 """Request/response transport over multi-hop store-and-forward paths.
 
-:class:`Rpc` gives node logic a call-style API:
+:class:`Rpc` gives node logic a call-style API, one process per message:
 
 * ``send(msg)`` — one-way delivery into the destination host's inbox,
   hop by hop along the current shortest path (store-and-forward, like an
   HTTP proxy chain — the paper's edge relays requests to the cloud).
-* ``call(msg, response_size_hint, timeout)`` — deliver a request and wait
-  for the peer to ``respond()``; lost transfers are retried up to
-  ``max_retries`` times, after which :class:`RpcError` is raised.
+  The delivering process drives each hop inline (``yield from
+  link.transfer``), retries a lost hop up to ``max_retries`` times, and
+  is itself the returned event: ``msg`` on delivery, else :class:`RpcError`.
+* ``call(msg, timeout)`` — ``send`` a request and wait for the peer to
+  ``respond()``; callbacks on the delivery and on the deadline fail the
+  call, so it costs no process of its own.  ``respond`` is ``send``.
 
 Handlers are plain simulation processes: a server loops on
 ``rpc.serve(host)`` pulling requests, computes, then ``rpc.respond(...)``.
@@ -55,40 +58,38 @@ class Rpc:
     # -- one-way delivery ----------------------------------------------------
 
     def send(self, msg: Message) -> Event:
-        """Deliver ``msg`` to ``msg.dst``'s inbox; event fires on delivery."""
+        """Deliver ``msg`` to ``msg.dst``'s inbox.
+
+        The returned event is the delivering process: it succeeds with
+        ``msg`` on delivery and fails with :class:`RpcError`.
+        """
         if not msg.src or not msg.dst:
             raise ValueError(f"message needs src and dst: {msg!r}")
-        done = self.env.event()
-        self.env.process(self._deliver(msg, done))
-        return done
+        return self.env.process(self._deliver(msg))
 
-    def _deliver(self, msg: Message, done: Event):
+    def _deliver(self, msg: Message):
         msg.created_at = msg.created_at or self.env.now
         try:
             links = self.topology.path_links(msg.src, msg.dst)
         except Exception as exc:  # NoRouteError / KeyError
-            done.fail(RpcError(f"routing {msg!r}: {exc}"))
-            return
+            raise RpcError(f"routing {msg!r}: {exc}") from exc
 
         for link in links:
             attempt = 0
             while True:
-                transfer = link.transfer(msg)
                 try:
-                    yield transfer
+                    yield from link.transfer(msg)
                     break
                 except TransferLost:
                     attempt += 1
                     if attempt > self.max_retries:
-                        done.fail(RpcError(
+                        raise RpcError(
                             f"{msg!r} lost on {link.name} after "
-                            f"{self.max_retries} retries"))
-                        return
+                            f"{self.max_retries} retries")
                     # Immediate retransmit; the queue delay of re-entering
                     # the transmitter models the retransmission cost.
                 except LinkDown as exc:
-                    done.fail(RpcError(str(exc)))
-                    return
+                    raise RpcError(str(exc))
 
         # A reply to an in-flight call resolves the caller's event directly
         # instead of landing in the host inbox (which belongs to server
@@ -104,7 +105,7 @@ class Rpc:
         else:
             inbox = self.topology.hosts[msg.dst].inbox
             yield inbox.put(msg)
-        done.succeed(msg)
+        return msg
 
     # -- request/response ----------------------------------------------------
 
@@ -116,33 +117,30 @@ class Rpc:
         """
         rpc_id = next(self._rpc_ids)
         msg.headers["rpc_id"] = rpc_id
+        delivery = self.send(msg)
         response = self.env.event()
         self._pending[rpc_id] = response
-        self.env.process(self._call_proc(msg, rpc_id, response, timeout))
-        return response
 
-    def _call_proc(self, msg: Message, rpc_id: int, response: Event,
-                   timeout: float | None):
+        def give_up(exc: RpcError) -> None:
+            # Looked up, not captured: the expiry timer outlives most
+            # calls and must not pin their responses.
+            waiter = self._pending.pop(rpc_id, None)
+            if waiter is not None and not waiter.triggered:
+                waiter.fail(exc)
+
+        def undeliverable(sent: Event) -> None:
+            if not sent._ok:
+                sent.defuse()
+                give_up(typing.cast(RpcError, sent.value))
+
         if timeout is not None:
             # The deadline runs from the moment of the call, like a real
             # RPC budget — request transit time counts against it.
-            expiry = self.env.timeout(timeout)
-
-            def expire(_event, rpc_id=rpc_id, response=response):
-                if self._pending.pop(rpc_id, None) is not None:
-                    if not response.triggered:
-                        response.fail(RpcTimeout(
-                            f"rpc {rpc_id} timed out after {timeout}s"))
-
-            expiry.callbacks.append(expire)
-
-        deliver = self.send(msg)
-        try:
-            yield deliver
-        except RpcError as exc:
-            if self._pending.pop(rpc_id, None) is not None:
-                if not response.triggered:
-                    response.fail(exc)
+            self.env.timeout(timeout).callbacks.append(
+                lambda _expiry: give_up(RpcTimeout(
+                    f"rpc {rpc_id} timed out after {timeout}s")))
+        delivery.callbacks.append(undeliverable)
+        return response
 
     def respond(self, request: Message, size_bytes: int,
                 payload: typing.Any = None, kind: str = "reply",
@@ -156,18 +154,7 @@ class Rpc:
         reply = request.reply(size_bytes=size_bytes, kind=kind, payload=payload)
         if headers:
             reply.headers.update(headers)
-        done = self.env.event()
-        self.env.process(self._respond_proc(reply, done))
-        return done
-
-    def _respond_proc(self, reply: Message, done: Event):
-        deliver = self.send(reply)
-        try:
-            yield deliver
-        except RpcError as exc:
-            done.fail(exc)
-            return
-        done.succeed(reply)
+        return self.send(reply)
 
     # -- server side ---------------------------------------------------------
 

@@ -4,7 +4,10 @@ A :class:`Process` drives a Python generator: each ``yield`` hands the
 kernel an :class:`~repro.sim.events.Event` to wait on; when that event is
 processed the generator resumes with the event's value (or the event's
 exception is thrown into it).  A process is itself an event that fires when
-the generator returns, so processes can wait on each other.
+the generator returns, so processes can wait on each other.  Completion is
+queued only for someone: a generator that returns with no waiter is marked
+processed on the spot (later waiters find it finished), while one that
+raises is always queued, so an unobserved crash still aborts the run.
 
 The trampoline is the kernel's hottest callback, so the class is slotted
 and caches its bound ``_resume`` plus the generator's ``send``/``throw``
@@ -117,7 +120,12 @@ class Process(Event):
                 target = self._throw(
                     typing.cast(BaseException, event._value))
         except StopIteration as stop:
-            self.succeed(stop.value)
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:  # nobody waits: processed on the spot, no queue entry
+                self._ok = True
+                self._value = stop.value
+                self.callbacks = None
             return
         except BaseException as exc:  # noqa: BLE001 - reported via event
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):

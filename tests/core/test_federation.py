@@ -107,6 +107,21 @@ class TestCrossEdgeSharing:
         assert r3.outcome == "hit"
         assert dep.cloud.requests_served == 1
 
+    def test_partitioned_peer_reply_costs_one_probe(self, config):
+        """A peer that hears the probe but cannot answer drops its reply;
+        the asking edge times the probe out and goes to the cloud."""
+        dep = FederatedDeployment(config, n_edges=2)
+        for dst in ("edge1", "cloud"):   # every way out of edge0
+            dep.topology.link("edge0", dst).set_up(False)
+        r = dep.run_tasks(dep.clients[1][0],
+                          [dep.model_load_task(0)])[0]
+        dep.env.run()  # no unhandled failure is left behind either
+        assert r.outcome == "miss"
+        assert r.latency_s > dep.edges[1].peer_timeout_s
+        assert dep.edges[0].responses_dropped == 1
+        assert dep.edges[0].requests_served == 1
+        assert dep.edges[1].peer_misses == 1
+
     def test_peer_timeout_validated(self, config):
         dep = FederatedDeployment(config, n_edges=1)
         with pytest.raises(ValueError):

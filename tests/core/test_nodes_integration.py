@@ -158,6 +158,21 @@ class TestFaultHandling:
         dep.env.run()  # nothing left over crashes the sim
 
 
+    def test_lost_cloud_reply_surfaces_as_error(self):
+        """The cloud hears the request but its reply path is cut: one
+        dropped response and an ``error`` record, not a dead simulation."""
+        config = CoICConfig()
+        config.request_timeout_s = 2.0
+        dep = CoICDeployment(config, n_clients=1)
+        dep.topology.link("cloud", "edge").set_up(False)
+        record = dep.run_tasks(dep.clients[0],
+                               [dep.recognition_task(0)])[0]
+        dep.env.run()
+        assert record.outcome == "error"
+        assert dep.cloud.requests_served == 1
+        assert dep.cloud.responses_dropped == 1
+
+
 class TestMetricsPlumbing:
     def test_recorder_sees_all_clients(self):
         dep = build_coic_deployment()

@@ -19,7 +19,7 @@ def deliver(env, link, message):
     def proc(env):
         start = env.now
         try:
-            yield link.transfer(message)
+            yield from link.transfer(message)
             outcome["ok"] = True
         except (TransferLost, LinkDown) as exc:
             outcome["ok"] = False
@@ -51,7 +51,7 @@ class TestTiming:
         def send(env, order):
             yield env.timeout(0)
             start = env.now
-            yield link.transfer(Message(size_bytes=100_000))
+            yield from link.transfer(Message(size_bytes=100_000))
             times.append((order, env.now - start))
 
         env.process(send(env, 1))

@@ -63,10 +63,10 @@ class TestScheduledChanges:
         done = []
 
         def sender(env):
-            yield link.transfer(Message(size_bytes=125_000))
+            yield from link.transfer(Message(size_bytes=125_000))
             done.append(env.now)
             yield env.timeout(10.5 - env.now)
-            yield link.transfer(Message(size_bytes=125_000))
+            yield from link.transfer(Message(size_bytes=125_000))
             done.append(env.now)
 
         env.run(until=env.process(sender(env)))

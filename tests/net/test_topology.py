@@ -75,6 +75,19 @@ class TestRouting:
         link.set_up(False)
         assert topo.shortest_path("a", "b") == ["a", "r", "b"]
 
+    def test_down_interior_link_reroutes(self, topo):
+        """A mid-path link going down leaves no stale transit entry."""
+        for a, b in (("a", "b"), ("b", "c"), ("c", "d")):
+            topo.add_duplex(a, b, 1e9, propagation_s=0.001)
+        topo.add_duplex("b", "e", 1e8, propagation_s=0.005)
+        topo.add_duplex("e", "d", 1e8, propagation_s=0.005)
+        assert topo.shortest_path("a", "d") == ["a", "b", "c", "d"]
+        topo.link("b", "c").set_up(False)
+        assert topo.shortest_path("a", "d") == ["a", "b", "e", "d"]
+        assert all(link.up for link in topo.path_links("a", "d"))
+        topo.link("b", "c").set_up(True)
+        assert topo.shortest_path("a", "d") == ["a", "b", "c", "d"]
+
     def test_path_links_order(self, topo):
         topo.add_link("m", "e", 1e6)
         topo.add_link("e", "c", 1e6)
@@ -112,6 +125,17 @@ class TestTerminalHosts:
         # Routes from/to the phone itself still work.
         assert topo.shortest_path("phone", "edgeB") == ["phone", "edgeB"]
         assert topo.shortest_path("edgeA", "phone") == ["edgeA", "phone"]
+
+    def test_forced_hop_through_terminal_is_no_route(self, topo):
+        # The only way out of "a" (and into "c") is the phone: a forced
+        # hop, but still not one a route may take.
+        topo.add_link("a", "phone", 1e9)
+        topo.add_link("phone", "c", 1e9)
+        topo.mark_terminal("phone")
+        with pytest.raises(NoRouteError):
+            topo.shortest_path("a", "c")
+        assert topo.shortest_path("a", "phone") == ["a", "phone"]
+        assert topo.shortest_path("phone", "c") == ["phone", "c"]
 
     def test_unmark_restores_transit(self, topo):
         topo.add_duplex("edgeA", "edgeB", 1e6, propagation_s=0.5)

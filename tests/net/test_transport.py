@@ -1,9 +1,11 @@
 """Unit tests for repro.net.transport (RPC layer)."""
 
+import types
+
 import pytest
 
 from repro.net import Message, Rpc, RpcError, RpcTimeout, Topology
-from repro.sim import Environment, RngStreams
+from repro.sim import Environment, RngStreams, SimulationError
 
 
 @pytest.fixture
@@ -199,3 +201,130 @@ class TestRetries:
 
         env.run(until=env.process(sender(env)))
         assert errors
+
+
+class TestEventBudget:
+    def test_round_trip_is_two_processes_and_sixteen_events(self, env):
+        """One message = one process; a relay creeping back shows here.
+
+        Per message: _Initialize, transmitter grant, serialization,
+        flight (4), plus inbox put + get and the awaited delivery of the
+        request (3), the response event and the awaited ``respond`` (2);
+        the two test processes start (2); the call's expiry fires last (1).
+        """
+        topo = Topology(env)
+        topo.add_duplex("a", "b", 1e9, propagation_s=0.001)
+        rpc = Rpc(env, topo)
+        started = []
+        env.set_trace(lambda when, priority, event: started.append(
+            type(event).__name__ == "_Initialize"))
+
+        def server(env):
+            request = yield rpc.serve(topo.hosts["b"])
+            yield rpc.respond(request, size_bytes=100, payload="pong")
+
+        def client(env):
+            response = yield rpc.call(
+                Message(size_bytes=100, src="a", dst="b"), timeout=1.0)
+            return response.payload
+
+        env.process(server(env))
+        p = env.process(client(env))
+        env.run()
+        assert p.value == "pong"
+        assert sum(started) - 2 == 2   # transport processes: one per message
+        assert env.events_processed == 16
+
+
+class TestFaultMatrix:
+    def test_second_hop_loss_retried_on_that_hop_only(self, env):
+        topo = Topology(env)
+        first = topo.add_link("a", "b", 1e9)
+        draws = iter([0.0, 0.9])   # lost once, then through
+        second = topo.add_link("b", "c", 1e9, loss_rate=0.5,
+                               rng=types.SimpleNamespace(random=draws.__next__))
+        rpc = Rpc(env, topo)
+        delivery = rpc.send(Message(size_bytes=100, src="a", dst="c"))
+        env.run(until=delivery)
+        assert (first.stats.messages_sent, first.stats.messages_lost) == (1, 0)
+        assert (second.stats.messages_sent, second.stats.messages_lost) == (1, 1)
+
+    def test_link_down_while_queued_fails_call_and_frees_transmitter(self, env):
+        topo = Topology(env)
+        link = topo.add_link("a", "b", 1e6)   # 1 s per 125 kB
+        rpc = Rpc(env, topo)
+        outcome = []
+
+        def caller(env):
+            rpc.send(Message(size_bytes=125_000, src="a", dst="b"))
+            try:
+                yield rpc.call(Message(size_bytes=100, src="a", dst="b"))
+            except RpcError as exc:
+                outcome.append((env.now, str(exc)))
+            link.set_up(True)
+            yield rpc.send(Message(size_bytes=125_000, src="a", dst="b"))
+            outcome.append(env.now)
+
+        def operator(env):
+            yield env.timeout(0.5)
+            link.set_up(False)
+
+        env.process(operator(env))
+        env.run(until=env.process(caller(env)))
+        # The queued call dies the moment it reaches the transmitter;
+        # the message after it crosses, so the slot was handed back.
+        assert outcome == [(1.0, "link a->b is down"), 2.0]
+        assert link._transmitter.count == 0 and not rpc._pending
+        assert link.stats.messages_sent == 2
+
+    def test_respond_over_down_link_raises_in_responder(self, env, net):
+        topo, rpc = net
+        caught = []
+
+        def server(env):
+            request = yield rpc.serve(topo.hosts["edge"])
+            topo.link("edge", "mobile").set_up(False)
+            try:
+                yield rpc.respond(request, size_bytes=10)
+            except RpcError as exc:
+                caught.append(str(exc))
+
+        def client(env):
+            with pytest.raises(RpcTimeout):
+                yield rpc.call(Message(size_bytes=10, src="mobile",
+                                       dst="edge"), timeout=0.5)
+
+        env.process(server(env))
+        env.run(until=env.process(client(env)))
+        env.run()
+        assert len(caught) == 1 and "mobile" in caught[0]
+
+    def test_unwaited_failed_send_aborts_the_run(self, env, net):
+        topo, rpc = net
+        topo.add_host("island")
+        rpc.send(Message(size_bytes=10, src="mobile", dst="island"))
+        with pytest.raises(SimulationError, match="island"):
+            env.run()
+
+    def test_reply_after_expiry_is_dropped_and_respond_completes(self, env, net):
+        topo, rpc = net
+        completed = []
+
+        def slow_server(env):
+            request = yield rpc.serve(topo.hosts["cloud"])
+            yield env.timeout(5.0)
+            reply = yield rpc.respond(request, size_bytes=10)
+            completed.append((reply.kind, reply.dst))
+
+        def client(env):
+            with pytest.raises(RpcTimeout):
+                yield rpc.call(Message(size_bytes=10, src="mobile",
+                                       dst="cloud"), timeout=0.2)
+            return env.now
+
+        env.process(slow_server(env))
+        assert env.run(until=env.process(client(env))) == pytest.approx(0.2)
+        env.run()
+        assert completed == [("reply", "mobile")]
+        assert not rpc._pending
+        assert topo.hosts["mobile"].inbox.items == []

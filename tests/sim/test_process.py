@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import AllOf, Environment, Interrupt, SimulationError
 from repro.sim.process import ProcessCrashed
 
 
@@ -190,3 +190,58 @@ class TestInterrupt:
         p = env.process(resilient(env))
         env.process(interrupter(env, p))
         assert env.run(until=p) == 3  # interrupted at 2, slept 1 more
+
+
+@pytest.mark.parametrize("queue", ["wheel", "heap"])
+class TestCompletion:
+    """A process completion is a queue entry only if somebody waits on it."""
+
+    @staticmethod
+    def quick(env):
+        yield env.timeout(1)
+        return 7
+
+    def test_unwaited_return_adds_no_queue_entry(self, queue):
+        env = Environment(queue=queue)
+        p = env.process(self.quick(env))
+        env.run()
+        # _Initialize + the timeout; the return itself cost nothing.
+        assert env.events_processed == 2
+        assert p.processed and p.ok and p.value == 7 and not p.is_alive
+
+    def test_finished_process_still_answers_late_waiters(self, queue):
+        env = Environment(queue=queue)
+        p = env.process(self.quick(env))
+        env.run()
+
+        def late(env):
+            value = yield p
+            both = yield AllOf(env, [p, env.timeout(1, value="t")])
+            return value, sorted(map(str, both.values()))
+
+        assert env.run(until=env.process(late(env))) == (7, ["7", "t"])
+        assert env.run(until=p) == 7
+
+    def test_waited_process_fires_exactly_once(self, queue):
+        env = Environment(queue=queue)
+        seen = []
+
+        def waiter(env):
+            seen.append((yield env.process(self.quick(env))))
+
+        env.process(waiter(env))
+        env.run()
+        assert seen == [7]
+        # Two _Initialize, the timeout, and the one awaited completion.
+        assert env.events_processed == 4
+
+    def test_unwaited_raise_still_aborts(self, queue):
+        env = Environment(queue=queue)
+
+        def failing(env):
+            yield env.timeout(1)
+            raise ValueError("nobody watching")
+
+        env.process(failing(env))
+        with pytest.raises(SimulationError, match="nobody watching"):
+            env.run()

@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Parent-vs-change pairs of the repo benchmark, with the verdict rule.
+
+Runs the command ``BENCHMARK.json`` declares, once per tree per pair
+(``--workload W --seed <pair> --seconds <run_seconds> --trace 0``), the
+order alternating so neither tree always runs first.  Prints every run,
+then per end-to-end metric both medians and quartiles, wins/ties and a
+verdict by the choosing-metrics rule: a gain needs the change to win at
+least nine tenths of all pairs (ties count for neither) *and* the medians
+to differ by more than the parent's own inter-quartile distance.
+
+``setup_s`` includes imports, so give both trees the same ``__pycache__``
+state (none, or one warm-up run each) before comparing.
+
+Usage:  python tools/bench_pairs.py --parent ../parent --workload sim_city
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+
+GAIN = "gain"
+WORSE = "worse beyond bound"
+UNRESOLVED = "unresolved (spread wider than bound)"
+WITHIN = "within bound"
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3); a single run is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def verdict(parent: list[float], change: list[float], better: str,
+            bound: float) -> tuple[str, int, int]:
+    """(verdict, wins, ties) for one metric over paired runs.
+
+    ``parent[i]`` and ``change[i]`` are the two runs of pair ``i``;
+    ``better`` is ``"higher"`` or ``"lower"``; ``bound`` is the share of
+    the parent's median by which the change's median may be worse.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * c > sign * p for p, c in zip(parent, change))
+    ties = sum(c == p for p, c in zip(parent, change))
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_med = quartiles(change)[1]
+    lead = sign * (c_med - p_med)        # > 0: the change reads better
+    if wins >= 0.9 * len(parent) and lead > p_q3 - p_q1:
+        return GAIN, wins, ties
+    if -lead > bound * abs(p_med):
+        return WORSE, wins, ties
+    clear = min(sign * c for c in change) > max(sign * p for p in parent)
+    if p_q3 - p_q1 > bound * abs(p_med) and not clear:
+        return UNRESOLVED, wins, ties
+    return WITHIN, wins, ties
+
+
+def run_once(tree: pathlib.Path, command: list[str], workload: str,
+             seed: int, seconds: float) -> dict:
+    """One contract run in ``tree``; the last stdout line is its JSON."""
+    done = subprocess.run(
+        command + ["--workload", workload, "--seed", str(seed),
+                   "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        sys.exit(f"{tree}: benchmark exited {done.returncode}\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--parent", required=True, type=pathlib.Path,
+                        help="checkout of the parent commit")
+    parser.add_argument("--change", default=".", type=pathlib.Path,
+                        help="checkout of the change (default: .)")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = spec["end_to_end"]
+    trees = {"parent": args.parent, "change": args.change}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    print(f"# {args.workload}: {args.pairs} pairs x {spec['run_seconds']} s, "
+          "seed = pair number")
+    print("pair side   failed " + " ".join(f"{m['name']:>12}" for m in metrics))
+    for pair in range(1, args.pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for side in order:
+            result = run_once(trees[side], spec["command"], args.workload,
+                              pair, spec["run_seconds"])
+            runs[side].append(result)
+            print(f"{pair:>4} {side:<6} {result['failed']:>6} " + " ".join(
+                f"{result['metrics'][m['name']]['value']:>12.2f}"
+                for m in metrics), flush=True)
+
+    print("\nmetric        parent q1/median/q3        change q1/median/q3"
+          "        wins ties  verdict")
+    status = 0
+    for metric in metrics:
+        name = metric["name"]
+        parent = [r["metrics"][name]["value"] for r in runs["parent"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        outcome, wins, ties = verdict(parent, change, metric["better"],
+                                      metric["bound"])
+        if outcome == WORSE:
+            status = 1
+        print(f"{name:<12} " + "  ".join(
+            "/".join(f"{q:.2f}" for q in quartiles(values))
+            for values in (parent, change))
+            + f"  {wins:>2}/{args.pairs} {ties:>4}  {outcome}")
+    failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
+    attempted = {side: sum(r["attempted"] for r in runs[side])
+                 for side in runs}
+    print(f"failed/attempted: parent {failed['parent']}/{attempted['parent']}"
+          f", change {failed['change']}/{attempted['change']}")
+    if (failed["change"] * attempted["parent"]
+            > failed["parent"] * attempted["change"]):
+        print("the change fails a larger share of operations")
+        status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
