@@ -15,7 +15,7 @@ and the end-to-end speedup.
 Run:  python examples/ar_annotation.py
 """
 
-from repro.core import CoICConfig, CoICDeployment
+from repro.core import ClusterDeployment, CoICConfig, ScenarioSpec
 from repro.eval import format_table
 from repro.workload import World
 from repro.sim.rng import RngStreams
@@ -46,7 +46,7 @@ def main() -> None:
     config.recognition.speculative_forward = True
     # Annotation models: one small & one detailed.
     config.rendering.catalog_sizes_kb = (512, 3072)
-    deployment = CoICDeployment(config, n_clients=2)
+    deployment = ClusterDeployment(ScenarioSpec.single_edge(2), config=config)
 
     # The crossroads: a stop sign and a shop facade, both annotated.
     world = World(n_places=1, n_classes=config.recognition.n_classes,
@@ -56,10 +56,10 @@ def main() -> None:
     annotation_for = {sign: 0, facade: 1}
 
     print("Driver A approaches the crossroads (cold edge cache)...")
-    first = drive_through(deployment, deployment.clients[0],
+    first = drive_through(deployment, deployment.all_clients[0],
                           [(sign, -0.4), (facade, -0.2)], annotation_for)
     print("Driver B approaches the same crossroads (warm cache)...")
-    second = drive_through(deployment, deployment.clients[1],
+    second = drive_through(deployment, deployment.all_clients[1],
                            [(sign, +0.4), (facade, +0.3)], annotation_for)
 
     rows = []
@@ -76,7 +76,7 @@ def main() -> None:
     print(f"\ndriver A end-to-end: {total_a * 1e3:.0f} ms (populates cache)")
     print(f"driver B end-to-end: {total_b * 1e3:.0f} ms "
           f"({100 * (1 - total_b / total_a):.0f}% faster via cooperation)")
-    stats = deployment.cache.stats
+    stats = deployment.caches[0].stats
     print(f"edge cache: {stats.hits} hits / {stats.lookups} lookups")
 
 

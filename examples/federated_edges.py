@@ -16,8 +16,7 @@ over the metro link, not the WAN.
 Run:  python examples/federated_edges.py
 """
 
-from repro.core import CoICConfig
-from repro.core.federation import FederatedDeployment
+from repro.core import ClusterDeployment, CoICConfig, ScenarioSpec
 from repro.eval import format_table
 
 N_MODELS = 4
@@ -41,15 +40,15 @@ def run(federate: bool):
     config.network.wifi_mbps = 100
     config.network.backhaul_mbps = 10
     config.rendering.catalog_sizes_kb = (1500, 2800, 4200, 6100)
-    deployment = FederatedDeployment(
-        config, n_edges=2, clients_per_edge=1, metro_mbps=1000,
-        metro_delay_ms=2.0, federate=federate)
+    deployment = ClusterDeployment(
+        ScenarioSpec.federated(n_edges=2, clients_per_edge=1,
+                               metro_mbps=1000, metro_delay_ms=2.0,
+                               federate=federate),
+        config=config)
 
-    cafe_a_ms, _ = play_session(deployment, deployment.clients[0][0],
-                                "cafe A")
-    cafe_b_ms, cafe_b_hits = play_session(deployment,
-                                          deployment.clients[1][0],
-                                          "cafe B")
+    (cafe_a,), (cafe_b,) = deployment.clients_by_edge
+    cafe_a_ms, _ = play_session(deployment, cafe_a, "cafe A")
+    cafe_b_ms, cafe_b_hits = play_session(deployment, cafe_b, "cafe B")
     return cafe_a_ms, cafe_b_ms, cafe_b_hits, deployment
 
 

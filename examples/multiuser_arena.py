@@ -15,7 +15,7 @@ Run:  python examples/multiuser_arena.py
 
 import numpy as np
 
-from repro.core import CoICConfig, CoICDeployment
+from repro.core import ClusterDeployment, CoICConfig, ScenarioSpec
 from repro.eval import format_table
 from repro.render import Renderer, generate_mesh
 from repro.render.renderer import MOBILE_RENDER_2018
@@ -41,16 +41,17 @@ def main() -> None:
     config.network.wifi_mbps = 200
     config.network.backhaul_mbps = 20
     config.rendering.catalog_sizes_kb = tuple(shared_sizes + personal_sizes)
-    deployment = CoICDeployment(config, n_clients=N_PLAYERS)
+    deployment = ClusterDeployment(
+        ScenarioSpec.single_edge(N_PLAYERS), config=config)
 
     generator = ArenaTraceGenerator(
         n_shared_models=N_SHARED, n_personal_models=N_PERSONAL,
         rng=rng.stream("arena"), mean_interarrival_s=15.0,
         load_spacing_s=1.0)
-    names = [c.name for c in deployment.clients]
+    names = [c.name for c in deployment.all_clients]
     trace = generator.generate(N_PLAYERS, user_names=names)
 
-    clients = {c.name: c for c in deployment.clients}
+    clients = {c.name: c for c in deployment.all_clients}
     plan = [(req.time_s, clients[req.user],
              deployment.model_load_task(req.model_id)) for req in trace]
     deployment.run_concurrent(plan)

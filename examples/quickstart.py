@@ -13,7 +13,7 @@ percentage reduction CoIC delivers over Origin.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import CoICConfig, CoICDeployment
+from repro.core import ClusterDeployment, CoICConfig, ScenarioSpec
 from repro.eval import format_table, reduction_pct
 
 
@@ -24,7 +24,7 @@ def main() -> None:
     config.network.backhaul_mbps = 9
     config.recognition.speculative_forward = True
 
-    deployment = CoICDeployment(config, n_clients=2)
+    deployment = ClusterDeployment(ScenarioSpec.single_edge(2), config=config)
 
     # A stop sign (class 7) seen by two drivers from different angles.
     stop_sign = 7
@@ -33,10 +33,10 @@ def main() -> None:
     origin = deployment.run_tasks(deployment.origin_clients[0], [task])[0]
 
     task = deployment.recognition_task(stop_sign, viewpoint=-0.3)
-    miss = deployment.run_tasks(deployment.clients[0], [task])[0]
+    miss = deployment.run_tasks(deployment.all_clients[0], [task])[0]
 
     task = deployment.recognition_task(stop_sign, viewpoint=+0.3)
-    hit = deployment.run_tasks(deployment.clients[1], [task])[0]
+    hit = deployment.run_tasks(deployment.all_clients[1], [task])[0]
 
     rows = [
         ["Origin (no cache)", f"{origin.latency_s * 1e3:.0f}", "-"],
@@ -47,7 +47,7 @@ def main() -> None:
     ]
     print(format_table(["path", "latency (ms)", "vs origin"], rows,
                        title="Recognition at (90, 9) Mbps"))
-    print(f"\nedge cache: {deployment.cache}")
+    print(f"\nedge cache: {deployment.caches[0]}")
     print(f"hit returned correct label: {hit.correct}")
 
 

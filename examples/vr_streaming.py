@@ -12,7 +12,7 @@ content) do to the sharing.
 Run:  python examples/vr_streaming.py
 """
 
-from repro.core import CoICConfig, CoICDeployment
+from repro.core import ClusterDeployment, CoICConfig, ScenarioSpec
 from repro.eval import format_table
 from repro.render.panorama import PanoramaGrid
 from repro.sim.rng import RngStreams
@@ -27,15 +27,16 @@ def run_session(grid: PanoramaGrid, origin: bool = False):
     config = CoICConfig()
     config.vr.yaw_cells = grid.yaw_cells
     config.vr.pitch_cells = grid.pitch_cells
-    deployment = CoICDeployment(config, n_clients=N_VIEWERS)
+    deployment = ClusterDeployment(
+        ScenarioSpec.single_edge(N_VIEWERS), config=config)
 
     generator = VrTraceGenerator(
         n_contents=1, rng=RngStreams(3).stream("vr"), segment_rate_hz=1.0,
         grid=grid, mean_join_gap_s=1.5, session_segments=SEGMENTS)
-    names = [c.name for c in deployment.clients]
+    names = [c.name for c in deployment.all_clients]
     trace = generator.generate(N_VIEWERS, user_names=names)
 
-    pool = (deployment.origin_clients if origin else deployment.clients)
+    pool = (deployment.origin_clients if origin else deployment.all_clients)
     by_name = {c.name: c for c in pool}
     plan = [(req.time_s, by_name[req.user],
              deployment.panorama_task(req.content_id, req.segment,
@@ -44,7 +45,8 @@ def run_session(grid: PanoramaGrid, origin: bool = False):
 
     mean_ms = deployment.recorder.summary(task_kind="panorama").mean * 1e3
     hit_ratio = deployment.recorder.hit_ratio("panorama")
-    backhaul_mb = deployment.backhaul_down.stats.bytes_sent / 1e6
+    _, downlink = deployment.backhaul["edge"]
+    backhaul_mb = downlink.stats.bytes_sent / 1e6
     return mean_ms, hit_ratio, backhaul_mb
 
 

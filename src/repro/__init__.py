@@ -14,9 +14,10 @@ subpackages for the full API:
 * :mod:`repro.eval` — statistics, tables, experiments
 """
 
+from repro.core.cluster import ClusterDeployment
 from repro.core.config import CoICConfig
-from repro.core.framework import CoICDeployment
+from repro.core.scenario import ScenarioSpec
 
 __version__ = "1.0.0"
 
-__all__ = ["CoICConfig", "CoICDeployment", "__version__"]
+__all__ = ["ClusterDeployment", "CoICConfig", "ScenarioSpec", "__version__"]

@@ -98,22 +98,22 @@ def _figure_chart(name: str, result: typing.Any) -> str | None:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from repro.core import CoICConfig, CoICDeployment
+    from repro.core import ClusterDeployment, CoICConfig, ScenarioSpec
 
     config = CoICConfig(seed=args.seed or 0)
     config.network.wifi_mbps = args.wifi
     config.network.backhaul_mbps = args.backhaul
     config.recognition.speculative_forward = True
-    deployment = CoICDeployment(config, n_clients=2)
+    deployment = ClusterDeployment(ScenarioSpec.single_edge(2), config=config)
 
     origin = deployment.run_tasks(
         deployment.origin_clients[0],
         [deployment.recognition_task(1, viewpoint=-0.3)])[0]
     miss = deployment.run_tasks(
-        deployment.clients[0],
+        deployment.all_clients[0],
         [deployment.recognition_task(1, viewpoint=-0.3)])[0]
     hit = deployment.run_tasks(
-        deployment.clients[1],
+        deployment.all_clients[1],
         [deployment.recognition_task(1, viewpoint=0.3)])[0]
 
     rows = [[r.outcome, f"{r.latency_s * 1e3:.0f}"]

@@ -12,18 +12,22 @@ The cooperative immersive-computing framework, assembled from:
 * :mod:`~repro.core.cache` / :mod:`~repro.core.policies` — the edge IC
   cache with byte-capacity enforcement and pluggable eviction.
 * :mod:`~repro.core.client` / :mod:`~repro.core.edge` /
-  :mod:`~repro.core.cloud` — the three node roles of Figure 1.
+  :mod:`~repro.core.cloud` — the three node roles of Figure 1 (one
+  edge class: federation is a peer list, not a subclass).
 * :mod:`~repro.core.pipeline` — the edge request pipeline (admit ->
-  classify -> lookup -> resolve -> respond) and its overload layer:
-  admission control, peer offload, predictive handoff pre-warm.
+  classify -> lookup -> resolve -> respond; resolve owns the miss order
+  hit / peers / cloud, respond is the only ``ic_result`` sender) and its
+  overload layer: admission control, peer offload, predictive handoff
+  pre-warm.
+* :mod:`~repro.core.federation` — the edge-to-edge ``peer_lookup``
+  protocol and its asking side (probe order, probe loop, settlement).
 * :mod:`~repro.core.baselines` — the paper's Origin baseline (full
   offload, no cache) and a local-only reference.
 * :mod:`~repro.core.scenario` / :mod:`~repro.core.cluster` — the
   declarative scenario layer: dict-serializable deployment specs and the
-  one builder that wires any of them (single edge, federated clusters,
-  mobile multi-edge with handoff).
-* :mod:`~repro.core.framework` / :mod:`~repro.core.federation` —
-  one-call deployment facades over the scenario layer.
+  one builder that wires any of them —
+  ``ClusterDeployment(ScenarioSpec.single_edge(n) | .federated(...) |
+  .metro(...))`` is the only way to build a system.
 * :mod:`~repro.core.layer_cache`, :mod:`~repro.core.privacy` — the §4
   future-work directions: per-DNN-layer result reuse and descriptor
   privacy protection.
@@ -58,7 +62,6 @@ from repro.core.config import (
 )
 from repro.core.descriptors import Descriptor, HashDescriptor, VectorDescriptor
 from repro.core.distance import get_metric
-from repro.core.framework import CoICDeployment
 from repro.core.index import ExactIndex, LinearIndex, LshIndex, make_index
 from repro.core.metrics import MetricsRecorder, RequestRecord
 from repro.core.policies import (
@@ -83,7 +86,6 @@ __all__ = [
     "ClientSpec",
     "ClusterDeployment",
     "CoICConfig",
-    "CoICDeployment",
     "AdmissionControlStage",
     "Descriptor",
     "EdgePolicySpec",

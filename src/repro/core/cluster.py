@@ -152,91 +152,7 @@ class PrewarmEvent:
     size_bytes: int = 0
 
 
-class DeploymentDriverMixin:
-    """Task factories and run helpers shared by every deployment facade.
-
-    Hosts the code that used to be copy-pasted (and drifting) between
-    ``CoICDeployment`` and ``FederatedDeployment``.  Requires the
-    deployment to provide ``env``, ``config``, ``catalog`` and
-    ``_capture_ids``.
-    """
-
-    env: Environment
-    config: CoICConfig
-    catalog: dict[int, tuple[str, int]]
-    _capture_ids: typing.Iterator[int]
-
-    # -- task factories ------------------------------------------------------
-
-    def recognition_task(self, object_class: int, viewpoint: float = 0.0,
-                         user: str = "", seq: int = 0) -> RecognitionTask:
-        """A recognition task over a fresh camera capture."""
-        rec = self.config.recognition
-        frame = CameraFrame(
-            object_class=object_class, viewpoint=viewpoint,
-            resolution=RESOLUTIONS[rec.resolution], quality=rec.quality,
-            user=user, seq=seq, capture_id=next(self._capture_ids))
-        return RecognitionTask(frame=frame)
-
-    def model_load_task(self, model_id: int) -> ModelLoadTask:
-        """A load task for a catalog model."""
-        digest, file_bytes = self.catalog[model_id]
-        return ModelLoadTask(model_id=model_id, digest=digest,
-                             file_bytes=file_bytes)
-
-    def panorama_task(self, content_id: int, segment: int,
-                      pose_cell: int = 0) -> PanoramaTask:
-        """A panorama fetch for one (content, segment, pose cell)."""
-        vr = self.config.vr
-        pano = Panorama(content_id=content_id, segment=segment,
-                        pose_cell=pose_cell,
-                        resolution=RESOLUTIONS[vr.resolution],
-                        quality=vr.quality)
-        return PanoramaTask(panorama=pano)
-
-    # -- running -------------------------------------------------------------
-
-    def run_tasks(self, client: typing.Any,
-                  tasks: typing.Sequence, spacing_s: float = 0.0) -> list:
-        """Run ``tasks`` sequentially on ``client``; return their records.
-
-        ``spacing_s`` inserts think-time between consecutive requests.
-        Drains the simulation before returning.
-        """
-        records: list = []
-
-        def driver():
-            for task in tasks:
-                record = yield self.env.process(client.perform(task))
-                records.append(record)
-                if spacing_s > 0:
-                    yield spacing_s
-
-        proc = self.env.process(driver())
-        self.env.run(until=proc)
-        return records
-
-    def run_concurrent(self, plan: typing.Sequence[tuple]) -> None:
-        """Run a multi-client plan of ``(delay_s, client, task)`` triples.
-
-        Each triple starts an independent request ``delay_s`` after the
-        current simulation time.  Returns once everything completes.
-        """
-
-        def launcher(delay: float, client, task):
-            yield delay
-            yield self.env.process(client.perform(task))
-
-        procs = [self.env.process(launcher(d, c, t)) for d, c, t in plan]
-
-        def barrier():
-            for proc in procs:
-                yield proc
-
-        self.env.run(until=self.env.process(barrier()))
-
-
-class ClusterDeployment(DeploymentDriverMixin):
+class ClusterDeployment:
     """A fully wired cluster built from a :class:`ScenarioSpec`.
 
     Args:
@@ -383,25 +299,16 @@ class ClusterDeployment(DeploymentDriverMixin):
             recognizer = Recognizer(self._network, EDGE_CPU_2018, self.space,
                                     rng=self._vision_stream(stream_name))
             self.edge_recognizers.append(recognizer)
-            if spec.federate:
-                from repro.core.federation import FederatedEdgeNode
-
-                peers = (list(espec.peers) if espec.peers is not None
-                         else [n for n in self.edge_names
-                               if n != espec.name])
-                node = FederatedEdgeNode(
-                    self.env, self.rpc, self.topology.hosts[espec.name],
-                    cache=cache, config=cfg, recognizer=recognizer,
-                    loader=self.edge_loader, workers=cfg.edge_workers,
-                    peers=peers, peer_timeout_s=spec.peer_timeout_s,
-                    pipeline=self.pipeline)
-                node.broker = self.broker
-            else:
-                node = EdgeNode(
-                    self.env, self.rpc, self.topology.hosts[espec.name],
-                    cache=cache, config=cfg, recognizer=recognizer,
-                    loader=self.edge_loader, workers=cfg.edge_workers,
-                    pipeline=self.pipeline)
+            # Federation is data, not a node type: an edge with no peers
+            # never probes (the node drops its own name from the list).
+            peers = espec.peers if espec.peers is not None else self.edge_names
+            node = EdgeNode(
+                self.env, self.rpc, self.topology.hosts[espec.name],
+                cache=cache, config=cfg, recognizer=recognizer,
+                loader=self.edge_loader, workers=cfg.edge_workers,
+                pipeline=self.pipeline,
+                peers=peers if spec.federate else (),
+                peer_timeout_s=spec.peer_timeout_s, broker=self.broker)
             if self.balancer is not None:
                 self.balancer.register(espec.name, node,
                                        neighbours[espec.name])
@@ -518,6 +425,34 @@ class ClusterDeployment(DeploymentDriverMixin):
         if not self.spec.vision_streams:
             return None
         return self.rng.stream(name)
+
+    # -- task factories ------------------------------------------------------
+
+    def recognition_task(self, object_class: int, viewpoint: float = 0.0,
+                         user: str = "", seq: int = 0) -> RecognitionTask:
+        """A recognition task over a fresh camera capture."""
+        rec = self.config.recognition
+        frame = CameraFrame(
+            object_class=object_class, viewpoint=viewpoint,
+            resolution=RESOLUTIONS[rec.resolution], quality=rec.quality,
+            user=user, seq=seq, capture_id=next(self._capture_ids))
+        return RecognitionTask(frame=frame)
+
+    def model_load_task(self, model_id: int) -> ModelLoadTask:
+        """A load task for a catalog model."""
+        digest, file_bytes = self.catalog[model_id]
+        return ModelLoadTask(model_id=model_id, digest=digest,
+                             file_bytes=file_bytes)
+
+    def panorama_task(self, content_id: int, segment: int,
+                      pose_cell: int = 0) -> PanoramaTask:
+        """A panorama fetch for one (content, segment, pose cell)."""
+        vr = self.config.vr
+        pano = Panorama(content_id=content_id, segment=segment,
+                        pose_cell=pose_cell,
+                        resolution=RESOLUTIONS[vr.resolution],
+                        quality=vr.quality)
+        return PanoramaTask(panorama=pano)
 
     # -- access-link management ---------------------------------------------
 
@@ -953,6 +888,45 @@ class ClusterDeployment(DeploymentDriverMixin):
     def run_for(self, duration_s: float) -> None:
         """Advance the simulation clock by ``duration_s`` seconds."""
         self.env.run(until=self.env.now + duration_s)
+
+    def run_tasks(self, client: typing.Any,
+                  tasks: typing.Sequence, spacing_s: float = 0.0) -> list:
+        """Run ``tasks`` sequentially on ``client``; return their records.
+
+        ``spacing_s`` inserts think-time between consecutive requests.
+        Drains the simulation before returning.
+        """
+        records: list = []
+
+        def driver():
+            for task in tasks:
+                record = yield self.env.process(client.perform(task))
+                records.append(record)
+                if spacing_s > 0:
+                    yield spacing_s
+
+        proc = self.env.process(driver())
+        self.env.run(until=proc)
+        return records
+
+    def run_concurrent(self, plan: typing.Sequence[tuple]) -> None:
+        """Run a multi-client plan of ``(delay_s, client, task)`` triples.
+
+        Each triple starts an independent request ``delay_s`` after the
+        current simulation time.  Returns once everything completes.
+        """
+
+        def launcher(delay: float, client, task):
+            yield delay
+            yield self.env.process(client.perform(task))
+
+        procs = [self.env.process(launcher(d, c, t)) for d, c, t in plan]
+
+        def barrier():
+            for proc in procs:
+                yield proc
+
+        self.env.run(until=self.env.process(barrier()))
 
     def __repr__(self) -> str:
         return (f"ClusterDeployment({len(self.edges)} edges, "

@@ -27,10 +27,14 @@ Overload behaviour (admission shed/redirect, peer offload) is *not*
 baked in here: swap the pipeline's admit stage
 (:class:`~repro.core.pipeline.AdmissionControlStage`) and this node
 sheds, redirects, or borrows a neighbour without touching the code
-below.  This module keeps the primitive operations the stages compose:
-extraction, the charged cache lookup, the cloud miss paths, and
-response sending (every response is tagged with the serving edge id in
-``served_by``).
+below.  Nor is the miss order (peers, then cloud): that belongs to
+:class:`~repro.core.pipeline.ResolveStage`.  This module keeps the
+primitive operations the stages compose — extraction, the charged cache
+lookup, the cloud forward, the charged insert, response sending (every
+response is tagged with the serving edge id in ``served_by``) — and
+answers the edge-to-edge messages: ``cache_summary``, ``prewarm_push``
+and, for any edge, a peer's ``peer_lookup`` probe (the asking side is
+:mod:`repro.core.federation`).
 """
 
 from __future__ import annotations
@@ -39,12 +43,12 @@ import typing
 
 from repro.core.cache import ICCache
 from repro.core.descriptors import Descriptor, HashDescriptor
-from repro.core.metrics import OUTCOME_MISS
+from repro.core.layer_cache import LAYER_KIND_PREFIX
 from repro.core.tasks import (
     ModelLoadResult,
     ModelLoadTask,
-    PanoramaTask,
     RecognitionTask,
+    Task,
 )
 from repro.net.message import Message
 from repro.net.transport import RpcError
@@ -54,6 +58,7 @@ from repro.sim.resources import Resource
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import CoICConfig
+    from repro.core.market import FederationBroker
     from repro.core.pipeline import Pipeline
     from repro.net.topology import Host
     from repro.net.transport import Rpc
@@ -91,13 +96,29 @@ class EdgeNode:
         pipeline: Stage chain to serve requests with; None selects
             :func:`~repro.core.pipeline.default_pipeline` (the paper's
             edge, no overload management).
+        peers: Host names of cooperating edges whose caches a miss
+            consults before the cloud, tried in order (put the nearest
+            first).  Empty — the default — is the paper's isolated edge.
+        peer_timeout_s: Per-peer deadline for a lookup round trip; a slow
+            peer must not cost more than it saves.  The default budgets
+            for multi-megabyte loaded-model transfers over a metro link,
+            still far below a cloud-backhaul fetch.
+        broker: Marketplace broker of a multi-operator scenario: filters
+            consent-denied and over-budget peers out of every probe
+            round and settles cross-operator hits on the ledger.  None
+            is the single-administrative-domain model.
     """
 
     def __init__(self, env: Environment, rpc: "Rpc", host: "Host",
                  cache: ICCache, config: "CoICConfig",
                  recognizer: "Recognizer", loader: "ModelLoader",
                  cloud_name: str = "cloud", workers: int = 4,
-                 pipeline: "Pipeline | None" = None):
+                 pipeline: "Pipeline | None" = None,
+                 peers: typing.Sequence[str] = (),
+                 peer_timeout_s: float = 1.0,
+                 broker: "FederationBroker | None" = None):
+        if peer_timeout_s <= 0:
+            raise ValueError("peer_timeout_s must be > 0")
         self.env = env
         self.rpc = rpc
         self.host = host
@@ -112,6 +133,19 @@ class EdgeNode:
 
             pipeline = default_pipeline()
         self.pipeline = pipeline
+        self.peers = [p for p in peers if p != host.name]
+        self.peer_timeout_s = peer_timeout_s
+        self.broker = broker
+        self.peer_hits = 0
+        self.peer_misses = 0
+        #: Total peer_lookup probes sent (backhaul messages); with
+        #: affinity-ordered probing this drops relative to spec-order
+        #: probing because likely holders are asked first.
+        self.peer_probes = 0
+        #: Federation message log: one ``(time_s, peer)`` row per
+        #: peer_lookup actually sent — what the consent fault-path
+        #: tests assert against ("a denied peer is never probed").
+        self.probe_log: list[tuple[float, str]] = []
         #: digest -> completion event, for miss coalescing on hash tasks.
         self._inflight: dict[str, Event] = {}
         self.requests_served = 0
@@ -201,15 +235,17 @@ class EdgeNode:
             # pays its wire bytes), instead of routing on a snapshot up
             # to ``summary_refresh_s`` stale.  The relay at the origin
             # strips the header before the client sees it.
-            from repro.core.layer_cache import LAYER_KIND_PREFIX
-
-            summary = self.cache.summary(exclude_prefix=LAYER_KIND_PREFIX)
+            summary = self._fresh_summary()
             tagged["peer_summary"] = summary
             size_bytes += summary.size_bytes
         return self.rpc.respond(msg, size_bytes=size_bytes, payload=payload,
                                 kind=kind, headers=tagged)
 
-    # -- cache lookup -------------------------------------------------------------
+    def _fresh_summary(self):
+        """This cache's current summary, as gossiped to peer edges."""
+        return self.cache.summary(exclude_prefix=LAYER_KIND_PREFIX)
+
+    # -- cache lookup / insert ----------------------------------------------------
 
     def _lookup(self, descriptor: Descriptor,
                 threshold: float | None = None):
@@ -221,6 +257,35 @@ class EdgeNode:
         yield self.cache.lookup_cost_s(descriptor.kind)
         return self.cache.lookup(descriptor, now=self.env.now,
                                  threshold=threshold)
+
+    def _insert(self, descriptor: Descriptor, result: typing.Any,
+                size_bytes: int, *, since: float | None = None,
+                cost_s: float | None = None):
+        """Charge one insert's bookkeeping cost, then cache ``result``.
+
+        ``cost_s`` is what cost-aware eviction values the entry at: give
+        it outright, or give ``since`` — the instant the fetch began —
+        for the time elapsed once the charge is paid.
+        """
+        yield self.config.cache.insert_ms / 1e3
+        if cost_s is None:
+            cost_s = self.env.now - since
+        self.cache.insert(descriptor, result, size_bytes,
+                          now=self.env.now, cost_s=cost_s)
+
+    # -- cloud forward ------------------------------------------------------------
+
+    def _cloud_call(self, task: Task) -> Event:
+        """Forward ``task`` to the cloud; the pending call for its result.
+
+        A relayed frame travels with 64 B of request framing; hash-keyed
+        fetches forward the compact reference as is.
+        """
+        framing = 64 if isinstance(task, RecognitionTask) else 0
+        forward = Message(size_bytes=task.input_bytes + framing,
+                          kind="cloud_request", payload=task,
+                          src=self.host.name, dst=self.cloud_name)
+        return self.rpc.call(forward, timeout=self.config.request_timeout_s)
 
     # -- serve loop ----------------------------------------------------------------
 
@@ -241,6 +306,10 @@ class EdgeNode:
             # One-way replication from a peer edge ahead of a handoff;
             # not a client request, so it does not count as served.
             yield from self._handle_prewarm(msg)
+            return
+        if msg.kind == "peer_lookup":
+            yield from self._handle_peer_lookup(msg)
+            self.requests_served += 1
             return
         try:
             yield from self.pipeline.process(self, msg)
@@ -270,9 +339,7 @@ class EdgeNode:
             # refreshed summary straight back instead of letting the
             # balancer route on the old sketch until the next periodic
             # push.
-            from repro.core.layer_cache import LAYER_KIND_PREFIX
-
-            summary = self.cache.summary(exclude_prefix=LAYER_KIND_PREFIX)
+            summary = self._fresh_summary()
             push = Message(size_bytes=summary.size_bytes,
                            kind="cache_summary", payload=summary,
                            src=self.host.name, dst=msg.src)
@@ -280,6 +347,29 @@ class EdgeNode:
                 yield self.rpc.send(push)
             except RpcError:
                 pass  # pusher unreachable: the periodic path recovers
+
+    def _handle_peer_lookup(self, msg: Message):
+        """Answer another edge's cache probe (descriptor only)."""
+        descriptor: Descriptor = msg.payload
+        entry = yield from self._lookup(descriptor, self.match_threshold)
+        headers = None
+        extra_bytes = 0
+        if self.summary_piggyback:
+            # Delta gossip on the probe traffic itself: the asking edge
+            # refreshes its affinity view of us with every peer_result,
+            # paying the summary's wire bytes on the same reply.
+            summary = self._fresh_summary()
+            headers = {"peer_summary": summary}
+            extra_bytes = summary.size_bytes
+        result = None if entry is None else entry.result
+        size = 96 if result is None else result.size_bytes
+        try:
+            yield self.rpc.respond(msg, size_bytes=size + extra_bytes,
+                                   payload=result, kind="peer_result",
+                                   headers=headers)
+        except RpcError:
+            # The asking edge is cut off: its probe times out over there.
+            self.responses_dropped += 1
 
     # -- extraction -----------------------------------------------------------------
 
@@ -304,85 +394,7 @@ class EdgeNode:
 
         return VectorDescriptor(kind=task.kind, vector=observation.vector)
 
-    # -- recognition miss paths ------------------------------------------------------
-
-    def _recognition_miss(self, msg: Message, task: RecognitionTask,
-                          descriptor: Descriptor | None):
-        """Forward the frame to the cloud, cache the result, reply."""
-        forward = Message(size_bytes=task.input_bytes + 64,
-                          kind="cloud_request", payload=task,
-                          src=self.host.name, dst=self.cloud_name)
-        started = self.env.now
-        response = yield self.rpc.call(
-            forward, timeout=self.config.request_timeout_s)
-        result = response.payload
-        if descriptor is not None:
-            yield self.config.cache.insert_ms / 1e3
-            self.cache.insert(descriptor, result, result.size_bytes,
-                              now=self.env.now,
-                              cost_s=self.env.now - started)
-        yield self._respond(msg, size_bytes=result.size_bytes,
-                            payload=result, kind="ic_result",
-                            headers={"outcome": OUTCOME_MISS})
-
-    def _redirect_to_cloud(self, msg: Message, task: RecognitionTask):
-        """Admission redirect: relay to the cloud, spend no edge compute.
-
-        Unlike :meth:`_recognition_miss` this never extracts or inserts —
-        the point is to protect a saturated worker pool, so the edge acts
-        as the dumb relay of the paper's Origin baseline for this one
-        request.
-        """
-        forward = Message(size_bytes=task.input_bytes + 64,
-                          kind="cloud_request", payload=task,
-                          src=self.host.name, dst=self.cloud_name)
-        response = yield self.rpc.call(
-            forward, timeout=self.config.request_timeout_s)
-        result = response.payload
-        yield self._respond(msg, size_bytes=result.size_bytes,
-                            payload=result, kind="ic_result",
-                            headers={"outcome": OUTCOME_MISS,
-                                     "redirected": True})
-
-    # -- hash-keyed tasks (3D models, panoramas) ---------------------------------------
-
-    def _hash_task_miss(self, msg: Message,
-                        task: ModelLoadTask | PanoramaTask,
-                        descriptor: HashDescriptor):
-        done = self.env.event()
-        self._inflight[descriptor.digest] = done
-        try:
-            forward = Message(size_bytes=task.input_bytes,
-                              kind="cloud_request", payload=task,
-                              src=self.host.name, dst=self.cloud_name)
-            started = self.env.now
-            response = yield self.rpc.call(
-                forward, timeout=self.config.request_timeout_s)
-            result = response.payload
-            fetch_cost = self.env.now - started
-        except Exception:
-            # Fetch failed: wake coalesced waiters (they will re-miss and
-            # retry their own fetch) and re-raise into the handler.
-            self._finish_inflight(descriptor, done)
-            raise
-
-        if isinstance(task, ModelLoadTask):
-            # Reply with the raw file now; parse into the cacheable loaded
-            # form in the background.  Waiters are released only once the
-            # loaded form is actually in the cache.
-            self.env.process(self._parse_and_insert(
-                task, descriptor, fetch_cost, done))
-            yield self._respond(msg, size_bytes=result.size_bytes,
-                                payload=result, kind="ic_result",
-                                headers={"outcome": OUTCOME_MISS})
-        else:
-            yield self.config.cache.insert_ms / 1e3
-            self.cache.insert(descriptor, result, result.size_bytes,
-                              now=self.env.now, cost_s=fetch_cost)
-            self._finish_inflight(descriptor, done)
-            yield self._respond(msg, size_bytes=result.size_bytes,
-                                payload=result, kind="ic_result",
-                                headers={"outcome": OUTCOME_MISS})
+    # -- hash-keyed fetches: background parse, in-flight marker ------------------------
 
     def _parse_and_insert(self, task: ModelLoadTask,
                           descriptor: HashDescriptor, fetch_cost: float,
@@ -395,14 +407,12 @@ class EdgeNode:
                 yield self.loader.parse_time(task.file_bytes)
             finally:
                 self.compute.release(slot)
-            yield self.config.cache.insert_ms / 1e3
             loaded = ModelLoadResult(digest=task.digest,
                                      payload_bytes=task.loaded_bytes,
                                      parsed=True)
-            self.cache.insert(descriptor, loaded, loaded.payload_bytes,
-                              now=self.env.now,
-                              cost_s=fetch_cost + self.loader.parse_time(
-                                  task.file_bytes))
+            yield from self._insert(
+                descriptor, loaded, loaded.payload_bytes,
+                cost_s=fetch_cost + self.loader.parse_time(task.file_bytes))
         finally:
             self._finish_inflight(descriptor, done)
 

@@ -16,11 +16,15 @@ map onto Figure 1 of the paper (the middle "MEC platform" box):
 3. **lookup** — "Extract IC Feature" + "IC cache lookup": edge-side
    descriptor extraction on the bounded worker pool when the client
    sent only the frame, then the cache probe.
-4. **resolve** — the hit/miss fork of Figure 1: a hit is returned as
-   is; a miss rides the cloud forward / peer federation / coalescing
-   machinery and is inserted into the cache on the way back.
-5. **respond** — "send IC result": one response message back to the
-   client, tagged with the serving edge id.
+4. **resolve** — the hit/miss fork of Figure 1, and the only place
+   that knows the miss order: local hit -> awaited speculative result
+   -> ``need_input`` -> peer edges (when the edge has any) -> cloud;
+   whatever is fetched is inserted into the cache on the way back.
+5. **respond** — "send IC result": the one place an ``ic_result``
+   leaves the edge, tagged with the serving edge id.  Every stage that
+   produces a result (resolve, an admission redirect, partial
+   inference) only fills ``ctx.result`` / ``ctx.outcome`` /
+   ``ctx.extra_headers``; the driver then skips straight here.
 
 With ``EdgePolicySpec.layer_reuse`` a sixth stage, **layer_reuse**
 (:class:`LayerReuseStage`), sits between classify and lookup: it plans
@@ -37,7 +41,9 @@ down.  Overload management is pure stage substitution: swap the admit
 stage, keep everything else.
 
 Stages are small objects with a generator ``run(edge, ctx)``; the
-:class:`Pipeline` drives them in order until one of them responds.  The
+:class:`Pipeline` drives them in order until one of them responds (the
+non-result replies — ``need_input``, ``shed``, a relayed offload — are
+sent by the stage that decides them).  The
 :class:`RequestContext` is the only mutable state handed between stages,
 so custom chains (micro-benchmark harnesses, fault injectors, future
 QoE schedulers) can be assembled from the same parts.
@@ -48,6 +54,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.core.edge import _abandon
+from repro.core.federation import peer_hit_headers, query_peers
 from repro.core.metrics import (
     OUTCOME_HIT,
     OUTCOME_MISS,
@@ -90,11 +98,13 @@ class RequestContext:
         layer_observation: The deterministic observation the layer-reuse
             stage extracted for its sketch, reused by the lookup stage's
             extraction so the same frame is not re-embedded host-side.
-        result: The IC result to return (set by resolve on a hit).
+        result: The IC result to return; once a stage sets it the
+            pipeline driver skips to the respond stage.
         outcome: Outcome header value for the respond stage.
-        extra_headers: Extra response headers (e.g. ``coalesced``).
-        responded: A stage already sent the response; later stages are
-            skipped by the pipeline driver.
+        extra_headers: Extra response headers (e.g. ``coalesced``,
+            ``federated``, ``redirected``, ``resume_layer``).
+        responded: A stage already sent a reply; the pipeline driver
+            stops.
     """
 
     msg: Message
@@ -279,7 +289,7 @@ class LayerReuseStage(Stage):
     def _serve_partial(self, edge: "EdgeNode", ctx: RequestContext,
                        manager, plan, matched, partial_s: float,
                        saved_s: float, observation=None):
-        """Run the remaining layers, refresh the caches, respond."""
+        """Run the remaining layers, refresh the caches, set the result."""
         if partial_s > 0:
             # Full-result reuse runs no layers at all, so it must not
             # queue behind the extraction backlog — zero compute takes
@@ -346,12 +356,10 @@ class LayerReuseStage(Stage):
                                   now=edge.env.now, cost_s=partial_s)
         edge.partial_served += 1
         edge.partial_saved_s += saved_s
-        yield edge._respond(ctx.msg, size_bytes=result.size_bytes,
-                            payload=result, kind="ic_result",
-                            headers={"outcome": OUTCOME_PARTIAL,
-                                     "resume_layer": plan.resume_after,
-                                     "saved_s": saved_s})
-        ctx.responded = True
+        ctx.result = result
+        ctx.outcome = OUTCOME_PARTIAL
+        ctx.extra_headers.update(resume_layer=plan.resume_after,
+                                 saved_s=saved_s)
 
 
 class LookupStage(Stage):
@@ -373,12 +381,8 @@ class LookupStage(Stage):
                 and ctx.msg.headers.get("has_input", False)):
             # Hedge: start the cloud round trip now; a hit abandons it, a
             # miss overlaps extraction+lookup with the forward.
-            forward = Message(size_bytes=ctx.task.input_bytes + 64,
-                              kind="cloud_request", payload=ctx.task,
-                              src=edge.host.name, dst=edge.cloud_name)
             ctx.spec_started = edge.env.now
-            ctx.speculative = edge.rpc.call(
-                forward, timeout=edge.config.request_timeout_s)
+            ctx.speculative = edge._cloud_call(ctx.task)
         if ctx.descriptor is None:
             ctx.descriptor = yield from edge._extract_descriptor(
                 ctx.task, observation=ctx.layer_observation)
@@ -409,7 +413,8 @@ class LookupStage(Stage):
             return
         pending = edge._inflight.get(ctx.descriptor.digest)
         if pending is not None:
-            # Coalesce: ride the in-flight cloud fetch.
+            # Coalesce: ride the in-flight fetch (peer probes and cloud
+            # leg alike).
             yield pending
             ctx.entry = edge.cache.lookup(ctx.descriptor, now=edge.env.now)
             if ctx.entry is not None:
@@ -419,57 +424,114 @@ class LookupStage(Stage):
 
 
 class ResolveStage(Stage):
-    """The hit/miss fork: return hits, drive the miss machinery."""
+    """The hit/miss fork, and the one place that knows the miss order.
+
+    Local hit -> awaited speculative result -> ``need_input`` -> peer
+    edges (when ``edge.peers`` is non-empty) -> cloud.  Whatever is
+    fetched is inserted locally; the stage only fills ``ctx.result`` /
+    ``ctx.outcome`` / ``ctx.extra_headers`` for the respond stage.
+    """
 
     name = "resolve"
 
     def run(self, edge: "EdgeNode", ctx: RequestContext):
         if ctx.entry is not None:
             if ctx.speculative is not None:
-                from repro.core.edge import _abandon
-
                 _abandon(ctx.speculative)
             ctx.result = ctx.entry.result
             ctx.outcome = OUTCOME_HIT
             yield from _noop()
-            return
-        if ctx.family == "recognition":
+        elif ctx.family == "recognition":
             yield from self._recognition_miss(edge, ctx)
         else:
-            yield from edge._hash_task_miss(ctx.msg, ctx.task,
-                                            ctx.descriptor)
-            ctx.responded = True
+            yield from self._hash_miss(edge, ctx)
+
+    def _from_peers(self, edge: "EdgeNode", ctx: RequestContext):
+        """The peer leg of a miss; True when a peer's copy now serves it.
+
+        A federated hit is inserted locally, valued at the probe round
+        trip it actually cost rather than the cloud fetch it avoided.
+        """
+        if not edge.peers:
+            return False
+        started = edge.env.now
+        result, peer = yield from query_peers(edge, ctx.descriptor)
+        if result is None:
+            return False
+        yield from edge._insert(
+            ctx.descriptor, result,
+            getattr(result, "payload_bytes", result.size_bytes),
+            since=started)
+        ctx.result = result
+        ctx.outcome = OUTCOME_HIT
+        ctx.extra_headers.update(peer_hit_headers(edge, peer))
+        return True
 
     def _recognition_miss(self, edge: "EdgeNode", ctx: RequestContext):
-        if ctx.skip_lookup:
-            # Client re-sent input after a need_input round: skip lookup.
-            yield from edge._recognition_miss(ctx.msg, ctx.task,
-                                              ctx.descriptor)
-            ctx.responded = True
-            return
+        # The branches below *are* the miss order.
         if ctx.speculative is not None:
+            # The hedged forward has been in flight since before
+            # extraction: its answer is nearer than any peer's.
+            started = ctx.spec_started
             response = yield ctx.speculative
-            result = response.payload
-            yield edge.config.cache.insert_ms / 1e3
-            edge.cache.insert(ctx.descriptor, result, result.size_bytes,
-                              now=edge.env.now,
-                              cost_s=edge.env.now - ctx.spec_started)
-            ctx.result = result
-            ctx.outcome = OUTCOME_MISS
-            return
-        if not ctx.msg.headers.get("has_input", False):
-            # Client kept the frame; ask for it (extra round trip).
+        elif not (ctx.skip_lookup
+                  or ctx.msg.headers.get("has_input", False)):
+            # Client kept the frame; ask for it (extra round trip)
+            # before spending backhaul on probes or a forward.
             yield edge._respond(ctx.msg, size_bytes=128, payload=None,
                                 kind="need_input",
                                 headers={"outcome": OUTCOME_MISS})
             ctx.responded = True
             return
-        yield from edge._recognition_miss(ctx.msg, ctx.task, ctx.descriptor)
-        ctx.responded = True
+        elif (ctx.descriptor is not None
+              and (yield from self._from_peers(edge, ctx))):
+            return
+        else:
+            started = edge.env.now
+            response = yield edge._cloud_call(ctx.task)
+        ctx.result = response.payload
+        ctx.outcome = OUTCOME_MISS
+        if ctx.descriptor is not None:
+            # No descriptor (a re-sent frame the edge never extracted):
+            # nothing to key the result under, so nothing is cached.
+            yield from edge._insert(ctx.descriptor, ctx.result,
+                                    ctx.result.size_bytes, since=started)
+
+    def _hash_miss(self, edge: "EdgeNode", ctx: RequestContext):
+        task, descriptor = ctx.task, ctx.descriptor
+        # Registered before the first probe, so peers + cloud leg are
+        # one coalesced fetch: requests for the same digest arriving
+        # meanwhile wait on the marker (LookupStage) instead of probing
+        # and fetching again.
+        done = edge._inflight[descriptor.digest] = edge.env.event()
+        try:
+            if (yield from self._from_peers(edge, ctx)):
+                edge._finish_inflight(descriptor, done)
+                return
+            started = edge.env.now
+            response = yield edge._cloud_call(task)
+            fetch_cost = edge.env.now - started
+        except Exception:
+            # Fetch failed: wake coalesced waiters (they will re-miss and
+            # retry their own fetch) and re-raise into the handler.
+            edge._finish_inflight(descriptor, done)
+            raise
+        ctx.result = result = response.payload
+        ctx.outcome = OUTCOME_MISS
+        if isinstance(task, ModelLoadTask):
+            # Reply with the raw file now; parse into the cacheable loaded
+            # form in the background.  Waiters are released only once the
+            # loaded form is actually in the cache.
+            edge.env.process(edge._parse_and_insert(
+                task, descriptor, fetch_cost, done))
+        else:
+            yield from edge._insert(descriptor, result, result.size_bytes,
+                                    cost_s=fetch_cost)
+            edge._finish_inflight(descriptor, done)
 
 
 class RespondStage(Stage):
-    """Send the IC result for paths that have not responded yet."""
+    """Send the IC result — the edge's only ``ic_result`` send site."""
 
     name = "respond"
 
@@ -483,7 +545,7 @@ class RespondStage(Stage):
 
 
 class Pipeline:
-    """An ordered stage chain; drives a request until a stage responds."""
+    """An ordered stage chain; drives a request until a stage replies."""
 
     def __init__(self, stages: typing.Sequence[Stage]):
         if not stages:
@@ -513,9 +575,16 @@ class Pipeline:
         return Pipeline(stages)
 
     def process(self, edge: "EdgeNode", msg: Message):
-        """Simulation process: run ``msg`` through the stage chain."""
+        """Simulation process: run ``msg`` through the stage chain.
+
+        Once a stage has produced ``ctx.result``, every stage but the
+        one named ``respond`` is skipped; a stage that replied itself
+        (``ctx.responded``) ends the chain.
+        """
         ctx = RequestContext(msg=msg, task=msg.payload)
         for stage in self.stages:
+            if ctx.result is not None and stage.name != RespondStage.name:
+                continue  # a result exists: all that is left is sending it
             yield from stage.run(edge, ctx)
             if ctx.responded:
                 break
@@ -836,10 +905,18 @@ class AdmissionControlStage(AdmitStage):
                 yield edge._respond(ctx.msg, size_bytes=128, payload=None,
                                     kind="need_input",
                                     headers={"outcome": OUTCOME_MISS})
+                ctx.responded = True
             else:
+                # Relay to the cloud and spend no edge compute: unlike a
+                # resolve-stage miss this never extracts or inserts —
+                # the point is to protect a saturated worker pool, so
+                # the edge acts as the dumb relay of the paper's Origin
+                # baseline for this one request.
                 edge.redirect_count += 1
-                yield from edge._redirect_to_cloud(ctx.msg, ctx.task)
-            ctx.responded = True
+                response = yield edge._cloud_call(ctx.task)
+                ctx.result = response.payload
+                ctx.outcome = OUTCOME_MISS
+                ctx.extra_headers["redirected"] = True
         # admission == "none": admit despite the backlog (offload-only
         # policies fall back to queueing when every peer is busy too).
 

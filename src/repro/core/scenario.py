@@ -17,21 +17,22 @@ users — is one *data structure* away:
    Turns a spec into a running simulated system: topology links routed
    via :mod:`repro.net.topology` (so inter-edge graphs need not be full
    meshes — Dijkstra handles multi-hop peer traffic), per-edge caches
-   and :class:`~repro.core.edge.EdgeNode` /
-   :class:`~repro.core.federation.FederatedEdgeNode` instances, one
+   and :class:`~repro.core.edge.EdgeNode` instances (one class;
+   ``federate`` only decides whether each gets a peer list), one
    shared cloud, clients with *mutable* edge attachment, and — when the
    spec has a :class:`MobilitySpec` — a handoff driver that replays
    :class:`~repro.workload.mobility.RandomWaypointUser` itineraries and
    re-attaches each client to its nearest edge mid-run.
-3. **Facade layer** (:class:`~repro.core.framework.CoICDeployment`,
-   :class:`~repro.core.federation.FederatedDeployment`).  Thin,
-   API-compatible wrappers that build the legacy specs below and expose
-   the historical attribute names; their metrics are seed-identical to
-   the pre-scenario constructors.
+
+There is no third layer: ``ClusterDeployment(spec)`` is the only way to
+build a system, and the canned builders :meth:`ScenarioSpec.single_edge`,
+:meth:`ScenarioSpec.federated` and :meth:`ScenarioSpec.metro` are the
+one-call entry points (they validate their own arguments).
 
 The per-link ``*_stream`` fields pin the :class:`~repro.sim.rng.RngStreams`
-names used for jitter/loss draws, which is what makes the facade layer
-bit-for-bit reproducible against the old hand-wired constructors.
+names used for jitter/loss draws, which is what keeps ``single_edge()``
+and ``federated()`` bit-for-bit reproducible against the hand-wired
+constructors the golden digests were captured on.
 """
 
 from __future__ import annotations
@@ -627,14 +628,16 @@ class ScenarioSpec:
     Attributes:
         edges: Edge sites with their initial clients.
         inter_edge: The inter-edge backhaul graph (any shape; routed).
-        federate: Build :class:`FederatedEdgeNode` s (peer cache probes)
-            instead of isolated edges.
+        federate: Give every edge its peer list, so a miss probes peer
+            caches (``peer_lookup``) before the cloud; False builds
+            isolated edges (no peers, never probes).
         peer_timeout_s: Per-peer probe deadline for federated edges.
         impairments: Apply the config's jitter/loss to access and
-            cloud-backhaul links (the legacy federated constructor did
-            not; its facade spec sets this False).
-        vision_streams: Give recognizers named RNG streams (legacy
-            single-edge behaviour; the federated facade sets False).
+            cloud-backhaul links (:meth:`federated` sets this False, as
+            the constructor its golden digests were captured on did).
+        vision_streams: Give recognizers named RNG streams
+            (:meth:`single_edge` behaviour; :meth:`federated` sets
+            False).
         baselines: Also build Origin and Local baseline clients.
         mobility: User mobility/handoff model, or None for static users.
         warmup: Cache pre-population, or None.
@@ -823,8 +826,9 @@ class ScenarioSpec:
     def single_edge(cls, n_clients: int = 1) -> "ScenarioSpec":
         """The paper's testbed: one edge, one cloud, n WiFi clients.
 
-        Stream names and switches replicate the historical
-        ``CoICDeployment`` wiring exactly (seed-identical metrics).
+        Stream names and switches replicate the hand-wired single-edge
+        constructor the golden digests were captured on (seed-identical
+        metrics).
         """
         _require(n_clients >= 1, "n_clients must be >= 1")
         clients = tuple(ClientSpec(name=f"mobile{i}",
@@ -840,8 +844,9 @@ class ScenarioSpec:
                   federate: bool = True) -> "ScenarioSpec":
         """K fully-meshed edges, each with its own clients, one cloud.
 
-        Stream names and switches replicate the historical
-        ``FederatedDeployment`` wiring exactly (seed-identical metrics).
+        Stream names and switches replicate the hand-wired federated
+        constructor the golden digests were captured on (seed-identical
+        metrics).
         """
         _require(n_edges >= 1, "n_edges must be >= 1")
         _require(clients_per_edge >= 1, "clients_per_edge must be >= 1")

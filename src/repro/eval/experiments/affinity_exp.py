@@ -137,17 +137,16 @@ def build_affinity_scenario(seed: int = 0,
     return ClusterDeployment(spec, config=config)
 
 
-def drive_affinity(deployment: ClusterDeployment,
-                   duration_s: float = DEFAULT_DURATION_S,
-                   request_interval_s: float = DEFAULT_INTERVAL_S,
-                   catalog: int = DEFAULT_CATALOG,
-                   alpha: float = DEFAULT_ALPHA) -> None:
+def drive_zipf(deployment: ClusterDeployment, duration_s: float,
+               request_interval_s: float, catalog: int, alpha: float,
+               stream_prefix: str) -> None:
     """Closed-loop Zipf-skewed recognition traffic from every client.
 
     Each client draws object classes from a bounded Zipf(``alpha``)
-    over the catalog (its own RNG stream — deterministic per seed),
-    performs one recognition at a uniformly random viewpoint, thinks
-    for ``request_interval_s``, and repeats for ``duration_s``.
+    over the catalog (its own RNG stream ``<stream_prefix>.<client>`` —
+    deterministic per seed), performs one recognition at a uniformly
+    random viewpoint, thinks for ``request_interval_s``, and repeats
+    for ``duration_s``.
     """
     def loop(client, rng):
         sampler = ZipfSampler(catalog, alpha, rng)
@@ -162,7 +161,7 @@ def drive_affinity(deployment: ClusterDeployment,
             yield request_interval_s
 
     for client in deployment.all_clients:
-        rng = deployment.rng.stream(f"workload.affinity.{client.name}")
+        rng = deployment.rng.stream(f"{stream_prefix}.{client.name}")
         deployment.env.process(loop(client, rng))
     deployment.run_for(duration_s)
 
@@ -206,8 +205,8 @@ def run_affinity(policies: typing.Sequence[str] = POLICY_NAMES,
             policy=policy_spec(name, queue_limit=queue_limit,
                                summary_refresh_s=summary_refresh_s),
             hot_clients=hot_clients, catalog=catalog)
-        drive_affinity(deployment, duration_s,
-                       request_interval_s=request_interval_s,
-                       catalog=catalog, alpha=alpha)
+        drive_zipf(deployment, duration_s, request_interval_s,
+                   catalog=catalog, alpha=alpha,
+                   stream_prefix="workload.affinity")
         rows.append(_summarize(deployment, name))
     return rows

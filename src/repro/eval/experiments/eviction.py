@@ -13,8 +13,9 @@ import typing
 
 import numpy as np
 
+from repro.core.cluster import ClusterDeployment
 from repro.core.config import CoICConfig
-from repro.core.framework import CoICDeployment
+from repro.core.scenario import ScenarioSpec
 from repro.sim.rng import RngStreams
 from repro.workload.zipf import ZipfSampler
 
@@ -62,10 +63,11 @@ def run_eviction(policies: typing.Sequence[str] = DEFAULT_POLICIES,
             config.cache.policy = policy
             config.cache.capacity_mb = max(
                 total_loaded * capacity_frac / 1e6, 1.0)
-            deployment = CoICDeployment(config, n_clients=1)
+            deployment = ClusterDeployment(
+                ScenarioSpec.single_edge(1), config=config)
             tasks = [deployment.model_load_task(model_id)
                      for model_id in request_ids]
-            deployment.run_tasks(deployment.clients[0], tasks,
+            deployment.run_tasks(deployment.all_clients[0], tasks,
                                  spacing_s=spacing_s)
             deployment.env.run()  # drain background parses
             rows.append(EvictionRow(
@@ -73,5 +75,5 @@ def run_eviction(policies: typing.Sequence[str] = DEFAULT_POLICIES,
                 hit_ratio=deployment.recorder.hit_ratio("model_load"),
                 mean_ms=deployment.recorder.summary(
                     task_kind="model_load").mean * 1e3,
-                evictions=deployment.cache.stats.evictions))
+                evictions=deployment.caches[0].stats.evictions))
     return rows

@@ -55,7 +55,7 @@ from repro.core.scenario import (
     ScenarioSpec,
     WarmupSpec,
 )
-from repro.workload.zipf import ZipfSampler
+from repro.eval.experiments.affinity_exp import drive_zipf
 
 #: Market regimes, in presentation order.
 REGIME_NAMES = ("free", "paid", "over_budget", "denied")
@@ -151,30 +151,6 @@ def build_market_scenario(seed: int = 0, regime: str = "paid",
     return ClusterDeployment(spec, config=config)
 
 
-def drive_market(deployment: ClusterDeployment,
-                 duration_s: float = DEFAULT_DURATION_S,
-                 request_interval_s: float = DEFAULT_INTERVAL_S,
-                 catalog: int = DEFAULT_CATALOG,
-                 alpha: float = DEFAULT_ALPHA) -> None:
-    """Closed-loop Zipf-skewed recognition traffic from every client."""
-    def loop(client, rng):
-        sampler = ZipfSampler(catalog, alpha, rng)
-        seq = 0
-        while True:
-            object_class = sampler.sample()
-            task = deployment.recognition_task(
-                object_class, viewpoint=float(rng.uniform(-0.5, 0.5)),
-                user=client.name, seq=seq)
-            seq += 1
-            yield deployment.env.process(client.perform(task))
-            yield request_interval_s
-
-    for client in deployment.all_clients:
-        rng = deployment.rng.stream(f"workload.market.{client.name}")
-        deployment.env.process(loop(client, rng))
-    deployment.run_for(duration_s)
-
-
 def _summarize(deployment: ClusterDeployment, regime: str) -> MarketRow:
     recorder = deployment.recorder
     records = recorder.select(task_kind="recognition")
@@ -211,8 +187,8 @@ def run_federation_economics(regimes: typing.Sequence[str] = REGIME_NAMES,
         deployment = build_market_scenario(seed=seed, regime=regime,
                                            n_clients=n_clients,
                                            catalog=catalog)
-        drive_market(deployment, duration_s,
-                     request_interval_s=request_interval_s,
-                     catalog=catalog, alpha=alpha)
+        drive_zipf(deployment, duration_s, request_interval_s,
+                   catalog=catalog, alpha=alpha,
+                   stream_prefix="workload.market")
         rows.append(_summarize(deployment, regime))
     return rows

@@ -11,8 +11,9 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.core.cluster import ClusterDeployment
 from repro.core.config import CoICConfig
-from repro.core.federation import FederatedDeployment
+from repro.core.scenario import ScenarioSpec
 
 DEFAULT_METRO_DELAYS_MS = (1.0, 5.0, 20.0)
 
@@ -37,13 +38,15 @@ def _run_cross_edge_loads(federate: bool, metro_delay_ms: float,
     config = CoICConfig(seed=seed)
     config.network.wifi_mbps = 100
     config.network.backhaul_mbps = 10
-    deployment = FederatedDeployment(
-        config, n_edges=2, clients_per_edge=1,
-        metro_delay_ms=metro_delay_ms, federate=federate)
+    deployment = ClusterDeployment(
+        ScenarioSpec.federated(n_edges=2, clients_per_edge=1,
+                               metro_delay_ms=metro_delay_ms,
+                               federate=federate),
+        config=config)
 
     # Warm edge0 through its own user.
     for model_id in range(n_models):
-        deployment.run_tasks(deployment.clients[0][0],
+        deployment.run_tasks(deployment.clients_by_edge[0][0],
                              [deployment.model_load_task(model_id)])
     deployment.env.run()  # drain background parses
 
@@ -51,15 +54,15 @@ def _run_cross_edge_loads(federate: bool, metro_delay_ms: float,
     latencies = []
     for model_id in range(n_models):
         record = deployment.run_tasks(
-            deployment.clients[1][0],
+            deployment.clients_by_edge[1][0],
             [deployment.model_load_task(model_id)])[0]
         latencies.append(record.latency_s)
         deployment.env.run()
     mean_ms = sum(latencies) / len(latencies) * 1e3
 
     edge1 = deployment.edges[1]
-    probes = getattr(edge1, "peer_hits", 0) + getattr(edge1, "peer_misses", 0)
-    ratio = (edge1.peer_hits / probes) if federate and probes else 0.0
+    rounds = edge1.peer_hits + edge1.peer_misses  # zero when isolated
+    ratio = edge1.peer_hits / rounds if rounds else 0.0
     return mean_ms, ratio
 
 

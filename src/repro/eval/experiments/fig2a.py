@@ -22,8 +22,9 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.core.cluster import ClusterDeployment
 from repro.core.config import CoICConfig
-from repro.core.framework import CoICDeployment
+from repro.core.scenario import ScenarioSpec
 from repro.eval.stats import reduction_pct
 
 #: The five shaped pairs on the paper's x-axis, (mobile->edge, edge->cloud).
@@ -91,7 +92,8 @@ def run_fig2a(pairs: typing.Sequence[tuple[float, float]] = PAPER_BANDWIDTH_PAIR
         config.network.wifi_mbps = wifi_mbps
         config.network.backhaul_mbps = backhaul_mbps
         config.recognition.speculative_forward = speculative_forward
-        deployment = CoICDeployment(config, n_clients=2)
+        deployment = ClusterDeployment(
+            ScenarioSpec.single_edge(2), config=config)
 
         origin_ms: list[float] = []
         hit_ms: list[float] = []
@@ -107,13 +109,13 @@ def run_fig2a(pairs: typing.Sequence[tuple[float, float]] = PAPER_BANDWIDTH_PAIR
 
             task = deployment.recognition_task(
                 object_class, viewpoint=-hit_viewpoint_delta / 2)
-            record = deployment.run_tasks(deployment.clients[0], [task])[0]
+            record = deployment.run_tasks(deployment.all_clients[0], [task])[0]
             assert record.outcome == "miss", record
             miss_ms.append(record.latency_s * 1e3)
 
             task = deployment.recognition_task(
                 object_class, viewpoint=hit_viewpoint_delta / 2)
-            record = deployment.run_tasks(deployment.clients[1], [task])[0]
+            record = deployment.run_tasks(deployment.all_clients[1], [task])[0]
             assert record.outcome == "hit", record
             hit_ms.append(record.latency_s * 1e3)
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.core.cluster import ClusterDeployment
 from repro.core.config import CoICConfig
-from repro.core.framework import CoICDeployment
+from repro.core.scenario import ScenarioSpec
 from repro.eval.stats import reduction_pct
 
 #: Model sizes (KB) on the x-axis.
@@ -68,7 +69,7 @@ def run_fig2b(sizes_kb: typing.Sequence[int] = PAPER_MODEL_SIZES_KB,
     config.network.wifi_mbps = wifi_mbps
     config.network.backhaul_mbps = backhaul_mbps
     config.rendering.catalog_sizes_kb = tuple(sizes_kb)
-    deployment = CoICDeployment(config, n_clients=2)
+    deployment = ClusterDeployment(ScenarioSpec.single_edge(2), config=config)
 
     rows = []
     for model_id, size_kb in enumerate(sizes_kb):
@@ -79,14 +80,14 @@ def run_fig2b(sizes_kb: typing.Sequence[int] = PAPER_MODEL_SIZES_KB,
         assert record.outcome == "origin", record
         origin_ms = record.latency_s * 1e3
 
-        record = deployment.run_tasks(deployment.clients[0], [task])[0]
+        record = deployment.run_tasks(deployment.all_clients[0], [task])[0]
         assert record.outcome == "miss", record
         miss_ms = record.latency_s * 1e3
 
         # Drain the edge's background parse so the loaded form is cached.
         deployment.env.run()
 
-        record = deployment.run_tasks(deployment.clients[1], [task])[0]
+        record = deployment.run_tasks(deployment.all_clients[1], [task])[0]
         assert record.outcome == "hit", record
         hit_ms = record.latency_s * 1e3
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.core.cluster import ClusterDeployment
 from repro.core.config import CoICConfig
-from repro.core.framework import CoICDeployment
+from repro.core.scenario import ScenarioSpec
 from repro.render.panorama import PanoramaGrid
 from repro.sim.rng import RngStreams
 from repro.workload.vr_trace import VrTraceGenerator
@@ -64,8 +65,9 @@ def run_panorama(viewer_counts: typing.Sequence[int] = DEFAULT_VIEWER_COUNTS,
         trace = _trace(seed, n_viewers, segments)
         config = CoICConfig(seed=seed)
 
-        deployment = CoICDeployment(config, n_clients=n_viewers)
-        clients = {c.name: c for c in deployment.clients}
+        deployment = ClusterDeployment(
+            ScenarioSpec.single_edge(n_viewers), config=config)
+        clients = {c.name: c for c in deployment.all_clients}
         plan = [(req.time_s, clients[req.user],
                  deployment.panorama_task(req.content_id, req.segment,
                                           req.pose_cell))
@@ -73,9 +75,11 @@ def run_panorama(viewer_counts: typing.Sequence[int] = DEFAULT_VIEWER_COUNTS,
         deployment.run_concurrent(plan)
         coic_mean = deployment.recorder.summary(task_kind="panorama").mean
         hit_ratio = deployment.recorder.hit_ratio("panorama")
-        backhaul_mb = deployment.backhaul_down.stats.bytes_sent / 1e6
+        _, downlink = deployment.backhaul["edge"]
+        backhaul_mb = downlink.stats.bytes_sent / 1e6
 
-        origin_dep = CoICDeployment(config, n_clients=n_viewers)
+        origin_dep = ClusterDeployment(
+            ScenarioSpec.single_edge(n_viewers), config=config)
         origin_clients = {c.name: c for c in origin_dep.origin_clients}
         origin_plan = [(req.time_s, origin_clients[req.user],
                         origin_dep.panorama_task(req.content_id,
@@ -85,7 +89,8 @@ def run_panorama(viewer_counts: typing.Sequence[int] = DEFAULT_VIEWER_COUNTS,
         origin_dep.run_concurrent(origin_plan)
         origin_mean = origin_dep.recorder.summary(
             task_kind="panorama").mean
-        origin_backhaul_mb = origin_dep.backhaul_down.stats.bytes_sent / 1e6
+        _, downlink = origin_dep.backhaul["edge"]
+        origin_backhaul_mb = downlink.stats.bytes_sent / 1e6
 
         rows.append(PanoramaRow(
             n_viewers=n_viewers, hit_ratio=hit_ratio,

@@ -12,8 +12,9 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.core.cluster import ClusterDeployment
 from repro.core.config import CoICConfig
-from repro.core.framework import CoICDeployment
+from repro.core.scenario import ScenarioSpec
 from repro.sim.rng import RngStreams
 from repro.workload.zipf import ZipfSampler
 
@@ -70,8 +71,9 @@ def run_sharing(user_counts: typing.Sequence[int] = DEFAULT_USER_COUNTS,
         config.network.wifi_mbps = 100
         config.network.backhaul_mbps = 10
         config.recognition.speculative_forward = False
-        deployment = CoICDeployment(config, n_clients=n_users)
-        plan = [(when, deployment.clients[u],
+        deployment = ClusterDeployment(
+            ScenarioSpec.single_edge(n_users), config=config)
+        plan = [(when, deployment.all_clients[u],
                  deployment.recognition_task(obj, viewpoint=view))
                 for when, u, obj, view in schedule]
         deployment.run_concurrent(plan)
@@ -79,7 +81,8 @@ def run_sharing(user_counts: typing.Sequence[int] = DEFAULT_USER_COUNTS,
         hit_ratio = deployment.recorder.hit_ratio("recognition")
 
         # Same offered load through the Origin baseline, fresh deployment.
-        origin_dep = CoICDeployment(config, n_clients=n_users)
+        origin_dep = ClusterDeployment(
+            ScenarioSpec.single_edge(n_users), config=config)
         origin_plan = [(when, origin_dep.origin_clients[u],
                         origin_dep.recognition_task(obj, viewpoint=view))
                        for when, u, obj, view in schedule]

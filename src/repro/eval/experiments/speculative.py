@@ -13,8 +13,9 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.core.cluster import ClusterDeployment
 from repro.core.config import CoICConfig
-from repro.core.framework import CoICDeployment
+from repro.core.scenario import ScenarioSpec
 from repro.eval.experiments.fig2a import PAPER_BANDWIDTH_PAIRS
 
 
@@ -38,17 +39,18 @@ class SpeculativeRow:
 def _measure(config: CoICConfig, object_class: int
              ) -> tuple[float, float, float]:
     """(miss_ms, hit_ms, backhaul_bytes_during_hit) for one deployment."""
-    deployment = CoICDeployment(config, n_clients=2)
+    deployment = ClusterDeployment(ScenarioSpec.single_edge(2), config=config)
     task = deployment.recognition_task(object_class, viewpoint=-0.3)
-    miss = deployment.run_tasks(deployment.clients[0], [task])[0]
+    miss = deployment.run_tasks(deployment.all_clients[0], [task])[0]
     assert miss.outcome == "miss", miss
 
-    before = deployment.backhaul_up.stats.bytes_sent
+    uplink, _ = deployment.backhaul["edge"]
+    before = uplink.stats.bytes_sent
     task = deployment.recognition_task(object_class, viewpoint=0.3)
-    hit = deployment.run_tasks(deployment.clients[1], [task])[0]
+    hit = deployment.run_tasks(deployment.all_clients[1], [task])[0]
     assert hit.outcome == "hit", hit
     deployment.env.run()  # drain any abandoned speculative transfer
-    wasted = deployment.backhaul_up.stats.bytes_sent - before
+    wasted = uplink.stats.bytes_sent - before
     return miss.latency_s * 1e3, hit.latency_s * 1e3, float(wasted)
 
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.core.cluster import ClusterDeployment
 from repro.core.config import CoICConfig
-from repro.core.framework import CoICDeployment
+from repro.core.scenario import ScenarioSpec
 from repro.workload.ar_trace import ArTraceGenerator
 from repro.workload.mobility import RandomWaypointUser, World
 from repro.sim.rng import RngStreams
@@ -81,8 +82,9 @@ def run_threshold_sweep(
         # the 10 Mbps backhaul regardless of outcome and the sweep would
         # measure congestion instead of the threshold.
         config.recognition.speculative_forward = False
-        deployment = CoICDeployment(config, n_clients=n_users)
-        client_by_name = {c.name: c for c in deployment.clients}
+        deployment = ClusterDeployment(
+            ScenarioSpec.single_edge(n_users), config=config)
+        client_by_name = {c.name: c for c in deployment.all_clients}
 
         plan = [(req.time_s, client_by_name[req.user],
                  deployment.recognition_task(req.object_class,

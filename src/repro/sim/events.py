@@ -13,8 +13,8 @@ Performance notes (the city-scale kernel pass):
   ``__dict__`` was the single largest allocation cost;
 * :class:`Timeout` initializes its fields inline (no ``super()`` chain)
   and hands itself straight to the environment's scheduling primitive;
-* :class:`Sleep` is the pooled variant used for fire-and-forget delays —
-  see :meth:`~repro.sim.kernel.Environment.sleep`.
+* a bare-number ``yield`` allocates nothing: each process reschedules
+  its own private :class:`_Wake` event.
 """
 
 from __future__ import annotations
@@ -142,23 +142,6 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
-
-
-class Sleep(Timeout):
-    """A pooled :class:`Timeout` for fire-and-forget delays.
-
-    Created only by :meth:`~repro.sim.kernel.Environment.sleep`.  The
-    kernel recycles the instance into the environment's sleep pool the
-    moment its callbacks have run, so holders must treat it as dead after
-    it fires: yield it exactly once and drop the reference.  Use
-    ``env.timeout(...)`` whenever the event object outlives its firing
-    (e.g. deadline races that check ``triggered`` later).
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return f"<Sleep delay={self.delay} at {id(self):#x}>"
 
 
 class _Wake(Timeout):

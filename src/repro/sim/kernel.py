@@ -32,18 +32,13 @@ from __future__ import annotations
 import typing
 from heapq import heapify, heappop, heappush
 
-from repro.sim.events import Event, Sleep, Timeout, _Wake
+from repro.sim.events import Event, Timeout, _Wake
 from repro.sim.process import Process
 
 #: Default priority for scheduled events.  Lower sorts first.
 PRIORITY_NORMAL = 1
 #: Priority used by the kernel for urgent bookkeeping (e.g. interrupts).
 PRIORITY_URGENT = 0
-
-#: Upper bound on pooled Sleep instances kept for reuse per environment.
-#: Sized for city-scale runs (10^4+ concurrently pending per-hop
-#: timers); a slotted Sleep is ~100 B, so the cap is a few MB at worst.
-_SLEEP_POOL_MAX = 65536
 
 _INF = float("inf")
 
@@ -78,7 +73,7 @@ class Environment:
     __slots__ = (
         "_now", "_seq", "_heap_mode", "_queue", "_cur", "_buckets",
         "_occupied", "_nbuckets", "_mask", "_tick", "_inv_width",
-        "_overflow", "_nevents", "_trace", "_sleep_pool",
+        "_overflow", "_nevents", "_trace",
     )
 
     def __init__(self, initial_time: float = 0.0, *, queue: str = "wheel",
@@ -111,7 +106,6 @@ class Environment:
         self._overflow: list[tuple[float, int, int, Event]] = []
         self._nevents = 0
         self._trace: typing.Callable[[float, int, Event], None] | None = None
-        self._sleep_pool: list[Sleep] = []
 
     @property
     def now(self) -> float:
@@ -144,49 +138,6 @@ class Environment:
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
-
-    def sleep(self, delay: float, value: object = None) -> Timeout:
-        """A pooled timeout for fire-and-forget delays.
-
-        Semantically ``timeout()``, but the returned event is recycled
-        into a free pool the moment its callbacks run — so it must be
-        yielded exactly once and the reference dropped afterwards.  Use
-        it for the per-hop delays that dominate large runs; use
-        ``timeout()`` whenever the event object is stored, raced against
-        another event, or inspected after it fires.
-        """
-        pool = self._sleep_pool
-        if not pool:
-            return Sleep(self, delay, value)
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        event = pool.pop()
-        event._value = value
-        event.delay = delay
-        # Inlined schedule(): this is the hottest allocation-free path in
-        # the kernel, one extra call frame is measurable at 10^7 events.
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        entry = (time, PRIORITY_NORMAL, seq, event)
-        if self._heap_mode:
-            heappush(self._queue, entry)
-            return event
-        tick = int(time * self._inv_width)
-        cur_tick = self._tick
-        if tick <= cur_tick:
-            heappush(self._cur, entry)
-        elif tick - cur_tick < self._nbuckets:
-            index = tick & self._mask
-            bucket = self._buckets[index]
-            if bucket is None:
-                self._buckets[index] = [entry]
-                heappush(self._occupied, tick)
-            else:
-                bucket.append(entry)
-        else:
-            heappush(self._overflow, entry)
-        return event
 
     def process(self, generator: typing.Generator) -> Process:
         """Start a new process running ``generator`` and return it."""
@@ -382,12 +333,10 @@ class Environment:
     def _run_wheel(self, stop_at: float) -> None:
         """The inlined hot loop (wheel mode, no trace hook installed).
 
-        Locals shadow attribute lookups; the Sleep pool is refilled inline
-        so steady-state fire-and-forget delays allocate nothing; the event
-        counter accumulates locally and flushes on exit (including via
-        exceptions and nested-run unwinds).
+        Locals shadow attribute lookups; the event counter accumulates
+        locally and flushes on exit (including via exceptions and
+        nested-run unwinds).
         """
-        sleep_pool = self._sleep_pool
         advance = self._advance
         cur = self._cur
         nevents = 0
@@ -408,13 +357,7 @@ class Environment:
                 event.callbacks = None
                 for callback in callbacks:
                     callback(event)
-                cls = event.__class__
-                if cls is Sleep:
-                    # A fired Sleep is dead by contract: recycle it.
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    sleep_pool.append(event)
-                elif cls is _Wake:
+                if event.__class__ is _Wake:
                     # Restore the permanent resume callback for the next
                     # bare-number yield of the owning process.
                     event.callbacks = callbacks
@@ -426,7 +369,6 @@ class Environment:
                 # wheel, swapping _cur out from under the local.
                 cur = self._cur
         finally:
-            del sleep_pool[_SLEEP_POOL_MAX:]
             self._nevents += nevents
 
 

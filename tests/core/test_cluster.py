@@ -1,19 +1,18 @@
 """Tests for repro.core.cluster (scenario builder, handoff, mobility).
 
 Includes the seed-equivalence suite: fixed workloads whose
-``MetricsRecorder`` output was digested on the pre-refactor
-``CoICDeployment`` / ``FederatedDeployment`` constructors.  The facades
-must keep producing byte-identical records (floats compared via their
-exact hex form).
+``MetricsRecorder`` output was digested on the pre-refactor hand-wired
+single-edge and federated constructors.  ``ScenarioSpec.single_edge()``
+and ``ScenarioSpec.federated()`` must keep producing byte-identical
+records (floats compared via their exact hex form).
 """
 
 import hashlib
 
 import pytest
 
-from repro.core import CoICConfig, CoICDeployment
+from repro.core import CoICConfig
 from repro.core.cluster import ClusterDeployment
-from repro.core.federation import FederatedDeployment, FederatedEdgeNode
 from repro.core.scenario import (
     ClientSpec,
     EdgeSpec,
@@ -66,20 +65,22 @@ class TestSeedEquivalence:
         cfg = self.config(seed=3)
         cfg.network.wifi_mbps = 100
         cfg.network.backhaul_mbps = 10
-        dep = CoICDeployment(cfg, n_clients=2)
-        dep.run_tasks(dep.clients[0],
+        dep = ClusterDeployment(ScenarioSpec.single_edge(2), config=cfg)
+        dep.run_tasks(dep.all_clients[0],
                       [dep.recognition_task(5, viewpoint=-0.2)])
-        dep.run_tasks(dep.clients[1],
+        dep.run_tasks(dep.all_clients[1],
                       [dep.recognition_task(5, viewpoint=0.2)])
-        dep.run_tasks(dep.clients[0], [dep.model_load_task(0)])
+        dep.run_tasks(dep.all_clients[0], [dep.model_load_task(0)])
         dep.env.run()
-        dep.run_tasks(dep.clients[1], [dep.model_load_task(0)])
-        dep.run_tasks(dep.clients[0], [dep.panorama_task(1, 2)])
+        dep.run_tasks(dep.all_clients[1], [dep.model_load_task(0)])
+        dep.run_tasks(dep.all_clients[0], [dep.panorama_task(1, 2)])
         dep.run_tasks(dep.origin_clients[0], [dep.recognition_task(9)])
         dep.run_tasks(dep.local_clients[1], [dep.recognition_task(4)])
         dep.run_concurrent([
-            (0.0, dep.clients[0], dep.recognition_task(5, viewpoint=0.0)),
-            (0.001, dep.clients[1], dep.recognition_task(5, viewpoint=0.1)),
+            (0.0, dep.all_clients[0],
+             dep.recognition_task(5, viewpoint=0.0)),
+            (0.001, dep.all_clients[1],
+             dep.recognition_task(5, viewpoint=0.1)),
         ])
         assert recorder_digest(dep.recorder) == GOLDEN_SINGLE
 
@@ -87,27 +88,30 @@ class TestSeedEquivalence:
         cfg = self.config(seed=7)
         cfg.network.wifi_mbps = 100
         cfg.network.backhaul_mbps = 10
-        fed = FederatedDeployment(cfg, n_edges=3, clients_per_edge=2,
-                                  metro_delay_ms=2.0)
-        fed.run_tasks(fed.clients[0][0], [fed.model_load_task(0)])
+        fed = ClusterDeployment(
+            ScenarioSpec.federated(n_edges=3, clients_per_edge=2,
+                                   metro_delay_ms=2.0),
+            config=cfg)
+        fed.run_tasks(fed.clients_by_edge[0][0], [fed.model_load_task(0)])
         fed.env.run()
-        fed.run_tasks(fed.clients[1][0], [fed.model_load_task(0)])
-        fed.run_tasks(fed.clients[0][1],
+        fed.run_tasks(fed.clients_by_edge[1][0], [fed.model_load_task(0)])
+        fed.run_tasks(fed.clients_by_edge[0][1],
                       [fed.recognition_task(7, viewpoint=-0.2)])
         fed.env.run()
-        fed.run_tasks(fed.clients[2][1],
+        fed.run_tasks(fed.clients_by_edge[2][1],
                       [fed.recognition_task(7, viewpoint=0.2)])
-        fed.run_tasks(fed.clients[2][0], [fed.panorama_task(0, 4)])
+        fed.run_tasks(fed.clients_by_edge[2][0], [fed.panorama_task(0, 4)])
         fed.env.run()
-        fed.run_tasks(fed.clients[1][1], [fed.panorama_task(0, 4)])
+        fed.run_tasks(fed.clients_by_edge[1][1], [fed.panorama_task(0, 4)])
         assert recorder_digest(fed.recorder) == GOLDEN_FEDERATED
 
     def test_isolated_facade_matches_pre_refactor(self):
-        fed = FederatedDeployment(self.config(seed=7), n_edges=2,
-                                  federate=False)
-        fed.run_tasks(fed.clients[0][0], [fed.model_load_task(1)])
+        fed = ClusterDeployment(
+            ScenarioSpec.federated(n_edges=2, federate=False),
+            config=self.config(seed=7))
+        fed.run_tasks(fed.clients_by_edge[0][0], [fed.model_load_task(1)])
         fed.env.run()
-        fed.run_tasks(fed.clients[1][0], [fed.model_load_task(1)])
+        fed.run_tasks(fed.clients_by_edge[1][0], [fed.model_load_task(1)])
         assert recorder_digest(fed.recorder) == GOLDEN_ISOLATED
 
 
@@ -122,7 +126,7 @@ class TestSeedEquivalenceFloat64(TestSeedEquivalence):
 # (pre-layer-reuse).  Unlike the CoIC/federated seeds above this
 # workload exercises mobility, handoff and federation peer probes in
 # one run, so *any* stage-chain edit that perturbs default behaviour —
-# not just the facade paths — fails loudly here.
+# not just the canned-spec paths — fails loudly here.
 #
 # Re-pinned once (from 822117df…6033) when the edge's same-tick lookup
 # window was deleted: a lookup no longer waits out a zero timeout behind
@@ -255,25 +259,15 @@ class TestPolicyIndexOverrides:
             assert cache._vector_index_spec == "linear"
 
 
-class TestFacadeShape:
-    def test_coic_deployment_is_a_cluster(self):
-        dep = CoICDeployment(n_clients=2)
-        assert isinstance(dep, ClusterDeployment)
-        assert dep.cache is dep.caches[0]
-        assert dep.edge is dep.edges[0]
-        assert dep.clients == dep.clients_by_edge[0]
-        assert dep.backhaul_up is dep.backhaul["edge"][0]
-
-    def test_federated_deployment_is_a_cluster(self):
-        fed = FederatedDeployment(n_edges=2, clients_per_edge=2)
-        assert isinstance(fed, ClusterDeployment)
-        assert fed.clients is fed.clients_by_edge
+class TestCannedSpecs:
+    def test_federated_spec_runs_concurrent_plans(self):
+        fed = ClusterDeployment(
+            ScenarioSpec.federated(n_edges=2, clients_per_edge=2))
+        assert [len(row) for row in fed.clients_by_edge] == [2, 2]
         assert len(fed.all_clients) == 4
-        # The shared driver mixin now gives federated deployments
-        # run_concurrent too.
         fed.run_concurrent([
-            (0.0, fed.clients[0][0], fed.recognition_task(1)),
-            (0.0, fed.clients[1][0], fed.recognition_task(2)),
+            (0.0, fed.clients_by_edge[0][0], fed.recognition_task(1)),
+            (0.0, fed.clients_by_edge[1][0], fed.recognition_task(2)),
         ])
         assert len(fed.recorder.records) == 2
 
@@ -309,8 +303,13 @@ class TestArbitraryGraphs:
         assert dep.edges[2].peer_hits == 1
 
     def test_isolated_cluster_builds_plain_edges(self):
+        """``federate=False``: same edge class, no peers, never probes."""
         dep = ClusterDeployment(line_spec(federate=False))
-        assert not any(isinstance(e, FederatedEdgeNode) for e in dep.edges)
+        assert [edge.peers for edge in dep.edges] == [[], [], []]
+        record = dep.run_tasks(dep.client_by_name["m0"],
+                               [dep.model_load_task(0)])[0]
+        assert record.outcome == "miss"
+        assert [edge.probe_log for edge in dep.edges] == [[], [], []]
 
 
 class TestHandoff:

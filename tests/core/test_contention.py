@@ -7,7 +7,7 @@ don't silently turn the edge into an infinitely parallel machine.
 
 import pytest
 
-from repro.core import CoICConfig, CoICDeployment
+from repro.core import ClusterDeployment, CoICConfig, ScenarioSpec
 
 
 def build_coic_deployment(edge_workers=1, cloud_workers=8, n_clients=4,
@@ -17,7 +17,8 @@ def build_coic_deployment(edge_workers=1, cloud_workers=8, n_clients=4,
     config.network.backhaul_mbps = backhaul
     config.edge_workers = edge_workers
     config.cloud_workers = cloud_workers
-    return CoICDeployment(config, n_clients=n_clients)
+    return ClusterDeployment(
+        ScenarioSpec.single_edge(n_clients), config=config)
 
 
 class TestEdgeWorkerContention:
@@ -25,12 +26,12 @@ class TestEdgeWorkerContention:
         """With one edge worker, simultaneous recognitions queue."""
         dep = build_coic_deployment(edge_workers=1, n_clients=2)
         plan = [
-            (0.0, dep.clients[0], dep.recognition_task(0)),
-            (0.0, dep.clients[1], dep.recognition_task(1)),
+            (0.0, dep.all_clients[0], dep.recognition_task(0)),
+            (0.0, dep.all_clients[1], dep.recognition_task(1)),
         ]
         dep.run_concurrent(plan)
         latencies = sorted(r.latency_s for r in dep.recorder.records)
-        extraction = dep.edge_recognizer.extraction_time()
+        extraction = dep.edge_recognizers[0].extraction_time()
         # The second request waits out the first's extraction.
         assert latencies[1] - latencies[0] >= extraction * 0.9
 
@@ -38,8 +39,8 @@ class TestEdgeWorkerContention:
         def spread(workers):
             dep = build_coic_deployment(edge_workers=workers, n_clients=2)
             plan = [
-                (0.0, dep.clients[0], dep.recognition_task(0)),
-                (0.0, dep.clients[1], dep.recognition_task(1)),
+                (0.0, dep.all_clients[0], dep.recognition_task(0)),
+                (0.0, dep.all_clients[1], dep.recognition_task(1)),
             ]
             dep.run_concurrent(plan)
             latencies = sorted(r.latency_s for r in dep.recorder.records)
@@ -65,12 +66,12 @@ class TestBackhaulCongestion:
     def test_shared_backhaul_slows_concurrent_misses(self):
         """Two cold misses at once share the edge->cloud pipe."""
         solo = build_coic_deployment(n_clients=1, backhaul=10)
-        record = solo.run_tasks(solo.clients[0],
+        record = solo.run_tasks(solo.all_clients[0],
                                 [solo.recognition_task(0)])[0]
         solo_latency = record.latency_s
 
         dep = build_coic_deployment(n_clients=2, backhaul=10)
-        plan = [(0.0, dep.clients[i], dep.recognition_task(i))
+        plan = [(0.0, dep.all_clients[i], dep.recognition_task(i))
                 for i in range(2)]
         dep.run_concurrent(plan)
         slowest = max(r.latency_s for r in dep.recorder.records)
@@ -80,13 +81,13 @@ class TestBackhaulCongestion:
         """A warm cache shields users from backhaul congestion."""
         dep = build_coic_deployment(n_clients=3, backhaul=10)
         # Warm with one object.
-        dep.run_tasks(dep.clients[0],
+        dep.run_tasks(dep.all_clients[0],
                       [dep.recognition_task(0, viewpoint=-0.2)])
         # One user floods the backhaul with a cold miss while another
         # hits the warm entry.
         plan = [
-            (0.0, dep.clients[1], dep.recognition_task(5)),
-            (0.0, dep.clients[2],
+            (0.0, dep.all_clients[1], dep.recognition_task(5)),
+            (0.0, dep.all_clients[2],
              dep.recognition_task(0, viewpoint=0.2)),
         ]
         dep.run_concurrent(plan)
@@ -101,7 +102,7 @@ class TestCoalescingUnderLoad:
     def test_panorama_thundering_herd_collapses_to_one_fetch(self):
         dep = build_coic_deployment(n_clients=4, backhaul=20)
         task = dep.panorama_task(0, 0)
-        plan = [(0.001 * i, dep.clients[i], task) for i in range(4)]
+        plan = [(0.001 * i, dep.all_clients[i], task) for i in range(4)]
         dep.run_concurrent(plan)
         # One render at the cloud; three coalesced hits.
         assert dep.cloud.requests_served == 1

@@ -1,14 +1,14 @@
 """Integration tests: client + edge + cloud over the simulated network.
 
-These drive full request pipelines through a
-:class:`~repro.core.framework.CoICDeployment` and verify the semantics
+These drive full request pipelines through a single-edge
+:class:`~repro.core.cluster.ClusterDeployment` and verify the semantics
 the figures depend on: hit/miss outcomes, latency ordering, coalescing,
 error surfacing and multi-tenant isolation.
 """
 
 import pytest
 
-from repro.core import CoICConfig, CoICDeployment
+from repro.core import ClusterDeployment, CoICConfig, ScenarioSpec
 
 
 def build_coic_deployment(n_clients=2, **net_overrides):
@@ -17,24 +17,25 @@ def build_coic_deployment(n_clients=2, **net_overrides):
     config.network.backhaul_mbps = net_overrides.get("backhaul_mbps", 10)
     for key, value in net_overrides.items():
         setattr(config.network, key, value)
-    return CoICDeployment(config, n_clients=n_clients)
+    return ClusterDeployment(
+        ScenarioSpec.single_edge(n_clients), config=config)
 
 
 class TestRecognitionPipeline:
     def test_miss_then_hit_across_users(self):
         dep = build_coic_deployment()
         t1 = dep.recognition_task(5, viewpoint=-0.2)
-        r1 = dep.run_tasks(dep.clients[0], [t1])[0]
+        r1 = dep.run_tasks(dep.all_clients[0], [t1])[0]
         t2 = dep.recognition_task(5, viewpoint=0.2)
-        r2 = dep.run_tasks(dep.clients[1], [t2])[0]
+        r2 = dep.run_tasks(dep.all_clients[1], [t2])[0]
         assert (r1.outcome, r2.outcome) == ("miss", "hit")
         assert r2.latency_s < r1.latency_s
         assert r2.correct
 
     def test_different_objects_do_not_collide(self):
         dep = build_coic_deployment()
-        dep.run_tasks(dep.clients[0], [dep.recognition_task(5)])
-        r = dep.run_tasks(dep.clients[1], [dep.recognition_task(6)])[0]
+        dep.run_tasks(dep.all_clients[0], [dep.recognition_task(5)])
+        r = dep.run_tasks(dep.all_clients[1], [dep.recognition_task(6)])[0]
         assert r.outcome == "miss"
         assert r.correct
 
@@ -42,9 +43,9 @@ class TestRecognitionPipeline:
         dep = build_coic_deployment()
         origin = dep.run_tasks(dep.origin_clients[0],
                                [dep.recognition_task(3)])[0]
-        miss = dep.run_tasks(dep.clients[0],
+        miss = dep.run_tasks(dep.all_clients[0],
                              [dep.recognition_task(3, viewpoint=0.1)])[0]
-        hit = dep.run_tasks(dep.clients[1],
+        hit = dep.run_tasks(dep.all_clients[1],
                             [dep.recognition_task(3, viewpoint=0.3)])[0]
         assert hit.latency_s < origin.latency_s < miss.latency_s
 
@@ -60,9 +61,9 @@ class TestRecognitionPipeline:
     def test_client_descriptor_source(self):
         config = CoICConfig()
         config.recognition.descriptor_source = "client"
-        dep = CoICDeployment(config, n_clients=2)
-        r1 = dep.run_tasks(dep.clients[0], [dep.recognition_task(1)])[0]
-        r2 = dep.run_tasks(dep.clients[1],
+        dep = ClusterDeployment(ScenarioSpec.single_edge(2), config=config)
+        r1 = dep.run_tasks(dep.all_clients[0], [dep.recognition_task(1)])[0]
+        r2 = dep.run_tasks(dep.all_clients[1],
                            [dep.recognition_task(1, viewpoint=0.3)])[0]
         assert (r1.outcome, r2.outcome) == ("miss", "hit")
 
@@ -71,10 +72,10 @@ class TestRecognitionPipeline:
         config = CoICConfig()
         config.recognition.descriptor_source = "client"
         config.recognition.attach_input = False
-        dep = CoICDeployment(config, n_clients=2)
-        r1 = dep.run_tasks(dep.clients[0], [dep.recognition_task(1)])[0]
+        dep = ClusterDeployment(ScenarioSpec.single_edge(2), config=config)
+        r1 = dep.run_tasks(dep.all_clients[0], [dep.recognition_task(1)])[0]
         assert r1.outcome == "miss"
-        r2 = dep.run_tasks(dep.clients[1],
+        r2 = dep.run_tasks(dep.all_clients[1],
                            [dep.recognition_task(1, viewpoint=0.2)])[0]
         assert r2.outcome == "hit"
 
@@ -86,8 +87,8 @@ class TestRecognitionPipeline:
         config.network.wifi_mbps = 100
         config.network.backhaul_mbps = 10
         config.recognition.speculative_forward = True
-        dep = CoICDeployment(config, n_clients=1)
-        miss = dep.run_tasks(dep.clients[0], [dep.recognition_task(1)])[0]
+        dep = ClusterDeployment(ScenarioSpec.single_edge(1), config=config)
+        miss = dep.run_tasks(dep.all_clients[0], [dep.recognition_task(1)])[0]
         assert miss.outcome == "miss"
         assert miss.latency_s <= origin.latency_s * 1.05
 
@@ -96,10 +97,10 @@ class TestModelLoadPipeline:
     def test_miss_returns_raw_hit_returns_parsed(self):
         dep = build_coic_deployment()
         task = dep.model_load_task(0)
-        r1 = dep.run_tasks(dep.clients[0], [task])[0]
+        r1 = dep.run_tasks(dep.all_clients[0], [task])[0]
         assert r1.outcome == "miss" and r1.detail["parsed"] is False
         dep.env.run()  # background edge parse
-        r2 = dep.run_tasks(dep.clients[1], [task])[0]
+        r2 = dep.run_tasks(dep.all_clients[1], [task])[0]
         assert r2.outcome == "hit" and r2.detail["parsed"] is True
         assert r2.latency_s < r1.latency_s
 
@@ -107,8 +108,8 @@ class TestModelLoadPipeline:
         dep = build_coic_deployment()
         task = dep.model_load_task(4)  # largest: long fetch window
         dep.run_concurrent([
-            (0.0, dep.clients[0], task),
-            (0.1, dep.clients[1], task),
+            (0.0, dep.all_clients[0], task),
+            (0.1, dep.all_clients[1], task),
         ])
         # Exactly one cloud fetch: the second request rode the first.
         assert dep.cloud.requests_served == 1
@@ -118,9 +119,9 @@ class TestModelLoadPipeline:
     def test_cache_stores_loaded_bytes(self):
         dep = build_coic_deployment()
         task = dep.model_load_task(1)
-        dep.run_tasks(dep.clients[0], [task])
+        dep.run_tasks(dep.all_clients[0], [task])
         dep.env.run()
-        entries = dep.cache.entries()
+        entries = dep.caches[0].entries()
         assert len(entries) == 1
         assert entries[0].size_bytes == task.loaded_bytes
 
@@ -129,21 +130,21 @@ class TestPanoramaPipeline:
     def test_hit_after_miss(self):
         dep = build_coic_deployment()
         task = dep.panorama_task(0, 3)
-        r1 = dep.run_tasks(dep.clients[0], [task])[0]
-        r2 = dep.run_tasks(dep.clients[1], [task])[0]
+        r1 = dep.run_tasks(dep.all_clients[0], [task])[0]
+        r2 = dep.run_tasks(dep.all_clients[1], [task])[0]
         assert (r1.outcome, r2.outcome) == ("miss", "hit")
 
     def test_pose_cells_distinguish(self):
         dep = build_coic_deployment()
-        dep.run_tasks(dep.clients[0], [dep.panorama_task(0, 3, 0)])
-        r = dep.run_tasks(dep.clients[1], [dep.panorama_task(0, 3, 1)])[0]
+        dep.run_tasks(dep.all_clients[0], [dep.panorama_task(0, 3, 0)])
+        r = dep.run_tasks(dep.all_clients[1], [dep.panorama_task(0, 3, 1)])[0]
         assert r.outcome == "miss"
 
 
 class TestFaultHandling:
     def test_lossy_network_still_completes(self):
         dep = build_coic_deployment(loss_rate=0.05)
-        records = dep.run_tasks(dep.clients[0], [
+        records = dep.run_tasks(dep.all_clients[0], [
             dep.recognition_task(i) for i in range(5)])
         assert all(r.outcome in ("hit", "miss") for r in records)
 
@@ -151,8 +152,8 @@ class TestFaultHandling:
         config = CoICConfig()
         config.network.backhaul_mbps = 0.1   # pathological backhaul
         config.request_timeout_s = 0.5
-        dep = CoICDeployment(config, n_clients=1)
-        record = dep.run_tasks(dep.clients[0],
+        dep = ClusterDeployment(ScenarioSpec.single_edge(1), config=config)
+        record = dep.run_tasks(dep.all_clients[0],
                                [dep.recognition_task(0)])[0]
         assert record.outcome == "error"
         dep.env.run()  # nothing left over crashes the sim
@@ -163,9 +164,9 @@ class TestFaultHandling:
         dropped response and an ``error`` record, not a dead simulation."""
         config = CoICConfig()
         config.request_timeout_s = 2.0
-        dep = CoICDeployment(config, n_clients=1)
+        dep = ClusterDeployment(ScenarioSpec.single_edge(1), config=config)
         dep.topology.link("cloud", "edge").set_up(False)
-        record = dep.run_tasks(dep.clients[0],
+        record = dep.run_tasks(dep.all_clients[0],
                                [dep.recognition_task(0)])[0]
         dep.env.run()
         assert record.outcome == "error"
@@ -176,8 +177,8 @@ class TestFaultHandling:
 class TestMetricsPlumbing:
     def test_recorder_sees_all_clients(self):
         dep = build_coic_deployment()
-        dep.run_tasks(dep.clients[0], [dep.recognition_task(0)])
-        dep.run_tasks(dep.clients[1],
+        dep.run_tasks(dep.all_clients[0], [dep.recognition_task(0)])
+        dep.run_tasks(dep.all_clients[1],
                       [dep.recognition_task(0, viewpoint=0.3)])
         assert dep.recorder.hit_ratio("recognition") == 0.5
         users = {r.user for r in dep.recorder.records}
@@ -186,9 +187,9 @@ class TestMetricsPlumbing:
     def test_cache_stats_consistent_with_outcomes(self):
         dep = build_coic_deployment()
         for i in range(4):
-            dep.run_tasks(dep.clients[0], [dep.recognition_task(i % 2,
+            dep.run_tasks(dep.all_clients[0], [dep.recognition_task(i % 2,
                           viewpoint=0.05 * i)])
-        stats = dep.cache.stats
+        stats = dep.caches[0].stats
         hits = len(dep.recorder.select(outcome="hit"))
         misses = len(dep.recorder.select(outcome="miss"))
         assert stats.hits == hits
@@ -208,13 +209,13 @@ class TestBatchedLookups:
         for label, gap_s in (("burst", 0.0), ("staggered", 3.0)):
             dep = build_coic_deployment(n_clients=4)
             # Warm the cache with one miss so the four can hit.
-            dep.run_tasks(dep.clients[0], [dep.recognition_task(7)])
-            lookups_before = dep.cache.stats.lookups
-            plan = [(gap_s * i, dep.clients[i],
+            dep.run_tasks(dep.all_clients[0], [dep.recognition_task(7)])
+            lookups_before = dep.caches[0].stats.lookups
+            plan = [(gap_s * i, dep.all_clients[i],
                      dep.recognition_task(7, viewpoint=0.05 * i))
                     for i in range(4)]
             dep.run_concurrent(plan)
-            assert dep.cache.stats.lookups - lookups_before == 4
+            assert dep.caches[0].stats.lookups - lookups_before == 4
             runs[label] = sorted((r.user, r.outcome, r.latency_s)
                                  for r in dep.recorder.records[1:])
         assert [outcome for _, outcome, _ in runs["burst"]] == ["hit"] * 4
@@ -228,8 +229,8 @@ class TestBatchedLookups:
         outcomes = {}
         for label, gap_s in (("burst", 0.0), ("staggered", 3.0)):
             dep = build_coic_deployment(n_clients=3)
-            dep.run_tasks(dep.clients[0], [dep.recognition_task(4)])
-            plan = [(gap_s * i, dep.clients[i],
+            dep.run_tasks(dep.all_clients[0], [dep.recognition_task(4)])
+            plan = [(gap_s * i, dep.all_clients[i],
                      dep.recognition_task(4, viewpoint=0.1 * i))
                     for i in range(3)]
             dep.run_concurrent(plan)
@@ -240,13 +241,12 @@ class TestBatchedLookups:
     def test_federated_peer_probe_joins_batch(self):
         """A federated miss probes the peer; the peer answers the vector
         probe with a charged lookup of its own cache."""
-        from repro.core.federation import FederatedDeployment
-
-        dep = FederatedDeployment(CoICConfig(), n_edges=2,
-                                  clients_per_edge=1)
+        dep = ClusterDeployment(
+            ScenarioSpec.federated(n_edges=2, clients_per_edge=1),
+            config=CoICConfig())
         # Edge 1 learns the object; edge 0 then hits via the peer probe.
-        dep.run_tasks(dep.clients[1][0], [dep.recognition_task(3)])
-        record = dep.run_tasks(dep.clients[0][0],
+        dep.run_tasks(dep.clients_by_edge[1][0], [dep.recognition_task(3)])
+        record = dep.run_tasks(dep.clients_by_edge[0][0],
                                [dep.recognition_task(3, viewpoint=0.2)])[0]
         assert record.outcome in ("hit", "miss")
         assert dep.edges[0].peer_hits + dep.edges[0].peer_misses >= 1

@@ -10,11 +10,10 @@ import hashlib
 
 import pytest
 
-from repro.core import CoICConfig, CoICDeployment
+from repro.core import CoICConfig
 from repro.core.cache import ICCache
 from repro.core.cluster import ClusterDeployment
 from repro.core.descriptors import HashDescriptor
-from repro.core.federation import FederatedDeployment
 from repro.core.metrics import OUTCOME_SHED
 from repro.core.pipeline import (
     AdmissionControlStage,
@@ -63,23 +62,25 @@ class TestGoldenDigests:
         cfg = CoICConfig(seed=3)
         cfg.network.wifi_mbps = 100
         cfg.network.backhaul_mbps = 10
-        dep = CoICDeployment(cfg, n_clients=2)
+        dep = ClusterDeployment(ScenarioSpec.single_edge(2), config=cfg)
         # Hand-assembled stage list, not the default_pipeline() shortcut:
         # proves the chain is what reproduces the behaviour.
-        dep.edge.pipeline = explicit_default_pipeline()
-        dep.run_tasks(dep.clients[0],
+        dep.edges[0].pipeline = explicit_default_pipeline()
+        dep.run_tasks(dep.all_clients[0],
                       [dep.recognition_task(5, viewpoint=-0.2)])
-        dep.run_tasks(dep.clients[1],
+        dep.run_tasks(dep.all_clients[1],
                       [dep.recognition_task(5, viewpoint=0.2)])
-        dep.run_tasks(dep.clients[0], [dep.model_load_task(0)])
+        dep.run_tasks(dep.all_clients[0], [dep.model_load_task(0)])
         dep.env.run()
-        dep.run_tasks(dep.clients[1], [dep.model_load_task(0)])
-        dep.run_tasks(dep.clients[0], [dep.panorama_task(1, 2)])
+        dep.run_tasks(dep.all_clients[1], [dep.model_load_task(0)])
+        dep.run_tasks(dep.all_clients[0], [dep.panorama_task(1, 2)])
         dep.run_tasks(dep.origin_clients[0], [dep.recognition_task(9)])
         dep.run_tasks(dep.local_clients[1], [dep.recognition_task(4)])
         dep.run_concurrent([
-            (0.0, dep.clients[0], dep.recognition_task(5, viewpoint=0.0)),
-            (0.001, dep.clients[1], dep.recognition_task(5, viewpoint=0.1)),
+            (0.0, dep.all_clients[0],
+             dep.recognition_task(5, viewpoint=0.0)),
+            (0.001, dep.all_clients[1],
+             dep.recognition_task(5, viewpoint=0.1)),
         ])
         assert recorder_digest(dep.recorder) == GOLDEN_SINGLE
 
@@ -87,21 +88,23 @@ class TestGoldenDigests:
         cfg = CoICConfig(seed=7)
         cfg.network.wifi_mbps = 100
         cfg.network.backhaul_mbps = 10
-        fed = FederatedDeployment(cfg, n_edges=3, clients_per_edge=2,
-                                  metro_delay_ms=2.0)
+        fed = ClusterDeployment(
+            ScenarioSpec.federated(n_edges=3, clients_per_edge=2,
+                                   metro_delay_ms=2.0),
+            config=cfg)
         for edge in fed.edges:
             edge.pipeline = explicit_default_pipeline()
-        fed.run_tasks(fed.clients[0][0], [fed.model_load_task(0)])
+        fed.run_tasks(fed.clients_by_edge[0][0], [fed.model_load_task(0)])
         fed.env.run()
-        fed.run_tasks(fed.clients[1][0], [fed.model_load_task(0)])
-        fed.run_tasks(fed.clients[0][1],
+        fed.run_tasks(fed.clients_by_edge[1][0], [fed.model_load_task(0)])
+        fed.run_tasks(fed.clients_by_edge[0][1],
                       [fed.recognition_task(7, viewpoint=-0.2)])
         fed.env.run()
-        fed.run_tasks(fed.clients[2][1],
+        fed.run_tasks(fed.clients_by_edge[2][1],
                       [fed.recognition_task(7, viewpoint=0.2)])
-        fed.run_tasks(fed.clients[2][0], [fed.panorama_task(0, 4)])
+        fed.run_tasks(fed.clients_by_edge[2][0], [fed.panorama_task(0, 4)])
         fed.env.run()
-        fed.run_tasks(fed.clients[1][1], [fed.panorama_task(0, 4)])
+        fed.run_tasks(fed.clients_by_edge[1][1], [fed.panorama_task(0, 4)])
         assert recorder_digest(fed.recorder) == GOLDEN_FEDERATED
 
 
@@ -386,10 +389,11 @@ class TestPredictiveHandoffPrewarm:
 
 class TestServingEdgeTag:
     def test_records_tag_the_serving_edge(self):
-        dep = CoICDeployment(CoICConfig(seed=2), n_clients=1)
-        dep.run_tasks(dep.clients[0], [dep.recognition_task(1),
-                                       dep.model_load_task(0),
-                                       dep.panorama_task(0, 1)])
+        dep = ClusterDeployment(ScenarioSpec.single_edge(1),
+                                config=CoICConfig(seed=2))
+        dep.run_tasks(dep.all_clients[0], [dep.recognition_task(1),
+                                           dep.model_load_task(0),
+                                           dep.panorama_task(0, 1)])
         dep.env.run()
         assert all(r.edge == "edge" for r in dep.recorder.records)
         assert len(dep.recorder.select(edge="edge")) == 3
@@ -399,7 +403,8 @@ class TestServingEdgeTag:
         assert per_edge["edge"].n == 3
 
     def test_baseline_records_have_no_edge(self):
-        dep = CoICDeployment(CoICConfig(seed=2), n_clients=1)
+        dep = ClusterDeployment(ScenarioSpec.single_edge(1),
+                                config=CoICConfig(seed=2))
         dep.run_tasks(dep.origin_clients[0], [dep.recognition_task(1)])
         assert dep.recorder.records[-1].edge == ""
 

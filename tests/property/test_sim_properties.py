@@ -113,9 +113,9 @@ def test_wheel_and_heap_fire_identically(bursts):
 
     Each burst starts at its own simulated time (exercising mid-run
     scheduling and cursor advancement) and registers a batch of
-    timeouts; half the bursts wait via the pooled bare-number sleep
-    path.  Both queue disciplines must fire every tagged timeout at the
-    same simulated time, in the same total order.
+    timeouts; half the bursts wait via a bare-number yield (the
+    per-process wake-up event).  Both queue disciplines must fire every
+    tagged timeout at the same simulated time, in the same total order.
     """
     def drive(queue):
         env = Environment(queue=queue)

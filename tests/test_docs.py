@@ -23,16 +23,43 @@ def test_docs_exist():
     assert SPEC_DOC.is_file()
 
 
-def test_relative_links_resolve():
+def _check_links():
     sys.path.insert(0, str(ROOT / "tools"))
     try:
         import check_links
     finally:
         sys.path.pop(0)
+    return check_links
+
+
+def test_relative_links_resolve():
+    check_links = _check_links()
     for doc in (README, *sorted((ROOT / "docs").glob("*.md"))):
         assert check_links.broken_links(doc) == [], f"broken links in {doc}"
         assert check_links.broken_paths(doc) == [], \
             f"{doc} quotes paths that do not exist"
+        assert check_links.broken_symbols(doc) == [], \
+            f"{doc} names classes or functions src/repro does not define"
+
+
+def test_symbol_check_flags_only_names_the_source_lacks(tmp_path):
+    check_links = _check_links()
+    text = "\n".join([
+        "`EdgeNode.probe_log` and `ClusterDeployment(spec)` exist;",
+        "`GoneEdgeNode.probe_log` and `GoneDeployment(spec)` do not.",
+        "`None`, `ValueError`, `federate` and `BENCH_x.json` are not",
+        "class names.",
+        "```",
+        "`GoneInAFence` is code, not prose",
+        "```",
+    ])
+    doc = tmp_path / "guide.md"
+    doc.write_text(text, encoding="utf-8")
+    assert check_links.broken_symbols(doc) == [
+        (2, "GoneEdgeNode"), (2, "GoneDeployment")]
+    history = tmp_path / "pr99_what_was_deleted.md"
+    history.write_text(text, encoding="utf-8")
+    assert check_links.broken_symbols(history) == []
 
 
 def test_every_readme_experiment_is_registered():

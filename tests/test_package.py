@@ -9,7 +9,8 @@ import repro
 class TestPublicApi:
     def test_top_level_exports(self):
         assert hasattr(repro, "CoICConfig")
-        assert hasattr(repro, "CoICDeployment")
+        assert hasattr(repro, "ClusterDeployment")
+        assert hasattr(repro, "ScenarioSpec")
         assert repro.__version__
 
     def test_subpackage_imports(self):
@@ -36,25 +37,25 @@ class TestEndToEndDeterminism:
 
     @staticmethod
     def _run_mixed_workload(seed):
-        from repro.core import CoICConfig, CoICDeployment
+        from repro.core import ClusterDeployment, CoICConfig, ScenarioSpec
 
         config = CoICConfig(seed=seed)
         config.network.wifi_mbps = 100
         config.network.backhaul_mbps = 10
         config.network.wifi_jitter_ms = 0.5  # exercise the rng path
-        dep = CoICDeployment(config, n_clients=2)
+        dep = ClusterDeployment(ScenarioSpec.single_edge(2), config=config)
 
         latencies = []
         for i in range(3):
             record = dep.run_tasks(
-                dep.clients[i % 2],
+                dep.all_clients[i % 2],
                 [dep.recognition_task(i % 2, viewpoint=0.1 * i)])[0]
             latencies.append(record.latency_s)
-        record = dep.run_tasks(dep.clients[0],
+        record = dep.run_tasks(dep.all_clients[0],
                                [dep.model_load_task(0)])[0]
         latencies.append(record.latency_s)
         dep.env.run()
-        record = dep.run_tasks(dep.clients[1],
+        record = dep.run_tasks(dep.all_clients[1],
                                [dep.panorama_task(0, 0)])[0]
         latencies.append(record.latency_s)
         return latencies

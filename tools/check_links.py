@@ -13,15 +13,25 @@ or a word of a quoted command such as `` `pytest tests/core/test_y.py
 doc that still names a deleted bench or experiment file fails too.
 Placeholders (`BENCH_<name>.json`, globs) and fenced blocks are skipped.
 
+A code span that is a CamelCase identifier — `` `EdgeNode` ``,
+`` `EdgeNode.probe_log` ``, `` `ClusterDeployment(spec)` `` — must be a
+class, function or module-level name defined under `src/repro`, so a
+doc cannot go on naming a class that was deleted.  `docs/pr*.md` are
+per-PR history and exempt.
+
 Usage:  python tools/check_links.py [FILE_OR_DIR ...]
 Exit status 1 when any link is broken.
 """
 
 from __future__ import annotations
 
+import ast
+import builtins
+import functools
 import pathlib
 import re
 import sys
+import typing
 
 #: Inline markdown links: [text](target).  Images share the syntax.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -32,6 +42,9 @@ _CODE_SPAN = re.compile(r"`([^`]+)`")
 _ROOTED_PATH = re.compile(
     r"(?<![\w./-])((?:benchmarks|src|tests|examples|tools|bench)/[^\s:,;)]*)")
 _PLACEHOLDER_CHARS = frozenset("<>*{}…")
+#: A whole code span naming a CamelCase identifier, optionally followed
+#: by an attribute or a call.
+_SYMBOL = re.compile(r"([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:[.(].*)?")
 
 
 def markdown_files(paths: list[str]) -> list[pathlib.Path]:
@@ -61,19 +74,55 @@ def broken_links(doc: pathlib.Path) -> list[tuple[int, str]]:
     return failures
 
 
-def broken_paths(doc: pathlib.Path) -> list[tuple[int, str]]:
-    """(line, path) pairs for quoted repo-rooted paths that do not exist."""
+def _code_spans(doc: pathlib.Path) -> typing.Iterator[tuple[int, str]]:
+    """(line, content) of every inline code span outside fenced blocks."""
     text = doc.read_text(encoding="utf-8")
     # Blank fenced blocks but keep their newlines, so line numbers hold.
     text = _FENCED.sub(lambda m: "\n" * m.group(0).count("\n"), text)
-    failures = []
     for span in _CODE_SPAN.finditer(text):
-        for path in _ROOTED_PATH.findall(span.group(1)):
-            if _PLACEHOLDER_CHARS & set(path):
-                continue
-            if not (_REPO / path).exists():
-                failures.append((text.count("\n", 0, span.start()) + 1,
-                                 path))
+        yield text.count("\n", 0, span.start()) + 1, span.group(1)
+
+
+def broken_paths(doc: pathlib.Path) -> list[tuple[int, str]]:
+    """(line, path) pairs for quoted repo-rooted paths that do not exist."""
+    return [(lineno, path)
+            for lineno, code in _code_spans(doc)
+            for path in _ROOTED_PATH.findall(code)
+            if not _PLACEHOLDER_CHARS & set(path)
+            and not (_REPO / path).exists()]
+
+
+@functools.cache
+def defined_names() -> frozenset[str]:
+    """Every class, function and module-level name under ``src/repro``."""
+    names: set[str] = set()
+    for source in (_REPO / "src" / "repro").rglob("*.py"):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                names.add(node.name)
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            names.update(target.id for target in targets
+                         if isinstance(target, ast.Name))
+    return frozenset(names)
+
+
+def broken_symbols(doc: pathlib.Path) -> list[tuple[int, str]]:
+    """(line, name) pairs for quoted CamelCase names ``src/repro`` lacks."""
+    if doc.name.startswith("pr"):
+        return []  # per-PR history names what it deleted
+    failures = []
+    for lineno, code in _code_spans(doc):
+        symbol = _SYMBOL.fullmatch(code)
+        if symbol is None:
+            continue
+        name = symbol.group(1)
+        if name not in defined_names() and not hasattr(builtins, name):
+            failures.append((lineno, name))
     return failures
 
 
@@ -92,6 +141,9 @@ def main(argv: list[str]) -> int:
             failed = True
         for lineno, path in broken_paths(doc):
             print(f"{doc}:{lineno}: quoted path does not exist -> {path}")
+            failed = True
+        for lineno, name in broken_symbols(doc):
+            print(f"{doc}:{lineno}: no such name under src/repro -> {name}")
             failed = True
     print(f"checked {checked} markdown file(s)")
     return 1 if failed else 0
