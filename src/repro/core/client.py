@@ -128,7 +128,10 @@ class CoICClient:
             (self.env.now if now is None else now, edge_name))
         if self._attach_gate is not None:
             gate, self._attach_gate = self._attach_gate, None
-            gate.succeed()
+            # Only a stalled request holds the gate: with none, it is
+            # dropped without a queue entry.
+            if gate.callbacks:
+                gate.succeed()
 
     def drained(self):
         """Event that fires when no request is in flight (maybe now)."""

@@ -80,8 +80,8 @@ class CloudNode:
             self.compute.release(slot)
         self.requests_served += 1
         try:
-            yield self.rpc.respond(msg, size_bytes=size, payload=result,
-                                   kind="ic_result")
+            yield from self.rpc.respond(msg, size_bytes=size, payload=result,
+                                        kind="ic_result")
         except RpcError:
             # The asking edge is cut off: its call times out over there.
             self.responses_dropped += 1

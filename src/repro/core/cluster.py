@@ -693,7 +693,7 @@ class ClusterDeployment:
                                kind="cache_summary", payload=summary,
                                src=name, dst=peer)
                 try:
-                    yield self.rpc.send(push)
+                    yield from self.rpc.send(push)
                 except RpcError:
                     # No route / link down: this round's summary is
                     # lost; the peer keeps scoring the stale snapshot.
@@ -777,7 +777,7 @@ class ClusterDeployment:
         push = Message(size_bytes=size, kind="prewarm_push", payload=items,
                        src=src_edge, dst=dst_edge)
         try:
-            yield self.rpc.send(push)
+            yield from self.rpc.send(push)
         except RpcError:
             # No backhaul route (or link down): the push is dropped, the
             # handoff itself is unaffected.

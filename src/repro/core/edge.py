@@ -219,7 +219,7 @@ class EdgeNode:
 
     def _respond(self, msg: Message, size_bytes: int,
                  payload: typing.Any = None, kind: str = "reply",
-                 headers: dict | None = None) -> Event:
+                 headers: dict | None = None) -> typing.Generator:
         """``rpc.respond`` with the serving edge id stamped into headers.
 
         The ``served_by`` tag is what lets the metrics layer attribute
@@ -317,9 +317,9 @@ class EdgeNode:
             # Cloud unreachable or deadline blown: tell the client rather
             # than dying silently; the client surfaces OUTCOME_ERROR.
             try:
-                yield self._respond(msg, size_bytes=128, payload=str(exc),
-                                    kind="error",
-                                    headers={"outcome": "error"})
+                yield from self._respond(
+                    msg, size_bytes=128, payload=str(exc), kind="error",
+                    headers={"outcome": "error"})
             except RpcError:
                 # The client itself is unreachable — it abandoned the
                 # request and its access link is already torn down.
@@ -344,7 +344,7 @@ class EdgeNode:
                            kind="cache_summary", payload=summary,
                            src=self.host.name, dst=msg.src)
             try:
-                yield self.rpc.send(push)
+                yield from self.rpc.send(push)
             except RpcError:
                 pass  # pusher unreachable: the periodic path recovers
 
@@ -364,9 +364,9 @@ class EdgeNode:
         result = None if entry is None else entry.result
         size = 96 if result is None else result.size_bytes
         try:
-            yield self.rpc.respond(msg, size_bytes=size + extra_bytes,
-                                   payload=result, kind="peer_result",
-                                   headers=headers)
+            yield from self.rpc.respond(
+                msg, size_bytes=size + extra_bytes, payload=result,
+                kind="peer_result", headers=headers)
         except RpcError:
             # The asking edge is cut off: its probe times out over there.
             self.responses_dropped += 1

@@ -14,7 +14,8 @@ Protocol (all on the existing RPC substrate):
 1. local lookup misses;
 2. the edge sends ``peer_lookup`` (descriptor only) to each peer in
    order, stopping at the first positive answer;
-3. a peer that holds a fresh entry responds with the result bytes;
+3. a peer that holds a fresh entry responds with the result bytes
+   (``yield from rpc.respond(...)``, inside the process that handled it);
 4. the asking edge inserts the result into its own cache and serves the
    client; if no peer helps, the request falls through to the cloud
    exactly as in the single-edge design.

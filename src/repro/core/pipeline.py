@@ -478,9 +478,9 @@ class ResolveStage(Stage):
                   or ctx.msg.headers.get("has_input", False)):
             # Client kept the frame; ask for it (extra round trip)
             # before spending backhaul on probes or a forward.
-            yield edge._respond(ctx.msg, size_bytes=128, payload=None,
-                                kind="need_input",
-                                headers={"outcome": OUTCOME_MISS})
+            yield from edge._respond(
+                ctx.msg, size_bytes=128, payload=None, kind="need_input",
+                headers={"outcome": OUTCOME_MISS})
             ctx.responded = True
             return
         elif (ctx.descriptor is not None
@@ -538,9 +538,9 @@ class RespondStage(Stage):
     def run(self, edge: "EdgeNode", ctx: RequestContext):
         headers = {"outcome": ctx.outcome}
         headers.update(ctx.extra_headers)
-        yield edge._respond(ctx.msg, size_bytes=ctx.result.size_bytes,
-                            payload=ctx.result, kind="ic_result",
-                            headers=headers)
+        yield from edge._respond(
+            ctx.msg, size_bytes=ctx.result.size_bytes, payload=ctx.result,
+            kind="ic_result", headers=headers)
         ctx.responded = True
 
 
@@ -890,11 +890,10 @@ class AdmissionControlStage(AdmitStage):
                 return
         if self.spec.admission == "shed":
             edge.shed_count += 1
-            yield edge._respond(ctx.msg, size_bytes=96, payload=None,
-                                kind="shed",
-                                headers={"outcome": OUTCOME_SHED,
-                                         "retry_after_s":
-                                             self.retry_after_s(edge)})
+            yield from edge._respond(
+                ctx.msg, size_bytes=96, payload=None, kind="shed",
+                headers={"outcome": OUTCOME_SHED,
+                         "retry_after_s": self.retry_after_s(edge)})
             ctx.responded = True
         elif self.spec.admission == "redirect":
             if not ctx.msg.headers.get("has_input", False):
@@ -902,9 +901,9 @@ class AdmissionControlStage(AdmitStage):
                 # cannot relay bytes it does not hold.  Ask for the
                 # input first — the same two-phase exchange every other
                 # miss path pays — and redirect the re-send instead.
-                yield edge._respond(ctx.msg, size_bytes=128, payload=None,
-                                    kind="need_input",
-                                    headers={"outcome": OUTCOME_MISS})
+                yield from edge._respond(
+                    ctx.msg, size_bytes=128, payload=None,
+                    kind="need_input", headers={"outcome": OUTCOME_MISS})
                 ctx.responded = True
             else:
                 # Relay to the cloud and spend no edge compute: unlike a
@@ -990,9 +989,9 @@ class AdmissionControlStage(AdmitStage):
                                    detail={"user": ctx.msg.src})
             if charge is not None:
                 relay["billed_to"], relay["price"] = charge
-        yield edge.rpc.respond(ctx.msg, size_bytes=response.size_bytes,
-                               payload=response.payload,
-                               kind=response.kind, headers=relay)
+        yield from edge.rpc.respond(
+            ctx.msg, size_bytes=response.size_bytes,
+            payload=response.payload, kind=response.kind, headers=relay)
         ctx.responded = True
 
 

@@ -27,7 +27,6 @@ class Message:
         dst: Name of the destination host (filled by the transport).
         headers: Free-form metadata (request ids, routing hints).
         msg_id: Unique id assigned at construction.
-        created_at: Simulated time of creation, for end-to-end latency.
     """
 
     size_bytes: int
@@ -37,7 +36,6 @@ class Message:
     dst: str = ""
     headers: dict = dataclasses.field(default_factory=dict)
     msg_id: int = dataclasses.field(default_factory=lambda: next(_next_id))
-    created_at: float = 0.0
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0:

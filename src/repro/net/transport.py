@@ -1,19 +1,23 @@
 """Request/response transport over multi-hop store-and-forward paths.
 
-:class:`Rpc` gives node logic a call-style API, one process per message:
+:class:`Rpc` gives node logic a call-style API; only a ``call`` costs a
+process:
 
 * ``send(msg)`` — one-way delivery into the destination host's inbox,
   hop by hop along the current shortest path (store-and-forward, like an
   HTTP proxy chain — the paper's edge relays requests to the cloud).
-  The delivering process drives each hop inline (``yield from
-  link.transfer``), retries a lost hop up to ``max_retries`` times, and
-  is itself the returned event: ``msg`` on delivery, else :class:`RpcError`.
-* ``call(msg, timeout)`` — ``send`` a request and wait for the peer to
-  ``respond()``; callbacks on the delivery and on the deadline fail the
-  call, so it costs no process of its own.  ``respond`` is ``send``.
+  A generator the sender drives inline (``yield from rpc.send(msg)``, as
+  it in turn drives ``link.transfer``): it retries a lost hop up to
+  ``max_retries`` times and returns ``msg`` or raises :class:`RpcError`.
+* ``respond(request, ...)`` — ``send`` of the reply, same form; the
+  caller's ``call`` event fires at the moment of delivery.
+* ``call(msg, timeout)`` — an event that fires with the peer's response.
+  The request travels in one process of its own (it must outlive the
+  caller's deadline) which fails the call itself if delivery does.
 
 Handlers are plain simulation processes: a server loops on
-``rpc.serve(host)`` pulling requests, computes, then ``rpc.respond(...)``.
+``rpc.serve(host)`` pulling requests, computes, then
+``yield from rpc.respond(...)``.
 """
 
 from __future__ import annotations
@@ -57,18 +61,17 @@ class Rpc:
 
     # -- one-way delivery ----------------------------------------------------
 
-    def send(self, msg: Message) -> Event:
-        """Deliver ``msg`` to ``msg.dst``'s inbox.
+    def send(self, msg: Message) -> typing.Generator:
+        """Deliver ``msg`` to ``msg.dst``'s inbox, inside the caller's process.
 
-        The returned event is the delivering process: it succeeds with
-        ``msg`` on delivery and fails with :class:`RpcError`.
+        A generator to be driven with ``yield from``: returns ``msg`` on
+        delivery, raises :class:`RpcError`.
         """
         if not msg.src or not msg.dst:
             raise ValueError(f"message needs src and dst: {msg!r}")
-        return self.env.process(self._deliver(msg))
+        return self._deliver(msg)
 
     def _deliver(self, msg: Message):
-        msg.created_at = msg.created_at or self.env.now
         try:
             links = self.topology.path_links(msg.src, msg.dst)
         except Exception as exc:  # NoRouteError / KeyError
@@ -97,9 +100,7 @@ class Rpc:
         # Replies whose call already expired are dropped, like packets
         # arriving for a closed socket.
         if "in_reply_to" in msg.headers:
-            rpc_id = msg.headers.get("rpc_id")
-            waiter = (self._pending.pop(rpc_id, None)
-                      if rpc_id is not None else None)
+            waiter = self._pending.pop(msg.headers.get("rpc_id"), None)
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(msg)
         else:
@@ -117,39 +118,37 @@ class Rpc:
         """
         rpc_id = next(self._rpc_ids)
         msg.headers["rpc_id"] = rpc_id
-        delivery = self.send(msg)
-        response = self.env.event()
-        self._pending[rpc_id] = response
-
-        def give_up(exc: RpcError) -> None:
-            # Looked up, not captured: the expiry timer outlives most
-            # calls and must not pin their responses.
-            waiter = self._pending.pop(rpc_id, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.fail(exc)
-
-        def undeliverable(sent: Event) -> None:
-            if not sent._ok:
-                sent.defuse()
-                give_up(typing.cast(RpcError, sent.value))
-
+        self.env.process(self._request(rpc_id, self.send(msg)))
+        response = self._pending[rpc_id] = self.env.event()
         if timeout is not None:
             # The deadline runs from the moment of the call, like a real
             # RPC budget — request transit time counts against it.
             self.env.timeout(timeout).callbacks.append(
-                lambda _expiry: give_up(RpcTimeout(
+                lambda _expiry: self._give_up(rpc_id, RpcTimeout(
                     f"rpc {rpc_id} timed out after {timeout}s")))
-        delivery.callbacks.append(undeliverable)
         return response
+
+    def _request(self, rpc_id: int, delivery: typing.Generator):
+        try:
+            yield from delivery
+        except RpcError as exc:
+            self._give_up(rpc_id, exc)
+
+    def _give_up(self, rpc_id: int, exc: RpcError) -> None:
+        # Looked up, not captured: the expiry timer outlives most calls
+        # and must not pin their responses.
+        waiter = self._pending.pop(rpc_id, None)
+        if waiter is not None and not waiter.triggered:
+            waiter.fail(exc)
 
     def respond(self, request: Message, size_bytes: int,
                 payload: typing.Any = None, kind: str = "reply",
-                headers: dict | None = None) -> Event:
+                headers: dict | None = None) -> typing.Generator:
         """Send a response for ``request`` back to its source.
 
-        The returned event fires when the response is delivered; the
-        original caller's ``call`` event fires at the same moment.
-        ``headers`` are merged into the reply's metadata.
+        A generator like :meth:`send`; the original caller's ``call``
+        event fires at the moment of delivery.  ``headers`` are merged
+        into the reply's metadata.
         """
         reply = request.reply(size_bytes=size_bytes, kind=kind, payload=payload)
         if headers:

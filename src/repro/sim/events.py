@@ -111,6 +111,13 @@ class Event:
         self.env.schedule(self)
         return self
 
+    def _settle(self, value: object = None) -> "Event":
+        """Succeed with no queue entry: for an event nothing waits on yet."""
+        self._ok = True
+        self._value = value
+        self.callbacks = None
+        return self
+
     def defuse(self) -> None:
         """Mark a failed event as handled so it won't crash the run."""
         self._defused = True

@@ -3,7 +3,10 @@
 A :class:`Process` drives a Python generator: each ``yield`` hands the
 kernel an :class:`~repro.sim.events.Event` to wait on; when that event is
 processed the generator resumes with the event's value (or the event's
-exception is thrown into it).  A process is itself an event that fires when
+exception is thrown into it).  Nothing queues for what has already
+happened: a yielded event that is already processed (a finished process, a
+slot :mod:`~repro.sim.resources` granted on the spot) resumes the generator
+inside the same kernel event.  A process is itself an event that fires when
 the generator returns, so processes can wait on each other.  Completion is
 queued only for someone: a generator that returns with no waiter is marked
 processed on the spot (later waiters find it finished), while one that
@@ -110,104 +113,92 @@ class Process(Event):
     # -- kernel plumbing -----------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the value/exception of ``event``."""
+        """Advance the generator with the value/exception of ``event``,
+        and again for as long as it yields events already processed."""
         self._waiting_on = None
-        try:
-            if event._ok:
-                target = self._send(event._value)
-            else:
-                event._defused = True
-                target = self._throw(
-                    typing.cast(BaseException, event._value))
-        except StopIteration as stop:
-            if self.callbacks:
-                self.succeed(stop.value)
-            else:  # nobody waits: processed on the spot, no queue entry
-                self._ok = True
-                self._value = stop.value
-                self.callbacks = None
-            return
-        except BaseException as exc:  # noqa: BLE001 - reported via event
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
-            self.fail(exc)
-            return
-
-        cls = target.__class__
-        if cls is float or cls is int:
-            # Bare-number yield: sleep that many seconds via the process's
-            # private reusable wake event (the hottest hop in large runs —
-            # no allocation, no callback-list churn).
-            if target < 0:
-                crash = ProcessCrashed(
-                    f"process {self.name!r} yielded negative delay {target!r}")
-                self._generator.close()
-                self.fail(crash)
-                return
-            wake = self._wake
-            if wake is None:
-                wake = self._wake = _Wake(self.env, self._resume_cb)
-            elif wake.callbacks is None:
-                # A slow-path step() processed the wake without restoring
-                # its permanent callback list.
-                wake.callbacks = [self._resume_cb]
-            wake.delay = target
-            # Inlined env.schedule(wake, PRIORITY_NORMAL, target): this is
-            # the hottest hop in large runs and the call frame is
-            # measurable at 10^7 events.  Mirrors Environment.schedule.
-            env = self.env
-            time = env._now + target
-            seq = env._seq
-            env._seq = seq + 1
-            entry = (time, 1, seq, wake)
-            if env._heap_mode:
-                heappush(env._queue, entry)
-            else:
-                tick = int(time * env._inv_width)
-                cur_tick = env._tick
-                if tick <= cur_tick:
-                    heappush(env._cur, entry)
-                elif tick - cur_tick < env._nbuckets:
-                    index = tick & env._mask
-                    bucket = env._buckets[index]
-                    if bucket is None:
-                        env._buckets[index] = [entry]
-                        heappush(env._occupied, tick)
-                    else:
-                        bucket.append(entry)
+        while True:
+            try:
+                if event._ok:
+                    target = self._send(event._value)
                 else:
-                    heappush(env._overflow, entry)
-            self._waiting_on = wake
-            return
+                    event._defused = True
+                    target = self._throw(
+                        typing.cast(BaseException, event._value))
+            except StopIteration as stop:
+                if self.callbacks:
+                    self.succeed(stop.value)
+                else:  # nobody waits: processed on the spot, no queue entry
+                    self._settle(stop.value)
+                return
+            except BaseException as exc:  # noqa: BLE001 - reported via event
+                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                    raise
+                self.fail(exc)
+                return
 
-        if not isinstance(target, Event):
-            crash = ProcessCrashed(
-                f"process {self.name!r} yielded non-event {target!r}")
-            self._generator.close()
-            self.fail(crash)
-            return
-        if target.env is not self.env:
-            crash = ProcessCrashed(
-                f"process {self.name!r} yielded an event from a foreign "
-                "environment")
-            self._generator.close()
-            self.fail(crash)
-            return
+            cls = target.__class__
+            if cls is float or cls is int:
+                # Bare-number yield: sleep that many seconds via the
+                # process's private reusable wake event (the hottest hop
+                # in large runs — no allocation, no callback-list churn).
+                if target < 0:
+                    self._crash(f"yielded negative delay {target!r}")
+                    return
+                wake = self._wake
+                if wake is None:
+                    wake = self._wake = _Wake(self.env, self._resume_cb)
+                elif wake.callbacks is None:
+                    # A slow-path step() processed the wake without
+                    # restoring its permanent callback list.
+                    wake.callbacks = [self._resume_cb]
+                wake.delay = target
+                # Inlined env.schedule(wake, PRIORITY_NORMAL, target): this
+                # is the hottest hop in large runs and the call frame is
+                # measurable at 10^7 events.  Mirrors Environment.schedule.
+                env = self.env
+                time = env._now + target
+                seq = env._seq
+                env._seq = seq + 1
+                entry = (time, 1, seq, wake)
+                if env._heap_mode:
+                    heappush(env._queue, entry)
+                else:
+                    tick = int(time * env._inv_width)
+                    cur_tick = env._tick
+                    if tick <= cur_tick:
+                        heappush(env._cur, entry)
+                    elif tick - cur_tick < env._nbuckets:
+                        index = tick & env._mask
+                        bucket = env._buckets[index]
+                        if bucket is None:
+                            env._buckets[index] = [entry]
+                            heappush(env._occupied, tick)
+                        else:
+                            bucket.append(entry)
+                    else:
+                        heappush(env._overflow, entry)
+                self._waiting_on = wake
+                return
 
-        if target.callbacks is None:
-            # Already done: resume immediately (via zero-delay reschedule to
-            # keep strict event ordering).
-            relay = Event(self.env)
-            relay._ok = target._ok
-            relay._value = target._value
-            if not target._ok:
-                relay._defused = True
-            relay.callbacks.append(self._resume_cb)
-            self.env.schedule(relay, priority=0)
-            self._waiting_on = relay
-        else:
-            target.callbacks.append(self._resume_cb)
-            self._waiting_on = target
+            if not isinstance(target, Event):
+                self._crash(f"yielded non-event {target!r}")
+                return
+            if target.env is not self.env:
+                self._crash("yielded an event from a foreign environment")
+                return
+
+            if target.callbacks is not None:
+                target.callbacks.append(self._resume_cb)
+                self._waiting_on = target
+                return
+            # Already processed: its outcome is known, so the generator
+            # continues inside this kernel event instead of queueing for it.
+            event = target
+
+    def _crash(self, what: str) -> None:
+        """Close the generator and fail the process with ``what``."""
+        self._generator.close()
+        self.fail(ProcessCrashed(f"process {self.name!r} {what}"))
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "finished"

@@ -14,6 +14,12 @@ All follow the same usage pattern::
         ...  # hold the resource
     finally:
         resource.release(req)
+
+What is free is granted on the spot: ``request()`` with a free slot and
+``Store.put`` with room return an event that is already processed, so the
+``yield`` costs no kernel event; a contended request or a full store
+queues, FIFO, as ever.  ``Store.get`` always wakes its consumer through
+the queue (see ``docs/scenario_spec.md``, "Same-instant ordering").
 """
 
 from __future__ import annotations
@@ -36,9 +42,6 @@ class Request(Event):
     """
 
     __slots__ = ()
-
-    def __init__(self, env: "Environment"):
-        super().__init__(env)
 
 
 class Resource:
@@ -63,13 +66,13 @@ class Resource:
         return len(self._waiters)
 
     def request(self) -> Request:
-        """Claim a slot; the returned event fires when the slot is granted."""
+        """Claim a slot; the returned event fires when the slot is granted
+        (a free slot on the spot: the event is born processed)."""
         req = Request(self.env)
         if len(self._users) < self.capacity:
             self._users.add(req)
-            req.succeed()
-        else:
-            self._waiters.append(req)
+            return req._settle()
+        self._waiters.append(req)
         return req
 
     def release(self, request: Request) -> None:
@@ -118,9 +121,8 @@ class PriorityResource(Resource):
         self._seq += 1
         if len(self._users) < self.capacity:
             self._users.add(req)
-            req.succeed()
-        else:
-            heapq.heappush(self._heap, req)
+            return req._settle()
+        heapq.heappush(self._heap, req)
         return req
 
     @property
@@ -165,19 +167,18 @@ class Store:
         return list(self._items)
 
     def put(self, item: object) -> Event:
-        """Insert ``item``; the event fires once there is room."""
+        """Insert ``item``; the event fires once there is room (born
+        processed when there is, or a consumer waits)."""
         event = Event(self.env)
         if self._getters:
             # Hand the item directly to the oldest waiting consumer.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
+            self._getters.popleft().succeed(item)
         elif len(self._items) < self.capacity:
             self._items.append(item)
-            event.succeed()
         else:
             self._putters.append((event, item))
-        return event
+            return event
+        return event._settle()
 
     def get(self) -> Event:
         """Remove the oldest item; the event fires with it when available."""

@@ -33,7 +33,7 @@ class TestSend:
             received.append((env.now, m))
 
         env.process(server(env))
-        rpc.send(msg)
+        env.process(rpc.send(msg))
         env.run()
         assert received and received[0][1] is msg
         # Two-hop store-and-forward: tx at both links + both props.
@@ -53,7 +53,7 @@ class TestSend:
 
         def sender(env):
             try:
-                yield rpc.send(msg)
+                yield from rpc.send(msg)
             except RpcError as exc:
                 failures.append(exc)
 
@@ -68,7 +68,7 @@ class TestCall:
         def server(env):
             request = yield rpc.serve(topo.hosts["cloud"])
             yield env.timeout(0.05)
-            rpc.respond(request, size_bytes=500, payload="answer")
+            yield from rpc.respond(request, size_bytes=500, payload="answer")
 
         def client(env):
             msg = Message(size_bytes=1000, src="mobile", dst="cloud")
@@ -87,7 +87,7 @@ class TestCall:
 
         def server(env):
             request = yield rpc.serve(topo.hosts["cloud"])
-            rpc.respond(request, size_bytes=10)
+            yield from rpc.respond(request, size_bytes=10)
 
         def client(env):
             yield rpc.call(Message(size_bytes=10, src="mobile",
@@ -121,7 +121,8 @@ class TestCall:
             request = yield rpc.serve(topo.hosts["cloud"])
             yield env.timeout(5.0)
             # Responds long after the deadline; must not crash anything.
-            yield rpc.respond(request, size_bytes=10, payload="too late")
+            yield from rpc.respond(request, size_bytes=10,
+                                   payload="too late")
 
         outcome = []
 
@@ -149,8 +150,8 @@ class TestCall:
 
         def respond_later(env, request, delay):
             yield env.timeout(delay)
-            rpc.respond(request, size_bytes=10,
-                        payload=f"re:{request.payload}")
+            yield from rpc.respond(request, size_bytes=10,
+                                   payload=f"re:{request.payload}")
 
         results = {}
 
@@ -179,7 +180,8 @@ class TestRetries:
 
         def sender(env):
             for i in range(20):
-                yield rpc.send(Message(size_bytes=100, src="a", dst="b"))
+                yield from rpc.send(
+                    Message(size_bytes=100, src="a", dst="b"))
                 delivered.append(i)
 
         env.run(until=env.process(sender(env)))
@@ -195,7 +197,8 @@ class TestRetries:
 
         def sender(env):
             try:
-                yield rpc.send(Message(size_bytes=100, src="a", dst="b"))
+                yield from rpc.send(
+                    Message(size_bytes=100, src="a", dst="b"))
             except RpcError as exc:
                 errors.append(exc)
 
@@ -204,13 +207,15 @@ class TestRetries:
 
 
 class TestEventBudget:
-    def test_round_trip_is_two_processes_and_sixteen_events(self, env):
-        """One message = one process; a relay creeping back shows here.
+    def test_round_trip_budget(self, env):
+        """Only a ``call`` costs a process; a relay creeping back shows here.
 
-        Per message: _Initialize, transmitter grant, serialization,
-        flight (4), plus inbox put + get and the awaited delivery of the
-        request (3), the response event and the awaited ``respond`` (2);
-        the two test processes start (2); the call's expiry fires last (1).
+        The request: its process's _Initialize, serialization, flight and
+        the server's wake-up from the inbox ``get`` (4) — the free
+        transmitter and the roomy inbox ``put`` are granted on the spot
+        and the finished process has no waiter.  The reply runs inside the
+        responder: serialization, flight, the caller's response event (3).
+        The two test processes start (2); the call's expiry fires last (1).
         """
         topo = Topology(env)
         topo.add_duplex("a", "b", 1e9, propagation_s=0.001)
@@ -221,7 +226,7 @@ class TestEventBudget:
 
         def server(env):
             request = yield rpc.serve(topo.hosts["b"])
-            yield rpc.respond(request, size_bytes=100, payload="pong")
+            yield from rpc.respond(request, size_bytes=100, payload="pong")
 
         def client(env):
             response = yield rpc.call(
@@ -232,8 +237,8 @@ class TestEventBudget:
         p = env.process(client(env))
         env.run()
         assert p.value == "pong"
-        assert sum(started) - 2 == 2   # transport processes: one per message
-        assert env.events_processed == 16
+        assert sum(started) - 2 == 1   # transport processes: the call's
+        assert env.events_processed == 10
 
 
 class TestFaultMatrix:
@@ -244,7 +249,8 @@ class TestFaultMatrix:
         second = topo.add_link("b", "c", 1e9, loss_rate=0.5,
                                rng=types.SimpleNamespace(random=draws.__next__))
         rpc = Rpc(env, topo)
-        delivery = rpc.send(Message(size_bytes=100, src="a", dst="c"))
+        delivery = env.process(
+            rpc.send(Message(size_bytes=100, src="a", dst="c")))
         env.run(until=delivery)
         assert (first.stats.messages_sent, first.stats.messages_lost) == (1, 0)
         assert (second.stats.messages_sent, second.stats.messages_lost) == (1, 1)
@@ -256,13 +262,15 @@ class TestFaultMatrix:
         outcome = []
 
         def caller(env):
-            rpc.send(Message(size_bytes=125_000, src="a", dst="b"))
+            env.process(
+                rpc.send(Message(size_bytes=125_000, src="a", dst="b")))
             try:
                 yield rpc.call(Message(size_bytes=100, src="a", dst="b"))
             except RpcError as exc:
                 outcome.append((env.now, str(exc)))
             link.set_up(True)
-            yield rpc.send(Message(size_bytes=125_000, src="a", dst="b"))
+            yield from rpc.send(
+                Message(size_bytes=125_000, src="a", dst="b"))
             outcome.append(env.now)
 
         def operator(env):
@@ -285,7 +293,7 @@ class TestFaultMatrix:
             request = yield rpc.serve(topo.hosts["edge"])
             topo.link("edge", "mobile").set_up(False)
             try:
-                yield rpc.respond(request, size_bytes=10)
+                yield from rpc.respond(request, size_bytes=10)
             except RpcError as exc:
                 caught.append(str(exc))
 
@@ -302,9 +310,26 @@ class TestFaultMatrix:
     def test_unwaited_failed_send_aborts_the_run(self, env, net):
         topo, rpc = net
         topo.add_host("island")
-        rpc.send(Message(size_bytes=10, src="mobile", dst="island"))
+        env.process(
+            rpc.send(Message(size_bytes=10, src="mobile", dst="island")))
         with pytest.raises(SimulationError, match="island"):
             env.run()
+
+    def test_undeliverable_call_fails_the_caller_and_leaves_nothing(self, env,
+                                                                    net):
+        topo, rpc = net
+        topo.add_host("island")
+
+        def client(env):
+            with pytest.raises(RpcError, match="island") as caught:
+                yield rpc.call(Message(size_bytes=10, src="mobile",
+                                       dst="island"), timeout=0.5)
+            assert not isinstance(caught.value, RpcTimeout)
+            return env.now
+
+        assert env.run(until=env.process(client(env))) == 0.0
+        assert not rpc._pending
+        env.run()   # no failed process-event left to raise SimulationError
 
     def test_reply_after_expiry_is_dropped_and_respond_completes(self, env, net):
         topo, rpc = net
@@ -313,7 +338,7 @@ class TestFaultMatrix:
         def slow_server(env):
             request = yield rpc.serve(topo.hosts["cloud"])
             yield env.timeout(5.0)
-            reply = yield rpc.respond(request, size_bytes=10)
+            reply = yield from rpc.respond(request, size_bytes=10)
             completed.append((reply.kind, reply.dst))
 
         def client(env):

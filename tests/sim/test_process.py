@@ -245,3 +245,68 @@ class TestCompletion:
         env.process(failing(env))
         with pytest.raises(SimulationError, match="nobody watching"):
             env.run()
+
+
+@pytest.mark.parametrize("queue", ["wheel", "heap"])
+class TestReadyEvents:
+    """Yielding an event that is already processed costs no kernel event."""
+
+    def test_processed_events_resume_within_the_same_kernel_event(self, queue):
+        env = Environment(queue=queue)
+        done = env.timeout(1, value="early")
+        env.run()
+        assert done.processed and env.events_processed == 1
+        seen = []
+
+        def late(env):
+            seen.append((yield done))
+            seen.append((yield done))    # any number of them, still inline
+            seen.append(env.now)
+            yield env.timeout(1)
+
+        started = []
+        env.set_trace(lambda when, priority, event: started.append(
+            (when, list(seen))))
+        env.process(late(env))
+        env.run()
+        # Only the _Initialize and the real timeout are kernel events; both
+        # resumptions happened inside the first.
+        assert env.events_processed == 3
+        assert started == [(1.0, []), (2.0, ["early", "early", 1.0])]
+
+    def test_processed_failure_is_thrown_in_and_defused(self, queue):
+        env = Environment(queue=queue)
+        broken = env.event()
+        broken.callbacks.append(lambda event: event.defuse())
+        broken.fail(ValueError("stale"))
+        env.run()
+        assert broken.processed and not broken.ok
+        broken._defused = False    # as if nobody had looked yet
+
+        def late(env):
+            try:
+                yield broken
+            except ValueError as exc:
+                return str(exc)
+            raise AssertionError("the failure was not thrown in")
+
+        p = env.process(late(env))
+        env.run()
+        assert p.value == "stale" and broken._defused
+        # The failed event + this process's _Initialize: the throw itself
+        # is no event.
+        assert env.events_processed == 2
+
+    def test_uncaught_processed_failure_fails_the_process(self, queue):
+        env = Environment(queue=queue)
+        broken = env.event()
+        broken.callbacks.append(lambda event: event.defuse())
+        broken.fail(ValueError("stale"))
+        env.run()
+
+        def late(env):
+            yield broken
+
+        env.process(late(env))
+        with pytest.raises(SimulationError, match="stale"):
+            env.run()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import (AllOf, AnyOf, Container, Environment, PriorityResource,
+                       Resource, Store)
 
 
 @pytest.fixture
@@ -217,3 +218,97 @@ class TestContainer:
             tank.put(0)
         with pytest.raises(ValueError):
             tank.get(-1)
+
+
+@pytest.mark.parametrize("queue", ["wheel", "heap"])
+class TestGrantedOnTheSpot:
+    """What is free is granted without a queue entry; what is not, queues."""
+
+    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
+    def test_free_slot_is_processed_at_once_and_held(self, queue, kind):
+        env = Environment(queue=queue)
+        res = kind(env, capacity=1)
+        req = res.request()
+        assert req.processed and req.ok and res.count == 1
+        log = []
+
+        def holder(env):
+            yield req                  # resumes inline
+            log.append(("held", env.now))
+            yield env.timeout(2)
+            res.release(req)
+
+        def waiter(env, name):
+            mine = res.request()
+            assert not mine.triggered      # contended: queued as before
+            yield mine
+            log.append((name, env.now))
+            res.release(mine)
+
+        env.process(holder(env))
+        env.process(waiter(env, "first"))
+        env.process(waiter(env, "second"))
+        env.run()
+        # Release hands over in FIFO order at the release instant.
+        assert log == [("held", 0.0), ("first", 2.0), ("second", 2.0)]
+        assert res.count == 0 and res.queue_length == 0
+        # Three _Initialize, the holder's timeout, the two queued grants.
+        assert env.events_processed == 6
+
+    def test_uncontended_request_costs_no_event(self, queue):
+        env = Environment(queue=queue)
+        res = Resource(env, capacity=2)
+
+        def worker(env):
+            req = res.request()
+            yield req
+            res.release(req)
+
+        env.process(worker(env))
+        env.process(worker(env))
+        env.run()
+        assert env.events_processed == 2    # the two _Initialize
+
+    def test_put_with_room_is_processed_a_full_put_queues(self, queue):
+        env = Environment(queue=queue)
+        store = Store(env, capacity=1)
+        first, second = store.put("a"), store.put("b")
+        assert first.processed and first.ok
+        assert not second.triggered and store.items == ["a"]
+        got = store.get()
+        env.run()
+        assert got.value == "a" and second.processed
+        assert store.items == ["b"]
+
+    def test_put_to_a_waiting_consumer_is_processed(self, queue):
+        env = Environment(queue=queue)
+        store = Store(env)
+        got = store.get()
+        put = store.put("x")
+        assert put.processed and got.triggered and not got.processed
+        env.run()
+        assert got.value == "x" and env.events_processed == 1
+
+    def test_get_on_a_non_empty_store_is_a_queued_event(self, queue):
+        # Pinned on purpose: a consumer's wake-up is a kernel event even
+        # when the item is already there.  Handing it over on the spot
+        # reorders same-instant server loops and moves GOLDEN_METRO
+        # (docs/scenario_spec.md, "Same-instant ordering").
+        env = Environment(queue=queue)
+        store = Store(env)
+        store.put("x")
+        got = store.get()
+        assert got.triggered and not got.processed
+        env.run()
+        assert got.value == "x" and env.events_processed == 1
+
+    def test_conditions_and_run_until_accept_a_granted_request(self, queue):
+        env = Environment(queue=queue)
+        res = Resource(env, capacity=2)
+        a, b = res.request(), res.request()
+        assert env.run(until=a) is None
+        both = AllOf(env, [a, b])
+        either = AnyOf(env, [b, env.timeout(5)])
+        assert env.run(until=both) == {a: None, b: None}
+        assert b in env.run(until=either)
+        assert env.now == 0.0

@@ -1,4 +1,5 @@
-"""The pair-protocol verdict of ``tools/bench_pairs.py`` is a pure function."""
+"""The pair-protocol verdict and the count-row comparison of
+``tools/bench_pairs.py`` are pure functions."""
 
 import pathlib
 import sys
@@ -53,6 +54,42 @@ class TestVerdict:
         assert bench_pairs.verdict(
             noisy, [v + 100.0 for v in noisy], "higher", 0.05)[0] \
             == bench_pairs.GAIN
+
+
+class TestCountRows:
+    @staticmethod
+    def smoke(events, digest="abc", outcomes=None):
+        return {"sim": {"attempted": 10, "failed": 0,
+                        "notes": {"digest": digest,
+                                  "outcomes": outcomes or {"hit": 9}},
+                        "metrics": {"kernel.events_per_req": {"value": events},
+                                    "cache.hit_ratio": {"value": 0.9}}},
+                "real": {"attempted": 4, "failed": 0, "notes": {},
+                         "metrics": {"cache.hit_ratio": {"value": 1.0}}}}
+
+    ROWS = ("kernel.events_per_req", "cache.hit_ratio")
+
+    def test_every_row_of_every_workload_is_compared(self):
+        rows = bench_pairs.count_rows(self.smoke(84.0), self.smoke(53.0),
+                                      self.ROWS)
+        # digest, outcomes, attempted, failed + the exact rows, per workload.
+        assert len(rows) == 2 * (4 + len(self.ROWS))
+        assert [row for row in rows if row[2] != row[3]] == [
+            ("sim", "kernel.events_per_req", 84.0, 53.0)]
+
+    def test_a_moved_digest_or_outcome_count_differs(self):
+        rows = bench_pairs.count_rows(
+            self.smoke(84.0), self.smoke(84.0, "xyz", {"hit": 8, "miss": 1}),
+            self.ROWS)
+        assert [row[:2] for row in rows if row[2] != row[3]] == [
+            ("sim", "digest"), ("sim", "outcomes")]
+
+    def test_a_row_one_side_lacks_reads_none(self):
+        change = self.smoke(84.0)
+        del change["real"]
+        rows = bench_pairs.count_rows(self.smoke(84.0), change, self.ROWS)
+        assert ("real", "attempted", 4, None) in rows
+        assert ("real", "kernel.events_per_req", None, None) in rows
 
 
 def test_help_runs_without_a_checkout(capsys):

@@ -12,17 +12,25 @@ to differ by more than the parent's own inter-quartile distance.
 ``setup_s`` includes imports, so give both trees the same ``__pycache__``
 state (none, or one warm-up run each) before comparing.
 
+``--counts`` compares what the program computed instead of how fast: one
+smoke-size traced run (fixed work) of every workload per tree for seeds 0
+and 1, then digest, attempted/failed, outcome counts and every exact
+count row side by side, and the rows that differ.
+
 Usage:  python tools/bench_pairs.py --parent ../parent --workload sim_city
+        python tools/bench_pairs.py --parent ../parent --counts
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import pathlib
 import statistics
 import subprocess
 import sys
+import typing
 
 GAIN = "gain"
 WORSE = "worse beyond bound"
@@ -61,16 +69,66 @@ def verdict(parent: list[float], change: list[float], better: str,
     return WITHIN, wins, ties
 
 
-def run_once(tree: pathlib.Path, command: list[str], workload: str,
-             seed: int, seconds: float) -> dict:
-    """One contract run in ``tree``; the last stdout line is its JSON."""
-    done = subprocess.run(
-        command + ["--workload", workload, "--seed", str(seed),
-                   "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=False)
+def count_rows(parent: dict, change: dict,
+               exact_rows: typing.Sequence[str]) -> list[tuple]:
+    """``(workload, row, parent value, change value)`` for every compared row.
+
+    ``parent`` and ``change`` are the smoke sets of the two trees
+    (workload -> result, the last line of ``bench/run.py --smoke``).
+    A workload or row only one side reports reads ``None`` on the other.
+    """
+    rows = []
+    for workload in list(parent) + [w for w in change if w not in parent]:
+        sides = [tree.get(workload, {}) for tree in (parent, change)]
+        for name in ("digest", "outcomes"):
+            rows.append((workload, name, *(
+                side.get("notes", {}).get(name) for side in sides)))
+        for name in ("attempted", "failed"):
+            rows.append((workload, name, *(
+                side.get(name) for side in sides)))
+        for name in exact_rows:
+            rows.append((workload, name, *(
+                side.get("metrics", {}).get(name, {}).get("value")
+                for side in sides)))
+    return rows
+
+
+def run_bench(tree: pathlib.Path, command: list[str], *args: str) -> dict:
+    """Run the benchmark in ``tree``; the last stdout line is its JSON."""
+    done = subprocess.run([*command, *args], cwd=tree, capture_output=True,
+                          text=True, check=False)
     if done.returncode != 0:
         sys.exit(f"{tree}: benchmark exited {done.returncode}\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def run_counts(trees: dict[str, pathlib.Path], command: list[str]) -> int:
+    """Print the count rows of both trees for seeds 0 and 1."""
+    # The benchmark's own list of rows that are exact under fixed work.
+    found = importlib.util.spec_from_file_location(
+        "bench_run", trees["change"] / command[1])
+    bench_run = importlib.util.module_from_spec(found)
+    found.loader.exec_module(bench_run)
+    exact_rows = bench_run.EXACT_ROWS
+    status = 0
+    for seed in (0, 1):
+        # Every workload once per tree: smoke-sized, traced, fixed work.
+        sets = {side: run_bench(tree, command, "--smoke", "--seed", str(seed))
+                for side, tree in trees.items()}
+        rows = count_rows(sets["parent"], sets["change"], exact_rows)
+        differing = [row for row in rows if row[2] != row[3]]
+        print(f"# seed {seed}: {len(differing)} of {len(rows)} rows differ")
+        print(f"{'workload':<16} {'row':<32} {'parent':>24} {'change':>24}")
+        for workload, name, before, after in rows:
+            print(f"{workload:<16} {name:<32} {before!s:>24} {after!s:>24}"
+                  + ("" if before == after else "  DIFFERENT"))
+        for workload, name, before, after in differing:
+            print(f"differs: {workload} {name}: {before} -> {after}")
+        if not all(result["correct"] for side in sets.values()
+                   for result in side.values()):
+            print("a run reported correct = false")
+            status = 1
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,13 +138,20 @@ def main(argv: list[str] | None = None) -> int:
                         help="checkout of the parent commit")
     parser.add_argument("--change", default=".", type=pathlib.Path,
                         help="checkout of the change (default: .)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--counts", action="store_true",
+                        help="compare digests and exact count rows "
+                             "(smoke size, seeds 0 and 1) instead of timing")
     args = parser.parse_args(argv)
+    if not args.counts and not args.workload:
+        parser.error("--workload is required unless --counts is given")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
     trees = {"parent": args.parent, "change": args.change}
+    if args.counts:
+        return run_counts(trees, spec["command"])
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     print(f"# {args.workload}: {args.pairs} pairs x {spec['run_seconds']} s, "
           "seed = pair number")
@@ -94,8 +159,10 @@ def main(argv: list[str] | None = None) -> int:
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            result = run_once(trees[side], spec["command"], args.workload,
-                              pair, spec["run_seconds"])
+            result = run_bench(
+                trees[side], spec["command"], "--workload", args.workload,
+                "--seed", str(pair), "--seconds", str(spec["run_seconds"]),
+                "--trace", "0")
             runs[side].append(result)
             print(f"{pair:>4} {side:<6} {result['failed']:>6} " + " ".join(
                 f"{result['metrics'][m['name']]['value']:>12.2f}"
