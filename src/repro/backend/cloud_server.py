@@ -15,13 +15,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.backend.protocol import (
-    BAD_FIELD,
-    ProtocolError,
-    bad_frame_reply,
-    read_frame,
-    write_frame,
-)
+from repro.backend.server import FrameServer
 
 
 def cloud_latency_s(shim: dict, input_bytes: int) -> float:
@@ -36,7 +30,7 @@ def cloud_latency_s(shim: dict, input_bytes: int) -> float:
     return serialize_s + propagation_s + shim["inference_s"]
 
 
-class CloudService:
+class CloudService(FrameServer):
     """Asyncio server answering ``resolve`` frames with oracle labels.
 
     Args:
@@ -47,83 +41,20 @@ class CloudService:
     """
 
     def __init__(self, shim: dict):
+        super().__init__()
+        self.ops["resolve"] = (self._resolve_fields, self._resolve)
         self.shim = dict(shim)
         self.resolved = 0
-        self._server: asyncio.AbstractServer | None = None
-        self._stopping = asyncio.Event()
 
-    @property
-    def port(self) -> int:
-        assert self._server is not None, "serve() not started"
-        return self._server.sockets[0].getsockname()[1]
+    def counters(self) -> dict:
+        return {"resolved": self.resolved}
 
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        """Bind and start accepting; returns the bound port."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port)
-        return self.port
+    @staticmethod
+    def _resolve_fields(message: dict) -> tuple[int, int]:
+        return (int(message["object_class"]),
+                int(message.get("input_bytes", 0)))
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        self._stopping.set()
-
-    async def wait_stopped(self) -> None:
-        await self._stopping.wait()
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                message = await read_frame(reader)
-                if message is None:
-                    break
-                op = message.get("op")
-                if op == "resolve":
-                    try:
-                        label = int(message["object_class"])
-                        input_bytes = int(message.get("input_bytes", 0))
-                    except BAD_FIELD as exc:
-                        await write_frame(writer, bad_frame_reply(op, exc))
-                        continue
-                    await asyncio.sleep(cloud_latency_s(self.shim,
-                                                        input_bytes))
-                    self.resolved += 1
-                    await write_frame(writer, {"op": "resolved",
-                                               "label": label})
-                elif op == "stats":
-                    await write_frame(writer, {"op": "counters",
-                                               "resolved": self.resolved})
-                elif op == "shutdown":
-                    await write_frame(writer, {"op": "bye",
-                                               "resolved": self.resolved})
-                    await self.stop()
-                    break
-                else:
-                    await write_frame(writer, {"op": "error",
-                                               "error": f"unknown op {op!r}"})
-        except (ProtocolError, ConnectionError):
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown cancels handler tasks parked in
-            # read_frame(); exit quietly — the transport is closing.
-            pass
-        finally:
-            writer.close()
-
-
-def cloud_main(conn, payload: dict) -> None:  # pragma: no cover - subprocess
-    """Process entry point: serve until shutdown, report the port.
-
-    ``conn`` is the parent's :class:`multiprocessing.Pipe` end; the
-    bound port is sent through it once the listener is up.
-    """
-
-    async def _run() -> None:
-        service = CloudService(payload["shim"])
-        await service.start()
-        conn.send(("port", service.port))
-        await service.wait_stopped()
-
-    asyncio.run(_run())
+    async def _resolve(self, label: int, input_bytes: int) -> dict:
+        await asyncio.sleep(cloud_latency_s(self.shim, input_bytes))
+        self.resolved += 1
+        return {"op": "resolved", "label": label}

@@ -32,14 +32,8 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.backend.protocol import (
-    BAD_FIELD,
-    ProtocolError,
-    bad_frame_reply,
-    call,
-    read_frame,
-    write_frame,
-)
+from repro.backend.protocol import ProtocolError, call
+from repro.backend.server import FrameServer
 from repro.core.cache import ICCache
 from repro.core.descriptors import VectorDescriptor
 from repro.core.index import DEFAULT_DTYPE
@@ -49,7 +43,7 @@ from repro.vision.features import EmbeddingSpace
 from repro.vision.recognition import RecognitionResult
 
 
-class EdgeService:
+class EdgeService(FrameServer):
     """One edge site: real cache, real sockets, shimmed cloud behind.
 
     Args:
@@ -63,6 +57,8 @@ class EdgeService:
     """
 
     def __init__(self, payload: dict):
+        super().__init__()
+        self.ops["recognize"] = (self._recognize_fields, self._recognize)
         self.name = payload["name"]
         rec = payload["recognition"]
         self.space = EmbeddingSpace(
@@ -106,8 +102,6 @@ class EdgeService:
         self.misses = 0
         self.shed_count = 0
         self.active = 0
-        self._server: asyncio.AbstractServer | None = None
-        self._stopping = asyncio.Event()
         self._draining = False
         self._idle = asyncio.Event()
         self._idle.set()
@@ -116,25 +110,12 @@ class EdgeService:
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        assert self._server is not None, "start() not called"
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port)
-        return self.port
-
     async def stop(self) -> None:
-        """Stop accepting, close the cloud leg, release waiters."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        """Close the cloud leg, then stop accepting."""
         if self._cloud_streams is not None:
             self._cloud_streams[1].close()
             self._cloud_streams = None
-        self._stopping.set()
+        await super().stop()
 
     async def drain(self, timeout_s: float = 10.0) -> None:
         """Wait (bounded) until no request is mid-service."""
@@ -144,9 +125,6 @@ class EdgeService:
         except asyncio.TimeoutError:
             pass
 
-    async def wait_stopped(self) -> None:
-        await self._stopping.wait()
-
     def counters(self) -> dict:
         return {"edge": self.name, "served": self.hits + self.misses,
                 "hits": self.hits, "misses": self.misses,
@@ -155,46 +133,16 @@ class EdgeService:
 
     # -- serving -------------------------------------------------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                message = await read_frame(reader)
-                if message is None:
-                    break
-                op = message.get("op")
-                if op == "recognize":
-                    try:
-                        capture = (int(message["object_class"]),
-                                   float(message.get("viewpoint", 0.0)),
-                                   int(message["capture_id"]),
-                                   int(message.get("input_bytes", 0)))
-                    except BAD_FIELD as exc:
-                        reply = bad_frame_reply(op, exc)
-                    else:
-                        reply = await self._recognize(*capture)
-                    await write_frame(writer, reply)
-                elif op == "stats":
-                    await write_frame(writer,
-                                      {"op": "counters", **self.counters()})
-                elif op == "shutdown":
-                    await self.drain()
-                    await write_frame(writer, {"op": "bye",
-                                               **self.counters()})
-                    await self.stop()
-                    break
-                else:
-                    await write_frame(writer, {"op": "error",
-                                               "error": f"unknown op {op!r}"})
-        except (ProtocolError, ConnectionError):
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown cancels handler tasks that are parked in
-            # read_frame(); completing quietly instead of propagating
-            # keeps shutdown silent (the transport is closing anyway).
-            pass
-        finally:
-            writer.close()
+    async def _shutdown(self) -> dict:
+        await self.drain()
+        return await super()._shutdown()
+
+    @staticmethod
+    def _recognize_fields(message: dict) -> tuple[int, float, int, int]:
+        return (int(message["object_class"]),
+                float(message.get("viewpoint", 0.0)),
+                int(message["capture_id"]),
+                int(message.get("input_bytes", 0)))
 
     def _overloaded(self) -> bool:
         return (self.admission == "shed"
@@ -277,15 +225,3 @@ class EdgeService:
                     if attempt:
                         raise
         raise ProtocolError("unreachable")  # pragma: no cover
-
-
-def edge_main(conn, payload: dict) -> None:  # pragma: no cover - subprocess
-    """Process entry point: serve until shutdown, report the port."""
-
-    async def _run() -> None:
-        service = EdgeService(payload)
-        await service.start()
-        conn.send(("port", service.port))
-        await service.wait_stopped()
-
-    asyncio.run(_run())

@@ -36,10 +36,11 @@ import dataclasses
 import time
 import typing
 
-from repro.backend.cloud_server import CloudService, cloud_main
-from repro.backend.edge_server import EdgeService, edge_main
+from repro.backend.cloud_server import CloudService
+from repro.backend.edge_server import EdgeService
 from repro.backend.loadgen import RealClient, WorkloadItem, build_workload
 from repro.backend.protocol import call
+from repro.backend.server import serve_process
 from repro.core.config import CoICConfig
 from repro.core.metrics import MetricsRecorder
 from repro.vision.model_zoo import CLOUD_GPU_2018, get_network
@@ -87,11 +88,11 @@ def build_cloud_payload(config: CoICConfig) -> dict:
                           descriptor_dim=config.recognition.descriptor_dim)
     inference_s = (CLOUD_GPU_2018.invocation_overhead_s
                    + CLOUD_GPU_2018.seconds_for_gflops(network.total_gflops))
-    return {"shim": {
+    return {
         "backhaul_mbps": config.network.backhaul_mbps,
         "backhaul_delay_ms": config.network.backhaul_delay_ms,
         "inference_s": inference_s,
-    }}
+    }
 
 
 def build_edge_payload(spec: "ScenarioSpec", edge_name: str,
@@ -197,7 +198,7 @@ async def _shutdown_service(port: int) -> dict:  # pragma: no cover - process mo
 async def _run_inline(spec: "ScenarioSpec", config: CoICConfig,
                       items: list[WorkloadItem], recorder: MetricsRecorder,
                       pace_s: float, sequential: bool) -> RealRunResult:
-    cloud = CloudService(build_cloud_payload(config)["shim"])
+    cloud = CloudService(build_cloud_payload(config))
     await cloud.start()
     edges: dict[str, EdgeService] = {}
     ports: dict[str, int] = {}
@@ -221,10 +222,11 @@ async def _run_inline(spec: "ScenarioSpec", config: CoICConfig,
                          edge_counters=counters, items=items)
 
 
-def _spawn(ctx, target, payload: dict):  # pragma: no cover - process mode
-    """Start one service process; returns (process, bound port)."""
+def _spawn(ctx, service_cls, payload: dict):  # pragma: no cover - process mode
+    """Start ``service_cls(payload)`` in its own process; (process, port)."""
     parent_conn, child_conn = ctx.Pipe()
-    process = ctx.Process(target=target, args=(child_conn, payload),
+    process = ctx.Process(target=serve_process,
+                          args=(child_conn, service_cls, payload),
                           daemon=True)
     process.start()
     child_conn.close()
@@ -248,7 +250,7 @@ async def _run_process(  # pragma: no cover - process mode
     import multiprocessing
 
     ctx = multiprocessing.get_context("spawn")
-    cloud_proc, cloud_port = _spawn(ctx, cloud_main,
+    cloud_proc, cloud_port = _spawn(ctx, CloudService,
                                     build_cloud_payload(config))
     edge_procs: dict[str, typing.Any] = {}
     ports: dict[str, int] = {}
@@ -257,7 +259,7 @@ async def _run_process(  # pragma: no cover - process mode
         for espec in spec.edges:
             payload = build_edge_payload(spec, espec.name, config,
                                          ("127.0.0.1", cloud_port))
-            process, port = _spawn(ctx, edge_main, payload)
+            process, port = _spawn(ctx, EdgeService, payload)
             edge_procs[espec.name] = process
             ports[espec.name] = port
 

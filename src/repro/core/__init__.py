@@ -21,6 +21,10 @@ The cooperative immersive-computing framework, assembled from:
   pre-warm.
 * :mod:`~repro.core.federation` — the edge-to-edge ``peer_lookup``
   protocol and its asking side (probe order, probe loop, settlement).
+* :mod:`~repro.core.balancer` — the one place that ranks neighbours:
+  the least-loaded / affinity offload balancers (every pick an auction,
+  free and open without a broker) and the summary scores ``probe_order``
+  sorts by.
 * :mod:`~repro.core.baselines` — the paper's Origin baseline (full
   offload, no cache) and a local-only reference.
 * :mod:`~repro.core.scenario` / :mod:`~repro.core.cluster` — the
@@ -33,96 +37,9 @@ The cooperative immersive-computing framework, assembled from:
   privacy protection.
 """
 
-from repro.core.cache import CacheEntry, CacheStats, ICCache
-from repro.core.cluster import ClusterDeployment, HandoffEvent, PrewarmEvent
-from repro.core.pipeline import (
-    AdmissionControlStage,
-    PeerLoadBalancer,
-    Pipeline,
-    build_pipeline,
-    default_pipeline,
-)
-from repro.core.scenario import (
-    ClientSpec,
-    EdgePolicySpec,
-    EdgeSpec,
-    InterEdgeLinkSpec,
-    MobilitySpec,
-    ScenarioSpec,
-    WarmupSpec,
-    load_spec,
-)
-from repro.core.config import (
-    CacheConfig,
-    CoICConfig,
-    NetworkConfig,
-    RecognitionConfig,
-    RenderingConfig,
-    VrConfig,
-)
-from repro.core.descriptors import Descriptor, HashDescriptor, VectorDescriptor
-from repro.core.distance import get_metric
-from repro.core.index import ExactIndex, LinearIndex, LshIndex, make_index
-from repro.core.metrics import MetricsRecorder, RequestRecord
-from repro.core.policies import (
-    FifoPolicy,
-    GdsfPolicy,
-    LfuPolicy,
-    LruPolicy,
-    SizePolicy,
-    TtlPolicy,
-    make_policy,
-)
-from repro.core.tasks import (
-    ModelLoadTask,
-    PanoramaTask,
-    RecognitionTask,
-)
+from repro.core.cache import ICCache
+from repro.core.cluster import ClusterDeployment
+from repro.core.config import CoICConfig
+from repro.core.scenario import ScenarioSpec
 
-__all__ = [
-    "CacheConfig",
-    "CacheEntry",
-    "CacheStats",
-    "ClientSpec",
-    "ClusterDeployment",
-    "CoICConfig",
-    "AdmissionControlStage",
-    "Descriptor",
-    "EdgePolicySpec",
-    "EdgeSpec",
-    "HandoffEvent",
-    "InterEdgeLinkSpec",
-    "MobilitySpec",
-    "PeerLoadBalancer",
-    "Pipeline",
-    "PrewarmEvent",
-    "ScenarioSpec",
-    "WarmupSpec",
-    "build_pipeline",
-    "default_pipeline",
-    "ExactIndex",
-    "FifoPolicy",
-    "GdsfPolicy",
-    "HashDescriptor",
-    "ICCache",
-    "LfuPolicy",
-    "LinearIndex",
-    "LruPolicy",
-    "LshIndex",
-    "MetricsRecorder",
-    "ModelLoadTask",
-    "NetworkConfig",
-    "PanoramaTask",
-    "RecognitionConfig",
-    "RecognitionTask",
-    "RenderingConfig",
-    "RequestRecord",
-    "SizePolicy",
-    "TtlPolicy",
-    "VectorDescriptor",
-    "VrConfig",
-    "get_metric",
-    "load_spec",
-    "make_index",
-    "make_policy",
-]
+__all__ = ["ClusterDeployment", "CoICConfig", "ICCache", "ScenarioSpec"]

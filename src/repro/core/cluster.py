@@ -63,6 +63,7 @@ import hashlib
 import itertools
 import typing
 
+from repro.core.balancer import AffinityLoadBalancer, PeerLoadBalancer
 from repro.core.baselines import LocalClient, OriginClient
 from repro.core.cache import ICCache
 from repro.core.client import CoICClient
@@ -72,11 +73,7 @@ from repro.core.descriptors import HashDescriptor, VectorDescriptor
 from repro.core.edge import EdgeNode
 from repro.core.layer_cache import LAYER_KIND_PREFIX, LayerCacheManager
 from repro.core.metrics import MetricsRecorder
-from repro.core.pipeline import (
-    AffinityLoadBalancer,
-    PeerLoadBalancer,
-    build_pipeline,
-)
+from repro.core.pipeline import build_pipeline
 from repro.core.policies import make_policy
 from repro.core.scenario import ScenarioSpec, WarmupSpec
 from repro.core.tasks import (
@@ -312,11 +309,6 @@ class ClusterDeployment:
             if self.balancer is not None:
                 self.balancer.register(espec.name, node,
                                        neighbours[espec.name])
-            if spec.policy is not None and spec.policy.summary_piggyback:
-                # Delta gossip on cooperation traffic (offload and
-                # federated replies, pre-warm acknowledgements); the
-                # default-off path changes zero message bytes.
-                node.summary_piggyback = True
             self.edges.append(node)
         self.edge_by_name = dict(zip(self.edge_names, self.edges))
         self.cache_by_name = dict(zip(self.edge_names, self.caches))
@@ -349,16 +341,12 @@ class ClusterDeployment:
             # descriptor threshold accepts, the deepest tap (full-result
             # reuse) is stricter than it — sketch-keyed whole results
             # must not be easier to reuse than descriptor-matched ones.
-            budget_frac = spec.policy.layer_tap_budget_frac
             for name, cache, node in zip(self.edge_names, self.caches,
                                          self.edges):
                 manager = LayerCacheManager(
                     self._network, cache,
                     base_threshold=2.0 * node.match_threshold,
-                    device=node.recognizer.device,
-                    tap_budget_bytes=(
-                        int(budget_frac * cache.capacity_bytes)
-                        if budget_frac is not None else None))
+                    device=node.recognizer.device)
                 self.layer_managers[name] = manager
                 node.layer_manager = manager
 

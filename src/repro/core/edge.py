@@ -43,7 +43,6 @@ import typing
 
 from repro.core.cache import ICCache
 from repro.core.descriptors import Descriptor, HashDescriptor
-from repro.core.layer_cache import LAYER_KIND_PREFIX
 from repro.core.tasks import (
     ModelLoadResult,
     ModelLoadTask,
@@ -180,14 +179,6 @@ class EdgeNode:
         #: offload reads this; stale by up to the gossip interval).
         self.peer_summaries: dict[str, typing.Any] = {}
         self.summaries_received = 0
-        #: Attach a fresh CacheSummary to replies for offloaded /
-        #: federated requests and push one back after absorbing a
-        #: pre-warm, so peers' affinity views refresh on the traffic
-        #: itself instead of waiting out ``summary_refresh_s``.  Off by
-        #: default (set from ``EdgePolicySpec.summary_piggyback`` by the
-        #: deployment builder): the periodic-only path is byte-identical
-        #: to the historical behaviour.
-        self.summary_piggyback = False
         env.process(self._serve())
 
     # -- load ----------------------------------------------------------------
@@ -229,21 +220,8 @@ class EdgeNode:
         tagged = {"served_by": self.host.name}
         if headers:
             tagged.update(headers)
-        if self.summary_piggyback and msg.headers.get("offloaded"):
-            # Gossip rides the work: the origin edge that offloaded here
-            # gets this cache's *current* summary with the reply (and
-            # pays its wire bytes), instead of routing on a snapshot up
-            # to ``summary_refresh_s`` stale.  The relay at the origin
-            # strips the header before the client sees it.
-            summary = self._fresh_summary()
-            tagged["peer_summary"] = summary
-            size_bytes += summary.size_bytes
         return self.rpc.respond(msg, size_bytes=size_bytes, payload=payload,
                                 kind=kind, headers=tagged)
-
-    def _fresh_summary(self):
-        """This cache's current summary, as gossiped to peer edges."""
-        return self.cache.summary(exclude_prefix=LAYER_KIND_PREFIX)
 
     # -- cache lookup / insert ----------------------------------------------------
 
@@ -333,40 +311,16 @@ class EdgeNode:
         inserted = self.cache.insert_batch(msg.payload, now=self.env.now)
         self.prewarm_received += sum(1 for entry in inserted
                                      if entry is not None)
-        if self.summary_piggyback and msg.src:
-            # A pre-warm just changed this cache materially — exactly
-            # when the pusher's affinity view of us goes stale.  Send a
-            # refreshed summary straight back instead of letting the
-            # balancer route on the old sketch until the next periodic
-            # push.
-            summary = self._fresh_summary()
-            push = Message(size_bytes=summary.size_bytes,
-                           kind="cache_summary", payload=summary,
-                           src=self.host.name, dst=msg.src)
-            try:
-                yield from self.rpc.send(push)
-            except RpcError:
-                pass  # pusher unreachable: the periodic path recovers
 
     def _handle_peer_lookup(self, msg: Message):
         """Answer another edge's cache probe (descriptor only)."""
         descriptor: Descriptor = msg.payload
         entry = yield from self._lookup(descriptor, self.match_threshold)
-        headers = None
-        extra_bytes = 0
-        if self.summary_piggyback:
-            # Delta gossip on the probe traffic itself: the asking edge
-            # refreshes its affinity view of us with every peer_result,
-            # paying the summary's wire bytes on the same reply.
-            summary = self._fresh_summary()
-            headers = {"peer_summary": summary}
-            extra_bytes = summary.size_bytes
         result = None if entry is None else entry.result
         size = 96 if result is None else result.size_bytes
         try:
             yield from self.rpc.respond(
-                msg, size_bytes=size + extra_bytes, payload=result,
-                kind="peer_result", headers=headers)
+                msg, size_bytes=size, payload=result, kind="peer_result")
         except RpcError:
             # The asking edge is cut off: its probe times out over there.
             self.responses_dropped += 1

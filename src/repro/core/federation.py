@@ -58,22 +58,14 @@ from __future__ import annotations
 
 import typing
 
+from repro.core.balancer import hit_scores
 from repro.core.descriptors import Descriptor
 from repro.core.metrics import LEDGER_FEDERATION
-from repro.core.sketch import AffinitySketch
 from repro.net.message import Message
 from repro.net.transport import RpcError
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.core.edge import EdgeNode
-
-#: Shared signature sketch for scoring peer probes against gossiped
-#: cache summaries.  AffinitySketch hyperplanes are deterministic from
-#: the module seed, so every edge (and every gossiped summary) agrees
-#: on bucket keys; one instance serves all nodes since signature() is
-#: read-only.
-_QUERY_SKETCH = AffinitySketch()
-
 
 def probe_order(edge: "EdgeNode", descriptor: Descriptor) -> list[str]:
     """``edge``'s admissible peers in probe order: likeliest holder first.
@@ -98,10 +90,8 @@ def probe_order(edge: "EdgeNode", descriptor: Descriptor) -> list[str]:
                  if edge.broker.admissible(edge.host.name, peer)]
     if not descriptor.is_vector or not edge.peer_summaries:
         return peers
-    signature = _QUERY_SKETCH.signature(descriptor.vector)
-    scores = {
-        peer: summary.expected_hit(descriptor.kind, signature)
-        for peer, summary in edge.peer_summaries.items()}
+    scores = hit_scores(edge.peer_summaries, descriptor.kind,
+                        descriptor.vector)
     return sorted(peers, key=lambda peer: -scores.get(peer, 0.0))
 
 
@@ -123,12 +113,6 @@ def query_peers(edge: "EdgeNode", descriptor: Descriptor):
                 probe, timeout=edge.peer_timeout_s)
         except RpcError:
             continue  # peer slow or unreachable: fall through
-        summary = response.headers.get("peer_summary")
-        if summary is not None:
-            # Piggybacked gossip: even a peer miss refreshes our
-            # view of that peer's cache for the next probe ordering.
-            edge.peer_summaries[peer] = summary
-            edge.summaries_received += 1
         if response.payload is not None:
             edge.peer_hits += 1
             return response.payload, peer

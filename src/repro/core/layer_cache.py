@@ -73,48 +73,22 @@ class LayerCacheManager:
             cache.  None stores the raw GFLOP count instead (legacy
             behaviour — only comparable to other layer entries, not to
             result entries priced in seconds).
-        tap_budget_bytes: Per-activation byte ceiling: tap layers whose
-            single activation tensor exceeds this are dropped from
-            ``tap_layers`` up front (a VGG16 conv1 tensor is ~12.8 MB —
-            one entry would monopolize a small cabinet cache and evict
-            hundreds of IC results).  Partial inference then resumes at
-            the deepest *affordable* tap instead.  None keeps all taps.
     """
 
     def __init__(self, network: "DnnModel", cache: ICCache,
                  tap_layers: typing.Sequence[str] | None = None,
                  base_threshold: float = 0.10, tighten: float = 0.4,
-                 device: "ComputeDevice | None" = None,
-                 tap_budget_bytes: int | None = None):
+                 device: "ComputeDevice | None" = None):
         if not 0 < tighten <= 1:
             raise ValueError("tighten must be in (0, 1]")
         if base_threshold <= 0:
             raise ValueError("base_threshold must be > 0")
-        if tap_budget_bytes is not None and tap_budget_bytes <= 0:
-            raise ValueError("tap_budget_bytes must be > 0")
         self.network = network
         self.cache = cache
         self.tap_layers = (list(tap_layers) if tap_layers is not None
                            else [layer.name for layer in network.layers])
         for name in self.tap_layers:
             network.layer_index(name)  # validate
-        self.tap_budget_bytes = tap_budget_bytes
-        #: Taps excluded by the byte budget, for telemetry/tests.
-        self.skipped_taps: list[str] = []
-        if tap_budget_bytes is not None:
-            affordable = []
-            for name in self.tap_layers:
-                if network.layer(name).output_bytes > tap_budget_bytes:
-                    self.skipped_taps.append(name)
-                else:
-                    affordable.append(name)
-            if not affordable:
-                smallest = min(network.layer(n).output_bytes
-                               for n in self.tap_layers)
-                raise ValueError(
-                    f"tap_budget_bytes={tap_budget_bytes} excludes every "
-                    f"tap layer; smallest activation is {smallest} B")
-            self.tap_layers = affordable
         self.base_threshold = base_threshold
         self.tighten = tighten
         self.device = device

@@ -66,6 +66,7 @@ from repro.core.tasks import ModelLoadTask, PanoramaTask, RecognitionTask
 from repro.net.message import Message
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.core.balancer import PeerLoadBalancer
     from repro.core.edge import EdgeNode
     from repro.core.scenario import EdgePolicySpec
     from repro.sim.events import Event
@@ -603,235 +604,6 @@ def default_pipeline() -> Pipeline:
 # -- overload layer -----------------------------------------------------------
 
 
-class PeerLoadBalancer:
-    """Least-loaded neighbour selection over the inter-edge graph.
-
-    Holds a registry of edge nodes and their backhaul neighbours (the
-    scenario's ``inter_edge`` adjacency) and answers "who should take
-    this request instead of me?".  Load reads model the out-of-band load
-    reports real balancers gossip; in-flight offloads are counted
-    against the target immediately, so a same-tick burst does not herd
-    onto one momentarily idle peer.
-
-    Args:
-        margin: A peer is only chosen if its load is at least this much
-            below the asking edge's (hysteresis against ping-ponging
-            work between two equally busy sites).
-        broker: Optional :class:`~repro.core.market.FederationBroker`.
-            When set, every pick is an auction round: inadmissible
-            peers (consent denied, or quoted over the consumer's
-            budget) never bid, the winner is the broker's auction over
-            the remaining bids, and a broker timeout is a no-bid round
-            (pick returns None).  An all-free open market selects
-            identically to the broker-less code path.
-    """
-
-    def __init__(self, margin: int = 1, broker=None):
-        if margin < 0:
-            raise ValueError("margin must be >= 0")
-        self.margin = margin
-        self.broker = broker
-        self._edges: dict[str, "EdgeNode"] = {}
-        self._neighbours: dict[str, tuple[str, ...]] = {}
-        self._pending: dict[str, int] = {}
-        self.dispatched = 0
-
-    def register(self, name: str, edge: "EdgeNode",
-                 neighbours: typing.Sequence[str]) -> None:
-        self._edges[name] = edge
-        self._neighbours[name] = tuple(n for n in neighbours if n != name)
-
-    def load_of(self, name: str) -> int:
-        """Busy + queued compute slots plus offloads already in flight."""
-        return self._edges[name].load + self._pending.get(name, 0)
-
-    def pick(self, src: str, key: "typing.Any | None" = None) -> str | None:
-        """The least-loaded neighbour of ``src`` worth offloading to.
-
-        Ties break in registration (spec) order; returns None when no
-        neighbour is at least ``margin`` below ``src``'s own load.
-        ``key`` (the request's affinity key) is accepted for interface
-        compatibility with :class:`AffinityLoadBalancer` and ignored
-        here — load is the only signal this balancer reads.
-        """
-        if self.broker is not None:
-            if not self.broker.begin_round():
-                return None
-            return self._market_select(src, key)
-        own = self.load_of(src) if src in self._edges else 0
-        best: str | None = None
-        best_load: int | None = None
-        for name in self._neighbours.get(src, ()):
-            load = self.load_of(name)
-            if best_load is None or load < best_load:
-                best, best_load = name, load
-        if best is None or best_load + self.margin > own:
-            return None
-        return best
-
-    def _market_bids(self, src: str):
-        """Bids from admissible neighbours, ranked least-loaded."""
-        from repro.core.market import Bid
-
-        broker = self.broker
-        consumer = broker.domain(src)
-        bids = []
-        for order, name in enumerate(self._neighbours.get(src, ())):
-            if not broker.admissible(src, name):
-                continue
-            provider_op = broker.domain(name)
-            bids.append(Bid(provider=name, operator=provider_op,
-                            rank=(self.load_of(name),),
-                            price=broker.quote(consumer, provider_op),
-                            order=order))
-        return bids
-
-    def _market_select(self, src: str,
-                       key: "typing.Any | None" = None) -> str | None:
-        """Auction over admissible neighbours (broker mode of pick)."""
-        broker = self.broker
-        own = self.load_of(src) if src in self._edges else 0
-        winner = broker.auction(self._market_bids(src),
-                                broker.budget_of(broker.domain(src)),
-                                seed=broker.seed)
-        if winner is None or winner.rank[0] + self.margin > own:
-            return None
-        return winner.provider
-
-    def note_dispatch(self, name: str) -> None:
-        self._pending[name] = self._pending.get(name, 0) + 1
-        self.dispatched += 1
-
-    def note_done(self, name: str) -> None:
-        self._pending[name] = max(0, self._pending.get(name, 0) - 1)
-
-
-class AffinityLoadBalancer(PeerLoadBalancer):
-    """Cache-affinity neighbour selection: who is likely to *hit*?
-
-    The least-loaded balancer moves raw load; this one moves load toward
-    reusable state.  Each edge gossips a compact
-    :class:`~repro.core.cache.CacheSummary` of its contents to its
-    backhaul neighbours (see ``ClusterDeployment``'s gossip driver); the
-    asking edge's admission stage hands this balancer the request's
-    affinity key — the client-supplied input sketch, or the descriptor
-    vector when the client computed one — and each eligible neighbour is
-    scored as
-
-        ``expected_hit(summary, key)  x  1 / (1 + load)``
-
-    i.e. hit probability weighted by load headroom.  The highest score
-    wins; exact score ties (in particular the all-zero case: no key, no
-    summaries yet, or nobody plausibly holds the content) fall back to
-    the least-loaded choice, so with gossip silent this balancer is
-    decision-identical to :class:`PeerLoadBalancer`.  The margin
-    hysteresis is unchanged: only neighbours at least ``margin`` below
-    the asking edge's load are eligible at all — affinity re-orders
-    eligible peers, it never overloads a busy one.
-
-    Args:
-        margin: As :class:`PeerLoadBalancer`.
-        kind: Descriptor kind whose summaries are scored.
-    """
-
-    def __init__(self, margin: int = 1, kind: str = "recognition",
-                 broker=None):
-        super().__init__(margin=margin, broker=broker)
-        self.kind = kind
-        from repro.core.sketch import AffinitySketch
-
-        #: Signature-only sketch (shared deterministic hyperplanes).
-        self._sketch = AffinitySketch()
-        self.affinity_picks = 0
-        self.fallback_picks = 0
-
-    def pick(self, src: str, key: "typing.Any | None" = None) -> str | None:
-        """The eligible neighbour with the best hit x headroom score.
-
-        Falls back to the least-loaded choice when ``key`` is None or
-        every eligible neighbour scores zero.
-        """
-        if self.broker is not None:
-            if not self.broker.begin_round():
-                return None
-            return self._market_select(src, key)
-        fallback = super().pick(src)
-        if key is None:
-            if fallback is not None:
-                self.fallback_picks += 1
-            return fallback
-        own = self.load_of(src) if src in self._edges else 0
-        asking = self._edges.get(src)
-        view = getattr(asking, "peer_summaries", {}) if asking else {}
-        signature = self._sketch.signature(key)
-        best: str | None = None
-        best_rank: tuple[float, int] | None = None
-        for name in self._neighbours.get(src, ()):
-            load = self.load_of(name)
-            if load + self.margin > own:
-                continue
-            summary = view.get(name)
-            score = (summary.expected_hit(self.kind, signature)
-                     * (1.0 / (1.0 + load)) if summary is not None else 0.0)
-            # Highest score wins; equal scores go to the less-loaded
-            # peer, then registration order (strict < keeps the earlier).
-            rank = (-score, load)
-            if best_rank is None or rank < best_rank:
-                best, best_rank = name, rank
-        if best is None or best_rank[0] >= 0.0:
-            if fallback is not None:
-                self.fallback_picks += 1
-            return fallback
-        self.affinity_picks += 1
-        return best
-
-    def _market_select(self, src: str,
-                       key: "typing.Any | None" = None) -> str | None:
-        """Affinity auction: admissible, eligible peers bid hit x headroom.
-
-        Mirrors the broker-less pick exactly — margin eligibility, the
-        ``(-score, load)`` rank, least-loaded fallback when no peer
-        plausibly holds the content — with inadmissible peers silently
-        excluded from both the auction and the fallback.
-        """
-        from repro.core.market import Bid
-
-        broker = self.broker
-        fallback = super()._market_select(src)
-        if key is None:
-            if fallback is not None:
-                self.fallback_picks += 1
-            return fallback
-        own = self.load_of(src) if src in self._edges else 0
-        asking = self._edges.get(src)
-        view = getattr(asking, "peer_summaries", {}) if asking else {}
-        signature = self._sketch.signature(key)
-        consumer = broker.domain(src)
-        bids = []
-        for order, name in enumerate(self._neighbours.get(src, ())):
-            if not broker.admissible(src, name):
-                continue
-            load = self.load_of(name)
-            if load + self.margin > own:
-                continue
-            summary = view.get(name)
-            score = (summary.expected_hit(self.kind, signature)
-                     * (1.0 / (1.0 + load)) if summary is not None else 0.0)
-            bids.append(Bid(provider=name, operator=broker.domain(name),
-                            rank=(-score, load),
-                            price=broker.quote(consumer,
-                                               broker.domain(name)),
-                            order=order))
-        winner = broker.auction(bids, broker.budget_of(consumer),
-                                seed=broker.seed)
-        if winner is None or winner.rank[0] >= 0.0:
-            if fallback is not None:
-                self.fallback_picks += 1
-            return fallback
-        self.affinity_picks += 1
-        return winner.provider
-
-
 class AdmissionControlStage(AdmitStage):
     """Overload-aware front door: shed, cloud-redirect, or peer-offload.
 
@@ -850,7 +622,7 @@ class AdmissionControlStage(AdmitStage):
     name = "admit"
 
     def __init__(self, spec: "EdgePolicySpec",
-                 balancer: PeerLoadBalancer | None = None):
+                 balancer: "PeerLoadBalancer | None" = None):
         self.spec = spec
         self.balancer = balancer
 
@@ -859,19 +631,9 @@ class AdmissionControlStage(AdmitStage):
                 f"offload={self.spec.offload!r})")
 
     def overloaded(self, edge: "EdgeNode") -> bool:
-        """Is the worker pool saturated past the policy's thresholds?"""
-        backlog = edge.compute.queue_length
-        spec = self.spec
-        if spec.queue_limit is not None and backlog >= spec.queue_limit:
-            return True
-        if spec.deadline_s is not None:
-            # Deterministic service-time estimate: how long would this
-            # request wait behind the backlog before extraction starts?
-            per_slot = edge.recognizer.extraction_time()
-            estimated_wait = (backlog / edge.compute.capacity) * per_slot
-            if estimated_wait > spec.deadline_s:
-                return True
-        return False
+        """Is the worker pool's backlog at the policy's ``queue_limit``?"""
+        limit = self.spec.queue_limit
+        return limit is not None and edge.compute.queue_length >= limit
 
     def run(self, edge: "EdgeNode", ctx: RequestContext):
         if not isinstance(ctx.task, RecognitionTask):
@@ -924,9 +686,8 @@ class AdmissionControlStage(AdmitStage):
         """Queue-drain estimate shipped with every shed response.
 
         How long until a worker slot frees up given the current backlog
-        — the same deterministic service-time model the deadline
-        trigger uses — so clients can back off for roughly one drain
-        period instead of guessing.
+        — a deterministic service-time model — so clients can back off
+        for roughly one drain period instead of guessing.
         """
         backlog = edge.compute.queue_length
         per_slot = edge.recognizer.extraction_time()
@@ -967,16 +728,8 @@ class AdmissionControlStage(AdmitStage):
                 forward, timeout=edge.config.request_timeout_s)
         finally:
             self.balancer.note_done(target)
-        summary = response.headers.get("peer_summary")
-        if summary is not None:
-            # Piggybacked gossip: the serving edge attached its fresh
-            # CacheSummary to the reply (EdgePolicySpec.summary_piggyback),
-            # so the balancer's view of that peer updates now instead of
-            # at the next periodic push.  Never relayed to the client.
-            edge.peer_summaries[target] = summary
-            edge.summaries_received += 1
         relay = {key: value for key, value in response.headers.items()
-                 if key not in ("in_reply_to", "rpc_id", "peer_summary")}
+                 if key not in ("in_reply_to", "rpc_id")}
         broker = getattr(self.balancer, "broker", None)
         if broker is not None:
             # Bill the completed job: the consumer operator pays the
@@ -996,7 +749,7 @@ class AdmissionControlStage(AdmitStage):
 
 
 def build_pipeline(policy: "EdgePolicySpec | None" = None,
-                   balancer: PeerLoadBalancer | None = None) -> Pipeline:
+                   balancer: "PeerLoadBalancer | None" = None) -> Pipeline:
     """The pipeline for a scenario's edge policy (default when None)."""
     pipeline = default_pipeline()
     if policy is not None and policy.gates_admission:

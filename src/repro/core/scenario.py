@@ -38,7 +38,9 @@ constructors the golden digests were captured on.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import types
 import typing
 
 
@@ -47,8 +49,88 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+# -- the spec codec -----------------------------------------------------------
+#
+# One field-driven pair of functions serializes every spec class: the
+# dataclass fields name the keys and supply the defaults, the field
+# annotations say how to rebuild each value.
+
+
+def _encode(value: typing.Any) -> typing.Any:
+    """``value`` as plain JSON types: specs -> dicts, tuples -> lists."""
+    if isinstance(value, _Spec):
+        return {f.name: _encode(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
+
+
+def _decode(annotation: typing.Any, value: typing.Any) -> typing.Any:
+    """Plain JSON ``value`` as the field type ``annotation`` describes."""
+    origin = typing.get_origin(annotation)
+    args = typing.get_args(annotation)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        args = tuple(a for a in args if a is not type(None))
+        # ``str | dict`` (an itinerary trace) passes through as given.
+        return _decode(args[0], value) if len(args) == 1 else value
+    _require(value is not None, "must not be null")
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(_decode(args[0], item) for item in value)
+        _require(len(value) == len(args), f"expected {len(args)} items")
+        return tuple(_decode(a, item) for a, item in zip(args, value))
+    if isinstance(annotation, type) and issubclass(annotation, _Spec):
+        return annotation.from_dict(value)
+    return float(value) if annotation is float else value
+
+
+class _Spec:
+    """Dict serialization shared by every spec dataclass."""
+
+    def to_dict(self) -> dict:
+        """Plain JSON types, one key per field in declaration order."""
+        return _encode(self)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Rebuild from :meth:`to_dict` output; omitted keys default.
+
+        Spec files come from outside the program: an unknown key, a
+        missing required key or a null where none is allowed raises
+        ``ValueError`` naming the key and the spec class.
+        """
+        _require(isinstance(data, dict),
+                 f"{cls.__name__}: expected a mapping, got {data!r}")
+        annotations = _annotations(cls)
+        for key in data:
+            _require(key in annotations,
+                     f"{cls.__name__}: unknown key {key!r}")
+        kwargs = {}
+        for field in dataclasses.fields(cls):
+            if field.name in data:
+                try:
+                    kwargs[field.name] = _decode(annotations[field.name],
+                                                 data[field.name])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(
+                        f"{cls.__name__}.{field.name}: {exc}") from exc
+            else:
+                _require(field.default is not dataclasses.MISSING,
+                         f"{cls.__name__}: missing required key "
+                         f"{field.name!r}")
+        return cls(**kwargs)
+
+
+@functools.cache
+def _annotations(cls: type) -> dict[str, typing.Any]:
+    return typing.get_type_hints(cls)
+
+
 @dataclasses.dataclass(frozen=True)
-class ClientSpec:
+class ClientSpec(_Spec):
     """One mobile host attached (initially) to an edge.
 
     Attributes:
@@ -71,19 +153,15 @@ class ClientSpec:
         _require(self.access in ("wifi", "lte"),
                  f"access must be 'wifi' or 'lte', got {self.access!r}")
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "access": self.access,
-                "wifi_stream": self.wifi_stream}
-
     @classmethod
-    def from_dict(cls, data: dict) -> "ClientSpec":
-        return cls(name=data["name"],
-                   access=data.get("access", "wifi"),
-                   wifi_stream=data.get("wifi_stream", ""))
+    def from_dict(cls, data: "dict | str") -> "ClientSpec":
+        """Also accepts a bare host name (``"clients": ["m0", "m1"]``)."""
+        return super().from_dict(
+            {"name": data} if isinstance(data, str) else data)
 
 
 @dataclasses.dataclass(frozen=True)
-class EdgeSpec:
+class EdgeSpec(_Spec):
     """One edge site: position, initial clients, backhaul stream, peers.
 
     Attributes:
@@ -125,34 +203,9 @@ class EdgeSpec:
         if self.cache_mb is not None:
             _require(self.cache_mb > 0, "cache_mb must be > 0")
 
-    def to_dict(self) -> dict:
-        return {"name": self.name,
-                "clients": [c.to_dict() for c in self.clients],
-                "x": self.x, "y": self.y,
-                "backhaul_stream": self.backhaul_stream,
-                "peers": list(self.peers) if self.peers is not None else None,
-                "cache_mb": self.cache_mb,
-                "operator": self.operator}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EdgeSpec":
-        clients = data.get("clients", ())
-        clients = tuple(
-            ClientSpec.from_dict(c) if isinstance(c, dict)
-            else ClientSpec(name=str(c))
-            for c in clients)
-        peers = data.get("peers")
-        cache_mb = data.get("cache_mb")
-        return cls(name=data["name"], clients=clients,
-                   x=float(data.get("x", 0.0)), y=float(data.get("y", 0.0)),
-                   backhaul_stream=data.get("backhaul_stream", ""),
-                   peers=tuple(peers) if peers is not None else None,
-                   cache_mb=float(cache_mb) if cache_mb is not None else None,
-                   operator=data.get("operator", ""))
-
 
 @dataclasses.dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(_Spec):
     """One operator domain in a multi-operator federation market.
 
     Cross-domain work (peer offload, federation cache probes, handoff
@@ -216,29 +269,9 @@ class OperatorSpec:
             return False
         return self.allow is None or consumer in self.allow
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "price": self.price,
-                "budget": self.budget,
-                "allow": list(self.allow) if self.allow is not None else None,
-                "deny": list(self.deny),
-                "agreements": [[peer, price]
-                               for peer, price in self.agreements]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OperatorSpec":
-        allow = data.get("allow")
-        return cls(name=data["name"],
-                   price=float(data.get("price", 0.0)),
-                   budget=(float(data["budget"])
-                           if data.get("budget") is not None else None),
-                   allow=tuple(allow) if allow is not None else None,
-                   deny=tuple(data.get("deny", ())),
-                   agreements=tuple((peer, float(price)) for peer, price
-                                    in data.get("agreements", ())))
-
 
 @dataclasses.dataclass(frozen=True)
-class InterEdgeLinkSpec:
+class InterEdgeLinkSpec(_Spec):
     """One duplex link of the inter-edge backhaul graph.
 
     The graph need not be a full mesh: routing is Dijkstra over
@@ -257,20 +290,9 @@ class InterEdgeLinkSpec:
         _require(self.mbps > 0, "inter-edge mbps must be > 0")
         _require(self.delay_ms >= 0, "inter-edge delay_ms must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "mbps": self.mbps,
-                "delay_ms": self.delay_ms, "stream": self.stream}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InterEdgeLinkSpec":
-        return cls(a=data["a"], b=data["b"],
-                   mbps=float(data.get("mbps", 1000.0)),
-                   delay_ms=float(data.get("delay_ms", 2.0)),
-                   stream=data.get("stream", ""))
-
 
 @dataclasses.dataclass(frozen=True)
-class MobilitySpec:
+class MobilitySpec(_Spec):
     """User mobility and handoff knobs for a scenario.
 
     Attributes:
@@ -350,29 +372,9 @@ class MobilitySpec:
                  f"{label} weights must be >= 0")
         _require(sum(weights) > 0, f"{label} weights must not all be zero")
 
-    def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["bias"] = list(self.bias) if self.bias is not None else None
-        data["bias_schedule"] = (
-            [[start, list(weights)] for start, weights in self.bias_schedule]
-            if self.bias_schedule is not None else None)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MobilitySpec":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        data = {k: v for k, v in data.items() if k in fields}
-        if data.get("bias") is not None:
-            data["bias"] = tuple(data["bias"])
-        if data.get("bias_schedule") is not None:
-            data["bias_schedule"] = tuple(
-                (start, tuple(weights))
-                for start, weights in data["bias_schedule"])
-        return cls(**data)
-
 
 @dataclasses.dataclass(frozen=True)
-class BackgroundTrafficSpec:
+class BackgroundTrafficSpec(_Spec):
     """Diurnal background cross-traffic on the scenario's backhaul links.
 
     City backhauls are shared infrastructure: the capacity an edge sees
@@ -419,17 +421,9 @@ class BackgroundTrafficSpec:
         angle = 2.0 * math.pi * (when + self.phase_s) / self.period_s
         return 0.5 * (1.0 - math.cos(angle))
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BackgroundTrafficSpec":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in fields})
-
 
 @dataclasses.dataclass(frozen=True)
-class EdgePolicySpec:
+class EdgePolicySpec(_Spec):
     """Overload-management knobs for every edge in a scenario.
 
     Configures the pipeline's admission controller
@@ -446,9 +440,6 @@ class EdgePolicySpec:
         queue_limit: The edge counts as overloaded once this many
             extraction requests are waiting for a worker slot.  None
             disables the queue-length trigger.
-        deadline_s: The edge counts as overloaded once the estimated
-            queue wait (backlog / workers x extraction time) exceeds
-            this deadline.  None disables the deadline trigger.
         offload: ``"least_loaded"`` forwards overload recognition work
             to the least-loaded neighbouring edge over the inter-edge
             backhaul graph; ``"affinity"`` scores each neighbour by
@@ -465,16 +456,6 @@ class EdgePolicySpec:
             routed inter-edge path), so a peer's view of a cache is
             stale by at most this plus the transfer time.  Ignored
             unless ``offload="affinity"``.
-        summary_piggyback: Also ride delta summary updates on the
-            cooperation traffic itself: an edge answering an offloaded
-            or federated request attaches its current ``CacheSummary``
-            to the reply, and an edge absorbing a pre-warm push sends a
-            refreshed summary straight back to the pusher — so affinity
-            routing stops using a snapshot that went stale the moment a
-            big pre-warm or offload burst changed a peer's cache.
-            Every piggybacked summary pays its wire bytes on the
-            carrying message.  Off by default: the periodic-only gossip
-            path stays byte-identical to the historical behaviour.
         prewarm_top_k: Before a mobility handoff completes, push this
             many of the hottest cache entries from the old edge to the
             next edge (``ICCache.hottest`` -> ``insert_batch``).  0
@@ -519,22 +500,13 @@ class EdgePolicySpec:
             (the oracle tier), or ``"int8"`` (scalar-quantized,
             1 B/element).  Empty string (default) inherits
             ``CacheConfig.vector_dtype``.
-        layer_tap_budget_frac: Per-edge activation byte budget for
-            layer-cache taps, as a fraction of the edge cache's
-            capacity: taps whose single activation exceeds
-            ``frac * capacity_bytes`` are never cached (a 12.8 MB
-            conv1 tensor would monopolize a small cabinet cache).
-            None (default) keeps every tap.  Ignored unless the
-            policy uses the layer cache.
     """
 
     admission: str = "none"
     queue_limit: int | None = 8
-    deadline_s: float | None = None
     offload: str = "none"
     offload_margin: int = 2
     summary_refresh_s: float = 5.0
-    summary_piggyback: bool = False
     prewarm_top_k: int = 0
     prewarm_layers: int = 0
     layer_reuse: bool = False
@@ -542,7 +514,6 @@ class EdgePolicySpec:
     shed_retries: int = 0
     vector_index: str = ""
     vector_dtype: str = ""
-    layer_tap_budget_frac: float | None = None
 
     def __post_init__(self) -> None:
         _require(self.admission in ("none", "shed", "redirect"),
@@ -553,8 +524,6 @@ class EdgePolicySpec:
                  f"got {self.offload!r}")
         if self.queue_limit is not None:
             _require(self.queue_limit >= 0, "queue_limit must be >= 0")
-        if self.deadline_s is not None:
-            _require(self.deadline_s > 0, "deadline_s must be > 0")
         _require(self.offload_margin >= 0, "offload_margin must be >= 0")
         _require(self.summary_refresh_s > 0, "summary_refresh_s must be > 0")
         _require(self.prewarm_top_k >= 0, "prewarm_top_k must be >= 0")
@@ -565,9 +534,6 @@ class EdgePolicySpec:
         _require(self.vector_dtype in ("", "float32", "float64", "int8"),
                  f"vector_dtype must be ''/float32/float64/int8, "
                  f"got {self.vector_dtype!r}")
-        if self.layer_tap_budget_frac is not None:
-            _require(0 < self.layer_tap_budget_frac <= 1,
-                     "layer_tap_budget_frac must be in (0, 1]")
 
     @property
     def gates_admission(self) -> bool:
@@ -579,17 +545,9 @@ class EdgePolicySpec:
         """Does this policy need per-edge layer-cache managers built?"""
         return self.prewarm_layers > 0 or self.layer_reuse
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EdgePolicySpec":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in fields})
-
 
 @dataclasses.dataclass(frozen=True)
-class WarmupSpec:
+class WarmupSpec(_Spec):
     """Cache pre-population applied at build time via ``insert_batch``.
 
     Attributes:
@@ -609,20 +567,9 @@ class WarmupSpec:
         if self.edges is not None:
             object.__setattr__(self, "edges", tuple(self.edges))
 
-    def to_dict(self) -> dict:
-        return {"classes": list(self.classes), "models": list(self.models),
-                "edges": list(self.edges) if self.edges is not None else None}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WarmupSpec":
-        edges = data.get("edges")
-        return cls(classes=tuple(data.get("classes", ())),
-                   models=tuple(data.get("models", ())),
-                   edges=tuple(edges) if edges is not None else None)
-
 
 @dataclasses.dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Spec):
     """A complete, serializable deployment description.
 
     Attributes:
@@ -771,54 +718,6 @@ class ScenarioSpec:
             for e in self.edges)
         return dataclasses.replace(self, edges=edges,
                                    operators=tuple(operators))
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "edges": [e.to_dict() for e in self.edges],
-            "inter_edge": [l.to_dict() for l in self.inter_edge],
-            "federate": self.federate,
-            "peer_timeout_s": self.peer_timeout_s,
-            "impairments": self.impairments,
-            "vision_streams": self.vision_streams,
-            "baselines": self.baselines,
-            "mobility": self.mobility.to_dict() if self.mobility else None,
-            "warmup": self.warmup.to_dict() if self.warmup else None,
-            "policy": self.policy.to_dict() if self.policy else None,
-            "background": (self.background.to_dict()
-                           if self.background else None),
-            "operators": [o.to_dict() for o in self.operators],
-            "backend": self.backend,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        mobility = data.get("mobility")
-        warmup = data.get("warmup")
-        policy = data.get("policy")
-        background = data.get("background")
-        return cls(
-            edges=tuple(EdgeSpec.from_dict(e) for e in data["edges"]),
-            inter_edge=tuple(InterEdgeLinkSpec.from_dict(l)
-                             for l in data.get("inter_edge", ())),
-            federate=bool(data.get("federate", False)),
-            peer_timeout_s=float(data.get("peer_timeout_s", 1.0)),
-            impairments=bool(data.get("impairments", True)),
-            vision_streams=bool(data.get("vision_streams", True)),
-            baselines=bool(data.get("baselines", False)),
-            mobility=(MobilitySpec.from_dict(mobility)
-                      if mobility is not None else None),
-            warmup=(WarmupSpec.from_dict(warmup)
-                    if warmup is not None else None),
-            policy=(EdgePolicySpec.from_dict(policy)
-                    if policy is not None else None),
-            background=(BackgroundTrafficSpec.from_dict(background)
-                        if background is not None else None),
-            operators=tuple(OperatorSpec.from_dict(o)
-                            for o in data.get("operators", ())),
-            backend=str(data.get("backend", "sim")),
-        )
 
     # -- canned scenarios ----------------------------------------------------
 

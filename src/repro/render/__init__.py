@@ -10,8 +10,8 @@ Figure 2b measures:
 * :mod:`~repro.render.loader` — the three-stage load pipeline
   (fetch -> parse -> GPU upload) whose *parse* stage is what the edge
   cache of loaded data eliminates.
-* :mod:`~repro.render.scene` / :mod:`~repro.render.renderer` — a scene
-  graph and a fill-rate/triangle-rate draw-time model.
+* :mod:`~repro.render.renderer` — a fill-rate/triangle-rate draw-time
+  model.
 * :mod:`~repro.render.panorama` — equirectangular panoramic frames plus
   viewport cropping, the cloud-VR representation of FlashBack/Furion.
 """
@@ -20,7 +20,6 @@ from repro.render.loader import GpuProfile, LoadCost, LoadedModel, ModelLoader
 from repro.render.mesh import MeshModel, generate_mesh, pack_rmsh, unpack_rmsh
 from repro.render.panorama import Panorama, PanoramaGrid, Viewport
 from repro.render.renderer import RenderProfile, Renderer
-from repro.render.scene import SceneGraph, SceneNode
 
 __all__ = [
     "GpuProfile",
@@ -32,8 +31,6 @@ __all__ = [
     "PanoramaGrid",
     "RenderProfile",
     "Renderer",
-    "SceneGraph",
-    "SceneNode",
     "Viewport",
     "generate_mesh",
     "pack_rmsh",

@@ -155,6 +155,37 @@ class TestMalformedFrames:
         assert good == {"op": "resolved", "label": 3}
         assert resolved == 1
 
+    @pytest.mark.parametrize("make_service, bad, good, answer", [
+        (lambda: EdgeService(EDGE_PAYLOAD),
+         {"op": "recognize", "object_class": 2, "capture_id": "x"},
+         {"op": "recognize", "object_class": 2, "capture_id": 1}, "result"),
+        (lambda: CloudService({"backhaul_mbps": 1000.0,
+                               "backhaul_delay_ms": 0.0,
+                               "inference_s": 0.0}),
+         {"op": "resolve", "object_class": []},
+         {"op": "resolve", "object_class": 2}, "resolved"),
+    ], ids=["edge", "cloud"])
+    def test_unknown_op_and_bad_field_cost_an_error_reply_only(
+            self, make_service, bad, good, answer):
+        # The shared connection loop's contract, once per service: no
+        # op, an unknown op, an unhashable op and a badly typed field
+        # are each answered with ``error`` on a connection that then
+        # serves a good frame and the stats probe.
+        async def _run():
+            return await exchange(make_service(), [
+                {}, {"op": "frobnicate"}, {"op": ["stats"]}, bad, good,
+                {"op": "stats"}])
+
+        no_op, unknown, unhashable, ill_typed, served, stats = \
+            asyncio.run(_run())
+        for reply, fragment in ((no_op, "unknown op None"),
+                                (unknown, "unknown op 'frobnicate'"),
+                                (unhashable, "unknown op ['stats']"),
+                                (ill_typed, f"bad {bad['op']} frame")):
+            assert reply["op"] == "error" and fragment in reply["error"]
+        assert served["op"] == answer and served["label"] == 2
+        assert stats["op"] == "counters"
+
     def test_client_records_an_error_reply_as_an_error_outcome(self):
         # object_class "x" reaches the edge as an ill-typed field; the
         # client must record the refusal, not die on KeyError('label').

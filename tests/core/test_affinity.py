@@ -23,7 +23,7 @@ from repro.core.sketch import (
     input_sketch,
 )
 from repro.core.metrics import OUTCOME_HIT, OUTCOME_MISS
-from repro.core.pipeline import AffinityLoadBalancer, PeerLoadBalancer
+from repro.core.balancer import AffinityLoadBalancer, PeerLoadBalancer
 from repro.core.scenario import (
     ClientSpec,
     EdgePolicySpec,
@@ -331,88 +331,6 @@ class TestSummaryGossip:
                                [dep.recognition_task(2, viewpoint=0.1)])[0]
         assert record.outcome == OUTCOME_MISS
         assert record.edge == "edge1"
-
-
-class TestSummaryPiggyback:
-    """``EdgePolicySpec.summary_piggyback``: cooperation traffic that
-    already crosses the metro graph refreshes affinity views between
-    gossip rounds (PR 10 staleness fix).  Off by default — the pinned
-    digests in this file and ``test_cluster.py`` guard that not one
-    message byte changes."""
-
-    def piggyback_dep(self, make_spec, make_deployment, *, piggyback,
-                      **policy_kwargs):
-        spec = make_spec(
-            clients=(("m0", "m1", "m2"), (), ()),
-            warmup=WarmupSpec(classes=(1, 2, 3), edges=("edge2",)),
-            policy=EdgePolicySpec(offload="affinity", queue_limit=0,
-                                  offload_margin=0,
-                                  summary_refresh_s=1000.0,
-                                  summary_piggyback=piggyback,
-                                  **policy_kwargs))
-        return make_deployment(spec=spec, edge_workers=2)
-
-    def test_offload_reply_refreshes_the_peer_view(self, make_spec,
-                                                   make_deployment):
-        # Gossip period is effectively infinite: the only way edge0 can
-        # learn anything is the summary riding the offload reply.
-        dep = self.piggyback_dep(make_spec, make_deployment,
-                                 piggyback=True)
-        record = dep.run_tasks(dep.client_by_name["m0"],
-                               [dep.recognition_task(2, viewpoint=0.1)])[0]
-        assert record.edge == "edge1"  # least-loaded fallback, cold view
-        hot = dep.edge_by_name["edge0"]
-        assert dep.summaries_sent == 0  # no periodic round fired
-        assert hot.summaries_received == 1
-        assert set(hot.peer_summaries) == {"edge1"}
-        assert isinstance(hot.peer_summaries["edge1"], CacheSummary)
-
-    def test_piggyback_off_leaves_the_view_stale(self, make_spec,
-                                                 make_deployment):
-        # Same offload, flag off: the reply carries nothing and edge0
-        # stays blind until the (never-arriving) gossip round.
-        dep = self.piggyback_dep(make_spec, make_deployment,
-                                 piggyback=False)
-        record = dep.run_tasks(dep.client_by_name["m0"],
-                               [dep.recognition_task(2, viewpoint=0.1)])[0]
-        assert record.edge == "edge1"
-        hot = dep.edge_by_name["edge0"]
-        assert hot.summaries_received == 0
-        assert hot.peer_summaries == {}
-
-    def test_prewarm_ack_pushes_the_target_summary(self, make_spec,
-                                                   make_deployment):
-        # A pre-warm push is answered with the *target's* summary, so
-        # the old edge's view of where it just shipped entries is fresh
-        # before the handoff completes.
-        dep = self.piggyback_dep(make_spec, make_deployment,
-                                 piggyback=True, prewarm_top_k=2)
-        # Warm edge2 hands entries to edge1 ahead of a handoff.
-        assert dep.prewarm("edge2", "edge1", client_name="m0")
-        dep.run_for(10.0)
-        warm = dep.edge_by_name["edge2"]
-        assert "edge1" in warm.peer_summaries
-        assert warm.summaries_received >= 1
-        assert dep.summaries_sent == 0
-
-    def test_federated_reply_carries_the_peer_summary(self, make_spec,
-                                                      make_deployment):
-        import dataclasses as dc
-
-        spec = dc.replace(
-            make_spec(clients=(("m0",), ()),
-                      warmup=WarmupSpec(classes=(1, 2, 3),
-                                        edges=("edge1",)),
-                      policy=EdgePolicySpec(summary_piggyback=True)),
-            federate=True)
-        dep = make_deployment(spec=spec)
-        record = dep.run_tasks(dep.client_by_name["m0"],
-                               [dep.recognition_task(2, viewpoint=0.1)])[0]
-        assert record.outcome == OUTCOME_HIT  # served by edge1's cache
-        probing = dep.edge_by_name["edge0"]
-        assert "edge1" in probing.peer_summaries
-        assert probing.peer_summaries["edge1"].kinds == {"recognition": 3}
-        assert probing.summaries_received >= 1
 
 
 GOLDEN_LEAST_LOADED = \

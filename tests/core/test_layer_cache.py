@@ -50,6 +50,10 @@ class TestThresholds:
         assert thresholds[0] == pytest.approx(0.05)
         assert thresholds[-1] == pytest.approx(0.05 * 0.4)
 
+    def test_default_taps_are_every_layer(self, network):
+        manager = LayerCacheManager(network, ICCache(capacity_bytes=1000))
+        assert manager.tap_layers == [l.name for l in network.layers]
+
     def test_parameter_validation(self, network):
         cache = ICCache(capacity_bytes=1000)
         with pytest.raises(ValueError):
@@ -145,79 +149,3 @@ class TestPlan:
                         / EDGE_CPU_2018.effective_gflops)
             assert manager.compute_time(plan, EDGE_CPU_2018) == \
                 pytest.approx(expected)
-
-
-class TestTapBudget:
-    """Byte-budget-aware tap selection: oversized activations never cached."""
-
-    def test_oversized_taps_skipped(self, network):
-        cache = ICCache(capacity_bytes=64_000_000)
-        # 4 MB ceiling: vgg16's conv1 (12.8 MB) and conv2 (6.4 MB)
-        # would each monopolize a small cabinet cache.
-        manager = LayerCacheManager(network, cache,
-                                    tap_budget_bytes=4_000_000)
-        assert manager.skipped_taps == ["conv1", "conv2"]
-        assert "conv1" not in manager.tap_layers
-        assert manager.tap_layers[0] == "conv3"
-        assert manager.tap_layers[-1] == network.layers[-1].name
-
-    def test_no_budget_keeps_every_tap(self, network):
-        cache = ICCache(capacity_bytes=64_000_000)
-        manager = LayerCacheManager(network, cache)
-        assert manager.skipped_taps == []
-        assert manager.tap_layers == [l.name for l in network.layers]
-
-    def test_insert_never_stores_oversized_activations(self, network,
-                                                       space):
-        cache = ICCache(capacity_bytes=64_000_000)
-        manager = LayerCacheManager(network, cache,
-                                    tap_budget_bytes=4_000_000)
-        sketch = input_sketch(space.observe(3, 0.0).vector)
-        stored = manager.insert(sketch)
-        assert stored == len(manager.tap_layers)
-        kinds = {e.descriptor.kind for e in cache.entries()}
-        assert "layer:conv1" not in kinds
-        assert "layer:conv3" in kinds
-
-    def test_plan_resumes_at_deepest_affordable_tap(self, network, space):
-        cache = ICCache(capacity_bytes=64_000_000)
-        manager = LayerCacheManager(network, cache,
-                                    tap_budget_bytes=4_000_000)
-        sketch = input_sketch(space.observe(3, 0.0).vector)
-        # Only shallow taps for this input: a same-input probe resumes
-        # at the deepest *stored* tap, which the budget bounds.
-        manager.insert(sketch, layers=["conv3", "conv4"])
-        plan = manager.plan(sketch)
-        assert plan.resume_after == "conv4"
-        assert not plan.full_result
-
-    def test_budget_excluding_everything_rejected(self, network):
-        cache = ICCache(capacity_bytes=64_000_000)
-        with pytest.raises(ValueError):
-            LayerCacheManager(network, cache, tap_budget_bytes=100)
-        with pytest.raises(ValueError):
-            LayerCacheManager(network, cache, tap_budget_bytes=0)
-
-    def test_deployment_wires_budget_from_cache_capacity(self):
-        from repro.core.cluster import ClusterDeployment
-        from repro.core.config import CoICConfig
-        from repro.core.scenario import (
-            ClientSpec,
-            EdgePolicySpec,
-            EdgeSpec,
-            ScenarioSpec,
-        )
-
-        # A 64 MB cabinet edge with a 10% tap budget (6.4 MB): conv1
-        # (12.8 MB) and conv2 (6.42 MB, a hair over) are skipped;
-        # conv3 (3.2 MB) fits.
-        spec = ScenarioSpec(
-            edges=(EdgeSpec(name="edge0", cache_mb=64.0,
-                            clients=(ClientSpec(name="m0"),)),),
-            policy=EdgePolicySpec(layer_reuse=True,
-                                  layer_tap_budget_frac=0.10))
-        dep = ClusterDeployment(spec, config=CoICConfig())
-        manager = dep.layer_managers["edge0"]
-        assert manager.tap_budget_bytes == 6_400_000
-        assert manager.skipped_taps == ["conv1", "conv2"]
-        assert "conv3" in manager.tap_layers

@@ -27,7 +27,7 @@ from repro.core.metrics import (
     MetricsRecorder,
     OUTCOME_SHED,
 )
-from repro.core.pipeline import AffinityLoadBalancer, PeerLoadBalancer
+from repro.core.balancer import AffinityLoadBalancer, PeerLoadBalancer
 from repro.core.scenario import (
     EdgePolicySpec,
     EdgeSpec,

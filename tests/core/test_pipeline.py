@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from repro.core import CoICConfig
+from repro.core.balancer import PeerLoadBalancer
 from repro.core.cache import ICCache
 from repro.core.cluster import ClusterDeployment
 from repro.core.descriptors import HashDescriptor
@@ -20,7 +21,6 @@ from repro.core.pipeline import (
     AdmitStage,
     ClassifyStage,
     LookupStage,
-    PeerLoadBalancer,
     Pipeline,
     RespondStage,
     ResolveStage,
@@ -218,24 +218,6 @@ class TestAdmissionControl:
         assert record.outcome == "miss"
         assert dep.edges[0].shed_count == 0
 
-    def test_deadline_based_shed(self, make_deployment):
-        # One worker, deadline 0.5 s, extraction ~0.84 s: the first
-        # request runs, the second queues (backlog 0 at its admission),
-        # the third sees backlog 1 -> estimated wait ~0.84 s > deadline.
-        dep = make_deployment(seed=1, edge_workers=1,
-                              clients=(("m0", "m1", "m2"), ("far0",)),
-                              policy=EdgePolicySpec(admission="shed",
-                                                    queue_limit=None,
-                                                    deadline_s=0.5))
-        dep.run_concurrent([
-            (0.0, dep.client_by_name["m0"], dep.recognition_task(1)),
-            (0.001, dep.client_by_name["m1"], dep.recognition_task(2)),
-            (0.002, dep.client_by_name["m2"], dep.recognition_task(3)),
-        ])
-        assert dep.edges[0].shed_count == 1
-        outcomes = [r.outcome for r in dep.recorder.records]
-        assert outcomes.count(OUTCOME_SHED) == 1
-
 
 class TestPeerOffload:
     def test_overloaded_edge_borrows_idle_neighbour(self, make_deployment):
@@ -412,7 +394,7 @@ class TestServingEdgeTag:
 class TestEdgePolicySpec:
     def test_round_trip(self):
         policy = EdgePolicySpec(admission="shed", queue_limit=3,
-                                deadline_s=1.5, offload="least_loaded",
+                                offload="least_loaded",
                                 offload_margin=1, prewarm_top_k=7)
         assert EdgePolicySpec.from_dict(policy.to_dict()) == policy
 
@@ -430,8 +412,6 @@ class TestEdgePolicySpec:
             EdgePolicySpec(offload="round_robin")
         with pytest.raises(ValueError):
             EdgePolicySpec(queue_limit=-1)
-        with pytest.raises(ValueError):
-            EdgePolicySpec(deadline_s=0.0)
         with pytest.raises(ValueError):
             EdgePolicySpec(prewarm_top_k=-2)
 

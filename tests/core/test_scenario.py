@@ -6,10 +6,12 @@ import pytest
 
 from repro.core.scenario import (
     ClientSpec,
+    EdgePolicySpec,
     EdgeSpec,
     InterEdgeLinkSpec,
     BackgroundTrafficSpec,
     MobilitySpec,
+    OperatorSpec,
     ScenarioSpec,
     WarmupSpec,
     load_spec,
@@ -210,6 +212,91 @@ class TestSerialization:
         restored = self._roundtrip(spec)
         assert restored.background == background
         assert restored == spec
+
+
+#: One valid instance of each of the nine spec classes.
+ONE_OF_EACH = (
+    ClientSpec(name="m0"),
+    EdgeSpec(name="e0", clients=(ClientSpec(name="m0"),)),
+    OperatorSpec(name="op", agreements=(("peer", 1.5),)),
+    InterEdgeLinkSpec(a="e0", b="e1"),
+    MobilitySpec(n_places=2, bias=(1.0, 2.0)),
+    BackgroundTrafficSpec(),
+    EdgePolicySpec(admission="shed"),
+    WarmupSpec(classes=(1,)),
+    ScenarioSpec.metro(n_edges=2),
+)
+
+
+class TestSpecFilesAreCheckedInput:
+    """A spec file comes from outside the program: a key no spec class
+    reads is a typo, and a typo must not load as the default."""
+
+    @pytest.mark.parametrize("spec", ONE_OF_EACH,
+                             ids=lambda s: type(s).__name__)
+    def test_unknown_key_names_itself_and_the_class(self, spec):
+        data = dict(spec.to_dict(), queue_limt=1)
+        with pytest.raises(ValueError, match="queue_limt") as error:
+            type(spec).from_dict(data)
+        assert type(spec).__name__ in str(error.value)
+
+    @pytest.mark.parametrize("cls, data, key", [
+        (ClientSpec, {"access": "lte"}, "name"),
+        (EdgeSpec, {"x": 1.0}, "name"),
+        (OperatorSpec, {"price": 1.0}, "name"),
+        (InterEdgeLinkSpec, {"a": "e0"}, "b"),
+        (InterEdgeLinkSpec, {"b": "e1"}, "a"),
+        (ScenarioSpec, {"federate": True}, "edges"),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_missing_required_key_names_itself_and_the_class(self, cls,
+                                                             data, key):
+        with pytest.raises(ValueError, match=f"missing required key "
+                                             f"'{key}'") as error:
+            cls.from_dict(data)
+        assert cls.__name__ in str(error.value)
+
+    def test_typos_at_every_level_of_a_scenario_are_errors(self):
+        good = {"edges": [{"name": "e", "clients": ["c"], "cache_mb": 5}],
+                "policy": {"queue_limit": 1, "admission": "shed"},
+                "federate": True}
+        spec = load_spec(good)
+        assert (spec.policy.queue_limit, spec.federate,
+                spec.edges[0].cache_mb) == (1, True, 5.0)
+        for path, typo in (
+                (("edges", 0), "cache_mbb"),
+                (("policy",), "queue_limt"),
+                ((), "federat")):
+            bad = json.loads(json.dumps(good))
+            level = bad
+            for step in path:
+                level = level[step]
+            level[typo] = 1
+            with pytest.raises(ValueError, match=typo):
+                load_spec(bad)
+
+    @pytest.mark.parametrize("knob", [
+        {"summary_piggyback": True}, {"deadline_s": 1.0},
+        {"layer_tap_budget_frac": 0.1}])
+    def test_a_removed_policy_knob_fails_loudly(self, knob):
+        with pytest.raises(ValueError, match="unknown key"):
+            EdgePolicySpec.from_dict(knob)
+        with pytest.raises(ValueError, match="unknown key"):
+            load_spec({"edges": [{"name": "e"}], "policy": knob})
+
+    def test_null_and_non_mapping_values_are_errors(self):
+        with pytest.raises(ValueError, match="federate"):
+            load_spec({"edges": [{"name": "e"}], "federate": None})
+        with pytest.raises(ValueError, match="mapping"):
+            load_spec({"edges": [{"name": "e"}], "policy": [1, 2]})
+        with pytest.raises(ValueError, match="agreements"):
+            OperatorSpec.from_dict({"name": "op",
+                                    "agreements": [["peer"]]})
+
+    def test_defaults_come_from_the_dataclass(self):
+        assert EdgePolicySpec.from_dict({}) == EdgePolicySpec()
+        assert MobilitySpec.from_dict({}) == MobilitySpec()
+        assert (EdgeSpec.from_dict({"name": "e", "x": 3})
+                == EdgeSpec(name="e", x=3.0))
 
 
 class TestAccessAndBiasValidation:

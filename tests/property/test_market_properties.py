@@ -6,7 +6,11 @@ the auction never awards a bid above the consumer's budget, the
 auction is a pure order-insensitive function of its inputs, and
 degenerate markets — one operator, or an all-zero-price open market —
 reduce the balancers' decisions bit-identically to the broker-less
-code path.  Runs under the derandomized ``tier1`` profile.
+picks.  The selection rule itself is stated once more without
+``core/balancer.py`` — every pick, either balancer, with or without a
+broker, equals a brute-force ``min()`` written here — and the probe
+order is checked to rank peers by the scores the affinity pick uses.
+Runs under the derandomized ``tier1`` profile.
 """
 
 import hypothesis.strategies as st
@@ -15,7 +19,7 @@ from hypothesis import given, settings
 
 from repro.core.market import Bid, FederationBroker
 from repro.core.metrics import LEDGER_OFFLOAD, MetricsRecorder
-from repro.core.pipeline import AffinityLoadBalancer, PeerLoadBalancer
+from repro.core.balancer import AffinityLoadBalancer, PeerLoadBalancer
 from repro.core.scenario import EdgeSpec, OperatorSpec, ScenarioSpec
 
 EDGES = ("a", "b", "c", "d")
@@ -206,3 +210,165 @@ def test_degenerate_markets_match_affinity(loads, margin, holders,
         market = AffinityLoadBalancer(margin=margin, broker=broker)
         register(market)
         assert market.pick("a", key=key) == expected
+
+
+# -- the selection rule, stated without balancer.py ----------------------------
+
+PEERS = ("b", "c", "d")
+# Repeats weight the draw towards priced, consenting cross-domain peers
+# (where the price tie-break and the budget can act).
+CONSENT = ("ok", "ok", "ok", "provider_denies", "consumer_denies",
+           "not_allowed")
+
+# Copies of the requested content / of unrelated content behind a peer's
+# gossiped summary; (0, 0) = no summary has arrived.
+holds = st.sampled_from(((0, 0), (0, 0), (0, 2), (1, 0), (1, 1), (1, 3),
+                         (3, 1)))
+
+peer_state = st.fixed_dictionaries({
+    "load": st.sampled_from((0, 1, 2, 3)),
+    "pending": st.integers(min_value=0, max_value=2),
+    # "" = unassigned, "opA" = the asking edge's own domain.
+    "domain": st.sampled_from(("", "opA", "other", "other", "other")),
+    "consent": st.sampled_from(CONSENT),
+    "price": st.sampled_from((0.0, 1.0, 2.5)),
+    "holds": holds,
+})
+
+
+def _gossip(content_seed, holdings):
+    """A content vector, each peer's gossiped summary, its expected hit."""
+    from repro.core.cache import CacheSummary
+    from repro.core.sketch import AffinitySketch
+
+    rng = np.random.Generator(np.random.PCG64(content_seed))
+    content = rng.normal(size=128)
+    signature = AffinitySketch().signature(content)
+    summaries, hits = {}, {}
+    for name, (copies, others) in zip(PEERS, holdings):
+        if copies + others:
+            sketch = AffinitySketch()
+            for vector in [content] * copies + list(
+                    rng.normal(size=(others, 128))):
+                sketch.add(vector)
+            summaries[name] = CacheSummary(
+                kinds={"recognition": copies + others},
+                sketches={"recognition": sketch.summary()})
+            hits[name] = summaries[name].expected_hit("recognition",
+                                                      signature)
+    return content, summaries, hits
+
+
+def _brute_force(affinity, own, margin, bidders, hits):
+    """``(pick, was it an affinity pick)``.  ``bidders``: admissible
+    ``(name, load, price)`` in spec order; ``hits``: expected-hit per
+    name, or None when the request has no key."""
+    if affinity and hits is not None:
+        scored = [((-(hits.get(name, 0.0) * (1.0 / (1.0 + load))), load),
+                   cost, order, name)
+                  for order, (name, load, cost) in enumerate(bidders)
+                  if load + margin <= own]
+        if scored and min(scored)[0][0] < 0.0:
+            return min(scored)[3], True
+    if not bidders:
+        return None, False
+    load, _, _, name = min((load, cost, order, name) for order,
+                           (name, load, cost) in enumerate(bidders))
+    return (name if load + margin <= own else None), False
+
+
+@given(peers=st.tuples(peer_state, peer_state, peer_state),
+       own=st.integers(min_value=0, max_value=8),
+       margin=st.integers(min_value=0, max_value=3),
+       market=st.sampled_from(("none", "unassigned", "assigned",
+                               "assigned")),
+       consumer_budget=st.sampled_from((None, 1.0, 5.0)),
+       affinity=st.booleans(),
+       with_key=st.booleans(),
+       content_seed=st.integers(min_value=0, max_value=20))
+@settings(max_examples=400)
+def test_pick_equals_brute_force_minimum(peers, own, margin, market,
+                                         consumer_budget, affinity,
+                                         with_key, content_seed):
+    """Both balancers, with and without a broker: the pick is the
+    ``(rank, price, order)`` minimum over admissible neighbours."""
+    content, summaries, hits = _gossip(content_seed,
+                                       [peer["holds"] for peer in peers])
+    key = content if with_key else None
+
+    # The market, and who may bid at what price, from the drawn state.
+    broker = None
+    bidders = []
+    operators = [OperatorSpec(
+        name="opA", budget=consumer_budget,
+        deny=tuple(f"op_{n}" for n, p in zip(PEERS, peers)
+                   if p["consent"] == "consumer_denies"))]
+    by_edge = {"a": "opA" if market == "assigned" else ""}
+    for name, peer in zip(PEERS, peers):
+        load = peer["load"] + peer["pending"]
+        cross = (market == "assigned" and peer["domain"] == "other")
+        by_edge[name] = (f"op_{name}" if peer["domain"] == "other"
+                         else peer["domain"])
+        operators.append(OperatorSpec(
+            name=f"op_{name}", price=peer["price"],
+            deny=("opA",) if peer["consent"] == "provider_denies" else (),
+            allow=(() if peer["consent"] == "not_allowed" else None)))
+        if not cross:
+            bidders.append((name, load, 0.0))
+        elif peer["consent"] == "ok" and (
+                consumer_budget is None
+                or peer["price"] <= consumer_budget):
+            bidders.append((name, load, peer["price"]))
+    if market != "none":
+        broker = _broker(tuple(operators), by_edge)
+    expected, by_affinity = _brute_force(affinity, own, margin, bidders,
+                                         hits if with_key else None)
+
+    balancer = (AffinityLoadBalancer(margin=margin, broker=broker)
+                if affinity else PeerLoadBalancer(margin=margin,
+                                                  broker=broker))
+    balancer.register("a", _FakeEdge(own, summaries), PEERS)
+    for name, peer in zip(PEERS, peers):
+        balancer.register(name, _FakeEdge(peer["load"]), ["a"])
+        for _ in range(peer["pending"]):
+            balancer.note_dispatch(name)
+
+    if broker is not None:
+        broker.fail_next()
+        assert balancer.pick("a", key=key) is None  # a no-bid round
+    assert balancer.pick("a", key=key) == expected  # ... and recovers
+    assert balancer.pick("a", key=key) == expected
+    if broker is not None:
+        assert (broker.rounds, broker.timeouts) == (3, 1)
+    if affinity:
+        picks = 0 if expected is None else 2
+        assert (balancer.affinity_picks, balancer.fallback_picks) == (
+            (picks, 0) if by_affinity else (0, picks))
+
+
+@given(holdings=st.tuples(holds, holds, holds),
+       load=st.integers(min_value=0, max_value=5),
+       content_seed=st.integers(min_value=0, max_value=20))
+@settings(max_examples=60)
+def test_probe_order_and_affinity_pick_share_scores(holdings, load,
+                                                    content_seed):
+    """At equal loads, the peer probed first for a vector is the peer an
+    affinity offload of that vector targets."""
+    import types
+
+    from repro.core.descriptors import VectorDescriptor
+    from repro.core.federation import probe_order
+
+    content, summaries, hits = _gossip(content_seed, holdings)
+    asking = types.SimpleNamespace(
+        load=9, peers=list(PEERS), broker=None, peer_summaries=summaries,
+        host=types.SimpleNamespace(name="a"))
+    balancer = AffinityLoadBalancer(margin=0)
+    balancer.register("a", asking, PEERS)
+    for name in PEERS:
+        balancer.register(name, _FakeEdge(load), ["a"])
+    order = probe_order(asking, VectorDescriptor(kind="recognition",
+                                                 vector=content))
+    assert sorted(order) == sorted(PEERS)
+    assert order == sorted(PEERS, key=lambda name: -hits.get(name, 0.0))
+    assert balancer.pick("a", key=content) == order[0]

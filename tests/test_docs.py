@@ -48,7 +48,10 @@ def test_symbol_check_flags_only_names_the_source_lacks(tmp_path):
         "`EdgeNode.probe_log` and `ClusterDeployment(spec)` exist;",
         "`GoneEdgeNode.probe_log` and `GoneDeployment(spec)` do not.",
         "`None`, `ValueError`, `federate` and `BENCH_x.json` are not",
-        "class names.",
+        "class names.  `EdgePolicySpec.queue_limit`, the inherited",
+        "`AffinityLoadBalancer.note_dispatch(name)` and the glob",
+        "`NetworkConfig.lte_*` name attributes their class has;",
+        "`EdgePolicySpec.summary_piggyback` names one it lost.",
         "```",
         "`GoneInAFence` is code, not prose",
         "```",
@@ -56,7 +59,8 @@ def test_symbol_check_flags_only_names_the_source_lacks(tmp_path):
     doc = tmp_path / "guide.md"
     doc.write_text(text, encoding="utf-8")
     assert check_links.broken_symbols(doc) == [
-        (2, "GoneEdgeNode"), (2, "GoneDeployment")]
+        (2, "GoneEdgeNode"), (2, "GoneDeployment"),
+        (7, "EdgePolicySpec.summary_piggyback")]
     history = tmp_path / "pr99_what_was_deleted.md"
     history.write_text(text, encoding="utf-8")
     assert check_links.broken_symbols(history) == []
@@ -98,6 +102,24 @@ def test_scenario_spec_doc_covers_every_policy_field():
         for field in dataclasses.fields(cls):
             assert f"`{field.name}`" in text, \
                 f"docs/scenario_spec.md is missing {cls.__name__}.{field.name}"
+
+
+def test_scenario_spec_doc_names_only_fields_the_dataclass_has():
+    """The reverse: a table row may not outlive the field it documents."""
+    import dataclasses
+
+    from repro.core.scenario import EdgePolicySpec, MobilitySpec
+
+    text = SPEC_DOC.read_text(encoding="utf-8")
+    for cls in (EdgePolicySpec, MobilitySpec):
+        heading = f"\n## {cls.__name__}\n"
+        table = text.split(heading, 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+        assert rows, f"no field table under {heading}"
+        fields = {field.name for field in dataclasses.fields(cls)}
+        assert set(rows) <= fields, (
+            f"docs/scenario_spec.md documents {cls.__name__} fields that "
+            f"do not exist: {sorted(set(rows) - fields)}")
 
 
 @pytest.mark.parametrize("spec_name", ["cafes_federated.json"])

@@ -16,8 +16,12 @@ Placeholders (`BENCH_<name>.json`, globs) and fenced blocks are skipped.
 A code span that is a CamelCase identifier — `` `EdgeNode` ``,
 `` `EdgeNode.probe_log` ``, `` `ClusterDeployment(spec)` `` — must be a
 class, function or module-level name defined under `src/repro`, so a
-doc cannot go on naming a class that was deleted.  `docs/pr*.md` are
-per-PR history and exempt.
+doc cannot go on naming a class that was deleted; and when it is a
+class, a following `.attr` must be something that class (or a base
+under `src/repro`) defines — an annotated field, a method or property,
+a class-level name or a `self.attr` assignment — so a doc cannot go on
+naming a deleted field either.  `docs/pr*.md` are per-PR history and
+exempt.
 
 Usage:  python tools/check_links.py [FILE_OR_DIR ...]
 Exit status 1 when any link is broken.
@@ -45,6 +49,7 @@ _PLACEHOLDER_CHARS = frozenset("<>*{}…")
 #: A whole code span naming a CamelCase identifier, optionally followed
 #: by an attribute or a call.
 _SYMBOL = re.compile(r"([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:[.(].*)?")
+_ATTRIBUTE = re.compile(r"\.([A-Za-z_]\w*)")
 
 
 def markdown_files(paths: list[str]) -> list[pathlib.Path]:
@@ -92,27 +97,81 @@ def broken_paths(doc: pathlib.Path) -> list[tuple[int, str]]:
             and not (_REPO / path).exists()]
 
 
+def _assigned(node: ast.AST) -> list[ast.expr]:
+    """The targets of an assignment statement (none for anything else)."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        return [node.target]
+    return []
+
+
+@functools.cache
+def _source_trees() -> tuple[ast.Module, ...]:
+    return tuple(ast.parse(source.read_text(encoding="utf-8"))
+                 for source in (_REPO / "src" / "repro").rglob("*.py"))
+
+
+@functools.cache
+def class_table() -> dict[str, tuple[frozenset[str], frozenset[str]]]:
+    """``class name -> (own attributes, base names)`` under ``src/repro``.
+
+    Attributes are what the class body binds (fields, methods,
+    properties, constants) plus every ``self.attr`` its methods assign.
+    Same-named classes in different modules are merged.
+    """
+    table: dict[str, tuple[set[str], set[str]]] = {}
+    for tree in _source_trees():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            attrs, bases = table.setdefault(cls.name, (set(), set()))
+            bases.update(base.id for base in cls.bases
+                         if isinstance(base, ast.Name))
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    attrs.add(node.name)
+                attrs.update(target.id for target in _assigned(node)
+                             if isinstance(target, ast.Name))
+            attrs.update(
+                target.attr for node in ast.walk(cls)
+                for target in _assigned(node)
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self")
+    return {name: (frozenset(attrs), frozenset(bases))
+            for name, (attrs, bases) in table.items()}
+
+
+def class_defines(name: str, attr: str) -> bool:
+    """Does class ``name``, or a base of it under ``src/repro``, bind ``attr``?"""
+    attrs, bases = class_table()[name]
+    return attr in attrs or any(class_defines(base, attr)
+                                for base in bases if base in class_table())
+
+
 @functools.cache
 def defined_names() -> frozenset[str]:
     """Every class, function and module-level name under ``src/repro``."""
     names: set[str] = set()
-    for source in (_REPO / "src" / "repro").rglob("*.py"):
-        tree = ast.parse(source.read_text(encoding="utf-8"))
+    for tree in _source_trees():
         for node in ast.walk(tree):
             if isinstance(node, (ast.ClassDef, ast.FunctionDef,
                                  ast.AsyncFunctionDef)):
                 names.add(node.name)
         for node in tree.body:
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target] if isinstance(node, ast.AnnAssign)
-                       else [])
-            names.update(target.id for target in targets
+            names.update(target.id for target in _assigned(node)
                          if isinstance(target, ast.Name))
     return frozenset(names)
 
 
 def broken_symbols(doc: pathlib.Path) -> list[tuple[int, str]]:
-    """(line, name) pairs for quoted CamelCase names ``src/repro`` lacks."""
+    """(line, name) pairs for quoted CamelCase names ``src/repro`` lacks.
+
+    ``name`` is ``Class.attr`` when the class exists but does not
+    define the attribute the span goes on to name.
+    """
     if doc.name.startswith("pr"):
         return []  # per-PR history names what it deleted
     failures = []
@@ -121,8 +180,13 @@ def broken_symbols(doc: pathlib.Path) -> list[tuple[int, str]]:
         if symbol is None:
             continue
         name = symbol.group(1)
+        attribute = _ATTRIBUTE.match(code, len(name))
         if name not in defined_names() and not hasattr(builtins, name):
             failures.append((lineno, name))
+        elif (attribute is not None and name in class_table()
+              and not _PLACEHOLDER_CHARS & set(code)
+              and not class_defines(name, attribute.group(1))):
+            failures.append((lineno, f"{name}.{attribute.group(1)}"))
     return failures
 
 
