@@ -14,7 +14,8 @@ Frame vocabulary (the ``op`` field):
                ``viewpoint``, ``input_bytes``).
 ``result``     edge -> client: the answer (``outcome`` of
                hit/miss/shed, ``label``, ``served_by``; shed replies
-               add ``retry_after_s``).
+               add ``retry_after_s``, the admission stage's drain
+               estimate: (waiting + 1) / workers x extraction time).
 ``resolve``    edge -> cloud: miss escalation (same capture fields).
 ``resolved``   cloud -> edge: the oracle ``label``.
 ``stats``      -> edge/cloud: counters probe; answered by ``counters``.

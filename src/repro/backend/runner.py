@@ -17,12 +17,14 @@ Two execution modes:
   (still real loopback sockets and the real wire protocol).  Hermetic
   and fast: what the unmarked test tier and coverage runs exercise.
 
-Scope: the real backend serves the *recognition* fast path — local
-cache hit, cloud-resolved miss, shed admission — which is the path
-every throughput/latency claim in the paper rests on.  Simulation-only
-machinery (federation probes, peer offload, mobility handoffs, layer
-reuse) stays on the simulated backend; a spec using those still runs,
-but each edge serves from its own cache only.
+Scope: each real edge runs the simulator's own stage chain for the
+spec's policy, over recognition requests — local cache hit,
+cloud-resolved miss, and the admission stage's shed or cloud redirect,
+with ``queue_limit`` counting requests waiting for a worker slot on
+both backends.  Simulation-only machinery (federation probes, peer
+offload, gossip, mobility handoffs, layer reuse) needs peers or frames
+the wire cannot carry yet; a spec using those still runs, but each
+edge serves from its own cache only.
 
 :func:`run_simulated_trace` replays the identical workload trace
 through the simulation sequentially — the parity oracle the test suite
@@ -98,36 +100,13 @@ def build_cloud_payload(config: CoICConfig) -> dict:
 def build_edge_payload(spec: "ScenarioSpec", edge_name: str,
                        config: CoICConfig,
                        cloud: tuple[str, int] | None) -> dict:
-    """The JSON-safe construction dict for one edge's EdgeService."""
-    rec = config.recognition
-    admission = "none"
-    queue_limit = None
-    if spec.policy is not None:
-        admission = spec.policy.admission
-        queue_limit = spec.policy.queue_limit
-    warm_classes: list[int] = []
-    if spec.warmup is not None and (spec.warmup.edges is None
-                                    or edge_name in spec.warmup.edges):
-        warm_classes = [int(c) for c in spec.warmup.classes]
-    return {
-        "name": edge_name,
-        "recognition": {
-            "descriptor_dim": rec.descriptor_dim,
-            "n_classes": rec.n_classes,
-            "viewpoint_scale": rec.viewpoint_scale,
-            "noise_sigma": rec.noise_sigma,
-            "seed": config.seed,
-            "threshold": rec.threshold,
-            "max_viewpoint_delta": rec.max_viewpoint_delta,
-        },
-        "cache": spec.edge_cache_settings(spec.edge(edge_name),
-                                          config.cache),
-        "warm_classes": warm_classes,
-        "admission": admission,
-        "queue_limit": queue_limit,
-        "cloud": (None if cloud is None
-                  else {"host": cloud[0], "port": cloud[1]}),
-    }
+    """The construction dict for one edge's EdgeService (picklable).
+
+    The edge is built from the same spec and config the simulator
+    builds it from; ``cloud`` is the cloud stub's ``(host, port)``.
+    """
+    return {"name": edge_name, "spec": spec, "config": config,
+            "cloud": cloud}
 
 
 # -- drivers ------------------------------------------------------------------

@@ -68,14 +68,19 @@ from repro.core.baselines import LocalClient, OriginClient
 from repro.core.cache import ICCache
 from repro.core.client import CoICClient
 from repro.core.cloud import CloudNode
-from repro.core.config import CoICConfig
+from repro.core.config import CacheConfig, CoICConfig
 from repro.core.descriptors import HashDescriptor, VectorDescriptor
 from repro.core.edge import EdgeNode
 from repro.core.layer_cache import LAYER_KIND_PREFIX, LayerCacheManager
 from repro.core.metrics import MetricsRecorder
 from repro.core.pipeline import build_pipeline
 from repro.core.policies import make_policy
-from repro.core.scenario import ScenarioSpec, WarmupSpec
+from repro.core.scenario import (
+    EdgePolicySpec,
+    EdgeSpec,
+    ScenarioSpec,
+    WarmupSpec,
+)
 from repro.core.tasks import (
     KIND_MODEL_LOAD,
     KIND_RECOGNITION,
@@ -111,6 +116,43 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.workload.mobility import RandomWaypointUser, World
 
 CLOUD = "cloud"
+
+
+def edge_cache(spec: ScenarioSpec, edge: EdgeSpec,
+               cache: CacheConfig) -> ICCache:
+    """``edge``'s IC cache, on either backend.
+
+    The one place that knows the precedence: the site's ``cache_mb``
+    and the policy's ``vector_index`` / ``vector_dtype`` (empty string
+    = inherit) override the deployment's ``CacheConfig``.
+    """
+    policy = spec.policy or EdgePolicySpec()
+    return ICCache(
+        capacity_bytes=(int(edge.cache_mb * 1e6) if edge.cache_mb is not None
+                        else cache.capacity_bytes),
+        policy=make_policy(cache.policy),
+        vector_index=policy.vector_index or cache.vector_index,
+        metric=cache.metric, ttl_s=cache.ttl_s,
+        vector_dtype=policy.vector_dtype or cache.vector_dtype)
+
+
+def embedding_space(config: CoICConfig) -> EmbeddingSpace:
+    """The deployment's embedding geometry, on either backend."""
+    rec = config.recognition
+    return EmbeddingSpace(
+        dim=rec.descriptor_dim, n_classes=rec.n_classes,
+        viewpoint_scale=rec.viewpoint_scale, noise_sigma=rec.noise_sigma,
+        seed=config.seed)
+
+
+def prototype_items(space: EmbeddingSpace,
+                    classes: typing.Iterable[int]) -> typing.Iterator[tuple]:
+    """Warm-up ``(descriptor, result, size_bytes)`` triples for classes."""
+    for cls in classes:
+        result = RecognitionResult(label=cls, confidence=0.97)
+        yield (VectorDescriptor(kind=KIND_RECOGNITION,
+                                vector=space.observe(cls, 0.0).vector),
+               result, result.size_bytes)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -222,10 +264,7 @@ class ClusterDeployment:
 
         # -- vision ----------------------------------------------------------
         rec = cfg.recognition
-        self.space = EmbeddingSpace(
-            dim=rec.descriptor_dim, n_classes=rec.n_classes,
-            viewpoint_scale=rec.viewpoint_scale,
-            noise_sigma=rec.noise_sigma, seed=cfg.seed)
+        self.space = embedding_space(cfg)
         self._network = get_network(rec.network,
                                     descriptor_dim=rec.descriptor_dim)
         self.mobile_recognizer = Recognizer(
@@ -287,9 +326,7 @@ class ClusterDeployment:
         self.caches: list[ICCache] = []
         self.edge_recognizers: list[Recognizer] = []
         for espec in spec.edges:
-            settings = spec.edge_cache_settings(espec, cfg.cache)
-            cache = ICCache(**dict(settings,
-                                   policy=make_policy(settings["policy"])))
+            cache = edge_cache(spec, espec, cfg.cache)
             self.caches.append(cache)
             stream_name = ("vision.edge" if len(spec.edges) == 1
                            else f"vision.edge.{espec.name}")
@@ -306,6 +343,7 @@ class ClusterDeployment:
                 pipeline=self.pipeline,
                 peers=peers if spec.federate else (),
                 peer_timeout_s=spec.peer_timeout_s, broker=self.broker)
+            self.env.process(node._serve())
             if self.balancer is not None:
                 self.balancer.register(espec.name, node,
                                        neighbours[espec.name])
@@ -804,13 +842,7 @@ class ClusterDeployment:
         """
         targets = (warmup.edges if warmup.edges is not None
                    else self.edge_names)
-        items: list[tuple] = []
-        for cls in warmup.classes:
-            descriptor = VectorDescriptor(
-                kind=KIND_RECOGNITION,
-                vector=self.space.observe(cls, 0.0).vector)
-            result = RecognitionResult(label=cls, confidence=0.97)
-            items.append((descriptor, result, result.size_bytes))
+        items = list(prototype_items(self.space, warmup.classes))
         for model_id in warmup.models:
             task = self.model_load_task(model_id)
             loaded = ModelLoadResult(digest=task.digest,

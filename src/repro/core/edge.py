@@ -42,7 +42,7 @@ from __future__ import annotations
 import typing
 
 from repro.core.cache import ICCache
-from repro.core.descriptors import Descriptor, HashDescriptor
+from repro.core.descriptors import Descriptor, HashDescriptor, VectorDescriptor
 from repro.core.tasks import (
     ModelLoadResult,
     ModelLoadTask,
@@ -106,6 +106,8 @@ class EdgeNode:
             consent-denied and over-budget peers out of every probe
             round and settles cross-operator hits on the ledger.  None
             is the single-administrative-domain model.
+        compute: The worker pool, if not a simulated ``Resource`` of
+            ``workers`` slots (the real backend's asyncio one).
     """
 
     def __init__(self, env: Environment, rpc: "Rpc", host: "Host",
@@ -115,7 +117,8 @@ class EdgeNode:
                  pipeline: "Pipeline | None" = None,
                  peers: typing.Sequence[str] = (),
                  peer_timeout_s: float = 1.0,
-                 broker: "FederationBroker | None" = None):
+                 broker: "FederationBroker | None" = None,
+                 compute: typing.Any = None):
         if peer_timeout_s <= 0:
             raise ValueError("peer_timeout_s must be > 0")
         self.env = env
@@ -126,7 +129,8 @@ class EdgeNode:
         self.recognizer = recognizer
         self.loader = loader
         self.cloud_name = cloud_name
-        self.compute = Resource(env, capacity=workers)
+        self.compute = (compute if compute is not None
+                        else Resource(env, capacity=workers))
         if pipeline is None:
             from repro.core.pipeline import default_pipeline
 
@@ -179,7 +183,6 @@ class EdgeNode:
         #: offload reads this; stale by up to the gossip interval).
         self.peer_summaries: dict[str, typing.Any] = {}
         self.summaries_received = 0
-        env.process(self._serve())
 
     # -- load ----------------------------------------------------------------
 
@@ -268,6 +271,7 @@ class EdgeNode:
     # -- serve loop ----------------------------------------------------------------
 
     def _serve(self):
+        """The simulator's accept loop, started by the deployment."""
         while True:
             msg = yield self.rpc.serve(self.host)
             self.env.process(self._handle(msg))
@@ -344,8 +348,6 @@ class EdgeNode:
                 observation = self.recognizer.extract(task.frame)
         finally:
             self.compute.release(slot)
-        from repro.core.descriptors import VectorDescriptor
-
         return VectorDescriptor(kind=task.kind, vector=observation.vector)
 
     # -- hash-keyed fetches: background parse, in-flight marker ------------------------

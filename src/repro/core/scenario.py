@@ -675,27 +675,6 @@ class ScenarioSpec(_Spec):
                 return edge
         raise KeyError(f"no edge named {name!r}")
 
-    def edge_cache_settings(self, edge: EdgeSpec, cache) -> dict:
-        """JSON-safe :class:`~repro.core.cache.ICCache` arguments for ``edge``.
-
-        The one place that knows the precedence: the site's ``cache_mb``
-        and the policy's ``vector_index`` / ``vector_dtype`` (empty
-        string = inherit) override the deployment's
-        :class:`~repro.core.config.CacheConfig` ``cache``.  ``policy``
-        is the eviction policy's name, for ``make_policy``.
-        """
-        policy = self.policy or EdgePolicySpec()
-        return {
-            "capacity_bytes": (int(edge.cache_mb * 1e6)
-                               if edge.cache_mb is not None
-                               else cache.capacity_bytes),
-            "policy": cache.policy,
-            "vector_index": policy.vector_index or cache.vector_index,
-            "metric": cache.metric,
-            "ttl_s": cache.ttl_s,
-            "vector_dtype": policy.vector_dtype or cache.vector_dtype,
-        }
-
     def operator(self, name: str) -> OperatorSpec:
         for op in self.operators:
             if op.name == name:

@@ -56,6 +56,8 @@ class Recognizer:
         self.device = device
         self.space = space
         self._rng = rng
+        # Charged on every extraction; summing the backbone once is enough.
+        self._extraction_s = network.extraction_time(device)
 
     # -- timing ----------------------------------------------------------------
 
@@ -65,7 +67,7 @@ class Recognizer:
 
     def extraction_time(self) -> float:
         """Seconds to compute the feature descriptor on this device."""
-        return self.network.extraction_time(self.device)
+        return self._extraction_s
 
     def resume_time(self, after_layer: str) -> float:
         """Seconds to finish recognition from a cached layer activation."""

@@ -93,19 +93,6 @@ class TestFraming:
             read_from_bytes(struct.pack(">I", len(body)) + body)
 
 
-EDGE_PAYLOAD = {
-    "name": "edge0",
-    "recognition": {"descriptor_dim": 16, "n_classes": 4,
-                    "viewpoint_scale": 0.02, "noise_sigma": 0.005,
-                    "seed": 0, "threshold": None,
-                    "max_viewpoint_delta": 5.0},
-    "cache": {"capacity_bytes": 10_000_000, "policy": "lru",
-              "vector_index": "linear", "metric": "cosine", "ttl_s": None},
-    "warm_classes": [], "admission": "none", "queue_limit": None,
-    "cloud": None,  # cloudless: the edge itself is the oracle
-}
-
-
 async def exchange(service, frames):
     """Start ``service``, send ``frames`` down ONE connection in order."""
     await service.start()
@@ -121,19 +108,31 @@ async def exchange(service, frames):
 class TestMalformedFrames:
     """A bad frame costs an ``error`` reply, not the connection."""
 
-    def test_edge_answers_bad_recognize_frames_and_keeps_serving(self):
+    def test_edge_answers_bad_recognize_frames_and_keeps_serving(
+            self, edge_payload):
+        # A class the 4-class edge does not know and a NaN viewpoint
+        # are bad fields like a missing or ill-typed one: each costs an
+        # error reply, and the next frame on the connection is served.
         async def _run():
-            service = EdgeService(EDGE_PAYLOAD)
+            service = EdgeService(edge_payload())
             replies = await exchange(service, [
                 {"op": "recognize"},
                 {"op": "recognize", "object_class": "x", "capture_id": 1},
+                {"op": "recognize", "object_class": 99, "capture_id": 1},
+                {"op": "recognize", "object_class": 2, "capture_id": 1,
+                 "viewpoint": float("nan")},
                 {"op": "recognize", "object_class": 2, "capture_id": 1},
             ])
             return replies, service
 
-        (missing, ill_typed, good), service = asyncio.run(_run())
+        (missing, ill_typed, unknown_class, nan_viewpoint, good), service = \
+            asyncio.run(_run())
         assert missing["op"] == "error" and "object_class" in missing["error"]
         assert ill_typed["op"] == "error"
+        assert unknown_class["op"] == "error"
+        assert "object_class 99 outside [0, 4)" in unknown_class["error"]
+        assert nan_viewpoint["op"] == "error"
+        assert "not finite" in nan_viewpoint["error"]
         assert good["outcome"] == OUTCOME_MISS and good["label"] == 2
         counters = service.counters()
         assert counters["served"] == 1 and counters["misses"] == 1
@@ -155,24 +154,26 @@ class TestMalformedFrames:
         assert good == {"op": "resolved", "label": 3}
         assert resolved == 1
 
-    @pytest.mark.parametrize("make_service, bad, good, answer", [
-        (lambda: EdgeService(EDGE_PAYLOAD),
+    @pytest.mark.parametrize("service, bad, good, answer", [
+        ("edge",
          {"op": "recognize", "object_class": 2, "capture_id": "x"},
          {"op": "recognize", "object_class": 2, "capture_id": 1}, "result"),
-        (lambda: CloudService({"backhaul_mbps": 1000.0,
-                               "backhaul_delay_ms": 0.0,
-                               "inference_s": 0.0}),
+        ("cloud",
          {"op": "resolve", "object_class": []},
          {"op": "resolve", "object_class": 2}, "resolved"),
     ], ids=["edge", "cloud"])
     def test_unknown_op_and_bad_field_cost_an_error_reply_only(
-            self, make_service, bad, good, answer):
+            self, edge_payload, service, bad, good, answer):
         # The shared connection loop's contract, once per service: no
         # op, an unknown op, an unhashable op and a badly typed field
         # are each answered with ``error`` on a connection that then
         # serves a good frame and the stats probe.
         async def _run():
-            return await exchange(make_service(), [
+            server = (EdgeService(edge_payload()) if service == "edge"
+                      else CloudService({"backhaul_mbps": 1000.0,
+                                         "backhaul_delay_ms": 0.0,
+                                         "inference_s": 0.0}))
+            return await exchange(server, [
                 {}, {"op": "frobnicate"}, {"op": ["stats"]}, bad, good,
                 {"op": "stats"}])
 
@@ -186,7 +187,8 @@ class TestMalformedFrames:
         assert served["op"] == answer and served["label"] == 2
         assert stats["op"] == "counters"
 
-    def test_client_records_an_error_reply_as_an_error_outcome(self):
+    def test_client_records_an_error_reply_as_an_error_outcome(
+            self, edge_payload):
         # object_class "x" reaches the edge as an ill-typed field; the
         # client must record the refusal, not die on KeyError('label').
         recorder = MetricsRecorder()
@@ -194,7 +196,7 @@ class TestMalformedFrames:
                             object_class="x", viewpoint=0.0, input_bytes=0)
 
         async def _run():
-            service = EdgeService(EDGE_PAYLOAD)
+            service = EdgeService(edge_payload())
             await service.start()
             client = RealClient("m0", [("edge0", ("127.0.0.1",
                                                    service.port))],

@@ -12,11 +12,13 @@ import asyncio
 import pytest
 
 from repro.backend.edge_server import EdgeService
-from repro.backend.loadgen import build_workload
+from repro.backend.loadgen import RealClient, WorkloadItem, build_workload
 from repro.backend.protocol import call
 from repro.backend.runner import run_real_scenario, run_simulated_trace
+from repro.backend.server import FrameServer
 from repro.core.config import CoICConfig
 from repro.core.metrics import (
+    MetricsRecorder,
     OUTCOME_ERROR,
     OUTCOME_HIT,
     OUTCOME_MISS,
@@ -30,6 +32,7 @@ from repro.core.scenario import (
     WarmupSpec,
 )
 from repro.core.tasks import KIND_RECOGNITION
+from repro.sim.rng import RngStreams
 
 
 def fast_config(seed=0, n_classes=12, network="mobilenet_v2"):
@@ -53,6 +56,27 @@ def small_spec(policy=None, warm=(1, 2, 3), clients=(("m0", "m1"), ("m2",))):
 
 def triples(recorder):
     return [(r.user, r.outcome, r.correct) for r in recorder.records]
+
+
+class SheddingEdge(FrameServer):
+    """Sheds the first ``k`` recognize frames, then answers correctly."""
+
+    def __init__(self, k, hint_s):
+        super().__init__()
+        self.ops["recognize"] = (lambda m: (int(m["object_class"]),),
+                                 self._recognize)
+        self.k, self.hint_s, self.seen = k, hint_s, 0
+
+    def counters(self):
+        return {"seen": self.seen}
+
+    async def _recognize(self, object_class):
+        self.seen += 1
+        if self.seen <= self.k:
+            return {"op": "result", "outcome": OUTCOME_SHED,
+                    "served_by": "edge0", "retry_after_s": self.hint_s}
+        return {"op": "result", "outcome": OUTCOME_MISS,
+                "label": object_class, "served_by": "edge0"}
 
 
 class TestSimRealParity:
@@ -109,48 +133,61 @@ class TestSimRealParity:
         assert all(r.correct for r in real.recorder.records)
         assert real.edge_counters[0]["cache_entries"] == 1
 
+    @pytest.mark.parametrize("admission", ["shed", "redirect"])
+    def test_overload_decision_parity(self, admission):
+        # queue_limit counts requests waiting for a worker slot on both
+        # backends, so 0 means always overloaded: every recognition
+        # request takes the admission action, request for request.
+        policy = EdgePolicySpec(admission=admission, queue_limit=0)
+        spec = small_spec(policy=policy, warm=())
+        config = fast_config()
+        items = build_workload(spec, config, 2)
+
+        sim = run_simulated_trace(spec, config, items)
+        real = run_real_scenario(spec, config=config, mode="inline",
+                                 sequential=True, items=items)
+
+        assert triples(real.recorder) == triples(sim.recorder)
+        if admission == "shed":
+            assert real.recorder.outcome_counts() == {OUTCOME_SHED: 6}
+            hints = [[r.detail["retry_after_s"] for r in recorder.records]
+                     for recorder in (real.recorder, sim.recorder)]
+            assert hints[0] == hints[1] and min(hints[0]) > 0
+            assert sum(c["shed"] for c in real.edge_counters) == 6
+        else:
+            # Redirect relays to the cloud and caches nothing.
+            assert real.recorder.outcome_counts() == {OUTCOME_MISS: 6}
+            assert [c["cache_entries"] for c in real.edge_counters] == [0, 0]
+            assert [len(cache) for cache in sim.caches] == [0, 0]
+
 
 class TestRobustness:
-    def test_saturated_edge_sheds_with_a_drain_hint(self):
-        # queue_limit=0 + concurrent clients on one edge: whoever
-        # arrives while a cloud miss is in flight is refused.
-        policy = EdgePolicySpec(admission="shed", queue_limit=0)
-        spec = small_spec(policy=policy, warm=(),
-                          clients=(("m0", "m1", "m2"),))
-        config = fast_config(network="vgg16")  # slow misses on purpose
-        real = run_real_scenario(spec, config=config, mode="inline",
-                                 requests_per_client=2)
-
-        counts = real.recorder.outcome_counts()
-        assert real.requests == 6
-        assert counts.get(OUTCOME_SHED, 0) > 0
-        assert OUTCOME_ERROR not in counts
-        shed = real.recorder.select(outcome=OUTCOME_SHED)
-        assert all(r.detail["shed"] and r.detail["retry_after_s"] > 0
-                   for r in shed)
-        assert real.edge_counters[0]["shed"] >= len(shed)
-
     def test_shed_retries_resend_after_the_backoff(self):
-        # With a generous retry budget the same contention resolves:
-        # shed clients wait out the jittered retry_after_s hint and
-        # re-send until a worker slot frees up.
-        policy = EdgePolicySpec(admission="shed", queue_limit=0,
-                                shed_retries=25)
-        spec = small_spec(policy=policy, warm=(),
-                          clients=(("m0", "m1", "m2"),))
-        config = fast_config()
-        real = run_real_scenario(spec, config=config, mode="inline",
-                                 requests_per_client=2)
+        # An edge that sheds the first k frames: the client waits out
+        # each jittered retry_after_s hint, re-sends, and is served.
+        k, hint_s = 3, 0.02
+        recorder = MetricsRecorder()
+        item = WorkloadItem(client="m0", edge="edge0", seq=0, capture_id=1,
+                            object_class=2, viewpoint=0.0, input_bytes=0)
 
-        counts = real.recorder.outcome_counts()
-        assert real.requests == 6
-        assert OUTCOME_ERROR not in counts
-        assert counts.get(OUTCOME_SHED, 0) == 0
-        served = real.recorder.select()
-        # The contention happened (some request needed >=1 re-send) —
-        # the retries are what turned the sheds into served requests.
-        assert any(r.detail.get("retries", 0) > 0 for r in served)
-        assert all(r.correct for r in served)
+        async def _run():
+            edge = SheddingEdge(k, hint_s)
+            await edge.start()
+            client = RealClient(
+                "m0", [("edge0", ("127.0.0.1", edge.port))], [item],
+                recorder, timeout_s=5.0, shed_retries=k,
+                backoff_rng=RngStreams(seed=0).stream("client.backoff.m0"))
+            try:
+                await client.run()
+            finally:
+                await edge.stop()
+            return edge.seen
+
+        assert asyncio.run(_run()) == k + 1
+        (record,) = recorder.records
+        assert record.outcome == OUTCOME_MISS and record.correct
+        assert record.detail["retries"] == k
+        assert record.end_s - record.start_s >= k * hint_s
 
     def test_request_timeout_records_an_error_outcome(self):
         spec = small_spec(warm=(), clients=(("m0",),))
@@ -164,22 +201,12 @@ class TestRobustness:
         assert "timeout" in record.detail["error"]
         assert record.correct is None
 
-    def test_drain_refuses_new_work_then_shutdown_reports_counters(self):
+    def test_drain_refuses_new_work_then_shutdown_reports_counters(
+            self, edge_payload):
         # The graceful half of the shutdown story, at protocol level:
         # a draining edge sheds incoming work, and the shutdown frame
         # answers with the final serving counters.
-        payload = {
-            "name": "edge0",
-            "recognition": {"descriptor_dim": 16, "n_classes": 4,
-                            "viewpoint_scale": 0.02, "noise_sigma": 0.005,
-                            "seed": 0, "threshold": None,
-                            "max_viewpoint_delta": 5.0},
-            "cache": {"capacity_bytes": 10_000_000, "policy": "lru",
-                      "vector_index": "linear", "metric": "l2",
-                      "ttl_s": None, "vector_dtype": "float64"},
-            "warm_classes": [], "admission": "none", "queue_limit": None,
-            "cloud": None,  # cloudless: the edge itself is the oracle
-        }
+        payload = edge_payload(metric="l2", vector_dtype="float64")
 
         async def _run():
             service = EdgeService(payload)
@@ -207,8 +234,8 @@ class TestRobustness:
         assert bye["served"] == 1 and bye["misses"] == 1
         assert bye["shed"] == 1 and bye["cache_entries"] == 1
 
-
-    def test_dead_cloud_costs_an_error_reply_not_the_connection(self):
+    def test_dead_cloud_costs_an_error_reply_not_the_connection(
+            self, edge_payload):
         # The cloud address refuses connections.  A cold capture gets
         # an error reply on the same connection (the simulated edge
         # answers an unreachable cloud the same way), hits + misses ==
@@ -218,18 +245,8 @@ class TestRobustness:
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             dead_port = probe.getsockname()[1]
-        payload = {
-            "name": "edge0",
-            "recognition": {"descriptor_dim": 16, "n_classes": 4,
-                            "viewpoint_scale": 0.02, "noise_sigma": 0.005,
-                            "seed": 0, "threshold": None,
-                            "max_viewpoint_delta": 5.0},
-            "cache": {"capacity_bytes": 10_000_000, "policy": "lru",
-                      "vector_index": "linear", "metric": "cosine",
-                      "ttl_s": None, "vector_dtype": "float64"},
-            "warm_classes": [1], "admission": "none", "queue_limit": None,
-            "cloud": {"host": "127.0.0.1", "port": dead_port},
-        }
+        payload = edge_payload(cloud=("127.0.0.1", dead_port), warm=(1,),
+                               vector_dtype="float64")
 
         async def _run():
             service = EdgeService(payload)
@@ -260,6 +277,12 @@ class TestRunnerValidation:
     def test_unknown_mode_is_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             run_real_scenario(small_spec(), mode="threads")
+
+    def test_speculative_forward_is_refused(self):
+        config = fast_config()
+        config.recognition.speculative_forward = True
+        with pytest.raises(ValueError, match="speculative_forward"):
+            run_real_scenario(small_spec(), config=config, mode="inline")
 
     def test_kill_edge_requires_process_mode(self):
         with pytest.raises(ValueError, match="kill_edge"):
