@@ -108,8 +108,8 @@ def main() -> None:
           f"landed at t={push.time_s:.2f}s")
     hub = dep.edge_by_name["hub"]
     print(f"handoffs completed: {len(dep.handoff_log)}; hub served "
-          f"{hub.partial_served} partials, saving "
-          f"{hub.partial_saved_s:.1f}s of backbone compute")
+          f"{hub.counts['partial']} partials, saving "
+          f"{hub.counts['partial_saved_s']:.1f}s of backbone compute")
     print("shipping layer activations costs real backhaul bytes, but the "
           "hub resumes mid-network instead of paying the full backbone.")
 

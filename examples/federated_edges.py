@@ -66,7 +66,7 @@ def main() -> None:
         rows, title="Arena join: cafe A first, cafe B second"))
     print(f"\ncafe B speedup from federation: "
           f"{iso_b / fed_b:.1f}x  "
-          f"(edge1 answered {dep.edges[1].peer_hits} loads from edge0)")
+          f"(edge1 answered {dep.edges[1].counts['peer_hits']} loads from edge0)")
     print("cloud fetches: isolated would fetch every model per edge; "
           "federated fetched each model exactly once.")
 

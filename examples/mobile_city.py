@@ -69,8 +69,8 @@ def main() -> None:
         print(f"first handoff: {first.client} "
               f"{first.src_edge}->{first.dst_edge} "
               f"at t={first.started_s:.1f}s")
-    peer_hits = sum(e.peer_hits for e in dep.edges)
-    print(f"federated lookups answered by a neighbour edge: {peer_hits}")
+    print(f"federated lookups answered by a neighbour edge: "
+          f"{dep.counts()['peer_hits']}")
     print("isolated edges re-fetch a roaming user's content from the cloud; "
           "federated edges let it follow the user over the metro link.")
 

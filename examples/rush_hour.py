@@ -60,9 +60,9 @@ def main() -> None:
         shed = sum(1 for r in records if r.outcome == "shed")
         latencies = sorted(r.latency_s for r in served)
         p99 = latencies[int(0.99 * (len(latencies) - 1))] * 1e3
-        offloaded = sum(e.offloaded_out for e in dep.edges)
-        rows.append([name, str(len(served)), str(shed), str(offloaded),
-                     str(dep.prewarm_pushed),
+        rows.append([name, str(len(served)), str(shed),
+                     str(dep.counts()["offloaded_out"]),
+                     str(sum(p.pushed for p in dep.prewarm_log)),
                      f"{recorder.hit_ratio('recognition'):.3f}",
                      f"{p99:.0f}"])
     print(format_table(

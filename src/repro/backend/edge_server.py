@@ -19,7 +19,6 @@ same class runs inline (hermetic tests) or as a spawned OS process.
 from __future__ import annotations
 
 import asyncio
-import collections
 import dataclasses
 import math
 
@@ -27,7 +26,7 @@ from repro.backend import runtime
 from repro.backend.server import FrameServer
 from repro.core.cluster import edge_cache, embedding_space, prototype_items
 from repro.core.edge import EdgeNode
-from repro.core.metrics import OUTCOME_HIT, OUTCOME_MISS
+from repro.core.metrics import OUTCOME_HIT, OUTCOME_MISS, OUTCOME_SHED
 from repro.core.pipeline import AdmissionControlStage, build_pipeline
 from repro.core.scenario import EdgePolicySpec
 from repro.core.tasks import RecognitionTask
@@ -93,9 +92,6 @@ class EdgeService(FrameServer):
             # once (a list, a batch) shows up as the process's peak RSS.
             for item in prototype_items(space, warmup.classes):
                 self.cache.insert(*item, now=env.now)
-        #: ``outcome`` of every reply frame (``served`` in the counters
-        #: is hits + misses; an ``error`` reply counts as neither).
-        self.outcomes: collections.Counter = collections.Counter()
         self.active = 0
         self._idle = asyncio.Event()
         self._idle.set()
@@ -117,11 +113,15 @@ class EdgeService(FrameServer):
 
     @property
     def shed_count(self) -> int:
-        return self.edge.shed_count
+        return self.edge.counts[OUTCOME_SHED]
 
     def counters(self) -> dict:
-        hits, misses = self.outcomes[OUTCOME_HIT], self.outcomes[OUTCOME_MISS]
-        return {"edge": self.name, "served": hits + misses,
+        """The edge's :attr:`EdgeNode.counts`, plus ``cache_entries`` and
+        the totals the wire has always carried: ``served`` is hits +
+        misses, ``hits`` / ``misses`` / ``shed`` the outcome counts."""
+        counts = self.edge.counts
+        hits, misses = counts[OUTCOME_HIT], counts[OUTCOME_MISS]
+        return {"edge": self.name, **counts, "served": hits + misses,
                 "hits": hits, "misses": misses, "shed": self.shed_count,
                 "cache_entries": len(self.cache)}
 
@@ -163,6 +163,4 @@ class EdgeService(FrameServer):
             self.active -= 1
             if self.active == 0:
                 self._idle.set()
-        reply = self.rpc.replies.pop(msg.msg_id)
-        self.outcomes[reply.get("outcome")] += 1
-        return reply
+        return self.rpc.replies.pop(msg.msg_id)

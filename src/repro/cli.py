@@ -158,7 +158,25 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         drive_scenario(deployment, duration_s=args.duration,
                        request_interval_s=args.interval)
 
-    recorder = deployment.recorder
+    _print_report(
+        deployment.recorder,
+        f"scenario: {len(deployment.edges)} edges, "
+        f"{len(deployment.all_clients)} clients",
+        [(name, {**edge.counts, "cache_entries": len(edge.cache)})
+         for name, edge in zip(deployment.edge_names, deployment.edges)])
+    print(f"handoffs: {len(deployment.handoff_log)}")
+    return 0
+
+
+#: The reply outcomes the per-edge counts table shows.
+_OUTCOMES = ("hit", "miss", "partial", "shed", "error")
+
+
+def _print_report(recorder, title: str,
+                  per_edge: typing.Sequence[tuple[str, dict]]) -> None:
+    """The scenario report on either backend: outcome latencies, hit
+    ratio and each edge's reply outcomes and cache entries (``-`` for an
+    edge that reported nothing)."""
     rows = []
     for kind in sorted({r.task_kind for r in recorder.records}):
         for outcome in sorted({r.outcome for r in
@@ -167,14 +185,15 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             rows.append([kind, outcome, str(s.n), f"{s.mean * 1e3:.1f}",
                          f"{s.p95 * 1e3:.1f}"])
     print(format_table(["task", "outcome", "n", "mean ms", "p95 ms"], rows,
-                       title=f"scenario: {len(deployment.edges)} edges, "
-                             f"{len(deployment.all_clients)} clients"))
-    print(f"\nhit ratio: {recorder.hit_ratio():.3f}")
-    print(f"handoffs: {len(deployment.handoff_log)}")
-    caches = ", ".join(f"{name}={len(cache)}" for name, cache in
-                       zip(deployment.edge_names, deployment.caches))
-    print(f"cache entries: {caches}")
-    return 0
+                       title=title))
+    print(f"\nhit ratio: {recorder.hit_ratio():.3f}\n")
+    columns = (*_OUTCOMES, "cache_entries")
+    print(format_table(
+        ["edge", *columns],
+        [[name, *(str(counts.get(c, 0)) if counts else "-"
+                  for c in columns)] for name, counts in per_edge],
+        title="per-edge counts"))
+    print()
 
 
 # Spawns real OS processes: exercised by CI's real-backend job (CLI
@@ -193,24 +212,12 @@ def _run_real_scenario(spec, config, args) -> int:  # pragma: no cover
                                requests_per_client=requests_per_client,
                                pace_s=args.interval,
                                mode="process")
-    recorder = result.recorder
-    rows = []
-    for kind in sorted({r.task_kind for r in recorder.records}):
-        for outcome in sorted({r.outcome for r in
-                               recorder.select(task_kind=kind)}):
-            s = recorder.summary(task_kind=kind, outcome=outcome)
-            rows.append([kind, outcome, str(s.n), f"{s.mean * 1e3:.1f}",
-                         f"{s.p95 * 1e3:.1f}"])
-    print(format_table(["task", "outcome", "n", "mean ms", "p95 ms"], rows,
-                       title=f"scenario (real backend): "
-                             f"{len(spec.edges)} edge processes"))
-    print(f"\nhit ratio: {recorder.hit_ratio():.3f}")
+    _print_report(result.recorder,
+                  f"scenario (real backend): {len(spec.edges)} edge "
+                  f"processes",
+                  list(zip(spec.edge_names, result.edge_counters)))
     print(f"wall clock: {result.wall_s:.2f} s "
           f"({result.requests_per_sec:.1f} requests/s)")
-    caches = ", ".join(
-        f"{c.get('edge', '?')}={c.get('cache_entries', '?')}"
-        for c in result.edge_counters)
-    print(f"cache entries: {caches}")
     return 0
 
 

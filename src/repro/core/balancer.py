@@ -76,7 +76,6 @@ class PeerLoadBalancer:
         self._edges: dict[str, "EdgeNode"] = {}
         self._neighbours: dict[str, tuple[str, ...]] = {}
         self._pending: dict[str, int] = {}
-        self.dispatched = 0
 
     def register(self, name: str, edge: "EdgeNode",
                  neighbours: typing.Sequence[str]) -> None:
@@ -142,7 +141,6 @@ class PeerLoadBalancer:
 
     def note_dispatch(self, name: str) -> None:
         self._pending[name] = self._pending.get(name, 0) + 1
-        self.dispatched += 1
 
     def note_done(self, name: str) -> None:
         self._pending[name] = max(0, self._pending.get(name, 0) - 1)
@@ -180,11 +178,13 @@ class AffinityLoadBalancer(PeerLoadBalancer):
                  broker: FederationBroker | None = None):
         super().__init__(margin=margin, broker=broker)
         self.kind = kind
-        self.affinity_picks = 0
-        self.fallback_picks = 0
 
     def _choose(self, src: str, key: "typing.Any | None") -> str | None:
-        """The eligible neighbour with the best hit x headroom score."""
+        """The eligible neighbour with the best hit x headroom score.
+
+        Each pick is counted on the asking edge, as ``affinity_picks``
+        (a summary predicted a hit) or ``fallback_picks`` (least-loaded).
+        """
         if key is not None:
             own = self._own(src)
             asking = self._edges.get(src)
@@ -196,9 +196,9 @@ class AffinityLoadBalancer(PeerLoadBalancer):
                     -(scores.get(name, 0.0) * (1.0 / (1.0 + load))), load),
                 eligible=lambda load: load + self.margin <= own)
             if winner is not None and winner.rank[0] < 0.0:
-                self.affinity_picks += 1
+                self._edges[src].counts["affinity_picks"] += 1
                 return winner.provider
         fallback = super()._choose(src, key)
         if fallback is not None:
-            self.fallback_picks += 1
+            self._edges[src].counts["fallback_picks"] += 1
         return fallback

@@ -8,6 +8,7 @@ bounded worker pool so load shows up as queueing delay.
 
 from __future__ import annotations
 
+import collections
 import typing
 
 from repro.core.tasks import (
@@ -53,8 +54,8 @@ class CloudNode:
         self.recognizer = recognizer
         self.config = config
         self.compute = Resource(env, capacity=workers)
-        self.requests_served = 0
-        self.responses_dropped = 0
+        #: ``requests_served`` and ``responses_dropped``.
+        self.counts: collections.Counter = collections.Counter()
         env.process(self._serve())
 
     def _serve(self):
@@ -78,13 +79,13 @@ class CloudNode:
                 raise TypeError(f"cloud cannot serve {task!r}")
         finally:
             self.compute.release(slot)
-        self.requests_served += 1
+        self.counts["requests_served"] += 1
         try:
             yield from self.rpc.respond(msg, size_bytes=size, payload=result,
                                         kind="ic_result")
         except RpcError:
             # The asking edge is cut off: its call times out over there.
-            self.responses_dropped += 1
+            self.counts["responses_dropped"] += 1
 
     def _do_recognition(self, task: RecognitionTask):
         """Full DNN inference on the uploaded frame."""

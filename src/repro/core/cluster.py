@@ -58,6 +58,7 @@ charges no simulated transfer time.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -356,7 +357,6 @@ class ClusterDeployment:
         # neighbour on the policy's refresh interval.  The processes run
         # for the life of the simulation, so drive affinity scenarios
         # with run_for()/run_tasks(), never a bare env.run().
-        self.summaries_sent = 0
         if isinstance(self.balancer, AffinityLoadBalancer):
             for espec in spec.edges:
                 if neighbours[espec.name]:
@@ -434,8 +434,6 @@ class ClusterDeployment:
         # -- mobility / handoff ---------------------------------------------
         self.handoff_log: list[HandoffEvent] = []
         self.prewarm_log: list[PrewarmEvent] = []
-        self.prewarm_pushed = 0
-        self.prewarm_layers_pushed = 0
         self.world: "World | None" = None
         self.users: dict[str, "RandomWaypointUser"] = {}
         self.itineraries: dict[str, list[tuple[float, int]]] = {}
@@ -724,7 +722,7 @@ class ClusterDeployment:
                     # No route / link down: this round's summary is
                     # lost; the peer keeps scoring the stale snapshot.
                     continue
-                self.summaries_sent += 1
+                self.edge_by_name[name].counts["summaries_sent"] += 1
 
     # -- predictive handoff pre-warm -----------------------------------------
 
@@ -817,12 +815,17 @@ class ClusterDeployment:
                                now=self.env.now,
                                detail={"client": client_name,
                                        "entries": len(items)})
-        self.prewarm_pushed += len(items) - n_layers
-        self.prewarm_layers_pushed += n_layers
         self.prewarm_log.append(PrewarmEvent(
             time_s=self.env.now, client=client_name, src_edge=src_edge,
             dst_edge=dst_edge, pushed=len(items) - n_layers,
             layer_entries=n_layers, size_bytes=size))
+
+    def counts(self) -> collections.Counter:
+        """Every edge's :attr:`EdgeNode.counts`, summed."""
+        total: collections.Counter = collections.Counter()
+        for edge in self.edges:
+            total.update(edge.counts)
+        return total
 
     def visible_classes(self, client: CoICClient) -> tuple:
         """Object classes at the client's current place (mobility only)."""

@@ -39,6 +39,7 @@ and, for any edge, a peer's ``peer_lookup`` probe (the asking side is
 
 from __future__ import annotations
 
+import collections
 import typing
 
 from repro.core.cache import ICCache
@@ -139,50 +140,26 @@ class EdgeNode:
         self.peers = [p for p in peers if p != host.name]
         self.peer_timeout_s = peer_timeout_s
         self.broker = broker
-        self.peer_hits = 0
-        self.peer_misses = 0
-        #: Total peer_lookup probes sent (backhaul messages); with
-        #: affinity-ordered probing this drops relative to spec-order
-        #: probing because likely holders are asked first.
-        self.peer_probes = 0
+        #: Every tally this edge keeps, by name: the outcome of each
+        #: reply that ends a request (``hit``, ``miss``, ``partial``,
+        #: ``shed``, ``error``) plus the federation, overload,
+        #: layer-reuse and gossip counters.  The table of names, what
+        #: increments each and its owner is in docs/real_backend.md.
+        self.counts: collections.Counter = collections.Counter()
         #: Federation message log: one ``(time_s, peer)`` row per
         #: peer_lookup actually sent — what the consent fault-path
         #: tests assert against ("a denied peer is never probed").
         self.probe_log: list[tuple[float, str]] = []
         #: digest -> completion event, for miss coalescing on hash tasks.
         self._inflight: dict[str, Event] = {}
-        self.requests_served = 0
-        #: Responses abandoned because the client's access link went
-        #: down first (the client gave up on the request and moved on —
-        #: e.g. a blown deadline followed by a handoff tearing down the
-        #: drained link).  A departed client is a dropped response, not
-        #: a simulation error.
-        self.responses_dropped = 0
         #: Layer-cache manager over this edge's cache, installed by the
         #: deployment when the scenario policy ships or serves layer
         #: activations; the pipeline's layer-reuse stage plans against
         #: it.  None on the paper's plain edge.
         self.layer_manager = None
-        #: Partial-inference counters (stay zero without layer_reuse).
-        self.partial_served = 0
-        self.partial_saved_s = 0.0
-        self.layer_seeded = 0
-        #: Coarse (result-cache) lookup evidence on the recognition
-        #: path, kept apart from the cache's global stats — layer-tap
-        #: probes share the cache but must not pollute the hit-ratio
-        #: signal the layer-reuse serving baseline reads.
-        self.coarse_lookups = 0
-        self.coarse_hits = 0
-        #: Overload-layer counters (stay zero under the default pipeline).
-        self.shed_count = 0
-        self.redirect_count = 0
-        self.offloaded_out = 0
-        self.offloaded_in = 0
-        self.prewarm_received = 0
         #: Latest gossiped CacheSummary per neighbour edge (affinity
         #: offload reads this; stale by up to the gossip interval).
         self.peer_summaries: dict[str, typing.Any] = {}
-        self.summaries_received = 0
 
     # -- load ----------------------------------------------------------------
 
@@ -194,9 +171,8 @@ class EdgeNode:
     @property
     def coarse_hit_ratio(self) -> float:
         """Observed hit ratio of coarse recognition lookups on this edge."""
-        if self.coarse_lookups == 0:
-            return 0.0
-        return self.coarse_hits / self.coarse_lookups
+        lookups = self.counts["coarse_lookups"]
+        return self.counts["coarse_hits"] / lookups if lookups else 0.0
 
     # -- threshold ----------------------------------------------------------------
 
@@ -218,11 +194,15 @@ class EdgeNode:
 
         The ``served_by`` tag is what lets the metrics layer attribute
         offloaded and post-handoff requests to the edge that actually
-        did the work.
+        did the work.  Every reply but ``need_input`` ends its request
+        and is counted here under its ``outcome`` header — on both
+        backends, since the real edge runs this code too.
         """
         tagged = {"served_by": self.host.name}
         if headers:
             tagged.update(headers)
+        if kind != "need_input":
+            self.counts[tagged["outcome"]] += 1
         return self.rpc.respond(msg, size_bytes=size_bytes, payload=payload,
                                 kind=kind, headers=tagged)
 
@@ -282,7 +262,7 @@ class EdgeNode:
             # bookkeeping — overwrite the previous snapshot, no
             # simulated compute (the transfer already paid its bytes).
             self.peer_summaries[msg.src] = msg.payload
-            self.summaries_received += 1
+            self.counts["summaries_received"] += 1
             return
         if msg.kind == "prewarm_push":
             # One-way replication from a peer edge ahead of a handoff;
@@ -291,7 +271,7 @@ class EdgeNode:
             return
         if msg.kind == "peer_lookup":
             yield from self._handle_peer_lookup(msg)
-            self.requests_served += 1
+            self.counts["requests_served"] += 1
             return
         try:
             yield from self.pipeline.process(self, msg)
@@ -305,16 +285,16 @@ class EdgeNode:
             except RpcError:
                 # The client itself is unreachable — it abandoned the
                 # request and its access link is already torn down.
-                self.responses_dropped += 1
-        self.requests_served += 1
+                self.counts["responses_dropped"] += 1
+        self.counts["requests_served"] += 1
 
     def _handle_prewarm(self, msg: Message):
         """Absorb a peer's pre-warm batch: one bookkeeping charge, one
         ``insert_batch`` (items carry their original ``cost_s``)."""
         yield self.config.cache.insert_ms / 1e3
         inserted = self.cache.insert_batch(msg.payload, now=self.env.now)
-        self.prewarm_received += sum(1 for entry in inserted
-                                     if entry is not None)
+        self.counts["prewarm_received"] += sum(1 for entry in inserted
+                                               if entry is not None)
 
     def _handle_peer_lookup(self, msg: Message):
         """Answer another edge's cache probe (descriptor only)."""
@@ -327,7 +307,7 @@ class EdgeNode:
                 msg, size_bytes=size, payload=result, kind="peer_result")
         except RpcError:
             # The asking edge is cut off: its probe times out over there.
-            self.responses_dropped += 1
+            self.counts["responses_dropped"] += 1
 
     # -- extraction -----------------------------------------------------------------
 

@@ -25,7 +25,8 @@ privacy boundary the client/edge hop has.
 
 There is one edge class.  Every :class:`~repro.core.edge.EdgeNode`
 answers a ``peer_lookup`` and carries the federation state (``peers``,
-``peer_timeout_s``, ``broker``, the probe counters and ``probe_log``);
+``peer_timeout_s``, ``broker``, the ``peer_hits`` / ``peer_misses``
+counts and ``probe_log``, one row per probe sent);
 an edge built with no peers simply never asks.  This module is the
 asking side — probe order, the probe loop, settlement of a hit — and
 :class:`~repro.core.pipeline.ResolveStage` decides when to ask: after a
@@ -106,7 +107,6 @@ def query_peers(edge: "EdgeNode", descriptor: Descriptor):
         probe = Message(size_bytes=descriptor.size_bytes,
                         kind="peer_lookup", payload=descriptor,
                         src=edge.host.name, dst=peer)
-        edge.peer_probes += 1
         edge.probe_log.append((edge.env.now, peer))
         try:
             response = yield edge.rpc.call(
@@ -114,9 +114,9 @@ def query_peers(edge: "EdgeNode", descriptor: Descriptor):
         except RpcError:
             continue  # peer slow or unreachable: fall through
         if response.payload is not None:
-            edge.peer_hits += 1
+            edge.counts["peer_hits"] += 1
             return response.payload, peer
-    edge.peer_misses += 1
+    edge.counts["peer_misses"] += 1
     return None, None
 
 

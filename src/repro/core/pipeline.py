@@ -355,8 +355,7 @@ class LayerReuseStage(Stage):
                                               vector=observation.vector)
                 edge.cache.insert(descriptor, result, result.size_bytes,
                                   now=edge.env.now, cost_s=partial_s)
-        edge.partial_served += 1
-        edge.partial_saved_s += saved_s
+        edge.counts["partial_saved_s"] += saved_s
         ctx.result = result
         ctx.outcome = OUTCOME_PARTIAL
         ctx.extra_headers.update(resume_layer=plan.resume_after,
@@ -394,7 +393,7 @@ class LookupStage(Stage):
                 # resume mid-network instead of recomputing.
                 yield edge.config.cache.insert_ms / 1e3
                 manager = edge.layer_manager
-                edge.layer_seeded += manager.insert(
+                edge.counts["layer_seeded"] += manager.insert(
                     ctx.layer_sketch, now=edge.env.now,
                     layers=manager.layers_through(
                         manager.network.feature_layer),
@@ -404,9 +403,9 @@ class LookupStage(Stage):
         # Per-edge coarse hit evidence: what the layer-reuse stage's
         # default-chain baseline reads.  Deliberately *not* the cache's
         # global stats — layer-tap probes would drown the signal.
-        edge.coarse_lookups += 1
+        edge.counts["coarse_lookups"] += 1
         if ctx.entry is not None:
-            edge.coarse_hits += 1
+            edge.counts["coarse_hits"] += 1
 
     def _hash_lookup(self, edge: "EdgeNode", ctx: RequestContext):
         ctx.entry = yield from edge._lookup(ctx.descriptor)
@@ -640,7 +639,7 @@ class AdmissionControlStage(AdmitStage):
             yield from _noop()
             return
         if ctx.msg.headers.get("offloaded"):
-            edge.offloaded_in += 1
+            edge.counts["offloaded_in"] += 1
             return
         if not self.overloaded(edge):
             return
@@ -651,7 +650,6 @@ class AdmissionControlStage(AdmitStage):
                 yield from self._offload(edge, ctx, target)
                 return
         if self.spec.admission == "shed":
-            edge.shed_count += 1
             yield from edge._respond(
                 ctx.msg, size_bytes=96, payload=None, kind="shed",
                 headers={"outcome": OUTCOME_SHED,
@@ -673,7 +671,7 @@ class AdmissionControlStage(AdmitStage):
                 # the point is to protect a saturated worker pool, so
                 # the edge acts as the dumb relay of the paper's Origin
                 # baseline for this one request.
-                edge.redirect_count += 1
+                edge.counts["redirects"] += 1
                 response = yield edge._cloud_call(ctx.task)
                 ctx.result = response.payload
                 ctx.outcome = OUTCOME_MISS
@@ -714,7 +712,7 @@ class AdmissionControlStage(AdmitStage):
 
     def _offload(self, edge: "EdgeNode", ctx: RequestContext, target: str):
         """Relay the request to ``target`` and its response to the client."""
-        edge.offloaded_out += 1
+        edge.counts["offloaded_out"] += 1
         headers: dict = {"offloaded": True, "origin_edge": edge.host.name}
         for key in ("descriptor", "has_input", "force_forward", "sketch"):
             if key in ctx.msg.headers:

@@ -171,11 +171,11 @@ def _summarize(deployment: ClusterDeployment, policy: str) -> AffinityRow:
     records = recorder.select(task_kind="recognition")
     served = [r for r in records if r.outcome in (OUTCOME_HIT, OUTCOME_MISS)]
     summary = LatencySummary.of([r.latency_s for r in served])
-    balancer = deployment.balancer
+    counts = deployment.counts()
     return AffinityRow(
         policy=policy,
         requests=len(records), served=len(served),
-        offloaded=sum(edge.offloaded_out for edge in deployment.edges),
+        offloaded=counts["offloaded_out"],
         served_warm=sum(1 for r in served if r.edge == "edge2"),
         served_cold=sum(1 for r in served if r.edge == "edge1"),
         misses_cold=sum(1 for r in served
@@ -183,9 +183,9 @@ def _summarize(deployment: ClusterDeployment, policy: str) -> AffinityRow:
         hit_ratio=recorder.hit_ratio(task_kind="recognition"),
         mean_ms=summary.mean * 1e3, p95_ms=summary.p95 * 1e3,
         p99_ms=summary.p99 * 1e3,
-        summaries_sent=deployment.summaries_sent,
-        affinity_picks=getattr(balancer, "affinity_picks", 0),
-        fallback_picks=getattr(balancer, "fallback_picks", 0))
+        summaries_sent=counts["summaries_sent"],
+        affinity_picks=counts["affinity_picks"],
+        fallback_picks=counts["fallback_picks"])
 
 
 def run_affinity(policies: typing.Sequence[str] = POLICY_NAMES,

@@ -164,8 +164,8 @@ def _summarize(deployment: ClusterDeployment, regime: str) -> MarketRow:
         regime=regime,
         requests=len(records), served=len(served),
         hit_ratio=recorder.hit_ratio(task_kind="recognition"),
-        peer_probes=consumer_edge.peer_probes,
-        peer_hits=consumer_edge.peer_hits,
+        peer_probes=len(consumer_edge.probe_log),
+        peer_hits=consumer_edge.counts["peer_hits"],
         mean_ms=summary.mean * 1e3, p95_ms=summary.p95 * 1e3,
         p99_ms=summary.p99 * 1e3,
         credits_spent=consumer.spent if consumer is not None else 0.0,

@@ -60,9 +60,9 @@ def _run_cross_edge_loads(federate: bool, metro_delay_ms: float,
         deployment.env.run()
     mean_ms = sum(latencies) / len(latencies) * 1e3
 
-    edge1 = deployment.edges[1]
-    rounds = edge1.peer_hits + edge1.peer_misses  # zero when isolated
-    ratio = edge1.peer_hits / rounds if rounds else 0.0
+    counts = deployment.edges[1].counts
+    rounds = counts["peer_hits"] + counts["peer_misses"]  # 0 when isolated
+    ratio = counts["peer_hits"] / rounds if rounds else 0.0
     return mean_ms, ratio
 
 

@@ -50,11 +50,6 @@ class Fig2aRow:
         """Hit latency reduction vs Origin (the paper's metric)."""
         return reduction_pct(self.origin_ms, self.hit_ms)
 
-    @property
-    def miss_overhead_pct(self) -> float:
-        """How much worse a miss is than Origin."""
-        return -reduction_pct(self.origin_ms, self.miss_ms)
-
 
 @dataclasses.dataclass(frozen=True)
 class Fig2aResult:

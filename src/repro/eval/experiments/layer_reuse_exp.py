@@ -215,9 +215,10 @@ def _summarize(deployment: ClusterDeployment, policy: str,
         mean_ms=summary.mean * 1e3, p95_ms=summary.p95 * 1e3,
         hub_mean_ms=hub_summary.mean * 1e3,
         saved_compute_s=recorder.saved_compute_s(task_kind="recognition"),
-        layer_entries_prewarmed=deployment.prewarm_layers_pushed,
+        layer_entries_prewarmed=sum(e.layer_entries
+                                    for e in deployment.prewarm_log),
         prewarm_bytes=sum(e.size_bytes for e in deployment.prewarm_log),
-        layer_seeded=sum(e.layer_seeded for e in deployment.edges))
+        layer_seeded=deployment.counts()["layer_seeded"])
 
 
 def run_layer_reuse(policies: typing.Sequence[str] = POLICY_NAMES,

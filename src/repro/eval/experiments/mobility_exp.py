@@ -109,9 +109,9 @@ def _summarize(deployment: ClusterDeployment, federate: bool,
     per_client = {name: 0 for name in deployment.client_names}
     for event in deployment.handoff_log:
         per_client[event.client] += 1
-    peer_hits = sum(getattr(e, "peer_hits", 0) for e in deployment.edges)
-    peer_misses = sum(getattr(e, "peer_misses", 0) for e in deployment.edges)
-    probes = peer_hits + peer_misses
+    counts = deployment.counts()
+    peer_hits = counts["peer_hits"]
+    probes = peer_hits + counts["peer_misses"]
     return MobilityRow(
         federate=federate, handoff_latency_ms=handoff_latency_ms,
         requests=summary.n, handoffs=len(deployment.handoff_log),

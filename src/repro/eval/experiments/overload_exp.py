@@ -149,7 +149,7 @@ def _summarize(deployment: ClusterDeployment, policy: str,
     shed = len(recorder.select(task_kind="recognition",
                                outcome=OUTCOME_SHED))
     summary = LatencySummary.of([r.latency_s for r in served])
-    offloaded = sum(edge.offloaded_out for edge in deployment.edges)
+    offloaded = deployment.counts()["offloaded_out"]
     per_edge: dict[str, int] = {}
     for record in served:
         per_edge[record.edge] = per_edge.get(record.edge, 0) + 1
@@ -166,7 +166,7 @@ def _summarize(deployment: ClusterDeployment, policy: str,
         offloaded=offloaded,
         offload_rate=offloaded / len(records) if records else 0.0,
         handoffs=len(deployment.handoff_log),
-        prewarm_pushed=deployment.prewarm_pushed,
+        prewarm_pushed=sum(p.pushed for p in deployment.prewarm_log),
         hit_ratio=recorder.hit_ratio(task_kind="recognition"),
         mean_ms=summary.mean * 1e3, p95_ms=summary.p95 * 1e3,
         p99_ms=summary.p99 * 1e3,

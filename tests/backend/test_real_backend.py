@@ -8,6 +8,7 @@ deselected by default; run them with ``pytest -m real_backend``.
 """
 
 import asyncio
+import collections
 
 import pytest
 
@@ -16,22 +17,27 @@ from repro.backend.loadgen import RealClient, WorkloadItem, build_workload
 from repro.backend.protocol import call
 from repro.backend.runner import run_real_scenario, run_simulated_trace
 from repro.backend.server import FrameServer
+from repro.core.cluster import ClusterDeployment
 from repro.core.config import CoICConfig
 from repro.core.metrics import (
     MetricsRecorder,
     OUTCOME_ERROR,
     OUTCOME_HIT,
     OUTCOME_MISS,
+    OUTCOME_PARTIAL,
     OUTCOME_SHED,
 )
 from repro.core.scenario import (
     ClientSpec,
     EdgePolicySpec,
     EdgeSpec,
+    MobilitySpec,
     ScenarioSpec,
     WarmupSpec,
 )
 from repro.core.tasks import KIND_RECOGNITION
+from repro.eval.experiments.mobility_exp import drive_scenario
+from repro.eval.experiments.overload_exp import build_rush_hour
 from repro.sim.rng import RngStreams
 
 
@@ -56,6 +62,32 @@ def small_spec(policy=None, warm=(1, 2, 3), clients=(("m0", "m1"), ("m2",))):
 
 def triples(recorder):
     return [(r.user, r.outcome, r.correct) for r in recorder.records]
+
+
+OUTCOMES = (OUTCOME_HIT, OUTCOME_MISS, OUTCOME_PARTIAL, OUTCOME_SHED,
+            OUTCOME_ERROR)
+
+
+def edge_outcomes(counts):
+    """The reply outcomes in one edge's counts (or counters frame)."""
+    return {outcome: counts[outcome] for outcome in OUTCOMES
+            if counts.get(outcome)}
+
+
+def assert_counts_match_recorder(recorder, per_edge):
+    """Conservation: for every edge E and outcome O, the client records
+    served by E with outcome O number exactly E's count of O.
+
+    ``per_edge`` is ``(name, counts)`` pairs: ``EdgeNode.counts`` on the
+    simulator, the ``counters`` frame on the real backend.
+    """
+    per_edge = dict(per_edge)
+    served = collections.defaultdict(collections.Counter)
+    for record in recorder.records:
+        served[record.edge][record.outcome] += 1
+    assert set(served) <= set(per_edge)
+    for name, counts in per_edge.items():
+        assert edge_outcomes(counts) == dict(served[name]), name
 
 
 class SheddingEdge(FrameServer):
@@ -100,6 +132,11 @@ class TestSimRealParity:
         assert set(real.recorder.outcome_counts()) == {OUTCOME_HIT,
                                                        OUTCOME_MISS}
         assert real.recorder.ledger == sim.recorder.ledger == []
+        # Each edge counts the same outcomes on both backends.
+        assert ([edge_outcomes(edge.counts) for edge in sim.edges]
+                == [edge_outcomes(c) for c in real.edge_counters])
+        assert_counts_match_recorder(
+            real.recorder, zip(spec.edge_names, real.edge_counters))
         assert real.mode == "inline"
         assert real.requests == len(items)
         assert real.requests_per_sec > 0.0
@@ -159,6 +196,40 @@ class TestSimRealParity:
             assert real.recorder.outcome_counts() == {OUTCOME_MISS: 6}
             assert [c["cache_entries"] for c in real.edge_counters] == [0, 0]
             assert [len(cache) for cache in sim.caches] == [0, 0]
+
+
+class TestEdgeCountsMatchRecorder:
+    """Every reply that ends a request is counted once, by the edge that
+    sent it — the client's ``served_by`` attribution, seen from the
+    edge.  (Specs without shed retries or client timeouts: a retried
+    shed or a reply to an abandoned call is counted but not recorded.)"""
+
+    @staticmethod
+    def sim_edges(dep):
+        return zip(dep.edge_names, (edge.counts for edge in dep.edges))
+
+    def test_federated_metro_with_handoffs(self):
+        dep = ClusterDeployment(
+            ScenarioSpec.metro(mobility=MobilitySpec(duration_s=30.0)),
+            config=CoICConfig(seed=0))
+        drive_scenario(dep, 30.0, request_interval_s=1.0)
+        counts = dep.counts()
+        assert counts["peer_hits"] > 0 and dep.handoff_log
+        assert counts[OUTCOME_HIT] + counts[OUTCOME_MISS] == len(
+            dep.recorder.records)
+        assert_counts_match_recorder(dep.recorder, self.sim_edges(dep))
+
+    def test_overload_that_sheds_and_offloads(self):
+        policy = EdgePolicySpec(admission="shed", offload="least_loaded",
+                                queue_limit=2, offload_margin=2)
+        dep = build_rush_hour(policy=policy, hot_clients=12,
+                              duration_s=20.0)
+        drive_scenario(dep, 20.0, request_interval_s=0.2)
+        counts = dep.counts()
+        assert counts[OUTCOME_SHED] > 0 and counts["offloaded_out"] > 0
+        # An offload is counted where it was served, not where it came in.
+        assert counts["offloaded_in"] == counts["offloaded_out"]
+        assert_counts_match_recorder(dep.recorder, self.sim_edges(dep))
 
 
 class TestRobustness:

@@ -8,6 +8,7 @@ golden digest pinning ``offload="least_loaded"`` byte-identical to the
 PR 3 balancer.
 """
 
+import collections
 import hashlib
 
 import numpy as np
@@ -188,6 +189,7 @@ class _FakeEdge:
     def __init__(self, load, summaries=None):
         self.load = load
         self.peer_summaries = summaries or {}
+        self.counts = collections.Counter()
 
 
 def _summary_holding(v) -> CacheSummary:
@@ -224,10 +226,10 @@ class TestAffinityLoadBalancer:
         # affinity routes to the summary that predicts a hit.
         assert PeerLoadBalancer(margin=1) is not None
         assert balancer.pick("a", key=content) == "warm"
-        assert balancer.affinity_picks == 1
+        assert asking.counts["affinity_picks"] == 1
         # Unrelated content scores zero everywhere: least-loaded fallback.
         assert balancer.pick("a", key=vec(1000)) == "cold"
-        assert balancer.fallback_picks == 1
+        assert asking.counts["fallback_picks"] == 1
 
     def test_margin_still_gates_eligibility(self):
         content = vec(9)
@@ -276,12 +278,12 @@ class TestSummaryGossip:
     def test_no_summaries_before_the_first_interval(self, affinity_dep):
         dep = affinity_dep(refresh=5.0)
         dep.run_for(4.9)
-        assert dep.summaries_sent == 0
+        assert dep.counts()["summaries_sent"] == 0
         assert all(e.peer_summaries == {} for e in dep.edges)
         dep.run_for(0.2)
         # One round: every edge pushed to both neighbours.
-        assert dep.summaries_sent == 6
-        assert all(e.summaries_received == 2 for e in dep.edges)
+        assert dep.counts()["summaries_sent"] == 6
+        assert all(e.counts["summaries_received"] == 2 for e in dep.edges)
 
     def test_gossiped_summary_reflects_warmup(self, affinity_dep):
         dep = affinity_dep(refresh=1.0)
@@ -294,7 +296,7 @@ class TestSummaryGossip:
     def test_gossip_only_runs_for_affinity_policies(self, affinity_dep):
         dep = affinity_dep(offload="least_loaded")
         dep.run_for(3.0)
-        assert dep.summaries_sent == 0
+        assert dep.counts()["summaries_sent"] == 0
 
     def test_gossip_and_offload_are_deterministic(self, affinity_dep):
         def one_run():
@@ -307,9 +309,10 @@ class TestSummaryGossip:
             for client, task in zip(dep.all_clients * 2, tasks):
                 dep.run_tasks(client, [task])
             dep.run_for(2.0)
-            return (recorder_digest(dep.recorder), dep.summaries_sent,
-                    tuple(e.summaries_received for e in dep.edges),
-                    dep.balancer.affinity_picks)
+            return (recorder_digest(dep.recorder),
+                    dep.counts()["summaries_sent"],
+                    tuple(e.counts["summaries_received"] for e in dep.edges),
+                    dep.counts()["affinity_picks"])
 
         assert one_run() == one_run()
 
@@ -320,7 +323,7 @@ class TestSummaryGossip:
                                [dep.recognition_task(2, viewpoint=0.1)])[0]
         assert record.outcome == OUTCOME_HIT
         assert record.edge == "edge2"
-        assert dep.balancer.affinity_picks >= 1
+        assert dep.edge_by_name["edge0"].counts["affinity_picks"] >= 1
 
     def test_before_gossip_affinity_falls_back_to_least_loaded(
             self, affinity_dep):
@@ -355,7 +358,7 @@ class TestLeastLoadedGoldenDigest:
                               hot_clients=8, duration_s=60.0,
                               mean_dwell_s=15.0)
         drive_scenario(dep, 60.0, request_interval_s=0.25)
-        assert sum(e.offloaded_out for e in dep.edges) > 0
+        assert dep.counts()["offloaded_out"] > 0
         assert recorder_digest(dep.recorder) == GOLDEN_LEAST_LOADED
 
 
@@ -421,7 +424,7 @@ class TestLayerPrewarmTransport:
         manager.insert(sketch, now=0.0)
         assert dep.prewarm("edge0", "edge1", client_name="m0")
         dep.run_for(5.0)
-        assert dep.prewarm_layers_pushed == 4
+        assert sum(p.layer_entries for p in dep.prewarm_log) == 4
         event = dep.prewarm_log[0]
         assert event.layer_entries == 4
         assert event.pushed == 0  # no result entries existed yet
@@ -429,7 +432,7 @@ class TestLayerPrewarmTransport:
         layer_bytes = sum(
             e.size_bytes for e in dep.cache_by_name["edge1"].entries())
         assert event.size_bytes == 256 + layer_bytes
-        assert dep.edges[1].prewarm_received == 4
+        assert dep.edges[1].counts["prewarm_received"] == 4
         # The destination can now resume mid-network for this input.
         plan = dep.layer_managers["edge1"].plan(sketch, now=dep.env.now)
         assert plan.resume_after is not None
@@ -454,8 +457,8 @@ class TestLayerPrewarmTransport:
                      "r", 100)
         assert dep.prewarm("edge0", "edge1")
         dep.run_for(5.0)
-        assert dep.prewarm_pushed == 1
-        assert dep.prewarm_layers_pushed == 0
+        assert sum(p.pushed for p in dep.prewarm_log) == 1
+        assert sum(p.layer_entries for p in dep.prewarm_log) == 0
         kinds = {e.descriptor.kind
                  for e in dep.cache_by_name["edge1"].entries()}
         assert kinds == {"recognition"}

@@ -300,7 +300,7 @@ class TestArbitraryGraphs:
         dep.env.run()
         record = dep.run_tasks(dep.client_by_name["m2"], [task])[0]
         assert record.outcome == "hit"
-        assert dep.edges[2].peer_hits == 1
+        assert dep.edges[2].counts["peer_hits"] == 1
 
     def test_isolated_cluster_builds_plain_edges(self):
         """``federate=False``: same edge class, no peers, never probes."""
@@ -370,7 +370,7 @@ class TestHandoff:
         dep.topology.link("edge0", "m0").set_up(False)
         record = dep.run_tasks(client, [dep.recognition_task(1)])[0]
         assert record.outcome == "error"
-        assert dep.edges[0].responses_dropped >= 1
+        assert dep.edges[0].counts["responses_dropped"] >= 1
 
     def test_handoff_to_same_edge_is_noop(self):
         dep = ClusterDeployment(line_spec())

@@ -105,6 +105,6 @@ class TestCoalescingUnderLoad:
         plan = [(0.001 * i, dep.all_clients[i], task) for i in range(4)]
         dep.run_concurrent(plan)
         # One render at the cloud; three coalesced hits.
-        assert dep.cloud.requests_served == 1
+        assert dep.cloud.counts["requests_served"] == 1
         outcomes = sorted(r.outcome for r in dep.recorder.records)
         assert outcomes == ["hit", "hit", "hit", "miss"]

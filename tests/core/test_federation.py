@@ -57,7 +57,7 @@ class TestCrossEdgeSharing:
         second = dep.run_tasks(dep.clients_by_edge[1][0], [task])[0]
         assert first.outcome == "miss"
         assert second.outcome == "hit"
-        assert dep.edges[1].peer_hits == 1
+        assert dep.edges[1].counts["peer_hits"] == 1
         # The federated hit also landed in edge1's own cache.
         assert len(dep.caches[1]) == 1
 
@@ -103,7 +103,7 @@ class TestCrossEdgeSharing:
         r = dep.run_tasks(dep.clients_by_edge[1][0],
                           [dep.model_load_task(0)])[0]
         assert r.outcome == "miss"
-        assert dep.edges[1].peer_misses == 1
+        assert dep.edges[1].counts["peer_misses"] == 1
 
     def test_three_edge_diffusion(self, config):
         """Content fetched once per federation, not once per edge."""
@@ -115,7 +115,7 @@ class TestCrossEdgeSharing:
         dep.env.run()
         r3 = dep.run_tasks(dep.clients_by_edge[2][0], [task])[0]
         assert r3.outcome == "hit"
-        assert dep.cloud.requests_served == 1
+        assert dep.cloud.counts["requests_served"] == 1
 
     def test_partitioned_peer_reply_costs_one_probe(self, config):
         """A peer that hears the probe but cannot answer drops its reply;
@@ -128,9 +128,9 @@ class TestCrossEdgeSharing:
         dep.env.run()  # no unhandled failure is left behind either
         assert r.outcome == "miss"
         assert r.latency_s > dep.edges[1].peer_timeout_s
-        assert dep.edges[0].responses_dropped == 1
-        assert dep.edges[0].requests_served == 1
-        assert dep.edges[1].peer_misses == 1
+        assert dep.edges[0].counts["responses_dropped"] == 1
+        assert dep.edges[0].counts["requests_served"] == 1
+        assert dep.edges[1].counts["peer_misses"] == 1
 
     def test_peer_timeout_validated(self, config):
         dep = federated(config, n_edges=1)
@@ -159,10 +159,10 @@ class TestAffinityProbeOrder:
                                [dep.recognition_task(7)])[0]
         assert record.outcome == "hit"
         edge0 = dep.edges[0]
-        assert edge0.peer_hits == 1
+        assert edge0.counts["peer_hits"] == 1
         # Without summaries, probing walks the configured order and
         # pays a backhaul round trip at edge1 and edge2 before edge3.
-        assert edge0.peer_probes == 3
+        assert len(edge0.probe_log) == 3
 
     def test_summaries_cut_probes_per_hit(self, config):
         dep = self._metro(config)
@@ -175,10 +175,10 @@ class TestAffinityProbeOrder:
         record = dep.run_tasks(dep.clients_by_edge[0][0],
                                [dep.recognition_task(7)])[0]
         assert record.outcome == "hit"
-        assert edge0.peer_hits == 1
+        assert edge0.counts["peer_hits"] == 1
         # The sketch points straight at the holder: one probe, no
         # wasted backhaul round trips at the cold peers.
-        assert edge0.peer_probes == 1
+        assert len(edge0.probe_log) == 1
 
     def test_probe_order_unchanged_without_summaries(self, config):
         dep = self._metro(config)
@@ -244,8 +244,8 @@ class TestMissCoalescing:
         first, second = dep.clients_by_edge[0]
         dep.run_concurrent([(0.0, first, task), (0.002, second, task)])
         dep.env.run()
-        assert dep.cloud.requests_served == 1
-        assert dep.edges[0].peer_probes == 2
+        assert dep.cloud.counts["requests_served"] == 1
+        assert len(dep.edges[0].probe_log) == 2
         records = sorted(dep.recorder.records, key=lambda r: r.start_s)
         assert [r.outcome for r in records] == ["miss", "hit"]
         assert respond.sent == [("miss", {}), ("hit", {"coalesced": True})]
@@ -324,7 +324,7 @@ class TestResolveOrder:
             served_by_peer = peer_holds
 
         if served_by_peer:
-            assert dep.cloud.requests_served == 0
+            assert dep.cloud.counts["requests_served"] == 0
             assert record.outcome == "hit"
             assert respond.sent == [("hit", {"federated": True})]
             # Inserted locally, valued at the probe round trip.
@@ -333,7 +333,7 @@ class TestResolveOrder:
             assert entry.cost_s == entry.created_at - probed_at
             assert 0 < entry.cost_s < record.latency_s
         else:
-            assert dep.cloud.requests_served == 1
+            assert dep.cloud.counts["requests_served"] == 1
             assert record.outcome == "miss"
             assert respond.sent == [("miss", {})]
             assert len(cache0) == 1
@@ -355,5 +355,5 @@ class TestResolveOrder:
         assert response.headers["outcome"] == "miss"
         assert "federated" not in response.headers
         assert dep.edges[0].probe_log == []
-        assert dep.cloud.requests_served == 1
+        assert dep.cloud.counts["requests_served"] == 1
         assert len(dep.caches[0]) == 0

@@ -86,7 +86,7 @@ class TestPartialServing:
                                                     user="m0", seq=0)])[0]
         assert first.outcome == OUTCOME_MISS
         edge = dep.edges[0]
-        assert edge.layer_seeded == 5
+        assert edge.counts["layer_seeded"] == 5
         assert edge.layer_manager is dep.layer_managers["edge0"]
         # Layer entries are priced in *seconds* on the producing device
         # (not raw GFLOPs), so cost-aware eviction in the shared cache
@@ -109,8 +109,8 @@ class TestPartialServing:
         assert second.resume_layer is not None
         assert second.saved_s > 0.0
         assert second.latency_s < first.latency_s / 2
-        assert edge.partial_served == 1
-        assert edge.partial_saved_s == pytest.approx(second.saved_s)
+        assert edge.counts["partial"] == 1
+        assert edge.counts["partial_saved_s"] == pytest.approx(second.saved_s)
 
     def test_reuse_compounds_across_drift_chains(self, make_deployment):
         dep = make_deployment(clients=(("m0", "m1"), ()),
@@ -143,8 +143,8 @@ class TestPartialServing:
             [dep.recognition_task(7, viewpoint=vp, user=c, seq=0)]
         )[0].outcome for c, vp in (("m0", 0.0), ("m1", 5.0))]
         assert OUTCOME_PARTIAL not in outcomes
-        assert dep.edges[0].partial_served == 0
-        assert dep.edges[0].layer_seeded > 0
+        assert dep.edges[0].counts["partial"] == 0
+        assert dep.edges[0].counts["layer_seeded"] > 0
 
     def test_client_descriptor_requests_never_seed(self, make_config,
                                                    make_deployment):
@@ -163,8 +163,8 @@ class TestPartialServing:
                 [dep.recognition_task(7, viewpoint=vp, user=client,
                                       seq=0)])[0]
             assert record.outcome != OUTCOME_PARTIAL
-        assert dep.edges[0].layer_seeded == 0
-        assert dep.edges[0].partial_served == 0
+        assert dep.edges[0].counts["layer_seeded"] == 0
+        assert dep.edges[0].counts["partial"] == 0
 
     def test_client_descriptor_requests_consume_layer_entries(
             self, make_config, make_deployment):
@@ -189,10 +189,10 @@ class TestPartialServing:
         record = dep.run_tasks(dep.client_by_name["m0"], [task])[0]
         assert record.outcome == OUTCOME_PARTIAL
         assert record.correct is True
-        assert dep.edges[0].partial_served == 1
+        assert dep.edges[0].counts["partial"] == 1
         # Consuming still never seeds: the pre-inserted taps are all
         # the layer cache ever holds.
-        assert dep.edges[0].layer_seeded == 0
+        assert dep.edges[0].counts["layer_seeded"] == 0
 
     def test_prewarmed_layer_entries_become_servable(self,
                                                      make_deployment):
@@ -207,7 +207,7 @@ class TestPartialServing:
                                             seq=0)])
         assert dep.prewarm("edge0", "edge1", client_name="m0")
         dep.run_for(10.0)
-        assert dep.prewarm_layers_pushed > 0
+        assert sum(p.layer_entries for p in dep.prewarm_log) > 0
         client = dep.client_by_name["m0"]
         dep.env.run(until=dep.env.process(dep.handoff(client, "edge1")))
         record = dep.run_tasks(client,
@@ -216,7 +216,7 @@ class TestPartialServing:
         assert record.outcome == OUTCOME_PARTIAL
         assert record.edge == "edge1"
         hub = dep.edge_by_name["edge1"]
-        assert hub.partial_served == 1
+        assert hub.counts["partial"] == 1
 
     def test_recapture_resumes_at_the_feature_tap_then_full_result(
             self, make_deployment):
@@ -328,7 +328,7 @@ class TestPartialServing:
                                [dep.recognition_task(7, viewpoint=0.0,
                                                      user="m0", seq=0)])[0]
         assert record.outcome == OUTCOME_MISS
-        assert dep.edges[0].partial_served == 0
+        assert dep.edges[0].counts["partial"] == 0
 
     def test_legacy_frames_pass_through(self, make_deployment):
         # Frames without a capture_id draw fresh extraction noise every
@@ -347,8 +347,8 @@ class TestPartialServing:
         record = dep.run_tasks(dep.client_by_name["m0"],
                                [RecognitionTask(frame=frame)])[0]
         assert record.outcome == OUTCOME_MISS
-        assert dep.edges[0].layer_seeded == 0
-        assert dep.edges[0].partial_served == 0
+        assert dep.edges[0].counts["layer_seeded"] == 0
+        assert dep.edges[0].counts["partial"] == 0
 
 
 class TestPartialMetrics:
@@ -441,7 +441,7 @@ class TestShedRetryAfter:
         assert record.outcome == OUTCOME_MISS
         assert record.detail["retries"] >= 1
         assert retrier.shed_retried >= 1
-        assert dep.edges[0].shed_count >= 1
+        assert dep.edges[0].counts["shed"] >= 1
 
     def test_policy_wires_backoff_into_every_client(self,
                                                     make_deployment):

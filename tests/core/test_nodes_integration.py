@@ -112,7 +112,7 @@ class TestModelLoadPipeline:
             (0.1, dep.all_clients[1], task),
         ])
         # Exactly one cloud fetch: the second request rode the first.
-        assert dep.cloud.requests_served == 1
+        assert dep.cloud.counts["requests_served"] == 1
         outcomes = sorted(r.outcome for r in dep.recorder.records)
         assert outcomes == ["hit", "miss"]
 
@@ -170,8 +170,8 @@ class TestFaultHandling:
                                [dep.recognition_task(0)])[0]
         dep.env.run()
         assert record.outcome == "error"
-        assert dep.cloud.requests_served == 1
-        assert dep.cloud.responses_dropped == 1
+        assert dep.cloud.counts["requests_served"] == 1
+        assert dep.cloud.counts["responses_dropped"] == 1
 
 
 class TestMetricsPlumbing:
@@ -196,9 +196,8 @@ class TestMetricsPlumbing:
         assert stats.misses == misses
 
 
-class TestBatchedLookups:
-    """Same-tick bursts: N requests are N independent lookups (the class
-    keeps its historical name so the unchanged tests keep their ids)."""
+class TestSameTickBursts:
+    """Same-tick bursts: N requests are N independent lookups."""
 
     def test_same_tick_burst_is_one_lookup_per_request(self):
         """Four co-located users asking at the same instant cost four
@@ -238,7 +237,7 @@ class TestBatchedLookups:
                                if r.task_kind == "recognition"]
         assert outcomes["burst"] == outcomes["staggered"]
 
-    def test_federated_peer_probe_joins_batch(self):
+    def test_federated_miss_probes_the_peer(self):
         """A federated miss probes the peer; the peer answers the vector
         probe with a charged lookup of its own cache."""
         dep = ClusterDeployment(
@@ -249,4 +248,5 @@ class TestBatchedLookups:
         record = dep.run_tasks(dep.clients_by_edge[0][0],
                                [dep.recognition_task(3, viewpoint=0.2)])[0]
         assert record.outcome in ("hit", "miss")
-        assert dep.edges[0].peer_hits + dep.edges[0].peer_misses >= 1
+        counts = dep.edges[0].counts
+        assert counts["peer_hits"] + counts["peer_misses"] >= 1

@@ -150,7 +150,7 @@ class TestAdmissionControl:
                                 [dep.recognition_task(1),
                                  dep.recognition_task(2)])
         assert [r.outcome for r in records] == [OUTCOME_SHED, OUTCOME_SHED]
-        assert dep.edges[0].shed_count == 2
+        assert dep.edges[0].counts["shed"] == 2
         assert records[0].edge == "edge0"
         # Shed responses return fast: the latency is dominated by the
         # frame upload — no extraction queueing, no cloud round trip.
@@ -163,7 +163,7 @@ class TestAdmissionControl:
         record = dep.run_tasks(dep.client_by_name["m0"],
                                [dep.model_load_task(0)])[0]
         assert record.outcome == "miss"
-        assert dep.edges[0].shed_count == 0
+        assert dep.edges[0].counts["shed"] == 0
 
     def test_shed_outcome_not_counted_in_hit_ratio(self, make_deployment):
         dep = make_deployment(seed=1,
@@ -182,7 +182,7 @@ class TestAdmissionControl:
                                [dep.recognition_task(3)])[0]
         assert record.outcome == "miss"
         assert record.correct is True
-        assert dep.edges[0].redirect_count == 1
+        assert dep.edges[0].counts["redirects"] == 1
         # No extraction, no insert: the cache never saw the request.
         assert len(dep.caches[0]) == 0
 
@@ -206,7 +206,7 @@ class TestAdmissionControl:
         assert record.correct is True
         # Exactly one redirect: the descriptor-only first round got
         # need_input, only the frame-attached re-send was relayed.
-        assert dep.edges[0].redirect_count == 1
+        assert dep.edges[0].counts["redirects"] == 1
         assert len(dep.caches[0]) == 0
 
     def test_admission_accepts_below_the_limit(self, make_deployment):
@@ -216,7 +216,7 @@ class TestAdmissionControl:
         record = dep.run_tasks(dep.client_by_name["m0"],
                                [dep.recognition_task(1)])[0]
         assert record.outcome == "miss"
-        assert dep.edges[0].shed_count == 0
+        assert dep.edges[0].counts["shed"] == 0
 
 
 class TestPeerOffload:
@@ -232,8 +232,8 @@ class TestPeerOffload:
         assert record.outcome == "miss"
         assert record.correct is True
         assert record.edge == "edge1"
-        assert dep.edges[0].offloaded_out == 1
-        assert dep.edges[1].offloaded_in == 1
+        assert dep.edges[0].counts["offloaded_out"] == 1
+        assert dep.edges[1].counts["offloaded_in"] == 1
         # The work landed in the neighbour's cache.
         assert len(dep.caches[1]) == 1
         assert len(dep.caches[0]) == 0
@@ -263,7 +263,7 @@ class TestPeerOffload:
         # No backhaul neighbour: the request is admitted locally.
         assert record.outcome == "miss"
         assert record.edge == "edge0"
-        assert dep.edges[0].offloaded_out == 0
+        assert dep.edges[0].counts["offloaded_out"] == 0
 
 
 class TestPeerLoadBalancer:
@@ -350,7 +350,6 @@ class TestPredictiveHandoffPrewarm:
         dep = ClusterDeployment(prewarm_metro(prewarm_top_k=4), config=cfg)
         drive_scenario(dep, 60.0, request_interval_s=2.0)
         assert dep.handoff_log, "scenario must hand off to test pre-warm"
-        assert dep.prewarm_pushed > 0
         assert dep.prewarm_log
         for event in dep.prewarm_log:
             assert 0 < event.pushed <= 4
@@ -365,7 +364,6 @@ class TestPredictiveHandoffPrewarm:
         dep = ClusterDeployment(prewarm_metro(prewarm_top_k=0), config=cfg)
         drive_scenario(dep, 60.0, request_interval_s=2.0)
         assert dep.handoff_log
-        assert dep.prewarm_pushed == 0
         assert dep.prewarm_log == []
 
 

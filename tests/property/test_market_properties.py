@@ -13,6 +13,8 @@ order is checked to rank peers by the scores the affinity pick uses.
 Runs under the derandomized ``tier1`` profile.
 """
 
+import collections
+
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
@@ -132,6 +134,7 @@ class _FakeEdge:
     def __init__(self, load, summaries=None):
         self.load = load
         self.peer_summaries = summaries or {}
+        self.counts = collections.Counter()
 
 
 def _free_market():
@@ -327,7 +330,8 @@ def test_pick_equals_brute_force_minimum(peers, own, margin, market,
     balancer = (AffinityLoadBalancer(margin=margin, broker=broker)
                 if affinity else PeerLoadBalancer(margin=margin,
                                                   broker=broker))
-    balancer.register("a", _FakeEdge(own, summaries), PEERS)
+    asking = _FakeEdge(own, summaries)
+    balancer.register("a", asking, PEERS)
     for name, peer in zip(PEERS, peers):
         balancer.register(name, _FakeEdge(peer["load"]), ["a"])
         for _ in range(peer["pending"]):
@@ -342,7 +346,8 @@ def test_pick_equals_brute_force_minimum(peers, own, margin, market,
         assert (broker.rounds, broker.timeouts) == (3, 1)
     if affinity:
         picks = 0 if expected is None else 2
-        assert (balancer.affinity_picks, balancer.fallback_picks) == (
+        assert (asking.counts["affinity_picks"],
+                asking.counts["fallback_picks"]) == (
             (picks, 0) if by_affinity else (0, picks))
 
 
@@ -362,7 +367,7 @@ def test_probe_order_and_affinity_pick_share_scores(holdings, load,
     content, summaries, hits = _gossip(content_seed, holdings)
     asking = types.SimpleNamespace(
         load=9, peers=list(PEERS), broker=None, peer_summaries=summaries,
-        host=types.SimpleNamespace(name="a"))
+        host=types.SimpleNamespace(name="a"), counts=collections.Counter())
     balancer = AffinityLoadBalancer(margin=0)
     balancer.register("a", asking, PEERS)
     for name in PEERS:

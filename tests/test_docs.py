@@ -133,3 +133,40 @@ def test_cli_scenario_runs_a_shipped_spec(spec_name):
         cwd=str(ROOT))
     assert result.returncode == 0, result.stderr
     assert "hit ratio" in result.stdout
+
+
+def _counter_table() -> set[str]:
+    """Counter names in docs/real_backend.md's stats-frame table."""
+    text = (ROOT / "docs" / "real_backend.md").read_text(encoding="utf-8")
+    section = text.split("\n## The stats frame\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE))
+
+
+def test_every_counter_in_use_is_documented():
+    """A typo'd key would silently become a new counter: every key the
+    shipped specs put in any node's ``counts`` must be in the table."""
+    from repro.core import ClusterDeployment, CoICConfig
+    from repro.core.scenario import load_spec
+    from repro.eval.experiments.mobility_exp import drive_scenario
+
+    seen: set[str] = set()
+    for path in sorted((ROOT / "examples" / "specs").glob("*.json")):
+        dep = ClusterDeployment(load_spec(str(path)),
+                                config=CoICConfig(seed=0))
+        drive_scenario(dep, duration_s=5.0, request_interval_s=0.5)
+        for node in (*dep.edges, dep.cloud):
+            seen.update(node.counts)
+    assert seen, "the shipped specs counted nothing"
+    assert seen <= _counter_table(), sorted(seen - _counter_table())
+
+
+def test_counter_table_names_only_counters_the_source_keeps():
+    """The reverse: a row may not outlive its counter."""
+    from repro.core import metrics
+
+    source = "\n".join(path.read_text(encoding="utf-8") for path in
+                       (ROOT / "src" / "repro").rglob("*.py"))
+    kept = set(re.findall(r"counts\[\"(\w+)\"\]", source))
+    kept |= {value for name, value in vars(metrics).items()
+             if name.startswith("OUTCOME_")}
+    assert _counter_table() <= kept, sorted(_counter_table() - kept)
