@@ -6,14 +6,15 @@ Every :class:`~repro.core.scenario.ScenarioSpec` can run two ways:
   rest of the repo pins with golden digests (the default; nothing in
   this package is imported on that path).
 * ``backend="real"`` — the same spec deployed as a multiprocess
-  asyncio system: one OS process per edge serving the length-prefixed
-  socket protocol in :mod:`repro.backend.protocol`, clients as
-  closed-loop load generators replaying the same workload traces
-  (:mod:`repro.backend.loadgen`), and the cloud as a latency-shimmed
-  stub process (:mod:`repro.backend.cloud_server`).  Wall-clock
-  latencies land in the identical
-  :class:`~repro.core.metrics.MetricsRecorder` schema, so every
-  aggregate the eval layer computes works unchanged.
+  asyncio system: one OS process per edge around the simulator's own
+  ``EdgeNode``, one ``CoICClient`` per spec client replaying the same
+  workload trace (:mod:`repro.backend.loadgen`) — both driven on
+  asyncio by :mod:`repro.backend.runtime` and speaking the
+  length-prefixed socket protocol of :mod:`repro.backend.protocol` —
+  and the cloud as a latency-shimmed stub process
+  (:mod:`repro.backend.cloud_server`).  Wall-clock latencies land in
+  the identical :class:`~repro.core.metrics.MetricsRecorder` schema, so
+  every aggregate the eval layer computes works unchanged.
 
 Entry point: :func:`repro.backend.runner.run_real_scenario`.
 """

@@ -4,10 +4,11 @@ Each edge in the scenario becomes one :class:`EdgeService`: an asyncio
 socket server around the simulator's own
 :class:`~repro.core.edge.EdgeNode`, built from the same spec and config
 — cache tier and dtype, embedding geometry, match threshold and the
-policy's stage chain.  A ``recognize`` frame becomes an ``ic_request``
-message that ``EdgeNode._handle`` serves through
-:func:`repro.backend.runtime.drive`; the reply frame the chain's
-response produced is written back.  No request handling lives here.
+policy's stage chain.  :func:`~repro.backend.protocol.decode_request`
+turns a ``recognize`` frame into the ``ic_request`` message that
+``EdgeNode._handle`` serves through :func:`repro.backend.runtime.drive`;
+the reply frame the chain's response produced is written back.  No
+request handling lives here.
 
 A ``shutdown`` frame drains first — the admit stage is swapped for one
 that sheds every recognition request and in-flight requests finish —
@@ -19,39 +20,24 @@ same class runs inline (hermetic tests) or as a spawned OS process.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
-import math
 
 from repro.backend import runtime
+from repro.backend.protocol import decode_request
 from repro.backend.server import FrameServer
 from repro.core.cluster import edge_cache, embedding_space, prototype_items
 from repro.core.edge import EdgeNode
 from repro.core.metrics import OUTCOME_HIT, OUTCOME_MISS, OUTCOME_SHED
 from repro.core.pipeline import AdmissionControlStage, build_pipeline
 from repro.core.scenario import EdgePolicySpec
-from repro.core.tasks import RecognitionTask
 from repro.net.message import Message
 from repro.net.topology import Host
 from repro.render.loader import EDGE_GPU_2018, ModelLoader
-from repro.vision.image import CameraFrame
 from repro.vision.model_zoo import EDGE_CPU_2018, get_network
 from repro.vision.recognition import Recognizer
 
 #: The admit stage of a draining edge: every recognition request sheds.
 _SHED_ALL = AdmissionControlStage(EdgePolicySpec(admission="shed",
                                                  queue_limit=0))
-
-
-@dataclasses.dataclass(frozen=True)
-class _Upload(RecognitionTask):
-    """A recognition task sized by the ``input_bytes`` the client sent,
-    which the cloud leg relays as given."""
-
-    upload_bytes: int = 0
-
-    @property
-    def input_bytes(self) -> int:
-        return self.upload_bytes
 
 
 class EdgeService(FrameServer):
@@ -65,7 +51,7 @@ class EdgeService(FrameServer):
 
     def __init__(self, payload: dict):
         super().__init__()
-        self.ops["recognize"] = (self._recognize_fields, self._recognize)
+        self.ops["recognize"] = (self._decode, self._recognize)
         self.name = payload["name"]
         spec, config = payload["spec"], payload["config"]
         rec = config.recognition
@@ -85,6 +71,7 @@ class EdgeService(FrameServer):
             pipeline=build_pipeline(spec.policy),
             compute=runtime.Compute(config.edge_workers))
         self.cache = self.edge.cache
+        self._n_classes, self._dim = rec.n_classes, rec.descriptor_dim
         warmup = spec.warmup
         if warmup is not None and (warmup.edges is None
                                    or self.name in warmup.edges):
@@ -131,30 +118,10 @@ class EdgeService(FrameServer):
         await self.drain()
         return await super()._shutdown()
 
-    def _recognize_fields(self, message: dict) -> tuple[int, float, int, int]:
-        object_class = int(message["object_class"])
-        viewpoint = float(message.get("viewpoint", 0.0))
-        capture_id = int(message["capture_id"])
-        input_bytes = int(message.get("input_bytes", 0))
-        n_classes = self.edge.config.recognition.n_classes
-        if not 0 <= object_class < n_classes:
-            raise ValueError(f"object_class {object_class} outside "
-                             f"[0, {n_classes})")
-        if not math.isfinite(viewpoint):
-            raise ValueError(f"viewpoint {viewpoint} is not finite")
-        if input_bytes < 0:
-            raise ValueError(f"input_bytes {input_bytes} is negative")
-        return object_class, viewpoint, capture_id, input_bytes
+    def _decode(self, frame: dict) -> tuple[Message]:
+        return (decode_request(frame, self._n_classes, self._dim),)
 
-    async def _recognize(self, object_class: int, viewpoint: float,
-                         capture_id: int, input_bytes: int) -> dict:
-        task = _Upload(CameraFrame(object_class=object_class,
-                                   viewpoint=viewpoint,
-                                   capture_id=capture_id),
-                       upload_bytes=input_bytes)
-        msg = Message(size_bytes=input_bytes, kind="ic_request",
-                      payload=task, dst=self.name,
-                      headers={"has_input": True})
+    async def _recognize(self, msg: Message) -> dict:
         self.active += 1
         self._idle.clear()
         try:

@@ -2,10 +2,11 @@
 
 :func:`run_real_scenario` is the ``backend="real"`` counterpart of
 building a :class:`~repro.core.cluster.ClusterDeployment` and driving
-it: the same spec, the same config, the same workload trace — but the
-edges are real asyncio socket servers (optionally real OS processes),
-the clients are concurrent load generators, and the timestamps in the
-returned :class:`~repro.core.metrics.MetricsRecorder` are wall clock.
+it: the same spec, the same config, the same workload trace and the
+same ``CoICClient`` — but the edges are real asyncio socket servers
+(optionally real OS processes), each client's requests cross real
+sockets, and the timestamps in the returned
+:class:`~repro.core.metrics.MetricsRecorder` are wall clock.
 
 Two execution modes:
 
@@ -19,12 +20,14 @@ Two execution modes:
 
 Scope: each real edge runs the simulator's own stage chain for the
 spec's policy, over recognition requests — local cache hit,
-cloud-resolved miss, and the admission stage's shed or cloud redirect,
-with ``queue_limit`` counting requests waiting for a worker slot on
-both backends.  Simulation-only machinery (federation probes, peer
-offload, gossip, mobility handoffs, layer reuse) needs peers or frames
-the wire cannot carry yet; a spec using those still runs, but each
-edge serves from its own cache only.
+cloud-resolved miss, a client-extracted descriptor and the
+``need_input`` exchange it can cost, and the admission stage's shed
+(with the client's backoff) or cloud redirect, with ``queue_limit``
+counting requests waiting for a worker slot on both backends.
+Simulation-only machinery (federation probes, peer offload, gossip,
+mobility handoffs, layer reuse) needs peers or frames the wire cannot
+carry yet; a spec using those still runs, but each edge serves from its
+own cache only.
 
 :func:`run_simulated_trace` replays the identical workload trace
 through the simulation sequentially — the parity oracle the test suite
@@ -38,14 +41,19 @@ import dataclasses
 import time
 import typing
 
+from repro.backend import runtime
 from repro.backend.cloud_server import CloudService
 from repro.backend.edge_server import EdgeService
-from repro.backend.loadgen import RealClient, WorkloadItem, build_workload
-from repro.backend.protocol import call
+from repro.backend.loadgen import WorkloadItem, build_workload
 from repro.backend.server import serve_process
+from repro.core.client import CoICClient
+from repro.core.cluster import client_options, embedding_space
 from repro.core.config import CoICConfig
 from repro.core.metrics import MetricsRecorder
-from repro.vision.model_zoo import CLOUD_GPU_2018, get_network
+from repro.core.tasks import RecognitionTask
+from repro.sim.rng import RngStreams
+from repro.vision.model_zoo import CLOUD_GPU_2018, MOBILE_SOC_2018, get_network
+from repro.vision.recognition import Recognizer
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.core.scenario import ScenarioSpec
@@ -66,14 +74,12 @@ class RealRunResult:
         mode: ``"process"`` or ``"inline"``.
         edge_counters: Final per-edge serving counters (from the
             ``bye``/``stats`` frames; empty dicts for edges that died).
-        items: The workload trace that was replayed.
     """
 
     recorder: MetricsRecorder
     wall_s: float
     mode: str
     edge_counters: list[dict]
-    items: list[WorkloadItem]
 
     @property
     def requests(self) -> int:
@@ -115,63 +121,57 @@ def build_edge_payload(spec: "ScenarioSpec", edge_name: str,
 async def _drive_clients(spec: "ScenarioSpec", config: CoICConfig,
                          items: list[WorkloadItem],
                          ports: dict[str, int], recorder: MetricsRecorder,
-                         pace_s: float, sequential: bool,
-                         on_started=None) -> None:
-    """Replay the trace against live edges (any mode)."""
-    from repro.sim.rng import RngStreams
+                         pace_s: float, sequential: bool) -> None:
+    """Replay the trace against live edges (any mode): one
+    ``CoICClient`` per spec client, built as the simulator builds it,
+    each request's ``perform`` driven on asyncio."""
+    env, rng, rec = runtime.Env(), RngStreams(config.seed), config.recognition
+    recognizer = Recognizer(get_network(rec.network,
+                                        descriptor_dim=rec.descriptor_dim),
+                            MOBILE_SOC_2018, embedding_space(config))
+    addresses = {name: ("127.0.0.1", port) for name, port in ports.items()}
+    clients: dict[str, CoICClient] = {}
+    for espec in spec.edges:
+        # Attached edge first, then the rest of the spec as failover.
+        order = sorted(addresses.values(),
+                       key=lambda address: address != addresses[espec.name])
+        for cspec in espec.clients:
+            clients[cspec.name] = CoICClient(
+                env, runtime.Rpc(edges=order), cspec.name, config,
+                recognizer=recognizer, loader=None, recorder=recorder,
+                edge_name=espec.name,
+                **client_options(spec, config, rng, cspec.name))
 
-    rng_streams = RngStreams(seed=config.seed)
-    shed_retries = (spec.policy.shed_retries
-                    if spec.policy is not None else 0)
-    edge_order = [(name, ("127.0.0.1", ports[name])) for name in ports]
+    async def replay(trace: list[WorkloadItem]) -> None:
+        for item in trace:
+            await runtime.drive(clients[item.client].perform(
+                RecognitionTask(frame=item.frame(config))))
+            if pace_s > 0.0:
+                await asyncio.sleep(pace_s)
+
+    # Sequential replay keeps global trace order: the parity mode (the
+    # simulated sequential replay's cache insertion order, exactly).
     by_client: dict[str, list[WorkloadItem]] = {}
-    home: dict[str, str] = {}
     for item in items:
         by_client.setdefault(item.client, []).append(item)
-        home[item.client] = item.edge
-    clients: dict[str, RealClient] = {}
-    for name, slice_ in by_client.items():
-        # Attached edge first, then the rest of the spec as failover.
-        order = sorted(edge_order,
-                       key=lambda pair: pair[0] != home[name])
-        clients[name] = RealClient(
-            name, order, slice_, recorder,
-            timeout_s=config.request_timeout_s,
-            shed_retries=shed_retries,
-            backoff_rng=rng_streams.stream(f"client.backoff.{name}"),
-            pace_s=pace_s)
-    if on_started is not None:
-        on_started()
-    if sequential:
-        # Global trace order: the parity mode (matches the simulated
-        # sequential replay's cache insertion order exactly).
-        loop = asyncio.get_running_loop()
-        try:
-            for item in items:
-                await clients[item.client]._one_request(item, loop.time)
-                if pace_s > 0.0:
-                    await asyncio.sleep(pace_s)
-        finally:
-            for client in clients.values():
-                client._close()
-    else:
-        await asyncio.gather(*(c.run() for c in clients.values()))
+    traces = [items] if sequential else list(by_client.values())
+    try:
+        await asyncio.gather(*map(replay, traces))
+    finally:
+        for client in clients.values():
+            client.rpc.close()
 
 
 async def _shutdown_service(port: int) -> dict:  # pragma: no cover - process mode
     """Send a shutdown frame; returns the final counters (or {})."""
+    route = runtime.Route("service", [("127.0.0.1", port)], 0, 0.0)
     try:
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    except ConnectionError:
-        return {}
-    try:
-        reply = await asyncio.wait_for(
-            call(reader, writer, {"op": "shutdown"}), 10.0)
+        reply = await asyncio.wait_for(route.call({"op": "shutdown"}), 10.0)
         return {k: v for k, v in reply.items() if k != "op"}
-    except (Exception,):
+    except Exception:
         return {}
     finally:
-        writer.close()
+        route.close()
 
 
 async def _run_inline(spec: "ScenarioSpec", config: CoICConfig,
@@ -198,7 +198,7 @@ async def _run_inline(spec: "ScenarioSpec", config: CoICConfig,
             await service.stop()
         await cloud.stop()
     return RealRunResult(recorder=recorder, wall_s=wall_s, mode="inline",
-                         edge_counters=counters, items=items)
+                         edge_counters=counters)
 
 
 def _spawn(ctx, service_cls, payload: dict):  # pragma: no cover - process mode
@@ -233,7 +233,7 @@ async def _run_process(  # pragma: no cover - process mode
                                     build_cloud_payload(config))
     edge_procs: dict[str, typing.Any] = {}
     ports: dict[str, int] = {}
-    killer: asyncio.Task | None = None
+    killer: asyncio.TimerHandle | None = None
     try:
         for espec in spec.edges:
             payload = build_edge_payload(spec, espec.name, config,
@@ -241,19 +241,12 @@ async def _run_process(  # pragma: no cover - process mode
             process, port = _spawn(ctx, EdgeService, payload)
             edge_procs[espec.name] = process
             ports[espec.name] = port
-
-        async def _kill_later() -> None:
-            await asyncio.sleep(kill_after_s)
-            edge_procs[kill_edge].kill()
-
-        def _arm_killer() -> None:
-            nonlocal killer
-            if kill_edge is not None:
-                killer = asyncio.ensure_future(_kill_later())
-
+        if kill_edge is not None:
+            killer = asyncio.get_running_loop().call_later(
+                kill_after_s, edge_procs[kill_edge].kill)
         started = time.monotonic()
         await _drive_clients(spec, config, items, ports, recorder,
-                             pace_s, sequential, on_started=_arm_killer)
+                             pace_s, sequential)
         wall_s = time.monotonic() - started
         counters = []
         for espec in spec.edges:
@@ -271,7 +264,7 @@ async def _run_process(  # pragma: no cover - process mode
                 process.terminate()
                 process.join(timeout=5.0)
     return RealRunResult(recorder=recorder, wall_s=wall_s, mode="process",
-                         edge_counters=counters, items=items)
+                         edge_counters=counters)
 
 
 # -- public API ---------------------------------------------------------------
@@ -331,7 +324,6 @@ def run_simulated_trace(spec: "ScenarioSpec", config: CoICConfig,
     ``sequential=True`` real run over the identical ``items``.
     """
     from repro.core.cluster import ClusterDeployment
-    from repro.core.tasks import RecognitionTask
 
     deployment = ClusterDeployment(spec, config=config)
     for item in items:

@@ -9,18 +9,37 @@ event kernel; :func:`drive` does on asyncio, with :class:`Env`,
 recognition path touches.  A real edge charges no modelled time, so no
 request holds a worker slot across an ``await`` and none ever waits
 for one: ``Compute.queue_length`` is always 0.
+
+The client's side runs the same way: ``CoICClient.perform`` under
+:func:`drive`, its request sent by :meth:`Rpc.call` to its edge.  A
+wait that is real on every backend (a shed's backoff) is yielded as
+``env.timeout(delay)``, which here is ``asyncio.sleep``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import random
 import time
 import typing
 
-from repro.backend.protocol import ProtocolError, call
+from repro.backend.protocol import (
+    BAD_FIELD,
+    ProtocolError,
+    call,
+    decode_reply,
+    encode_reply,
+    encode_request,
+)
 from repro.net.message import Message
-from repro.net.transport import RpcError
+from repro.net.transport import RpcError, RpcTimeout
 from repro.vision.recognition import RecognitionResult
+
+#: A client's attempts per request beyond the first: a crashed edge is
+#: the expected cause, so the budget doubles as the failover walk's length.
+CONNECT_RETRIES = 3
+#: A client's pause before its first re-attempt; each further one doubles it.
+CONNECT_BACKOFF_S = 0.05
 
 
 async def drive(generator: typing.Generator) -> typing.Any:
@@ -46,9 +65,14 @@ async def drive(generator: typing.Generator) -> typing.Any:
 
 
 class Env:
-    """``env``: the monotonic clock asyncio's loop runs on."""
+    """``env``: the monotonic clock asyncio's loop runs on, and real
+    waits (:meth:`timeout`) where the simulator's are simulated."""
 
     now = property(lambda self: time.monotonic())
+
+    @staticmethod
+    def timeout(delay: float):
+        return asyncio.sleep(delay)
 
 
 class Compute:
@@ -72,76 +96,125 @@ class Compute:
         self.count -= 1
 
 
-class Rpc:
-    """``rpc``: the cloud leg over one connection; replies become frames.
+class Route:
+    """One persistent connection to the first live address of a
+    failover order; a round trip gets ``retries`` re-attempts, the first
+    after ``backoff_s`` (doubling, jittered; 0 re-attempts at once)."""
 
-    Args:
-        cloud: ``(host, port)`` of the cloud stub, or None — the edge
-            is then its own oracle, with no latency (protocol tests).
-    """
-
-    def __init__(self, cloud: tuple[str, int] | None):
-        self.cloud = cloud
-        #: Request ``msg_id`` -> the reply frame :meth:`respond` built.
-        self.replies: dict[int, dict] = {}
-        self._lock = asyncio.Lock()
-        self._streams: tuple | None = None
+    def __init__(self, name: str, addresses: list[tuple[str, int]],
+                 retries: int, backoff_s: float):
+        self.name = name
+        self.addresses = addresses
+        self.retries = retries
+        self.backoff_s = backoff_s
+        self.attached = 0  # index into addresses
+        self.streams: tuple | None = None
+        self.lock = asyncio.Lock()
 
     def close(self) -> None:
-        if self._streams is not None:
-            self._streams[1].close()
-            self._streams = None
+        if self.streams is not None:
+            self.streams[1].close()
+            self.streams = None
+
+    async def call(self, frame: dict) -> dict:
+        """One round trip.  A failed attempt drops the connection; only a
+        refused connect walks on, so a broken stream first reconnects to
+        the attached address.  Pauses are taken outside the lock, so
+        callers sharing the connection never wait out each other's."""
+        start, refused, error = self.attached, 0, None
+        for attempt in range(self.retries + 1):
+            if attempt and self.backoff_s:
+                await asyncio.sleep(self.backoff_s * 2 ** (attempt - 1)
+                                    * random.uniform(1.0, 1.5))
+            async with self.lock:
+                try:
+                    if self.streams is None:
+                        index = (start + refused) % len(self.addresses)
+                        self.streams = await asyncio.open_connection(
+                            *self.addresses[index])
+                        self.attached = index
+                    return await call(*self.streams, frame)
+                except (ProtocolError, OSError) as exc:
+                    error = exc
+                    refused += self.streams is None
+                    self.close()
+                except BaseException:
+                    # Cancelled mid-exchange: the reply may still come,
+                    # and must never be paired with the next request.
+                    self.close()
+                    raise
+        raise RpcError(f"{self.name} unreachable: {error}")
+
+
+class Rpc:
+    """``rpc``: each call over the persistent connection its kind names.
+
+    An ``ic_request`` goes to a client's attached edge (failing over
+    along ``edges``) and is answered within its ``timeout``; a
+    ``cloud_request`` goes to the cloud, and the client holds its
+    deadline.  A reply becomes a frame in :attr:`replies`.
+
+    Args:
+        cloud: ``(host, port)`` of the cloud stub, or None — an edge is
+            then its own oracle, with no latency (protocol tests).
+        edges: A client's edge addresses: the attached edge first, then
+            the rest of the spec as its failover order.
+    """
+
+    def __init__(self, cloud: tuple[str, int] | None = None,
+                 edges: typing.Sequence[tuple[str, int]] = ()):
+        self._routes: dict[str, Route] = {}
+        if cloud is not None:
+            # Nowhere to fail over to: one immediate reconnect.
+            self._routes["cloud_request"] = Route("cloud", [cloud], 1, 0.0)
+        if edges:
+            self._routes["ic_request"] = Route(
+                "edge", list(edges), CONNECT_RETRIES, CONNECT_BACKOFF_S)
+        #: Request ``msg_id`` -> the reply frame :meth:`respond` built.
+        self.replies: dict[int, dict] = {}
+
+    def close(self) -> None:
+        for route in self._routes.values():
+            route.close()
 
     def call(self, msg: Message, timeout: float | None = None):
-        """The response to ``msg``, awaitable; only the cloud has a route.
-        The client holds the deadline, so ``timeout`` is not enforced."""
-        if msg.kind != "cloud_request":
+        """The response to ``msg``, awaitable."""
+        route = self._routes.get(msg.kind)
+        if msg.kind == "cloud_request":
+            return self._resolve(route, msg.payload)
+        if route is None:
             raise RpcError(f"no route to {msg.dst!r} for {msg.kind}")
-        return self._resolve(msg.payload)
+        return self._request(route, msg, timeout)
 
     def respond(self, request: Message, size_bytes: int,
                 payload: typing.Any = None, kind: str = "reply",
                 headers: dict | None = None) -> tuple:
-        """Put ``request``'s reply frame in :attr:`replies`, unsent.
-
-        A ``result`` frame carries the reply headers (``outcome``,
-        ``served_by``, a shed's ``retry_after_s``) and the ``label``.
-        """
-        if kind == "error":
-            frame = {"op": "error", "error": payload,
-                     "served_by": headers["served_by"]}
-        else:
-            frame = {"op": "result", **headers}
-            if payload is not None:
-                frame["label"] = int(payload.label)
-        self.replies[request.msg_id] = frame
+        """Put ``request``'s reply frame in :attr:`replies`, unsent."""
+        self.replies[request.msg_id] = encode_reply(kind, payload, headers)
         return ()
 
-    async def _resolve(self, task) -> Message:
+    @staticmethod
+    async def _request(route: Route, msg: Message,
+                       timeout: float | None) -> Message:
+        frame = encode_request(msg)
+        try:
+            reply = await asyncio.wait_for(route.call(frame), timeout)
+        except asyncio.TimeoutError:
+            raise RpcTimeout(f"timed out after {timeout}s") from None
+        try:
+            return decode_reply(reply)
+        except BAD_FIELD as exc:
+            raise RpcError(f"bad reply frame: {exc!r}") from None
+
+    @staticmethod
+    async def _resolve(route: Route | None, task) -> Message:
         label = task.frame.object_class
-        if self.cloud is not None:
-            try:
-                reply = await self._cloud_call({
-                    "op": "resolve", "object_class": label,
-                    "capture_id": task.frame.capture_id,
-                    "input_bytes": task.input_bytes})
-            except (ProtocolError, OSError) as exc:
-                raise RpcError(f"cloud unreachable: {exc}") from exc
+        if route is not None:
+            reply = await route.call({
+                "op": "resolve", "object_class": label,
+                "capture_id": task.frame.capture_id,
+                "input_bytes": task.input_bytes})
             label = int(reply["label"])
         result = RecognitionResult(label=label, confidence=0.97)
         return Message(size_bytes=result.size_bytes, kind="ic_result",
                        payload=result)
-
-    async def _cloud_call(self, request: dict) -> dict:
-        """One round trip on the persistent connection, one reconnect."""
-        async with self._lock:
-            for attempt in (0, 1):
-                if self._streams is None:
-                    self._streams = await asyncio.open_connection(*self.cloud)
-                try:
-                    return await call(*self._streams, request)
-                except (ProtocolError, ConnectionError):
-                    self.close()  # the stub may have restarted
-                    if attempt:
-                        raise
-        raise AssertionError("unreachable")  # pragma: no cover

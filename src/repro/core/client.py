@@ -14,7 +14,8 @@ send IC request -> receive IC result".  Concretely, per task family:
 
 ``perform`` is a simulation process returning a
 :class:`~repro.core.metrics.RequestRecord`; drive it with
-``env.process(client.perform(task))``.
+``env.process(client.perform(task))`` — or, over real sockets, with
+:func:`repro.backend.runtime.drive`.
 """
 
 from __future__ import annotations
@@ -301,7 +302,8 @@ class CoICClient:
             if self.backoff_rng is not None:
                 delay *= 1.0 + float(self.backoff_rng.uniform(0.0, 0.5))
             if delay > 0:
-                yield delay
+                # A real wait on every backend, not a modelled charge.
+                yield self.env.timeout(delay)
             response = yield self.rpc.call(
                 build_request(), timeout=self.config.request_timeout_s)
         return response, retried

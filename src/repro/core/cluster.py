@@ -156,6 +156,24 @@ def prototype_items(space: EmbeddingSpace,
                result, result.size_bytes)
 
 
+def client_options(spec: ScenarioSpec, config: CoICConfig,
+                   rng: RngStreams, name: str) -> dict:
+    """The ``CoICClient`` arguments the policy gives client ``name``, on
+    either backend: the input sketch an affinity balancer scores (with
+    edge-side extraction; a client descriptor is its own key), and the
+    shed-retry budget with a per-client jitter stream, so a refused
+    crowd does not re-stampede in lockstep (zero retries wire none)."""
+    policy = spec.policy
+    shed_retries = policy.shed_retries if policy is not None else 0
+    return {"attach_sketch": (policy is not None
+                              and policy.offload == "affinity"
+                              and config.recognition.descriptor_source
+                              == "edge"),
+            "shed_retries": shed_retries,
+            "backoff_rng": (rng.stream(f"client.backoff.{name}")
+                            if shed_retries > 0 else None)}
+
+
 @dataclasses.dataclass(frozen=True)
 class HandoffEvent:
     """One completed client migration between edges."""
@@ -389,29 +407,14 @@ class ClusterDeployment:
                 node.layer_manager = manager
 
         # -- clients ---------------------------------------------------------
-        # With affinity offload and edge-side extraction, clients attach
-        # the cheap input sketch the balancer scores summaries against
-        # (descriptor-computing clients already ship the full vector).
-        attach_sketch = (spec.policy is not None
-                         and spec.policy.offload == "affinity"
-                         and cfg.recognition.descriptor_source == "edge")
-        # Shed backoff: the policy's retry budget plus a per-client
-        # jitter stream, so a refused crowd de-synchronizes instead of
-        # re-stampeding on the same drain estimate.  Zero retries (the
-        # default) wires nothing — no extra RNG streams are created.
-        shed_retries = (spec.policy.shed_retries
-                        if spec.policy is not None else 0)
         self.clients_by_edge: list[list[CoICClient]] = []
         for espec in spec.edges:
             row = [CoICClient(self.env, self.rpc, cspec.name, cfg,
                               recognizer=self.mobile_recognizer,
                               loader=self.mobile_loader,
                               recorder=self.recorder, edge_name=espec.name,
-                              attach_sketch=attach_sketch,
-                              shed_retries=shed_retries,
-                              backoff_rng=(self.rng.stream(
-                                  f"client.backoff.{cspec.name}")
-                                  if shed_retries > 0 else None))
+                              **client_options(spec, cfg, self.rng,
+                                               cspec.name))
                    for cspec in espec.clients]
             self.clients_by_edge.append(row)
         self.all_clients = [c for row in self.clients_by_edge for c in row]

@@ -125,7 +125,7 @@ class Rpc:
             # RPC budget — request transit time counts against it.
             self.env.timeout(timeout).callbacks.append(
                 lambda _expiry: self._give_up(rpc_id, RpcTimeout(
-                    f"rpc {rpc_id} timed out after {timeout}s")))
+                    f"timed out after {timeout}s")))
         return response
 
     def _request(self, rpc_id: int, delivery: typing.Generator):

@@ -57,6 +57,3 @@ class TestBuildWorkload:
         assert frame.viewpoint == item.viewpoint
         assert frame.capture_id == item.capture_id
         assert frame.user == item.client
-        # Request wire size mirrors the simulated ic_request (64-byte
-        # envelope + encoded frame).
-        assert item.input_bytes == 64 + frame.size_bytes

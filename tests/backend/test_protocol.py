@@ -1,22 +1,39 @@
-"""Frame-level tests for the real backend's wire protocol."""
+"""Frame-level tests for the real backend's wire protocol and codec."""
 
 import asyncio
+import math
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.backend import runtime
 from repro.backend.cloud_server import CloudService
 from repro.backend.edge_server import EdgeService
-from repro.backend.loadgen import RealClient, WorkloadItem
 from repro.backend.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
     call,
     decode_body,
+    decode_reply,
+    decode_request,
     encode_frame,
+    encode_reply,
+    encode_request,
     read_frame,
 )
+from repro.backend.server import FrameServer
+from repro.core.client import CoICClient
+from repro.core.config import CoICConfig
+from repro.core.descriptors import VectorDescriptor
 from repro.core.metrics import MetricsRecorder, OUTCOME_ERROR, OUTCOME_MISS
+from repro.core.sketch import SKETCH_DIM
+from repro.core.tasks import RecognitionTask
+from repro.net.message import Message
+from repro.vision.image import RESOLUTIONS, CameraFrame
+from repro.vision.recognition import RecognitionResult
 
 
 def read_from_bytes(data: bytes, eof: bool = True):
@@ -187,26 +204,188 @@ class TestMalformedFrames:
         assert served["op"] == answer and served["label"] == 2
         assert stats["op"] == "counters"
 
-    def test_client_records_an_error_reply_as_an_error_outcome(
-            self, edge_payload):
-        # object_class "x" reaches the edge as an ill-typed field; the
-        # client must record the refusal, not die on KeyError('label').
+    def test_client_records_an_error_reply_as_an_error_outcome(self):
+        # An edge's refusal, and a reply that is no reply at all (a
+        # result without a label, an unknown op), each end the client's
+        # request as an error outcome — never as an exception escaping
+        # drive() — and the connection serves the next request.
+        replies = [
+            ({"op": "error", "error": "bad recognize frame: KeyError('x')"},
+             "bad recognize frame: KeyError('x')"),
+            ({"op": "result", "outcome": "hit", "served_by": "edge0"},
+             "bad reply frame: KeyError('label')"),
+            ({"op": "frobnicate"}, "unexpected reply op 'frobnicate'"),
+        ]
         recorder = MetricsRecorder()
-        item = WorkloadItem(client="m0", edge="edge0", seq=0, capture_id=1,
-                            object_class="x", viewpoint=0.0, input_bytes=0)
 
         async def _run():
-            service = EdgeService(edge_payload())
-            await service.start()
-            client = RealClient("m0", [("edge0", ("127.0.0.1",
-                                                   service.port))],
-                                [item], recorder, timeout_s=5.0)
+            edge = Replying([reply for reply, _ in replies])
+            await edge.start()
+            client = CoICClient(
+                runtime.Env(), runtime.Rpc(edges=[("127.0.0.1", edge.port)]),
+                "m0", CoICConfig(seed=0), recognizer=None, loader=None,
+                recorder=recorder, edge_name="edge0")
             try:
-                await client.run()
+                for capture_id in range(len(replies)):
+                    await runtime.drive(client.perform(RecognitionTask(
+                        CameraFrame(object_class=2, capture_id=capture_id))))
             finally:
-                await service.stop()
+                client.rpc.close()
+                await edge.stop()
 
         asyncio.run(_run())
-        (record,) = recorder.records
-        assert record.outcome == OUTCOME_ERROR
-        assert "bad recognize frame" in record.detail["error"]
+        assert len(recorder.records) == len(replies)
+        for record, (_, error) in zip(recorder.records, replies):
+            assert record.outcome == OUTCOME_ERROR and record.correct is None
+            assert error in record.detail["error"]
+
+
+class Replying(FrameServer):
+    """Answers successive ``recognize`` frames with canned replies."""
+
+    def __init__(self, replies):
+        super().__init__()
+        self.ops["recognize"] = (lambda frame: (), self._reply)
+        self.replies = iter(replies)
+
+    async def _reply(self):
+        return next(self.replies)
+
+
+def recognition_request(**headers) -> Message:
+    """A client's ``ic_request`` for capture 7 (class 2) of a 720p frame."""
+    frame = CameraFrame(object_class=2, viewpoint=-0.25, user="m0", seq=3,
+                        capture_id=7, resolution=RESOLUTIONS["720p"])
+    return Message(size_bytes=64, kind="ic_request",
+                   payload=RecognitionTask(frame), headers=headers)
+
+
+class TestCodec:
+    """``Message`` <-> frame: what crosses the socket is what the
+    simulator's messages carry."""
+
+    def test_a_client_descriptor_request_round_trips(self):
+        vector = np.linspace(-1.0, 1.0, 16, dtype=np.float32)
+        sketch = np.linspace(0.5, -0.5, SKETCH_DIM)
+        msg = recognition_request(
+            descriptor=VectorDescriptor(kind="recognition", vector=vector),
+            has_input=True, force_forward=True, sketch=sketch)
+        frame = read_from_bytes(encode_frame(encode_request(msg)))
+        decoded = decode_request(frame, n_classes=4, dim=16)
+
+        assert decoded.kind == "ic_request"
+        assert decoded.headers["descriptor"] == msg.headers["descriptor"]
+        assert np.array_equal(decoded.headers["sketch"], sketch)
+        assert decoded.headers["has_input"] is True
+        assert decoded.headers["force_forward"] is True
+        capture = decoded.payload.frame
+        assert (capture.object_class, capture.viewpoint,
+                capture.capture_id) == (2, -0.25, 7)
+        # The cloud leg relays the input in the simulated forward's
+        # envelope: the frame's bytes plus 64.
+        assert (decoded.payload.input_bytes
+                == 64 + msg.payload.input_bytes)
+
+    def test_a_descriptor_without_input_asks_for_nothing_more(self):
+        msg = recognition_request(descriptor=VectorDescriptor(
+            kind="recognition", vector=np.ones(16, dtype=np.float32)))
+        frame = encode_request(msg)
+        assert frame["has_input"] is False and frame["input_bytes"] == 0
+        decoded = decode_request(frame, n_classes=4, dim=16)
+        assert decoded.headers == {
+            "has_input": False, "descriptor": msg.headers["descriptor"]}
+
+    def test_a_hand_written_frame_carries_its_input_and_relays_its_size(
+            self):
+        # bench/real_driver.py's frames: no descriptor, no has_input,
+        # input_bytes 0 — which the cloud leg must relay as 0.
+        decoded = decode_request(
+            {"op": "recognize", "user": "bench", "seq": 0, "capture_id": 1,
+             "object_class": 3, "viewpoint": 0.1, "input_bytes": 0},
+            n_classes=4, dim=16)
+        assert decoded.headers == {"has_input": True}
+        assert decoded.payload.input_bytes == 0
+
+    @pytest.mark.parametrize("kind, payload, headers, op", [
+        ("ic_result", RecognitionResult(label=3, confidence=0.97),
+         {"outcome": "hit", "served_by": "edge0"}, "result"),
+        ("shed", None, {"outcome": "shed", "served_by": "edge0",
+                        "retry_after_s": 0.02}, "result"),
+        ("need_input", None, {"outcome": "miss", "served_by": "edge0"},
+         "need_input"),
+        ("error", "cloud unreachable: refused",
+         {"outcome": "error", "served_by": "edge0"}, "error"),
+    ], ids=["result", "shed", "need_input", "error"])
+    def test_every_reply_kind_round_trips(self, kind, payload, headers,
+                                          op):
+        frame = encode_reply(kind, payload, dict(headers))
+        assert frame["op"] == op
+        reply = decode_reply(read_from_bytes(encode_frame(frame)))
+        assert (reply.kind, reply.headers) == (kind, headers)
+        if kind == "ic_result":
+            assert reply.payload.label == 3
+        else:
+            assert reply.payload == payload
+
+
+#: Values a well-formed 16-d descriptor or 32-d sketch never has.
+def bad_vectors(dim):
+    finite = st.floats(-1.0, 1.0)
+    return st.one_of(
+        st.lists(finite, max_size=2 * dim).filter(lambda v: len(v) != dim),
+        st.tuples(st.lists(finite, min_size=dim, max_size=dim),
+                  st.integers(0, dim - 1),
+                  st.sampled_from([math.nan, math.inf, -math.inf, 1e300]))
+        .map(lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:]),
+        st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                 min_size=1, max_size=2),
+        st.lists(st.text(max_size=3), min_size=dim, max_size=dim),
+        st.text(max_size=8), st.booleans(), st.integers(),
+        st.dictionaries(st.text(max_size=2), finite, max_size=2))
+
+
+NOT_BOOL = st.one_of(st.integers(), st.floats(allow_nan=False),
+                     st.text(max_size=3), st.none(),
+                     st.lists(st.booleans(), max_size=2))
+
+BAD_FIELDS = st.one_of(
+    st.tuples(st.just("descriptor"), bad_vectors(16)),
+    st.tuples(st.just("sketch"), bad_vectors(SKETCH_DIM)),
+    st.tuples(st.just("has_input"), NOT_BOOL),
+    st.tuples(st.just("force_forward"), NOT_BOOL),
+    st.tuples(st.just("object_class"),
+              st.one_of(st.integers(max_value=-1), st.integers(min_value=4),
+                        st.text(max_size=3), st.none())),
+    st.tuples(st.just("viewpoint"),
+              st.sampled_from([math.nan, math.inf, -math.inf, "x", None])),
+    st.tuples(st.just("input_bytes"),
+              st.one_of(st.integers(max_value=-1),
+                        st.integers(min_value=MAX_FRAME_BYTES + 1),
+                        st.sampled_from([math.inf, "many", None]))),
+)
+
+
+class TestRecognizeFrameFuzz:
+    GOOD = {"op": "recognize", "user": "m0", "seq": 0, "capture_id": 1,
+            "object_class": 2, "viewpoint": 0.0, "input_bytes": 0}
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad=st.lists(BAD_FIELDS, min_size=1, max_size=4))
+    def test_each_bad_field_costs_an_error_reply_only(self, edge_payload,
+                                                      bad):
+        # Each frame with one bad field is answered with ``error`` on the
+        # same connection, serves nothing, and leaves nothing in flight;
+        # the good frame after them is served.
+        async def _run():
+            service = EdgeService(edge_payload())
+            frames = [{**self.GOOD, name: value} for name, value in bad]
+            replies = await exchange(service, [*frames, self.GOOD])
+            return replies, service
+
+        replies, service = asyncio.run(_run())
+        *errors, good = replies
+        assert all(reply["op"] == "error" for reply in errors), errors
+        assert good["outcome"] == OUTCOME_MISS and good["label"] == 2
+        assert service.counters()["served"] == 1
+        assert service.active == 0

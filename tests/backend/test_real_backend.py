@@ -9,14 +9,19 @@ deselected by default; run them with ``pytest -m real_backend``.
 
 import asyncio
 import collections
+import sys
 
 import pytest
 
+from repro.backend import runtime
 from repro.backend.edge_server import EdgeService
-from repro.backend.loadgen import RealClient, WorkloadItem, build_workload
+from repro.backend.loadgen import build_workload
 from repro.backend.protocol import call
-from repro.backend.runner import run_real_scenario, run_simulated_trace
-from repro.backend.server import FrameServer
+from repro.backend.runner import (
+    _drive_clients,
+    run_real_scenario,
+    run_simulated_trace,
+)
 from repro.core.cluster import ClusterDeployment
 from repro.core.config import CoICConfig
 from repro.core.metrics import (
@@ -38,7 +43,7 @@ from repro.core.scenario import (
 from repro.core.tasks import KIND_RECOGNITION
 from repro.eval.experiments.mobility_exp import drive_scenario
 from repro.eval.experiments.overload_exp import build_rush_hour
-from repro.sim.rng import RngStreams
+from repro.sim.kernel import Environment
 
 
 def fast_config(seed=0, n_classes=12, network="mobilenet_v2"):
@@ -88,27 +93,6 @@ def assert_counts_match_recorder(recorder, per_edge):
     assert set(served) <= set(per_edge)
     for name, counts in per_edge.items():
         assert edge_outcomes(counts) == dict(served[name]), name
-
-
-class SheddingEdge(FrameServer):
-    """Sheds the first ``k`` recognize frames, then answers correctly."""
-
-    def __init__(self, k, hint_s):
-        super().__init__()
-        self.ops["recognize"] = (lambda m: (int(m["object_class"]),),
-                                 self._recognize)
-        self.k, self.hint_s, self.seen = k, hint_s, 0
-
-    def counters(self):
-        return {"seen": self.seen}
-
-    async def _recognize(self, object_class):
-        self.seen += 1
-        if self.seen <= self.k:
-            return {"op": "result", "outcome": OUTCOME_SHED,
-                    "served_by": "edge0", "retry_after_s": self.hint_s}
-        return {"op": "result", "outcome": OUTCOME_MISS,
-                "label": object_class, "served_by": "edge0"}
 
 
 class TestSimRealParity:
@@ -197,6 +181,38 @@ class TestSimRealParity:
             assert [c["cache_entries"] for c in real.edge_counters] == [0, 0]
             assert [len(cache) for cache in sim.caches] == [0, 0]
 
+    @pytest.mark.parametrize("attach_input", [True, False],
+                             ids=["with-input", "need-input"])
+    def test_client_descriptor_parity(self, attach_input):
+        # The client extracts the descriptor on the device and ships it
+        # (with the frame, or without — then a miss costs the two-phase
+        # need_input exchange): same outcomes on both backends, and each
+        # edge counts the same outcomes and the same handled frames.
+        config = fast_config()
+        config.recognition.descriptor_source = "client"
+        config.recognition.attach_input = attach_input
+        spec = small_spec()
+        items = build_workload(spec, config, 4)
+
+        sim = run_simulated_trace(spec, config, items)
+        real = run_real_scenario(spec, config=config, mode="inline",
+                                 sequential=True, items=items)
+
+        assert triples(real.recorder) == triples(sim.recorder)
+        outcomes = real.recorder.outcome_counts()
+        assert set(outcomes) == {OUTCOME_HIT, OUTCOME_MISS}
+        assert ([edge_outcomes(edge.counts) for edge in sim.edges]
+                == [edge_outcomes(c) for c in real.edge_counters])
+        # Every miss without its input was asked for it once: a second
+        # frame handled, and nothing counted for the need_input reply.
+        handled = outcomes[OUTCOME_HIT] + outcomes[OUTCOME_MISS] * (
+            1 if attach_input else 2)
+        assert ([edge.counts["requests_served"] for edge in sim.edges]
+                == [c["requests_served"] for c in real.edge_counters])
+        assert sum(c["requests_served"]
+                   for c in real.edge_counters) == handled
+        assert all("need_input" not in c for c in real.edge_counters)
+
 
 class TestEdgeCountsMatchRecorder:
     """Every reply that ends a request is counted once, by the edge that
@@ -233,44 +249,95 @@ class TestEdgeCountsMatchRecorder:
 
 
 class TestRobustness:
-    def test_shed_retries_resend_after_the_backoff(self):
-        # An edge that sheds the first k frames: the client waits out
-        # each jittered retry_after_s hint, re-sends, and is served.
-        k, hint_s = 3, 0.02
-        recorder = MetricsRecorder()
-        item = WorkloadItem(client="m0", edge="edge0", seq=0, capture_id=1,
-                            object_class=2, viewpoint=0.0, input_bytes=0)
+    def test_shed_retries_resend_after_the_backoff(self, monkeypatch):
+        # queue_limit=0 sheds every request on both backends; each client
+        # waits out two jittered retry_after_s hints and re-sends.  The
+        # waits are drawn alike — and on sockets they are really waited.
+        waits = {"sim": [], "real": []}
 
-        async def _run():
-            edge = SheddingEdge(k, hint_s)
-            await edge.start()
-            client = RealClient(
-                "m0", [("edge0", ("127.0.0.1", edge.port))], [item],
-                recorder, timeout_s=5.0, shed_retries=k,
-                backoff_rng=RngStreams(seed=0).stream("client.backoff.m0"))
-            try:
-                await client.run()
-            finally:
-                await edge.stop()
-            return edge.seen
+        def spy(backend, timeout):
+            def logged(env, delay, *rest):
+                if sys._getframe(1).f_code.co_name == "_call_with_backoff":
+                    waits[backend].append(delay)
+                return timeout(env, delay, *rest)
+            return logged
 
-        assert asyncio.run(_run()) == k + 1
-        (record,) = recorder.records
-        assert record.outcome == OUTCOME_MISS and record.correct
-        assert record.detail["retries"] == k
-        assert record.end_s - record.start_s >= k * hint_s
+        real_timeout = runtime.Env.timeout
+        monkeypatch.setattr(Environment, "timeout",
+                            spy("sim", Environment.timeout))
+        monkeypatch.setattr(runtime.Env, "timeout", spy(
+            "real", lambda env, delay: real_timeout(delay)))
+        policy = EdgePolicySpec(admission="shed", queue_limit=0,
+                                shed_retries=2)
+        spec = small_spec(policy=policy, warm=())
+        config = fast_config()
+        items = build_workload(spec, config, 2)
+
+        sim = run_simulated_trace(spec, config, items)
+        real = run_real_scenario(spec, config=config, mode="inline",
+                                 sequential=True, items=items)
+
+        assert triples(real.recorder) == triples(sim.recorder)
+        assert real.recorder.outcome_counts() == {OUTCOME_SHED: 6}
+        for recorder in (real.recorder, sim.recorder):
+            assert [r.detail["retries"] for r in recorder.records] == [2] * 6
+        assert waits["real"] == waits["sim"] and len(waits["real"]) == 12
+        for k, record in enumerate(real.recorder.records):
+            assert (record.end_s - record.start_s
+                    >= sum(waits["real"][2 * k:2 * k + 2]))
 
     def test_request_timeout_records_an_error_outcome(self):
+        # The client's deadline cuts a slow (vgg16) miss short with the
+        # same error detail on both backends.
         spec = small_spec(warm=(), clients=(("m0",),))
         config = fast_config(network="vgg16")
         config.request_timeout_s = 0.05  # well under the ~0.4s miss
-        real = run_real_scenario(spec, config=config, mode="inline",
-                                 sequential=True, requests_per_client=1)
+        items = build_workload(spec, config, 1)
 
-        (record,) = real.recorder.records
-        assert record.outcome == OUTCOME_ERROR
-        assert "timeout" in record.detail["error"]
-        assert record.correct is None
+        sim = run_simulated_trace(spec, config, items)
+        real = run_real_scenario(spec, config=config, mode="inline",
+                                 sequential=True, items=items)
+
+        assert triples(real.recorder) == triples(sim.recorder) == [
+            ("m0", OUTCOME_ERROR, None)]
+        assert ([r.detail for r in real.recorder.records]
+                == [r.detail for r in sim.recorder.records]
+                == [{"error": "timed out after 0.05s"}])
+
+    def test_every_edge_dead_costs_one_error_per_request_in_one_budget(
+            self, monkeypatch):
+        # Both edges refuse connections: each request walks the failover
+        # order once — CONNECT_RETRIES + 1 connection attempts in all —
+        # and ends in exactly one error record.
+        import socket
+
+        ports = {}
+        for name in ("edge0", "edge1"):
+            with socket.socket() as probe:
+                probe.bind(("127.0.0.1", 0))
+                ports[name] = probe.getsockname()[1]
+        attempts = []
+        open_connection = asyncio.open_connection
+
+        async def counted(host, port, *args, **kwargs):
+            attempts.append(port)
+            return await open_connection(host, port, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "open_connection", counted)
+        monkeypatch.setattr(runtime, "CONNECT_BACKOFF_S", 0.001)
+        spec = small_spec(clients=(("m0",), ("m1",)))
+        config = fast_config()
+        items = build_workload(spec, config, 2)
+        recorder = MetricsRecorder()
+
+        asyncio.run(_drive_clients(spec, config, items, ports, recorder,
+                                   pace_s=0.0, sequential=True))
+
+        assert [r.outcome for r in recorder.records] == [OUTCOME_ERROR] * 4
+        assert all(r.detail["error"].startswith("edge unreachable")
+                   for r in recorder.records)
+        assert len(attempts) <= len(items) * (runtime.CONNECT_RETRIES + 1)
+        assert set(attempts) == set(ports.values())
 
     def test_drain_refuses_new_work_then_shutdown_reports_counters(
             self, edge_payload):
@@ -343,6 +410,47 @@ class TestRobustness:
                 counters["misses"]) == (1, 1, 0)
         assert counters["cache_entries"] == 1
 
+    def test_concurrent_misses_on_a_dead_cloud_each_get_a_prompt_error(
+            self, edge_payload):
+        # Misses share the edge's one cloud connection.  The cloud route
+        # re-attempts once, at once, so concurrent cold captures do not
+        # queue behind each other's retries: every one is answered with
+        # an error well within a single client backoff pause.
+        import socket
+        import time
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            dead_port = probe.getsockname()[1]
+        payload = edge_payload(cloud=("127.0.0.1", dead_port), warm=(1,),
+                               vector_dtype="float64")
+
+        async def one(port, capture_id):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            started = time.monotonic()
+            try:
+                reply = await call(reader, writer, {
+                    "op": "recognize", "capture_id": capture_id,
+                    "object_class": 2 + capture_id % 2})
+            finally:
+                writer.close()
+            return reply, time.monotonic() - started
+
+        async def _run():
+            service = EdgeService(payload)
+            await service.start()
+            try:
+                return await asyncio.gather(
+                    *(one(service.port, k) for k in range(8)))
+            finally:
+                await service.stop()
+
+        results = asyncio.run(_run())
+        assert all(reply["op"] == "error"
+                   and reply["error"].startswith("cloud unreachable")
+                   for reply, _ in results)
+        assert max(elapsed for _, elapsed in results) < 0.25
+
 
 class TestRunnerValidation:
     def test_unknown_mode_is_rejected(self):
@@ -365,9 +473,11 @@ class TestRunnerValidation:
 class TestProcessMode:
     """Deployment-shape tests: spawned OS processes, real SIGKILL."""
 
-    def test_process_parity_smoke(self):
+    @pytest.mark.parametrize("descriptor_source", ["edge", "client"])
+    def test_process_parity_smoke(self, descriptor_source):
         spec = small_spec()
         config = fast_config()
+        config.recognition.descriptor_source = descriptor_source
         items = build_workload(spec, config, 3)
 
         sim = run_simulated_trace(spec, config, items)
