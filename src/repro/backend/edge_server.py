@@ -10,8 +10,9 @@ turns a ``recognize`` frame into the ``ic_request`` message that
 the reply frame the chain's response produced is written back.  No
 request handling lives here.
 
-A ``shutdown`` frame drains first — the admit stage is swapped for one
-that sheds every recognition request and in-flight requests finish —
+A ``shutdown`` frame drains first — an admit stage that sheds every
+recognition request heads the chain (in place of the policy's own) and
+in-flight requests finish —
 then answers ``bye`` with the counters (the graceful half of the
 fault-injection story; the *un*graceful half is ``SIGKILL``).  The
 same class runs inline (hermetic tests) or as a spawned OS process.
@@ -27,7 +28,11 @@ from repro.backend.server import FrameServer
 from repro.core.cluster import edge_cache, embedding_space, prototype_items
 from repro.core.edge import EdgeNode
 from repro.core.metrics import OUTCOME_HIT, OUTCOME_MISS, OUTCOME_SHED
-from repro.core.pipeline import AdmissionControlStage, build_pipeline
+from repro.core.pipeline import (
+    AdmissionControlStage,
+    Pipeline,
+    build_pipeline,
+)
 from repro.core.scenario import EdgePolicySpec
 from repro.net.message import Message
 from repro.net.topology import Host
@@ -92,7 +97,9 @@ class EdgeService(FrameServer):
 
     async def drain(self, timeout_s: float = 10.0) -> None:
         """Shed new work, then wait (bounded) until none is mid-service."""
-        self.edge.pipeline = self.edge.pipeline.replace("admit", _SHED_ALL)
+        self.edge.pipeline = Pipeline([
+            _SHED_ALL, *(stage for stage in self.edge.pipeline.stages
+                         if stage.name != _SHED_ALL.name)])
         try:
             await asyncio.wait_for(self._idle.wait(), timeout_s)
         except asyncio.TimeoutError:

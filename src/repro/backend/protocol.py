@@ -10,12 +10,13 @@ Frame vocabulary (the ``op`` field):
 
 ============== =====================================================
 ``recognize``  client -> edge: one recognition request — the capture
-               (``user``, ``seq``, ``capture_id``, ``object_class``,
-               ``viewpoint``), ``input_bytes`` (what the cloud leg
-               relays) and, optionally, a ``descriptor`` or ``sketch``
-               (lists of numbers) and ``has_input`` / ``force_forward``
-               (booleans).  A frame without a ``descriptor`` carries
-               its input.
+               (``user``, ``seq``, ``capture_id`` and ``object_class``
+               as integers, ``capture_id`` >= 0, a numeric
+               ``viewpoint``), ``input_bytes`` (an integer: what the
+               cloud leg relays) and, optionally, a ``descriptor`` or
+               ``sketch`` (lists of numbers) and ``has_input`` /
+               ``force_forward`` (booleans).  A frame without a
+               ``descriptor`` carries its input.
 ``result``     edge -> client: the answer (``outcome`` of
                hit/miss/partial/shed, ``label``, ``served_by``; a shed
                has no ``label`` but a ``retry_after_s``, the admission
@@ -193,11 +194,27 @@ def _vector(value, dim: int, name: str) -> np.ndarray:
 def decode_request(frame: dict, n_classes: int, dim: int) -> Message:
     """A ``recognize`` frame as the ``ic_request`` an edge with
     ``n_classes`` classes and ``dim``-d descriptors serves; a missing,
-    ill-typed or out-of-range field raises one of :data:`BAD_FIELD`."""
-    object_class = int(frame["object_class"])
-    viewpoint = float(frame.get("viewpoint", 0.0))
-    capture_id = int(frame["capture_id"])
-    input_bytes = int(frame.get("input_bytes", 0))
+    ill-typed or out-of-range field raises one of :data:`BAD_FIELD`.
+
+    Fields are checked, never coerced: ``object_class``, ``capture_id``
+    and ``input_bytes`` are JSON integers (not booleans), ``viewpoint``
+    a JSON number."""
+    object_class, capture_id = frame["object_class"], frame["capture_id"]
+    input_bytes = frame.get("input_bytes", 0)
+    viewpoint = frame.get("viewpoint", 0.0)
+    if not (object_class.__class__ is int and capture_id.__class__ is int
+            and input_bytes.__class__ is int):
+        raise TypeError(f"object_class, capture_id and input_bytes are "
+                        f"integers, got {object_class!r}, {capture_id!r}, "
+                        f"{input_bytes!r}")
+    if (not isinstance(viewpoint, (int, float))
+            or viewpoint.__class__ is bool):
+        raise TypeError(f"viewpoint {viewpoint!r} is not a number")
+    viewpoint = float(viewpoint)
+    if capture_id < 0:
+        # A negative id is the simulator's legacy noise path, which a
+        # real edge cannot reproduce.
+        raise ValueError(f"capture_id {capture_id} is negative")
     if not 0 <= object_class < n_classes:
         raise ValueError(f"object_class {object_class} outside "
                          f"[0, {n_classes})")

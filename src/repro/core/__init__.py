@@ -14,8 +14,9 @@ The cooperative immersive-computing framework, assembled from:
 * :mod:`~repro.core.client` / :mod:`~repro.core.edge` /
   :mod:`~repro.core.cloud` — the three node roles of Figure 1 (one
   edge class: federation is a peer list, not a subclass).
-* :mod:`~repro.core.pipeline` — the edge request pipeline (admit ->
-  classify -> lookup -> resolve -> respond; resolve owns the miss order
+* :mod:`~repro.core.pipeline` — the edge request pipeline (lookup ->
+  resolve -> respond, behind admit / layer_reuse stages only when the
+  policy asks for them; resolve owns the miss order
   hit / peers / cloud, respond is the only ``ic_result`` sender) and its
   overload layer: admission control, peer offload, predictive handoff
   pre-warm.

@@ -58,7 +58,7 @@ class VectorDescriptor(Descriptor):
             raise ValueError(f"vector must be 1-D, got shape {vec.shape}")
         if vec.size == 0:
             raise ValueError("vector must be non-empty")
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise ValueError("vector contains non-finite values")
         object.__setattr__(self, "vector", vec)
 

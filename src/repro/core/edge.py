@@ -1,10 +1,10 @@
 """The edge node: descriptor lookup, cache serving, cloud forwarding.
 
 This is CoIC's contribution in executable form (Figure 1, middle box).
-Request handling is organized as an explicit stage chain — admit ->
-classify -> lookup -> resolve -> respond — defined in
-:mod:`repro.core.pipeline`; the default chain reproduces the paper's
-edge:
+Request handling is organized as an explicit stage chain — lookup ->
+resolve -> respond, behind an admit stage when the policy gates
+admission — defined in :mod:`repro.core.pipeline`; the default chain
+reproduces the paper's edge:
 
 1. receive an IC request (with or without a pre-computed descriptor),
 2. extract the feature descriptor if the client didn't,
@@ -24,8 +24,9 @@ Also implemented, because a real edge needs them:
   on a real box.
 
 Overload behaviour (admission shed/redirect, peer offload) is *not*
-baked in here: swap the pipeline's admit stage
-(:class:`~repro.core.pipeline.AdmissionControlStage`) and this node
+baked in here: put an admit stage
+(:class:`~repro.core.pipeline.AdmissionControlStage`) at the head of
+the pipeline and this node
 sheds, redirects, or borrows a neighbour without touching the code
 below.  Nor is the miss order (peers, then cloud): that belongs to
 :class:`~repro.core.pipeline.ResolveStage`.  This module keeps the
@@ -94,8 +95,8 @@ class EdgeNode:
         cloud_name: Host name requests are forwarded to.
         workers: Parallel compute slots for extraction work.
         pipeline: Stage chain to serve requests with; None selects
-            :func:`~repro.core.pipeline.default_pipeline` (the paper's
-            edge, no overload management).
+            :func:`~repro.core.pipeline.build_pipeline`'s default (the
+            paper's edge, no overload management).
         peers: Host names of cooperating edges whose caches a miss
             consults before the cloud, tried in order (put the nearest
             first).  Empty — the default — is the paper's isolated edge.
@@ -133,13 +134,20 @@ class EdgeNode:
         self.compute = (compute if compute is not None
                         else Resource(env, capacity=workers))
         if pipeline is None:
-            from repro.core.pipeline import default_pipeline
+            from repro.core.pipeline import build_pipeline
 
-            pipeline = default_pipeline()
+            pipeline = build_pipeline()
         self.pipeline = pipeline
         self.peers = [p for p in peers if p != host.name]
         self.peer_timeout_s = peer_timeout_s
         self.broker = broker
+        rec = config.recognition
+        #: Vector-descriptor match threshold: the configured one, else
+        #: derived once from the embedding geometry (both are fixed for
+        #: the edge's lifetime).
+        self.match_threshold: float = (
+            rec.threshold if rec.threshold is not None
+            else recognizer.space.suggest_threshold(rec.max_viewpoint_delta))
         #: Every tally this edge keeps, by name: the outcome of each
         #: reply that ends a request (``hit``, ``miss``, ``partial``,
         #: ``shed``, ``error``) plus the federation, overload,
@@ -173,17 +181,6 @@ class EdgeNode:
         """Observed hit ratio of coarse recognition lookups on this edge."""
         lookups = self.counts["coarse_lookups"]
         return self.counts["coarse_hits"] / lookups if lookups else 0.0
-
-    # -- threshold ----------------------------------------------------------------
-
-    @property
-    def match_threshold(self) -> float:
-        """Vector-descriptor match threshold (config or derived)."""
-        rec = self.config.recognition
-        if rec.threshold is not None:
-            return rec.threshold
-        return self.recognizer.space.suggest_threshold(
-            rec.max_viewpoint_delta)
 
     # -- responses ----------------------------------------------------------------
 

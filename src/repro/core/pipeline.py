@@ -1,44 +1,47 @@
 """The edge request pipeline: explicit stages plus an overload layer.
 
-Every request an edge serves flows through the same five stages, which
-map onto Figure 1 of the paper (the middle "MEC platform" box):
+Every request an edge serves flows through a chain of stages that map
+onto Figure 1 of the paper (the middle "MEC platform" box).  The chain
+is built once per policy from only the stages that can act
+(:func:`build_pipeline`); the default — the paper's edge — is
+``lookup -> resolve -> respond``:
 
-1. **admit** — the box's front door.  The paper's edge accepts
-   everything; the overload layer replaces this stage with an admission
-   controller that can *shed* (refuse outright), *cloud-redirect* (relay
-   to the cloud without spending edge compute — Figure 1's fallback
-   path from the MEC platform to the cloud service), or *peer-offload*
-   (forward to a less-loaded neighbouring edge over the inter-edge
-   backhaul — the cooperation arrow between MEC sites).
-2. **classify** — "receive IC request": determine the task family
-   (vector-matched recognition vs hash-keyed model/panorama fetch) and
-   pull the client-supplied descriptor out of the headers.
-3. **lookup** — "Extract IC Feature" + "IC cache lookup": edge-side
-   descriptor extraction on the bounded worker pool when the client
-   sent only the frame, then the cache probe.
-4. **resolve** — the hit/miss fork of Figure 1, and the only place
-   that knows the miss order: local hit -> awaited speculative result
-   -> ``need_input`` -> peer edges (when the edge has any) -> cloud;
-   whatever is fetched is inserted into the cache on the way back.
-5. **respond** — "send IC result": the one place an ``ic_result``
-   leaves the edge, tagged with the serving edge id.  Every stage that
-   produces a result (resolve, an admission redirect, partial
-   inference) only fills ``ctx.result`` / ``ctx.outcome`` /
-   ``ctx.extra_headers``; the driver then skips straight here.
+* **receive IC request** — :meth:`Pipeline.process` itself determines
+  the task family (vector-matched recognition vs hash-keyed
+  model/panorama fetch) and pulls the client-supplied descriptor and
+  ``force_forward`` out of the headers before any stage runs.
+* **admit** (only when ``EdgePolicySpec.gates_admission``) — the
+  overload layer's front door, :class:`AdmissionControlStage`, first in
+  the chain: it can *shed* (refuse outright), *cloud-redirect* (relay
+  to the cloud without spending edge compute — Figure 1's fallback
+  path from the MEC platform to the cloud service), or *peer-offload*
+  (forward to a less-loaded neighbouring edge over the inter-edge
+  backhaul — the cooperation arrow between MEC sites).  The paper's
+  edge accepts everything, so without a gating policy there is no
+  admit stage at all.
+* **layer_reuse** (only with ``EdgePolicySpec.layer_reuse``) — just
+  before lookup, :class:`LayerReuseStage` plans partial inference from
+  the edge's cached DNN-layer activations (paper §4 / Potluck) and,
+  when resuming beats full inference, serves the request for the
+  remaining layers' compute only — the ``partial`` outcome.
+* **lookup** — "Extract IC Feature" + "IC cache lookup": edge-side
+  descriptor extraction on the bounded worker pool when the client
+  sent only the frame, then the cache probe.
+* **resolve** — the hit/miss fork of Figure 1, and the only place
+  that knows the miss order: local hit -> awaited speculative result
+  -> ``need_input`` -> peer edges (when the edge has any) -> cloud;
+  whatever is fetched is inserted into the cache on the way back.
+* **respond** — "send IC result": the one place an ``ic_result``
+  leaves the edge, tagged with the serving edge id.  Every stage that
+  produces a result (resolve, an admission redirect, partial
+  inference) only fills ``ctx.result`` / ``ctx.outcome`` /
+  ``ctx.extra_headers``; :meth:`Pipeline.process` then skips straight
+  here.
 
-With ``EdgePolicySpec.layer_reuse`` a sixth stage, **layer_reuse**
-(:class:`LayerReuseStage`), sits between classify and lookup: it plans
-partial inference from the edge's cached DNN-layer activations (paper
-§4 / Potluck) and, when resuming beats full inference, serves the
-request for the remaining layers' compute only — the ``partial``
-outcome.
-
-The default chain (:func:`default_pipeline`) reproduces the historical
-``EdgeNode`` behaviour *byte-identically* — same simulated yields in the
-same order — which the golden-digest tests in
-``tests/core/test_cluster.py`` / ``tests/core/test_pipeline.py`` pin
-down.  Overload management is pure stage substitution: swap the admit
-stage, keep everything else.
+The default chain reproduces the historical ``EdgeNode`` behaviour
+*byte-identically* — same simulated yields in the same order — which
+the golden-digest tests in ``tests/core/test_cluster.py`` /
+``tests/core/test_pipeline.py`` pin down.
 
 Stages are small objects with a generator ``run(edge, ctx)``; the
 :class:`Pipeline` drives them in order until one of them responds (the
@@ -72,20 +75,15 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
 
 
-def _noop():
-    """An empty generator body (stages must be generators)."""
-    return
-    yield  # pragma: no cover
-
-
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class RequestContext:
     """Mutable per-request state threaded through the pipeline stages.
 
     Attributes:
         msg: The incoming request message.
         task: ``msg.payload`` (a recognition / model-load / panorama task).
-        family: ``"recognition"`` or ``"hash"``, set by the classify stage.
+        family: ``"recognition"`` or ``"hash"``, set by
+            :meth:`Pipeline.process`.
         descriptor: The lookup key (client-supplied or edge-extracted).
         skip_lookup: Client re-sent input after ``need_input``: go
             straight to the miss path.
@@ -110,7 +108,7 @@ class RequestContext:
 
     msg: Message
     task: typing.Any
-    family: str = ""
+    family: str
     descriptor: typing.Any = None
     skip_lookup: bool = False
     entry: typing.Any = None
@@ -136,41 +134,13 @@ class Stage:
         return f"{type(self).__name__}()"
 
 
-class AdmitStage(Stage):
-    """Default front door: admit every request (the paper's edge)."""
-
-    name = "admit"
-
-    def run(self, edge: "EdgeNode", ctx: RequestContext):
-        yield from _noop()
-
-
-class ClassifyStage(Stage):
-    """Determine task family and pull the descriptor from the headers."""
-
-    name = "classify"
-
-    def run(self, edge: "EdgeNode", ctx: RequestContext):
-        task = ctx.task
-        if isinstance(task, RecognitionTask):
-            ctx.family = "recognition"
-            ctx.descriptor = ctx.msg.headers.get("descriptor")
-            ctx.skip_lookup = bool(ctx.msg.headers.get("force_forward"))
-        elif isinstance(task, (ModelLoadTask, PanoramaTask)):
-            ctx.family = "hash"
-            ctx.descriptor = ctx.msg.headers["descriptor"]
-        else:
-            raise TypeError(f"edge cannot serve {task!r}")
-        yield from _noop()
-
-
 class LayerReuseStage(Stage):
     """Serve recognition by partial inference from cached DNN layers.
 
     The missing half of the Potluck-style reuse loop (paper §4): PR 4
     *transports* ``layer:*`` activation entries between edges (handoff
     pre-warm, federation sync) but the serving path never read them.
-    This stage sits between classify and lookup when
+    This stage sits just before lookup when
     ``EdgePolicySpec.layer_reuse`` is set and short-circuits the
     expensive extract -> lookup -> cloud-forward path whenever a cached
     intermediate is close enough to resume from:
@@ -215,7 +185,6 @@ class LayerReuseStage(Stage):
         if (manager is None or not isinstance(ctx.task, RecognitionTask)
                 or ctx.skip_lookup
                 or not ctx.msg.headers.get("has_input", False)):
-            yield from _noop()
             return
         from repro.core.descriptors import VectorDescriptor
         from repro.core.sketch import SKETCH_COST_S, input_sketch
@@ -369,7 +338,6 @@ class LookupStage(Stage):
 
     def run(self, edge: "EdgeNode", ctx: RequestContext):
         if ctx.skip_lookup:
-            yield from _noop()
             return
         if ctx.family == "recognition":
             yield from self._recognition_lookup(edge, ctx)
@@ -440,7 +408,6 @@ class ResolveStage(Stage):
                 _abandon(ctx.speculative)
             ctx.result = ctx.entry.result
             ctx.outcome = OUTCOME_HIT
-            yield from _noop()
         elif ctx.family == "recognition":
             yield from self._recognition_miss(edge, ctx)
         else:
@@ -556,32 +523,25 @@ class Pipeline:
     def stage_names(self) -> list[str]:
         return [stage.name for stage in self.stages]
 
-    def replace(self, name: str, stage: Stage) -> "Pipeline":
-        """A new pipeline with the stage called ``name`` swapped out."""
-        stages = [stage if s.name == name else s for s in self.stages]
-        if stage not in stages:
-            raise KeyError(f"no stage named {name!r}")
-        return Pipeline(stages)
-
-    def insert_after(self, name: str, stage: Stage) -> "Pipeline":
-        """A new pipeline with ``stage`` inserted after stage ``name``."""
-        if name not in self.stage_names:
-            raise KeyError(f"no stage named {name!r}")
-        stages: list[Stage] = []
-        for existing in self.stages:
-            stages.append(existing)
-            if existing.name == name:
-                stages.append(stage)
-        return Pipeline(stages)
-
     def process(self, edge: "EdgeNode", msg: Message):
         """Simulation process: run ``msg`` through the stage chain.
 
+        "Receive IC request" happens here, before any stage: the task
+        family and the header descriptor (and, for recognition,
+        ``force_forward``) go onto a fresh :class:`RequestContext`.
         Once a stage has produced ``ctx.result``, every stage but the
         one named ``respond`` is skipped; a stage that replied itself
         (``ctx.responded``) ends the chain.
         """
-        ctx = RequestContext(msg=msg, task=msg.payload)
+        task, headers = msg.payload, msg.headers
+        if isinstance(task, RecognitionTask):
+            ctx = RequestContext(msg, task, "recognition",
+                                 headers.get("descriptor"),
+                                 bool(headers.get("force_forward")))
+        elif isinstance(task, (ModelLoadTask, PanoramaTask)):
+            ctx = RequestContext(msg, task, "hash", headers["descriptor"])
+        else:
+            raise TypeError(f"edge cannot serve {task!r}")
         for stage in self.stages:
             if ctx.result is not None and stage.name != RespondStage.name:
                 continue  # a result exists: all that is left is sending it
@@ -594,24 +554,19 @@ class Pipeline:
         return f"Pipeline({' -> '.join(self.stage_names)})"
 
 
-def default_pipeline() -> Pipeline:
-    """The stage chain reproducing the historical edge byte-identically."""
-    return Pipeline([AdmitStage(), ClassifyStage(), LookupStage(),
-                     ResolveStage(), RespondStage()])
-
-
 # -- overload layer -----------------------------------------------------------
 
 
-class AdmissionControlStage(AdmitStage):
+class AdmissionControlStage(Stage):
     """Overload-aware front door: shed, cloud-redirect, or peer-offload.
 
-    Replaces the default admit stage when the scenario carries an
-    :class:`~repro.core.scenario.EdgePolicySpec`.  Only recognition
-    tasks are gated — they are the compute-heavy family contending for
-    the worker pool; hash-keyed fetches are transfer-bound and pass
-    through.  Requests another edge already offloaded here are always
-    accepted (no ping-pong).
+    Heads the chain when the scenario's
+    :class:`~repro.core.scenario.EdgePolicySpec` gates admission (the
+    paper's edge, which admits everything, has no admit stage).  Only
+    recognition tasks are gated — they are the compute-heavy family
+    contending for the worker pool; hash-keyed fetches are
+    transfer-bound and pass through.  Requests another edge already
+    offloaded here are always accepted (no ping-pong).
 
     Decision order under overload: peer-offload if a sufficiently less
     loaded neighbour exists (chosen least-loaded or affinity-scored per
@@ -636,7 +591,6 @@ class AdmissionControlStage(AdmitStage):
 
     def run(self, edge: "EdgeNode", ctx: RequestContext):
         if not isinstance(ctx.task, RecognitionTask):
-            yield from _noop()
             return
         if ctx.msg.headers.get("offloaded"):
             edge.counts["offloaded_in"] += 1
@@ -748,11 +702,13 @@ class AdmissionControlStage(AdmitStage):
 
 def build_pipeline(policy: "EdgePolicySpec | None" = None,
                    balancer: "PeerLoadBalancer | None" = None) -> Pipeline:
-    """The pipeline for a scenario's edge policy (default when None)."""
-    pipeline = default_pipeline()
+    """The stage chain for a scenario's edge policy, built from only the
+    stages that can act: ``lookup -> resolve -> respond`` (the paper's
+    edge) when ``policy`` is None or inert, admission control first when
+    it gates admission, layer reuse just before lookup when it is on."""
+    stages: list[Stage] = []
     if policy is not None and policy.gates_admission:
-        pipeline = pipeline.replace(
-            "admit", AdmissionControlStage(policy, balancer=balancer))
+        stages.append(AdmissionControlStage(policy, balancer=balancer))
     if policy is not None and policy.layer_reuse:
-        pipeline = pipeline.insert_after("classify", LayerReuseStage(policy))
-    return pipeline
+        stages.append(LayerReuseStage(policy))
+    return Pipeline([*stages, LookupStage(), ResolveStage(), RespondStage()])

@@ -470,8 +470,8 @@ class EdgePolicySpec(_Spec):
         layer_reuse: Serve recognition requests by *partial inference*
             when a cached DNN-layer activation matches the request's
             cheap input sketch: the pipeline gains a
-            :class:`~repro.core.pipeline.LayerReuseStage` between
-            classify and lookup that plans against the edge's layer
+            :class:`~repro.core.pipeline.LayerReuseStage` just before
+            lookup that plans against the edge's layer
             cache, pays only the remaining layers' compute on a usable
             plan, and answers with the ``partial`` outcome.  Also
             enables the per-edge layer-cache managers and seeds them

@@ -109,7 +109,8 @@ class EmbeddingSpace:
                                              size=self.dim)
             elif rng is not None:
                 vec = vec + rng.normal(0.0, self.noise_sigma, size=self.dim)
-        vec = vec / np.linalg.norm(vec)
+        # ``np.linalg.norm`` of a 1-D vector, without its dispatch.
+        vec = vec / np.sqrt(vec.dot(vec))
         return Observation(vector=vec, object_class=object_class,
                            viewpoint=viewpoint)
 

@@ -13,11 +13,12 @@ def edge_payload():
 
     A 16-d embedding with a wide viewpoint tolerance and a 10 MB cache,
     built the way the runner builds every edge — from a spec and a
-    config.  ``cloud=None`` makes the edge its own oracle.
+    config.  ``cloud=None`` makes the edge its own oracle; ``policy`` is
+    the spec's :class:`~repro.core.scenario.EdgePolicySpec`.
     """
 
     def factory(cloud=None, warm=(), metric="cosine",
-                vector_dtype="float32"):
+                vector_dtype="float32", policy=None):
         config = CoICConfig(seed=0)
         rec = config.recognition
         rec.descriptor_dim, rec.n_classes = 16, 4
@@ -27,7 +28,8 @@ def edge_payload():
         config.cache.vector_dtype = vector_dtype
         spec = ScenarioSpec(
             edges=(EdgeSpec(name="edge0", cache_mb=10.0),),
-            warmup=WarmupSpec(classes=warm) if warm else None)
+            warmup=WarmupSpec(classes=warm) if warm else None,
+            policy=policy)
         return build_edge_payload(spec, "edge0", config, cloud)
 
     return factory

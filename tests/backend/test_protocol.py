@@ -155,6 +155,31 @@ class TestMalformedFrames:
         assert counters["served"] == 1 and counters["misses"] == 1
         assert service.active == 0
 
+    #: Frames the codec once served by running ``int()`` / ``float()``
+    #: on wire fields (class 3.7 as class 3; a negative capture id took
+    #: the simulator's legacy noise path, which a real edge cannot).
+    COERCIBLE = [{"object_class": 3.7}, {"object_class": "5"},
+                 {"object_class": True}, {"capture_id": "9"},
+                 {"capture_id": -5}, {"viewpoint": "0.25"},
+                 {"input_bytes": 2.9}]
+
+    def test_coercible_fields_are_rejected_not_coerced(self, edge_payload):
+        good = {"op": "recognize", "object_class": 2, "capture_id": 1}
+
+        async def _run():
+            service = EdgeService(edge_payload())
+            replies = await exchange(
+                service, [{**good, **bad} for bad in self.COERCIBLE] + [good])
+            return replies, service
+
+        (*errors, served), service = asyncio.run(_run())
+        for bad, reply in zip(self.COERCIBLE, errors):
+            assert reply["op"] == "error", bad
+            assert "bad recognize frame" in reply["error"], bad
+        assert served["outcome"] == OUTCOME_MISS and served["label"] == 2
+        assert service.counters()["served"] == 1
+        assert service.active == 0
+
     def test_cloud_answers_a_resolve_frame_without_object_class(self):
         async def _run():
             service = CloudService({"backhaul_mbps": 1000.0,
@@ -355,12 +380,19 @@ BAD_FIELDS = st.one_of(
     st.tuples(st.just("force_forward"), NOT_BOOL),
     st.tuples(st.just("object_class"),
               st.one_of(st.integers(max_value=-1), st.integers(min_value=4),
+                        st.floats(), st.booleans(),
                         st.text(max_size=3), st.none())),
+    st.tuples(st.just("capture_id"),
+              st.one_of(st.integers(max_value=-1), st.floats(),
+                        st.booleans(), st.text(max_size=3), st.none())),
     st.tuples(st.just("viewpoint"),
-              st.sampled_from([math.nan, math.inf, -math.inf, "x", None])),
+              st.one_of(st.sampled_from([math.nan, math.inf, -math.inf,
+                                         None]),
+                        st.booleans(), st.text(max_size=4))),
     st.tuples(st.just("input_bytes"),
               st.one_of(st.integers(max_value=-1),
                         st.integers(min_value=MAX_FRAME_BYTES + 1),
+                        st.floats(), st.booleans(),
                         st.sampled_from([math.inf, "many", None]))),
 )
 

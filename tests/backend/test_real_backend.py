@@ -343,34 +343,44 @@ class TestRobustness:
             self, edge_payload):
         # The graceful half of the shutdown story, at protocol level:
         # a draining edge sheds incoming work, and the shutdown frame
-        # answers with the final serving counters.
-        payload = edge_payload(metric="l2", vector_dtype="float64")
+        # answers with the final serving counters — with or without an
+        # admit stage of the policy's own, which the draining one
+        # replaces.
+        for policy in (None, EdgePolicySpec(admission="shed",
+                                            queue_limit=4)):
+            payload = edge_payload(metric="l2", vector_dtype="float64",
+                                   policy=policy)
+            first, second, bye, stages = asyncio.run(
+                self._serve_drain_shutdown(payload))
+            # One admit stage, the shed-everything one, heads the chain.
+            assert [stage.name for stage in stages] == [
+                "admit", "lookup", "resolve", "respond"]
+            assert stages[0].spec.queue_limit == 0
+            assert first["outcome"] == OUTCOME_MISS and first["label"] == 2
+            assert second["outcome"] == OUTCOME_SHED
+            assert second["retry_after_s"] > 0
+            assert bye["op"] == "bye"
+            assert bye["served"] == 1 and bye["misses"] == 1
+            assert bye["shed"] == 1 and bye["cache_entries"] == 1
 
-        async def _run():
-            service = EdgeService(payload)
-            await service.start()
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", service.port)
-            request = {"op": "recognize", "capture_id": 1,
-                       "object_class": 2, "viewpoint": 0.1}
-            try:
-                first = await call(reader, writer, request)
-                await service.drain(timeout_s=1.0)
-                second = await call(reader, writer,
-                                    dict(request, capture_id=2))
-                bye = await call(reader, writer, {"op": "shutdown"})
-            finally:
-                writer.close()
-                await service.stop()
-            return first, second, bye
-
-        first, second, bye = asyncio.run(_run())
-        assert first["outcome"] == OUTCOME_MISS and first["label"] == 2
-        assert second["outcome"] == OUTCOME_SHED
-        assert second["retry_after_s"] > 0
-        assert bye["op"] == "bye"
-        assert bye["served"] == 1 and bye["misses"] == 1
-        assert bye["shed"] == 1 and bye["cache_entries"] == 1
+    @staticmethod
+    async def _serve_drain_shutdown(payload):
+        """One request, a drain, one more request, then ``shutdown``."""
+        service = EdgeService(payload)
+        await service.start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", service.port)
+        request = {"op": "recognize", "capture_id": 1,
+                   "object_class": 2, "viewpoint": 0.1}
+        try:
+            first = await call(reader, writer, request)
+            await service.drain(timeout_s=1.0)
+            second = await call(reader, writer, dict(request, capture_id=2))
+            bye = await call(reader, writer, {"op": "shutdown"})
+        finally:
+            writer.close()
+            await service.stop()
+        return first, second, bye, service.edge.pipeline.stages
 
     def test_dead_cloud_costs_an_error_reply_not_the_connection(
             self, edge_payload):

@@ -6,7 +6,7 @@ from repro.core.cluster import ClusterDeployment
 from repro.core.config import CoICConfig
 from repro.core.edge import EdgeNode
 from repro.core.federation import probe_order
-from repro.core.pipeline import AdmitStage, RespondStage
+from repro.core.pipeline import Pipeline, RespondStage, Stage
 from repro.core.scenario import ScenarioSpec, WarmupSpec
 from repro.net.message import Message
 
@@ -210,8 +210,10 @@ class _RespondTap(RespondStage):
         yield from super().run(edge, ctx)
 
 
-class _AdmitTap(AdmitStage):
-    """The admit stage, keeping when each request arrived and how."""
+class _ArrivalTap(Stage):
+    """A first stage that only keeps when each request arrived and how."""
+
+    name = "arrival_tap"
 
     def __init__(self):
         self.arrivals = []
@@ -219,15 +221,17 @@ class _AdmitTap(AdmitStage):
     def run(self, edge, ctx):
         self.arrivals.append(
             (edge.env.now, bool(ctx.msg.headers.get("force_forward"))))
-        yield from super().run(edge, ctx)
+        return
+        yield  # a stage is a generator
 
 
 def tap(edge):
-    """Swap recording admit/respond stages into ``edge``'s pipeline."""
-    admit, respond = _AdmitTap(), _RespondTap()
-    edge.pipeline = (edge.pipeline.replace("admit", admit)
-                     .replace("respond", respond))
-    return admit, respond
+    """Put recording stages at both ends of ``edge``'s pipeline."""
+    arrival, respond = _ArrivalTap(), _RespondTap()
+    *stages, last = edge.pipeline.stages
+    assert last.name == RespondStage.name
+    edge.pipeline = Pipeline([arrival, *stages, respond])
+    return arrival, respond
 
 
 class TestMissCoalescing:
@@ -300,7 +304,7 @@ class TestResolveOrder:
         if peer_holds:
             dep.warm_caches(warmup)
         edge0, cache0 = dep.edges[0], dep.caches[0]
-        admit, respond = tap(edge0)
+        arrival, respond = tap(edge0)
         record = dep.run_tasks(dep.clients_by_edge[0][0],
                                [make_task(dep)])[0]
         dep.env.run()  # a model miss parses in the background
@@ -308,11 +312,11 @@ class TestResolveOrder:
         if request_shape == "client_descriptor":
             # Round one is answered with need_input before any backhaul
             # is spent; the re-sent frame is what probes.
-            (_, first_forced), (resent_at, forced) = admit.arrivals
+            (_, first_forced), (resent_at, forced) = arrival.arrivals
             assert (first_forced, forced) == (False, True)
             assert all(when >= resent_at for when, _ in edge0.probe_log)
         else:
-            assert len(admit.arrivals) == 1
+            assert len(arrival.arrivals) == 1
 
         if request_shape == "speculative":
             # The hedged forward is already in flight: never probe,

@@ -19,10 +19,8 @@ from repro.core.metrics import (
     RequestRecord,
 )
 from repro.core.pipeline import (
-    AdmitStage,
     LayerReuseStage,
     build_pipeline,
-    default_pipeline,
 )
 from repro.core.scenario import EdgePolicySpec
 
@@ -53,25 +51,20 @@ class TestPolicyKnobs:
 
 
 class TestPipelineWiring:
-    def test_stage_sits_between_classify_and_lookup(self):
+    def test_stage_sits_just_before_lookup(self):
         pipeline = build_pipeline(reuse_policy())
         assert pipeline.stage_names == \
-            ["admit", "classify", "layer_reuse", "lookup", "resolve",
-             "respond"]
-        assert isinstance(pipeline.stages[2], LayerReuseStage)
+            ["layer_reuse", "lookup", "resolve", "respond"]
+        assert isinstance(pipeline.stages[0], LayerReuseStage)
 
     def test_inert_policy_keeps_the_default_chain(self):
         assert build_pipeline(EdgePolicySpec()).stage_names == \
-            default_pipeline().stage_names
+            build_pipeline().stage_names
 
     def test_composes_with_admission_control(self):
         pipeline = build_pipeline(reuse_policy(admission="shed"))
         assert pipeline.stage_names[:3] == \
-            ["admit", "classify", "layer_reuse"]
-
-    def test_insert_after_unknown_stage_rejected(self):
-        with pytest.raises(KeyError):
-            default_pipeline().insert_after("nope", AdmitStage())
+            ["admit", "layer_reuse", "lookup"]
 
 
 class TestPartialServing:

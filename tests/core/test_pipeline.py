@@ -18,20 +18,18 @@ from repro.core.descriptors import HashDescriptor
 from repro.core.metrics import OUTCOME_SHED
 from repro.core.pipeline import (
     AdmissionControlStage,
-    AdmitStage,
-    ClassifyStage,
     LookupStage,
     Pipeline,
     RespondStage,
     ResolveStage,
     build_pipeline,
-    default_pipeline,
 )
 from repro.core.scenario import (
     EdgePolicySpec,
     MobilitySpec,
     ScenarioSpec,
 )
+from repro.net.message import Message
 
 
 def recorder_digest(recorder) -> str:
@@ -51,8 +49,7 @@ GOLDEN_FEDERATED = \
 
 
 def explicit_default_pipeline() -> Pipeline:
-    return Pipeline([AdmitStage(), ClassifyStage(), LookupStage(),
-                     ResolveStage(), RespondStage()])
+    return Pipeline([LookupStage(), ResolveStage(), RespondStage()])
 
 
 class TestGoldenDigests:
@@ -63,7 +60,7 @@ class TestGoldenDigests:
         cfg.network.wifi_mbps = 100
         cfg.network.backhaul_mbps = 10
         dep = ClusterDeployment(ScenarioSpec.single_edge(2), config=cfg)
-        # Hand-assembled stage list, not the default_pipeline() shortcut:
+        # Hand-assembled stage list, not the build_pipeline() shortcut:
         # proves the chain is what reproduces the behaviour.
         dep.edges[0].pipeline = explicit_default_pipeline()
         dep.run_tasks(dep.all_clients[0],
@@ -109,34 +106,39 @@ class TestGoldenDigests:
 
 
 class TestPipelineShape:
+    """The chain holds only the stages that can act."""
+
     def test_default_stage_order(self):
-        assert default_pipeline().stage_names == \
-            ["admit", "classify", "lookup", "resolve", "respond"]
+        assert build_pipeline().stage_names == \
+            ["lookup", "resolve", "respond"]
 
     def test_empty_pipeline_rejected(self):
         with pytest.raises(ValueError):
             Pipeline([])
 
-    def test_replace_swaps_one_stage(self):
-        policy = EdgePolicySpec(admission="shed")
-        pipeline = default_pipeline().replace(
-            "admit", AdmissionControlStage(policy))
-        assert pipeline.stage_names == \
-            ["admit", "classify", "lookup", "resolve", "respond"]
-        assert isinstance(pipeline.stages[0], AdmissionControlStage)
-
-    def test_replace_unknown_name_rejected(self):
-        with pytest.raises(KeyError):
-            default_pipeline().replace("nope", AdmitStage())
-
-    def test_build_pipeline_inert_policy_keeps_default_admit(self):
-        pipeline = build_pipeline(EdgePolicySpec())
-        assert type(pipeline.stages[0]) is AdmitStage
-        assert type(build_pipeline(None).stages[0]) is AdmitStage
+    def test_inert_policy_builds_the_default_chain(self):
+        for policy in (None, EdgePolicySpec(),
+                       EdgePolicySpec(prewarm_top_k=5)):
+            assert [type(stage) for stage in build_pipeline(policy).stages] \
+                == [LookupStage, ResolveStage, RespondStage]
 
     def test_build_pipeline_active_policy_installs_admission(self):
-        pipeline = build_pipeline(EdgePolicySpec(admission="shed"))
-        assert isinstance(pipeline.stages[0], AdmissionControlStage)
+        for policy in (EdgePolicySpec(admission="shed"),
+                       EdgePolicySpec(offload="least_loaded"),
+                       EdgePolicySpec(admission="redirect", layer_reuse=True)):
+            pipeline = build_pipeline(policy)
+            assert isinstance(pipeline.stages[0], AdmissionControlStage)
+            assert pipeline.stage_names.count("admit") == 1
+            assert pipeline.stage_names[-3:] == ["lookup", "resolve",
+                                                 "respond"]
+
+    def test_unknown_task_is_refused_before_any_stage(self):
+        # No stage can run against a None edge: the TypeError is
+        # Pipeline.process's own, raised before the chain starts.
+        process = build_pipeline().process(
+            None, Message(size_bytes=1, kind="ic_request", payload=object()))
+        with pytest.raises(TypeError, match="cannot serve"):
+            next(process)
 
 
 class TestAdmissionControl:

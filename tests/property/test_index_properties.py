@@ -153,6 +153,35 @@ def test_single_query_kernel_identical_to_full_kernel(
                 assert not declined
 
 
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       dtype=st.sampled_from(("float32", "float64")),
+       occupancy=st.sampled_from((1, 2, 65)))
+@settings(max_examples=30, deadline=None)
+def test_single_query_kernel_divides_by_no_zero_norm(seed, dtype,
+                                                     occupancy):
+    """A zero-norm row is skipped, not divided by: no RuntimeWarning
+    escapes the kernel, and it answers as the full kernel does."""
+    import warnings
+
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(occupancy, DIM)).astype(np.float32)
+    rows[rng.integers(occupancy)] = 0.0
+    index = LinearIndex(dtype=dtype)
+    for i, row in enumerate(rows):
+        index.insert(i, VectorDescriptor("a", row))
+    store = index._store
+    for q in (rows[0], rng.normal(size=DIM).astype(np.float32),
+              np.zeros(DIM, dtype=np.float32)):
+        cast = q.astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nearest = store.nearest_cosine(cast, _decision_eps(dtype))
+        if nearest is not None:
+            assert nearest == full_kernel_answer(store, cast, threshold=2.0)
+        if not q.any():
+            assert nearest is None
+
+
 @given(stored=st.lists(finite_vector, min_size=2, max_size=20),
        removals=st.data())
 @settings(max_examples=40, deadline=None)

@@ -22,6 +22,32 @@ def test_observations_always_unit_norm(cls, viewpoint, key):
     assert np.linalg.norm(obs.vector) == pytest.approx(1.0)
 
 
+def reference_observation(space, cls, viewpoint, key):
+    """``observe`` written out with ``np.linalg.norm``, for comparison."""
+    angle = viewpoint * space.viewpoint_scale
+    vec = (np.cos(angle) * space._anchors[cls]
+           + np.sin(angle) * space._drift[cls])
+    if key is not None:
+        noise = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([0x5EED, cls, key])))
+        vec = vec + noise.normal(0.0, space.noise_sigma, size=space.dim)
+    return vec / np.linalg.norm(vec)
+
+
+@given(cls=st.integers(min_value=0, max_value=39),
+       viewpoint=st.floats(min_value=-5, max_value=5, allow_nan=False),
+       key=st.one_of(st.none(), st.just(0),
+                     st.integers(min_value=0, max_value=2**64 - 1),
+                     st.integers(min_value=2**64, max_value=2**80)))
+@settings(max_examples=100, deadline=None)
+def test_observe_matches_the_linalg_norm_reference(cls, viewpoint, key):
+    # Bit for bit: observe normalises by sqrt(v . v), which is what
+    # np.linalg.norm computes for a 1-D vector.
+    got = SPACE.observe(cls, viewpoint, noise_key=key).vector
+    assert np.array_equal(got, reference_observation(SPACE, cls, viewpoint,
+                                                     key))
+
+
 @given(cls=st.integers(min_value=0, max_value=39),
        d1=st.floats(min_value=0, max_value=2, allow_nan=False),
        d2=st.floats(min_value=0, max_value=2, allow_nan=False))

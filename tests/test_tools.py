@@ -1,5 +1,5 @@
-"""The pair-protocol verdict and the count-row comparison of
-``tools/bench_pairs.py`` are pure functions."""
+"""The pair-protocol verdict, the count-row comparison and the workload
+selection of ``tools/bench_pairs.py`` are pure functions."""
 
 import pathlib
 import sys
@@ -90,6 +90,26 @@ class TestCountRows:
         rows = bench_pairs.count_rows(self.smoke(84.0), change, self.ROWS)
         assert ("real", "attempted", 4, None) in rows
         assert ("real", "kernel.events_per_req", None, None) in rows
+
+
+class TestSelectWorkloads:
+    SPEC = {"workloads": [{"name": "sim_city"}, {"name": "real_hit_small"},
+                          {"name": "sim_metro_hit"}]}
+
+    def test_all_is_every_declared_workload_in_order(self):
+        assert bench_pairs.select_workloads(self.SPEC, "all") == [
+            "sim_city", "real_hit_small", "sim_metro_hit"]
+
+    def test_one_name_or_a_comma_separated_list(self):
+        assert bench_pairs.select_workloads(self.SPEC, "sim_city") == [
+            "sim_city"]
+        assert bench_pairs.select_workloads(
+            self.SPEC, "sim_metro_hit,sim_city") == ["sim_metro_hit",
+                                                     "sim_city"]
+
+    def test_an_undeclared_name_is_refused(self):
+        with pytest.raises(ValueError, match="unknown workload.*nope"):
+            bench_pairs.select_workloads(self.SPEC, "sim_city,nope")
 
 
 def test_help_runs_without_a_checkout(capsys):

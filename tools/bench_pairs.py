@@ -8,6 +8,9 @@ then per end-to-end metric both medians and quartiles, wins/ties and a
 verdict by the choosing-metrics rule: a gain needs the change to win at
 least nine tenths of all pairs (ties count for neither) *and* the medians
 to differ by more than the parent's own inter-quartile distance.
+``--workload`` takes one name, a comma-separated list or ``all`` (every
+workload ``BENCHMARK.json`` declares); each gets its pairs and its own
+summary table, in the order given.
 
 ``setup_s`` includes imports, so give both trees the same ``__pycache__``
 state (none, or one warm-up run each) before comparing.
@@ -18,6 +21,7 @@ and 1, then digest, attempted/failed, outcome counts and every exact
 count row side by side, and the rows that differ.
 
 Usage:  python tools/bench_pairs.py --parent ../parent --workload sim_city
+        python tools/bench_pairs.py --parent ../parent --workload all --pairs 5
         python tools/bench_pairs.py --parent ../parent --counts
 """
 
@@ -131,36 +135,35 @@ def run_counts(trees: dict[str, pathlib.Path], command: list[str]) -> int:
     return status
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
-    parser.add_argument("--parent", required=True, type=pathlib.Path,
-                        help="checkout of the parent commit")
-    parser.add_argument("--change", default=".", type=pathlib.Path,
-                        help="checkout of the change (default: .)")
-    parser.add_argument("--workload")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--counts", action="store_true",
-                        help="compare digests and exact count rows "
-                             "(smoke size, seeds 0 and 1) instead of timing")
-    args = parser.parse_args(argv)
-    if not args.counts and not args.workload:
-        parser.error("--workload is required unless --counts is given")
+def select_workloads(spec: dict, names: str) -> list[str]:
+    """``--workload``'s value as names: one workload, a comma-separated
+    list, or ``all`` (every workload ``spec`` declares, in its order)."""
+    declared = [w["name"] for w in spec["workloads"]]
+    if names == "all":
+        return declared
+    chosen = names.split(",")
+    unknown = [name for name in chosen if name not in declared]
+    if unknown:
+        raise ValueError(f"unknown workload(s) {', '.join(unknown)}; "
+                         f"BENCHMARK.json declares {', '.join(declared)}")
+    return chosen
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+
+def run_pairs(trees: dict[str, pathlib.Path], spec: dict, workload: str,
+              pairs: int) -> int:
+    """Time ``pairs`` alternating pairs of one workload; print every run
+    and the summary table.  1 when the change is worse beyond a bound or
+    fails a larger share of operations, else 0."""
     metrics = spec["end_to_end"]
-    trees = {"parent": args.parent, "change": args.change}
-    if args.counts:
-        return run_counts(trees, spec["command"])
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    print(f"# {args.workload}: {args.pairs} pairs x {spec['run_seconds']} s, "
+    print(f"# {workload}: {pairs} pairs x {spec['run_seconds']} s, "
           "seed = pair number")
     print("pair side   failed " + " ".join(f"{m['name']:>12}" for m in metrics))
-    for pair in range(1, args.pairs + 1):
+    for pair in range(1, pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
             result = run_bench(
-                trees[side], spec["command"], "--workload", args.workload,
+                trees[side], spec["command"], "--workload", workload,
                 "--seed", str(pair), "--seconds", str(spec["run_seconds"]),
                 "--trace", "0")
             runs[side].append(result)
@@ -168,7 +171,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"{result['metrics'][m['name']]['value']:>12.2f}"
                 for m in metrics), flush=True)
 
-    print("\nmetric        parent q1/median/q3        change q1/median/q3"
+    print(f"\n{workload}")
+    print("metric        parent q1/median/q3        change q1/median/q3"
           "        wins ties  verdict")
     status = 0
     for metric in metrics:
@@ -182,16 +186,48 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:<12} " + "  ".join(
             "/".join(f"{q:.2f}" for q in quartiles(values))
             for values in (parent, change))
-            + f"  {wins:>2}/{args.pairs} {ties:>4}  {outcome}")
+            + f"  {wins:>2}/{pairs} {ties:>4}  {outcome}")
     failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
     attempted = {side: sum(r["attempted"] for r in runs[side])
                  for side in runs}
     print(f"failed/attempted: parent {failed['parent']}/{attempted['parent']}"
-          f", change {failed['change']}/{attempted['change']}")
+          f", change {failed['change']}/{attempted['change']}\n")
     if (failed["change"] * attempted["parent"]
             > failed["parent"] * attempted["change"]):
         print("the change fails a larger share of operations")
         status = 1
+    return status
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--parent", required=True, type=pathlib.Path,
+                        help="checkout of the parent commit")
+    parser.add_argument("--change", default=".", type=pathlib.Path,
+                        help="checkout of the change (default: .)")
+    parser.add_argument("--workload",
+                        help="a workload, a comma-separated list of them, "
+                             "or 'all' (every one BENCHMARK.json declares)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--counts", action="store_true",
+                        help="compare digests and exact count rows "
+                             "(smoke size, seeds 0 and 1) instead of timing")
+    args = parser.parse_args(argv)
+    if not args.counts and not args.workload:
+        parser.error("--workload is required unless --counts is given")
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    trees = {"parent": args.parent, "change": args.change}
+    if args.counts:
+        return run_counts(trees, spec["command"])
+    try:
+        workloads = select_workloads(spec, args.workload)
+    except ValueError as exc:
+        parser.error(str(exc))
+    status = 0
+    for workload in workloads:
+        status = max(status, run_pairs(trees, spec, workload, args.pairs))
     return status
 
 
