@@ -263,16 +263,16 @@ class ClusterDeployment:
                 jitter_s=(net.backhaul_jitter_ms / 1e3
                           if spec.impairments else 0.0),
                 loss_rate=net.loss_rate if spec.impairments else 0.0,
-                rng=self.rng.stream(espec.backhaul_stream
-                                    or f"net.backhaul.{espec.name}"))
+                rng=self.rng.deferred(espec.backhaul_stream
+                                      or f"net.backhaul.{espec.name}"))
         self.inter_edge_links: dict[tuple[str, str], tuple["Link", "Link"]] = {}
         for lspec in spec.inter_edge:
             self.inter_edge_links[(lspec.a, lspec.b)] = \
                 self.topology.add_duplex(
                     lspec.a, lspec.b, lspec.mbps * 1e6,
                     propagation_s=lspec.delay_ms / 1e3,
-                    rng=self.rng.stream(lspec.stream
-                                        or f"net.metro.{lspec.a}.{lspec.b}"))
+                    rng=self.rng.deferred(lspec.stream
+                                          or f"net.metro.{lspec.a}.{lspec.b}"))
 
         # -- background cross-traffic ----------------------------------------
         # One driver process re-shapes the affected links along the
@@ -506,7 +506,7 @@ class ClusterDeployment:
                 self.topology, client_name, edge_name,
                 self.config.network.lte_profile(
                     impairments=self.spec.impairments),
-                rng=self.rng.stream(
+                rng=self.rng.deferred(
                     stream or f"net.lte.{client_name}.{edge_name}"))
         else:
             links = self.topology.add_duplex(
@@ -515,8 +515,8 @@ class ClusterDeployment:
                 jitter_s=(net.wifi_jitter_ms / 1e3
                           if self.spec.impairments else 0.0),
                 loss_rate=net.loss_rate if self.spec.impairments else 0.0,
-                rng=self.rng.stream(stream
-                                    or f"net.wifi.{client_name}.{edge_name}"))
+                rng=self.rng.deferred(stream
+                                      or f"net.wifi.{client_name}.{edge_name}"))
         self.access_links[key] = links
         # A client is an access endpoint, never metro transit — even
         # while briefly dual-homed mid-handoff.  Marking it keeps every

@@ -638,9 +638,14 @@ class ScenarioSpec(_Spec):
         _require("cloud" not in names and "cloud" not in client_names,
                  "'cloud' is reserved for the cloud node")
         known = set(names)
+        pairs: set[frozenset[str]] = set()
         for link in self.inter_edge:
             _require(link.a in known and link.b in known,
                      f"inter-edge link {link.a}<->{link.b} names unknown edge")
+            pair = frozenset((link.a, link.b))
+            _require(pair not in pairs,
+                     f"duplicate inter-edge link {link.a}<->{link.b}")
+            pairs.add(pair)
         for edge in self.edges:
             for peer in edge.peers or ():
                 _require(peer in known, f"unknown peer {peer!r}")

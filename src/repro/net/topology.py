@@ -25,6 +25,11 @@ class NoRouteError(Exception):
     """No path exists between the requested hosts."""
 
 
+def _admits(rule: bool | str, p: str) -> bool:
+    """Whether a host with transit ``rule`` is transit for in-neighbour ``p``."""
+    return rule is True or (rule is not False and rule != p)
+
+
 class Host:
     """A network endpoint with an inbox.
 
@@ -65,14 +70,21 @@ class Topology:
         self._up_adj: dict[str, dict[str, Link]] = {}
         self._up_radj: dict[str, dict[str, Link]] = {}
         # Transit view: _transit_adj[p][n] holds the up link p->n iff n
-        # could be an *interior* hop of some route through p — i.e. n has
-        # an up out-link leading anywhere but straight back to p.  This
-        # is the leaf-pruning rule precomputed per node instead of
-        # re-derived per Dijkstra expansion: a metro edge carries ~100
-        # attached clients in _up_adj but only its mesh/cloud neighbours
-        # here, so route searches scan a graph whose size tracks the
-        # number of *sites*, not the number of clients.
+        # could be an *interior* hop of some route through p — i.e. n is
+        # not terminal and has an up out-link leading anywhere but
+        # straight back to p.  This is the leaf-pruning rule precomputed
+        # per node instead of re-derived per Dijkstra expansion: a metro
+        # edge carries ~100 attached clients in _up_adj but only its
+        # mesh/cloud neighbours here, so route searches scan a graph
+        # whose size tracks the number of *sites*, not the number of
+        # clients.
         self._transit_adj: dict[str, dict[str, Link]] = {}
+        # Transit rule per host (see _refresh_transit): False admits no
+        # in-neighbour, True every one, a host name every one but that.
+        # A host's entries in its in-neighbours' views are rewritten only
+        # when its rule changes, so a handoff moves O(1) entries however
+        # many clients the edge carries.
+        self._rules: dict[str, bool | str] = {}
         # Hosts declared pure access endpoints (mark_terminal): routes
         # may start or end there but never pass through, whatever the
         # momentary link degree says.
@@ -102,15 +114,23 @@ class Topology:
         self._up_adj.setdefault(name, {})
         self._up_radj.setdefault(name, {})
         self._transit_adj.setdefault(name, {})
+        self._rules.setdefault(name, False)
         return host
 
     def add_link(self, src: str, dst: str, bandwidth_bps: float,
                  propagation_s: float = 0.0, jitter_s: float = 0.0,
                  loss_rate: float = 0.0,
                  rng: "np.random.Generator | None" = None) -> Link:
-        """Add a directed link; hosts are created as needed."""
+        """Add a directed link; hosts are created as needed.
+
+        Raises:
+            ValueError: On a self-link, or if src->dst already exists —
+                re-enable that link with ``set_up`` instead.
+        """
         if src == dst:
             raise ValueError(f"self-link on {src!r}")
+        if dst in self._adj.get(src, ()):
+            raise ValueError(f"link {src}->{dst} already exists")
         self.add_host(src)
         self.add_host(dst)
         link = Link(self.env, f"{src}->{dst}", bandwidth_bps,
@@ -120,10 +140,7 @@ class Topology:
                                             src, dst, link)
         self._adj[src][dst] = link
         self._radj[dst][src] = link
-        self._up_adj[src][dst] = link
-        self._up_radj[dst][src] = link
-        self._refresh_transit(src)
-        self._refresh_transit(dst)
+        self._raise_link(src, dst, link)
         self._drop_routes(src, dst)
         return link
 
@@ -155,16 +172,12 @@ class Topology:
 
         Weight-only changes (bandwidth, impairments) just drop routes;
         the adjacency and transit views only move on an admin up/down
-        transition: src's out-degree changed, so its membership in every
-        in-neighbour's view can flip; dst's out-links did not, so only
-        its entry in src's view appears or goes.
+        transition.  Either way src's out-links changed, so its rule may
+        have; dst's did not, so only its entry in src's view moves.
         """
         present = dst in self._up_adj[src]
         if link.up and not present:
-            self._up_adj[src][dst] = link
-            self._up_radj[dst][src] = link
-            self._refresh_transit(src)
-            self._refresh_transit(dst)
+            self._raise_link(src, dst, link)
         elif not link.up and present:
             del self._up_adj[src][dst]
             del self._up_radj[dst][src]
@@ -172,17 +185,35 @@ class Topology:
             self._transit_adj[src].pop(dst, None)
         self._drop_routes(src, dst)
 
+    def _raise_link(self, src: str, dst: str, link: Link) -> None:
+        """Enter the new up link src->dst into the up and transit views."""
+        self._up_adj[src][dst] = link
+        self._up_radj[dst][src] = link
+        self._refresh_transit(src)
+        if _admits(self._rules[dst], src):
+            self._transit_adj[src][dst] = link
+
     def _refresh_transit(self, name: str) -> None:
-        """Re-derive ``name``'s membership in its in-neighbours' transit views."""
+        """Resync ``name``'s membership in its in-neighbours' transit views.
+
+        The entries are rewritten only when ``name``'s rule changed.  The
+        rule is never for a terminal host or one with no up out-link,
+        always with two or more, and every in-neighbour but the far end
+        with exactly one.  It covers the terminal mark, so marking or
+        unmarking a host re-derives all of its entries too.
+        """
         out = self._up_adj[name]
-        if name in self._terminal:
-            for p in self._up_radj[name]:
-                self._transit_adj[p].pop(name, None)
+        if name in self._terminal or not out:
+            rule: bool | str = False
+        elif len(out) >= 2:
+            rule = True
+        else:
+            rule = next(iter(out))
+        if rule == self._rules[name]:
             return
-        sole = next(iter(out)) if len(out) == 1 else None
-        transit = len(out) >= 2
+        self._rules[name] = rule
         for p, link in self._up_radj[name].items():
-            if transit or (sole is not None and sole != p):
+            if _admits(rule, p):
                 self._transit_adj[p][name] = link
             else:
                 self._transit_adj[p].pop(name, None)
@@ -222,6 +253,8 @@ class Topology:
                    rng: "np.random.Generator | None" = None,
                    ) -> tuple[Link, Link]:
         """Add a symmetric pair of links and return (a->b, b->a)."""
+        if a in self._adj.get(b, ()):
+            raise ValueError(f"link {b}->{a} already exists")
         forward = self.add_link(a, b, bandwidth_bps, propagation_s,
                                 jitter_s, loss_rate, rng)
         backward = self.add_link(b, a, bandwidth_bps, propagation_s,

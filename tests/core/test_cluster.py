@@ -21,6 +21,8 @@ from repro.core.scenario import (
     ScenarioSpec,
     WarmupSpec,
 )
+from repro.net import Link, Message, NetemImpairment
+from repro.sim import Environment, RngStreams
 
 
 def _rows(recorder) -> list[tuple]:
@@ -310,6 +312,45 @@ class TestArbitraryGraphs:
                                [dep.model_load_task(0)])[0]
         assert record.outcome == "miss"
         assert [edge.probe_log for edge in dep.edges] == [[], [], []]
+
+
+def _flight_times(link, n=5):
+    """Simulated duration of ``n`` back-to-back 1 kB transfers."""
+    env = link.env
+    times = []
+
+    def send():
+        for _ in range(n):
+            start = env.now
+            yield from link.transfer(Message(size_bytes=1000))
+            times.append(env.now - start)
+
+    env.run(until=env.process(send()))
+    return times
+
+
+class TestDeferredLinkStreams:
+    def test_unimpaired_links_build_no_stream(self):
+        dep = ClusterDeployment(line_spec())
+        built = set(dep.rng._streams)
+        for name in ("net.wifi.m0.edge0", "net.backhaul.edge0",
+                     "net.metro.edge0.edge1"):
+            assert name not in built
+        dep.run_tasks(dep.client_by_name["m0"], [dep.recognition_task(1)])
+        assert "net.wifi.m0.edge0" not in dep.rng._streams
+
+    def test_impaired_later_draws_the_up_front_sequence(self):
+        dep = ClusterDeployment(line_spec())
+        uplink, _ = dep.access_links[("m0", "edge0")]
+        imp = NetemImpairment(delay_s=0.001, jitter_s=0.002, loss_rate=0.0)
+        dep.shaper.set_impairment(uplink, imp)
+        assert "net.wifi.m0.edge0" not in dep.rng._streams
+        reference = Link(
+            Environment(), "ref", uplink.bandwidth_bps,
+            propagation_s=imp.delay_s, jitter_s=imp.jitter_s,
+            rng=RngStreams(dep.config.seed).stream("net.wifi.m0.edge0"))
+        assert _flight_times(uplink) == _flight_times(reference)
+        assert "net.wifi.m0.edge0" in dep.rng._streams
 
 
 class TestHandoff:

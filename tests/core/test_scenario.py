@@ -56,6 +56,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             InterEdgeLinkSpec(a="a", b="a")
 
+    @pytest.mark.parametrize("a,b", [("edge0", "edge1"), ("edge1", "edge0")])
+    def test_duplicate_inter_edge_pair_rejected(self, a, b):
+        # Either orientation names the same duplex; building both would
+        # re-add a live link.
+        base = ScenarioSpec.federated(n_edges=2)
+        with pytest.raises(ValueError, match="duplicate inter-edge link"):
+            ScenarioSpec(edges=base.edges, inter_edge=base.inter_edge
+                         + (InterEdgeLinkSpec(a=a, b=b),))
+
     def test_mobility_knobs_validated(self):
         with pytest.raises(ValueError):
             MobilitySpec(mean_dwell_s=0)

@@ -30,6 +30,21 @@ class TestConstruction:
         assert topo.link("a", "b") is fwd
         assert topo.link("b", "a") is bwd
 
+    def test_readding_a_link_is_refused(self, topo):
+        # The live link keeps its routing hook; a silent swap would leave
+        # the old one wired, and downing it would cut the live route.
+        live = topo.add_link("a", "b", 1e6)
+        with pytest.raises(ValueError, match="already exists"):
+            topo.add_link("a", "b", 1e6)
+        assert topo.link("a", "b") is live
+        assert topo.shortest_path("a", "b") == ["a", "b"]
+
+    def test_duplex_over_a_reversed_link_adds_nothing(self, topo):
+        topo.add_link("b", "a", 1e6)
+        with pytest.raises(ValueError, match="already exists"):
+            topo.add_duplex("a", "b", 1e6)
+        assert topo.neighbors("a") == []
+
     def test_links_enumeration(self, topo):
         topo.add_duplex("a", "b", 1e6)
         topo.add_link("b", "c", 1e6)

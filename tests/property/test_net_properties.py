@@ -87,15 +87,42 @@ def _reference_route_cost(topo, src, dst):
     return dist.get(dst)
 
 
-_HOST = st.integers(min_value=0, max_value=6)
+def reference_transit(topo):
+    """The transit view derived from scratch: p's entry for n is the up
+    link p->n iff n is not terminal and has an up out-link other than
+    straight back to p."""
+    up = {a: set(topo.neighbors(a)) for a in topo.hosts}
+    return {p: {n: topo.link(p, n) for n in up[p]
+                if not topo.is_terminal(n) and up[n] - {p}}
+            for p in topo.hosts}
+
+
+def assert_transit_is_live(topo):
+    """``_transit_adj`` equals :func:`reference_transit` and holds the
+    live ``Link`` objects themselves."""
+    expected = reference_transit(topo)
+    assert topo._transit_adj == expected
+    for p, view in topo._transit_adj.items():
+        for n, link in view.items():
+            assert link is topo.link(p, n)
+
+
+#: Hosts h0..h6 take every op; h0 is also a hub with a fixed fan of
+#: spokes (half of them terminal, like attached clients), so a change on
+#: h0 has many in-neighbours whose views it must leave alone.
+_N_HOSTS, _N_SPOKES = 7, 8
+_HOST = st.integers(min_value=0, max_value=_N_HOSTS - 1)
+_ANY_HOST = st.integers(min_value=0, max_value=_N_HOSTS + _N_SPOKES - 1)
 _CHURN = st.lists(st.one_of(
     st.tuples(st.just("add"), _HOST, _HOST,
               st.sampled_from([1e6, 1e7, 1e8]),
               st.sampled_from([0.0, 0.001, 0.01])),
     st.tuples(st.just("up"), st.integers(min_value=0), st.booleans()),
+    st.tuples(st.just("repeat"), st.integers(min_value=0), st.booleans()),
     st.tuples(st.just("rate"), st.integers(min_value=0),
               st.sampled_from([1e6, 1e7, 1e8])),
-    st.tuples(st.just("terminal"), _HOST, st.booleans()),
+    st.tuples(st.just("terminal"), _ANY_HOST, st.booleans()),
+    st.tuples(st.just("remark"), _ANY_HOST),
 ), min_size=1, max_size=30)
 
 
@@ -105,34 +132,48 @@ def test_routes_match_reference_under_churn(ops):
     """After every topology change the transit view equals the one derived
     from scratch, and every route is a cheapest path over live links."""
     topo = Topology(Environment())
-    names = [f"h{i}" for i in range(7)]
+    names = [f"h{i}" for i in range(_N_HOSTS)]
+    spokes = [f"s{i}" for i in range(_N_SPOKES)]
+    everyone = names + spokes
     for name in names:
         topo.add_host(name)
     links = []
+    for k, spoke in enumerate(spokes):
+        links.extend(topo.add_duplex(names[0], spoke, 1e7,
+                                     propagation_s=0.001))
+        if k % 2:
+            topo.mark_terminal(spoke)
+    assert_transit_is_live(topo)
     for op in ops:
         if op[0] == "add":
             a, b = names[op[1]], names[op[2]]
-            if a == b or b in topo._adj[a]:
+            if a == b:
                 continue
-            links.append(topo.add_link(a, b, op[3], propagation_s=op[4]))
+            if b in topo._adj[a]:
+                with pytest.raises(ValueError, match="already exists"):
+                    topo.add_link(a, b, op[3], propagation_s=op[4])
+            else:
+                links.append(topo.add_link(a, b, op[3],
+                                           propagation_s=op[4]))
         elif op[0] == "terminal":
-            topo.mark_terminal(names[op[1]], op[2])
-        elif not links:
-            continue
-        elif op[0] == "up":
-            links[op[1] % len(links)].set_up(op[2])
+            topo.mark_terminal(everyone[op[1]], op[2])
+        elif op[0] == "remark":
+            topo.mark_terminal(everyone[op[1]], False)
+            topo.mark_terminal(everyone[op[1]], True)
+        elif op[0] in ("up", "repeat"):
+            # "repeat" re-sends the same admin state: a no-op transition.
+            for _ in range(1 if op[0] == "up" else 2):
+                links[op[1] % len(links)].set_up(op[2])
         else:
             links[op[1] % len(links)].set_bandwidth(op[2])
 
         up = {a: {b: topo.link(a, b) for b in topo.neighbors(a)}
-              for a in names}
+              for a in everyone}
         assert topo._up_adj == up
-        assert topo._transit_adj == {
-            p: {n: link for n, link in up[p].items()
-                if not topo.is_terminal(n) and set(up[n]) - {p}}
-            for p in names}
-        for src in names:
-            for dst in names:
+        assert_transit_is_live(topo)
+        # Routes among the core hosts and two spokes (one terminal).
+        for src in names + spokes[:2]:
+            for dst in names + spokes[:2]:
                 if src == dst:
                     continue
                 cost = _reference_route_cost(topo, src, dst)

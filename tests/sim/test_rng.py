@@ -55,3 +55,23 @@ class TestRngStreams:
     def test_non_int_seed_rejected(self):
         with pytest.raises(TypeError):
             RngStreams("seed")
+
+
+class TestDeferredStream:
+    def test_built_on_first_draw_and_bit_identical(self):
+        rng = RngStreams(5)
+        handle = rng.deferred("net.x")
+        assert "net.x" not in rng._streams
+        first = handle.normal(0.0, 1.0, 3)
+        assert "net.x" in rng._streams
+        # The handle and the named stream are one sequence.
+        mixed = np.concatenate([first, [rng.stream("net.x").random()],
+                                [handle.random()]])
+        up_front = RngStreams(5).stream("net.x")
+        expected = np.concatenate([up_front.normal(0.0, 1.0, 3),
+                                   up_front.random(2)])
+        assert np.array_equal(mixed, expected)
+
+    def test_empty_name_rejected_up_front(self):
+        with pytest.raises(ValueError):
+            RngStreams(0).deferred("")

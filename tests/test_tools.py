@@ -112,6 +112,29 @@ class TestSelectWorkloads:
             bench_pairs.select_workloads(self.SPEC, "sim_city,nope")
 
 
+class TestSelectRows:
+    SPEC = {"end_to_end": [{"name": "req_per_s"}],
+            "per_layer": [{"name": "cluster.handoff_us_each"},
+                          {"name": "kernel.events_per_req"}]}
+
+    def test_ledger_and_end_to_end_rows_in_the_order_given(self):
+        assert bench_pairs.select_rows(
+            self.SPEC, "kernel.events_per_req,req_per_s") == [
+                "kernel.events_per_req", "req_per_s"]
+
+    def test_an_undeclared_row_is_refused(self):
+        with pytest.raises(ValueError, match=r"unknown row\(s\) handoff_us;"):
+            bench_pairs.select_rows(self.SPEC, "req_per_s,handoff_us")
+
+
+def test_trace_does_not_combine_with_counts(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", ".", "--counts",
+                          "--trace", "req_per_s"])
+    assert exit_info.value.code == 2
+    assert "does not combine with --counts" in capsys.readouterr().err
+
+
 def test_help_runs_without_a_checkout(capsys):
     with pytest.raises(SystemExit) as exit_info:
         bench_pairs.main(["--help"])

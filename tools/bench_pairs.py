@@ -20,9 +20,17 @@ smoke-size traced run (fixed work) of every workload per tree for seeds 0
 and 1, then digest, attempted/failed, outcome counts and every exact
 count row side by side, and the rows that differ.
 
+``--trace ROW[,ROW...]`` shows where the time went instead of timing:
+the same alternating pairs, but ``--trace 1`` runs, printing the named
+ledger rows (any metric ``BENCHMARK.json`` declares) of every run and
+then both trees' medians.  Traced runs pay the tracer's overhead, so
+they give no end-to-end verdict.
+
 Usage:  python tools/bench_pairs.py --parent ../parent --workload sim_city
         python tools/bench_pairs.py --parent ../parent --workload all --pairs 5
         python tools/bench_pairs.py --parent ../parent --counts
+        python tools/bench_pairs.py --parent ../parent --workload sim_city \\
+            --pairs 3 --trace cluster.handoff_us_each,kernel.events_per_req
 """
 
 from __future__ import annotations
@@ -135,18 +143,43 @@ def run_counts(trees: dict[str, pathlib.Path], command: list[str]) -> int:
     return status
 
 
+def _pick(declared: list[str], names: str, what: str) -> list[str]:
+    """A comma-separated list of names, each one ``declared``."""
+    chosen = names.split(",")
+    unknown = [name for name in chosen if name not in declared]
+    if unknown:
+        raise ValueError(f"unknown {what}(s) {', '.join(unknown)}; "
+                         f"BENCHMARK.json declares {', '.join(declared)}")
+    return chosen
+
+
 def select_workloads(spec: dict, names: str) -> list[str]:
     """``--workload``'s value as names: one workload, a comma-separated
     list, or ``all`` (every workload ``spec`` declares, in its order)."""
     declared = [w["name"] for w in spec["workloads"]]
     if names == "all":
         return declared
-    chosen = names.split(",")
-    unknown = [name for name in chosen if name not in declared]
-    if unknown:
-        raise ValueError(f"unknown workload(s) {', '.join(unknown)}; "
-                         f"BENCHMARK.json declares {', '.join(declared)}")
-    return chosen
+    return _pick(declared, names, "workload")
+
+
+def select_rows(spec: dict, names: str) -> list[str]:
+    """``--trace``'s value as metric names ``spec`` declares."""
+    declared = [m["name"] for m in spec["end_to_end"] + spec["per_layer"]]
+    return _pick(declared, names, "row")
+
+
+def alternating_runs(trees: dict[str, pathlib.Path], spec: dict,
+                     workload: str, pairs: int, trace: str
+                     ) -> typing.Iterator[tuple[int, str, dict]]:
+    """``(pair, side, result)`` of every run, seed = pair number, the
+    order alternating so neither tree always runs first."""
+    for pair in range(1, pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for side in order:
+            yield pair, side, run_bench(
+                trees[side], spec["command"], "--workload", workload,
+                "--seed", str(pair), "--seconds", str(spec["run_seconds"]),
+                "--trace", trace)
 
 
 def run_pairs(trees: dict[str, pathlib.Path], spec: dict, workload: str,
@@ -159,17 +192,12 @@ def run_pairs(trees: dict[str, pathlib.Path], spec: dict, workload: str,
     print(f"# {workload}: {pairs} pairs x {spec['run_seconds']} s, "
           "seed = pair number")
     print("pair side   failed " + " ".join(f"{m['name']:>12}" for m in metrics))
-    for pair in range(1, pairs + 1):
-        order = ("parent", "change") if pair % 2 else ("change", "parent")
-        for side in order:
-            result = run_bench(
-                trees[side], spec["command"], "--workload", workload,
-                "--seed", str(pair), "--seconds", str(spec["run_seconds"]),
-                "--trace", "0")
-            runs[side].append(result)
-            print(f"{pair:>4} {side:<6} {result['failed']:>6} " + " ".join(
-                f"{result['metrics'][m['name']]['value']:>12.2f}"
-                for m in metrics), flush=True)
+    for pair, side, result in alternating_runs(trees, spec, workload, pairs,
+                                               "0"):
+        runs[side].append(result)
+        print(f"{pair:>4} {side:<6} {result['failed']:>6} " + " ".join(
+            f"{result['metrics'][m['name']]['value']:>12.2f}"
+            for m in metrics), flush=True)
 
     print(f"\n{workload}")
     print("metric        parent q1/median/q3        change q1/median/q3"
@@ -199,6 +227,44 @@ def run_pairs(trees: dict[str, pathlib.Path], spec: dict, workload: str,
     return status
 
 
+def run_traces(trees: dict[str, pathlib.Path], spec: dict, workload: str,
+               pairs: int, rows: list[str]) -> None:
+    """``pairs`` alternating ``--trace 1`` pairs of one workload; print
+    the named ``rows`` of every run (``-`` where a run lacks one), then
+    both trees' medians."""
+    width = max(12, *map(len, rows))
+    values = {side: {row: [] for row in rows} for side in trees}
+    print(f"# {workload}: {pairs} pairs x {spec['run_seconds']} s, "
+          "--trace 1, seed = pair number")
+    print("pair side   failed " + " ".join(f"{row:>{width}}" for row in rows))
+    for pair, side, result in alternating_runs(trees, spec, workload, pairs,
+                                               "1"):
+        cells = []
+        for row in rows:
+            value = result["metrics"].get(row, {}).get("value")
+            if value is None:
+                cells.append(f"{'-':>{width}}")
+            else:
+                values[side][row].append(value)
+                cells.append(f"{value:>{width}.3f}")
+        print(f"{pair:>4} {side:<6} {result['failed']:>6} " + " ".join(cells),
+              flush=True)
+
+    print(f"\n{workload} (traced)")
+    print(f"{'row':<{width}} {'parent median':>14} {'change median':>14}"
+          f" {'change':>8}")
+    for row in rows:
+        before, after = (statistics.median(values[side][row])
+                         if values[side][row] else None
+                         for side in ("parent", "change"))
+        cells = [f"{'-' if m is None else f'{m:.3f}':>14}"
+                 for m in (before, after)]
+        moved = (f"{(after - before) / before:+.1%}"
+                 if before and after is not None else "-")
+        print(f"{row:<{width}} {cells[0]} {cells[1]} {moved:>8}")
+    print()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
@@ -213,9 +279,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--counts", action="store_true",
                         help="compare digests and exact count rows "
                              "(smoke size, seeds 0 and 1) instead of timing")
+    parser.add_argument("--trace", metavar="ROW[,ROW...]",
+                        help="make the pairs --trace 1 runs and print these "
+                             "ledger rows per run plus both medians, "
+                             "instead of timing")
     args = parser.parse_args(argv)
     if not args.counts and not args.workload:
         parser.error("--workload is required unless --counts is given")
+    if args.counts and args.trace:
+        parser.error("--trace makes pairs; it does not combine with --counts")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     trees = {"parent": args.parent, "change": args.change}
@@ -223,8 +295,13 @@ def main(argv: list[str] | None = None) -> int:
         return run_counts(trees, spec["command"])
     try:
         workloads = select_workloads(spec, args.workload)
+        rows = select_rows(spec, args.trace) if args.trace else None
     except ValueError as exc:
         parser.error(str(exc))
+    if rows:
+        for workload in workloads:
+            run_traces(trees, spec, workload, args.pairs, rows)
+        return 0
     status = 0
     for workload in workloads:
         status = max(status, run_pairs(trees, spec, workload, args.pairs))
