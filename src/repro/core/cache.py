@@ -42,8 +42,9 @@ class CacheEntry:
         hits: Number of lookups served by this entry.
         expires_at: Absolute expiry time, or None.
         sketch_signature: The affinity-sketch bucket a vector descriptor
-            was counted into at insert (None for hash kinds), kept so
-            the drop does not recompute it.
+            was counted into (None for hash kinds, and for every entry
+            until the cache's first :meth:`ICCache.summary`), kept so the
+            drop does not recompute it.
     """
 
     entry_id: int
@@ -155,9 +156,10 @@ class ICCache:
         self.vector_dtype = vector_dtype
         self._entries: dict[int, CacheEntry] = {}
         self._indexes: dict[str, DescriptorIndex] = {}
-        #: Per-vector-kind affinity sketches, maintained incrementally on
-        #: every insert/drop; snapshot with :meth:`summary` for gossip.
-        self._sketches: dict[str, AffinitySketch] = {}
+        #: Per-vector-kind affinity sketches for :meth:`summary`.  None
+        #: until its first call (only affinity gossip reads them), then
+        #: maintained incrementally on every insert/drop.
+        self._sketches: dict[str, AffinitySketch] | None = None
         self._ids = itertools.count(1)
         self._bytes = 0
         # If the policy is TTL-based and no cache-level ttl was given,
@@ -210,18 +212,23 @@ class ICCache:
     def summary(self, exclude_prefix: str | None = None) -> CacheSummary:
         """Snapshot this cache's contents for affinity gossip.
 
-        Per-kind live entry counts plus the incrementally maintained
-        signature sketches of the vector kinds.  O(kinds), not
-        O(entries) — the sketches are updated on insert/drop, never
-        rebuilt here.  ``exclude_prefix`` drops a kind namespace from
-        the snapshot (the gossip path excludes ``layer:*`` activation
-        kinds: nobody scores them, so their signatures should not
-        inflate the summary's wire bytes).
+        Per-kind live entry counts plus the signature sketches of the
+        vector kinds.  The first call is O(entries): it starts the
+        sketches by folding in every live entry.  Later calls are
+        O(kinds), because from then on the sketches are updated on
+        insert/drop, never rebuilt here.  ``exclude_prefix`` drops a
+        kind namespace from the snapshot (the gossip path excludes
+        ``layer:*`` activation kinds: nobody scores them, so their
+        signatures should not inflate the summary's wire bytes).
         """
         def keep(kind: str) -> bool:
             return exclude_prefix is None \
                 or not kind.startswith(exclude_prefix)
 
+        if self._sketches is None:
+            self._sketches = {}
+            for entry in self._entries.values():
+                self._sketch_add(entry)
         kinds = {kind: len(index) for kind, index in self._indexes.items()
                  if len(index) > 0 and keep(kind)}
         sketches = {kind: sketch.summary()
@@ -467,7 +474,8 @@ class ICCache:
 
     def _sketch_add(self, entry: CacheEntry) -> None:
         descriptor = entry.descriptor
-        if not isinstance(descriptor, VectorDescriptor):
+        if self._sketches is None \
+                or not isinstance(descriptor, VectorDescriptor):
             return
         sketch = self._sketches.get(descriptor.kind)
         if sketch is None:

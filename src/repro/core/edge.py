@@ -192,16 +192,19 @@ class EdgeNode:
         The ``served_by`` tag is what lets the metrics layer attribute
         offloaded and post-handoff requests to the edge that actually
         did the work.  Every reply but ``need_input`` ends its request
-        and is counted here under its ``outcome`` header — on both
-        backends, since the real edge runs this code too.
+        and is counted here under its ``outcome`` header once it is
+        sent — on both backends, since the real edge runs this code
+        too.  A reply that cannot be sent raises and is not counted:
+        :meth:`_handle` counts the request once, as ``responses_dropped``,
+        if its ``error`` reply cannot be sent either.
         """
         tagged = {"served_by": self.host.name}
         if headers:
             tagged.update(headers)
+        yield from self.rpc.respond(msg, size_bytes=size_bytes,
+                                    payload=payload, kind=kind, headers=tagged)
         if kind != "need_input":
             self.counts[tagged["outcome"]] += 1
-        return self.rpc.respond(msg, size_bytes=size_bytes, payload=payload,
-                                kind=kind, headers=tagged)
 
     # -- cache lookup / insert ----------------------------------------------------
 

@@ -239,7 +239,9 @@ class _VectorStore(_RowStore):
 
     def _set_row(self, row: int, vec: np.ndarray) -> None:
         self._matrix[row] = vec
-        self._norms[row] = np.linalg.norm(self._matrix[row])
+        # ``np.linalg.norm`` of a 1-D vector, without its dispatch.
+        row_vec = self._matrix[row]
+        self._norms[row] = np.sqrt(row_vec.dot(row_vec))
 
 
 class _QuantizedVectorStore(_RowStore):
@@ -333,8 +335,8 @@ class _QuantizedVectorStore(_RowStore):
         self._codes[row] = codes
         self._scales[row] = scale
         self._offsets[row] = offset
-        self._norms[row] = np.linalg.norm(
-            self._dequant(np.array([row], dtype=np.intp))[0])
+        row_vec = self._dequant(np.array([row], dtype=np.intp))[0]
+        self._norms[row] = np.sqrt(row_vec.dot(row_vec))
 
 
 def make_store(dtype: str) -> _VectorStore | _QuantizedVectorStore:

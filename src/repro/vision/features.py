@@ -22,6 +22,119 @@ import dataclasses
 
 import numpy as np
 
+# -- a frame's noise seed, constant-folded ---------------------------------------
+#
+# A frame's sensor noise is numpy's ``PCG64(SeedSequence([0x5EED,
+# object_class, key]))`` stream.  Building that object costs more than
+# drawing from it, so for a class and key in [0, 2**32) -- one entropy
+# word each -- :func:`_noise_seed` computes the ``(state, inc)`` the
+# PCG64 would start from, and :meth:`EmbeddingSpace.observe` sets it on
+# one reused bit generator.  What follows is numpy's ``SeedSequence``
+# (pool size 4; ``mix_entropy`` then ``generate_state(4, uint64)``) and
+# PCG64's ``srandom``, with every step that reads only the constant word
+# ``0x5EED`` or the zero padding word folded into a constant below.
+# ``tests/property/test_noise_seed_properties.py`` pins it to numpy.
+
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, n: int) -> list[int]:
+    """The ``n + 1`` successive hash constants ``init * mult**i mod 2**32``."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _M32)
+    return out
+
+
+# ``mix_entropy`` makes 16 ``hashmix`` calls; call i xors with A[i] and
+# multiplies by A[i + 1].  ``generate_state``'s word i likewise uses B[i],
+# B[i + 1].
+_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(value: int, call: int) -> int:
+    value = (value ^ _A[call]) * _A[call + 1] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    value = (_MIX_L * x - _MIX_R * y) & _M32
+    return value ^ value >> 16
+
+
+# Pool word 0 hashes 0x5EED and word 3 the zero padding; the first
+# mixing round (source word 0) then folds into word 3 and into two terms
+# words 1 and 2 subtract.
+_POOL0 = _hashmix(0x5EED, 0)
+_POOL3 = _mix(_hashmix(0, 3), _hashmix(_POOL0, 6))
+_L_POOL0, _L_POOL3 = _MIX_L * _POOL0, _MIX_L * _POOL3
+_R_H4, _R_H5 = _MIX_R * _hashmix(_POOL0, 4), _MIX_R * _hashmix(_POOL0, 5)
+(_A1, _A2, _A3, _A7, _A8, _A9, _A10, _A11, _A12, _A13, _A14, _A15,
+ _A16) = _A[1:4] + _A[7:]
+(_B0, _B1, _B2, _B3, _B4, _B5, _B6, _B7, _B8) = _B
+
+
+def _noise_seed(object_class: int, key: int) -> tuple[int, int]:
+    """``(state, inc)`` of ``PCG64(SeedSequence([0x5EED, object_class,
+    key]))`` for ``object_class`` and ``key`` in [0, 2**32)."""
+    # Class word: pool word 1, its first round, and what source word 1
+    # mixes into words 0 and 3 (and, via ``h8``, into word 2).
+    v = (object_class ^ _A1) * _A2 & _M32
+    v = (_MIX_L * (v ^ v >> 16) - _R_H4) & _M32
+    p1 = v ^ v >> 16
+    v = (p1 ^ _A7) * _A8 & _M32
+    v = (_L_POOL0 - _MIX_R * (v ^ v >> 16)) & _M32
+    p0 = v ^ v >> 16
+    v = (p1 ^ _A8) * _A9 & _M32
+    h8 = v ^ v >> 16
+    v = (p1 ^ _A9) * _A10 & _M32
+    v = (_L_POOL3 - _MIX_R * (v ^ v >> 16)) & _M32
+    p3 = v ^ v >> 16
+    # Key word: pool word 2 through rounds 0 and 1, then source words 2
+    # and 3 into the other three.
+    v = (key ^ _A2) * _A3 & _M32
+    v = (_MIX_L * (v ^ v >> 16) - _R_H5) & _M32
+    v = (_MIX_L * (v ^ v >> 16) - _MIX_R * h8) & _M32
+    p2 = v ^ v >> 16
+    v = (p2 ^ _A10) * _A11 & _M32
+    v = (_MIX_L * p0 - _MIX_R * (v ^ v >> 16)) & _M32
+    p0 = v ^ v >> 16
+    v = (p2 ^ _A11) * _A12 & _M32
+    v = (_MIX_L * p1 - _MIX_R * (v ^ v >> 16)) & _M32
+    p1 = v ^ v >> 16
+    v = (p2 ^ _A12) * _A13 & _M32
+    v = (_MIX_L * p3 - _MIX_R * (v ^ v >> 16)) & _M32
+    p3 = v ^ v >> 16
+    v = (p3 ^ _A13) * _A14 & _M32
+    v = (_MIX_L * p0 - _MIX_R * (v ^ v >> 16)) & _M32
+    p0 = v ^ v >> 16
+    v = (p3 ^ _A14) * _A15 & _M32
+    v = (_MIX_L * p1 - _MIX_R * (v ^ v >> 16)) & _M32
+    p1 = v ^ v >> 16
+    v = (p3 ^ _A15) * _A16 & _M32
+    v = (_MIX_L * p2 - _MIX_R * (v ^ v >> 16)) & _M32
+    p2 = v ^ v >> 16
+    # ``generate_state(8)``: eight words cycling over the pool, read as
+    # four little-endian uint64s (seed high, seed low, seq high, seq low).
+    w0 = (p0 ^ _B0) * _B1 & _M32
+    w1 = (p1 ^ _B1) * _B2 & _M32
+    w2 = (p2 ^ _B2) * _B3 & _M32
+    w3 = (p3 ^ _B3) * _B4 & _M32
+    w4 = (p0 ^ _B4) * _B5 & _M32
+    w5 = (p1 ^ _B5) * _B6 & _M32
+    w6 = (p2 ^ _B6) * _B7 & _M32
+    w7 = (p3 ^ _B7) * _B8 & _M32
+    seed = ((w2 ^ w2 >> 16) | (w3 ^ w3 >> 16) << 32
+            | (w0 ^ w0 >> 16) << 64 | (w1 ^ w1 >> 16) << 96)
+    # PCG64 srandom: inc = 2 seq + 1, state = ((inc + seed) M + inc).
+    inc = ((w6 ^ w6 >> 16) << 1 | (w7 ^ w7 >> 16) << 33
+           | (w4 ^ w4 >> 16) << 65 | (w5 ^ w5 >> 16) << 97 & _M128 | 1)
+    return ((inc + seed) * _PCG64_MULT + inc) & _M128, inc
+
 
 @dataclasses.dataclass(frozen=True)
 class Observation:
@@ -74,6 +187,11 @@ class EmbeddingSpace:
         drift -= (np.sum(drift * self._anchors, axis=1, keepdims=True)
                   * self._anchors)
         self._drift = drift / np.linalg.norm(drift, axis=1, keepdims=True)
+        # The one bit generator keyed noise is drawn from; ``observe``
+        # sets its state per frame (see :func:`_noise_seed`), so one
+        # space must not observe from two threads at once.
+        self._noise_bits = np.random.PCG64(0)
+        self._noise = np.random.Generator(self._noise_bits)
 
     def anchor(self, object_class: int) -> np.ndarray:
         """The canonical (zero-viewpoint, noise-free) embedding of a class."""
@@ -95,6 +213,16 @@ class EmbeddingSpace:
         extracting features from the same image agree bit-for-bit.  An
         explicit ``rng`` draws fresh noise instead; with neither, the
         observation is noise-free.
+
+        Keyed noise is the first ``dim`` normals of numpy's
+        ``Generator(PCG64(SeedSequence([0x5EED, object_class,
+        noise_key])))``.  For a class and key in [0, 2**32) the
+        generator's starting state is computed by :func:`_noise_seed`
+        and set on one reused generator instead of built;
+        ``tests/property/test_noise_seed_properties.py`` pins both the
+        state and the observation to that reference.  A larger key
+        builds the ``SeedSequence``; a negative one raises
+        ``ValueError``.
         """
         self._check_class(object_class)
         angle = viewpoint * self.viewpoint_scale
@@ -102,9 +230,17 @@ class EmbeddingSpace:
                + np.sin(angle) * self._drift[object_class])
         if self.noise_sigma > 0:
             if noise_key is not None:
-                noise_rng = np.random.Generator(np.random.PCG64(
-                    np.random.SeedSequence([0x5EED, object_class,
-                                            int(noise_key)])))
+                key, cls = int(noise_key), int(object_class)
+                if key >> 32 == 0 and cls >> 32 == 0:
+                    noise_rng = self._noise
+                    state, inc = _noise_seed(cls, key)
+                    self._noise_bits.state = {
+                        "bit_generator": "PCG64",
+                        "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+                else:
+                    noise_rng = np.random.Generator(np.random.PCG64(
+                        np.random.SeedSequence([0x5EED, cls, key])))
                 vec = vec + noise_rng.normal(0.0, self.noise_sigma,
                                              size=self.dim)
             elif rng is not None:

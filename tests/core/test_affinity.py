@@ -105,7 +105,7 @@ class TestAffinitySketch:
 
 
 class TestCacheSummary:
-    def test_cache_maintains_sketches_incrementally(self):
+    def test_first_summary_folds_in_live_entries_then_tracks_drops(self):
         cache = ICCache(capacity_bytes=100_000)
         entries = [cache.insert(
             VectorDescriptor(kind="recognition", vector=vec(i)),
@@ -118,6 +118,27 @@ class TestCacheSummary:
         # Drops (explicit or eviction) shrink the sketch too.
         cache.remove(entries[0])
         assert cache.summary().sketches["recognition"].n == 4
+
+    def test_inserts_without_a_summary_compute_no_signature(
+            self, monkeypatch):
+        signed = []
+        original = AffinitySketch.signature
+        monkeypatch.setattr(
+            AffinitySketch, "signature",
+            lambda sketch, vector: signed.append(1) or original(sketch,
+                                                               vector))
+        cache = ICCache(capacity_bytes=50 * 100)
+        for i in range(1000):
+            cache.insert(VectorDescriptor(kind="recognition", vector=vec(i)),
+                         f"r{i}", 100, now=float(i))
+        assert cache.stats.evictions == 950 and signed == []
+        # The first summary signs each live entry once; later inserts
+        # are signed as they come.
+        assert cache.summary().sketches["recognition"].n == 50
+        assert len(signed) == 50
+        cache.insert(VectorDescriptor(kind="recognition", vector=vec(1000)),
+                     "r", 100)
+        assert len(signed) == 51
 
     def test_eviction_updates_sketch(self):
         cache = ICCache(capacity_bytes=300)  # room for 3 x 100 B

@@ -413,6 +413,18 @@ class TestHandoff:
         assert record.outcome == "error"
         assert dep.edges[0].counts["responses_dropped"] >= 1
 
+    def test_unreachable_client_request_counts_once(self):
+        # The reply that cannot be sent is not an outcome, nor is the
+        # error reply that cannot be sent after it: the request is one
+        # dropped response.
+        dep = ClusterDeployment(line_spec(federate=False))
+        client = dep.client_by_name["m0"]
+        dep.topology.link("edge0", "m0").set_up(False)
+        dep.run_tasks(client, [dep.recognition_task(1)])
+        counts = dep.edges[0].counts
+        assert [counts[o] for o in ("hit", "miss", "error")] == [0, 0, 0]
+        assert counts["responses_dropped"] == 1
+
     def test_handoff_to_same_edge_is_noop(self):
         dep = ClusterDeployment(line_spec())
         client = dep.client_by_name["m0"]

@@ -140,3 +140,10 @@ def test_help_runs_without_a_checkout(capsys):
         bench_pairs.main(["--help"])
     assert exit_info.value.code == 0
     assert "--parent" in capsys.readouterr().out
+
+
+def test_each_tree_writes_bytecode_under_its_own_prefix(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    env = bench_pairs.bytecode_env("/tmp/pairs/parent")
+    assert env["PYTHONPYCACHEPREFIX"] == "/tmp/pairs/parent"
+    assert "PYTHONDONTWRITEBYTECODE" not in env

@@ -12,8 +12,13 @@ to differ by more than the parent's own inter-quartile distance.
 workload ``BENCHMARK.json`` declares); each gets its pairs and its own
 summary table, in the order given.
 
-``setup_s`` includes imports, so give both trees the same ``__pycache__``
-state (none, or one warm-up run each) before comparing.
+Both trees run with the same bytecode state: each tree's benchmark
+processes write and read bytecode under their own fresh
+``PYTHONPYCACHEPREFIX`` for this session (bytecode writing on, whatever
+the caller's ``PYTHONDONTWRITEBYTECODE``), so neither reads stale or
+missing ``__pycache__`` from its checkout, and one untimed
+``--setup-only`` child per tree compiles a workload's imports before its
+pair 1.  ``setup_s`` includes imports, which is why this matters.
 
 ``--counts`` compares what the program computed instead of how fast: one
 smoke-size traced run (fixed work) of every workload per tree for seeds 0
@@ -38,10 +43,12 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import pathlib
 import statistics
 import subprocess
 import sys
+import tempfile
 import typing
 
 GAIN = "gain"
@@ -105,20 +112,44 @@ def count_rows(parent: dict, change: dict,
     return rows
 
 
-def run_bench(tree: pathlib.Path, command: list[str], *args: str) -> dict:
+class Tree(typing.NamedTuple):
+    """A checkout and the environment its benchmark processes run in."""
+
+    path: pathlib.Path
+    env: dict[str, str]
+
+
+def bytecode_env(pycache_prefix: str) -> dict[str, str]:
+    """This process's environment with bytecode written and read under
+    ``pycache_prefix`` instead of the checkout's ``__pycache__``."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache_prefix)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run_bench(tree: Tree, command: list[str], *args: str) -> dict:
     """Run the benchmark in ``tree``; the last stdout line is its JSON."""
-    done = subprocess.run([*command, *args], cwd=tree, capture_output=True,
-                          text=True, check=False)
+    done = subprocess.run([*command, *args], cwd=tree.path, env=tree.env,
+                          capture_output=True, text=True, check=False)
     if done.returncode != 0:
-        sys.exit(f"{tree}: benchmark exited {done.returncode}\n{done.stderr}")
+        sys.exit(f"{tree.path}: benchmark exited {done.returncode}\n"
+                 f"{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def run_counts(trees: dict[str, pathlib.Path], command: list[str]) -> int:
+def warm_bytecode(tree: Tree, command: list[str], workload: str) -> None:
+    """One untimed ``--setup-only`` child of ``workload`` in ``tree``, so
+    the bytecode its imports need is compiled before the first timed run."""
+    child = pathlib.Path(command[1]).parent / "child.py"
+    run_bench(tree, [command[0], str(child)], "--workload", workload,
+              "--setup-only")
+
+
+def run_counts(trees: dict[str, Tree], command: list[str]) -> int:
     """Print the count rows of both trees for seeds 0 and 1."""
     # The benchmark's own list of rows that are exact under fixed work.
     found = importlib.util.spec_from_file_location(
-        "bench_run", trees["change"] / command[1])
+        "bench_run", trees["change"].path / command[1])
     bench_run = importlib.util.module_from_spec(found)
     found.loader.exec_module(bench_run)
     exact_rows = bench_run.EXACT_ROWS
@@ -168,11 +199,14 @@ def select_rows(spec: dict, names: str) -> list[str]:
     return _pick(declared, names, "row")
 
 
-def alternating_runs(trees: dict[str, pathlib.Path], spec: dict,
+def alternating_runs(trees: dict[str, Tree], spec: dict,
                      workload: str, pairs: int, trace: str
                      ) -> typing.Iterator[tuple[int, str, dict]]:
     """``(pair, side, result)`` of every run, seed = pair number, the
-    order alternating so neither tree always runs first."""
+    order alternating so neither tree always runs first, after one
+    untimed bytecode warm-up per tree."""
+    for tree in trees.values():
+        warm_bytecode(tree, spec["command"], workload)
     for pair in range(1, pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
@@ -182,7 +216,7 @@ def alternating_runs(trees: dict[str, pathlib.Path], spec: dict,
                 "--trace", trace)
 
 
-def run_pairs(trees: dict[str, pathlib.Path], spec: dict, workload: str,
+def run_pairs(trees: dict[str, Tree], spec: dict, workload: str,
               pairs: int) -> int:
     """Time ``pairs`` alternating pairs of one workload; print every run
     and the summary table.  1 when the change is worse beyond a bound or
@@ -227,7 +261,7 @@ def run_pairs(trees: dict[str, pathlib.Path], spec: dict, workload: str,
     return status
 
 
-def run_traces(trees: dict[str, pathlib.Path], spec: dict, workload: str,
+def run_traces(trees: dict[str, Tree], spec: dict, workload: str,
                pairs: int, rows: list[str]) -> None:
     """``pairs`` alternating ``--trace 1`` pairs of one workload; print
     the named ``rows`` of every run (``-`` where a run lacks one), then
@@ -290,22 +324,26 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--trace makes pairs; it does not combine with --counts")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    trees = {"parent": args.parent, "change": args.change}
-    if args.counts:
-        return run_counts(trees, spec["command"])
     try:
-        workloads = select_workloads(spec, args.workload)
+        workloads = [] if args.counts \
+            else select_workloads(spec, args.workload)
         rows = select_rows(spec, args.trace) if args.trace else None
     except ValueError as exc:
         parser.error(str(exc))
-    if rows:
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        trees = {side: Tree(path, bytecode_env(os.path.join(scratch, side)))
+                 for side, path in (("parent", args.parent),
+                                    ("change", args.change))}
+        if args.counts:
+            return run_counts(trees, spec["command"])
+        if rows:
+            for workload in workloads:
+                run_traces(trees, spec, workload, args.pairs, rows)
+            return 0
+        status = 0
         for workload in workloads:
-            run_traces(trees, spec, workload, args.pairs, rows)
-        return 0
-    status = 0
-    for workload in workloads:
-        status = max(status, run_pairs(trees, spec, workload, args.pairs))
-    return status
+            status = max(status, run_pairs(trees, spec, workload, args.pairs))
+        return status
 
 
 if __name__ == "__main__":
