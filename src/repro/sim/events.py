@@ -13,7 +13,7 @@ Performance notes (the city-scale kernel pass):
   ``__dict__`` was the single largest allocation cost;
 * :class:`Timeout` initializes its fields inline (no ``super()`` chain)
   and hands itself straight to the environment's scheduling primitive;
-* a bare-number ``yield`` allocates nothing: each process reschedules
+* a bare-number ``yield`` allocates no event: each process reschedules
   its own private :class:`_Wake` event.
 """
 
@@ -157,8 +157,9 @@ class _Wake(Timeout):
     Each :class:`~repro.sim.process.Process` lazily owns one; when the
     generator yields a plain ``float``/``int`` delay the trampoline
     reschedules this single event instead of allocating a fresh timeout.
-    Its callback list permanently holds just the process resume and is
-    restored by the kernel loop after each firing.
+    Its callback list holds just the process resume; firing clears it
+    like any event's, and the process re-arms it on its next bare-number
+    yield.
     """
 
     __slots__ = ()

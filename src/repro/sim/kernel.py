@@ -1,28 +1,21 @@
 """The discrete-event simulation environment.
 
-:class:`Environment` owns the simulated clock and the event queue.  Two
-queue disciplines are available:
+:class:`Environment` owns the simulated clock and the event queue, a
+bucketed calendar queue: events within a sliding horizon land in
+per-tick buckets (plain list appends), a small int-heap tracks which
+ticks are occupied, the current tick is drained through its own tiny
+heap, and far-future events wait in an overflow heap until their tick
+slides into the horizon.  Against one deep binary heap this replaces
+the ``heappop`` sift-down (the dominant queue cost at 10^4+ pending
+timers) with shallow pops and O(1) bucket appends.
 
-* ``queue="wheel"`` (default) — a bucketed calendar queue: events within a
-  sliding horizon land in per-tick buckets (plain list appends), a small
-  int-heap tracks which ticks are occupied, the current tick is drained
-  through its own tiny heap, and far-future events wait in an overflow
-  heap until their tick slides into the horizon.  This replaces the
-  deep-heap ``heappop`` sift-down (the dominant queue cost at 10^4+
-  pending timers) with shallow pops and O(1) bucket appends.
-* ``queue="heap"`` — the original single binary heap.  Kept as the
-  reference discipline; the property suite asserts both pop in identical
-  order.
+Queue entries are ``(time, priority, seq, event)`` tuples and pop in
+sorted tuple order (time, then priority, then FIFO sequence): the tick
+index is a monotone function of time, and any two entries that could
+ever be compared meet in the same heap.
 
-Queue entries are ``(time, priority, seq, event)`` tuples in both modes,
-so ordering semantics (time, then priority, then FIFO sequence) are
-byte-identical: the tick index is a monotone function of time, any two
-entries that could ever be compared meet in the same heap, and they
-compare by the same tuple.
-
-``run()`` is a single inlined hot loop — the former ``peek()``/``step()``
-pair survives for tests, single-stepping, and as the slow path that heap
-mode and traced runs share.  An opt-in trace hook
+``run()`` is a single inlined hot loop; ``peek()``/``step()`` survive
+for tests, single-stepping and traced runs.  An opt-in trace hook
 (:meth:`Environment.set_trace`) restores per-event observability when
 profiling.
 """
@@ -32,13 +25,17 @@ from __future__ import annotations
 import typing
 from heapq import heapify, heappop, heappush
 
-from repro.sim.events import Event, Timeout, _Wake
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 
 #: Default priority for scheduled events.  Lower sorts first.
 PRIORITY_NORMAL = 1
 #: Priority used by the kernel for urgent bookkeeping (e.g. interrupts).
 PRIORITY_URGENT = 0
+#: Wheel bucket width in seconds.
+BUCKET_S = 1e-2
+#: Number of wheel buckets (a power of two, so a tick's bucket is a mask).
+N_BUCKETS = 8192
 
 _INF = float("inf")
 
@@ -58,51 +55,33 @@ class StopSimulation(Exception):
 class Environment:
     """Simulation environment: clock + event queue + process factory.
 
-    Args:
-        initial_time: Starting value of the simulated clock (seconds).
-        queue: Queue discipline — ``"wheel"`` (bucketed calendar queue,
-            default) or ``"heap"`` (single binary heap, the reference).
-        bucket_s: Wheel bucket width in seconds.  Delays shorter than
-            the horizon ``bucket_s * n_buckets`` (~82 s at the defaults)
-            enqueue in O(1); longer delays fall back to the overflow heap
-            and migrate in when due.  Size the horizon to cover the bulk
-            of your delays — overflow traffic is handled twice.
-        n_buckets: Number of wheel buckets (power of two).
+    The clock starts at 0.  The queue's geometry is fixed: delays
+    shorter than the horizon ``BUCKET_S * N_BUCKETS`` (81.92 s) enqueue
+    in O(1); longer ones wait in the overflow heap and migrate into the
+    wheel when their tick comes within the horizon.
     """
 
     __slots__ = (
-        "_now", "_seq", "_heap_mode", "_queue", "_cur", "_buckets",
-        "_occupied", "_nbuckets", "_mask", "_tick", "_inv_width",
-        "_overflow", "_nevents", "_trace",
+        "_now", "_seq", "_cur", "_buckets", "_occupied", "_nbuckets",
+        "_mask", "_tick", "_inv_width", "_overflow", "_nevents", "_trace",
     )
 
-    def __init__(self, initial_time: float = 0.0, *, queue: str = "wheel",
-                 bucket_s: float = 1e-2, n_buckets: int = 8192):
-        if queue not in ("wheel", "heap"):
-            raise ValueError(f"unknown queue discipline {queue!r}")
-        if initial_time < 0:
-            raise ValueError(f"negative initial_time {initial_time!r}")
-        if bucket_s <= 0:
-            raise ValueError(f"bucket_s must be positive, got {bucket_s!r}")
-        if n_buckets < 2 or n_buckets & (n_buckets - 1):
-            raise ValueError(
-                f"n_buckets must be a power of two >= 2, got {n_buckets!r}")
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._seq = 0  # FIFO tie-break for same-time, same-priority events
-        self._heap_mode = queue == "heap"
-        self._queue: list[tuple[float, int, int, Event]] = []
-        # Wheel state (unused but cheap in heap mode).  Invariants:
-        # _cur holds exactly the entries with tick == _tick; each bucket
-        # holds entries of exactly one tick (ticks within the horizon are
-        # unique modulo n_buckets); _occupied is a heap of the non-empty
-        # bucket ticks; _overflow holds ticks >= _tick + n_buckets.
+        # Invariants: _cur holds exactly the entries with tick == _tick;
+        # each bucket holds entries of exactly one tick (ticks within the
+        # horizon are unique modulo N_BUCKETS); _occupied is a heap of the
+        # non-empty bucket ticks; _overflow holds ticks >= _tick +
+        # N_BUCKETS.  The geometry is copied into slots because
+        # Process._resume's inlined schedule reads it off the instance.
         self._cur: list[tuple[float, int, int, Event]] = []
-        self._buckets: list[list | None] = [None] * n_buckets
+        self._buckets: list[list | None] = [None] * N_BUCKETS
         self._occupied: list[int] = []
-        self._nbuckets = n_buckets
-        self._mask = n_buckets - 1
-        self._inv_width = 1.0 / bucket_s
-        self._tick = int(self._now * self._inv_width)
+        self._nbuckets = N_BUCKETS
+        self._mask = N_BUCKETS - 1
+        self._inv_width = 1.0 / BUCKET_S
+        self._tick = 0
         self._overflow: list[tuple[float, int, int, Event]] = []
         self._nevents = 0
         self._trace: typing.Callable[[float, int, Event], None] | None = None
@@ -152,9 +131,6 @@ class Environment:
         seq = self._seq
         self._seq = seq + 1
         entry = (time, priority, seq, event)
-        if self._heap_mode:
-            heappush(self._queue, entry)
-            return
         tick = int(time * self._inv_width)
         cur_tick = self._tick
         if tick <= cur_tick:
@@ -224,8 +200,6 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
-        if self._heap_mode:
-            return self._queue[0][0] if self._queue else _INF
         if self._cur:
             return self._cur[0][0]
         if self._occupied:
@@ -243,8 +217,6 @@ class Environment:
         Raises:
             IndexError: If the queue is empty.
         """
-        if self._heap_mode:
-            return heappop(self._queue)
         if not self._cur and not self._advance():
             raise IndexError("pop from an empty event queue")
         return heappop(self._cur)
@@ -303,8 +275,8 @@ class Environment:
                     f"until={stop_at} is in the past (now={self._now})")
 
         try:
-            if self._heap_mode or self._trace is not None:
-                # Reference / observability path: one step() per event.
+            if self._trace is not None:
+                # Observability path: one step() per event.
                 while True:
                     when = self.peek()
                     if when > stop_at or when == _INF:
@@ -331,7 +303,7 @@ class Environment:
         return None
 
     def _run_wheel(self, stop_at: float) -> None:
-        """The inlined hot loop (wheel mode, no trace hook installed).
+        """The inlined hot loop (no trace hook installed).
 
         Locals shadow attribute lookups; the event counter accumulates
         locally and flushes on exit (including via exceptions and
@@ -357,11 +329,7 @@ class Environment:
                 event.callbacks = None
                 for callback in callbacks:
                     callback(event)
-                if event.__class__ is _Wake:
-                    # Restore the permanent resume callback for the next
-                    # bare-number yield of the owning process.
-                    event.callbacks = callbacks
-                elif not event._ok and not event._defused:
+                if not event._ok and not event._defused:
                     exc = typing.cast(BaseException, event.value)
                     raise SimulationError(
                         f"unhandled failure in {event!r}: {exc!r}") from exc

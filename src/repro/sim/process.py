@@ -140,7 +140,7 @@ class Process(Event):
             if cls is float or cls is int:
                 # Bare-number yield: sleep that many seconds via the
                 # process's private reusable wake event (the hottest hop
-                # in large runs — no allocation, no callback-list churn).
+                # in large runs — no event allocation).
                 if target < 0:
                     self._crash(f"yielded negative delay {target!r}")
                     return
@@ -148,8 +148,10 @@ class Process(Event):
                 if wake is None:
                     wake = self._wake = _Wake(self.env, self._resume_cb)
                 elif wake.callbacks is None:
-                    # A slow-path step() processed the wake without
-                    # restoring its permanent callback list.
+                    # The kernel processed the wake (it clears every
+                    # event's callbacks as it fires it) — on consecutive
+                    # bare-number yields that is this very resume — so
+                    # re-arm it before it is queued again.
                     wake.callbacks = [self._resume_cb]
                 wake.delay = target
                 # Inlined env.schedule(wake, PRIORITY_NORMAL, target): this
@@ -160,23 +162,20 @@ class Process(Event):
                 seq = env._seq
                 env._seq = seq + 1
                 entry = (time, 1, seq, wake)
-                if env._heap_mode:
-                    heappush(env._queue, entry)
-                else:
-                    tick = int(time * env._inv_width)
-                    cur_tick = env._tick
-                    if tick <= cur_tick:
-                        heappush(env._cur, entry)
-                    elif tick - cur_tick < env._nbuckets:
-                        index = tick & env._mask
-                        bucket = env._buckets[index]
-                        if bucket is None:
-                            env._buckets[index] = [entry]
-                            heappush(env._occupied, tick)
-                        else:
-                            bucket.append(entry)
+                tick = int(time * env._inv_width)
+                cur_tick = env._tick
+                if tick <= cur_tick:
+                    heappush(env._cur, entry)
+                elif tick - cur_tick < env._nbuckets:
+                    index = tick & env._mask
+                    bucket = env._buckets[index]
+                    if bucket is None:
+                        env._buckets[index] = [entry]
+                        heappush(env._occupied, tick)
                     else:
-                        heappush(env._overflow, entry)
+                        bucket.append(entry)
+                else:
+                    heappush(env._overflow, entry)
                 self._waiting_on = wake
                 return
 

@@ -10,6 +10,8 @@ linked edges — lives here once, as factory fixtures:
   with the standard test config (or any config/seed override).
 * ``seeded_rng``   — independent ``numpy`` generators for tests that
   need their own deterministic randomness.
+* ``loop_env``     — a fresh :class:`Environment` per ``run()`` loop
+  (the inlined hot loop, and ``step()`` per event under a trace hook).
 
 The hypothesis profile lives in ``tests/property/conftest.py`` so this
 file stays importable without hypothesis installed — only the property
@@ -27,6 +29,7 @@ from repro.core.scenario import (
     InterEdgeLinkSpec,
     ScenarioSpec,
 )
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -103,3 +106,18 @@ def seeded_rng():
         return np.random.Generator(np.random.PCG64(seed))
 
     return factory
+
+
+@pytest.fixture(params=["wheel", "step"])
+def loop_env(request):
+    """A fresh environment, once for each loop ``run()`` can take.
+
+    ``wheel`` leaves it bare, so ``run()`` takes the inlined hot loop;
+    ``step`` installs a no-op trace hook, so ``run()`` calls ``step()``
+    once per event.  A test on it pins that both loops process the same
+    events the same way.
+    """
+    env = Environment()
+    if request.param == "step":
+        env.set_trace(lambda when, priority, event: None)
+    return env

@@ -7,8 +7,6 @@ and ``ScenarioSpec.federated()`` must keep producing byte-identical
 records (floats compared via their exact hex form).
 """
 
-import hashlib
-
 import pytest
 
 from repro.core import CoICConfig
@@ -24,23 +22,7 @@ from repro.core.scenario import (
 from repro.net import Link, Message, NetemImpairment
 from repro.sim import Environment, RngStreams
 
-
-def _rows(recorder) -> list[tuple]:
-    """Every record's observable fields (floats in exact hex form)."""
-    return [(r.task_kind, r.outcome, r.user, r.start_s.hex(),
-             r.end_s.hex(), r.correct) for r in recorder.records]
-
-
-def recorder_digest(recorder) -> str:
-    """A byte-exact fingerprint of the records, in append order."""
-    return hashlib.sha256(repr(_rows(recorder)).encode()).hexdigest()
-
-
-def order_free_digest(recorder) -> str:
-    """:func:`recorder_digest` over the *sorted* rows: pins which
-    records exist, not the order same-instant completions append in."""
-    return hashlib.sha256(
-        repr(sorted(_rows(recorder))).encode()).hexdigest()
+from ordering import order_free_digest, recorder_digest, shuffle_ties
 
 
 # Digests captured on the pre-refactor constructors (commit cb4e7b1)
@@ -184,6 +166,24 @@ class TestMetroGoldenDigest:
         assert default_metro_digest(
             make_deployment, config=config,
             digest=order_free_digest) == GOLDEN_METRO_ORDER_FREE
+
+    def test_shuffled_ties_move_append_order_not_records(
+            self, make_deployment, config):
+        # Popping same-(time, priority) entries in another order is a
+        # legal schedule: completions sharing an instant may append in
+        # another order, but the same records must exist.  The append
+        # order has to move under some seed, or the shuffle shuffles
+        # nothing.
+        from repro.eval.experiments.mobility_exp import drive_scenario
+
+        moved = 0
+        for seed in range(3):
+            dep = default_metro_deployment(make_deployment, config=config)
+            shuffle_ties(dep.env, seed)
+            drive_scenario(dep, 60.0, request_interval_s=2.0)
+            assert order_free_digest(dep.recorder) == GOLDEN_METRO_ORDER_FREE
+            moved += recorder_digest(dep.recorder) != GOLDEN_METRO
+        assert moved
 
     def test_inert_policy_is_byte_identical_to_no_policy(
             self, make_deployment, config):

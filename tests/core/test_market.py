@@ -12,7 +12,6 @@ denied-consent guarantee that a refused peer is never even probed.
 
 import collections
 import dataclasses
-import hashlib
 
 import numpy as np
 import pytest
@@ -37,12 +36,7 @@ from repro.core.scenario import (
     WarmupSpec,
 )
 
-
-def recorder_digest(recorder) -> str:
-    """A byte-exact fingerprint of every record's observable fields."""
-    blob = repr([(r.task_kind, r.outcome, r.user, r.start_s.hex(),
-                  r.end_s.hex(), r.correct) for r in recorder.records])
-    return hashlib.sha256(blob.encode()).hexdigest()
+from ordering import recorder_digest
 
 
 def vec(seed: int, dim: int = 128) -> np.ndarray:

@@ -1,12 +1,9 @@
 """Tests for repro.core.pipeline (stages, overload layer, pre-warm).
 
-Includes the pipeline golden-digest suite: the explicitly assembled
-default stage chain must reproduce the pre-refactor ``EdgeNode``
-byte-for-byte on the CoIC and federated seed workloads (same digests as
-``tests/core/test_cluster.py``, captured on commit cb4e7b1).
+The default chain's byte-exact goldens live in ``tests/core/test_cluster.py``
+(``TestSeedEquivalence``); ``test_inert_policy_builds_the_default_chain``
+pins that the default chain is exactly lookup, resolve, respond.
 """
-
-import hashlib
 
 import pytest
 
@@ -30,79 +27,6 @@ from repro.core.scenario import (
     ScenarioSpec,
 )
 from repro.net.message import Message
-
-
-def recorder_digest(recorder) -> str:
-    """A byte-exact fingerprint of every record's observable fields."""
-    blob = repr([(r.task_kind, r.outcome, r.user, r.start_s.hex(),
-                  r.end_s.hex(), r.correct) for r in recorder.records])
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-# Digests captured on the pre-refactor (pre-pipeline) EdgeNode at
-# commit cb4e7b1, for the exact workloads below (identical to the
-# seed-equivalence suite in test_cluster.py).
-GOLDEN_SINGLE = \
-    "eca8545032b4bafc20bd01be45354bfe7287f1289316cff25b6c97cce4a2a0a4"
-GOLDEN_FEDERATED = \
-    "302d95e0068590dd121eb8c06a411f521eb61f4c5134872ed4f809766fc13a73"
-
-
-def explicit_default_pipeline() -> Pipeline:
-    return Pipeline([LookupStage(), ResolveStage(), RespondStage()])
-
-
-class TestGoldenDigests:
-    """The default chain reproduces the pre-refactor edge byte-identically."""
-
-    def test_explicit_chain_matches_pre_refactor_single_edge(self):
-        cfg = CoICConfig(seed=3)
-        cfg.network.wifi_mbps = 100
-        cfg.network.backhaul_mbps = 10
-        dep = ClusterDeployment(ScenarioSpec.single_edge(2), config=cfg)
-        # Hand-assembled stage list, not the build_pipeline() shortcut:
-        # proves the chain is what reproduces the behaviour.
-        dep.edges[0].pipeline = explicit_default_pipeline()
-        dep.run_tasks(dep.all_clients[0],
-                      [dep.recognition_task(5, viewpoint=-0.2)])
-        dep.run_tasks(dep.all_clients[1],
-                      [dep.recognition_task(5, viewpoint=0.2)])
-        dep.run_tasks(dep.all_clients[0], [dep.model_load_task(0)])
-        dep.env.run()
-        dep.run_tasks(dep.all_clients[1], [dep.model_load_task(0)])
-        dep.run_tasks(dep.all_clients[0], [dep.panorama_task(1, 2)])
-        dep.run_tasks(dep.origin_clients[0], [dep.recognition_task(9)])
-        dep.run_tasks(dep.local_clients[1], [dep.recognition_task(4)])
-        dep.run_concurrent([
-            (0.0, dep.all_clients[0],
-             dep.recognition_task(5, viewpoint=0.0)),
-            (0.001, dep.all_clients[1],
-             dep.recognition_task(5, viewpoint=0.1)),
-        ])
-        assert recorder_digest(dep.recorder) == GOLDEN_SINGLE
-
-    def test_explicit_chain_matches_pre_refactor_federated(self):
-        cfg = CoICConfig(seed=7)
-        cfg.network.wifi_mbps = 100
-        cfg.network.backhaul_mbps = 10
-        fed = ClusterDeployment(
-            ScenarioSpec.federated(n_edges=3, clients_per_edge=2,
-                                   metro_delay_ms=2.0),
-            config=cfg)
-        for edge in fed.edges:
-            edge.pipeline = explicit_default_pipeline()
-        fed.run_tasks(fed.clients_by_edge[0][0], [fed.model_load_task(0)])
-        fed.env.run()
-        fed.run_tasks(fed.clients_by_edge[1][0], [fed.model_load_task(0)])
-        fed.run_tasks(fed.clients_by_edge[0][1],
-                      [fed.recognition_task(7, viewpoint=-0.2)])
-        fed.env.run()
-        fed.run_tasks(fed.clients_by_edge[2][1],
-                      [fed.recognition_task(7, viewpoint=0.2)])
-        fed.run_tasks(fed.clients_by_edge[2][0], [fed.panorama_task(0, 4)])
-        fed.env.run()
-        fed.run_tasks(fed.clients_by_edge[1][1], [fed.panorama_task(0, 4)])
-        assert recorder_digest(fed.recorder) == GOLDEN_FEDERATED
 
 
 class TestPipelineShape:

@@ -1,15 +1,23 @@
-"""Conservation on generated scenarios.
+"""Conservation on generated scenarios, under every same-instant order.
 
 Hypothesis draws small ``ScenarioSpec``s -- one to three edges, federated
 or isolated, static or moving users, and an overload policy (admission,
 peer offload, handoff pre-warm) -- and drives recognition traffic
+(or all three task families: recognition, model loads, panoramas)
 through each for about twenty simulated seconds, then stops issuing and
 drains.  Whatever the spec, the end state must balance:
 
 * every issued request has exactly one terminal record;
 * no client has a request in flight;
 * the edges' reply-outcome counts equal the recorder's outcome counts;
+* every edge is idle: no compute slot busy or queued, no fetch in
+  flight, and the offload balancer holds no pending dispatch;
 * an inert ``EdgePolicySpec()`` behaves exactly like no policy.
+
+The same spec is also run with the kernel's same-``(time, priority)``
+ties popped in seeded random orders (``ordering.shuffle_ties``): each is
+a legal schedule, so the end state must balance there too, with the
+same outcome multiset as the FIFO run.
 
 Clients issue open loop, so a busy edge builds a backlog and its policy
 acts (sheds, offloads, gossips summaries).  The client deadline is set
@@ -33,6 +41,8 @@ from repro.core.metrics import (
     OUTCOME_SHED,
 )
 from repro.core.scenario import EdgePolicySpec, MobilitySpec, ScenarioSpec
+
+from ordering import shuffle_ties
 
 SENDING_S = 20.0
 #: Client deadline, and the longest the drain may take.
@@ -60,19 +70,27 @@ scenarios = st.fixed_dictionaries({
     "clients_per_edge": st.integers(min_value=1, max_value=3),
     "federate": st.booleans(),
     "mobility": st.booleans(),
+    "all_families": st.booleans(),
     "policy": policies,
     "seed": st.integers(min_value=0, max_value=2**16),
 })
 
 
-def build(params: dict, policy) -> tuple[ClusterDeployment, int]:
-    """Run one generated scenario to quiescence; (deployment, issued)."""
+def build(params: dict, policy,
+          shuffle_seed: int | None = None) -> tuple[ClusterDeployment, int]:
+    """Run one generated scenario to quiescence; (deployment, issued).
+
+    ``shuffle_seed`` pops same-instant ties in that seed's random order
+    instead of FIFO.
+    """
     spec = ScenarioSpec.metro(
         n_edges=params["n_edges"],
         clients_per_edge=params["clients_per_edge"],
         federate=params["federate"], mobility=MOBILITY, policy=policy)
     dep = ClusterDeployment(spec, config=CoICConfig(
         seed=params["seed"], request_timeout_s=DEADLINE_S))
+    if shuffle_seed is not None:
+        shuffle_ties(dep.env, shuffle_seed)
     moving = params["mobility"]
     if moving:
         dep.start_mobility()
@@ -86,10 +104,18 @@ def build(params: dict, policy) -> tuple[ClusterDeployment, int]:
         while not stopping:
             visible = dep.visible_classes(client) if moving \
                 else STATIC_CLASSES
-            task = dep.recognition_task(
-                int(visible[rng.integers(len(visible))]),
-                viewpoint=float(rng.uniform(-0.5, 0.5)),
-                user=client.name, seq=seq)
+            object_class = int(visible[rng.integers(len(visible))])
+            # One frame in eight loads a model and one fetches a
+            # panorama: the hash-keyed families, whose misses coalesce.
+            family = rng.integers(8) if params["all_families"] else 0
+            if family == 1:
+                task = dep.model_load_task(object_class % 2)
+            elif family == 2:
+                task = dep.panorama_task(object_class % 2, seq % 3)
+            else:
+                task = dep.recognition_task(
+                    object_class, viewpoint=float(rng.uniform(-0.5, 0.5)),
+                    user=client.name, seq=seq)
             seq += 1
             issued += 1
             # Open loop: a slow reply does not hold the next frame back,
@@ -115,10 +141,8 @@ def records_fingerprint(dep: ClusterDeployment) -> list[tuple]:
              r.correct, r.detail) for r in dep.recorder.records]
 
 
-@given(params=scenarios)
-@settings(max_examples=12, deadline=None)
-def test_generated_scenarios_conserve_requests(params):
-    dep, issued = build(params, params["policy"])
+def assert_balanced(dep: ClusterDeployment, issued: int) -> None:
+    """The end-state invariants every run must meet once drained."""
     assert issued > 0
     assert issued == len(dep.recorder.records)
     for client in dep.all_clients:
@@ -126,6 +150,29 @@ def test_generated_scenarios_conserve_requests(params):
     counted = dep.counts()
     assert {outcome: counted[outcome] for outcome in OUTCOMES
             if counted[outcome]} == dep.recorder.outcome_counts()
+    for edge in dep.edges:
+        assert edge.load == 0, edge.name
+        assert not edge._inflight, edge.name
+    if dep.balancer is not None:
+        assert not any(dep.balancer._pending.values())
+
+
+@given(params=scenarios)
+@settings(max_examples=12, deadline=None)
+def test_generated_scenarios_conserve_requests(params):
+    assert_balanced(*build(params, params["policy"]))
+
+
+@given(params=scenarios)
+@settings(max_examples=8, deadline=None)
+def test_every_same_instant_order_conserves_requests(params):
+    fifo, issued = build(params, params["policy"])
+    assert_balanced(fifo, issued)
+    for seed in range(3):
+        dep, issued = build(params, params["policy"], shuffle_seed=seed)
+        assert_balanced(dep, issued)
+        assert dep.recorder.outcome_counts() == \
+            fifo.recorder.outcome_counts()
 
 
 @given(params=scenarios)

@@ -1,10 +1,10 @@
 """Property-based tests for the event kernel's ordering guarantees."""
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
 from repro.sim import Environment, Resource, Store
+from repro.sim.kernel import PRIORITY_NORMAL, PRIORITY_URGENT
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1000,
@@ -94,8 +94,8 @@ def test_store_preserves_fifo_order(items):
     assert received == items
 
 
-# Delays chosen to straddle every wheel regime of the default geometry
-# (bucket_s=1e-2, 8192 buckets, ~82 s horizon): same-tick, in-horizon,
+# Delays chosen to straddle every regime of the queue's fixed geometry
+# (10 ms ticks, 8192 buckets, 81.92 s horizon): same-tick, in-horizon,
 # and far-future overflow.
 _wheel_delay = st.one_of(
     st.floats(min_value=0, max_value=200, allow_nan=False),
@@ -104,50 +104,63 @@ _wheel_delay = st.one_of(
 
 @given(bursts=st.lists(
     st.tuples(st.floats(min_value=0, max_value=150, allow_nan=False),
-              st.lists(_wheel_delay, min_size=1, max_size=8),
+              st.lists(st.tuples(_wheel_delay, st.booleans()),
+                       min_size=1, max_size=8),
               st.booleans()),
     min_size=1, max_size=10))
 @settings(max_examples=60, deadline=None)
-def test_wheel_and_heap_fire_identically(bursts):
-    """The calendar wheel is an exact drop-in for the binary heap.
+def test_events_fire_in_sorted_entry_order(bursts):
+    """The queue pops in sorted ``(time, priority, seq)`` order.
 
-    Each burst starts at its own simulated time (exercising mid-run
-    scheduling and cursor advancement) and registers a batch of
-    timeouts; half the bursts wait via a bare-number yield (the
-    per-process wake-up event).  Both queue disciplines must fire every
-    tagged timeout at the same simulated time, in the same total order.
+    The oracle is the sort itself.  Each burst starts at its own
+    simulated time (mid-run scheduling, cursor advancement); half the
+    bursts wait via a bare-number yield (the per-process wake event).
+    Each then schedules tagged events, urgent or normal, and records
+    each as ``(now + delay, priority, creation index)``: creation order
+    is sequence order.  Every tagged event must fire at exactly that
+    time, in the sorted order -- through the inlined hot loop and,
+    with a trace hook installed, through ``step()``.
     """
-    def drive(queue):
-        env = Environment(queue=queue)
-        fired = []
+    def drive(traced):
+        env = Environment()
+        if traced:
+            env.set_trace(lambda when, priority, event: None)
+        created, fired = [], []
 
-        def burst(env, start, delays, bare, base):
+        def burst(env, start, entries, bare):
             if bare:
                 yield start
             else:
                 yield env.timeout(start)
-            for i, delay in enumerate(delays):
-                env.timeout(delay).callbacks.append(
-                    lambda e, tag=(base, i): fired.append((env.now, tag)))
+            for delay, urgent in entries:
+                priority = PRIORITY_URGENT if urgent else PRIORITY_NORMAL
+                tag = (env.now + delay, priority, len(created))
+                created.append(tag)
+                event = env.event()
+                event._ok, event._value = True, None
+                event.callbacks.append(
+                    lambda e, tag=tag: fired.append((env.now, *tag[1:])))
+                env.schedule(event, priority, delay)
 
-        for base, (start, delays, bare) in enumerate(bursts):
-            env.process(burst(env, start, delays, bare, base))
+        for start, entries, bare in bursts:
+            env.process(burst(env, start, entries, bare))
         env.run()
-        return fired
+        return created, fired
 
-    assert drive("wheel") == drive("heap")
+    for traced in (False, True):
+        created, fired = drive(traced)
+        assert fired == sorted(created)
 
 
-@pytest.mark.parametrize("queue", ["wheel", "heap"])
-def test_same_tick_timeouts_fire_in_creation_order(queue):
+def test_same_tick_timeouts_fire_in_creation_order(loop_env):
     """FIFO within one wheel bucket: equal (time, priority) keeps seq order.
 
     Thirty timeouts with the same delay land in the same tick of the
-    same bucket; the heap entries differ only in sequence number, so
-    any regression in the entry layout or bucket drain order shows up
-    as a permutation here.
+    same bucket; the entries differ only in sequence number, so any
+    regression in the entry layout or bucket drain order shows up as a
+    permutation here.
     """
-    env = Environment(queue=queue)
+    env = loop_env
     fired = []
     for i in range(30):
         env.timeout(0.042).callbacks.append(

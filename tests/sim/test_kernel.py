@@ -12,8 +12,10 @@ def env():
 
 class TestClock:
     def test_initial_time(self):
+        """The clock always starts at 0; the start is not settable."""
         assert Environment().now == 0.0
-        assert Environment(initial_time=5.0).now == 5.0
+        with pytest.raises(TypeError):
+            Environment(5.0)
 
     def test_clock_advances_with_events(self, env):
         env.timeout(3.0)
@@ -117,11 +119,10 @@ class TestDeterminism:
 class TestRunUntilFailedEvent:
     """A failed ``until`` event is reported exactly once (then defused)."""
 
-    @pytest.mark.parametrize("queue", ["wheel", "heap"])
-    def test_event_failed_by_callback_raises_once(self, queue):
+    def test_event_failed_by_callback_raises_once(self, loop_env):
         """The raise at the run() call site IS the report; the failure
         must not also abort a later sweep as unhandled."""
-        env = Environment(queue=queue)
+        env = loop_env
         event = env.event()
         env.timeout(1).callbacks.append(
             lambda t: event.fail(RuntimeError("dead")))

@@ -192,7 +192,35 @@ class TestInterrupt:
         assert env.run(until=p) == 3  # interrupted at 2, slept 1 more
 
 
-@pytest.mark.parametrize("queue", ["wheel", "heap"])
+class TestWake:
+    """A process re-arms its own wake event, the same under both loops."""
+
+    def test_bare_number_yields_share_one_wake(self, loop_env):
+        env = loop_env
+
+        def sleeper(env):
+            for i in range(100):
+                yield 0.5
+                if i % 10 == 9:
+                    yield env.timeout(0.5)    # the fired wake sits idle
+            return env.now
+
+        p = env.process(sleeper(env))
+        wake = None
+
+        def watch(env):
+            nonlocal wake
+            yield 0.1
+            wake = p._wake
+
+        env.process(watch(env))
+        assert env.run(until=p) == 55.0
+        assert p._wake is wake
+        # Two _Initialize, 100 wakes of p and 1 of watch, 10 timeouts,
+        # p's completion.
+        assert env.events_processed == 114
+
+
 class TestCompletion:
     """A process completion is a queue entry only if somebody waits on it."""
 
@@ -201,16 +229,16 @@ class TestCompletion:
         yield env.timeout(1)
         return 7
 
-    def test_unwaited_return_adds_no_queue_entry(self, queue):
-        env = Environment(queue=queue)
+    def test_unwaited_return_adds_no_queue_entry(self, loop_env):
+        env = loop_env
         p = env.process(self.quick(env))
         env.run()
         # _Initialize + the timeout; the return itself cost nothing.
         assert env.events_processed == 2
         assert p.processed and p.ok and p.value == 7 and not p.is_alive
 
-    def test_finished_process_still_answers_late_waiters(self, queue):
-        env = Environment(queue=queue)
+    def test_finished_process_still_answers_late_waiters(self, loop_env):
+        env = loop_env
         p = env.process(self.quick(env))
         env.run()
 
@@ -222,8 +250,8 @@ class TestCompletion:
         assert env.run(until=env.process(late(env))) == (7, ["7", "t"])
         assert env.run(until=p) == 7
 
-    def test_waited_process_fires_exactly_once(self, queue):
-        env = Environment(queue=queue)
+    def test_waited_process_fires_exactly_once(self, loop_env):
+        env = loop_env
         seen = []
 
         def waiter(env):
@@ -235,8 +263,8 @@ class TestCompletion:
         # Two _Initialize, the timeout, and the one awaited completion.
         assert env.events_processed == 4
 
-    def test_unwaited_raise_still_aborts(self, queue):
-        env = Environment(queue=queue)
+    def test_unwaited_raise_still_aborts(self, loop_env):
+        env = loop_env
 
         def failing(env):
             yield env.timeout(1)
@@ -247,12 +275,11 @@ class TestCompletion:
             env.run()
 
 
-@pytest.mark.parametrize("queue", ["wheel", "heap"])
 class TestReadyEvents:
     """Yielding an event that is already processed costs no kernel event."""
 
-    def test_processed_events_resume_within_the_same_kernel_event(self, queue):
-        env = Environment(queue=queue)
+    def test_processed_events_resume_within_the_same_kernel_event(self, loop_env):
+        env = loop_env
         done = env.timeout(1, value="early")
         env.run()
         assert done.processed and env.events_processed == 1
@@ -274,8 +301,8 @@ class TestReadyEvents:
         assert env.events_processed == 3
         assert started == [(1.0, []), (2.0, ["early", "early", 1.0])]
 
-    def test_processed_failure_is_thrown_in_and_defused(self, queue):
-        env = Environment(queue=queue)
+    def test_processed_failure_is_thrown_in_and_defused(self, loop_env):
+        env = loop_env
         broken = env.event()
         broken.callbacks.append(lambda event: event.defuse())
         broken.fail(ValueError("stale"))
@@ -297,8 +324,8 @@ class TestReadyEvents:
         # is no event.
         assert env.events_processed == 2
 
-    def test_uncaught_processed_failure_fails_the_process(self, queue):
-        env = Environment(queue=queue)
+    def test_uncaught_processed_failure_fails_the_process(self, loop_env):
+        env = loop_env
         broken = env.event()
         broken.callbacks.append(lambda event: event.defuse())
         broken.fail(ValueError("stale"))

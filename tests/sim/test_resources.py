@@ -220,13 +220,16 @@ class TestContainer:
             tank.get(-1)
 
 
-@pytest.mark.parametrize("queue", ["wheel", "heap"])
 class TestGrantedOnTheSpot:
     """What is free is granted without a queue entry; what is not, queues."""
 
-    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
-    def test_free_slot_is_processed_at_once_and_held(self, queue, kind):
-        env = Environment(queue=queue)
+    @pytest.fixture(params=[Resource, PriorityResource],
+                    ids=lambda kind: kind.__name__)
+    def kind(self, request):
+        return request.param
+
+    def test_free_slot_is_processed_at_once_and_held(self, kind, loop_env):
+        env = loop_env
         res = kind(env, capacity=1)
         req = res.request()
         assert req.processed and req.ok and res.count == 1
@@ -255,8 +258,8 @@ class TestGrantedOnTheSpot:
         # Three _Initialize, the holder's timeout, the two queued grants.
         assert env.events_processed == 6
 
-    def test_uncontended_request_costs_no_event(self, queue):
-        env = Environment(queue=queue)
+    def test_uncontended_request_costs_no_event(self, loop_env):
+        env = loop_env
         res = Resource(env, capacity=2)
 
         def worker(env):
@@ -269,8 +272,8 @@ class TestGrantedOnTheSpot:
         env.run()
         assert env.events_processed == 2    # the two _Initialize
 
-    def test_put_with_room_is_processed_a_full_put_queues(self, queue):
-        env = Environment(queue=queue)
+    def test_put_with_room_is_processed_a_full_put_queues(self, loop_env):
+        env = loop_env
         store = Store(env, capacity=1)
         first, second = store.put("a"), store.put("b")
         assert first.processed and first.ok
@@ -280,8 +283,8 @@ class TestGrantedOnTheSpot:
         assert got.value == "a" and second.processed
         assert store.items == ["b"]
 
-    def test_put_to_a_waiting_consumer_is_processed(self, queue):
-        env = Environment(queue=queue)
+    def test_put_to_a_waiting_consumer_is_processed(self, loop_env):
+        env = loop_env
         store = Store(env)
         got = store.get()
         put = store.put("x")
@@ -289,12 +292,12 @@ class TestGrantedOnTheSpot:
         env.run()
         assert got.value == "x" and env.events_processed == 1
 
-    def test_get_on_a_non_empty_store_is_a_queued_event(self, queue):
+    def test_get_on_a_non_empty_store_is_a_queued_event(self, loop_env):
         # Pinned on purpose: a consumer's wake-up is a kernel event even
         # when the item is already there.  Handing it over on the spot
         # reorders same-instant server loops and moves GOLDEN_METRO
         # (docs/scenario_spec.md, "Same-instant ordering").
-        env = Environment(queue=queue)
+        env = loop_env
         store = Store(env)
         store.put("x")
         got = store.get()
@@ -302,8 +305,8 @@ class TestGrantedOnTheSpot:
         env.run()
         assert got.value == "x" and env.events_processed == 1
 
-    def test_conditions_and_run_until_accept_a_granted_request(self, queue):
-        env = Environment(queue=queue)
+    def test_conditions_and_run_until_accept_a_granted_request(self, loop_env):
+        env = loop_env
         res = Resource(env, capacity=2)
         a, b = res.request(), res.request()
         assert env.run(until=a) is None
