@@ -9,6 +9,7 @@ from its parameter set alone.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 
 @dataclasses.dataclass
@@ -108,8 +109,13 @@ class RecognitionConfig:
             raise ValueError(
                 f"descriptor_source must be 'edge' or 'client', "
                 f"got {self.descriptor_source!r}")
-        if self.threshold is not None and self.threshold < 0:
-            raise ValueError("threshold must be >= 0")
+        # A NaN threshold passes ``< 0`` and then misses every lookup
+        # (``d <= nan``); an infinite one hits every lookup.
+        if self.threshold is not None and not (
+                math.isfinite(self.threshold) and self.threshold >= 0):
+            raise ValueError("threshold must be finite and >= 0")
+        if not math.isfinite(self.max_viewpoint_delta):
+            raise ValueError("max_viewpoint_delta must be finite")
 
 
 @dataclasses.dataclass

@@ -28,6 +28,8 @@ from repro.vision.features import EmbeddingSpace
 
 DEFAULT_SIZES = (100, 1_000, 5_000, 10_000, 20_000)
 DEFAULT_TIER_SIZES = (100_000, 1_000_000)
+#: Rows normalised at a time when building a tier population.
+_NORM_ROWS = 8192
 
 
 class _LegacyLinearScan:
@@ -284,7 +286,11 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
     for n_entries in sizes:
         population = rng.standard_normal((n_entries, dim),
                                          dtype=np.float32)
-        population /= np.linalg.norm(population, axis=1, keepdims=True)
+        # Row by row is bit-identical; block by block keeps the norm's
+        # squared copy to one block (a whole one is 512 MB at 10^6 rows).
+        for lo in range(0, n_entries, _NORM_ROWS):
+            block = population[lo:lo + _NORM_ROWS]
+            block /= np.linalg.norm(block, axis=1, keepdims=True)
         is_aux = np.arange(n_entries) % aux_every == aux_every - 1
         descriptors = [
             VectorDescriptor(kind="aux" if is_aux[i] else "recognition",

@@ -19,8 +19,13 @@ metric.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
+
+#: Rows :class:`EmbeddingSpace` builds at a time (2 MiB per block at
+#: ``dim=128``); a build's transient memory is about one block.
+_BUILD_ROWS = 2048
 
 # -- a frame's noise seed, constant-folded ---------------------------------------
 #
@@ -160,6 +165,15 @@ class EmbeddingSpace:
             aggressive the cache's similarity threshold must be.
         noise_sigma: Per-observation sensor/crop noise.
         seed: Seed for the anchor construction (class geometry).
+
+    ``dim``, ``n_classes`` and both scales are checked: a non-finite or
+    negative scale raises ``ValueError`` rather than silently turning
+    the noise off or every observation into NaN.
+
+    Memory: the live geometry is two ``(n_classes, dim)`` float64 arrays,
+    ``2 * n_classes * dim * 8`` bytes (98 MiB at 50 000 classes and
+    ``dim=128``).  Construction fills them in place, ``_BUILD_ROWS``
+    rows at a time, so it peaks at the live arrays plus one block.
     """
 
     def __init__(self, dim: int = 128, n_classes: int = 1000,
@@ -169,24 +183,35 @@ class EmbeddingSpace:
             raise ValueError("dim must be >= 2")
         if n_classes < 1:
             raise ValueError("n_classes must be >= 1")
-        if viewpoint_scale < 0 or noise_sigma < 0:
-            raise ValueError("scales must be >= 0")
+        if not (math.isfinite(viewpoint_scale) and math.isfinite(noise_sigma)
+                and viewpoint_scale >= 0 and noise_sigma >= 0):
+            raise ValueError("scales must be finite and >= 0")
         self.dim = dim
         self.n_classes = n_classes
         self.viewpoint_scale = viewpoint_scale
         self.noise_sigma = noise_sigma
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
             [seed, dim, n_classes])))
+        # Each array is allocated once and filled ``_BUILD_ROWS`` rows at a
+        # time: every anchor row is drawn, then every drift row, from one
+        # stream, and each step below reduces a row on its own, so a block
+        # gets the bits the whole array would.
+        self._anchors = np.empty((n_classes, dim))
+        self._drift = np.empty((n_classes, dim))
         # Class anchors: random unit vectors.  In high dimension they are
         # nearly orthogonal, like real class prototypes.
-        anchors = rng.normal(size=(n_classes, dim))
-        self._anchors = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
+        for lo in range(0, n_classes, _BUILD_ROWS):
+            anchors = self._anchors[lo:lo + _BUILD_ROWS]
+            anchors[:] = rng.normal(size=anchors.shape)
+            anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
         # A per-class orthogonal "viewpoint direction" along which the
         # embedding slides as the camera moves.
-        drift = rng.normal(size=(n_classes, dim))
-        drift -= (np.sum(drift * self._anchors, axis=1, keepdims=True)
-                  * self._anchors)
-        self._drift = drift / np.linalg.norm(drift, axis=1, keepdims=True)
+        for lo in range(0, n_classes, _BUILD_ROWS):
+            rows = slice(lo, lo + _BUILD_ROWS)
+            anchors, drift = self._anchors[rows], self._drift[rows]
+            drift[:] = rng.normal(size=drift.shape)
+            drift -= np.sum(drift * anchors, axis=1, keepdims=True) * anchors
+            drift /= np.linalg.norm(drift, axis=1, keepdims=True)
         # The one bit generator keyed noise is drawn from; ``observe``
         # sets its state per frame (see :func:`_noise_seed`), so one
         # space must not observe from two threads at once.
@@ -267,7 +292,14 @@ class EmbeddingSpace:
                           safety: float = 2.0) -> float:
         """A cosine-distance threshold that accepts same-class observations
         up to ``max_viewpoint_delta`` apart (with noise headroom) while
-        staying far below the cross-class distance (~1.0)."""
+        staying far below the cross-class distance (~1.0).
+
+        Raises ``ValueError`` on a non-finite ``max_viewpoint_delta`` or
+        ``safety``: a NaN threshold would miss every lookup.
+        """
+        if not (math.isfinite(max_viewpoint_delta)
+                and math.isfinite(safety)):
+            raise ValueError("max_viewpoint_delta and safety must be finite")
         base = self.same_class_distance(max_viewpoint_delta)
         # Isotropic noise of per-axis sigma adds ~ dim * sigma^2 / 2 of
         # expected cosine distance per observation (norm of the noise is

@@ -71,6 +71,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             RecognitionConfig(threshold=-0.1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"threshold": float("nan")},  # passes < 0, then d <= nan misses
+        {"threshold": float("inf")},
+        {"max_viewpoint_delta": float("nan")},
+        {"max_viewpoint_delta": float("inf")},
+    ])
+    def test_recognition_rejects_non_finite_matching(self, kwargs):
+        with pytest.raises(ValueError):
+            RecognitionConfig(**kwargs)
+
     def test_rendering_validation(self):
         with pytest.raises(ValueError):
             RenderingConfig(catalog_sizes_kb=())

@@ -92,6 +92,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             EmbeddingSpace(viewpoint_scale=-1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"noise_sigma": float("nan")},  # nan > 0 is False: noise off
+        {"noise_sigma": float("inf")},
+        {"viewpoint_scale": float("nan")},
+        {"viewpoint_scale": float("inf")},  # every observation NaN
+    ])
+    def test_non_finite_scales_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            EmbeddingSpace(n_classes=2, **kwargs)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_threshold_tolerance_rejected(self, space, delta):
+        # min(nan, 0.5) is nan, and d <= nan misses every lookup.
+        with pytest.raises(ValueError):
+            space.suggest_threshold(delta)
+        with pytest.raises(ValueError):
+            space.suggest_threshold(1.0, safety=delta)
+
     def test_determinism_across_instances(self):
         a = EmbeddingSpace(dim=64, n_classes=10, seed=1).anchor(3)
         b = EmbeddingSpace(dim=64, n_classes=10, seed=1).anchor(3)
