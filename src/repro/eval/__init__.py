@@ -1,8 +1,9 @@
 """Evaluation harness: statistics, tables, and paper experiments.
 
 ``repro.eval.experiments`` holds one module per figure/ablation; each
-exposes a ``run_*`` function that returns plain-dataclass rows, and the
-benchmarks under ``benchmarks/`` render them next to the paper's numbers.
+exposes a ``run_*`` function that returns plain-dataclass rows.
+``python -m repro run <name>`` renders them as a table, and
+``tests/eval`` asserts each experiment's shape claims at reduced sizes.
 """
 
 from repro.eval.stats import (

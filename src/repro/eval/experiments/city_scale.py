@@ -8,9 +8,9 @@ set sits in the 10^4–10^5 range for the whole run.  This experiment
 builds that city (edges on a grid, diurnal backhaul cross-traffic,
 time-varying hotspot gravity so the crowd surges mid-run) and reports
 how fast the host pushes it: kernel events per second of wall clock,
-wall-clock per simulated hour, and peak RSS.  It is the standing
-regression gauge for the event kernel — run it via
-``benchmarks/bench_city_scale.py``.
+wall-clock per simulated hour, and peak RSS.  Run the full metro hour
+with ``python -m repro run city_scale``; kernel speed regressions are
+caught by the repo benchmark's ``sim_city`` workload (``bench/run.py``).
 
 The driver pins the GC configuration city runs ship with: the kernel's
 pooled sleeps and slotted events make the steady state allocation-light,

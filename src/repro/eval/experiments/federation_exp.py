@@ -70,6 +70,8 @@ def run_federation(metro_delays_ms: typing.Sequence[float]
                    = DEFAULT_METRO_DELAYS_MS,
                    n_models: int = 4, seed: int = 0) -> list[FederationRow]:
     """Compare isolated vs federated edges across metro delays."""
+    if not metro_delays_ms:
+        raise ValueError("need at least one metro delay")
     isolated_ms, _ = _run_cross_edge_loads(False, metro_delays_ms[0],
                                            n_models, seed)
     rows = []

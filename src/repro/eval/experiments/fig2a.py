@@ -81,6 +81,8 @@ def run_fig2a(pairs: typing.Sequence[tuple[float, float]] = PAPER_BANDWIDTH_PAIR
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if not pairs:
+        raise ValueError("need at least one bandwidth pair")
     rows = []
     for wifi_mbps, backhaul_mbps in pairs:
         config = CoICConfig(seed=seed)

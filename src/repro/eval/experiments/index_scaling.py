@@ -130,6 +130,10 @@ def run_index_scaling(sizes: typing.Sequence[int] = DEFAULT_SIZES,
                       threshold: float = 0.15,
                       seed: int = 0) -> list[IndexRow]:
     """Measure both indexes at each occupancy."""
+    if not sizes:
+        raise ValueError("need at least one size")
+    if n_queries < 1:
+        raise ValueError("n_queries must be >= 1")
     rng = RngStreams(seed)
     space = EmbeddingSpace(dim=dim, n_classes=max(sizes), seed=seed)
     rows = []
@@ -281,6 +285,8 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
     * int8 ``LinearIndex`` — scalar-quantized storage, the memory tier;
     * float32 ``IvfIndex`` (auto-sized) — the sublinear tier.
     """
+    if n_queries < 1:
+        raise ValueError("n_queries must be >= 1")
     rng = np.random.default_rng(seed)
     rows = []
     for n_entries in sizes:

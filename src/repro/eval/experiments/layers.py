@@ -54,6 +54,8 @@ def run_layer_cache(deltas: typing.Sequence[float] = DEFAULT_DELTAS,
         seed: Geometry seed.
         repeats: Reference/probe pairs averaged per delta.
     """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     network = vgg16()
     space = EmbeddingSpace(dim=128, n_classes=200, seed=seed)
     coarse_threshold = space.suggest_threshold(coarse_max_delta)

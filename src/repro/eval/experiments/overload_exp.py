@@ -186,6 +186,8 @@ def run_overload(intervals_s: typing.Sequence[float] = DEFAULT_INTERVALS_S,
     Rows are ordered interval-major, policy-minor; offered load is
     ``clients / interval`` requests per second (closed loop).
     """
+    if not all(interval_s > 0 for interval_s in intervals_s):
+        raise ValueError("request intervals must be > 0")
     rows = []
     for interval_s in intervals_s:
         for name in policies:

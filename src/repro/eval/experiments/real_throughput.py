@@ -1,4 +1,4 @@
-"""A10 — execution-backend comparison: simulated vs real wall clock.
+"""A16 — execution-backend comparison: simulated vs real wall clock.
 
 Every other experiment measures the *simulated* system; this one
 deploys the same :class:`~repro.core.scenario.ScenarioSpec` on the

@@ -51,6 +51,7 @@ def _bootstrap() -> None:
     from repro.eval.experiments.layer_reuse_exp import run_layer_reuse
     from repro.eval.experiments.layers import run_layer_cache
     from repro.eval.experiments.mobility_exp import run_mobility
+    from repro.eval.experiments.motivation import run_motivation
     from repro.eval.experiments.overload_exp import run_overload
     from repro.eval.experiments.panorama_exp import run_panorama
     from repro.eval.experiments.privacy_exp import run_privacy
@@ -78,6 +79,7 @@ def _bootstrap() -> None:
         "layer_reuse": run_layer_reuse,
         "federation_economics": run_federation_economics,
         "real_throughput": run_real_throughput,
+        "motivation": run_motivation,
     })
 
 

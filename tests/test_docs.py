@@ -55,15 +55,21 @@ def test_symbol_check_flags_only_names_the_source_lacks(tmp_path):
         "```",
         "`GoneInAFence` is code, not prose",
         "```",
+        "`tools/check_links.py` is a file; `benchmarks"
+        "/legacy_kernel.py` is not.",
     ])
     doc = tmp_path / "guide.md"
     doc.write_text(text, encoding="utf-8")
     assert check_links.broken_symbols(doc) == [
         (2, "GoneEdgeNode"), (2, "GoneDeployment"),
         (7, "EdgePolicySpec.summary_piggyback")]
+    # Only the deleted path on line 11 is flagged, not the live one.
+    assert [lineno for lineno, _ in check_links.broken_paths(doc)] == [11]
+    # Per-PR history names what its PR deleted: both code checks skip it.
     history = tmp_path / "pr99_what_was_deleted.md"
     history.write_text(text, encoding="utf-8")
     assert check_links.broken_symbols(history) == []
+    assert check_links.broken_paths(history) == []
 
 
 def test_every_readme_experiment_is_registered():

@@ -7,11 +7,12 @@ README's architecture map and the scenario-spec reference cannot drift
 from the tree.  External (http/https/mailto) links and pure anchors
 are skipped; `path#fragment` targets are checked as `path`.
 
-Repo-rooted paths quoted in inline code — `` `benchmarks/bench_x.py` ``,
-or a word of a quoted command such as `` `pytest tests/core/test_y.py
--q` `` — are resolved against the repository root the same way, so a
-doc that still names a deleted bench or experiment file fails too.
-Placeholders (`BENCH_<name>.json`, globs) and fenced blocks are skipped.
+Repo-rooted paths quoted in inline code — `` `bench/run.py` ``, or a
+word of a quoted command such as `` `pytest tests/core/test_y.py -q` ``
+— are resolved against the repository root the same way, so a doc that
+still names a deleted bench or experiment file fails too.  Placeholders
+(`src/repro/eval/experiments/<name>.py`, globs) and fenced blocks are
+skipped.
 
 A code span that is a CamelCase identifier — `` `EdgeNode` ``,
 `` `EdgeNode.probe_log` ``, `` `ClusterDeployment(spec)` `` — must be a
@@ -20,8 +21,11 @@ doc cannot go on naming a class that was deleted; and when it is a
 class, a following `.attr` must be something that class (or a base
 under `src/repro`) defines — an annotated field, a method or property,
 a class-level name or a `self.attr` assignment — so a doc cannot go on
-naming a deleted field either.  `docs/pr*.md` are per-PR history and
-exempt.
+naming a deleted field either.
+
+`docs/pr*.md` are per-PR history: they name the files and classes they
+deleted, so both quoted-code checks skip them.  Their markdown links
+are still checked.
 
 Usage:  python tools/check_links.py [FILE_OR_DIR ...]
 Exit status 1 when any link is broken.
@@ -88,8 +92,15 @@ def _code_spans(doc: pathlib.Path) -> typing.Iterator[tuple[int, str]]:
         yield text.count("\n", 0, span.start()) + 1, span.group(1)
 
 
+def is_history(doc: pathlib.Path) -> bool:
+    """Per-PR history (``docs/pr*.md``) names what its PR deleted."""
+    return doc.name.startswith("pr")
+
+
 def broken_paths(doc: pathlib.Path) -> list[tuple[int, str]]:
     """(line, path) pairs for quoted repo-rooted paths that do not exist."""
+    if is_history(doc):
+        return []
     return [(lineno, path)
             for lineno, code in _code_spans(doc)
             for path in _ROOTED_PATH.findall(code)
@@ -172,8 +183,8 @@ def broken_symbols(doc: pathlib.Path) -> list[tuple[int, str]]:
     ``name`` is ``Class.attr`` when the class exists but does not
     define the attribute the span goes on to name.
     """
-    if doc.name.startswith("pr"):
-        return []  # per-PR history names what it deleted
+    if is_history(doc):
+        return []
     failures = []
     for lineno, code in _code_spans(doc):
         symbol = _SYMBOL.fullmatch(code)
