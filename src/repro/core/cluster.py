@@ -64,6 +64,8 @@ import hashlib
 import itertools
 import typing
 
+import numpy as np
+
 from repro.core.balancer import AffinityLoadBalancer, PeerLoadBalancer
 from repro.core.baselines import LocalClient, OriginClient
 from repro.core.cache import ICCache
@@ -117,6 +119,16 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.workload.mobility import RandomWaypointUser, World
 
 CLOUD = "cloud"
+
+
+def _frozen_weights(weights: typing.Sequence[float] | None,
+                    ) -> "np.ndarray | None":
+    """``weights`` as a read-only float array, to be shared."""
+    if weights is None:
+        return None
+    arr = np.array(weights, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 def edge_cache(spec: ScenarioSpec, edge: EdgeSpec,
@@ -485,18 +497,19 @@ class ClusterDeployment:
 
     def _add_access(self, client_name: str, edge_name: str,
                     stream: str | None = None) -> tuple["Link", "Link"]:
-        """Create (or re-enable) the access duplex client<->edge.
+        """The access duplex client<->edge, built unless already held.
 
         The link pair matches the client's configured access technology:
         a symmetric 802.11ac WiFi duplex, or an asymmetric LTE EPC pair
         (uplink client->edge, downlink edge->client) with the core
-        network's extra forwarding latency.
+        network's extra forwarding latency.  A pair is held only while
+        the client is attached or still draining (see
+        :meth:`_retire_access`), so a return to a past edge builds a
+        fresh one; its link stream continues, being cached by name.
         """
         key = (client_name, edge_name)
         links = self.access_links.get(key)
         if links is not None:
-            for link in links:
-                link.set_up(True)
             return links
         net = self.config.network
         if self.client_access.get(client_name, "wifi") == "lte":
@@ -560,12 +573,18 @@ class ClusterDeployment:
         self.env.process(self._retire_access(client, old_edge))
 
     def _retire_access(self, client: CoICClient, old_edge: str):
-        """Down the old link once the client's in-flight work drains."""
+        """Remove the old duplex once the client's in-flight work drains.
+
+        A no-op if the client is back on ``old_edge`` by then, or if an
+        earlier retire already removed the pair.
+        """
         while client.inflight:
             yield client.drained()
-        if client.edge_name != old_edge:
-            for link in self.access_links.get((client.name, old_edge), ()):
-                link.set_up(False)
+        if client.edge_name == old_edge:
+            return
+        if self.access_links.pop((client.name, old_edge), None) is not None:
+            self.topology.remove_link(client.name, old_edge)
+            self.topology.remove_link(old_edge, client.name)
 
     def attachment_timeline(self) -> list[tuple[float, str, str]]:
         """Every (time_s, client, edge) attachment, in time order."""
@@ -666,6 +685,12 @@ class ClusterDeployment:
                 raise ValueError(
                     f"itinerary_trace names unknown clients: "
                     f"{sorted(unknown)}")
+        # One gravity timetable for the whole crowd: read-only arrays
+        # that every user's weight check takes as they are, uncopied.
+        bias = _frozen_weights(m.bias)
+        schedule = (None if m.bias_schedule is None else
+                    [(start, _frozen_weights(w))
+                     for start, w in m.bias_schedule])
         for client in self.all_clients:
             if client.name in traced:
                 itinerary = traced[client.name]
@@ -675,7 +700,7 @@ class ClusterDeployment:
                     self.rng.stream(f"mobility.user.{client.name}"),
                     mean_dwell_s=m.mean_dwell_s,
                     home_place=self._home_place(client),
-                    bias=m.bias, bias_schedule=m.bias_schedule)
+                    bias=bias, bias_schedule=schedule)
                 itinerary = user.itinerary(duration)
                 self.users[client.name] = user
             self.itineraries[client.name] = itinerary

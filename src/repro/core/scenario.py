@@ -40,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import types
 import typing
 
@@ -339,6 +340,10 @@ class MobilitySpec(_Spec):
         _require(self.n_places >= 1, "n_places must be >= 1")
         _require(self.objects_per_place >= 1,
                  "objects_per_place must be >= 1")
+        for name in ("extent_m", "mean_dwell_s", "duration_s",
+                     "handoff_latency_s"):
+            _require(math.isfinite(getattr(self, name)),
+                     f"{name} must be finite")
         _require(self.extent_m > 0, "extent_m must be > 0")
         _require(self.mean_dwell_s > 0, "mean_dwell_s must be > 0")
         _require(self.duration_s > 0, "duration_s must be > 0")
@@ -368,8 +373,8 @@ class MobilitySpec(_Spec):
     def _check_weights(self, weights: tuple[float, ...], label: str) -> None:
         _require(len(weights) == self.n_places,
                  f"{label} needs one weight per place")
-        _require(all(w >= 0 for w in weights),
-                 f"{label} weights must be >= 0")
+        _require(all(0 <= w < math.inf for w in weights),
+                 f"{label} weights must be finite and >= 0")
         _require(sum(weights) > 0, f"{label} weights must not all be zero")
 
 

@@ -33,14 +33,20 @@ def _admits(rule: bool | str, p: str) -> bool:
 class Host:
     """A network endpoint with an inbox.
 
-    Node logic (client/edge/cloud processes) consumes from ``inbox``; the
-    transport deposits delivered messages there.
+    Node logic (edge/cloud server loops) consumes from ``inbox``; the
+    transport deposits delivered one-way messages there.  The inbox is
+    built on first access — a server's first ``serve`` or a message's
+    first ``put`` — so a client, whose replies resolve its pending calls
+    and never touch the inbox, carries none.
     """
 
     def __init__(self, env: Environment, name: str):
         self.env = env
         self.name = name
-        self.inbox = Store(env)
+
+    @functools.cached_property
+    def inbox(self) -> Store:
+        return Store(self.env)
 
     def __repr__(self) -> str:
         return f"Host({self.name!r})"
@@ -64,9 +70,9 @@ class Topology:
         self._radj: dict[str, dict[str, Link]] = {}
         # up-links-only mirrors of the two maps above, maintained on every
         # admin up/down transition.  Routing iterates these so its cost
-        # tracks the *live* topology — in a mobility scenario the
-        # structural adjacency accumulates a down link per past
-        # attachment, which must not slow every future route.
+        # tracks the *live* topology — a link set down stays in the
+        # structural maps until ``remove_link``, and must not slow every
+        # future route meanwhile.
         self._up_adj: dict[str, dict[str, Link]] = {}
         self._up_radj: dict[str, dict[str, Link]] = {}
         # Transit view: _transit_adj[p][n] holds the up link p->n iff n
@@ -142,6 +148,24 @@ class Topology:
         self._radj[dst][src] = link
         self._raise_link(src, dst, link)
         self._drop_routes(src, dst)
+        return link
+
+    def remove_link(self, src: str, dst: str) -> Link:
+        """Delete the directed link src->dst, the inverse of ``add_link``.
+
+        The link goes down first, so the up and transit views and the
+        route cache move exactly as on ``set_up(False)``; then it leaves
+        the structural maps and is unhooked, so a stale reference can
+        never re-enter the views.  The pair may be added again afresh.
+
+        Raises:
+            KeyError: If src->dst does not exist.
+        """
+        link = self._adj[src][dst]
+        link.set_up(False)
+        link._on_change = None
+        del self._adj[src][dst]
+        del self._radj[dst][src]
         return link
 
     def mark_terminal(self, name: str, terminal: bool = True) -> None:

@@ -12,6 +12,7 @@ requests redundant.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 import numpy as np
@@ -112,6 +113,9 @@ class RandomWaypointUser:
             so the stadium fills before full time and empties after it.
             Before the first segment starts (and whenever the schedule
             is None) the static ``bias`` (or uniform) model applies.
+
+    Weights given as float arrays are kept as they are, not copied, and
+    never written to, so one read-only timetable can serve a whole crowd.
     """
 
     def __init__(self, name: str, world: World, rng: np.random.Generator,
@@ -119,8 +123,8 @@ class RandomWaypointUser:
                  bias: typing.Sequence[float] | None = None,
                  bias_schedule: typing.Sequence[
                      tuple[float, typing.Sequence[float]]] | None = None):
-        if mean_dwell_s <= 0:
-            raise ValueError("mean_dwell_s must be > 0")
+        if not 0 < mean_dwell_s < math.inf:
+            raise ValueError("mean_dwell_s must be finite and > 0")
         self.name = name
         self.world = world
         self._rng = rng
@@ -146,8 +150,8 @@ class RandomWaypointUser:
             raise ValueError(
                 f"{label} needs one weight per place "
                 f"({len(self.world)}), got shape {arr.shape}")
-        if (arr < 0).any():
-            raise ValueError(f"{label} weights must be >= 0")
+        if not ((arr >= 0) & (arr < np.inf)).all():
+            raise ValueError(f"{label} weights must be finite and >= 0")
         if arr.sum() <= 0:
             raise ValueError(f"{label} weights must not all be zero")
         return arr
@@ -157,8 +161,8 @@ class RandomWaypointUser:
 
         The first entry is (0, starting place).
         """
-        if duration_s <= 0:
-            raise ValueError("duration_s must be > 0")
+        if not 0 < duration_s < math.inf:
+            raise ValueError("duration_s must be finite and > 0")
         stops = [(0.0, self.place_id)]
         t = float(self._rng.exponential(self.mean_dwell_s))
         current = self.place_id

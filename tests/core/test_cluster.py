@@ -21,6 +21,7 @@ from repro.core.scenario import (
 )
 from repro.net import Link, Message, NetemImpairment
 from repro.sim import Environment, RngStreams
+from repro.workload.mobility import RandomWaypointUser
 
 from ordering import order_free_digest, recorder_digest, shuffle_ties
 
@@ -366,11 +367,15 @@ class TestHandoff:
         event = dep.handoff_log[0]
         assert (event.src_edge, event.dst_edge) == ("edge0", "edge2")
         assert event.completed_s == pytest.approx(0.1)
-        # Old access link torn down, new one up.
-        up, down = dep.access_links[("m0", "edge0")]
-        assert not up.up and not down.up
+        # Old access duplex removed, new one up.
+        assert ("m0", "edge0") not in dep.access_links
+        for src, dst in (("m0", "edge0"), ("edge0", "m0")):
+            with pytest.raises(KeyError):
+                dep.topology.link(src, dst)
         new_up, new_down = dep.access_links[("m0", "edge2")]
         assert new_up.up and new_down.up
+        assert new_up is dep.topology.link("m0", "edge2")
+        assert new_down is dep.topology.link("edge2", "m0")
 
     def test_requests_stall_through_the_attach_gate(self):
         dep = ClusterDeployment(line_spec())
@@ -492,6 +497,55 @@ class TestMobility:
         dep.start_mobility()
         with pytest.raises(RuntimeError):
             dep.start_mobility()
+
+    def test_users_share_one_read_only_gravity_timetable(self,
+                                                         make_deployment):
+        n = 16
+        uniform = (1.0,) * n
+        stadium = (9.0,) + uniform[1:]
+        mobility = MobilitySpec(
+            n_places=n, mean_dwell_s=5.0, duration_s=60.0, bias=stadium,
+            bias_schedule=((0.0, uniform), (20.0, stadium), (40.0, uniform)))
+        spec = ScenarioSpec.metro(n_edges=4, clients_per_edge=3,
+                                  mobility=mobility)
+        dep = make_deployment(spec=spec, seed=7)
+        dep.start_mobility()
+        users = [dep.users[c.name] for c in dep.all_clients]
+        first = users[0]
+        arrays = [first._bias] + [w for _, w in first._schedule]
+        assert not any(arr.flags.writeable for arr in arrays)
+        for user in users:
+            assert user._bias is first._bias
+            assert len(user._schedule) == 3
+            for (_, w), (_, shared) in zip(user._schedule, first._schedule):
+                assert w is shared
+        for client in dep.all_clients:
+            fresh = RandomWaypointUser(
+                client.name, dep.world,
+                RngStreams(7).stream(f"mobility.user.{client.name}"),
+                mean_dwell_s=mobility.mean_dwell_s,
+                home_place=dep._home_place(client), bias=mobility.bias,
+                bias_schedule=mobility.bias_schedule)
+            assert dep.itineraries[client.name] == fresh.itinerary(60.0)
+
+    def test_served_metro_builds_no_client_inbox(self, make_deployment):
+        from repro.eval.experiments.mobility_exp import drive_scenario
+
+        dep = make_deployment(spec=metro_spec())
+        drive_scenario(dep, 30.0, request_interval_s=2.0)
+        assert dep.recorder.records and dep.handoff_log
+        hosts = dep.topology.hosts
+        for name in dep.client_names:
+            assert "inbox" not in vars(hosts[name]), name
+        for name in dep.edge_names:
+            assert "inbox" in vars(hosts[name]), name
+        # A one-way message to a client still lands: the first put
+        # builds the inbox.
+        client = dep.all_clients[0]
+        note = Message(size_bytes=100, kind="note", src=client.edge_name,
+                       dst=client.name)
+        dep.env.run(until=dep.env.process(dep.rpc.send(note)))
+        assert hosts[client.name].inbox.items == [note]
 
 
 class TestWarmupAndSync:

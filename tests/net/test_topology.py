@@ -51,6 +51,46 @@ class TestConstruction:
         assert len(topo.links()) == 3
 
 
+class TestRemoveLink:
+    def test_removed_link_is_gone_and_its_stale_handle_is_inert(self, topo):
+        topo.add_duplex("a", "b", 1e6)
+        topo.add_duplex("b", "c", 1e6)
+        topo.add_duplex("a", "c", 1e5)
+        stale = topo.link("a", "b")
+        assert topo.remove_link("a", "b") is stale
+        with pytest.raises(KeyError):
+            topo.link("a", "b")
+        assert not stale.up
+        assert len(topo.links()) == 5
+        assert topo.shortest_path("a", "b") == ["a", "c", "b"]
+        views = (dict(topo._up_adj["a"]), dict(topo._transit_adj["a"]),
+                 dict(topo._up_radj["b"]))
+        routes = dict(topo._route_cache)
+        stale.set_up(True)
+        stale.set_bandwidth(1e9)
+        assert (topo._up_adj["a"], topo._transit_adj["a"],
+                topo._up_radj["b"]) == views
+        assert topo._route_cache == routes
+        assert topo.shortest_path("a", "b") == ["a", "c", "b"]
+
+    def test_removed_pair_can_be_added_afresh(self, topo):
+        topo.add_duplex("a", "b", 1e6)
+        old = topo.remove_link("a", "b")
+        new = topo.add_link("a", "b", 1e6)
+        assert new is not old and topo.link("a", "b") is new
+        assert topo.shortest_path("a", "b") == ["a", "b"]
+
+    def test_unknown_pair_raises(self, topo):
+        topo.add_link("a", "b", 1e6)
+        with pytest.raises(KeyError):
+            topo.remove_link("b", "a")
+        with pytest.raises(KeyError):
+            topo.remove_link("a", "ghost")
+        topo.remove_link("a", "b")
+        with pytest.raises(KeyError):
+            topo.remove_link("a", "b")
+
+
 class TestRouting:
     def test_direct_path(self, topo):
         topo.add_link("a", "b", 1e6)

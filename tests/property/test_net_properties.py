@@ -123,6 +123,8 @@ _CHURN = st.lists(st.one_of(
               st.sampled_from([1e6, 1e7, 1e8])),
     st.tuples(st.just("terminal"), _ANY_HOST, st.booleans()),
     st.tuples(st.just("remark"), _ANY_HOST),
+    st.tuples(st.just("remove"), st.integers(min_value=0)),
+    st.tuples(st.just("readd"), st.integers(min_value=0)),
 ), min_size=1, max_size=30)
 
 
@@ -130,7 +132,11 @@ _CHURN = st.lists(st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_routes_match_reference_under_churn(ops):
     """After every topology change the transit view equals the one derived
-    from scratch, and every route is a cheapest path over live links."""
+    from scratch, and every route is a cheapest path over live links.
+
+    ``links`` keeps every link ever made, removed ones included, so the
+    admin and rate ops also hit stale handles, which must change nothing.
+    """
     topo = Topology(Environment())
     names = [f"h{i}" for i in range(_N_HOSTS)]
     spokes = [f"s{i}" for i in range(_N_SPOKES)]
@@ -143,18 +149,37 @@ def test_routes_match_reference_under_churn(ops):
                                      propagation_s=0.001))
         if k % 2:
             topo.mark_terminal(spoke)
+    live = {link.name: link for link in links}
+    removed: list[tuple[str, str, float, float]] = []
     assert_transit_is_live(topo)
+
+    def add(a, b, bandwidth, propagation):
+        if f"{a}->{b}" in live:
+            with pytest.raises(ValueError, match="already exists"):
+                topo.add_link(a, b, bandwidth, propagation_s=propagation)
+        else:
+            link = topo.add_link(a, b, bandwidth, propagation_s=propagation)
+            links.append(link)
+            live[link.name] = link
+
     for op in ops:
         if op[0] == "add":
             a, b = names[op[1]], names[op[2]]
             if a == b:
                 continue
-            if b in topo._adj[a]:
-                with pytest.raises(ValueError, match="already exists"):
-                    topo.add_link(a, b, op[3], propagation_s=op[4])
-            else:
-                links.append(topo.add_link(a, b, op[3],
-                                           propagation_s=op[4]))
+            add(a, b, op[3], op[4])
+        elif op[0] == "remove":
+            if not live:
+                continue
+            link = list(live.values())[op[1] % len(live)]
+            a, b = link.name.split("->")
+            assert topo.remove_link(a, b) is link
+            del live[link.name]
+            removed.append((a, b, link.bandwidth_bps, link.propagation_s))
+        elif op[0] == "readd":
+            if not removed:
+                continue
+            add(*removed.pop(op[1] % len(removed)))
         elif op[0] == "terminal":
             topo.mark_terminal(everyone[op[1]], op[2])
         elif op[0] == "remark":
@@ -167,6 +192,7 @@ def test_routes_match_reference_under_churn(ops):
         else:
             links[op[1] % len(links)].set_bandwidth(op[2])
 
+        assert {link.name: link for link in topo.links()} == live
         up = {a: {b: topo.link(a, b) for b in topo.neighbors(a)}
               for a in everyone}
         assert topo._up_adj == up

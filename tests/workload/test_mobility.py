@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.scenario import MobilitySpec
 from repro.workload.mobility import (
     load_itineraries,
     Place,
@@ -246,3 +247,36 @@ class TestLoadItineraries:
         assert RandomWaypointUser.place_at(itinerary, 1.9) == 4
         assert RandomWaypointUser.place_at(itinerary, 2.0) == 1
         assert RandomWaypointUser.place_at(itinerary, 100.0) == 2
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+def _user(world, **kwargs):
+    return RandomWaypointUser("u", world, np.random.default_rng(0), **kwargs)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda w: MobilitySpec(duration_s=_INF), id="spec-duration"),
+    pytest.param(lambda w: MobilitySpec(mean_dwell_s=_INF), id="spec-dwell"),
+    pytest.param(lambda w: MobilitySpec(handoff_latency_s=_INF),
+                 id="spec-handoff"),
+    pytest.param(lambda w: MobilitySpec(extent_m=_INF), id="spec-extent"),
+    pytest.param(lambda w: MobilitySpec(extent_m=_NAN), id="spec-extent-nan"),
+    pytest.param(lambda w: MobilitySpec(n_places=2, bias=(1.0, _INF)),
+                 id="spec-bias"),
+    pytest.param(lambda w: MobilitySpec(
+        n_places=2, bias_schedule=((0.0, (_INF, 1.0)),)), id="spec-schedule"),
+    pytest.param(lambda w: _user(w, mean_dwell_s=_INF), id="user-dwell"),
+    pytest.param(lambda w: _user(w, bias=(1.0, 1.0, _INF, 1.0, 1.0)),
+                 id="user-bias"),
+    pytest.param(lambda w: _user(w, bias_schedule=[
+        (0.0, (1.0, _NAN, 1.0, 1.0, 1.0))]), id="user-schedule"),
+    pytest.param(lambda w: _user(w).itinerary(_INF), id="user-itinerary"),
+    pytest.param(lambda w: _user(w).itinerary(_NAN), id="user-itinerary-nan"),
+])
+def test_non_finite_mobility_values_are_rejected(world, build):
+    """An infinite duration used to loop forever and an infinite weight to
+    die in the draw with NaN probabilities; both now fail up front."""
+    with pytest.raises(ValueError, match="finite"):
+        build(world)
