@@ -60,11 +60,10 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import hashlib
 import itertools
 import typing
-
-import numpy as np
 
 from repro.core.balancer import AffinityLoadBalancer, PeerLoadBalancer
 from repro.core.baselines import LocalClient, OriginClient
@@ -119,16 +118,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.workload.mobility import RandomWaypointUser, World
 
 CLOUD = "cloud"
-
-
-def _frozen_weights(weights: typing.Sequence[float] | None,
-                    ) -> "np.ndarray | None":
-    """``weights`` as a read-only float array, to be shared."""
-    if weights is None:
-        return None
-    arr = np.array(weights, dtype=float)
-    arr.flags.writeable = False
-    return arr
 
 
 def edge_cache(spec: ScenarioSpec, edge: EdgeSpec,
@@ -634,23 +623,38 @@ class ClusterDeployment:
 
     def nearest_edge_name(self, place_id: int) -> str:
         """The edge closest to a world place (ties go to spec order)."""
-        place = self.world.place(place_id)
-        best, best_d2 = None, float("inf")
+        return self._edge_of_place[place_id]
+
+    @functools.cached_property
+    def _edge_of_place(self) -> list[str]:
+        """Each world place's nearest edge, scanned once."""
+        edges = self.spec.edges
+        table = []
+        for place in self.world.places:
+            best, best_d2 = None, float("inf")
+            for espec in edges:
+                d2 = (espec.x - place.x) ** 2 + (espec.y - place.y) ** 2
+                if d2 < best_d2:
+                    best, best_d2 = espec.name, d2
+            table.append(best)
+        return table
+
+    @functools.cached_property
+    def _home_of_edge(self) -> dict[str, int]:
+        """Each edge's nearest world place (ties go to place order)."""
+        table = {}
         for espec in self.spec.edges:
-            d2 = (espec.x - place.x) ** 2 + (espec.y - place.y) ** 2
-            if d2 < best_d2:
-                best, best_d2 = espec.name, d2
-        return best
+            best, best_d2 = 0, float("inf")
+            for place in self.world.places:
+                d2 = (espec.x - place.x) ** 2 + (espec.y - place.y) ** 2
+                if d2 < best_d2:
+                    best, best_d2 = place.place_id, d2
+            table[espec.name] = best
+        return table
 
     def _home_place(self, client: CoICClient) -> int:
         """The world place nearest the client's initial edge."""
-        espec = self.spec.edge(client.edge_name)
-        best, best_d2 = 0, float("inf")
-        for place in self.world.places:
-            d2 = (espec.x - place.x) ** 2 + (espec.y - place.y) ** 2
-            if d2 < best_d2:
-                best, best_d2 = place.place_id, d2
-        return best
+        return self._home_of_edge[client.edge_name]
 
     def start_mobility(self, duration_s: float | None = None
                        ) -> dict[str, list[tuple[float, int]]]:
@@ -666,6 +670,7 @@ class ClusterDeployment:
         by the scenario seed (plus the trace).
         """
         from repro.workload.mobility import (
+            Gravity,
             RandomWaypointUser,
             load_itineraries,
         )
@@ -685,12 +690,10 @@ class ClusterDeployment:
                 raise ValueError(
                     f"itinerary_trace names unknown clients: "
                     f"{sorted(unknown)}")
-        # One gravity timetable for the whole crowd: read-only arrays
-        # that every user's weight check takes as they are, uncopied.
-        bias = _frozen_weights(m.bias)
-        schedule = (None if m.bias_schedule is None else
-                    [(start, _frozen_weights(w))
-                     for start, w in m.bias_schedule])
+        # One gravity timetable for the whole crowd: weights checked
+        # once, draw rows built once per (segment, place).
+        gravity = (None if m.bias is None and m.bias_schedule is None
+                   else Gravity(m.n_places, m.bias, m.bias_schedule))
         for client in self.all_clients:
             if client.name in traced:
                 itinerary = traced[client.name]
@@ -699,8 +702,7 @@ class ClusterDeployment:
                     client.name, self.world,
                     self.rng.stream(f"mobility.user.{client.name}"),
                     mean_dwell_s=m.mean_dwell_s,
-                    home_place=self._home_place(client),
-                    bias=bias, bias_schedule=schedule)
+                    home_place=self._home_place(client), gravity=gravity)
                 itinerary = user.itinerary(duration)
                 self.users[client.name] = user
             self.itineraries[client.name] = itinerary

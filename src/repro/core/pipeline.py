@@ -377,18 +377,19 @@ class LookupStage(Stage):
 
     def _hash_lookup(self, edge: "EdgeNode", ctx: RequestContext):
         ctx.entry = yield from edge._lookup(ctx.descriptor)
-        if ctx.entry is not None:
-            return
-        pending = edge._inflight.get(ctx.descriptor.digest)
-        if pending is not None:
+        while ctx.entry is None:
+            pending = edge._inflight.get(ctx.descriptor.digest)
+            if pending is None:
+                # Nothing in flight: fetch afresh in the resolve stage.
+                return
             # Coalesce: ride the in-flight fetch (peer probes and cloud
-            # leg alike).
+            # leg alike).  A fetch that fails, or whose entry is evicted
+            # at once, releases its waiters together: the first to run
+            # registers a fresh fetch and the rest ride that one.
             yield pending
             ctx.entry = edge.cache.lookup(ctx.descriptor, now=edge.env.now)
             if ctx.entry is not None:
                 ctx.extra_headers["coalesced"] = True
-            # Fetch failed or entry was evicted immediately: fall through
-            # to a fresh fetch in the resolve stage.
 
 
 class ResolveStage(Stage):

@@ -31,7 +31,17 @@ class RngStreams:
     def __init__(self, seed: int = 0):
         if not isinstance(seed, (int, np.integer)):
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self.seed = int(seed)
+        # The seed split as SeedSequence splits an int: little-endian
+        # 32-bit words, one word for 0.
+        words = [self.seed & 0xFFFFFFFF]
+        rest = self.seed >> 32
+        while rest:
+            words.append(rest & 0xFFFFFFFF)
+            rest >>= 32
+        self._seed_words = np.array(words, dtype=np.uint32)
         self._streams: dict[str, np.random.Generator] = {}
 
     def stream(self, name: str) -> np.random.Generator:
@@ -41,8 +51,13 @@ class RngStreams:
         gen = self._streams.get(name)
         if gen is None:
             # Key the child sequence on the UTF-8 bytes of the name so the
-            # mapping is stable across runs and python versions.
-            entropy = [self.seed] + list(name.encode("utf-8"))
+            # mapping is stable across runs and python versions.  The
+            # words of ``[seed, *name_bytes]`` go in as one uint32 array:
+            # the entropy numpy makes of that list, which it would
+            # convert word by word.
+            entropy = np.concatenate((
+                self._seed_words,
+                np.frombuffer(name.encode("utf-8"), dtype=np.uint8)))
             gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
             self._streams[name] = gen
         return gen

@@ -22,7 +22,7 @@ from repro.workload.apps import (
     redundancy_report,
 )
 from repro.workload.ar_trace import ArRequest, ArTraceGenerator
-from repro.workload.mobility import Place, RandomWaypointUser, World
+from repro.workload.mobility import Gravity, Place, RandomWaypointUser, World
 from repro.workload.render_trace import ArenaTraceGenerator, LoadRequest
 from repro.workload.vr_trace import PanoRequest, VrTraceGenerator
 from repro.workload.zipf import ZipfSampler
@@ -32,6 +32,7 @@ __all__ = [
     "ArRequest",
     "ArTraceGenerator",
     "ArenaTraceGenerator",
+    "Gravity",
     "LoadRequest",
     "PanoRequest",
     "Place",

@@ -11,6 +11,7 @@ requests redundant.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import typing
@@ -91,6 +92,121 @@ class World:
                 & set(self.places[place_b].object_classes))
 
 
+class Gravity:
+    """One read-only gravity timetable that a whole crowd draws from.
+
+    Args:
+        n_places: Places in the world the weights cover.
+        bias: Optional gravity weights, one per place.  The next
+            waypoint is drawn proportionally to these (current place
+            excluded) instead of uniformly — a hotspot with 10x the
+            weight of everywhere else pulls the crowd the way a stadium
+            or transit hub does, making handoff arrivals heavy-tailed.
+        schedule: Optional piecewise timetable
+            ``[(start_s, weights), ...]`` sorted by start time.  The
+            weights active at the hop's departure time drive the draw,
+            so the stadium fills before full time and empties after it.
+            Before the first segment starts the static ``bias`` (or,
+            with no bias, a uniform hop) applies.
+
+    The weights are checked once and kept as read-only arrays.  A draw
+    reads a cumulative row per (segment, current place), built on first
+    use and kept read-only: ``n_places**2 * 8`` bytes per segment at
+    most.  Each row is built exactly the way ``Generator.choice``
+    builds its CDF from ``p = probs / total`` (``cdf = p.cumsum();
+    cdf /= cdf[-1]``), and a draw searches it with one
+    ``rng.random()``, as ``choice`` does, so it picks the same place
+    from the same uniform and leaves the generator in the same state.
+    That mirrors numpy's arithmetic rather than calling it: the
+    properties in ``tests/property/test_mobility_properties.py``
+    replay the ``choice``-based draw, with the uniform also put on
+    every step of a row, and are what catches a numpy that changes it.
+    """
+
+    def __init__(self, n_places: int,
+                 bias: typing.Sequence[float] | None = None,
+                 schedule: typing.Sequence[
+                     tuple[float, typing.Sequence[float]]] | None = None):
+        self.n_places = n_places
+        self.bias = self._check_weights(bias, "bias")
+        self.starts: tuple[float, ...] = ()
+        self.segments: tuple[np.ndarray, ...] = ()
+        if schedule is not None:
+            self.starts = tuple(float(start) for start, _ in schedule)
+            self.segments = tuple(
+                self._check_weights(w, f"bias_schedule[{k}]")
+                for k, (_, w) in enumerate(schedule))
+            if list(self.starts) != sorted(self.starts):
+                raise ValueError("bias_schedule must be sorted by start time")
+        # Segment 0 is the static bias; segment k the schedule's k-1st.
+        self._weights = (self.bias, *self.segments)
+        self._rows: dict[int, np.ndarray] = {}
+
+    def _check_weights(self, weights, label: str) -> "np.ndarray | None":
+        if weights is None:
+            return None
+        arr = np.array(weights, dtype=float)
+        if arr.shape != (self.n_places,):
+            raise ValueError(
+                f"{label} needs one weight per place "
+                f"({self.n_places}), got shape {arr.shape}")
+        if not ((arr >= 0) & (arr < np.inf)).all():
+            raise ValueError(f"{label} weights must be finite and >= 0")
+        if arr.sum() <= 0:
+            raise ValueError(f"{label} weights must not all be zero")
+        arr.flags.writeable = False
+        return arr
+
+    def _segment(self, when: float) -> int:
+        return bisect.bisect_right(self.starts, when)
+
+    def weights_at(self, when: float) -> "np.ndarray | None":
+        """The gravity weights in force at time ``when`` (None: uniform)."""
+        return self._weights[self._segment(when)]
+
+    def draw(self, rng: np.random.Generator, current: int,
+             when: float) -> int:
+        """The next waypoint after ``current`` for a hop at ``when``."""
+        segment = self._segment(when)
+        key = segment * self.n_places + current
+        cdf = self._rows.get(key)
+        if cdf is None:
+            weights = self._weights[segment]
+            if weights is None:
+                return _uniform_hop(rng, self.n_places, current)
+            cdf = self._rows[key] = _cdf_row(weights, current)
+        if cdf.size == 0:
+            # All the mass sits on the current place: stay-at-hotspot
+            # degenerates to a uniform hop away.
+            return _uniform_hop(rng, self.n_places, current)
+        return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _cdf_row(weights: np.ndarray, current: int) -> np.ndarray:
+    """``Generator.choice``'s CDF for a hop away from ``current``.
+
+    Empty when every other place has zero weight.
+    """
+    probs = weights.copy()
+    probs[current] = 0.0
+    total = probs.sum()
+    if total <= 0:
+        cdf = np.empty(0)
+    else:
+        cdf = (probs / total).cumsum()
+        cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
+def _uniform_hop(rng: np.random.Generator, n_places: int,
+                 current: int) -> int:
+    nxt = int(rng.integers(n_places))
+    while nxt == current:
+        nxt = int(rng.integers(n_places))
+    return nxt
+
+
 class RandomWaypointUser:
     """A user hopping between places with exponentially distributed dwell.
 
@@ -100,61 +216,28 @@ class RandomWaypointUser:
         rng: Source of randomness.
         mean_dwell_s: Average time spent at a place before moving.
         home_place: Starting place (random if None).
-        bias: Optional gravity weights, one per place.  The next
-            waypoint is drawn proportionally to these (current place
-            excluded) instead of uniformly — a hotspot with 10x the
-            weight of everywhere else pulls the crowd the way a stadium
-            or transit hub does, making handoff arrivals heavy-tailed.
-            None keeps the classic uniform random-waypoint model
+        gravity: Optional :class:`Gravity` timetable for ``world`` that
+            draws each next waypoint.  One instance can serve a whole
+            crowd.  None keeps the classic uniform random-waypoint model
             (bit-identical to the pre-bias implementation).
-        bias_schedule: Optional piecewise gravity timetable
-            ``[(start_s, weights), ...]`` sorted by start time.  The
-            weights active at the hop's departure time drive the draw,
-            so the stadium fills before full time and empties after it.
-            Before the first segment starts (and whenever the schedule
-            is None) the static ``bias`` (or uniform) model applies.
-
-    Weights given as float arrays are kept as they are, not copied, and
-    never written to, so one read-only timetable can serve a whole crowd.
     """
 
     def __init__(self, name: str, world: World, rng: np.random.Generator,
                  mean_dwell_s: float = 60.0, home_place: int | None = None,
-                 bias: typing.Sequence[float] | None = None,
-                 bias_schedule: typing.Sequence[
-                     tuple[float, typing.Sequence[float]]] | None = None):
+                 gravity: Gravity | None = None):
         if not 0 < mean_dwell_s < math.inf:
             raise ValueError("mean_dwell_s must be finite and > 0")
+        if gravity is not None and gravity.n_places != len(world):
+            raise ValueError(
+                f"gravity covers {gravity.n_places} places, "
+                f"the world has {len(world)}")
         self.name = name
         self.world = world
         self._rng = rng
         self.mean_dwell_s = mean_dwell_s
         self.place_id = (int(rng.integers(len(world)))
                          if home_place is None else home_place)
-        self._bias = self._check_weights(bias, "bias")
-        self._schedule: list[tuple[float, np.ndarray]] | None = None
-        if bias_schedule is not None:
-            segments = [(float(start),
-                         self._check_weights(w, f"bias_schedule[{k}]"))
-                        for k, (start, w) in enumerate(bias_schedule)]
-            starts = [s for s, _ in segments]
-            if starts != sorted(starts):
-                raise ValueError("bias_schedule must be sorted by start time")
-            self._schedule = segments
-
-    def _check_weights(self, weights, label: str) -> "np.ndarray | None":
-        if weights is None:
-            return None
-        arr = np.asarray(weights, dtype=float)
-        if arr.shape != (len(self.world),):
-            raise ValueError(
-                f"{label} needs one weight per place "
-                f"({len(self.world)}), got shape {arr.shape}")
-        if not ((arr >= 0) & (arr < np.inf)).all():
-            raise ValueError(f"{label} weights must be finite and >= 0")
-        if arr.sum() <= 0:
-            raise ValueError(f"{label} weights must not all be zero")
-        return arr
+        self.gravity = gravity
 
     def itinerary(self, duration_s: float) -> list[tuple[float, int]]:
         """[(arrival_time_s, place_id), ...] covering ``duration_s``.
@@ -166,44 +249,19 @@ class RandomWaypointUser:
         stops = [(0.0, self.place_id)]
         t = float(self._rng.exponential(self.mean_dwell_s))
         current = self.place_id
+        n_places = len(self.world)
         while t < duration_s:
-            if len(self.world) > 1:
+            if n_places > 1:
                 current = self._next_place(current, t)
             stops.append((t, current))
             t += float(self._rng.exponential(self.mean_dwell_s))
         return stops
 
-    def _gravity_at(self, when: float) -> "np.ndarray | None":
-        """The gravity weights in force at time ``when``."""
-        if self._schedule is not None:
-            active = None
-            for start, weights in self._schedule:
-                if start > when:
-                    break
-                active = weights
-            if active is not None:
-                return active
-        return self._bias
-
     def _next_place(self, current: int, when: float = 0.0) -> int:
         """Draw the next waypoint: uniform, or gravity-biased."""
-        gravity = self._gravity_at(when)
-        if gravity is None:
-            nxt = int(self._rng.integers(len(self.world)))
-            while nxt == current:
-                nxt = int(self._rng.integers(len(self.world)))
-            return nxt
-        probs = gravity.copy()
-        probs[current] = 0.0
-        total = probs.sum()
-        if total <= 0:
-            # All the mass sits on the current place: stay-at-hotspot
-            # degenerates to a uniform hop away.
-            nxt = int(self._rng.integers(len(self.world)))
-            while nxt == current:
-                nxt = int(self._rng.integers(len(self.world)))
-            return nxt
-        return int(self._rng.choice(len(self.world), p=probs / total))
+        if self.gravity is None:
+            return _uniform_hop(self._rng, len(self.world), current)
+        return self.gravity.draw(self._rng, current, when)
 
     @staticmethod
     def place_at(itinerary: list[tuple[float, int]], when: float) -> int:

@@ -21,8 +21,8 @@ from repro.core.scenario import (
 )
 from repro.net import Link, Message, NetemImpairment
 from repro.sim import Environment, RngStreams
-from repro.workload.mobility import RandomWaypointUser
 
+from mobility_oracle import ReferenceWaypointUser, home_place_scan
 from ordering import order_free_digest, recorder_digest, shuffle_ties
 
 
@@ -510,23 +510,24 @@ class TestMobility:
                                   mobility=mobility)
         dep = make_deployment(spec=spec, seed=7)
         dep.start_mobility()
-        users = [dep.users[c.name] for c in dep.all_clients]
-        first = users[0]
-        arrays = [first._bias] + [w for _, w in first._schedule]
-        assert not any(arr.flags.writeable for arr in arrays)
-        for user in users:
-            assert user._bias is first._bias
-            assert len(user._schedule) == 3
-            for (_, w), (_, shared) in zip(user._schedule, first._schedule):
-                assert w is shared
+        gravity = dep.users[dep.all_clients[0].name].gravity
         for client in dep.all_clients:
-            fresh = RandomWaypointUser(
+            assert dep.users[client.name].gravity is gravity
+        assert not gravity.bias.flags.writeable
+        assert len(gravity.segments) == 3
+        assert not any(w.flags.writeable for w in gravity.segments)
+        assert gravity._rows
+        assert not any(row.flags.writeable
+                       for row in gravity._rows.values())
+        for client in dep.all_clients:
+            reference = ReferenceWaypointUser(
                 client.name, dep.world,
                 RngStreams(7).stream(f"mobility.user.{client.name}"),
                 mean_dwell_s=mobility.mean_dwell_s,
-                home_place=dep._home_place(client), bias=mobility.bias,
-                bias_schedule=mobility.bias_schedule)
-            assert dep.itineraries[client.name] == fresh.itinerary(60.0)
+                home_place=home_place_scan(spec, dep.world,
+                                           client.edge_name),
+                bias=mobility.bias, bias_schedule=mobility.bias_schedule)
+            assert dep.itineraries[client.name] == reference.itinerary(60.0)
 
     def test_served_metro_builds_no_client_inbox(self, make_deployment):
         from repro.eval.experiments.mobility_exp import drive_scenario

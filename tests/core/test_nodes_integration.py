@@ -116,6 +116,32 @@ class TestModelLoadPipeline:
         outcomes = sorted(r.outcome for r in dep.recorder.records)
         assert outcomes == ["hit", "miss"]
 
+    def test_waiters_released_by_a_failed_fetch_refetch_one_at_a_time(self):
+        # The first fetch times out and releases both waiters at once.
+        # Each used to register its own marker and fetch: two fetches of
+        # one digest in flight.  Now the first refetches and the second
+        # rides it.
+        dep = build_coic_deployment(n_clients=3)
+        dep.config.request_timeout_s = 2.0
+        edge = dep.edges[0]
+        forward, in_flight, most = edge._cloud_call, [0], [0]
+
+        def cloud_call(task):
+            pending = forward(task)
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+            pending.callbacks.append(
+                lambda _: in_flight.__setitem__(0, in_flight[0] - 1))
+            return pending
+
+        edge._cloud_call = cloud_call
+        task = dep.model_load_task(4)
+        dep.run_concurrent([(0.1 * i, client, task)
+                            for i, client in enumerate(dep.all_clients)])
+        dep.env.run(until=dep.env.now + 30.0)
+        assert dep.cloud.counts["requests_served"] == 3
+        assert most[0] == 1
+
     def test_cache_stores_loaded_bytes(self):
         dep = build_coic_deployment()
         task = dep.model_load_task(1)

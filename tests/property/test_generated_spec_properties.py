@@ -14,6 +14,12 @@ drains.  Whatever the spec, the end state must balance:
   flight, and the offload balancer holds no pending dispatch;
 * an inert ``EdgePolicySpec()`` behaves exactly like no policy.
 
+Moving users draw their hops from a generated gravity timetable (an
+optional static bias and an optional 1-3 segment schedule, zero weights
+included).  And while any run is live, an edge never has two cloud
+fetches of one content digest in flight at once: concurrent misses on a
+hash-keyed task share one fetch.
+
 The same spec is also run with the kernel's same-``(time, priority)``
 ties popped in seeded random orders (``ordering.shuffle_ties``): each is
 a legal schedule, so the end state must balance there too, with the
@@ -26,6 +32,8 @@ sends (docs/real_backend.md, "The stats frame"), so a reply that lands
 after its client gave up would count at the edge as well as an error
 at the client, and the third line would not hold by definition.
 """
+
+import collections
 
 import hypothesis.strategies as st
 import numpy as np
@@ -54,8 +62,19 @@ OUTCOMES = (OUTCOME_HIT, OUTCOME_MISS, OUTCOME_PARTIAL, OUTCOME_SHED,
 STATIC_CLASSES = tuple(range(8))
 #: Few places and a short dwell, so moving users hand off within the
 #: issuing window and classes repeat (hits as well as misses).
-MOBILITY = MobilitySpec(n_places=6, objects_per_place=3, mean_dwell_s=4.0,
-                        duration_s=SENDING_S)
+N_PLACES = 6
+
+weights = st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.1,
+                                                     max_value=10.0)),
+                   min_size=N_PLACES, max_size=N_PLACES).filter(
+    lambda w: sum(w) > 0).map(tuple)
+mobilities = st.builds(
+    MobilitySpec, n_places=st.just(N_PLACES), objects_per_place=st.just(3),
+    mean_dwell_s=st.just(4.0), duration_s=st.just(SENDING_S),
+    bias=st.one_of(st.none(), weights),
+    bias_schedule=st.one_of(st.none(), st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=SENDING_S), weights),
+        min_size=1, max_size=3).map(lambda segments: tuple(sorted(segments)))))
 
 policies = st.builds(
     EdgePolicySpec,
@@ -70,6 +89,7 @@ scenarios = st.fixed_dictionaries({
     "clients_per_edge": st.integers(min_value=1, max_value=3),
     "federate": st.booleans(),
     "mobility": st.booleans(),
+    "gravity": mobilities,
     "all_families": st.booleans(),
     "policy": policies,
     "seed": st.integers(min_value=0, max_value=2**16),
@@ -86,9 +106,12 @@ def build(params: dict, policy,
     spec = ScenarioSpec.metro(
         n_edges=params["n_edges"],
         clients_per_edge=params["clients_per_edge"],
-        federate=params["federate"], mobility=MOBILITY, policy=policy)
+        federate=params["federate"], mobility=params["gravity"],
+        policy=policy)
     dep = ClusterDeployment(spec, config=CoICConfig(
         seed=params["seed"], request_timeout_s=DEADLINE_S))
+    for edge in dep.edges:
+        count_cloud_fetches(edge)
     if shuffle_seed is not None:
         shuffle_ties(dep.env, shuffle_seed)
     moving = params["mobility"]
@@ -134,6 +157,26 @@ def build(params: dict, policy,
         dep.run_for(10.0)
         drained += 10.0
     return dep, issued
+
+
+def count_cloud_fetches(edge) -> None:
+    """Wrap ``edge._cloud_call``: at every call, at most one fetch of
+    the task's content digest may be in flight from this edge."""
+    forward = edge._cloud_call
+    in_flight: collections.Counter = collections.Counter()
+
+    def cloud_call(task):
+        digest = getattr(task, "digest", None)
+        pending = forward(task)
+        if digest is not None:
+            in_flight[digest] += 1
+            assert in_flight[digest] <= 1, (edge.host.name, digest)
+            pending.callbacks.append(
+                lambda _: in_flight.__setitem__(digest,
+                                                in_flight[digest] - 1))
+        return pending
+
+    edge._cloud_call = cloud_call
 
 
 def records_fingerprint(dep: ClusterDeployment) -> list[tuple]:

@@ -56,6 +56,22 @@ class TestRngStreams:
         with pytest.raises(TypeError):
             RngStreams("seed")
 
+    def test_negative_seed_rejected_at_construction(self):
+        # numpy would only refuse it at the first stream(), which for a
+        # deferred link stream can come mid-run.
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            RngStreams(-1)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 5])
+    def test_stream_keyed_like_seed_sequence_of_seed_and_name(self, seed):
+        # Seeds of 2**32 and above span several 32-bit entropy words.
+        for name in ("mobility.user.mobile0_0", "caf\u00e9"):
+            expected = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence([seed, *name.encode("utf-8")])))
+            got = RngStreams(seed).stream(name)
+            assert (got.bit_generator.state
+                    == expected.bit_generator.state)
+
 
 class TestDeferredStream:
     def test_built_on_first_draw_and_bit_identical(self):

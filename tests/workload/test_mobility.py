@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.scenario import MobilitySpec
 from repro.workload.mobility import (
+    Gravity,
     load_itineraries,
     Place,
     RandomWaypointUser,
@@ -101,7 +102,7 @@ class TestGravityBias:
         bias = (50.0, 1.0, 1.0, 1.0, 1.0)
         user = RandomWaypointUser("u", world, np.random.default_rng(7),
                                   mean_dwell_s=1.0, home_place=1,
-                                  bias=bias)
+                                  gravity=Gravity(5, bias))
         places = [p for _, p in user.itinerary(2000)]
         share = places.count(0) / len(places)
         assert share > 0.4
@@ -110,7 +111,7 @@ class TestGravityBias:
         bias = (1000.0, 1.0, 1.0, 1.0, 1.0)
         user = RandomWaypointUser("u", world, np.random.default_rng(8),
                                   mean_dwell_s=1.0, home_place=0,
-                                  bias=bias)
+                                  gravity=Gravity(5, bias))
         itinerary = user.itinerary(500)
         for (_, a), (_, b) in zip(itinerary, itinerary[1:]):
             assert a != b
@@ -121,17 +122,17 @@ class TestGravityBias:
         bias = (1.0, 0.0, 0.0, 0.0, 0.0)
         user = RandomWaypointUser("u", world, np.random.default_rng(9),
                                   mean_dwell_s=1.0, home_place=0,
-                                  bias=bias)
+                                  gravity=Gravity(5, bias))
         places = [p for _, p in user.itinerary(200)]
         assert len(places) > 1
 
     def test_unbiased_matches_legacy_sampling(self, world):
-        # bias=None must keep the exact pre-bias draw sequence: compare
-        # against an inline transcription of the legacy sampling loop
-        # driven by an identically seeded generator.
+        # gravity=None must keep the exact pre-bias draw sequence:
+        # compare against an inline transcription of the legacy sampling
+        # loop driven by an identically seeded generator.
         user = RandomWaypointUser("u", world, np.random.default_rng(5),
                                   mean_dwell_s=5.0, home_place=2,
-                                  bias=None)
+                                  gravity=None)
         actual = user.itinerary(400)
 
         rng = np.random.default_rng(5)
@@ -147,16 +148,21 @@ class TestGravityBias:
             t += float(rng.exponential(5.0))
         assert actual == stops
 
-    def test_bias_validation(self, world):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            RandomWaypointUser("u", world, rng, bias=(1.0, 2.0))  # wrong len
-        with pytest.raises(ValueError):
-            RandomWaypointUser("u", world, rng,
-                               bias=(1.0, -1.0, 1.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            RandomWaypointUser("u", world, rng,
-                               bias=(0.0, 0.0, 0.0, 0.0, 0.0))
+    def test_bias_validation(self):
+        with pytest.raises(ValueError, match=r"bias needs one weight per "
+                           r"place \(5\), got shape \(2,\)"):
+            Gravity(5, bias=(1.0, 2.0))
+        with pytest.raises(ValueError,
+                           match="bias weights must be finite and >= 0"):
+            Gravity(5, bias=(1.0, -1.0, 1.0, 1.0, 1.0))
+        with pytest.raises(ValueError,
+                           match="bias weights must not all be zero"):
+            Gravity(5, bias=(0.0, 0.0, 0.0, 0.0, 0.0))
+
+    def test_gravity_must_cover_the_world(self, world):
+        with pytest.raises(ValueError, match="gravity covers 4 places"):
+            RandomWaypointUser("u", world, np.random.default_rng(0),
+                               gravity=Gravity(4, bias=(1.0,) * 4))
 
 
 class TestColocation:
@@ -182,7 +188,7 @@ class TestBiasSchedule:
                     (1000.0, (50.0, 1.0, 1.0, 1.0, 1.0)))
         user = RandomWaypointUser("u", world, np.random.default_rng(3),
                                   mean_dwell_s=1.0, home_place=1,
-                                  bias_schedule=schedule)
+                                  gravity=Gravity(5, schedule=schedule))
         stops = user.itinerary(3000)
         act1 = [p for t, p in stops if 0 < t < 1000]
         act2 = [p for t, p in stops if t >= 1000]
@@ -194,23 +200,32 @@ class TestBiasSchedule:
         # (hotspot on place 2) governs the draw.
         user = RandomWaypointUser(
             "u", world, np.random.default_rng(11), mean_dwell_s=1.0,
-            home_place=0, bias=(1.0, 1.0, 50.0, 1.0, 1.0),
-            bias_schedule=((500.0, (1.0,) * 5),))
+            home_place=0, gravity=Gravity(
+                5, bias=(1.0, 1.0, 50.0, 1.0, 1.0),
+                schedule=((500.0, (1.0,) * 5),)))
         stops = user.itinerary(1500)
         early = [p for t, p in stops if 0 < t < 500]
         assert early.count(2) / len(early) > 0.4
 
-    def test_unsorted_schedule_rejected(self, world):
-        with pytest.raises(ValueError):
-            RandomWaypointUser(
-                "u", world, np.random.default_rng(0),
-                bias_schedule=((10.0, (1.0,) * 5), (0.0, (1.0,) * 5)))
+    def test_weights_in_force_follow_the_timetable(self):
+        gravity = Gravity(5, bias=(1.0, 1.0, 50.0, 1.0, 1.0),
+                          schedule=((500.0, (1.0,) * 5),
+                                    (900.0, (2.0,) * 5)))
+        assert gravity.weights_at(0.0) is gravity.bias
+        assert gravity.weights_at(500.0) is gravity.segments[0]
+        assert gravity.weights_at(899.0) is gravity.segments[0]
+        assert gravity.weights_at(1e9) is gravity.segments[1]
+        assert Gravity(5).weights_at(0.0) is None
 
-    def test_segment_weights_validated(self, world):
-        with pytest.raises(ValueError):
-            RandomWaypointUser(
-                "u", world, np.random.default_rng(0),
-                bias_schedule=((0.0, (1.0, 2.0)),))
+    def test_unsorted_schedule_rejected(self):
+        with pytest.raises(ValueError, match="bias_schedule must be sorted "
+                           "by start time"):
+            Gravity(5, schedule=((10.0, (1.0,) * 5), (0.0, (1.0,) * 5)))
+
+    def test_segment_weights_validated(self):
+        with pytest.raises(ValueError, match=r"bias_schedule\[0\] needs "
+                           r"one weight per place \(5\), got shape \(2,\)"):
+            Gravity(5, schedule=((0.0, (1.0, 2.0)),))
 
 
 class TestLoadItineraries:
@@ -268,10 +283,10 @@ def _user(world, **kwargs):
     pytest.param(lambda w: MobilitySpec(
         n_places=2, bias_schedule=((0.0, (_INF, 1.0)),)), id="spec-schedule"),
     pytest.param(lambda w: _user(w, mean_dwell_s=_INF), id="user-dwell"),
-    pytest.param(lambda w: _user(w, bias=(1.0, 1.0, _INF, 1.0, 1.0)),
-                 id="user-bias"),
-    pytest.param(lambda w: _user(w, bias_schedule=[
-        (0.0, (1.0, _NAN, 1.0, 1.0, 1.0))]), id="user-schedule"),
+    pytest.param(lambda w: Gravity(5, bias=(1.0, 1.0, _INF, 1.0, 1.0)),
+                 id="gravity-bias"),
+    pytest.param(lambda w: Gravity(5, schedule=[
+        (0.0, (1.0, _NAN, 1.0, 1.0, 1.0))]), id="gravity-schedule"),
     pytest.param(lambda w: _user(w).itinerary(_INF), id="user-itinerary"),
     pytest.param(lambda w: _user(w).itinerary(_NAN), id="user-itinerary-nan"),
 ])
