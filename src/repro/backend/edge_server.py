@@ -67,7 +67,7 @@ class EdgeService(FrameServer):
         self.rpc = runtime.Rpc(payload["cloud"])
         self.edge = EdgeNode(
             env, self.rpc, Host(env, self.name),
-            cache=edge_cache(spec, spec.edge(self.name), config.cache),
+            cache=edge_cache(spec.edge(self.name), config.cache),
             config=config,
             recognizer=Recognizer(get_network(
                 rec.network, descriptor_dim=rec.descriptor_dim),

@@ -78,7 +78,6 @@ from repro.core.metrics import MetricsRecorder
 from repro.core.pipeline import build_pipeline
 from repro.core.policies import make_policy
 from repro.core.scenario import (
-    EdgePolicySpec,
     EdgeSpec,
     ScenarioSpec,
     WarmupSpec,
@@ -92,7 +91,6 @@ from repro.core.tasks import (
     RecognitionTask,
 )
 from repro.net.message import Message
-from repro.net.shaper import TrafficShaper
 from repro.net.topology import Topology
 from repro.net.transport import Rpc
 from repro.render.loader import (
@@ -120,22 +118,19 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 CLOUD = "cloud"
 
 
-def edge_cache(spec: ScenarioSpec, edge: EdgeSpec,
-               cache: CacheConfig) -> ICCache:
+def edge_cache(edge: EdgeSpec, cache: CacheConfig) -> ICCache:
     """``edge``'s IC cache, on either backend.
 
     The one place that knows the precedence: the site's ``cache_mb``
-    and the policy's ``vector_index`` / ``vector_dtype`` (empty string
-    = inherit) override the deployment's ``CacheConfig``.
+    overrides the deployment's ``CacheConfig.capacity_bytes``.
     """
-    policy = spec.policy or EdgePolicySpec()
     return ICCache(
         capacity_bytes=(int(edge.cache_mb * 1e6) if edge.cache_mb is not None
                         else cache.capacity_bytes),
         policy=make_policy(cache.policy),
-        vector_index=policy.vector_index or cache.vector_index,
+        vector_index=cache.vector_index,
         metric=cache.metric, ttl_s=cache.ttl_s,
-        vector_dtype=policy.vector_dtype or cache.vector_dtype)
+        vector_dtype=cache.vector_dtype)
 
 
 def embedding_space(config: CoICConfig) -> EmbeddingSpace:
@@ -239,7 +234,8 @@ class ClusterDeployment:
         self.env = Environment()
         self.rng = RngStreams(cfg.seed)
         self.topology = Topology(self.env)
-        self.shaper = TrafficShaper(self.env)
+        #: Link-rate changes the background load curve has applied.
+        self.rate_changes = 0
         self.rpc = Rpc(self.env, self.topology)
         self.recorder = MetricsRecorder()
         self._capture_ids = itertools.count(1)
@@ -346,7 +342,7 @@ class ClusterDeployment:
         self.caches: list[ICCache] = []
         self.edge_recognizers: list[Recognizer] = []
         for espec in spec.edges:
-            cache = edge_cache(spec, espec, cfg.cache)
+            cache = edge_cache(espec, cfg.cache)
             self.caches.append(cache)
             stream_name = ("vision.edge" if len(spec.edges) == 1
                            else f"vision.edge.{espec.name}")
@@ -501,22 +497,30 @@ class ClusterDeployment:
         if links is not None:
             return links
         net = self.config.network
+        impaired = self.spec.impairments
         if self.client_access.get(client_name, "wifi") == "lte":
-            from repro.net.access import attach_lte
-
-            links = attach_lte(
-                self.topology, client_name, edge_name,
-                self.config.network.lte_profile(
-                    impairments=self.spec.impairments),
-                rng=self.rng.deferred(
-                    stream or f"net.lte.{client_name}.{edge_name}"))
+            # Radio hop plus EPC core, each in seconds before the sum.
+            delay_s = (net.lte_radio_delay_ms / 1e3
+                       + net.lte_core_delay_ms / 1e3)
+            jitter_s = net.lte_jitter_ms / 1e3 if impaired else 0.0
+            loss_rate = net.loss_rate if impaired else 0.0
+            rng = self.rng.deferred(
+                stream or f"net.lte.{client_name}.{edge_name}")
+            links = (
+                self.topology.add_link(
+                    client_name, edge_name, net.lte_uplink_mbps * 1e6,
+                    propagation_s=delay_s, jitter_s=jitter_s,
+                    loss_rate=loss_rate, rng=rng),
+                self.topology.add_link(
+                    edge_name, client_name, net.lte_downlink_mbps * 1e6,
+                    propagation_s=delay_s, jitter_s=jitter_s,
+                    loss_rate=loss_rate, rng=rng))
         else:
             links = self.topology.add_duplex(
                 client_name, edge_name, net.wifi_mbps * 1e6,
                 propagation_s=net.wifi_delay_ms / 1e3,
-                jitter_s=(net.wifi_jitter_ms / 1e3
-                          if self.spec.impairments else 0.0),
-                loss_rate=net.loss_rate if self.spec.impairments else 0.0,
+                jitter_s=net.wifi_jitter_ms / 1e3 if impaired else 0.0,
+                loss_rate=net.loss_rate if impaired else 0.0,
                 rng=self.rng.deferred(stream
                                       or f"net.wifi.{client_name}.{edge_name}"))
         self.access_links[key] = links
@@ -588,10 +592,9 @@ class ClusterDeployment:
         """Simulation process: diurnal cross-traffic on backhaul links.
 
         Every ``background.update_s`` the links in scope are re-shaped
-        to the residual capacity the background load curve leaves free,
-        via the deployment's :class:`TrafficShaper` (so each change is
-        recorded in ``shaper.changes``).  Nominal capacities are the
-        spec's — the curve modulates, never compounds.
+        to the residual capacity the background load curve leaves free
+        (each change counts in ``rate_changes``).  Nominal capacities are
+        the spec's — the curve modulates, never compounds.
         """
         bg = self.spec.background
         targets: list[tuple["Link", float]] = []
@@ -606,7 +609,8 @@ class ClusterDeployment:
         while True:
             residual = 1.0 - bg.peak_util * bg.level(self.env.now)
             for link, nominal in targets:
-                self.shaper.set_rate(link, bps=nominal * residual)
+                link.set_bandwidth(nominal * residual)
+            self.rate_changes += len(targets)
             yield bg.update_s
 
     # -- mobility ------------------------------------------------------------

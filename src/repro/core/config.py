@@ -50,18 +50,6 @@ class NetworkConfig:
         if not 0 <= self.loss_rate < 1:
             raise ValueError("loss_rate must be in [0, 1)")
 
-    def lte_profile(self, impairments: bool = True):
-        """The LTE EPC attachment profile these parameters describe."""
-        from repro.net.access import lte_epc_profile
-
-        return lte_epc_profile(
-            downlink_mbps=self.lte_downlink_mbps,
-            uplink_mbps=self.lte_uplink_mbps,
-            radio_delay_ms=self.lte_radio_delay_ms,
-            core_delay_ms=self.lte_core_delay_ms,
-            jitter_ms=self.lte_jitter_ms if impairments else 0.0,
-            loss_rate=self.loss_rate if impairments else 0.0)
-
 
 @dataclasses.dataclass
 class RecognitionConfig:

@@ -137,10 +137,10 @@ class ClientSpec(_Spec):
     Attributes:
         name: Topology host name; must be unique across the scenario.
         access: Access network technology — ``"wifi"`` (the paper's
-            802.11ac attachment) or ``"lte"`` (asymmetric LTE EPC
-            profile from :mod:`repro.net.access`, with the core-network
-            latency a raw bandwidth number hides).  Handoffs preserve
-            the client's access type.
+            802.11ac attachment) or ``"lte"`` (an asymmetric LTE EPC
+            pair from the ``NetworkConfig.lte_*`` fields, with the
+            core-network latency a raw bandwidth number hides).
+            Handoffs preserve the client's access type.
         wifi_stream: RNG stream name for this access link's jitter/loss
             draws.  Empty selects ``net.wifi.<name>``.
     """
@@ -386,10 +386,10 @@ class BackgroundTrafficSpec(_Spec):
     varies over the day as everyone else's traffic ebbs and flows.  The
     builder models this as a sinusoidal *diurnal load curve* — at peak,
     background flows consume ``peak_util`` of each affected link's
-    nominal capacity, at trough none of it — re-shaping the links every
-    ``update_s`` through the deployment's
-    :class:`~repro.net.shaper.TrafficShaper` (so every rate change lands
-    in ``shaper.changes`` for experiment logs).
+    nominal capacity, at trough none of it — re-setting the links' rates
+    every ``update_s`` with :meth:`~repro.net.link.Link.set_bandwidth`,
+    as ``tc`` would (the deployment counts every change in
+    ``rate_changes`` for experiment logs).
 
     Attributes:
         period_s: Length of one diurnal cycle in simulated seconds.
@@ -399,7 +399,8 @@ class BackgroundTrafficSpec(_Spec):
             traffic consumes at the peak of the cycle, in [0, 1).
         update_s: How often link rates are refreshed along the curve.
         phase_s: Offset into the cycle at time 0 — lets a scenario
-            start at rush hour instead of dawn.
+            start at rush hour instead of dawn.  It, ``period_s`` and
+            ``update_s`` must be finite.
         scope: Which links carry the cross-traffic — ``"backhaul"``
             (edge<->cloud), ``"inter_edge"`` (the metro graph), or
             ``"all"``.
@@ -412,10 +413,13 @@ class BackgroundTrafficSpec(_Spec):
     scope: str = "backhaul"
 
     def __post_init__(self) -> None:
-        _require(self.period_s > 0, "period_s must be > 0")
+        _require(0 < self.period_s < math.inf,
+                 "period_s must be finite and > 0")
         _require(0.0 <= self.peak_util < 1.0, "peak_util must be in [0, 1)")
-        _require(self.update_s > 0, "update_s must be > 0")
-        _require(self.phase_s >= 0, "phase_s must be >= 0")
+        _require(0 < self.update_s < math.inf,
+                 "update_s must be finite and > 0")
+        _require(0 <= self.phase_s < math.inf,
+                 "phase_s must be finite and >= 0")
         _require(self.scope in ("backhaul", "inter_edge", "all"),
                  f"scope must be backhaul/inter_edge/all, got {self.scope!r}")
 
@@ -494,17 +498,6 @@ class EdgePolicySpec(_Spec):
             wires this into every :class:`~repro.core.client
             .CoICClient`.  0 keeps the pre-backoff behaviour: the app
             sees the ``shed`` outcome immediately.
-        vector_index: Override the deployment's vector index tier for
-            every edge cache — ``"linear"`` (exact brute force),
-            ``"lsh"``/``"lsh:T:B"``, ``"ivf"``/``"ivf:K"``/``"ivf:K:P"``
-            (coarse-quantizer probe, for 1e5+ entry caches), or
-            ``"exact"``.  Empty string (default) inherits
-            ``CacheConfig.vector_index``.  See docs/index_tiers.md.
-        vector_dtype: Override the vector storage dtype for every edge
-            cache — ``"float32"`` (4 B/element), ``"float64"``
-            (the oracle tier), or ``"int8"`` (scalar-quantized,
-            1 B/element).  Empty string (default) inherits
-            ``CacheConfig.vector_dtype``.
     """
 
     admission: str = "none"
@@ -517,8 +510,6 @@ class EdgePolicySpec(_Spec):
     layer_reuse: bool = False
     layer_plan_margin_s: float = 0.0
     shed_retries: int = 0
-    vector_index: str = ""
-    vector_dtype: str = ""
 
     def __post_init__(self) -> None:
         _require(self.admission in ("none", "shed", "redirect"),
@@ -536,9 +527,6 @@ class EdgePolicySpec(_Spec):
         _require(self.layer_plan_margin_s >= 0,
                  "layer_plan_margin_s must be >= 0")
         _require(self.shed_retries >= 0, "shed_retries must be >= 0")
-        _require(self.vector_dtype in ("", "float32", "float64", "int8"),
-                 f"vector_dtype must be ''/float32/float64/int8, "
-                 f"got {self.vector_dtype!r}")
 
     @property
     def gates_admission(self) -> bool:

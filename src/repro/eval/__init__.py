@@ -15,8 +15,5 @@ from repro.eval.tables import format_table, series_block
 
 __all__ = [
     "format_table",
-    "mean_confidence_interval",
     "reduction_pct",
-    "series_block",
-    "summarize",
 ]

@@ -136,4 +136,4 @@ def run_city_scale(n_edges: int = 100, clients_per_edge: int = 100,
         requests=summary.n,
         hit_ratio=deployment.recorder.hit_ratio(task_kind="recognition"),
         handoffs=len(deployment.handoff_log),
-        rate_changes=len(deployment.shaper.changes))
+        rate_changes=deployment.rate_changes)

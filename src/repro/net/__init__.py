@@ -1,4 +1,4 @@
-"""Network substrate: links, shaping, topology, transport, access models.
+"""Network substrate: links, topology and transport.
 
 This package replaces the paper's physical testbed network (802.11ac WiFi
 between phone and edge, a `tc`-shaped wired path between edge and cloud)
@@ -6,45 +6,30 @@ with a simulated equivalent:
 
 * :class:`~repro.net.link.Link` — a directed channel with bandwidth,
   propagation delay, optional jitter and random loss; messages are
-  serialized FIFO exactly like a NIC transmit queue.
-* :class:`~repro.net.shaper.TrafficShaper` — runtime rate/delay/loss
-  control mirroring ``tc htb`` + ``netem`` semantics.
+  serialized FIFO exactly like a NIC transmit queue.  Its rate can be
+  re-set mid-run, as ``tc`` reshapes a backhaul.
 * :class:`~repro.net.topology.Topology` — named hosts joined by duplex
   links, with latency-weighted shortest-path routing.
 * :class:`~repro.net.transport.Rpc` — request/response messaging over a
   multi-hop store-and-forward path, with timeouts and retries.
-* :mod:`~repro.net.access` — parameter presets and rate models for
-  802.11ac WiFi and LTE EPC access networks.
+
+A deployment wires its WiFi and LTE access links from
+:class:`~repro.core.config.NetworkConfig` directly.
 """
 
-from repro.net.link import Link, LinkDown, LinkStats, TransferLost
+from repro.net.link import Link, LinkDown, TransferLost
 from repro.net.message import Message
-from repro.net.shaper import NetemImpairment, TrafficShaper
-from repro.net.topology import Host, NoRouteError, Topology
+from repro.net.topology import NoRouteError, Topology
 from repro.net.transport import Rpc, RpcError, RpcTimeout
-from repro.net.access import (
-    LteProfile,
-    WifiProfile,
-    lte_epc_profile,
-    wifi_80211ac_profile,
-)
 
 __all__ = [
-    "Host",
     "Link",
     "LinkDown",
-    "LinkStats",
-    "LteProfile",
     "Message",
-    "NetemImpairment",
     "NoRouteError",
     "Rpc",
     "RpcError",
     "RpcTimeout",
     "Topology",
-    "TrafficShaper",
     "TransferLost",
-    "WifiProfile",
-    "lte_epc_profile",
-    "wifi_80211ac_profile",
 ]

@@ -8,9 +8,9 @@ flight simultaneously (pipelining), but only one serializes at a time.
 A hop costs no process: :meth:`Link.transfer` is a generator the sending
 process runs inline, so a message is one process however long its path.
 
-Rate and impairments are mutable at runtime — the paper shapes its testbed
-with ``tc``, and :class:`~repro.net.shaper.TrafficShaper` drives these
-fields the same way.
+Propagation, jitter and loss are fixed at construction.  The rate is
+mutable at runtime, as ``tc`` reshapes the paper's backhaul: a scenario's
+diurnal background load re-sets it with :meth:`Link.set_bandwidth`.
 """
 
 from __future__ import annotations
@@ -46,13 +46,6 @@ class LinkStats:
     messages_sent: int = 0
     messages_lost: int = 0
     bytes_sent: int = 0
-    busy_time: float = 0.0  # seconds the transmitter was serializing
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` seconds the transmitter was busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
 
 
 class Link:
@@ -93,40 +86,17 @@ class Link:
         self.stats = LinkStats()
         self._rng = rng
         self._transmitter = Resource(env, capacity=1)
-        #: Invoked whenever routing-relevant state (rate, impairments,
-        #: admin status) changes; Topology hooks this to drop cached routes.
+        #: Invoked whenever routing-relevant state (rate, admin status)
+        #: changes; Topology hooks this to drop cached routes.
         self._on_change: "typing.Callable[[], None] | None" = None
 
-    # -- configuration (used by TrafficShaper) ------------------------------
+    # -- configuration -------------------------------------------------------
 
     def set_bandwidth(self, bandwidth_bps: float) -> None:
         """Change the transmit rate; affects transfers that start later."""
         if bandwidth_bps <= 0:
             raise ValueError(f"bandwidth_bps must be > 0, got {bandwidth_bps}")
         self.bandwidth_bps = float(bandwidth_bps)
-        if self._on_change is not None:
-            self._on_change()
-
-    def set_impairment(self, propagation_s: float | None = None,
-                       jitter_s: float | None = None,
-                       loss_rate: float | None = None) -> None:
-        """Adjust netem-style impairments; ``None`` leaves a field unchanged."""
-        if propagation_s is not None:
-            if propagation_s < 0:
-                raise ValueError("propagation_s must be >= 0")
-            self.propagation_s = float(propagation_s)
-        if jitter_s is not None:
-            if jitter_s < 0:
-                raise ValueError("jitter_s must be >= 0")
-            if jitter_s > 0 and self._rng is None:
-                raise ValueError("jitter requires an rng")
-            self.jitter_s = float(jitter_s)
-        if loss_rate is not None:
-            if not 0.0 <= loss_rate < 1.0:
-                raise ValueError("loss_rate must be in [0, 1)")
-            if loss_rate > 0 and self._rng is None:
-                raise ValueError("loss requires an rng")
-            self.loss_rate = float(loss_rate)
         if self._on_change is not None:
             self._on_change()
 
@@ -165,7 +135,6 @@ class Link:
             # Bare-number yield: allocation-free per-hop delay (these
             # dominate city-scale runs).
             yield tx_time
-            self.stats.busy_time += tx_time
         finally:
             self._transmitter.release(req)
 

@@ -104,8 +104,7 @@ class Rpc:
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(msg)
         else:
-            inbox = self.topology.hosts[msg.dst].inbox
-            yield inbox.put(msg)
+            self.topology.hosts[msg.dst].inbox.put(msg)
         return msg
 
     # -- request/response ----------------------------------------------------

@@ -22,17 +22,6 @@ from repro.render.panorama import Panorama, PanoramaGrid, Viewport
 from repro.render.renderer import RenderProfile, Renderer
 
 __all__ = [
-    "GpuProfile",
-    "LoadCost",
-    "LoadedModel",
-    "MeshModel",
-    "ModelLoader",
-    "Panorama",
-    "PanoramaGrid",
-    "RenderProfile",
     "Renderer",
-    "Viewport",
     "generate_mesh",
-    "pack_rmsh",
-    "unpack_rmsh",
 ]

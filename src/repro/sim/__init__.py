@@ -19,34 +19,16 @@ Quick example::
     env.run()
 """
 
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    EventAlreadyTriggered,
-    Interrupt,
-    Timeout,
-)
-from repro.sim.kernel import Environment, SimulationError, StopSimulation
-from repro.sim.process import Process, ProcessCrashed
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.events import EventAlreadyTriggered
+from repro.sim.kernel import Environment, SimulationError
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngStreams
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Container",
     "Environment",
-    "Event",
     "EventAlreadyTriggered",
-    "Interrupt",
-    "PriorityResource",
-    "Process",
-    "ProcessCrashed",
     "Resource",
     "RngStreams",
     "SimulationError",
-    "StopSimulation",
     "Store",
-    "Timeout",
 ]

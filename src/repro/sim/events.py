@@ -26,22 +26,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 # Sentinel distinguishing "not yet triggered" from "triggered with None".
 _PENDING = object()
+_INF = float("inf")
 
 
 class EventAlreadyTriggered(RuntimeError):
     """Raised when succeed()/fail() is called on a non-pending event."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries an arbitrary payload from the
-    interrupter, e.g. the reason a transfer was aborted.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -134,8 +123,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: object = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not 0 <= delay < _INF:  # also rejects inf and nan
+            raise ValueError(f"negative or non-finite delay {delay!r}")
         # Inlined Event.__init__ + immediate trigger: a Timeout is born
         # triggered-ok, so it skips the generic succeed() machinery and
         # goes straight onto the queue.
@@ -176,81 +165,3 @@ class _Wake(Timeout):
 
     def __repr__(self) -> str:
         return f"<_Wake delay={self.delay} at {id(self):#x}>"
-
-
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite events.
-
-    The sub-event list is dropped as soon as the condition triggers —
-    a city-scale ``AllOf`` fan-in would otherwise pin every sub-event
-    (and whatever their values reference) for the rest of the run.
-    """
-
-    __slots__ = ("_events", "_remaining")
-
-    def __init__(self, env: "Environment", events: typing.Sequence[Event]):
-        super().__init__(env)
-        self._events: tuple[Event, ...] = tuple(events)
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("all events must belong to the same environment")
-        self._remaining = len(self._events)
-        if not self._events:
-            self.succeed({})
-            return
-        for event in self._events:
-            if event.processed:
-                self._observe(event)
-            else:
-                event.callbacks.append(self._observe)
-
-    def _collect(self) -> dict:
-        """Values of all triggered-and-ok sub-events, keyed by event."""
-        return {
-            event: event.value
-            for event in self._events
-            if event.triggered and event.ok
-        }
-
-    def _release(self) -> None:
-        """Drop the strong refs to sub-events once the outcome is known."""
-        self._events = ()
-
-    def _observe(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers once every sub-event has succeeded (or any fails)."""
-
-    __slots__ = ()
-
-    def _observe(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(typing.cast(BaseException, event.value))
-            self._release()
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed(self._collect())
-            self._release()
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as one sub-event succeeds (or any fails)."""
-
-    __slots__ = ()
-
-    def _observe(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(typing.cast(BaseException, event.value))
-            self._release()
-            return
-        self.succeed(self._collect())
-        self._release()

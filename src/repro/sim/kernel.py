@@ -25,19 +25,17 @@ from __future__ import annotations
 import typing
 from heapq import heapify, heappop, heappush
 
-from repro.sim.events import Event, Timeout
+from repro.sim.events import _INF, Event, Timeout
 from repro.sim.process import Process
 
 #: Default priority for scheduled events.  Lower sorts first.
 PRIORITY_NORMAL = 1
-#: Priority used by the kernel for urgent bookkeeping (e.g. interrupts).
+#: Priority used by the kernel for urgent bookkeeping (process start-up).
 PRIORITY_URGENT = 0
 #: Wheel bucket width in seconds.
 BUCKET_S = 1e-2
 #: Number of wheel buckets (a power of two, so a tick's bucket is a mask).
 N_BUCKETS = 8192
-
-_INF = float("inf")
 
 
 class SimulationError(RuntimeError):

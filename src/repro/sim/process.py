@@ -23,7 +23,7 @@ from __future__ import annotations
 import typing
 from heapq import heappush
 
-from repro.sim.events import Event, Interrupt, _Wake
+from repro.sim.events import _INF, Event, _Wake
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Environment
@@ -55,15 +55,13 @@ class Process(Event):
     never pass silently).
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_resume_cb", "_send",
-                 "_throw", "_wake")
+    __slots__ = ("_generator", "_resume_cb", "_send", "_throw", "_wake")
 
     def __init__(self, env: "Environment", generator: typing.Generator):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._waiting_on: Event | None = None
         self._resume_cb = self._resume
         self._send = generator.send
         self._throw = generator.throw
@@ -80,42 +78,11 @@ class Process(Event):
         """The generator's function name (for diagnostics)."""
         return getattr(self._generator, "__name__", repr(self._generator))
 
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The process stops waiting on its current event (the event itself is
-        unaffected and may still fire — its callback is disarmed) and the
-        generator sees ``Interrupt(cause)`` raised at its ``yield``.
-        """
-        if not self.is_alive:
-            raise RuntimeError(f"cannot interrupt finished process {self.name}")
-        if self._waiting_on is None:
-            raise RuntimeError(
-                f"cannot interrupt {self.name} before it starts or from itself")
-        # Disarm the pending resume so the event can no longer wake us.
-        target = self._waiting_on
-        if target.callbacks is not None and self._resume_cb in target.callbacks:
-            target.callbacks.remove(self._resume_cb)
-        if target is self._wake:
-            # The wake event may still be scheduled; abandon it (it fires
-            # later as a harmless no-callback event) and lazily allocate a
-            # fresh one on the next bare-number yield.
-            self._wake = None
-        self._waiting_on = None
-
-        wakeup = Event(self.env)
-        wakeup._ok = False
-        wakeup._value = Interrupt(cause)
-        wakeup._defused = True  # delivered via throw, not an unhandled failure
-        wakeup.callbacks.append(self._resume_cb)
-        self.env.schedule(wakeup, priority=0)
-
     # -- kernel plumbing -----------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value/exception of ``event``,
         and again for as long as it yields events already processed."""
-        self._waiting_on = None
         while True:
             try:
                 if event._ok:
@@ -141,8 +108,9 @@ class Process(Event):
                 # Bare-number yield: sleep that many seconds via the
                 # process's private reusable wake event (the hottest hop
                 # in large runs — no event allocation).
-                if target < 0:
-                    self._crash(f"yielded negative delay {target!r}")
+                if not 0 <= target < _INF:  # also catches inf and nan
+                    self._crash(f"yielded negative or non-finite delay "
+                                f"{target!r}")
                     return
                 wake = self._wake
                 if wake is None:
@@ -176,7 +144,6 @@ class Process(Event):
                         bucket.append(entry)
                 else:
                     heappush(env._overflow, entry)
-                self._waiting_on = wake
                 return
 
             if not isinstance(target, Event):
@@ -188,7 +155,6 @@ class Process(Event):
 
             if target.callbacks is not None:
                 target.callbacks.append(self._resume_cb)
-                self._waiting_on = target
                 return
             # Already processed: its outcome is known, so the generator
             # continues inside this kernel event instead of queueing for it.

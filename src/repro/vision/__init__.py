@@ -31,17 +31,8 @@ from repro.vision.recognition import RecognitionResult, Recognizer
 __all__ = [
     "CLOUD_GPU_2018",
     "CameraFrame",
-    "ComputeDevice",
-    "DnnModel",
-    "EDGE_CPU_2018",
     "EmbeddingSpace",
-    "Layer",
     "MOBILE_SOC_2018",
-    "Observation",
-    "RESOLUTIONS",
-    "RecognitionResult",
     "Recognizer",
-    "Resolution",
-    "mobilenet_v2",
     "vgg16",
 ]

@@ -28,19 +28,10 @@ from repro.workload.vr_trace import PanoRequest, VrTraceGenerator
 from repro.workload.zipf import ZipfSampler
 
 __all__ = [
-    "AppProfile",
-    "ArRequest",
     "ArTraceGenerator",
     "ArenaTraceGenerator",
-    "Gravity",
-    "LoadRequest",
-    "PanoRequest",
-    "Place",
     "RandomWaypointUser",
-    "RedundancyStats",
     "VrTraceGenerator",
     "World",
-    "ZipfSampler",
-    "build_app_population",
     "redundancy_report",
 ]

@@ -7,6 +7,8 @@ and ``ScenarioSpec.federated()`` must keep producing byte-identical
 records (floats compared via their exact hex form).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import CoICConfig
@@ -19,7 +21,7 @@ from repro.core.scenario import (
     ScenarioSpec,
     WarmupSpec,
 )
-from repro.net import Link, Message, NetemImpairment
+from repro.net import Link, Message
 from repro.sim import Environment, RngStreams
 
 from mobility_oracle import ReferenceWaypointUser, home_place_scan
@@ -243,17 +245,8 @@ class TestMetroGoldenDigestFloat64(TestMetroGoldenDigest):
     test_explicit_float64_compat_is_byte_identical = None
 
 
-class TestPolicyIndexOverrides:
-    def test_policy_overrides_reach_every_cache(self, make_deployment):
-        from repro.core.scenario import EdgePolicySpec
-
-        dep = make_deployment(policy=EdgePolicySpec(
-            vector_index="ivf:16:4", vector_dtype="int8"))
-        for cache in dep.caches:
-            assert cache.vector_dtype == "int8"
-            assert cache._vector_index_spec == "ivf:16:4"
-
-    def test_empty_overrides_inherit_config(self, make_deployment):
+class TestCacheTier:
+    def test_every_cache_takes_the_config_tier(self, make_deployment):
         from repro.core.scenario import EdgePolicySpec
 
         dep = make_deployment(policy=EdgePolicySpec())
@@ -340,15 +333,16 @@ class TestDeferredLinkStreams:
         dep.run_tasks(dep.client_by_name["m0"], [dep.recognition_task(1)])
         assert "net.wifi.m0.edge0" not in dep.rng._streams
 
-    def test_impaired_later_draws_the_up_front_sequence(self):
-        dep = ClusterDeployment(line_spec())
+    def test_impaired_link_draws_the_up_front_sequence(self):
+        config = CoICConfig()
+        config.network.wifi_jitter_ms = 2.0
+        dep = ClusterDeployment(line_spec(), config=config)
         uplink, _ = dep.access_links[("m0", "edge0")]
-        imp = NetemImpairment(delay_s=0.001, jitter_s=0.002, loss_rate=0.0)
-        dep.shaper.set_impairment(uplink, imp)
+        assert uplink.jitter_s == 0.002
         assert "net.wifi.m0.edge0" not in dep.rng._streams
         reference = Link(
             Environment(), "ref", uplink.bandwidth_bps,
-            propagation_s=imp.delay_s, jitter_s=imp.jitter_s,
+            propagation_s=uplink.propagation_s, jitter_s=uplink.jitter_s,
             rng=RngStreams(dep.config.seed).stream("net.wifi.m0.edge0"))
         assert _flight_times(uplink) == _flight_times(reference)
         assert "net.wifi.m0.edge0" in dep.rng._streams
@@ -632,6 +626,31 @@ class TestLteAccess:
         assert downlink.bandwidth_bps == net.lte_downlink_mbps * 1e6
 
 
+    @pytest.mark.parametrize("impairments", [True, False],
+                             ids=["impaired", "unimpaired"])
+    def test_lte_link_parameters_are_pinned(self, make_deployment,
+                                            impairments):
+        config = CoICConfig(seed=0)
+        net = config.network
+        net.lte_uplink_mbps, net.lte_downlink_mbps = 12.5, 75.0
+        net.lte_radio_delay_ms, net.lte_core_delay_ms = 38.2, 12.8
+        net.lte_jitter_ms, net.loss_rate = 3.5, 0.02
+        spec = dataclasses.replace(mixed_access_spec(),
+                                   impairments=impairments)
+        dep = make_deployment(spec=spec, config=config)
+        uplink, downlink = dep.access_links[("lte0", "edge0")]
+        assert (uplink.bandwidth_bps, downlink.bandwidth_bps) == (12.5e6, 75e6)
+        for link in (uplink, downlink):
+            # radio/1e3 + core/1e3; the folded (radio + core)/1e3 is 0.051.
+            assert link.propagation_s == 0.051000000000000004
+            assert link.jitter_s == (0.0035 if impairments else 0.0)
+            assert link.loss_rate == (0.02 if impairments else 0.0)
+        # One deferred stream, shared by both directions, built on no draw.
+        assert uplink._rng is downlink._rng
+        assert uplink._rng.name == "net.lte.lte0.edge0"
+        assert "net.lte.lte0.edge0" not in dep.rng._streams
+
+
 def traced_metro_spec(trace, **mobility_kwargs):
     mobility = MobilitySpec(n_places=16, mean_dwell_s=10.0,
                             duration_s=60.0, handoff_latency_s=0.05,
@@ -687,7 +706,7 @@ class TestBackgroundTraffic:
         # leaving residual 1 - peak_util = 50% of nominal.
         for link, bps in nominal.items():
             assert link.bandwidth_bps == pytest.approx(0.5 * bps)
-        assert len(dep.shaper.changes) >= 3 * len(nominal)
+        assert dep.rate_changes >= 3 * len(nominal)
 
     def test_inter_edge_scope_spares_the_backhaul(self, make_deployment):
         from repro.core.scenario import BackgroundTrafficSpec
@@ -714,4 +733,4 @@ class TestBackgroundTraffic:
         spec = ScenarioSpec.metro(n_edges=2, clients_per_edge=1)
         dep = make_deployment(spec=spec)
         dep.run_for(21.0)
-        assert dep.shaper.changes == []
+        assert dep.rate_changes == 0

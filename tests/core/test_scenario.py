@@ -1,6 +1,7 @@
 """Tests for repro.core.scenario (declarative deployment specs)."""
 
 import json
+import math
 
 import pytest
 
@@ -285,7 +286,8 @@ class TestSpecFilesAreCheckedInput:
 
     @pytest.mark.parametrize("knob", [
         {"summary_piggyback": True}, {"deadline_s": 1.0},
-        {"layer_tap_budget_frac": 0.1}])
+        {"layer_tap_budget_frac": 0.1},
+        {"vector_index": "ivf:16:4"}, {"vector_dtype": "int8"}])
     def test_a_removed_policy_knob_fails_loudly(self, knob):
         with pytest.raises(ValueError, match="unknown key"):
             EdgePolicySpec.from_dict(knob)
@@ -334,6 +336,15 @@ class TestBackgroundAndScheduleValidation:
     def test_background_peak_util_bounds(self):
         with pytest.raises(ValueError):
             BackgroundTrafficSpec(peak_util=1.5)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan],
+                             ids=["inf", "nan"])
+    @pytest.mark.parametrize("field", ["period_s", "update_s", "phase_s"])
+    def test_background_times_must_be_finite(self, field, value):
+        # An infinite update_s used to pass and then overflow the kernel's
+        # clock mid-run; an infinite phase_s made level() a domain error.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            BackgroundTrafficSpec(**{field: value})
 
     def test_background_level_curve(self):
         bg = BackgroundTrafficSpec(period_s=100.0)

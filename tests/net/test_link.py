@@ -88,13 +88,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             Link(env, "l", 1e6, jitter_s=0.1)
 
-    def test_impairment_update_validation(self, env):
-        link = Link(env, "l", 1e6)
-        with pytest.raises(ValueError):
-            link.set_impairment(propagation_s=-1)
-        with pytest.raises(ValueError):
-            link.set_impairment(loss_rate=0.5)  # no rng configured
-
 
 class TestLossAndDown:
     def test_loss_fails_transfer(self, env):
@@ -134,10 +127,3 @@ class TestStats:
             deliver(env, link, Message(size_bytes=size))
         assert link.stats.messages_sent == 3
         assert link.stats.bytes_sent == 6000
-        assert link.stats.busy_time == pytest.approx(6000 * 8 / 8e6)
-
-    def test_utilization(self, env):
-        link = Link(env, "l", 8e6)
-        deliver(env, link, Message(size_bytes=100_000))  # 0.1 s busy
-        assert link.stats.utilization(1.0) == pytest.approx(0.1)
-        assert link.stats.utilization(0.0) == 0.0

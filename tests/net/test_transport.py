@@ -212,8 +212,8 @@ class TestEventBudget:
 
         The request: its process's _Initialize, serialization, flight and
         the server's wake-up from the inbox ``get`` (4) — the free
-        transmitter and the roomy inbox ``put`` are granted on the spot
-        and the finished process has no waiter.  The reply runs inside the
+        transmitter is granted on the spot, the inbox ``put`` is a plain
+        call and the finished process has no waiter.  The reply runs inside the
         responder: serialization, flight, the caller's response event (3).
         The two test processes start (2); the call's expiry fires last (1).
         """

@@ -109,9 +109,7 @@ policies = st.builds(
     prewarm_top_k=st.integers(min_value=0, max_value=32),
     prewarm_layers=st.integers(min_value=0, max_value=8),
     layer_reuse=st.booleans(), layer_plan_margin_s=non_negative,
-    shed_retries=st.integers(min_value=0, max_value=4),
-    vector_index=st.sampled_from(("", "linear", "lsh:4:8", "ivf:16")),
-    vector_dtype=st.sampled_from(("", "float32", "float64", "int8")))
+    shed_retries=st.integers(min_value=0, max_value=4))
 
 warmups = st.builds(
     WarmupSpec, classes=tuples_of(st.integers(0, 99), max_size=4),

@@ -80,7 +80,7 @@ def test_store_preserves_fifo_order(items):
 
     def producer(env):
         for item in items:
-            yield store.put(item)
+            store.put(item)
             yield env.timeout(0.1)
 
     def consumer(env):

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim import (AllOf, AnyOf, Container, Environment, PriorityResource,
-                       Resource, Store)
+from repro.sim import Environment, Resource, Store
 
 
 @pytest.fixture
@@ -69,41 +68,18 @@ class TestResource:
             res.release(foreign)
 
 
-class TestPriorityResource:
-    def test_lower_priority_number_served_first(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def worker(env, name, priority, start_delay):
-            yield env.timeout(start_delay)
-            req = res.request(priority=priority)
-            yield req
-            order.append(name)
-            yield env.timeout(5)
-            res.release(req)
-
-        env.process(worker(env, "first", 0, 0))      # holds the slot
-        env.process(worker(env, "low", 5, 1))
-        env.process(worker(env, "high", 1, 2))
-        env.run()
-        assert order == ["first", "high", "low"]
-
-
 class TestStore:
     def test_put_get_fifo(self, env):
         store = Store(env)
         got = []
-
-        def producer(env):
-            for item in ("x", "y", "z"):
-                yield store.put(item)
 
         def consumer(env):
             for _ in range(3):
                 item = yield store.get()
                 got.append(item)
 
-        env.process(producer(env))
+        for item in ("x", "y", "z"):
+            store.put(item)
         env.process(consumer(env))
         env.run()
         assert got == ["x", "y", "z"]
@@ -118,35 +94,12 @@ class TestStore:
 
         def producer(env):
             yield env.timeout(4)
-            yield store.put("late")
+            store.put("late")
 
         env.process(consumer(env))
         env.process(producer(env))
         env.run()
         assert arrival == [(4, "late")]
-
-    def test_bounded_put_blocks_until_room(self, env):
-        store = Store(env, capacity=1)
-        times = []
-
-        def producer(env):
-            yield store.put(1)
-            t0 = env.now
-            yield store.put(2)  # must wait for the consumer
-            times.append((t0, env.now))
-
-        def consumer(env):
-            yield env.timeout(3)
-            yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert times == [(0, 3)]
-
-    def test_capacity_validation(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
 
     def test_items_snapshot(self, env):
         store = Store(env)
@@ -155,82 +108,12 @@ class TestStore:
         assert store.items == ["a", "b"]
 
 
-class TestContainer:
-    def test_initial_level_validation(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=10, init=11)
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-
-    def test_get_blocks_until_enough(self, env):
-        tank = Container(env, capacity=100, init=0)
-        got_at = []
-
-        def consumer(env):
-            yield tank.get(30)
-            got_at.append(env.now)
-
-        def producer(env):
-            for _ in range(3):
-                yield env.timeout(1)
-                yield tank.put(10)
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got_at == [3]
-        assert tank.level == 0
-
-    def test_put_blocks_at_capacity(self, env):
-        tank = Container(env, capacity=10, init=10)
-        done_at = []
-
-        def producer(env):
-            yield tank.put(5)
-            done_at.append(env.now)
-
-        def consumer(env):
-            yield env.timeout(2)
-            yield tank.get(6)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert done_at == [2]
-        assert tank.level == 9
-
-    def test_conservation(self, env):
-        tank = Container(env, capacity=1000, init=500)
-
-        def mover(env, amount):
-            yield tank.get(amount)
-            yield env.timeout(0.1)
-            yield tank.put(amount)
-
-        for amount in (10, 20, 30, 40):
-            env.process(mover(env, amount))
-        env.run()
-        assert tank.level == 500
-
-    def test_amount_validation(self, env):
-        tank = Container(env, capacity=10, init=5)
-        with pytest.raises(ValueError):
-            tank.put(0)
-        with pytest.raises(ValueError):
-            tank.get(-1)
-
-
 class TestGrantedOnTheSpot:
     """What is free is granted without a queue entry; what is not, queues."""
 
-    @pytest.fixture(params=[Resource, PriorityResource],
-                    ids=lambda kind: kind.__name__)
-    def kind(self, request):
-        return request.param
-
-    def test_free_slot_is_processed_at_once_and_held(self, kind, loop_env):
+    def test_free_slot_is_processed_at_once_and_held(self, loop_env):
         env = loop_env
-        res = kind(env, capacity=1)
+        res = Resource(env, capacity=1)
         req = res.request()
         assert req.processed and req.ok and res.count == 1
         log = []
@@ -272,23 +155,13 @@ class TestGrantedOnTheSpot:
         env.run()
         assert env.events_processed == 2    # the two _Initialize
 
-    def test_put_with_room_is_processed_a_full_put_queues(self, loop_env):
-        env = loop_env
-        store = Store(env, capacity=1)
-        first, second = store.put("a"), store.put("b")
-        assert first.processed and first.ok
-        assert not second.triggered and store.items == ["a"]
-        got = store.get()
-        env.run()
-        assert got.value == "a" and second.processed
-        assert store.items == ["b"]
-
-    def test_put_to_a_waiting_consumer_is_processed(self, loop_env):
+    def test_put_to_a_waiting_consumer_wakes_it_through_the_queue(
+            self, loop_env):
         env = loop_env
         store = Store(env)
         got = store.get()
-        put = store.put("x")
-        assert put.processed and got.triggered and not got.processed
+        assert store.put("x") is None
+        assert got.triggered and not got.processed and store.items == []
         env.run()
         assert got.value == "x" and env.events_processed == 1
 
@@ -305,13 +178,10 @@ class TestGrantedOnTheSpot:
         env.run()
         assert got.value == "x" and env.events_processed == 1
 
-    def test_conditions_and_run_until_accept_a_granted_request(self, loop_env):
+    def test_run_until_accepts_a_granted_request(self, loop_env):
         env = loop_env
         res = Resource(env, capacity=2)
         a, b = res.request(), res.request()
         assert env.run(until=a) is None
-        both = AllOf(env, [a, b])
-        either = AnyOf(env, [b, env.timeout(5)])
-        assert env.run(until=both) == {a: None, b: None}
-        assert b in env.run(until=either)
-        assert env.now == 0.0
+        assert env.run(until=b) is None
+        assert env.now == 0.0 and env.events_processed == 0
