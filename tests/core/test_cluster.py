@@ -651,6 +651,28 @@ class TestLteAccess:
         assert "net.lte.lte0.edge0" not in dep.rng._streams
 
 
+    @pytest.mark.parametrize("impairments", [True, False],
+                             ids=["impaired", "unimpaired"])
+    def test_wifi_link_parameters_are_pinned(self, make_deployment,
+                                             impairments):
+        config = CoICConfig(seed=0)
+        net = config.network
+        net.wifi_mbps, net.wifi_delay_ms = 250.0, 1.5
+        net.wifi_jitter_ms, net.loss_rate = 0.4, 0.01
+        spec = dataclasses.replace(mixed_access_spec(),
+                                   impairments=impairments)
+        dep = make_deployment(spec=spec, config=config)
+        uplink, downlink = dep.access_links[("wifi0", "edge0")]
+        for link in (uplink, downlink):
+            # A symmetric duplex at the configured 802.11ac rate.
+            assert link.bandwidth_bps == 250e6
+            assert link.propagation_s == 0.0015
+            assert link.jitter_s == (0.0004 if impairments else 0.0)
+            assert link.loss_rate == (0.01 if impairments else 0.0)
+        assert uplink._rng is downlink._rng
+        assert uplink._rng.name == "net.wifi.wifi0.edge0"
+
+
 def traced_metro_spec(trace, **mobility_kwargs):
     mobility = MobilitySpec(n_places=16, mean_dwell_s=10.0,
                             duration_s=60.0, handoff_latency_s=0.05,
@@ -728,6 +750,38 @@ class TestBackgroundTraffic:
             assert link.bandwidth_bps == bps
         for link, bps in mesh_nominal.items():
             assert link.bandwidth_bps == pytest.approx(0.5 * bps)
+
+    def test_each_update_reshapes_every_link_once(self, make_deployment):
+        from repro.core.scenario import BackgroundTrafficSpec
+
+        background = BackgroundTrafficSpec(period_s=40.0, peak_util=0.5,
+                                           update_s=10.0, scope="all")
+        spec = ScenarioSpec.metro(n_edges=2, clients_per_edge=1,
+                                  background=background)
+        dep = make_deployment(spec=spec)
+        n_links = sum(len(pair) for links in (dep.backhaul,
+                                              dep.inter_edge_links)
+                      for pair in links.values())
+        dep.run_for(25.0)
+        # Updates at t = 0, 10 and 20.
+        assert dep.rate_changes == 3 * n_links
+
+    def test_trough_leaves_nominal_capacity(self, make_deployment):
+        from repro.core.scenario import BackgroundTrafficSpec
+
+        background = BackgroundTrafficSpec(period_s=40.0, peak_util=0.5,
+                                           update_s=10.0)
+        spec = ScenarioSpec.metro(n_edges=2, clients_per_edge=1,
+                                  background=background)
+        dep = make_deployment(spec=spec)
+        nominal = {link: link.bandwidth_bps
+                   for pair in dep.backhaul.values() for link in pair}
+        dep.run_for(5.0)
+        # t=0 is the curve's trough: the links keep their full rate, and
+        # the update that set it still counts.
+        for link, bps in nominal.items():
+            assert link.bandwidth_bps == bps
+        assert dep.rate_changes == len(nominal)
 
     def test_no_background_means_no_rate_changes(self, make_deployment):
         spec = ScenarioSpec.metro(n_edges=2, clients_per_edge=1)

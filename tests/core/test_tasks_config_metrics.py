@@ -65,6 +65,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             NetworkConfig(backhaul_delay_ms=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("lte_downlink_mbps", 0.0),
+        ("lte_uplink_mbps", -1.0),
+        ("lte_radio_delay_ms", -1.0),
+        ("lte_core_delay_ms", -1.0),
+        ("lte_jitter_ms", -0.5),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_lte_validation(self, field, value):
+        with pytest.raises(ValueError):
+            NetworkConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("backhaul_mbps", 0.0),
+        ("backhaul_jitter_ms", -1.0),
+        ("wifi_jitter_ms", -1.0),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_backhaul_and_jitter_validation(self, field, value):
+        with pytest.raises(ValueError):
+            NetworkConfig(**{field: value})
+
     def test_recognition_validation(self):
         with pytest.raises(ValueError):
             RecognitionConfig(descriptor_source="fog")

@@ -69,6 +69,46 @@ class TestTiming:
         second = deliver(env, link, Message(size_bytes=100_000))
         assert second["elapsed"] == pytest.approx(first["elapsed"] / 2)
 
+    def test_rate_change_mid_serialization_spares_the_message_on_the_wire(
+            self, env):
+        """A rate set while a message serializes applies to the next one."""
+        link = Link(env, "l", bandwidth_bps=8e6)
+        done = []
+
+        def sender(env):
+            yield from link.transfer(Message(size_bytes=100_000))
+            done.append(env.now)
+
+        def reshaper(env):
+            yield env.timeout(0.05)
+            link.set_bandwidth(80e6)
+
+        env.process(sender(env))
+        env.process(reshaper(env))
+        env.run()
+        assert done == [pytest.approx(0.1)]      # the old 8 Mbps throughout
+        assert link.bandwidth_bps == 80e6
+
+    def test_queued_message_takes_the_rate_in_force_when_it_starts(self, env):
+        link = Link(env, "l", bandwidth_bps=8e6)
+        done = {}
+
+        def sender(env, name):
+            yield from link.transfer(Message(size_bytes=100_000))
+            done[name] = env.now
+
+        def reshaper(env):
+            yield env.timeout(0.05)
+            link.set_bandwidth(80e6)
+
+        env.process(sender(env, "first"))
+        env.process(sender(env, "second"))
+        env.process(reshaper(env))
+        env.run()
+        # The second waits out the first's 0.1 s, then clocks at 80 Mbps.
+        assert done["first"] == pytest.approx(0.1)
+        assert done["second"] == pytest.approx(0.1 + 0.01)
+
     def test_one_way_delay_helper(self, env):
         link = Link(env, "l", bandwidth_bps=1e6, propagation_s=0.5)
         assert link.one_way_delay(125_000) == pytest.approx(1.0 + 0.5)
@@ -87,6 +127,22 @@ class TestValidation:
     def test_jitter_requires_rng(self, env):
         with pytest.raises(ValueError):
             Link(env, "l", 1e6, jitter_s=0.1)
+
+    def test_negative_propagation_rejected(self, env):
+        with pytest.raises(ValueError, match="propagation_s"):
+            Link(env, "l", 1e6, propagation_s=-0.001)
+
+    def test_negative_jitter_rejected(self, env):
+        with pytest.raises(ValueError, match="jitter_s"):
+            Link(env, "l", 1e6, jitter_s=-0.1,
+                 rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bps", [0.0, -1e6], ids=["zero", "negative"])
+    def test_set_bandwidth_rejects_non_positive(self, env, bps):
+        link = Link(env, "l", 1e6)
+        with pytest.raises(ValueError, match="bandwidth_bps"):
+            link.set_bandwidth(bps)
+        assert link.bandwidth_bps == 1e6
 
 
 class TestLossAndDown:
@@ -110,6 +166,42 @@ class TestLossAndDown:
         assert not out["ok"]
         assert isinstance(out["error"], LinkDown)
 
+    def test_link_taken_down_while_queued_fails_the_waiter(self, env):
+        """A message queued behind the transmitter checks the link again
+        when its turn comes, and hands the transmitter back on failure."""
+        link = Link(env, "l", bandwidth_bps=8e6)
+        outcome = {}
+
+        def sender(env, name):
+            try:
+                yield from link.transfer(Message(size_bytes=100_000))
+                outcome[name] = ("ok", env.now)
+            except LinkDown:
+                outcome[name] = ("down", env.now)
+
+        def breaker(env):
+            yield env.timeout(0.05)
+            link.set_up(False)
+
+        env.process(sender(env, "first"))
+        env.process(sender(env, "second"))
+        env.process(breaker(env))
+        env.run()
+        # The first was already on the wire and completes.
+        assert outcome["first"] == ("ok", pytest.approx(0.1))
+        assert outcome["second"] == ("down", pytest.approx(0.1))
+        assert link._transmitter.count == 0
+        assert link.stats.messages_sent == 1
+
+    def test_down_link_claims_no_transmitter_slot(self, env):
+        link = Link(env, "l", 1e6)
+        link.set_up(False)
+        deliver(env, link, Message(size_bytes=10))
+        assert link._transmitter.count == 0
+        assert link._transmitter.queue_length == 0
+        link.set_up(True)
+        assert deliver(env, link, Message(size_bytes=10))["ok"]
+
     def test_jitter_adds_nonnegative_delay(self, env):
         link = Link(env, "l", 1e9, propagation_s=0.01, jitter_s=0.005,
                     rng=np.random.default_rng(2))
@@ -127,3 +219,10 @@ class TestStats:
             deliver(env, link, Message(size_bytes=size))
         assert link.stats.messages_sent == 3
         assert link.stats.bytes_sent == 6000
+
+    def test_lost_message_adds_nothing_to_the_sent_counters(self, env):
+        link = Link(env, "l", 1e9, loss_rate=0.999,
+                    rng=np.random.default_rng(1))
+        deliver(env, link, Message(size_bytes=500))
+        assert link.stats.messages_lost == 1
+        assert (link.stats.messages_sent, link.stats.bytes_sent) == (0, 0)

@@ -130,6 +130,18 @@ class TestRouting:
         link.set_up(False)
         assert topo.shortest_path("a", "b") == ["a", "r", "b"]
 
+    def test_rate_change_reroutes_a_cached_path(self, topo):
+        # The direct link wins at 1 Gbps; throttled, the two-hop detour
+        # does, though the direct route was already cached.
+        direct = topo.add_link("a", "b", 1e9, propagation_s=0.002)
+        topo.add_link("a", "r", 1e9, propagation_s=0.001)
+        topo.add_link("r", "b", 1e9, propagation_s=0.001)
+        assert topo.shortest_path("a", "b") == ["a", "b"]
+        direct.set_bandwidth(1e3)
+        assert topo.shortest_path("a", "b") == ["a", "r", "b"]
+        direct.set_bandwidth(1e9)
+        assert topo.shortest_path("a", "b") == ["a", "b"]
+
     def test_down_interior_link_reroutes(self, topo):
         """A mid-path link going down leaves no stale transit entry."""
         for a, b in (("a", "b"), ("b", "c"), ("c", "d")):
@@ -156,6 +168,12 @@ class TestRouting:
         expected = 1.0 + 0.001 + 1.0 + 0.010
         assert topo.nominal_latency("m", "c", 1_000_000) == pytest.approx(
             expected)
+
+    def test_nominal_latency_follows_a_rate_change(self, topo):
+        link = topo.add_link("m", "e", 1e6, propagation_s=0.01)
+        assert topo.nominal_latency("m", "e", 125_000) == pytest.approx(1.01)
+        link.set_bandwidth(2e6)
+        assert topo.nominal_latency("m", "e", 125_000) == pytest.approx(0.51)
 
     def test_neighbors(self, topo):
         topo.add_duplex("a", "b", 1e6)

@@ -113,6 +113,36 @@ class TestBasics:
         p = env.process(waiter(env))
         assert env.run(until=p) == "caught:inner"
 
+    def test_failed_event_is_thrown_into_its_waiter(self, env):
+        gate = env.event()
+
+        def waiter(env):
+            try:
+                yield gate
+            except KeyError as exc:
+                return ("caught", exc.args[0], env.now)
+
+        def failer(env):
+            yield env.timeout(3)
+            gate.fail(KeyError("gone"))
+
+        p = env.process(waiter(env))
+        env.process(failer(env))
+        assert env.run(until=p) == ("caught", "gone", 3)
+
+    def test_waiting_on_several_events_in_turn_ends_at_the_latest(self, env):
+        """Yielding each of several pending events in turn joins them:
+        the process resumes once the last has fired, with every value."""
+        events = [env.timeout(delay, value=delay) for delay in (3, 1, 2)]
+
+        def joiner(env):
+            values = []
+            for event in events:
+                values.append((yield event))
+            return values, env.now
+
+        assert env.run(until=env.process(joiner(env))) == ([3, 1, 2], 3)
+
     def test_unwaited_exception_crashes_simulation(self, env):
         def failing(env):
             yield env.timeout(1)

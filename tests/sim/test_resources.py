@@ -68,6 +68,40 @@ class TestResource:
             res.release(foreign)
 
 
+    def test_cancelled_queued_request_is_never_granted(self, env):
+        res = Resource(env, capacity=1)
+        held = res.request()
+        cancelled, kept = res.request(), res.request()
+        res.release(cancelled)
+        res.release(held)
+        assert not cancelled.triggered
+        assert kept.triggered and res.count == 1 and res.queue_length == 0
+
+    def test_release_skips_a_waiter_failed_elsewhere(self, env):
+        """A queued request another party failed is passed over, not
+        granted: the slot goes to the next live waiter."""
+        res = Resource(env, capacity=1)
+        held = res.request()
+        abandoned, live = res.request(), res.request()
+        abandoned.fail(TimeoutError("gave up"))
+        abandoned.defuse()
+        res.release(held)
+        assert live.triggered and live.ok
+        assert res.count == 1 and res.queue_length == 0
+        env.run()
+        assert not abandoned.ok
+
+    def test_release_grants_one_waiter_per_freed_slot(self, env):
+        res = Resource(env, capacity=2)
+        holders = [res.request(), res.request()]
+        waiters = [res.request() for _ in range(3)]
+        res.release(holders[0])
+        assert [w.triggered for w in waiters] == [True, False, False]
+        assert res.count == 2 and res.queue_length == 2
+        res.release(holders[1])
+        assert [w.triggered for w in waiters] == [True, True, False]
+
+
 class TestStore:
     def test_put_get_fifo(self, env):
         store = Store(env)
@@ -100,6 +134,34 @@ class TestStore:
         env.process(producer(env))
         env.run()
         assert arrival == [(4, "late")]
+
+    def test_waiting_consumers_are_served_in_arrival_order(self, env):
+        store = Store(env)
+        got = []
+
+        def consumer(env, name, start):
+            yield env.timeout(start)
+            item = yield store.get()
+            got.append((name, item))
+
+        def producer(env):
+            yield env.timeout(5)
+            for item in ("x", "y", "z"):
+                store.put(item)
+
+        for name, start in (("c", 2), ("a", 0), ("b", 1)):
+            env.process(consumer(env, name, start))
+        env.process(producer(env))
+        env.run()
+        assert got == [("a", "x"), ("b", "y"), ("c", "z")]
+
+    def test_put_never_waits(self, env):
+        """The store is unbounded: every put lands at once, off the queue."""
+        store = Store(env)
+        for i in range(1000):
+            assert store.put(i) is None
+        assert store.items == list(range(1000))
+        assert env.peek() == float("inf") and env.events_processed == 0
 
     def test_items_snapshot(self, env):
         store = Store(env)
