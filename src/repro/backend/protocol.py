@@ -212,8 +212,8 @@ def decode_request(frame: dict, n_classes: int, dim: int) -> Message:
         raise TypeError(f"viewpoint {viewpoint!r} is not a number")
     viewpoint = float(viewpoint)
     if capture_id < 0:
-        # A negative id is the simulator's legacy noise path, which a
-        # real edge cannot reproduce.
+        # The wire carries captures, and every capture has an id >= 0;
+        # a negative id only marks a noise-free frame built in-process.
         raise ValueError(f"capture_id {capture_id} is negative")
     if not 0 <= object_class < n_classes:
         raise ValueError(f"object_class {object_class} outside "

@@ -122,7 +122,6 @@ class ICCache:
         vector_index: Spec for vector-kind indexes ("linear", "lsh",
             "lsh:T:B", "ivf", "ivf:K:P") — hash kinds always use the
             exact index.
-        metric: Distance metric for vector indexes.
         ttl_s: Optional lifetime; expired entries never hit and are purged
             lazily.
         vector_dtype: Storage dtype for vector indexes ("float32"
@@ -134,7 +133,6 @@ class ICCache:
                  policy: EvictionPolicy | None = None,
                  default_threshold: float = 0.1,
                  vector_index: str = "linear",
-                 metric: str = "cosine",
                  ttl_s: float | None = None,
                  vector_dtype: str = DEFAULT_DTYPE):
         if capacity_bytes <= 0:
@@ -152,7 +150,6 @@ class ICCache:
         self.ttl_s = ttl_s
         self.stats = CacheStats()
         self._vector_index_spec = vector_index
-        self._metric = metric
         self.vector_dtype = vector_dtype
         self._entries: dict[int, CacheEntry] = {}
         self._indexes: dict[str, DescriptorIndex] = {}
@@ -253,7 +250,6 @@ class ICCache:
             else:
                 index = make_index(self._vector_index_spec,
                                    dim=descriptor.dim,
-                                   metric=self._metric,
                                    dtype=self.vector_dtype)
             self._indexes[kind] = index
         return index

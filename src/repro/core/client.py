@@ -207,8 +207,7 @@ class CoICClient:
             # Edge extracts: the frame itself is the request body.
             headers["has_input"] = True
             size += task.input_bytes
-        if (self.attach_sketch and "descriptor" not in headers
-                and task.frame.capture_id >= 0):
+        if self.attach_sketch and "descriptor" not in headers:
             # A perceptual sketch of the frame — milliseconds on-device,
             # not a backbone pass — deterministic per capture, so the
             # edge's affinity balancer and any cache summary agree on

@@ -128,8 +128,7 @@ def edge_cache(edge: EdgeSpec, cache: CacheConfig) -> ICCache:
         capacity_bytes=(int(edge.cache_mb * 1e6) if edge.cache_mb is not None
                         else cache.capacity_bytes),
         policy=make_policy(cache.policy),
-        vector_index=cache.vector_index,
-        metric=cache.metric, ttl_s=cache.ttl_s,
+        vector_index=cache.vector_index, ttl_s=cache.ttl_s,
         vector_dtype=cache.vector_dtype)
 
 
@@ -284,11 +283,9 @@ class ClusterDeployment:
         self._network = get_network(rec.network,
                                     descriptor_dim=rec.descriptor_dim)
         self.mobile_recognizer = Recognizer(
-            self._network, MOBILE_SOC_2018, self.space,
-            rng=self._vision_stream("vision.mobile"))
+            self._network, MOBILE_SOC_2018, self.space)
         self.cloud_recognizer = Recognizer(
-            self._network, CLOUD_GPU_2018, self.space,
-            rng=self._vision_stream("vision.cloud"))
+            self._network, CLOUD_GPU_2018, self.space)
 
         # -- rendering -------------------------------------------------------
         self.mobile_loader = ModelLoader(MOBILE_GPU_2018)
@@ -344,10 +341,7 @@ class ClusterDeployment:
         for espec in spec.edges:
             cache = edge_cache(espec, cfg.cache)
             self.caches.append(cache)
-            stream_name = ("vision.edge" if len(spec.edges) == 1
-                           else f"vision.edge.{espec.name}")
-            recognizer = Recognizer(self._network, EDGE_CPU_2018, self.space,
-                                    rng=self._vision_stream(stream_name))
+            recognizer = Recognizer(self._network, EDGE_CPU_2018, self.space)
             self.edge_recognizers.append(recognizer)
             # Federation is data, not a node type: an edge with no peers
             # never probes (the node drops its own name from the list).
@@ -444,11 +438,6 @@ class ClusterDeployment:
         # -- warm-up ---------------------------------------------------------
         if spec.warmup is not None:
             self.warm_caches(spec.warmup)
-
-    def _vision_stream(self, name: str):
-        if not self.spec.vision_streams:
-            return None
-        return self.rng.stream(name)
 
     # -- task factories ------------------------------------------------------
 

@@ -12,6 +12,12 @@ import dataclasses
 import math
 
 
+# Each range check below is one chained comparison against ``math.inf``,
+# which a NaN also fails: an inf or NaN rate, delay or time would build a
+# deployment whose first request then crashes on a non-finite timeout
+# or clocks every message in zero time.
+
+
 @dataclasses.dataclass
 class NetworkConfig:
     """The two-hop network of Figure 1: mobile -- edge -- cloud.
@@ -38,15 +44,16 @@ class NetworkConfig:
     lte_jitter_ms: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.wifi_mbps <= 0 or self.backhaul_mbps <= 0:
-            raise ValueError("bandwidths must be > 0")
-        if self.lte_downlink_mbps <= 0 or self.lte_uplink_mbps <= 0:
-            raise ValueError("bandwidths must be > 0")
-        if min(self.wifi_delay_ms, self.backhaul_delay_ms,
-               self.wifi_jitter_ms, self.backhaul_jitter_ms,
-               self.lte_radio_delay_ms, self.lte_core_delay_ms,
-               self.lte_jitter_ms) < 0:
-            raise ValueError("delays/jitters must be >= 0")
+        if not all(0 < mbps < math.inf for mbps in (
+                self.wifi_mbps, self.backhaul_mbps,
+                self.lte_downlink_mbps, self.lte_uplink_mbps)):
+            raise ValueError("bandwidths must be finite and > 0")
+        if not all(0 <= ms < math.inf for ms in (
+                self.wifi_delay_ms, self.backhaul_delay_ms,
+                self.wifi_jitter_ms, self.backhaul_jitter_ms,
+                self.lte_radio_delay_ms, self.lte_core_delay_ms,
+                self.lte_jitter_ms)):
+            raise ValueError("delays/jitters must be finite and >= 0")
         if not 0 <= self.loss_rate < 1:
             raise ValueError("loss_rate must be in [0, 1)")
 
@@ -125,12 +132,12 @@ class RenderingConfig:
     def __post_init__(self) -> None:
         if not self.catalog_sizes_kb:
             raise ValueError("catalog must be non-empty")
-        if any(size <= 0 for size in self.catalog_sizes_kb):
-            raise ValueError("catalog sizes must be > 0")
-        if self.storage_read_ms < 0:
-            raise ValueError("storage_read_ms must be >= 0")
-        if self.client_overhead_ms < 0:
-            raise ValueError("client_overhead_ms must be >= 0")
+        if not all(0 < size < math.inf for size in self.catalog_sizes_kb):
+            raise ValueError("catalog sizes must be finite and > 0")
+        if not 0 <= self.storage_read_ms < math.inf:
+            raise ValueError("storage_read_ms must be finite and >= 0")
+        if not 0 <= self.client_overhead_ms < math.inf:
+            raise ValueError("client_overhead_ms must be finite and >= 0")
 
 
 @dataclasses.dataclass
@@ -148,8 +155,8 @@ class VrConfig:
     pitch_cells: int = 1
 
     def __post_init__(self) -> None:
-        if self.render_ms < 0:
-            raise ValueError("render_ms must be >= 0")
+        if not 0 <= self.render_ms < math.inf:
+            raise ValueError("render_ms must be finite and >= 0")
 
 
 @dataclasses.dataclass
@@ -159,7 +166,6 @@ class CacheConfig:
     capacity_mb: float = 2048.0
     policy: str = "lru"
     vector_index: str = "linear"
-    metric: str = "cosine"
     ttl_s: float | None = None
     #: Fixed edge-side bookkeeping time charged per insert.
     insert_ms: float = 1.0
@@ -172,10 +178,10 @@ class CacheConfig:
     vector_dtype: str = "float32"
 
     def __post_init__(self) -> None:
-        if self.capacity_mb <= 0:
-            raise ValueError("capacity_mb must be > 0")
-        if self.insert_ms < 0:
-            raise ValueError("insert_ms must be >= 0")
+        if not 0 < self.capacity_mb < math.inf:
+            raise ValueError("capacity_mb must be finite and > 0")
+        if not 0 <= self.insert_ms < math.inf:
+            raise ValueError("insert_ms must be finite and >= 0")
         if self.vector_dtype not in ("float32", "float64", "int8"):
             raise ValueError(
                 f"vector_dtype must be float32/float64/int8, "
@@ -207,5 +213,5 @@ class CoICConfig:
     def __post_init__(self) -> None:
         if self.edge_workers < 1 or self.cloud_workers < 1:
             raise ValueError("worker counts must be >= 1")
-        if self.request_timeout_s <= 0:
-            raise ValueError("request_timeout_s must be > 0")
+        if not 0 < self.request_timeout_s < math.inf:
+            raise ValueError("request_timeout_s must be finite and > 0")

@@ -18,9 +18,10 @@ Four implementations behind one interface:
 Vector descriptors live in the row stores of :mod:`repro.core.store`;
 the three vector indexes share one skeleton, :class:`_VectorIndex`
 (validation, atomic insert/remove, the exact scan), and add only their
-search structure.  ``query`` answers one descriptor — the only form a
-served request takes; over cosine float storage the exact scan is the
-store's single-query kernel
+search structure.  Every vector index ranks by cosine distance
+(:func:`~repro.core.distance.cosine_distance_batch`).  ``query``
+answers one descriptor — the only form a served request takes; over
+float storage the exact scan is the store's single-query kernel
 (:meth:`~repro.core.store._VectorStore.nearest_cosine`), bit-identical
 to the full distance kernel it falls back to on a near-tie.
 
@@ -43,7 +44,7 @@ import typing
 import numpy as np
 
 from repro.core.descriptors import Descriptor, HashDescriptor, VectorDescriptor
-from repro.core.distance import get_metric, get_metric_batch
+from repro.core.distance import cosine_distance_batch
 from repro.core.store import DEFAULT_DTYPE, _VectorStore, make_store
 
 
@@ -174,16 +175,12 @@ class _VectorIndex(DescriptorIndex):
     #: first stored vector has".
     dim: int | None = None
 
-    def __init__(self, metric: str = "cosine", dtype: str = DEFAULT_DTYPE):
-        self.metric_name = metric
+    def __init__(self, dtype: str = DEFAULT_DTYPE):
         self.dtype = dtype
-        self._metric = get_metric(metric)
-        self._metric_batch = get_metric_batch(metric)
         self._store = make_store(dtype)
         self._eps = _decision_eps(dtype)
         #: Whether the store's single-query kernel can answer for it.
-        self._float_cosine = (metric == "cosine" and isinstance(
-            self._store, _VectorStore))
+        self._float_store = isinstance(self._store, _VectorStore)
         self.last_query_cost_s: float | None = None
 
     def _validate(self, descriptor: Descriptor) -> np.ndarray:
@@ -250,18 +247,17 @@ class _VectorIndex(DescriptorIndex):
                     threshold: float) -> tuple[int, float] | None:
         """Exact nearest neighbour of one validated query vector.
 
-        Cosine float storage takes the store's single-query kernel;
-        everything else (and whatever the kernel declines) is one
-        (1, n) pass of the full distance kernel.
+        Float storage takes the store's single-query kernel; int8
+        storage (and whatever the kernel declines) is one (1, n) pass of
+        the full distance kernel.
         """
         if len(self._store) == 0:
             return None
-        if self._float_cosine:
+        if self._float_store:
             nearest = self._store.nearest_cosine(vec, self._eps)
             if nearest is not None:
                 return nearest if nearest[1] <= threshold else None
-        distances = self._store.distances(self._metric_batch,
-                                          vec[None, :])[0]
+        distances = self._store.distances(vec[None, :])[0]
         best = int(np.argmin(distances))
         d = float(distances[best])
         return (self._store.id_at(best), d) if d <= threshold else None
@@ -272,7 +268,8 @@ class _VectorIndex(DescriptorIndex):
         if not ids:
             return None
         cand_matrix, cand_norms = self._store.take(self._store.rows_for(ids))
-        distances = self._metric(cand_matrix, vec, row_norms=cand_norms)
+        distances = cosine_distance_batch(cand_matrix, vec[None, :],
+                                          row_norms=cand_norms)[0]
         best = int(np.argmin(distances))
         d = float(distances[best])
         return (ids[best], d) if d <= threshold else None
@@ -322,7 +319,6 @@ class LshIndex(_VectorIndex):
     index-scaling bench and ``tests/property`` enforce this floor.
 
     Args:
-        metric: Distance for candidate re-ranking (angles: use cosine).
         n_tables: Independent hash tables; more tables -> higher recall.
         n_bits: Hyperplanes per table (max 62, so a signature fits an
             int64 for vectorized packing); more bits -> smaller buckets.
@@ -334,16 +330,15 @@ class LshIndex(_VectorIndex):
     PER_CANDIDATE_COST_S = 2.5e-7
     PER_TABLE_COST_S = 2e-6
 
-    def __init__(self, dim: int, metric: str = "cosine", n_tables: int = 8,
-                 n_bits: int = 12, seed: int = 7,
-                 dtype: str = DEFAULT_DTYPE):
+    def __init__(self, dim: int, n_tables: int = 8, n_bits: int = 12,
+                 seed: int = 7, dtype: str = DEFAULT_DTYPE):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if n_tables < 1 or n_bits < 1:
             raise ValueError("n_tables and n_bits must be >= 1")
         if n_bits > 62:
             raise ValueError("n_bits must be <= 62 (signature is an int64)")
-        super().__init__(metric, dtype)
+        super().__init__(dtype)
         self.dim = dim
         self.n_tables = n_tables
         self.n_bits = n_bits
@@ -455,7 +450,6 @@ class IvfIndex(_VectorIndex):
 
     Args:
         dim: Vector dimension.
-        metric: Distance for both coarse ranking and re-ranking.
         n_centroids: Cells to train (0 = auto, ``~sqrt(n)``).
         nprobe: Cells probed per query (0 = auto, a small constant — a
             *fixed* probe width is what keeps scaling sublinear).
@@ -472,11 +466,10 @@ class IvfIndex(_VectorIndex):
     PER_CANDIDATE_COST_S = 2.5e-7
     DEFAULT_NPROBE = 8
 
-    def __init__(self, dim: int, metric: str = "cosine",
-                 n_centroids: int = 0, nprobe: int = 0, seed: int = 13,
-                 dtype: str = DEFAULT_DTYPE, min_train: int = 256,
-                 retrain_growth: float = 4.0, kmeans_iters: int = 8,
-                 train_sample: int = 20000):
+    def __init__(self, dim: int, n_centroids: int = 0, nprobe: int = 0,
+                 seed: int = 13, dtype: str = DEFAULT_DTYPE,
+                 min_train: int = 256, retrain_growth: float = 4.0,
+                 kmeans_iters: int = 8, train_sample: int = 20000):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if n_centroids < 0 or nprobe < 0:
@@ -485,7 +478,7 @@ class IvfIndex(_VectorIndex):
             raise ValueError("min_train must be >= 2")
         if retrain_growth <= 1.0:
             raise ValueError("retrain_growth must be > 1.0")
-        super().__init__(metric, dtype)
+        super().__init__(dtype)
         self.dim = dim
         self.n_centroids = n_centroids
         self.nprobe = nprobe
@@ -517,7 +510,7 @@ class IvfIndex(_VectorIndex):
     def _assign(self, ids: typing.Sequence[int]) -> None:
         """File the stored rows of ``ids`` under their nearest centroid."""
         block, _ = self._store.take(self._store.rows_for(ids))
-        cells = np.argmin(self._metric_batch(
+        cells = np.argmin(cosine_distance_batch(
             self._centroids, block, row_norms=self._centroid_norms), axis=1)
         for entry_id, cell in zip(ids, cells.tolist()):
             self._lists[cell].add(entry_id)
@@ -544,7 +537,7 @@ class IvfIndex(_VectorIndex):
             mindist = np.empty(len(data), dtype=np.float64)
             for s in range(0, len(data), 4096):
                 block = data[s:s + 4096]
-                d = self._metric_batch(centroids, block, row_norms=cnorms)
+                d = cosine_distance_batch(centroids, block, row_norms=cnorms)
                 assign[s:s + len(block)] = np.argmin(d, axis=1)
                 mindist[s:s + len(block)] = d[
                     np.arange(len(block)), assign[s:s + len(block)]]
@@ -595,9 +588,9 @@ class IvfIndex(_VectorIndex):
             self.last_candidates = len(self._store)
             self.last_query_cost_s = self.lookup_cost_s()
             return self._exact_scan(vec, threshold)
-        order = np.argsort(self._metric(
-            self._centroids, vec, row_norms=self._centroid_norms),
-            kind="stable")
+        order = np.argsort(cosine_distance_batch(
+            self._centroids, vec[None, :],
+            row_norms=self._centroid_norms)[0], kind="stable")
         candidates: set[int] = set()
         for cell in order[:self._effective_nprobe()]:
             candidates |= self._lists[int(cell)]
@@ -636,7 +629,7 @@ class IvfIndex(_VectorIndex):
         return total
 
 
-def make_index(spec: str, dim: int = 128, metric: str = "cosine",
+def make_index(spec: str, dim: int = 128,
                dtype: str = DEFAULT_DTYPE) -> DescriptorIndex:
     """Build an index from a config string.
 
@@ -649,23 +642,23 @@ def make_index(spec: str, dim: int = 128, metric: str = "cosine",
     if spec == "exact":
         return ExactIndex()
     if spec == "linear":
-        return LinearIndex(metric=metric, dtype=dtype)
+        return LinearIndex(dtype=dtype)
     if spec == "lsh":
-        return LshIndex(dim=dim, metric=metric, dtype=dtype)
+        return LshIndex(dim=dim, dtype=dtype)
     if spec.startswith("lsh:"):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"bad lsh spec {spec!r}; use 'lsh:TABLES:BITS'")
-        return LshIndex(dim=dim, metric=metric, n_tables=int(parts[1]),
-                        n_bits=int(parts[2]), dtype=dtype)
+        return LshIndex(dim=dim, n_tables=int(parts[1]), n_bits=int(parts[2]),
+                        dtype=dtype)
     if spec == "ivf":
-        return IvfIndex(dim=dim, metric=metric, dtype=dtype)
+        return IvfIndex(dim=dim, dtype=dtype)
     if spec.startswith("ivf:"):
         parts = spec.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(
                 f"bad ivf spec {spec!r}; use 'ivf:CENTROIDS[:NPROBE]'")
         nprobe = int(parts[2]) if len(parts) == 3 else 0
-        return IvfIndex(dim=dim, metric=metric, n_centroids=int(parts[1]),
+        return IvfIndex(dim=dim, n_centroids=int(parts[1]),
                         nprobe=nprobe, dtype=dtype)
     raise ValueError(f"unknown index spec {spec!r}")

@@ -192,20 +192,12 @@ class LayerReuseStage(Stage):
         observation = None
         sketch = ctx.msg.headers.get("sketch")
         if sketch is None:
-            if ctx.task.frame.capture_id < 0:
-                # Legacy frames draw fresh extraction noise from the
-                # recognizer's RNG on every extract(): a sketch taken
-                # here would key a different observation than the later
-                # descriptor (and perturb the stream).  Same gate as the
-                # client's sketch attachment — deterministic captures
-                # only.
-                return
             if ctx.descriptor is not None:
                 # Client-computed descriptor: fold the vector the client
-                # already shipped into sketch space.  Deterministic
-                # captures make it the same sketch the edge's own
-                # extraction would yield, for only the projection's
-                # cost — no backbone pass.
+                # already shipped into sketch space.  Extraction is a
+                # function of the frame, so it is the same sketch the
+                # edge's own extraction would yield, for only the
+                # projection's cost — no backbone pass.
                 if not getattr(ctx.descriptor, "is_vector", False):
                     return
                 yield SKETCH_COST_S
@@ -290,9 +282,7 @@ class LayerReuseStage(Stage):
             if source is not None and ctx.layer_sketch is not None:
                 from repro.core.distance import pairwise
 
-                drift = pairwise(edge.config.cache.metric,
-                                 ctx.layer_sketch,
-                                 matched.descriptor.vector)
+                drift = pairwise(ctx.layer_sketch, matched.descriptor.vector)
                 if drift > edge.match_threshold:
                     result = dataclasses.replace(result,
                                                  label=int(source))

@@ -202,7 +202,8 @@ class EdgeSpec(_Spec):
         if self.peers is not None:
             object.__setattr__(self, "peers", tuple(self.peers))
         if self.cache_mb is not None:
-            _require(self.cache_mb > 0, "cache_mb must be > 0")
+            _require(0 < self.cache_mb < math.inf,
+                     "cache_mb must be finite and > 0")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -288,8 +289,10 @@ class InterEdgeLinkSpec(_Spec):
 
     def __post_init__(self) -> None:
         _require(self.a != self.b, "inter-edge link endpoints must differ")
-        _require(self.mbps > 0, "inter-edge mbps must be > 0")
-        _require(self.delay_ms >= 0, "inter-edge delay_ms must be >= 0")
+        _require(0 < self.mbps < math.inf,
+                 "inter-edge mbps must be finite and > 0")
+        _require(0 <= self.delay_ms < math.inf,
+                 "inter-edge delay_ms must be finite and >= 0")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -575,9 +578,6 @@ class ScenarioSpec(_Spec):
         impairments: Apply the config's jitter/loss to access and
             cloud-backhaul links (:meth:`federated` sets this False, as
             the constructor its golden digests were captured on did).
-        vision_streams: Give recognizers named RNG streams
-            (:meth:`single_edge` behaviour; :meth:`federated` sets
-            False).
         baselines: Also build Origin and Local baseline clients.
         mobility: User mobility/handoff model, or None for static users.
         warmup: Cache pre-population, or None.
@@ -604,7 +604,6 @@ class ScenarioSpec(_Spec):
     federate: bool = False
     peer_timeout_s: float = 1.0
     impairments: bool = True
-    vision_streams: bool = True
     baselines: bool = False
     mobility: MobilitySpec | None = None
     warmup: WarmupSpec | None = None
@@ -620,7 +619,8 @@ class ScenarioSpec(_Spec):
         object.__setattr__(self, "inter_edge", tuple(self.inter_edge))
         object.__setattr__(self, "operators", tuple(self.operators))
         _require(len(self.edges) >= 1, "a scenario needs at least one edge")
-        _require(self.peer_timeout_s > 0, "peer_timeout_s must be > 0")
+        _require(0 < self.peer_timeout_s < math.inf,
+                 "peer_timeout_s must be finite and > 0")
         names = [e.name for e in self.edges]
         _require(len(set(names)) == len(names), "edge names must be unique")
         client_names = [c.name for e in self.edges for c in e.clients]
@@ -702,7 +702,7 @@ class ScenarioSpec(_Spec):
     def single_edge(cls, n_clients: int = 1) -> "ScenarioSpec":
         """The paper's testbed: one edge, one cloud, n WiFi clients.
 
-        Stream names and switches replicate the hand-wired single-edge
+        Link stream names replicate the hand-wired single-edge
         constructor the golden digests were captured on (seed-identical
         metrics).
         """
@@ -720,9 +720,9 @@ class ScenarioSpec(_Spec):
                   federate: bool = True) -> "ScenarioSpec":
         """K fully-meshed edges, each with its own clients, one cloud.
 
-        Stream names and switches replicate the hand-wired federated
-        constructor the golden digests were captured on (seed-identical
-        metrics).
+        Link stream names and ``impairments=False`` replicate the
+        hand-wired federated constructor the golden digests were
+        captured on (seed-identical metrics).
         """
         _require(n_edges >= 1, "n_edges must be >= 1")
         _require(clients_per_edge >= 1, "clients_per_edge must be >= 1")
@@ -741,7 +741,7 @@ class ScenarioSpec(_Spec):
                                         stream=f"net.metro.{a}.{b}")
                       for a, b in itertools.combinations(names, 2))
         return cls(edges=tuple(edges), inter_edge=inter, federate=federate,
-                   impairments=False, vision_streams=False)
+                   impairments=False)
 
     @classmethod
     def metro(cls, n_edges: int = 4, clients_per_edge: int = 2,

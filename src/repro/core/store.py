@@ -28,6 +28,8 @@ import typing
 
 import numpy as np
 
+from repro.core.distance import cosine_distance_batch
+
 #: Storage dtype vector indexes use unless told otherwise.  Descriptor
 #: vectors are float32 at the source, so float32 storage is value-exact;
 #: only gemm accumulation differs from the "float64" oracle tier.
@@ -181,9 +183,10 @@ class _VectorStore(_RowStore):
         """``(vectors, norms)`` of the given rows, in row order."""
         return self._matrix[rows], self._norms[rows]
 
-    def distances(self, metric_batch, queries: np.ndarray) -> np.ndarray:
-        """(Q, n) distances of a query block against every live row."""
-        return metric_batch(self.matrix, queries, row_norms=self.norms)
+    def distances(self, queries: np.ndarray) -> np.ndarray:
+        """(Q, n) cosine distances of a query block to every live row."""
+        return cosine_distance_batch(self.matrix, queries,
+                                     row_norms=self.norms)
 
     def nearest_cosine(self, query: np.ndarray,
                        eps: float) -> tuple[int, float] | None:
@@ -254,7 +257,7 @@ class _QuantizedVectorStore(_RowStore):
     quantization step of error.  Norms are cached from the
     *dequantized* rows, so query-time distances are self-consistent.
     Queries dequantize chunk-by-chunk (:data:`CHUNK` rows at a time) to
-    bound the float32 temporary, then run the normal BLAS metric —
+    bound the float32 temporary, then run the normal BLAS kernel —
     approximate storage, exact arithmetic over it.
     """
 
@@ -297,8 +300,8 @@ class _QuantizedVectorStore(_RowStore):
         return self._dequant(np.asarray(rows, dtype=np.intp)), \
             self._norms[rows]
 
-    def distances(self, metric_batch, queries: np.ndarray) -> np.ndarray:
-        """(Q, n) distances, dequantizing :data:`CHUNK` rows at a time.
+    def distances(self, queries: np.ndarray) -> np.ndarray:
+        """(Q, n) cosine distances, dequantized :data:`CHUNK` rows at a time.
 
         Chunk boundaries depend only on the row count, never on the
         query count.
@@ -308,8 +311,8 @@ class _QuantizedVectorStore(_RowStore):
         for start in range(0, n, self.CHUNK):
             rows = np.arange(start, min(start + self.CHUNK, n),
                              dtype=np.intp)
-            blocks.append(metric_batch(self._dequant(rows), queries,
-                                       row_norms=self._norms[rows]))
+            blocks.append(cosine_distance_batch(
+                self._dequant(rows), queries, row_norms=self._norms[rows]))
         return np.concatenate(blocks, axis=1)
 
     def _quantize(self, vec: np.ndarray

@@ -21,7 +21,7 @@ import typing
 import numpy as np
 
 from repro.core.descriptors import VectorDescriptor
-from repro.core.distance import get_metric
+from repro.core.distance import cosine_distance_batch
 from repro.core.index import IvfIndex, LinearIndex, LshIndex
 from repro.sim.rng import RngStreams
 from repro.vision.features import EmbeddingSpace
@@ -36,14 +36,13 @@ class _LegacyLinearScan:
     """The seed implementation's query path, kept as the speedup baseline.
 
     Rebuilds the scan matrix with ``np.stack`` after any mutation and
-    recomputes every row norm inside the metric on every query — exactly
+    recomputes every row norm inside the kernel on every query — exactly
     what :class:`LinearIndex` did before contiguous storage, cached
     norms and the single-query kernel.  Only used for before/after
     reporting.
     """
 
-    def __init__(self, metric: str = "cosine"):
-        self._metric = get_metric(metric)
+    def __init__(self):
         self._vectors: dict[int, np.ndarray] = {}
         self._matrix: np.ndarray | None = None
         self._ids: list[int] = []
@@ -60,7 +59,7 @@ class _LegacyLinearScan:
             self._ids = list(self._vectors)
             self._matrix = np.stack([self._vectors[i] for i in self._ids])
         vec = descriptor.vector.astype(np.float64)
-        distances = self._metric(self._matrix, vec)
+        distances = cosine_distance_batch(self._matrix, vec[None, :])[0]
         best = int(np.argmin(distances))
         best_distance = float(distances[best])
         if best_distance <= threshold:

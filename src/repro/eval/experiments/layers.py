@@ -68,8 +68,8 @@ def run_layer_cache(deltas: typing.Sequence[float] = DEFAULT_DELTAS,
     for cls in probe_classes:
         ref = space.observe(cls, 0.0, noise_key=cls * 2)
         far = space.observe(cls, coarse_max_delta, noise_key=cls * 2 + 1)
-        calib.append(pairwise("cosine", input_sketch(ref.vector),
-                              input_sketch(far.vector)))
+        calib.append(pairwise(input_sketch(ref.vector),
+                               input_sketch(far.vector)))
     base_threshold = float(np.percentile(calib, 90)) * 1.2
 
     rows = []
@@ -89,7 +89,7 @@ def run_layer_cache(deltas: typing.Sequence[float] = DEFAULT_DELTAS,
             manager.insert(input_sketch(ref.vector), now=0.0)
 
             # Coarse cache: full-result descriptor comparison.
-            full_distance = pairwise("cosine", ref.vector, probe.vector)
+            full_distance = pairwise(ref.vector, probe.vector)
             coarse_saved.append(
                 100.0 if full_distance <= coarse_threshold else 0.0)
 
@@ -102,7 +102,6 @@ def run_layer_cache(deltas: typing.Sequence[float] = DEFAULT_DELTAS,
             reused[layer_name] = reused.get(layer_name, 0) + 1
 
         sketch_d = pairwise(
-            "cosine",
             input_sketch(space.observe(60, 0.0, noise_key=1).vector),
             input_sketch(space.observe(60, delta, noise_key=2).vector))
         top_layer = max(reused, key=reused.get)

@@ -16,6 +16,7 @@ diurnal background load re-sets it with :meth:`Link.set_bandwidth`.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 from repro.sim.kernel import Environment
@@ -48,6 +49,12 @@ class LinkStats:
     bytes_sent: int = 0
 
 
+def _check_bandwidth(bandwidth_bps: float) -> None:
+    if not 0 < bandwidth_bps < math.inf:
+        raise ValueError(
+            f"bandwidth_bps must be finite and > 0, got {bandwidth_bps}")
+
+
 class Link:
     """One direction of a point-to-point channel.
 
@@ -66,12 +73,14 @@ class Link:
                  propagation_s: float = 0.0, jitter_s: float = 0.0,
                  loss_rate: float = 0.0,
                  rng: "np.random.Generator | None" = None):
-        if bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth_bps must be > 0, got {bandwidth_bps}")
-        if propagation_s < 0:
-            raise ValueError(f"propagation_s must be >= 0, got {propagation_s}")
-        if jitter_s < 0:
-            raise ValueError(f"jitter_s must be >= 0, got {jitter_s}")
+        _check_bandwidth(bandwidth_bps)
+        # ``0 <= x < inf`` is False for NaN too.
+        if not 0 <= propagation_s < math.inf:
+            raise ValueError(
+                f"propagation_s must be finite and >= 0, got {propagation_s}")
+        if not 0 <= jitter_s < math.inf:
+            raise ValueError(
+                f"jitter_s must be finite and >= 0, got {jitter_s}")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         if (jitter_s > 0 or loss_rate > 0) and rng is None:
@@ -94,8 +103,7 @@ class Link:
 
     def set_bandwidth(self, bandwidth_bps: float) -> None:
         """Change the transmit rate; affects transfers that start later."""
-        if bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth_bps must be > 0, got {bandwidth_bps}")
+        _check_bandwidth(bandwidth_bps)
         self.bandwidth_bps = float(bandwidth_bps)
         if self._on_change is not None:
             self._on_change()

@@ -224,7 +224,6 @@ class EmbeddingSpace:
         return self._anchors[object_class].copy()
 
     def observe(self, object_class: int, viewpoint: float = 0.0,
-                rng: np.random.Generator | None = None,
                 noise_key: int | None = None) -> Observation:
         """Embed one observation of ``object_class`` from ``viewpoint``.
 
@@ -235,9 +234,8 @@ class EmbeddingSpace:
         Sensor noise belongs to the *capture*, not the extractor: pass a
         ``noise_key`` (e.g. a frame's capture id) to make the noise a
         deterministic function of the frame, so a client and an edge
-        extracting features from the same image agree bit-for-bit.  An
-        explicit ``rng`` draws fresh noise instead; with neither, the
-        observation is noise-free.
+        extracting features from the same image agree bit-for-bit.
+        Without one the observation is noise-free.
 
         Keyed noise is the first ``dim`` normals of numpy's
         ``Generator(PCG64(SeedSequence([0x5EED, object_class,
@@ -253,23 +251,19 @@ class EmbeddingSpace:
         angle = viewpoint * self.viewpoint_scale
         vec = (np.cos(angle) * self._anchors[object_class]
                + np.sin(angle) * self._drift[object_class])
-        if self.noise_sigma > 0:
-            if noise_key is not None:
-                key, cls = int(noise_key), int(object_class)
-                if key >> 32 == 0 and cls >> 32 == 0:
-                    noise_rng = self._noise
-                    state, inc = _noise_seed(cls, key)
-                    self._noise_bits.state = {
-                        "bit_generator": "PCG64",
-                        "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-                else:
-                    noise_rng = np.random.Generator(np.random.PCG64(
-                        np.random.SeedSequence([0x5EED, cls, key])))
-                vec = vec + noise_rng.normal(0.0, self.noise_sigma,
-                                             size=self.dim)
-            elif rng is not None:
-                vec = vec + rng.normal(0.0, self.noise_sigma, size=self.dim)
+        if self.noise_sigma > 0 and noise_key is not None:
+            key, cls = int(noise_key), int(object_class)
+            if key >> 32 == 0 and cls >> 32 == 0:
+                noise_rng = self._noise
+                state, inc = _noise_seed(cls, key)
+                self._noise_bits.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+            else:
+                noise_rng = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence([0x5EED, cls, key])))
+            vec = vec + noise_rng.normal(0.0, self.noise_sigma, size=self.dim)
         # ``np.linalg.norm`` of a 1-D vector, without its dispatch.
         vec = vec / np.sqrt(vec.dot(vec))
         return Observation(vector=vec, object_class=object_class,

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from repro.vision.dnn import ComputeDevice, DnnModel
 from repro.vision.features import EmbeddingSpace, Observation
 from repro.vision.image import CameraFrame
@@ -50,12 +48,10 @@ class Recognizer:
     """A DNN + device + embedding geometry bundle."""
 
     def __init__(self, network: DnnModel, device: ComputeDevice,
-                 space: EmbeddingSpace,
-                 rng: np.random.Generator | None = None):
+                 space: EmbeddingSpace):
         self.network = network
         self.device = device
         self.space = space
-        self._rng = rng
         # Charged on every extraction; summing the backbone once is enough.
         self._extraction_s = network.extraction_time(device)
 
@@ -78,15 +74,15 @@ class Recognizer:
     def extract(self, frame: CameraFrame) -> Observation:
         """Compute the frame's feature descriptor (geometry only).
 
-        Frames with a ``capture_id`` yield a deterministic descriptor (the
-        noise is the frame's, not the extractor's); legacy frames fall
-        back to this recognizer's rng.
+        The sensor noise is the frame's, not the extractor's: it is keyed
+        by ``frame.capture_id`` when that is >= 0, and a negative id
+        yields the noise-free observation.  Either way the descriptor is
+        a function of the frame alone, so every recognizer sharing this
+        embedding space (mobile, edge, cloud) extracts the same bits.
         """
-        if frame.capture_id >= 0:
-            return self.space.observe(frame.object_class, frame.viewpoint,
-                                      noise_key=frame.capture_id)
+        key = frame.capture_id if frame.capture_id >= 0 else None
         return self.space.observe(frame.object_class, frame.viewpoint,
-                                  rng=self._rng)
+                                  noise_key=key)
 
     def recognize(self, frame: CameraFrame) -> RecognitionResult:
         """Full recognition: returns ground truth with high confidence.

@@ -17,14 +17,12 @@ def edge_payload():
     the spec's :class:`~repro.core.scenario.EdgePolicySpec`.
     """
 
-    def factory(cloud=None, warm=(), metric="cosine",
-                vector_dtype="float32", policy=None):
+    def factory(cloud=None, warm=(), vector_dtype="float32", policy=None):
         config = CoICConfig(seed=0)
         rec = config.recognition
         rec.descriptor_dim, rec.n_classes = 16, 4
         rec.viewpoint_scale, rec.noise_sigma = 0.02, 0.005
         rec.max_viewpoint_delta = 5.0
-        config.cache.metric = metric
         config.cache.vector_dtype = vector_dtype
         spec = ScenarioSpec(
             edges=(EdgeSpec(name="edge0", cache_mb=10.0),),

@@ -348,8 +348,7 @@ class TestRobustness:
         # replaces.
         for policy in (None, EdgePolicySpec(admission="shed",
                                             queue_limit=4)):
-            payload = edge_payload(metric="l2", vector_dtype="float64",
-                                   policy=policy)
+            payload = edge_payload(vector_dtype="float64", policy=policy)
             first, second, bye, stages = asyncio.run(
                 self._serve_drain_shutdown(payload))
             # One admit stage, the shed-everything one, heads the chain.

@@ -9,6 +9,7 @@ records (floats compared via their exact hex form).
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core import CoICConfig
@@ -346,6 +347,29 @@ class TestDeferredLinkStreams:
             rng=RngStreams(dep.config.seed).stream("net.wifi.m0.edge0"))
         assert _flight_times(uplink) == _flight_times(reference)
         assert "net.wifi.m0.edge0" in dep.rng._streams
+
+
+class TestOneNoiseSource:
+    """A frame's sensor noise is keyed by its capture id, so every
+    recognizer of a deployment extracts the same bits from one frame
+    and none of them owns a random stream."""
+
+    @pytest.mark.parametrize("spec", [ScenarioSpec.single_edge(1),
+                                      ScenarioSpec.federated(n_edges=2)],
+                             ids=["single_edge", "federated"])
+    def test_mobile_edge_and_cloud_extract_the_same_bits(self, spec):
+        dep = ClusterDeployment(spec)
+        frame = dep.recognition_task(5, viewpoint=0.3).frame
+        assert frame.capture_id >= 1
+        want = dep.space.observe(5, 0.3, noise_key=frame.capture_id).vector
+        recognizers = [dep.mobile_recognizer, dep.cloud_recognizer,
+                       *dep.edge_recognizers]
+        assert len(recognizers) == 2 + len(spec.edges)
+        for recognizer in recognizers:
+            assert np.array_equal(recognizer.extract(frame).vector, want)
+        dep.run_tasks(dep.all_clients[0], [dep.recognition_task(5)])
+        assert not [name for name in dep.rng._streams
+                    if name.startswith("vision")]
 
 
 class TestHandoff:

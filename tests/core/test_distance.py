@@ -3,34 +3,32 @@
 import numpy as np
 import pytest
 
-from repro.core.distance import (
-    cosine_distance,
-    get_metric,
-    l2_distance,
-    l2sq_distance,
-    pairwise,
-)
+from repro.core.distance import cosine_distance_batch, pairwise
+
+
+def single(matrix, query):
+    """Distances of each row to one query: a (1, D) block's only row."""
+    return cosine_distance_batch(matrix, np.asarray(query)[None, :])[0]
 
 
 class TestCosine:
     def test_identical_vectors_zero(self):
         v = np.array([1.0, 2.0, 3.0])
-        assert pairwise("cosine", v, v) == pytest.approx(0.0, abs=1e-12)
+        assert pairwise(v, v) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_vectors_one(self):
-        assert pairwise("cosine", [1, 0], [0, 1]) == pytest.approx(1.0)
+        assert pairwise([1, 0], [0, 1]) == pytest.approx(1.0)
 
     def test_opposite_vectors_two(self):
-        assert pairwise("cosine", [1, 0], [-1, 0]) == pytest.approx(2.0)
+        assert pairwise([1, 0], [-1, 0]) == pytest.approx(2.0)
 
     def test_scale_invariant(self):
         a, b = np.array([1.0, 2.0]), np.array([2.0, 1.0])
-        assert pairwise("cosine", a, b) == pytest.approx(
-            pairwise("cosine", 10 * a, 0.5 * b))
+        assert pairwise(a, b) == pytest.approx(pairwise(10 * a, 0.5 * b))
 
     def test_zero_vector_max_distance(self):
         matrix = np.array([[0.0, 0.0], [1.0, 0.0]])
-        distances = cosine_distance(matrix, np.array([1.0, 0.0]))
+        distances = single(matrix, np.array([1.0, 0.0]))
         assert distances[0] == pytest.approx(2.0)
         assert distances[1] == pytest.approx(0.0)
 
@@ -38,77 +36,34 @@ class TestCosine:
         rng = np.random.default_rng(0)
         matrix = rng.normal(size=(10, 8))
         query = rng.normal(size=8)
-        batch = cosine_distance(matrix, query)
+        batch = single(matrix, query)
         for row, expected in zip(matrix, batch):
-            assert pairwise("cosine", row, query) == pytest.approx(expected)
-
-
-class TestL2:
-    def test_known_distance(self):
-        assert pairwise("l2", [0, 0], [3, 4]) == pytest.approx(5.0)
-
-    def test_l2sq_is_square(self):
-        rng = np.random.default_rng(1)
-        matrix = rng.normal(size=(5, 4))
-        query = rng.normal(size=4)
-        assert np.allclose(l2sq_distance(matrix, query),
-                           l2_distance(matrix, query) ** 2)
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a, b, c = rng.normal(size=(3, 6))
-            ab = pairwise("l2", a, b)
-            bc = pairwise("l2", b, c)
-            ac = pairwise("l2", a, c)
-            assert ac <= ab + bc + 1e-9
-
-
-class TestRegistry:
-    def test_known_metrics(self):
-        for name in ("cosine", "l2", "l2sq"):
-            assert callable(get_metric(name))
-
-    def test_unknown_metric(self):
-        with pytest.raises(KeyError):
-            get_metric("manhattan")
+            assert pairwise(row, query) == pytest.approx(expected)
 
 
 class TestBatchForms:
-    """Matrix-vs-batch metrics agree with their single-query forms."""
+    """The (Q, N) kernel: a query block is its queries one at a time."""
 
-    METRICS = ("cosine", "l2", "l2sq")
-
-    @pytest.mark.parametrize("name", METRICS)
-    def test_batch_rows_match_single_queries(self, name):
-        from repro.core.distance import get_metric_batch
-
+    def test_batch_rows_match_single_queries(self):
         rng = np.random.default_rng(3)
         matrix = rng.normal(size=(12, 6))
         queries = rng.normal(size=(5, 6))
-        batch = get_metric_batch(name)(matrix, queries)
+        batch = cosine_distance_batch(matrix, queries)
         assert batch.shape == (5, 12)
-        single = get_metric(name)
         for q, row in zip(queries, batch):
             assert np.allclose(single(matrix, q), row, atol=1e-12)
 
-    @pytest.mark.parametrize("name", METRICS)
-    def test_precomputed_norms_match_default(self, name):
-        from repro.core.distance import get_metric_batch
-
+    def test_precomputed_norms_match_default(self):
         rng = np.random.default_rng(4)
         matrix = rng.normal(size=(9, 5))
         queries = rng.normal(size=(3, 5))
-        fn = get_metric_batch(name)
-        plain = fn(matrix, queries)
-        primed = fn(matrix, queries,
-                    row_norms=np.linalg.norm(matrix, axis=1),
-                    query_norms=np.linalg.norm(queries, axis=1))
+        plain = cosine_distance_batch(matrix, queries)
+        primed = cosine_distance_batch(
+            matrix, queries, row_norms=np.linalg.norm(matrix, axis=1),
+            query_norms=np.linalg.norm(queries, axis=1))
         assert np.allclose(plain, primed, atol=1e-12)
 
     def test_cosine_batch_degenerate_vectors(self):
-        from repro.core.distance import cosine_distance_batch
-
         matrix = np.array([[0.0, 0.0], [1.0, 0.0]])
         queries = np.array([[1.0, 0.0], [0.0, 0.0]])
         got = cosine_distance_batch(matrix, queries)
@@ -118,35 +73,22 @@ class TestBatchForms:
         assert got[1, 0] == pytest.approx(2.0)
         assert got[1, 1] == pytest.approx(2.0)
 
-    def test_l2sq_batch_never_negative(self):
-        from repro.core.distance import l2sq_distance_batch
-
-        # Near-identical vectors: Gram-expansion cancellation must clip
-        # at zero, never go negative.
-        base = np.full((4, 8), 1e3)
-        got = l2sq_distance_batch(base, base + 1e-13)
-        assert np.all(got >= 0.0)
-
-    def test_single_query_norm_kwargs(self):
-        rng = np.random.default_rng(5)
-        matrix = rng.normal(size=(7, 4))
-        query = rng.normal(size=4)
-        plain = get_metric("cosine")(matrix, query)
-        primed = get_metric("cosine")(
-            matrix, query, row_norms=np.linalg.norm(matrix, axis=1),
-            query_norm=float(np.linalg.norm(query)))
-        assert np.allclose(plain, primed, atol=1e-12)
-
-    def test_batch_registry(self):
-        from repro.core.distance import get_metric_batch
-
-        for name in self.METRICS:
-            assert callable(get_metric_batch(name))
-        with pytest.raises(KeyError):
-            get_metric_batch("manhattan")
-
     def test_batch_rejects_1d_queries(self):
-        from repro.core.distance import cosine_distance_batch
-
         with pytest.raises(ValueError):
             cosine_distance_batch(np.eye(3), np.ones(3))
+
+    def test_float32_operands_stay_float32(self):
+        rng = np.random.default_rng(6)
+        matrix = rng.normal(size=(6, 4)).astype(np.float32)
+        queries = rng.normal(size=(2, 4)).astype(np.float32)
+        assert cosine_distance_batch(matrix, queries).dtype == np.float32
+        # Any float64 operand computes in float64.
+        assert cosine_distance_batch(
+            matrix, queries.astype(np.float64)).dtype == np.float64
+
+    def test_pairwise_is_the_kernel_in_float64(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(2, 16)).astype(np.float32)
+        want = cosine_distance_batch(a[None, :].astype(np.float64),
+                                     b[None, :].astype(np.float64))[0, 0]
+        assert pairwise(a, b) == want

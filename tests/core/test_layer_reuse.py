@@ -287,7 +287,7 @@ class TestPartialServing:
         # Stand-in for a cross-object sketch collision: geometry from a
         # far viewpoint of class 7, activations recorded as class 99.
         cached = input_sketch(dep.space.observe(7, 6.0, noise_key=1).vector)
-        drift = pairwise(edge.config.cache.metric, request, cached)
+        drift = pairwise(request, cached)
         # Precondition for the bug: past the descriptor threshold yet
         # inside the shallowest tap threshold, so the plan resumes.
         assert edge.match_threshold < drift < manager.base_threshold
@@ -321,26 +321,6 @@ class TestPartialServing:
                                [dep.recognition_task(7, viewpoint=0.0,
                                                      user="m0", seq=0)])[0]
         assert record.outcome == OUTCOME_MISS
-        assert dep.edges[0].counts["partial"] == 0
-
-    def test_legacy_frames_pass_through(self, make_deployment):
-        # Frames without a capture_id draw fresh extraction noise every
-        # extract(): a sketch would key a different observation than
-        # the descriptor, so the stage must not engage (or perturb the
-        # recognizer RNG stream).
-        from repro.core.tasks import RecognitionTask
-        from repro.vision.image import CameraFrame, RESOLUTIONS
-
-        dep = make_deployment(clients=(("m0",), ()),
-                              policy=reuse_policy())
-        rec = dep.config.recognition
-        frame = CameraFrame(object_class=7, viewpoint=0.0,
-                            resolution=RESOLUTIONS[rec.resolution],
-                            quality=rec.quality)
-        record = dep.run_tasks(dep.client_by_name["m0"],
-                               [RecognitionTask(frame=frame)])[0]
-        assert record.outcome == OUTCOME_MISS
-        assert dep.edges[0].counts["layer_seeded"] == 0
         assert dep.edges[0].counts["partial"] == 0
 
 

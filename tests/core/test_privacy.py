@@ -59,7 +59,7 @@ class TestNoisePrivatizer:
         for cls in range(30):
             a = mech.transform(space.observe(cls, -0.4).vector)
             b = mech.transform(space.observe(cls, +0.4).vector)
-            if pairwise("cosine", a, b) <= mapped:
+            if pairwise(a, b) <= mapped:
                 hits += 1
         assert hits >= 27  # ~all same-class pairs still match
 
@@ -87,8 +87,8 @@ class TestSketchPrivatizer:
         mech = SketchPrivatizer(dim=128, n_bits=2048)
         a = space.observe(3, -0.5).vector
         b = space.observe(3, +0.5).vector
-        theta = float(np.arccos(1 - pairwise("cosine", a, b)))
-        sketch_distance = pairwise("cosine", mech.transform(a),
+        theta = float(np.arccos(1 - pairwise(a, b)))
+        sketch_distance = pairwise(mech.transform(a),
                                    mech.transform(b))
         assert sketch_distance == pytest.approx(2 * theta / np.pi,
                                                 abs=0.05)
@@ -101,8 +101,8 @@ class TestSketchPrivatizer:
             a = mech.transform(space.observe(cls, -0.4).vector)
             b = mech.transform(space.observe(cls, +0.4).vector)
             c = mech.transform(space.observe((cls + 5) % 30, 0.0).vector)
-            hits += pairwise("cosine", a, b) <= mapped
-            cross += pairwise("cosine", a, c) <= mapped
+            hits += pairwise(a, b) <= mapped
+            cross += pairwise(a, c) <= mapped
         assert hits >= 27
         assert cross == 0
 

@@ -57,6 +57,37 @@ class TestValidation:
         with pytest.raises(ValueError):
             InterEdgeLinkSpec(a="a", b="a")
 
+    @pytest.mark.parametrize("field", ["delay_ms", "mbps"])
+    @pytest.mark.parametrize("text, value", [("Infinity", math.inf),
+                                             ("NaN", math.nan)],
+                             ids=["inf", "nan"])
+    def test_non_finite_inter_edge_link_rejected(self, field, text, value):
+        # Spec JSON comes from outside the program, and Python's json
+        # module parses ``Infinity`` and ``NaN``: either used to build,
+        # then crash the first peer probe (or clock it in zero time).
+        data = json.loads(
+            '{"edges": [{"name": "e0"}, {"name": "e1"}], "inter_edge": '
+            f'[{{"a": "e0", "b": "e1", "{field}": {text}}}]}}')
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            load_spec(data)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            InterEdgeLinkSpec(a="e0", b="e1", **{field: value})
+
+    @pytest.mark.parametrize("data, field", [
+        ({"edges": [{"name": "e", "cache_mb": math.inf}]}, "cache_mb"),
+        ({"edges": [{"name": "e", "cache_mb": math.nan}]}, "cache_mb"),
+        ({"edges": [{"name": "e"}], "peer_timeout_s": math.inf},
+         "peer_timeout_s"),
+        ({"edges": [{"name": "e"}], "peer_timeout_s": math.nan},
+         "peer_timeout_s"),
+    ], ids=["cache_mb-inf", "cache_mb-nan", "peer_timeout_s-inf",
+            "peer_timeout_s-nan"])
+    def test_non_finite_site_and_probe_values_rejected(self, data, field):
+        # An infinite cache_mb overflowed int() while the deployment was
+        # built; an infinite peer_timeout_s crashed the first peer probe.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            load_spec(data)
+
     @pytest.mark.parametrize("a,b", [("edge0", "edge1"), ("edge1", "edge0")])
     def test_duplicate_inter_edge_pair_rejected(self, a, b):
         # Either orientation names the same duplex; building both would
@@ -80,7 +111,7 @@ class TestBuilders:
         assert spec.client_names == ["mobile0", "mobile1", "mobile2"]
         assert spec.edges[0].backhaul_stream == "net.backhaul"
         assert spec.edges[0].clients[1].wifi_stream == "net.wifi.mobile1"
-        assert spec.baselines and spec.impairments and spec.vision_streams
+        assert spec.baselines and spec.impairments
         assert not spec.federate and not spec.inter_edge
 
     def test_federated_matches_legacy_wiring(self):
@@ -94,7 +125,7 @@ class TestBuilders:
         assert len(spec.inter_edge) == 3
         assert spec.inter_edge[0].stream == "net.metro.edge0.edge1"
         assert spec.federate
-        assert not spec.impairments and not spec.vision_streams
+        assert not spec.impairments
 
     def test_metro_positions_on_grid(self):
         mobility = MobilitySpec(extent_m=1000.0)
@@ -293,6 +324,14 @@ class TestSpecFilesAreCheckedInput:
             EdgePolicySpec.from_dict(knob)
         with pytest.raises(ValueError, match="unknown key"):
             load_spec({"edges": [{"name": "e"}], "policy": knob})
+
+    def test_the_removed_vision_streams_switch_fails_loudly(self):
+        # Recognizers have no RNG streams: a frame's noise is keyed by
+        # its capture id alone, so an old spec that names the switch
+        # must not load as if it still chose something.
+        with pytest.raises(ValueError, match="unknown key"):
+            ScenarioSpec.from_dict({"edges": [{"name": "e"}],
+                                    "vision_streams": False})
 
     def test_null_and_non_mapping_values_are_errors(self):
         with pytest.raises(ValueError, match="federate"):

@@ -8,6 +8,7 @@ from repro.core.config import (
     NetworkConfig,
     RecognitionConfig,
     RenderingConfig,
+    VrConfig,
 )
 from repro.core.metrics import (
     LatencySummary,
@@ -23,6 +24,16 @@ from repro.core.tasks import (
 from repro.render.mesh import LOADED_EXPANSION
 from repro.render.panorama import Panorama
 from repro.vision.image import CameraFrame
+
+INF, NAN = float("inf"), float("nan")
+
+#: Every float field of ``NetworkConfig`` that sets a link's rate or
+#: delay (``loss_rate`` is a probability, checked on its own).
+NETWORK_RATES_AND_DELAYS = (
+    "wifi_mbps", "wifi_delay_ms", "wifi_jitter_ms", "backhaul_mbps",
+    "backhaul_delay_ms", "backhaul_jitter_ms", "lte_downlink_mbps",
+    "lte_uplink_mbps", "lte_radio_delay_ms", "lte_core_delay_ms",
+    "lte_jitter_ms")
 
 
 class TestTasks:
@@ -114,6 +125,50 @@ class TestConfig:
     def test_worker_validation(self):
         with pytest.raises(ValueError):
             CoICConfig(edge_workers=0)
+
+
+class TestConfigRejectsNonFinite:
+    """An inf or NaN rate, delay, size or time raises at construction.
+
+    Each used to build: the first request then crashed on a non-finite
+    timeout, or (an infinite rate) clocked every message in zero time.
+    """
+
+    @pytest.mark.parametrize("value", [INF, NAN], ids=["inf", "nan"])
+    @pytest.mark.parametrize("field", NETWORK_RATES_AND_DELAYS)
+    def test_network_config(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            NetworkConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"capacity_mb": NAN}, {"capacity_mb": INF},
+        {"insert_ms": NAN}, {"insert_ms": INF},
+    ], ids=["capacity_mb-nan", "capacity_mb-inf", "insert_ms-nan",
+            "insert_ms-inf"])
+    def test_cache_config(self, kwargs):
+        with pytest.raises(ValueError, match="must be finite"):
+            CacheConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"storage_read_ms": NAN}, {"storage_read_ms": INF},
+        {"client_overhead_ms": NAN},
+        {"catalog_sizes_kb": (NAN,)}, {"catalog_sizes_kb": (231, INF)},
+    ], ids=["storage_read_ms-nan", "storage_read_ms-inf",
+            "client_overhead_ms-nan", "catalog-nan", "catalog-inf"])
+    def test_rendering_config(self, kwargs):
+        with pytest.raises(ValueError, match="must be finite"):
+            RenderingConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [INF, NAN], ids=["inf", "nan"])
+    def test_vr_config(self, value):
+        with pytest.raises(ValueError, match="render_ms must be finite"):
+            VrConfig(render_ms=value)
+
+    @pytest.mark.parametrize("value", [INF, NAN], ids=["inf", "nan"])
+    def test_coic_config(self, value):
+        with pytest.raises(ValueError,
+                           match="request_timeout_s must be finite"):
+            CoICConfig(request_timeout_s=value)
 
 
 class TestLatencySummary:

@@ -137,7 +137,17 @@ class TestValidation:
             Link(env, "l", 1e6, jitter_s=-0.1,
                  rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize("bps", [0.0, -1e6], ids=["zero", "negative"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")],
+                             ids=["inf", "nan"])
+    @pytest.mark.parametrize("field", ["bandwidth_bps", "propagation_s",
+                                       "jitter_s"])
+    def test_non_finite_rejected(self, env, field, value):
+        kwargs = {"bandwidth_bps": 1e6, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Link(env, "l", rng=np.random.default_rng(0), **kwargs)
+
+    @pytest.mark.parametrize("bps", [0.0, -1e6, float("inf"), float("nan")],
+                             ids=["zero", "negative", "inf", "nan"])
     def test_set_bandwidth_rejects_non_positive(self, env, bps):
         link = Link(env, "l", 1e6)
         with pytest.raises(ValueError, match="bandwidth_bps"):

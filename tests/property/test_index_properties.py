@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.core.descriptors import VectorDescriptor
-from repro.core.distance import cosine_distance_batch, pairwise
+from repro.core.distance import pairwise
 from repro.core.index import (
     IvfIndex,
     LinearIndex,
@@ -39,7 +39,7 @@ def test_linear_index_matches_brute_force(stored, query, threshold):
     # float32 storage: brute-force reference must use the same precision.
     stored32 = [np.asarray(v, dtype=np.float32) for v in stored]
     query32 = np.asarray(query, dtype=np.float32)
-    distances = [pairwise("cosine", v, query32) for v in stored32]
+    distances = [pairwise(v, query32) for v in stored32]
     best = int(np.argmin(distances))
     eps = 1e-6
     if distances[best] <= threshold - eps:
@@ -90,7 +90,7 @@ def full_kernel_answer(store, query, threshold):
     """The oracle: ``argmin`` over the full distance kernel's block."""
     if len(store) == 0:
         return None
-    sub = store.distances(cosine_distance_batch, query[None, :])[0]
+    sub = store.distances(query[None, :])[0]
     best = int(np.argmin(sub))
     d = float(sub[best])
     return (store.id_at(best), d) if d <= threshold else None

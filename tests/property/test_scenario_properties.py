@@ -150,7 +150,7 @@ def scenarios(draw):
         edges=tuple(site_list), inter_edge=inter,
         federate=draw(st.booleans()), peer_timeout_s=draw(positive),
         impairments=draw(st.booleans()),
-        vision_streams=draw(st.booleans()), baselines=draw(st.booleans()),
+        baselines=draw(st.booleans()),
         mobility=draw(optional(mobilities())),
         warmup=draw(optional(warmups)), policy=draw(optional(policies)),
         background=draw(optional(backgrounds)), operators=ops,

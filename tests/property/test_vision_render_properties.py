@@ -55,8 +55,8 @@ def test_observe_matches_the_linalg_norm_reference(cls, viewpoint, key):
 def test_noise_free_distance_monotone_in_viewpoint(cls, d1, d2):
     base = SPACE.observe(cls, 0.0).vector
     near_d, far_d = sorted((d1, d2))
-    near = pairwise("cosine", base, SPACE.observe(cls, near_d).vector)
-    far = pairwise("cosine", base, SPACE.observe(cls, far_d).vector)
+    near = pairwise(base, SPACE.observe(cls, near_d).vector)
+    far = pairwise(base, SPACE.observe(cls, far_d).vector)
     assert near <= far + 1e-9
 
 

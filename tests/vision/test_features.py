@@ -14,20 +14,18 @@ def space():
 
 class TestGeometry:
     def test_observations_are_unit_vectors(self, space):
-        rng = np.random.default_rng(0)
-        obs = space.observe(5, viewpoint=0.7, rng=rng)
+        obs = space.observe(5, viewpoint=0.7, noise_key=0)
         assert np.linalg.norm(obs.vector) == pytest.approx(1.0)
 
     def test_same_class_closer_than_cross_class(self, space):
-        rng = np.random.default_rng(1)
-        a = space.observe(3, 0.0, rng=rng).vector
-        b = space.observe(3, 1.0, rng=rng).vector
-        c = space.observe(4, 0.0, rng=rng).vector
-        assert pairwise("cosine", a, b) < pairwise("cosine", a, c)
+        a = space.observe(3, 0.0, noise_key=1).vector
+        b = space.observe(3, 1.0, noise_key=2).vector
+        c = space.observe(4, 0.0, noise_key=3).vector
+        assert pairwise(a, b) < pairwise(a, c)
 
     def test_distance_grows_with_viewpoint_delta(self, space):
         base = space.observe(7, 0.0).vector
-        distances = [pairwise("cosine", base,
+        distances = [pairwise(base,
                               space.observe(7, d).vector)
                      for d in (0.5, 1.0, 2.0, 4.0)]
         assert distances == sorted(distances)
@@ -52,7 +50,7 @@ class TestGeometry:
         base = space.observe(9, 0.0).vector
         other = space.observe(9, 2.0).vector
         predicted = space.same_class_distance(2.0)
-        assert pairwise("cosine", base, other) == pytest.approx(
+        assert pairwise(base, other) == pytest.approx(
             predicted, abs=1e-9)
 
     def test_class_bounds_checked(self, space):
@@ -64,15 +62,15 @@ class TestGeometry:
 
 class TestThresholdSuggestion:
     def test_threshold_separates_same_from_cross(self, space):
-        rng = np.random.default_rng(5)
         threshold = space.suggest_threshold(max_viewpoint_delta=1.0)
         same, cross = [], []
         for cls in range(20):
-            a = space.observe(cls, -0.5, rng=rng).vector
-            b = space.observe(cls, +0.5, rng=rng).vector
-            c = space.observe((cls + 7) % 50, 0.0, rng=rng).vector
-            same.append(pairwise("cosine", a, b))
-            cross.append(pairwise("cosine", a, c))
+            a = space.observe(cls, -0.5, noise_key=3 * cls).vector
+            b = space.observe(cls, +0.5, noise_key=3 * cls + 1).vector
+            c = space.observe((cls + 7) % 50, 0.0,
+                              noise_key=3 * cls + 2).vector
+            same.append(pairwise(a, b))
+            cross.append(pairwise(a, c))
         assert max(same) < threshold < min(cross)
 
     def test_threshold_grows_with_tolerance(self, space):

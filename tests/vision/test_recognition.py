@@ -16,8 +16,7 @@ from repro.vision import (
 @pytest.fixture
 def recognizer():
     space = EmbeddingSpace(dim=128, n_classes=20, seed=0)
-    return Recognizer(vgg16(), MOBILE_SOC_2018, space,
-                      rng=np.random.default_rng(0))
+    return Recognizer(vgg16(), MOBILE_SOC_2018, space)
 
 
 class TestRecognizer:
@@ -36,6 +35,24 @@ class TestRecognizer:
         f2 = CameraFrame(object_class=3, viewpoint=0.2, capture_id=5)
         assert np.array_equal(recognizer.extract(f1).vector,
                               recognizer.extract(f2).vector)
+
+    def test_negative_id_is_the_noise_free_observation(self, recognizer):
+        frame = CameraFrame(object_class=3, viewpoint=0.4)
+        assert frame.capture_id < 0
+        got = recognizer.extract(frame).vector
+        assert np.array_equal(got, recognizer.space.observe(3, 0.4).vector)
+        assert np.array_equal(got, recognizer.extract(frame).vector)
+        assert not np.array_equal(got, recognizer.space.observe(
+            3, 0.4, noise_key=0).vector)
+
+    @pytest.mark.parametrize("capture_id", [0, 1, 2**32 - 1, 2**40])
+    def test_keyed_id_is_observe_with_that_noise_key(self, recognizer,
+                                                     capture_id):
+        frame = CameraFrame(object_class=3, viewpoint=0.4,
+                            capture_id=capture_id)
+        assert np.array_equal(
+            recognizer.extract(frame).vector,
+            recognizer.space.observe(3, 0.4, noise_key=capture_id).vector)
 
     def test_extract_observation_matches_frame(self, recognizer):
         frame = CameraFrame(object_class=4, viewpoint=0.5, capture_id=1)
