@@ -122,8 +122,8 @@ class ICCache:
         vector_index: Spec for vector-kind indexes ("linear", "lsh",
             "lsh:T:B", "ivf", "ivf:K:P") — hash kinds always use the
             exact index.
-        ttl_s: Optional lifetime; expired entries never hit and are purged
-            lazily.
+        ttl_s: Optional lifetime, > 0 (``inf``: never expires; NaN
+            raises); expired entries never hit and are purged lazily.
         vector_dtype: Storage dtype for vector indexes ("float32"
             default, "float64" oracle tier, "int8" scalar
             quantized); see :mod:`repro.core.store`.
@@ -139,7 +139,7 @@ class ICCache:
             raise ValueError("capacity_bytes must be > 0")
         if default_threshold < 0:
             raise ValueError("default_threshold must be >= 0")
-        if ttl_s is not None and ttl_s <= 0:
+        if ttl_s is not None and not ttl_s > 0:
             raise ValueError("ttl_s must be > 0 when given")
         if vector_dtype not in STORE_DTYPES:
             raise ValueError(f"vector_dtype must be one of {STORE_DTYPES}, "

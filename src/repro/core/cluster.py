@@ -143,11 +143,16 @@ def embedding_space(config: CoICConfig) -> EmbeddingSpace:
 
 def prototype_items(space: EmbeddingSpace,
                     classes: typing.Iterable[int]) -> typing.Iterator[tuple]:
-    """Warm-up ``(descriptor, result, size_bytes)`` triples for classes."""
-    for cls in classes:
+    """Warm-up ``(descriptor, result, size_bytes)`` triples for classes.
+
+    Each descriptor is ``space.observe(cls, 0.0).vector``, taken from
+    :meth:`EmbeddingSpace.prototypes`, which derives a run of
+    consecutive classes a block at a time.
+    """
+    classes = tuple(classes)
+    for cls, vector in zip(classes, space.prototypes(classes)):
         result = RecognitionResult(label=cls, confidence=0.97)
-        yield (VectorDescriptor(kind=KIND_RECOGNITION,
-                                vector=space.observe(cls, 0.0).vector),
+        yield (VectorDescriptor(kind=KIND_RECOGNITION, vector=vector),
                result, result.size_bytes)
 
 

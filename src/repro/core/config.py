@@ -182,6 +182,8 @@ class CacheConfig:
             raise ValueError("capacity_mb must be finite and > 0")
         if not 0 <= self.insert_ms < math.inf:
             raise ValueError("insert_ms must be finite and >= 0")
+        if self.ttl_s is not None and not self.ttl_s > 0:
+            raise ValueError("ttl_s must be > 0 when given")
         if self.vector_dtype not in ("float32", "float64", "int8"):
             raise ValueError(
                 f"vector_dtype must be float32/float64/int8, "

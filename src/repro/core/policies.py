@@ -149,14 +149,15 @@ class TtlPolicy(_HeapPolicy):
     """Expired entries first (oldest expiry), then LRU among the rest.
 
     Args:
-        ttl_s: Lifetime assigned to entries at insert (the cache also
-            refuses to serve entries past expiry regardless of policy).
+        ttl_s: Lifetime assigned to entries at insert, > 0 (``inf``:
+            never expires; NaN raises).  The cache also refuses to serve
+            entries past expiry regardless of policy.
     """
 
     name = "ttl"
 
     def __init__(self, ttl_s: float):
-        if ttl_s <= 0:
+        if not ttl_s > 0:
             raise ValueError("ttl_s must be > 0")
         super().__init__()
         self.ttl_s = ttl_s

@@ -524,11 +524,12 @@ class EdgePolicySpec(_Spec):
         if self.queue_limit is not None:
             _require(self.queue_limit >= 0, "queue_limit must be >= 0")
         _require(self.offload_margin >= 0, "offload_margin must be >= 0")
-        _require(self.summary_refresh_s > 0, "summary_refresh_s must be > 0")
+        _require(0 < self.summary_refresh_s < math.inf,
+                 "summary_refresh_s must be finite and > 0")
         _require(self.prewarm_top_k >= 0, "prewarm_top_k must be >= 0")
         _require(self.prewarm_layers >= 0, "prewarm_layers must be >= 0")
-        _require(self.layer_plan_margin_s >= 0,
-                 "layer_plan_margin_s must be >= 0")
+        _require(0 <= self.layer_plan_margin_s < math.inf,
+                 "layer_plan_margin_s must be finite and >= 0")
         _require(self.shed_retries >= 0, "shed_retries must be >= 0")
 
     @property

@@ -135,13 +135,15 @@ def run_index_scaling(sizes: typing.Sequence[int] = DEFAULT_SIZES,
         raise ValueError("n_queries must be >= 1")
     rng = RngStreams(seed)
     space = EmbeddingSpace(dim=dim, n_classes=max(sizes), seed=seed)
+    # One stored observation per class, each observed once (a class's
+    # rows are derived on demand); a size stores the first n_entries.
+    # Queries probe a random subset of the same classes from a nearby
+    # viewpoint (true matches exist).
+    stored_all = np.stack([space.observe(cls, 0.0, noise_key=cls).vector
+                           for cls in range(max(sizes))])
     rows = []
     for n_entries in sizes:
-        # One stored observation per class; queries probe a random subset
-        # of the same classes from a nearby viewpoint (true matches exist).
-        stored = np.stack([
-            space.observe(cls, 0.0, noise_key=cls).vector
-            for cls in range(n_entries)])
+        stored = stored_all[:n_entries]
         query_classes = rng.stream(f"queries.{n_entries}").integers(
             0, n_entries, size=n_queries)
         queries = [VectorDescriptor(

@@ -20,12 +20,21 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 
 import numpy as np
 
-#: Rows :class:`EmbeddingSpace` builds at a time (2 MiB per block at
-#: ``dim=128``); a build's transient memory is about one block.
-_BUILD_ROWS = 2048
+#: Rows of each half of the geometry stream between two PCG64 states a
+#: space keeps: deriving a class draws at most this many rows per half.
+#: 2 builds about as fast as whole tables did; 1 builds ~1.5x as long,
+#: and 4 derives ~15 % slower.
+_GROUP_ROWS = 2
+#: Rows a run of classes is derived at a time (128 KiB per array at
+#: ``dim=128``): a warm-up's transient memory is a few blocks.
+_BLOCK_ROWS = 128
+#: Classes whose derived rows a space keeps: a world this small is
+#: derived once, at build.
+_MEMO_CLASSES = 1024
 
 # -- a frame's noise seed, constant-folded ---------------------------------------
 #
@@ -170,10 +179,16 @@ class EmbeddingSpace:
     negative scale raises ``ValueError`` rather than silently turning
     the noise off or every observation into NaN.
 
-    Memory: the live geometry is two ``(n_classes, dim)`` float64 arrays,
-    ``2 * n_classes * dim * 8`` bytes (98 MiB at 50 000 classes and
-    ``dim=128``).  Construction fills them in place, ``_BUILD_ROWS``
-    rows at a time, so it peaks at the live arrays plus one block.
+    Memory: a space's tables hold at most ``_MEMO_CLASSES`` classes.  The
+    geometry is one stream, ``PCG64(SeedSequence([seed, dim,
+    n_classes]))``: every class's anchor row, then every class's drift
+    row.  The build draws it once and keeps the 128-bit state at the
+    start of every ``_GROUP_ROWS``-th row of each half (2.7 MiB at
+    50 000 classes, where whole tables took 98 MiB at ``dim=128``).  A
+    class's rows are derived on demand from its group's state, bit for
+    bit what whole tables held, into a memo of ``_MEMO_CLASSES`` slots
+    (2 MiB at ``dim=128``); a world that fits is derived into it at
+    build, so it never derives again.
     """
 
     def __init__(self, dim: int = 128, n_classes: int = 1000,
@@ -190,38 +205,102 @@ class EmbeddingSpace:
         self.n_classes = n_classes
         self.viewpoint_scale = viewpoint_scale
         self.noise_sigma = noise_sigma
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            [seed, dim, n_classes])))
-        # Each array is allocated once and filled ``_BUILD_ROWS`` rows at a
-        # time: every anchor row is drawn, then every drift row, from one
-        # stream, and each step below reduces a row on its own, so a block
-        # gets the bits the whole array would.
-        self._anchors = np.empty((n_classes, dim))
-        self._drift = np.empty((n_classes, dim))
+        # The one bit generator geometry is derived and keyed noise drawn
+        # from; each use sets its state first, so one space must not
+        # observe from two threads at once.
+        self._bits = np.random.PCG64(np.random.SeedSequence(
+            [seed, dim, n_classes]))
+        self._rng = np.random.Generator(self._bits)
+        self._inc = self._bits.state["state"]["inc"]
+        # Anchor group g starts at ``_starts[g]``, drift group g at
+        # ``_starts[_n_groups + g]``.  Normals draw whole 64-bit words,
+        # so ``has_uint32`` stays 0 and ``(state, inc)`` is the position.
+        # ``standard_normal`` consumes the words ``normal`` does; the
+        # values are thrown away.
+        self._n_groups = -(-n_classes // _GROUP_ROWS)
+        block = np.empty((_GROUP_ROWS, dim))
+        self._starts = []
+        for _half in range(2):
+            for lo in range(0, n_classes, _GROUP_ROWS):
+                self._starts.append(self._bits.state["state"]["state"])
+                self._rng.standard_normal(out=block[:n_classes - lo])
+        # The memo: class c's rows live in row ``c % _slots`` of two small
+        # tables until another class takes the slot (eviction is one
+        # overwrite).  A world that fits is derived into them now, so it
+        # reads rows as the whole tables were read.
+        self._slots = min(n_classes, _MEMO_CLASSES)
+        self._anchors = np.empty((self._slots, dim))
+        self._drift = np.empty((self._slots, dim))
+        self._slot_class = [-1] * self._slots
+        if n_classes <= _MEMO_CLASSES:
+            for lo in range(0, n_classes, _BLOCK_ROWS):
+                hi = min(lo + _BLOCK_ROWS, n_classes)
+                anchors, drift = self._derive(lo, hi)
+                self._anchors[lo:hi] = anchors
+                self._drift[lo:hi] = drift
+            self._slot_class = list(range(n_classes))
+
+    def _seek(self, state: int, inc: int) -> None:
+        self._bits.state = {"bit_generator": "PCG64",
+                            "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+
+    def _derive(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh ``(anchors, drift)`` arrays of classes ``[lo, hi)``.
+
+        Each row is drawn from its place in the stream and reduced on its
+        own, with the expressions the one-shot build applied to the whole
+        table, so any range gets the bits the table held.
+        """
+        group, skip = divmod(lo, _GROUP_ROWS)
+        size = (hi - lo + skip, self.dim)
         # Class anchors: random unit vectors.  In high dimension they are
         # nearly orthogonal, like real class prototypes.
-        for lo in range(0, n_classes, _BUILD_ROWS):
-            anchors = self._anchors[lo:lo + _BUILD_ROWS]
-            anchors[:] = rng.normal(size=anchors.shape)
-            anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
+        self._seek(self._starts[group], self._inc)
+        anchors = self._rng.normal(size=size)[skip:]
+        anchors = anchors / np.sqrt(np.add.reduce(anchors * anchors, axis=1,
+                                                  keepdims=True))
         # A per-class orthogonal "viewpoint direction" along which the
         # embedding slides as the camera moves.
-        for lo in range(0, n_classes, _BUILD_ROWS):
-            rows = slice(lo, lo + _BUILD_ROWS)
-            anchors, drift = self._anchors[rows], self._drift[rows]
-            drift[:] = rng.normal(size=drift.shape)
-            drift -= np.sum(drift * anchors, axis=1, keepdims=True) * anchors
-            drift /= np.linalg.norm(drift, axis=1, keepdims=True)
-        # The one bit generator keyed noise is drawn from; ``observe``
-        # sets its state per frame (see :func:`_noise_seed`), so one
-        # space must not observe from two threads at once.
-        self._noise_bits = np.random.PCG64(0)
-        self._noise = np.random.Generator(self._noise_bits)
+        self._seek(self._starts[self._n_groups + group], self._inc)
+        drift = self._rng.normal(size=size)[skip:]
+        drift = drift - np.add.reduce(drift * anchors, axis=1,
+                                      keepdims=True) * anchors
+        drift = drift / np.sqrt(np.add.reduce(drift * drift, axis=1,
+                                              keepdims=True))
+        return anchors, drift
+
+    def _slot(self, object_class: int) -> int:
+        """The memo slot holding the class's rows, filled if need be."""
+        self._check_class(object_class)
+        slot = object_class % self._slots
+        if self._slot_class[slot] != object_class:
+            self._fill(slot, object_class)
+        return slot
+
+    def _fill(self, slot: int, object_class: int) -> None:
+        """Derive one class's rows into memo slot ``slot``.
+
+        ``_derive(object_class, object_class + 1)`` in 1-D: a row's
+        ``np.add.reduce`` has the bits of the axis-1 reduction, and
+        ``math.sqrt`` those of ``np.sqrt``.
+        """
+        group, row = divmod(object_class, _GROUP_ROWS)
+        size = (row + 1, self.dim)
+        self._seek(self._starts[group], self._inc)
+        anchor = self._rng.normal(size=size)[row]
+        anchor = np.divide(anchor, math.sqrt(np.add.reduce(anchor * anchor)),
+                           out=self._anchors[slot])
+        self._seek(self._starts[self._n_groups + group], self._inc)
+        drift = self._rng.normal(size=size)[row]
+        drift = drift - np.add.reduce(drift * anchor) * anchor
+        np.divide(drift, math.sqrt(np.add.reduce(drift * drift)),
+                  out=self._drift[slot])
+        self._slot_class[slot] = object_class
 
     def anchor(self, object_class: int) -> np.ndarray:
         """The canonical (zero-viewpoint, noise-free) embedding of a class."""
-        self._check_class(object_class)
-        return self._anchors[object_class].copy()
+        return self._anchors[self._slot(object_class)].copy()
 
     def observe(self, object_class: int, viewpoint: float = 0.0,
                 noise_key: int | None = None) -> Observation:
@@ -247,27 +326,50 @@ class EmbeddingSpace:
         builds the ``SeedSequence``; a negative one raises
         ``ValueError``.
         """
-        self._check_class(object_class)
+        slot = self._slot(object_class)
         angle = viewpoint * self.viewpoint_scale
-        vec = (np.cos(angle) * self._anchors[object_class]
-               + np.sin(angle) * self._drift[object_class])
+        vec = (np.cos(angle) * self._anchors[slot]
+               + np.sin(angle) * self._drift[slot])
         if self.noise_sigma > 0 and noise_key is not None:
             key, cls = int(noise_key), int(object_class)
             if key >> 32 == 0 and cls >> 32 == 0:
-                noise_rng = self._noise
-                state, inc = _noise_seed(cls, key)
-                self._noise_bits.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0}
+                noise_rng = self._rng
+                self._seek(*_noise_seed(cls, key))
             else:
                 noise_rng = np.random.Generator(np.random.PCG64(
                     np.random.SeedSequence([0x5EED, cls, key])))
             vec = vec + noise_rng.normal(0.0, self.noise_sigma, size=self.dim)
         # ``np.linalg.norm`` of a 1-D vector, without its dispatch.
-        vec = vec / np.sqrt(vec.dot(vec))
+        vec = vec / math.sqrt(vec.dot(vec))
         return Observation(vector=vec, object_class=object_class,
                            viewpoint=viewpoint)
+
+    def prototypes(self, classes: typing.Iterable[int]
+                   ) -> typing.Iterator[np.ndarray]:
+        """``observe(c).vector`` for each class ``c`` of ``classes``, in order.
+
+        Warm-ups list classes in runs such as ``range(n)``: each run of
+        consecutive classes is derived ``_BLOCK_ROWS`` rows at a time,
+        not a class at a time, and passes the memo by.
+        """
+        lo = hi = None
+        for cls in classes:
+            self._check_class(cls)
+            if cls != hi or hi - lo == _BLOCK_ROWS:
+                if lo is not None:
+                    yield from self._prototype_run(lo, hi)
+                lo = cls
+            hi = cls + 1
+        if lo is not None:
+            yield from self._prototype_run(lo, hi)
+
+    def _prototype_run(self, lo: int, hi: int) -> typing.Iterator[np.ndarray]:
+        # ``observe``'s arithmetic at viewpoint 0 without noise: the
+        # rotation is element-wise, so a block gets each row's bits.
+        angle = 0.0 * self.viewpoint_scale
+        anchors, drift = self._derive(lo, hi)
+        for vec in np.cos(angle) * anchors + np.sin(angle) * drift:
+            yield vec / math.sqrt(vec.dot(vec))
 
     def _check_class(self, object_class: int) -> None:
         if not 0 <= object_class < self.n_classes:

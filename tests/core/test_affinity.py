@@ -9,6 +9,7 @@ PR 3 balancer.
 """
 
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -394,6 +395,33 @@ class TestPolicyKnobs:
             EdgePolicySpec(summary_refresh_s=0.0)
         with pytest.raises(ValueError):
             EdgePolicySpec(prewarm_layers=-1)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan],
+                             ids=["inf", "nan"])
+    @pytest.mark.parametrize("field", ["summary_refresh_s",
+                                       "layer_plan_margin_s"])
+    def test_non_finite_period_raises_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EdgePolicySpec(**{field: value})
+
+    def test_two_edge_affinity_metro_gossips_and_serves(self,
+                                                         make_deployment):
+        # ``summary_refresh_s=inf`` used to build this metro, and its
+        # first ``_gossip_summaries`` round crashed the run on the
+        # non-finite delay.  The spec refuses it now, from a dict too.
+        spec = ScenarioSpec.metro(
+            n_edges=2, clients_per_edge=1,
+            policy=EdgePolicySpec(offload="affinity", summary_refresh_s=1.0))
+        data = spec.to_dict()
+        data["policy"]["summary_refresh_s"] = math.inf
+        with pytest.raises(ValueError, match="summary_refresh_s"):
+            ScenarioSpec.from_dict(data)
+        dep = make_deployment(spec=spec)
+        records = dep.run_tasks(dep.all_clients[0],
+                                [dep.recognition_task(3)])
+        dep.run_for(2.5)
+        assert len(records) == 1
+        assert dep.counts()["summaries_sent"] > 0
 
     def test_affinity_gates_admission(self):
         assert EdgePolicySpec(offload="affinity").gates_admission

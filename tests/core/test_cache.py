@@ -139,6 +139,18 @@ class TestTtl:
         with pytest.raises(ValueError):
             ICCache(capacity_bytes=10, ttl_s=0)
 
+    @pytest.mark.parametrize("ttl_s", [0.0, -1.0, float("nan"),
+                                       float("-inf")])
+    def test_rejects_a_ttl_that_is_not_positive(self, ttl_s):
+        # NaN used to build: ``now + nan`` never compares expired.
+        with pytest.raises(ValueError, match="ttl_s"):
+            ICCache(capacity_bytes=10, ttl_s=ttl_s)
+
+    def test_infinite_ttl_never_expires(self):
+        cache = ICCache(capacity_bytes=1000, ttl_s=float("inf"))
+        cache.insert(hd("aa"), "x", 10, now=0.0)
+        assert cache.lookup(hd("aa"), now=1e12) is not None
+
 
 class TestLookupCost:
     def test_cost_for_unknown_kind_is_probe(self):

@@ -101,6 +101,19 @@ class TestTtl:
         with pytest.raises(ValueError):
             TtlPolicy(ttl_s=0)
 
+    @pytest.mark.parametrize("ttl_s", [0.0, -1.0, float("nan")])
+    def test_rejects_a_ttl_that_is_not_positive(self, ttl_s):
+        with pytest.raises(ValueError, match="ttl_s"):
+            TtlPolicy(ttl_s=ttl_s)
+
+    @pytest.mark.parametrize("spec", ["ttl:nan", "ttl:0", "ttl:-5"])
+    def test_make_policy_rejects_a_ttl_that_is_not_positive(self, spec):
+        with pytest.raises(ValueError, match="ttl_s"):
+            make_policy(spec)
+
+    def test_make_policy_keeps_an_infinite_ttl(self):
+        assert make_policy("ttl:inf").ttl_s == float("inf")
+
 
 class TestGdsf:
     def test_prefers_keeping_costly_small_entries(self):

@@ -122,6 +122,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             CacheConfig(capacity_mb=0)
 
+    @pytest.mark.parametrize("ttl_s", [NAN, 0.0, -1.0],
+                             ids=["nan", "zero", "negative"])
+    def test_cache_ttl_must_be_positive(self, ttl_s):
+        with pytest.raises(ValueError, match="ttl_s"):
+            CacheConfig(ttl_s=ttl_s)
+
+    def test_cache_ttl_may_be_infinite(self):
+        # ``inf`` keeps meaning "never expires".
+        assert CacheConfig(ttl_s=INF).ttl_s == INF
+
     def test_worker_validation(self):
         with pytest.raises(ValueError):
             CoICConfig(edge_workers=0)

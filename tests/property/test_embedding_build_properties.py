@@ -1,79 +1,169 @@
-"""The block-by-block geometry build equals the one-shot build.
+"""Rows derived on demand equal the one-shot build.
 
-``EmbeddingSpace.__init__`` fills its anchor and drift arrays in place,
-``_BUILD_ROWS`` rows at a time.  :func:`reference_geometry` is the
-whole-array construction it replaced, kept verbatim: the two must agree
-bit for bit on every shape (one row, a block short of, at and past a
-block boundary, a ragged last block) and seed, because every
-descriptor, match decision and digest is computed from these arrays.
-The build must also peak at its live arrays plus about one block.
+``EmbeddingSpace`` holds no whole anchor or drift table: its build keeps
+the geometry stream's PCG64 state every ``_GROUP_ROWS`` rows, and a
+class's rows are re-drawn from there when asked for -- one class at a
+time into a memo of ``_MEMO_CLASSES`` slots (``observe``, ``anchor``), or
+``_BLOCK_ROWS`` at a time for a run of classes (``prototypes``, and the
+build of a world the memo holds whole).
+:func:`reference_geometry` is the whole-table construction this replaced,
+kept verbatim: every path must give its rows bit for bit on every shape
+(one row, at and past a group, block and memo boundary, a ragged last
+block) and seed, because every descriptor, match decision and digest is
+computed from them.  A space must also cost its states, not its classes.
 """
 
+import random
 import tracemalloc
-import types
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.vision.features import _BUILD_ROWS, EmbeddingSpace
+from repro.vision.features import (_BLOCK_ROWS, _GROUP_ROWS, _MEMO_CLASSES,
+                                   EmbeddingSpace)
 
-from test_vision_render_properties import reference_observation
+from test_vision_render_properties import (reference_geometry,
+                                           reference_observation)
 
-B = _BUILD_ROWS
-EDGE_ROWS = (1, B - 1, B, B + 1, 2 * B + 7)
+B, G, M = _BLOCK_ROWS, _GROUP_ROWS, _MEMO_CLASSES
+EDGE_ROWS = sorted({1, G, G + 1, B - 1, B, B + 1, 2 * B + 7, M + 1})
 EDGE_DIMS = (2, 64, 128)
 SEED = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def reference_geometry(dim, n_classes, seed):
-    """``(anchors, drift)`` as the one-shot constructor built them."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        [seed, dim, n_classes])))
-    anchors = rng.normal(size=(n_classes, dim))
-    anchors = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
-    drift = rng.normal(size=(n_classes, dim))
-    drift -= (np.sum(drift * anchors, axis=1, keepdims=True)
-              * anchors)
-    drift = drift / np.linalg.norm(drift, axis=1, keepdims=True)
-    return anchors, drift
+def assert_rows_equal(got, want):
+    assert got.tobytes() == want.tobytes()
 
 
 def assert_same_geometry(dim, n_classes, seed):
     space = EmbeddingSpace(dim=dim, n_classes=n_classes, seed=seed)
-    anchors, drift = reference_geometry(dim, n_classes, seed)
-    assert space._anchors.tobytes() == anchors.tobytes()
-    assert space._drift.tobytes() == drift.tobytes()
-    reference = types.SimpleNamespace(
-        dim=dim, viewpoint_scale=space.viewpoint_scale,
-        noise_sigma=space.noise_sigma, _anchors=anchors, _drift=drift)
+    geometry = anchors, drift = reference_geometry(dim, n_classes, seed)
+    # Through the memo (filled at build up to M classes, on demand past).
+    for cls in range(n_classes):
+        slot = space._slot(cls)
+        assert_rows_equal(space._anchors[slot], anchors[cls])
+        assert_rows_equal(space._drift[slot], drift[cls])
+    # One class at a time, as a memo miss derives it.
+    for cls in range(n_classes):
+        space._fill(0, cls)
+        assert_rows_equal(space._anchors[0], anchors[cls])
+        assert_rows_equal(space._drift[0], drift[cls])
+    # The whole range at once, as a run-wise warm-up derives it.
+    block_anchors, block_drift = space._derive(0, n_classes)
+    assert_rows_equal(block_anchors, anchors)
+    assert_rows_equal(block_drift, drift)
+    for cls, vector in enumerate(space.prototypes(range(n_classes))):
+        assert_rows_equal(vector, reference_observation(
+            space, geometry, cls, 0.0, None))
     for cls in sorted({0, min(B, n_classes - 1), n_classes - 1}):
+        assert_rows_equal(space.anchor(cls), anchors[cls])
         for key in (0, 12345):
-            got = space.observe(cls, 0.7, noise_key=key).vector
-            assert np.array_equal(
-                got, reference_observation(reference, cls, 0.7, key))
+            assert_rows_equal(
+                space.observe(cls, 0.7, noise_key=key).vector,
+                reference_observation(space, geometry, cls, 0.7, key))
 
 
 @pytest.mark.parametrize("dim", EDGE_DIMS)
 @pytest.mark.parametrize("n_classes", EDGE_ROWS)
 @given(seed=SEED)
-@settings(max_examples=3, deadline=None)
-def test_block_build_equals_one_shot_build_at_block_edges(n_classes, dim,
-                                                          seed):
+@settings(max_examples=2, deadline=None)
+def test_derived_rows_equal_one_shot_build_at_boundaries(n_classes, dim,
+                                                         seed):
     assert_same_geometry(dim, n_classes, seed)
 
 
 @given(n_classes=st.integers(min_value=1, max_value=3 * B + 1),
        dim=st.integers(min_value=2, max_value=160), seed=SEED)
 @settings(max_examples=10, deadline=None)
-def test_block_build_equals_one_shot_build_on_any_shape(n_classes, dim,
+def test_derived_rows_equal_one_shot_build_on_any_shape(n_classes, dim,
                                                         seed):
     assert_same_geometry(dim, n_classes, seed)
 
 
-def test_build_peaks_at_live_arrays_plus_a_block():
-    dim = 128
+@given(seed=SEED, walk=SEED, extra=st.integers(min_value=1, max_value=M))
+@settings(max_examples=5, deadline=None)
+def test_rows_in_any_order_across_memo_eviction_equal_the_reference(
+        seed, walk, extra):
+    # More classes than the memo holds, visited in a random order with
+    # repeats: a class comes back after it was evicted, and the keyed
+    # noise drawn between derivations must not shift any stream.
+    n_classes, dim = M + extra, 8
+    space = EmbeddingSpace(dim=dim, n_classes=n_classes, seed=seed)
+    geometry = anchors, drift = reference_geometry(dim, n_classes, seed)
+    visits = random.Random(walk).choices(range(n_classes), k=2 * n_classes)
+    for i, cls in enumerate(visits):
+        slot = space._slot(cls)
+        assert_rows_equal(space._anchors[slot], anchors[cls])
+        assert_rows_equal(space._drift[slot], drift[cls])
+        if i % 7 == 0:
+            assert_rows_equal(
+                space.observe(cls, 0.3, noise_key=i).vector,
+                reference_observation(space, geometry, cls, 0.3, i))
+    # Every slot still holds the rows of the class it is tagged with.
+    assert space._anchors.shape == space._drift.shape == (M, dim)
+    for slot, cls in enumerate(space._slot_class):
+        if cls >= 0:
+            assert_rows_equal(space._anchors[slot], anchors[cls])
+            assert_rows_equal(space._drift[slot], drift[cls])
+
+
+@pytest.mark.parametrize("n_classes", [64, M, M + 1, 5 * M])
+def test_memo_is_two_bounded_tables_of_its_own(n_classes):
+    space = EmbeddingSpace(dim=16, n_classes=n_classes, seed=3)
+    slots = min(n_classes, M)
+    for table in (space._anchors, space._drift):
+        # Its own bytes: no view that pins a larger draw.
+        assert table.shape == (slots, 16) and table.base is None
+    # A world that fits is derived whole at build; a larger one on demand.
+    assert space._slot_class == (list(range(n_classes))
+                                 if n_classes <= M else [-1] * M)
+    anchor = space.anchor(5)
+    anchor[:] = 0.0
+    assert np.linalg.norm(space.anchor(5)) == pytest.approx(1.0)
+
+
+@given(classes=st.lists(st.integers(min_value=0, max_value=99),
+                        max_size=60))
+@settings(max_examples=30, deadline=None)
+def test_prototypes_equal_observe_for_any_class_list(classes):
+    # Runs, gaps, repeats and descending steps all come out in order.
+    space = EmbeddingSpace(dim=16, n_classes=100, seed=5)
+    got = list(space.prototypes(classes))
+    assert len(got) == len(classes)
+    for cls, vector in zip(classes, got):
+        assert_rows_equal(vector, space.observe(cls, 0.0).vector)
+
+
+def test_prototypes_derive_runs_a_block_at_a_time(monkeypatch):
+    space = EmbeddingSpace(dim=8, n_classes=M + 4 * B, seed=1)
+    calls = []
+    derive = space._derive
+
+    def counting_derive(lo, hi):
+        calls.append((lo, hi))
+        return derive(lo, hi)
+
+    monkeypatch.setattr(space, "_derive", counting_derive)
+    classes = [*range(0, 2 * B + 3), 7, 9, 10, *range(3 * B, 4 * B)]
+    assert len(list(space.prototypes(classes))) == len(classes)
+    assert calls == [(0, B), (B, 2 * B), (2 * B, 2 * B + 3), (7, 8),
+                     (9, 11), (3 * B, 4 * B)]
+    # The warm-up passes the memo by.
+    assert space._slot_class == [-1] * M
+
+
+def test_prototypes_check_each_class():
+    space = EmbeddingSpace(dim=8, n_classes=10, seed=1)
+    with pytest.raises(ValueError):
+        list(space.prototypes([3, 4, 10]))
+    with pytest.raises(ValueError):
+        list(space.prototypes([-1]))
+
+
+def traced(build):
+    """``(result, retained, peak)`` bytes of ``build()`` under tracemalloc."""
     was_tracing = tracemalloc.is_tracing()
     if was_tracing:
         tracemalloc.reset_peak()
@@ -81,12 +171,28 @@ def test_build_peaks_at_live_arrays_plus_a_block():
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        space = EmbeddingSpace(dim=dim, n_classes=20_000)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        result = build()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    live = space._anchors.nbytes + space._drift.nbytes
-    assert live == 2 * 20_000 * dim * 8
-    # The one-shot build peaked at ~2.0x live.
-    assert peak - live <= 2 * B * dim * 8
+    return result, retained - base, peak - base
+
+
+def test_a_large_world_costs_its_states_not_its_classes():
+    dim, n_classes = 128, 50_000
+    space, retained, peak = traced(
+        lambda: EmbeddingSpace(dim=dim, n_classes=n_classes))
+    # The tables were 2 * 50 000 * 128 * 8 bytes = 97.7 MiB.
+    assert retained < 8 * 2**20
+    # The build draws a group at a time: it peaks near what it keeps.
+    assert peak - retained <= B * dim * 8
+    # A full memo stays bounded too.
+    def observe_many():
+        for cls in range(0, 3 * M):
+            space.observe(cls, 0.1)
+
+    _, grown, _ = traced(observe_many)
+    assert min(space._slot_class) >= 0
+    assert retained + grown < 8 * 2**20
+

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 
 from repro.vision.features import _noise_seed
 
-from test_vision_render_properties import SPACE, reference_observation
+from test_vision_render_properties import (SPACE, SPACE_GEOMETRY,
+                                           reference_observation)
 
 WORD = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -46,8 +47,9 @@ def test_observe_draws_the_seed_sequence_stream_for_any_key(cls, viewpoint,
                                                             key):
     # Below 2**32 observe takes the folded path, from 2**32 on it builds
     # the SeedSequence itself; both must equal the reference.
-    assert np.array_equal(SPACE.observe(cls, viewpoint, noise_key=key).vector,
-                          reference_observation(SPACE, cls, viewpoint, key))
+    assert np.array_equal(
+        SPACE.observe(cls, viewpoint, noise_key=key).vector,
+        reference_observation(SPACE, SPACE_GEOMETRY, cls, viewpoint, key))
 
 
 def test_keyed_noise_does_not_depend_on_what_was_observed_before():

@@ -13,6 +13,27 @@ from repro.vision.image import RESOLUTIONS, jpeg_size_bytes
 SPACE = EmbeddingSpace(dim=64, n_classes=40, seed=11)
 
 
+def reference_geometry(dim, n_classes, seed):
+    """``(anchors, drift)`` as the one-shot constructor built them.
+
+    Kept verbatim: ``EmbeddingSpace`` holds no table and derives each
+    class's rows on demand, and every descriptor, match decision and
+    digest rests on those rows being these, bit for bit.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        [seed, dim, n_classes])))
+    anchors = rng.normal(size=(n_classes, dim))
+    anchors = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
+    drift = rng.normal(size=(n_classes, dim))
+    drift -= (np.sum(drift * anchors, axis=1, keepdims=True)
+              * anchors)
+    drift = drift / np.linalg.norm(drift, axis=1, keepdims=True)
+    return anchors, drift
+
+
+SPACE_GEOMETRY = reference_geometry(64, 40, 11)
+
+
 @given(cls=st.integers(min_value=0, max_value=39),
        viewpoint=st.floats(min_value=-5, max_value=5, allow_nan=False),
        key=st.integers(min_value=0, max_value=1_000_000))
@@ -22,11 +43,12 @@ def test_observations_always_unit_norm(cls, viewpoint, key):
     assert np.linalg.norm(obs.vector) == pytest.approx(1.0)
 
 
-def reference_observation(space, cls, viewpoint, key):
-    """``observe`` written out with ``np.linalg.norm``, for comparison."""
+def reference_observation(space, geometry, cls, viewpoint, key):
+    """``observe`` written out with ``np.linalg.norm``, for comparison,
+    on the ``(anchors, drift)`` of :func:`reference_geometry`."""
+    anchors, drift = geometry
     angle = viewpoint * space.viewpoint_scale
-    vec = (np.cos(angle) * space._anchors[cls]
-           + np.sin(angle) * space._drift[cls])
+    vec = np.cos(angle) * anchors[cls] + np.sin(angle) * drift[cls]
     if key is not None:
         noise = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([0x5EED, cls, key])))
@@ -44,8 +66,8 @@ def test_observe_matches_the_linalg_norm_reference(cls, viewpoint, key):
     # Bit for bit: observe normalises by sqrt(v . v), which is what
     # np.linalg.norm computes for a 1-D vector.
     got = SPACE.observe(cls, viewpoint, noise_key=key).vector
-    assert np.array_equal(got, reference_observation(SPACE, cls, viewpoint,
-                                                     key))
+    assert np.array_equal(got, reference_observation(
+        SPACE, SPACE_GEOMETRY, cls, viewpoint, key))
 
 
 @given(cls=st.integers(min_value=0, max_value=39),
