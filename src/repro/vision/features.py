@@ -18,22 +18,24 @@ metric.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import math
 import typing
 
 import numpy as np
 
-#: Rows of each half of the geometry stream between two PCG64 states a
-#: space keeps: deriving a class draws at most this many rows per half.
-#: 2 builds about as fast as whole tables did; 1 builds ~1.5x as long,
-#: and 4 derives ~15 % slower.
+#: Rows of each half of the geometry stream between two PCG64 positions
+#: a space keeps: deriving a class draws at most this many rows per
+#: half.  2 builds about as fast as whole tables did; 1 builds ~1.4x as
+#: long, and 4 derives ~20 % slower.
 _GROUP_ROWS = 2
-#: Rows a run of classes is derived at a time (128 KiB per array at
-#: ``dim=128``): a warm-up's transient memory is a few blocks.
+#: Rows the build reduces, and a run of classes is derived, at a time
+#: (128 KiB per array at ``dim=128``): their transient memory is a few
+#: blocks.
 _BLOCK_ROWS = 128
-#: Classes whose derived rows a space keeps: a world this small is
-#: derived once, at build.
+#: Classes whose rows a space keeps: a world this small is built into
+#: them and never derives.
 _MEMO_CLASSES = 1024
 
 # -- a frame's noise seed, constant-folded ---------------------------------------
@@ -50,6 +52,7 @@ _MEMO_CLASSES = 1024
 # ``tests/property/test_noise_seed_properties.py`` pins it to numpy.
 
 _M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -150,6 +153,46 @@ def _noise_seed(object_class: int, key: int) -> tuple[int, int]:
     return ((inc + seed) * _PCG64_MULT + inc) & _M128, inc
 
 
+def _state_words(bits: np.random.PCG64) -> np.ndarray:
+    """The live ``(state, inc)`` of ``bits`` as a writable view of four
+    uint64 words, where numpy's C code keeps them.
+
+    Copying the words out and back moves the generator without building
+    the ``state`` property's dicts and 128-bit ints.  The view keeps
+    ``bits`` alive.
+    """
+    address = ctypes.c_void_p.from_address(bits.ctypes.state_address).value
+    buffer = (ctypes.c_uint64 * 4).from_address(address)
+    buffer.owner = bits
+    words = np.ctypeslib.as_array(buffer)
+    state = bits.state["state"]
+    for value, pair in ((state["state"], words[:2]),
+                        (state["inc"], words[2:])):
+        if pair.tolist() not in ([value & _M64, value >> 64],
+                                 [value >> 64, value & _M64]):
+            raise RuntimeError("numpy's PCG64 keeps its state in an "
+                               "unknown layout")
+    return words
+
+
+def _orthonormal(drift: np.ndarray, anchors: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Write ``drift``'s rows made orthogonal to ``anchors``' and of unit
+    norm into ``out``, each row on its own (``drift`` is overwritten).
+
+    A per-class "viewpoint direction" along which the embedding slides
+    as the camera moves.
+    """
+    drift -= np.add.reduce(drift * anchors, axis=1, keepdims=True) * anchors
+    np.divide(drift, np.sqrt(np.add.reduce(drift * drift, axis=1,
+                                           keepdims=True)), out=out)
+
+
+def _unit(vec: np.ndarray) -> np.ndarray:
+    """``vec / np.linalg.norm(vec)`` of a 1-D ``vec``, without its dispatch."""
+    return vec / math.sqrt(vec.dot(vec))
+
+
 @dataclasses.dataclass(frozen=True)
 class Observation:
     """A feature vector extracted from one camera frame."""
@@ -179,16 +222,16 @@ class EmbeddingSpace:
     negative scale raises ``ValueError`` rather than silently turning
     the noise off or every observation into NaN.
 
-    Memory: a space's tables hold at most ``_MEMO_CLASSES`` classes.  The
-    geometry is one stream, ``PCG64(SeedSequence([seed, dim,
-    n_classes]))``: every class's anchor row, then every class's drift
-    row.  The build draws it once and keeps the 128-bit state at the
-    start of every ``_GROUP_ROWS``-th row of each half (2.7 MiB at
-    50 000 classes, where whole tables took 98 MiB at ``dim=128``).  A
-    class's rows are derived on demand from its group's state, bit for
-    bit what whole tables held, into a memo of ``_MEMO_CLASSES`` slots
-    (2 MiB at ``dim=128``); a world that fits is derived into it at
-    build, so it never derives again.
+    Memory: a space holds no whole anchor or drift table.  The geometry
+    is one stream, ``PCG64(SeedSequence([seed, dim, n_classes]))``:
+    every class's anchor row, then every class's drift row.  The build
+    draws it and keeps the PCG64 position at the start of every
+    ``_GROUP_ROWS``-th row of each half, and each anchor's norm (1.9 MiB
+    at 50 000 classes, where whole tables took 98 MiB at ``dim=128``).
+    A class's rows are re-drawn from its group's position when asked
+    for, bit for bit what the tables held, into a memo of
+    ``_MEMO_CLASSES`` slots (2 MiB at ``dim=128``).  A world that fits
+    is built straight into the memo and never derives again.
     """
 
     def __init__(self, dim: int = 128, n_classes: int = 1000,
@@ -211,92 +254,107 @@ class EmbeddingSpace:
         self._bits = np.random.PCG64(np.random.SeedSequence(
             [seed, dim, n_classes]))
         self._rng = np.random.Generator(self._bits)
-        self._inc = self._bits.state["state"]["inc"]
+        self._words = _state_words(self._bits)
         # Anchor group g starts at ``_starts[g]``, drift group g at
         # ``_starts[_n_groups + g]``.  Normals draw whole 64-bit words,
-        # so ``has_uint32`` stays 0 and ``(state, inc)`` is the position.
-        # ``standard_normal`` consumes the words ``normal`` does; the
-        # values are thrown away.
+        # so ``has_uint32`` stays 0 and the four words are the position.
         self._n_groups = -(-n_classes // _GROUP_ROWS)
-        block = np.empty((_GROUP_ROWS, dim))
-        self._starts = []
-        for _half in range(2):
-            for lo in range(0, n_classes, _GROUP_ROWS):
-                self._starts.append(self._bits.state["state"]["state"])
-                self._rng.standard_normal(out=block[:n_classes - lo])
+        self._starts = np.empty((2 * self._n_groups, 4), np.uint64)
+        self._norm = np.empty((n_classes, 1))
         # The memo: class c's rows live in row ``c % _slots`` of two small
         # tables until another class takes the slot (eviction is one
-        # overwrite).  A world that fits is derived into them now, so it
-        # reads rows as the whole tables were read.
+        # overwrite).  A world that fits is built in them, a larger one
+        # in a block that is thrown away.
         self._slots = min(n_classes, _MEMO_CLASSES)
         self._anchors = np.empty((self._slots, dim))
         self._drift = np.empty((self._slots, dim))
-        self._slot_class = [-1] * self._slots
-        if n_classes <= _MEMO_CLASSES:
-            for lo in range(0, n_classes, _BLOCK_ROWS):
-                hi = min(lo + _BLOCK_ROWS, n_classes)
-                anchors, drift = self._derive(lo, hi)
-                self._anchors[lo:hi] = anchors
-                self._drift[lo:hi] = drift
-            self._slot_class = list(range(n_classes))
+        fits = n_classes <= _MEMO_CLASSES
+        self._slot_class = (list(range(n_classes)) if fits
+                            else [-1] * self._slots)
+        block = np.empty((_BLOCK_ROWS, dim))
+        for lo in range(0, n_classes, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n_classes)
+            anchors = self._anchors[lo:hi] if fits else block[:hi - lo]
+            self._draw_groups(lo, anchors, 0)
+            # Class anchors: random unit vectors.  In high dimension they
+            # are nearly orthogonal, like real class prototypes.
+            norm = self._norm[lo:hi]
+            np.add.reduce(anchors * anchors, axis=1, keepdims=True, out=norm)
+            anchors /= np.sqrt(norm, out=norm)
+        for lo in range(0, n_classes, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n_classes)
+            drift = self._drift[lo:hi] if fits else block[:hi - lo]
+            self._draw_groups(lo, drift, self._n_groups)
+            if fits:
+                _orthonormal(drift, self._anchors[lo:hi], out=drift)
+
+    def __reduce__(self):
+        # ``_words`` views ``_bits``'s C struct: a copy's view would not
+        # move the copy's generator.
+        raise TypeError("an EmbeddingSpace cannot be copied or pickled; "
+                        "build another from the same arguments")
+
+    def _draw_groups(self, lo: int, out: np.ndarray, first: int) -> None:
+        """Draw ``out``'s rows, the half's rows from ``lo`` on, as
+        ``normal()`` draws them, a group at a time, keeping each group's
+        start at ``_starts[first + group]``."""
+        for row in range(0, len(out), _GROUP_ROWS):
+            self._starts[first + (lo + row) // _GROUP_ROWS] = self._words
+            self._rng.standard_normal(out=out[row:row + _GROUP_ROWS])
+        # ``normal()`` is ``0.0 + 1.0 * z`` of the same draws: the sum
+        # turns a -0.0 into 0.0.
+        out += 0.0
 
     def _seek(self, state: int, inc: int) -> None:
         self._bits.state = {"bit_generator": "PCG64",
                             "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
 
-    def _derive(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh ``(anchors, drift)`` arrays of classes ``[lo, hi)``.
+    def _derive(self, lo: int, hi: int, anchors: np.ndarray,
+                drift: np.ndarray) -> None:
+        """Write the rows of classes ``[lo, hi)`` into ``anchors`` and
+        ``drift``.
 
-        Each row is drawn from its place in the stream and reduced on its
-        own, with the expressions the one-shot build applied to the whole
-        table, so any range gets the bits the table held.
+        Each half is re-drawn from its group's position and reduced with
+        the build's operations on the build's operands, so any range gets
+        the bits the whole tables held.
         """
         group, skip = divmod(lo, _GROUP_ROWS)
         size = (hi - lo + skip, self.dim)
-        # Class anchors: random unit vectors.  In high dimension they are
-        # nearly orthogonal, like real class prototypes.
-        self._seek(self._starts[group], self._inc)
-        anchors = self._rng.normal(size=size)[skip:]
-        anchors = anchors / np.sqrt(np.add.reduce(anchors * anchors, axis=1,
-                                                  keepdims=True))
-        # A per-class orthogonal "viewpoint direction" along which the
-        # embedding slides as the camera moves.
-        self._seek(self._starts[self._n_groups + group], self._inc)
-        drift = self._rng.normal(size=size)[skip:]
-        drift = drift - np.add.reduce(drift * anchors, axis=1,
-                                      keepdims=True) * anchors
-        drift = drift / np.sqrt(np.add.reduce(drift * drift, axis=1,
-                                              keepdims=True))
-        return anchors, drift
+        self._words[:] = self._starts[group]
+        np.divide(self._rng.normal(size=size)[skip:], self._norm[lo:hi],
+                  out=anchors)
+        self._words[:] = self._starts[self._n_groups + group]
+        _orthonormal(self._rng.normal(size=size)[skip:], anchors, out=drift)
 
     def _slot(self, object_class: int) -> int:
         """The memo slot holding the class's rows, filled if need be."""
         self._check_class(object_class)
         slot = object_class % self._slots
         if self._slot_class[slot] != object_class:
-            self._fill(slot, object_class)
+            self._derive(object_class, object_class + 1,
+                         self._anchors[slot:slot + 1],
+                         self._drift[slot:slot + 1])
+            self._slot_class[slot] = object_class
         return slot
 
-    def _fill(self, slot: int, object_class: int) -> None:
-        """Derive one class's rows into memo slot ``slot``.
+    def _rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(anchors, drift)`` of classes ``[lo, hi)``: the memo's rows in a
+        world that fits, else fresh arrays that pass the memo by."""
+        if self.n_classes <= _MEMO_CLASSES:
+            return self._anchors[lo:hi], self._drift[lo:hi]
+        anchors = np.empty((hi - lo, self.dim))
+        drift = np.empty((hi - lo, self.dim))
+        self._derive(lo, hi, anchors, drift)
+        return anchors, drift
 
-        ``_derive(object_class, object_class + 1)`` in 1-D: a row's
-        ``np.add.reduce`` has the bits of the axis-1 reduction, and
-        ``math.sqrt`` those of ``np.sqrt``.
-        """
-        group, row = divmod(object_class, _GROUP_ROWS)
-        size = (row + 1, self.dim)
-        self._seek(self._starts[group], self._inc)
-        anchor = self._rng.normal(size=size)[row]
-        anchor = np.divide(anchor, math.sqrt(np.add.reduce(anchor * anchor)),
-                           out=self._anchors[slot])
-        self._seek(self._starts[self._n_groups + group], self._inc)
-        drift = self._rng.normal(size=size)[row]
-        drift = drift - np.add.reduce(drift * anchor) * anchor
-        np.divide(drift, math.sqrt(np.add.reduce(drift * drift)),
-                  out=self._drift[slot])
-        self._slot_class[slot] = object_class
+    def _pose(self, anchors: np.ndarray, drift: np.ndarray,
+              viewpoint: float) -> np.ndarray:
+        """Rows rotated from their anchor toward their drift by
+        ``viewpoint * viewpoint_scale`` radians (element-wise, so a block
+        gets each row's bits)."""
+        angle = viewpoint * self.viewpoint_scale
+        return np.cos(angle) * anchors + np.sin(angle) * drift
 
     def anchor(self, object_class: int) -> np.ndarray:
         """The canonical (zero-viewpoint, noise-free) embedding of a class."""
@@ -327,9 +385,7 @@ class EmbeddingSpace:
         ``ValueError``.
         """
         slot = self._slot(object_class)
-        angle = viewpoint * self.viewpoint_scale
-        vec = (np.cos(angle) * self._anchors[slot]
-               + np.sin(angle) * self._drift[slot])
+        vec = self._pose(self._anchors[slot], self._drift[slot], viewpoint)
         if self.noise_sigma > 0 and noise_key is not None:
             key, cls = int(noise_key), int(object_class)
             if key >> 32 == 0 and cls >> 32 == 0:
@@ -339,9 +395,7 @@ class EmbeddingSpace:
                 noise_rng = np.random.Generator(np.random.PCG64(
                     np.random.SeedSequence([0x5EED, cls, key])))
             vec = vec + noise_rng.normal(0.0, self.noise_sigma, size=self.dim)
-        # ``np.linalg.norm`` of a 1-D vector, without its dispatch.
-        vec = vec / math.sqrt(vec.dot(vec))
-        return Observation(vector=vec, object_class=object_class,
+        return Observation(vector=_unit(vec), object_class=object_class,
                            viewpoint=viewpoint)
 
     def prototypes(self, classes: typing.Iterable[int]
@@ -349,27 +403,19 @@ class EmbeddingSpace:
         """``observe(c).vector`` for each class ``c`` of ``classes``, in order.
 
         Warm-ups list classes in runs such as ``range(n)``: each run of
-        consecutive classes is derived ``_BLOCK_ROWS`` rows at a time,
-        not a class at a time, and passes the memo by.
+        consecutive classes is taken ``_BLOCK_ROWS`` rows at a time, not
+        a class at a time, and leaves the memo as it was.
         """
         lo = hi = None
         for cls in classes:
             self._check_class(cls)
             if cls != hi or hi - lo == _BLOCK_ROWS:
                 if lo is not None:
-                    yield from self._prototype_run(lo, hi)
+                    yield from map(_unit, self._pose(*self._rows(lo, hi), 0.0))
                 lo = cls
             hi = cls + 1
         if lo is not None:
-            yield from self._prototype_run(lo, hi)
-
-    def _prototype_run(self, lo: int, hi: int) -> typing.Iterator[np.ndarray]:
-        # ``observe``'s arithmetic at viewpoint 0 without noise: the
-        # rotation is element-wise, so a block gets each row's bits.
-        angle = 0.0 * self.viewpoint_scale
-        anchors, drift = self._derive(lo, hi)
-        for vec in np.cos(angle) * anchors + np.sin(angle) * drift:
-            yield vec / math.sqrt(vec.dot(vec))
+            yield from map(_unit, self._pose(*self._rows(lo, hi), 0.0))
 
     def _check_class(self, object_class: int) -> None:
         if not 0 <= object_class < self.n_classes:
