@@ -153,26 +153,29 @@ def _noise_seed(object_class: int, key: int) -> tuple[int, int]:
     return ((inc + seed) * _PCG64_MULT + inc) & _M128, inc
 
 
-def _state_words(bits: np.random.PCG64) -> np.ndarray:
-    """The live ``(state, inc)`` of ``bits`` as a writable view of four
-    uint64 words, where numpy's C code keeps them.
+def _state_words(bits: np.random.PCG64) -> tuple[np.ndarray, typing.Any]:
+    """``(words, order)``: the live ``(state, inc)`` of ``bits`` as a
+    writable view of four uint64 words, where numpy's C code keeps them,
+    and the index that puts ``(state low, state high, inc low, inc
+    high)`` in their places.
 
-    Copying the words out and back moves the generator without building
-    the ``state`` property's dicts and 128-bit ints.  The view keeps
-    ``bits`` alive.
+    Copying the words out and back, or writing them through ``order``,
+    moves the generator without building the ``state`` property's dicts
+    and 128-bit ints.  The view keeps ``bits`` alive.
     """
     address = ctypes.c_void_p.from_address(bits.ctypes.state_address).value
     buffer = (ctypes.c_uint64 * 4).from_address(address)
     buffer.owner = bits
     words = np.ctypeslib.as_array(buffer)
     state = bits.state["state"]
-    for value, pair in ((state["state"], words[:2]),
-                        (state["inc"], words[2:])):
-        if pair.tolist() not in ([value & _M64, value >> 64],
-                                 [value >> 64, value & _M64]):
-            raise RuntimeError("numpy's PCG64 keeps its state in an "
-                               "unknown layout")
-    return words
+    value = [state["state"] & _M64, state["state"] >> 64,
+             state["inc"] & _M64, state["inc"] >> 64]
+    # A 128-bit integer type keeps the low word first; numpy's emulated
+    # one is a ``{high, low}`` struct.
+    for order in (slice(None), [1, 0, 3, 2]):
+        if words[order].tolist() == value:
+            return words, order
+    raise RuntimeError("numpy's PCG64 keeps its state in an unknown layout")
 
 
 def _orthonormal(drift: np.ndarray, anchors: np.ndarray,
@@ -254,7 +257,7 @@ class EmbeddingSpace:
         self._bits = np.random.PCG64(np.random.SeedSequence(
             [seed, dim, n_classes]))
         self._rng = np.random.Generator(self._bits)
-        self._words = _state_words(self._bits)
+        self._words, self._word_order = _state_words(self._bits)
         # Anchor group g starts at ``_starts[g]``, drift group g at
         # ``_starts[_n_groups + g]``.  Normals draw whole 64-bit words,
         # so ``has_uint32`` stays 0 and the four words are the position.
@@ -304,11 +307,6 @@ class EmbeddingSpace:
         # ``normal()`` is ``0.0 + 1.0 * z`` of the same draws: the sum
         # turns a -0.0 into 0.0.
         out += 0.0
-
-    def _seek(self, state: int, inc: int) -> None:
-        self._bits.state = {"bit_generator": "PCG64",
-                            "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
 
     def _derive(self, lo: int, hi: int, anchors: np.ndarray,
                 drift: np.ndarray) -> None:
@@ -390,7 +388,9 @@ class EmbeddingSpace:
             key, cls = int(noise_key), int(object_class)
             if key >> 32 == 0 and cls >> 32 == 0:
                 noise_rng = self._rng
-                self._seek(*_noise_seed(cls, key))
+                state, inc = _noise_seed(cls, key)
+                self._words[self._word_order] = (
+                    state & _M64, state >> 64, inc & _M64, inc >> 64)
             else:
                 noise_rng = np.random.Generator(np.random.PCG64(
                     np.random.SeedSequence([0x5EED, cls, key])))
