@@ -153,7 +153,8 @@ def _noise_seed(object_class: int, key: int) -> tuple[int, int]:
     return ((inc + seed) * _PCG64_MULT + inc) & _M128, inc
 
 
-def _state_words(bits: np.random.PCG64) -> tuple[np.ndarray, typing.Any]:
+def _state_words(bits: np.random.PCG64
+                 ) -> tuple[np.ndarray, slice | list[int]]:
     """``(words, order)``: the live ``(state, inc)`` of ``bits`` as a
     writable view of four uint64 words, where numpy's C code keeps them,
     and the index that puts ``(state low, state high, inc low, inc
