@@ -66,13 +66,18 @@ _PREFIX = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 
+#: The one compact JSON encoder every frame goes through (``json.dumps``
+#: with these separators builds a new one per call).
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 class ProtocolError(RuntimeError):
     """A malformed or oversized frame on a backend connection."""
 
 
 def encode_frame(message: dict) -> bytes:
     """Serialize one frame: length prefix + compact JSON body."""
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    body = _ENCODER.encode(message).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(body)} bytes exceeds "
                             f"MAX_FRAME_BYTES={MAX_FRAME_BYTES}")

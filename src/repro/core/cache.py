@@ -19,6 +19,8 @@ import dataclasses
 import itertools
 import typing
 
+import numpy as np
+
 from repro.core.descriptors import Descriptor, HashDescriptor, VectorDescriptor
 from repro.core.index import DescriptorIndex, ExactIndex, make_index
 from repro.core.policies import EvictionPolicy, LruPolicy, TtlPolicy
@@ -26,13 +28,17 @@ from repro.core.sketch import AffinitySketch, SketchSummary
 from repro.core.store import DEFAULT_DTYPE, STORE_DTYPES
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class CacheEntry:
     """One cached IC result.
 
+    An entry keeps its key's kind, not the key: the kind's index holds
+    the digest or the vector row, the one copy of it, and
+    :meth:`ICCache.descriptor` rebuilds the key from there.
+
     Attributes:
         entry_id: Unique id within the cache.
-        descriptor: The key this result was stored under.
+        kind: The kind of the key this result was stored under.
         result: The cached IC result object.
         size_bytes: Bytes charged against the cache capacity.
         cost_s: What producing the result cost (cloud compute + transfer);
@@ -48,7 +54,7 @@ class CacheEntry:
     """
 
     entry_id: int
-    descriptor: Descriptor
+    kind: str
     result: typing.Any
     size_bytes: int
     cost_s: float = 0.0
@@ -125,8 +131,7 @@ class ICCache:
         ttl_s: Optional lifetime, > 0 (``inf``: never expires; NaN
             raises); expired entries never hit and are purged lazily.
         vector_dtype: Storage dtype for vector indexes ("float32"
-            default, "float64" oracle tier, "int8" scalar
-            quantized); see :mod:`repro.core.store`.
+            default, "float64" oracle tier); see :mod:`repro.core.store`.
     """
 
     def __init__(self, capacity_bytes: int,
@@ -197,11 +202,10 @@ class ICCache:
             return []
         candidates = [
             entry for entry in self._entries.values()
-            if (kind is None or entry.descriptor.kind == kind)
-            and (kind_prefix is None
-                 or entry.descriptor.kind.startswith(kind_prefix))
+            if (kind is None or entry.kind == kind)
+            and (kind_prefix is None or entry.kind.startswith(kind_prefix))
             and (exclude_prefix is None
-                 or not entry.descriptor.kind.startswith(exclude_prefix))
+                 or not entry.kind.startswith(exclude_prefix))
             and (now is None or not entry.expired(now))]
         candidates.sort(key=lambda e: (-e.hits, -e.last_access, e.entry_id))
         return candidates[:k]
@@ -225,7 +229,9 @@ class ICCache:
         if self._sketches is None:
             self._sketches = {}
             for entry in self._entries.values():
-                self._sketch_add(entry)
+                index = self._indexes[entry.kind]
+                if not isinstance(index, ExactIndex):
+                    self._sketch_add(entry, index.vector(entry.entry_id))
         kinds = {kind: len(index) for kind, index in self._indexes.items()
                  if len(index) > 0 and keep(kind)}
         sketches = {kind: sketch.summary()
@@ -253,6 +259,39 @@ class ICCache:
                                    dtype=self.vector_dtype)
             self._indexes[kind] = index
         return index
+
+    def descriptor(self, entry: CacheEntry) -> Descriptor:
+        """The key ``entry`` was stored under, rebuilt from its index.
+
+        A hash key's digest comes from the exact index, a vector key's
+        vector from the row store — bit for bit what was inserted, in
+        either storage dtype.  Each call builds a new descriptor.
+        """
+        index = self._indexes[entry.kind]
+        if isinstance(index, ExactIndex):
+            return HashDescriptor(entry.kind, index.digest(entry.entry_id))
+        return VectorDescriptor(entry.kind, index.vector(entry.entry_id))
+
+    def key(self, entry: CacheEntry) -> tuple[str, str | bytes]:
+        """``(kind, digest)`` or ``(kind, float32 vector bytes)`` of
+        ``entry``'s key: equal for two entries exactly when their
+        descriptors are, without building either descriptor
+        (:func:`key_descriptor` builds it)."""
+        index = self._indexes[entry.kind]
+        if isinstance(index, ExactIndex):
+            return entry.kind, index.digest(entry.entry_id)
+        return entry.kind, index.vector(entry.entry_id).tobytes()
+
+    def keys(self) -> dict[int, tuple[str, str | bytes]]:
+        """``{entry_id: key(entry)}`` over every live entry, a whole
+        index at a time."""
+        keys = {}
+        for kind, index in self._indexes.items():
+            values = (index.digests() if isinstance(index, ExactIndex)
+                      else index.vector_bytes())
+            for entry_id, value in values.items():
+                keys[entry_id] = (kind, value)
+        return keys
 
     def index_memory_bytes(self) -> int:
         """Allocated bytes across all vector index storage."""
@@ -345,7 +384,7 @@ class ICCache:
             self.stats.evictions += 1
 
         entry = CacheEntry(
-            entry_id=next(self._ids), descriptor=descriptor, result=result,
+            entry_id=next(self._ids), kind=descriptor.kind, result=result,
             size_bytes=int(size_bytes), cost_s=cost_s, created_at=now,
             last_access=now,
             expires_at=(now + self.ttl_s) if self.ttl_s is not None else None)
@@ -354,7 +393,7 @@ class ICCache:
         self._entries[entry.entry_id] = entry
         self._bytes += entry.size_bytes
         self.policy.on_insert(entry)
-        self._sketch_add(entry)
+        self._sketch_add(entry, _vector_of(descriptor))
         self.stats.insertions += 1
         return entry
 
@@ -423,7 +462,7 @@ class ICCache:
                     self._drop(victim)
                     self.stats.evictions += 1
             entry = CacheEntry(
-                entry_id=next(self._ids), descriptor=descriptor,
+                entry_id=next(self._ids), kind=descriptor.kind,
                 result=result, size_bytes=int(size_bytes), cost_s=item_cost,
                 created_at=now, last_access=now,
                 expires_at=(now + self.ttl_s) if self.ttl_s is not None
@@ -434,7 +473,7 @@ class ICCache:
             self._entries[entry.entry_id] = entry
             self._bytes += entry.size_bytes
             self.policy.on_insert(entry)
-            self._sketch_add(entry)
+            self._sketch_add(entry, _vector_of(descriptor))
             self.stats.insertions += 1
             out.append(entry)
         flush()
@@ -463,27 +502,42 @@ class ICCache:
 
     def _drop(self, entry: CacheEntry) -> None:
         del self._entries[entry.entry_id]
-        self._indexes[entry.descriptor.kind].remove(entry.entry_id)
+        self._indexes[entry.kind].remove(entry.entry_id)
         self._bytes -= entry.size_bytes
         self.policy.on_remove(entry)
         self._sketch_remove(entry)
 
-    def _sketch_add(self, entry: CacheEntry) -> None:
-        descriptor = entry.descriptor
-        if self._sketches is None \
-                or not isinstance(descriptor, VectorDescriptor):
+    def _sketch_add(self, entry: CacheEntry,
+                    vector: np.ndarray | None) -> None:
+        """Count a vector entry into its kind's sketch (hash entries,
+        ``vector`` None, and every entry before the first
+        :meth:`summary` are not counted)."""
+        if self._sketches is None or vector is None:
             return
-        sketch = self._sketches.get(descriptor.kind)
+        sketch = self._sketches.get(entry.kind)
         if sketch is None:
-            sketch = self._sketches[descriptor.kind] = AffinitySketch()
-        entry.sketch_signature = sketch.add(descriptor.vector)
+            sketch = self._sketches[entry.kind] = AffinitySketch()
+        entry.sketch_signature = sketch.add(vector)
 
     def _sketch_remove(self, entry: CacheEntry) -> None:
         if entry.sketch_signature is not None:
-            self._sketches[entry.descriptor.kind].discard(
-                entry.sketch_signature)
+            self._sketches[entry.kind].discard(entry.sketch_signature)
 
     def __repr__(self) -> str:
         return (f"ICCache({len(self)} entries, "
                 f"{self._bytes / 1e6:.1f}/{self.capacity_bytes / 1e6:.1f} MB, "
                 f"policy={self.policy.name})")
+
+
+def key_descriptor(key: tuple[str, str | bytes]) -> Descriptor:
+    """The descriptor whose :meth:`ICCache.key` is ``key``."""
+    kind, value = key
+    if isinstance(value, str):
+        return HashDescriptor(kind=kind, digest=value)
+    return VectorDescriptor(kind=kind,
+                            vector=np.frombuffer(value, dtype=np.float32))
+
+
+def _vector_of(descriptor: Descriptor) -> np.ndarray | None:
+    return descriptor.vector if isinstance(descriptor,
+                                           VectorDescriptor) else None

@@ -67,7 +67,7 @@ import typing
 
 from repro.core.balancer import AffinityLoadBalancer, PeerLoadBalancer
 from repro.core.baselines import LocalClient, OriginClient
-from repro.core.cache import ICCache
+from repro.core.cache import ICCache, key_descriptor
 from repro.core.client import CoICClient
 from repro.core.cloud import CloudNode
 from repro.core.config import CacheConfig, CoICConfig
@@ -803,16 +803,15 @@ class ClusterDeployment:
                                      kind_prefix=LAYER_KIND_PREFIX)
         if not hottest:
             return False
-        have = {self._sync_key(entry.descriptor)
-                for entry in dst_cache.entries()}
+        have = set(dst_cache.keys().values())
         items = []
         n_layers = 0
         for entry in hottest:
-            if self._sync_key(entry.descriptor) in have:
+            if src_cache.key(entry) in have:
                 continue
-            items.append((entry.descriptor, entry.result, entry.size_bytes,
-                          entry.cost_s))
-            if entry.descriptor.kind.startswith(LAYER_KIND_PREFIX):
+            items.append((src_cache.descriptor(entry), entry.result,
+                          entry.size_bytes, entry.cost_s))
+            if entry.kind.startswith(LAYER_KIND_PREFIX):
                 n_layers += 1
         if not items:
             return False
@@ -903,36 +902,33 @@ class ClusterDeployment:
         choice ``EdgePolicySpec.prewarm_layers`` makes for the online
         path).  Returns the number of entries copied.
         """
-        snapshots = [[entry for entry in cache.entries()
-                      if include_layers or not entry.descriptor.kind
-                      .startswith(LAYER_KIND_PREFIX)]
-                     for cache in self.caches]
+        # Each entry's key is read once, before any copy lands (an
+        # insert may evict), and a descriptor is built only for an entry
+        # that is copied.
+        snapshots = []
+        for cache in self.caches:
+            keys = cache.keys()
+            snapshots.append([(keys[entry.entry_id], entry)
+                              for entry in cache.entries()
+                              if include_layers or not entry.kind
+                              .startswith(LAYER_KIND_PREFIX)])
         copied = 0
         for k, cache in enumerate(self.caches):
-            have: set = set()
-            for entry in snapshots[k]:
-                have.add(self._sync_key(entry.descriptor))
+            have = {key for key, _ in snapshots[k]}
             items = []
             for j, snapshot in enumerate(snapshots):
                 if j == k:
                     continue
-                for entry in snapshot:
-                    key = self._sync_key(entry.descriptor)
+                for key, entry in snapshot:
                     if key in have:
                         continue
                     have.add(key)
-                    items.append((entry.descriptor, entry.result,
+                    items.append((key_descriptor(key), entry.result,
                                   entry.size_bytes))
             if items:
                 inserted = cache.insert_batch(items, now=self.env.now)
                 copied += sum(1 for e in inserted if e is not None)
         return copied
-
-    @staticmethod
-    def _sync_key(descriptor) -> tuple:
-        if isinstance(descriptor, HashDescriptor):
-            return (descriptor.kind, descriptor.digest)
-        return (descriptor.kind, descriptor.vector.tobytes())
 
     # -- running -------------------------------------------------------------
 

@@ -169,12 +169,11 @@ class CacheConfig:
     ttl_s: float | None = None
     #: Fixed edge-side bookkeeping time charged per insert.
     insert_ms: float = 1.0
-    #: Vector storage dtype ("float32", "float64", "int8").  Descriptors
-    #: are float32 at the source, so the "float32" default stores them
+    #: Vector storage dtype ("float32" or "float64").  Descriptors are
+    #: float32 at the source, so the "float32" default stores them
     #: value-exactly and the memory-bound scan streams half the bytes;
     #: "float64" is the oracle tier (every pinned golden digest is
-    #: bit-identical under both) and "int8" trades recall margin for
-    #: memory (see docs/index_tiers.md).
+    #: bit-identical under both; see docs/index_tiers.md).
     vector_dtype: str = "float32"
 
     def __post_init__(self) -> None:
@@ -184,9 +183,9 @@ class CacheConfig:
             raise ValueError("insert_ms must be finite and >= 0")
         if self.ttl_s is not None and not self.ttl_s > 0:
             raise ValueError("ttl_s must be > 0 when given")
-        if self.vector_dtype not in ("float32", "float64", "int8"):
+        if self.vector_dtype not in ("float32", "float64"):
             raise ValueError(
-                f"vector_dtype must be float32/float64/int8, "
+                f"vector_dtype must be float32/float64, "
                 f"got {self.vector_dtype!r}")
 
     @property

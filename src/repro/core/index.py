@@ -20,8 +20,8 @@ the three vector indexes share one skeleton, :class:`_VectorIndex`
 (validation, atomic insert/remove, the exact scan), and add only their
 search structure.  Every vector index ranks by cosine distance
 (:func:`~repro.core.distance.cosine_distance_batch`).  ``query``
-answers one descriptor — the only form a served request takes; over
-float storage the exact scan is the store's single-query kernel
+answers one descriptor — the only form a served request takes; the
+exact scan is the store's single-query kernel
 (:meth:`~repro.core.store._VectorStore.nearest_cosine`), bit-identical
 to the full distance kernel it falls back to on a near-tie.
 
@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.descriptors import Descriptor, HashDescriptor, VectorDescriptor
 from repro.core.distance import cosine_distance_batch
-from repro.core.store import DEFAULT_DTYPE, _VectorStore, make_store
+from repro.core.store import DEFAULT_DTYPE, _VectorStore
 
 
 class IndexEntryExists(ValueError):
@@ -134,6 +134,14 @@ class ExactIndex(DescriptorIndex):
         self._by_digest[descriptor.digest] = entry_id
         self._by_entry[entry_id] = descriptor.digest
 
+    def digest(self, entry_id: int) -> str:
+        """The digest ``entry_id`` was inserted under."""
+        return self._by_entry[entry_id]
+
+    def digests(self) -> dict[int, str]:
+        """``{entry_id: digest(entry_id)}`` for every stored entry."""
+        return dict(self._by_entry)
+
     def remove(self, entry_id: int) -> None:
         digest = self._by_entry.pop(entry_id, None)
         if digest is None:
@@ -161,7 +169,7 @@ class ExactIndex(DescriptorIndex):
 class _VectorIndex(DescriptorIndex):
     """What the three vector indexes share.
 
-    Vectors live in one row store (:func:`~repro.core.store.make_store`:
+    Vectors live in one row store (:class:`~repro.core.store._VectorStore`:
     contiguous matrix, amortized-doubling growth, swap-compacted
     removal, cached row norms).  This base validates descriptors, keeps
     ``insert``/``insert_batch``/``remove`` atomic over that store, and
@@ -177,10 +185,8 @@ class _VectorIndex(DescriptorIndex):
 
     def __init__(self, dtype: str = DEFAULT_DTYPE):
         self.dtype = dtype
-        self._store = make_store(dtype)
+        self._store = _VectorStore(dtype)
         self._eps = _decision_eps(dtype)
-        #: Whether the store's single-query kernel can answer for it.
-        self._float_store = isinstance(self._store, _VectorStore)
         self.last_query_cost_s: float | None = None
 
     def _validate(self, descriptor: Descriptor) -> np.ndarray:
@@ -236,8 +242,7 @@ class _VectorIndex(DescriptorIndex):
         """Hook: ``ids`` were just appended to the store.
 
         Subclasses read the rows back from the store rather than keep
-        the input — ``_removing`` only has the store, and for the int8
-        store the stored row is the dequantized approximation.
+        the input — ``_removing`` only has the store.
         """
 
     def _removing(self, entry_id: int) -> None:
@@ -247,16 +252,15 @@ class _VectorIndex(DescriptorIndex):
                     threshold: float) -> tuple[int, float] | None:
         """Exact nearest neighbour of one validated query vector.
 
-        Float storage takes the store's single-query kernel; int8
-        storage (and whatever the kernel declines) is one (1, n) pass of
-        the full distance kernel.
+        The store's single-query kernel answers; a query it declines
+        (a near-tie, a zero norm) is one (1, n) pass of the full
+        distance kernel.
         """
         if len(self._store) == 0:
             return None
-        if self._float_store:
-            nearest = self._store.nearest_cosine(vec, self._eps)
-            if nearest is not None:
-                return nearest if nearest[1] <= threshold else None
+        nearest = self._store.nearest_cosine(vec, self._eps)
+        if nearest is not None:
+            return nearest if nearest[1] <= threshold else None
         distances = self._store.distances(vec[None, :])[0]
         best = int(np.argmin(distances))
         d = float(distances[best])
@@ -273,6 +277,24 @@ class _VectorIndex(DescriptorIndex):
         best = int(np.argmin(distances))
         d = float(distances[best])
         return (ids[best], d) if d <= threshold else None
+
+    def vector(self, entry_id: int) -> np.ndarray:
+        """The float32 vector ``entry_id`` was inserted with (a copy).
+
+        Exact: a float32 row holds the inserted bits, and a float64 row
+        a float32 value widened, which narrowing gives back.
+        """
+        return self._store.get(entry_id).astype(np.float32, copy=False)
+
+    def vector_bytes(self) -> dict[int, bytes]:
+        """``{entry_id: vector(entry_id).tobytes()}`` for every stored
+        row, narrowed and copied out in one pass."""
+        if len(self._store) == 0:
+            return {}
+        rows = self._store.matrix.astype(np.float32, copy=False)
+        blob, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+        return {self._store.id_at(row): blob[row * width:(row + 1) * width]
+                for row in range(len(rows))}
 
     def memory_bytes(self) -> int:
         """Allocated storage bytes (the store's arrays)."""

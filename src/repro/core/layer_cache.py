@@ -287,6 +287,6 @@ class LayerCacheManager:
         path it replaced.
         """
         costs = [entry.cost_s for entry in self.cache.entries()
-                 if entry.descriptor.kind == kind and entry.cost_s > 0]
+                 if entry.kind == kind and entry.cost_s > 0]
         miss_s = (sum(costs) / len(costs)) if costs else full_s
         return extraction_s + lookup_s + (1.0 - hit_ratio) * miss_s

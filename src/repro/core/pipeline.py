@@ -252,6 +252,10 @@ class LayerReuseStage(Stage):
                        manager, plan, matched, partial_s: float,
                        saved_s: float, observation=None):
         """Run the remaining layers, refresh the caches, set the result."""
+        # The key of the matched entry, read before the pass yields: the
+        # entry may be evicted while the pass runs.
+        matched_key = (None if plan.full_result
+                       else edge.cache.descriptor(matched))
         if partial_s > 0:
             # Full-result reuse runs no layers at all, so it must not
             # queue behind the extraction backlog — zero compute takes
@@ -282,7 +286,7 @@ class LayerReuseStage(Stage):
             if source is not None and ctx.layer_sketch is not None:
                 from repro.core.distance import pairwise
 
-                drift = pairwise(ctx.layer_sketch, matched.descriptor.vector)
+                drift = pairwise(ctx.layer_sketch, matched_key.vector)
                 if drift > edge.match_threshold:
                     result = dataclasses.replace(result,
                                                  label=int(source))

@@ -7,19 +7,16 @@ insert); removal swap-compacts the last row into the freed slot, so the
 live rows are always the dense prefix ``matrix[:n]`` and every query is
 one contiguous BLAS pass with no masking.  Cosine queries reuse the
 cached norms instead of re-running ``np.linalg.norm`` over the store.
-That row table — ids, growth, swap-compaction — is :class:`_RowStore`;
-the two stores below it differ only in what a row is made of.
 
-The store is dtype-parametric.  ``"float32"`` is the default, here and
-in the deployment config — client descriptors are float32 already
-(:class:`~repro.core.descriptors.VectorDescriptor` stores float32
-vectors), so halving the bytes loses no input precision, only gemm
-accumulation width — and ``"float64"`` is the oracle tier: the
+The store is exact and dtype-parametric.  ``"float32"`` is the default,
+here and in the deployment config — client descriptors are float32
+already (:class:`~repro.core.descriptors.VectorDescriptor` stores
+float32 vectors), so halving the bytes loses no input precision, only
+gemm accumulation width — and ``"float64"`` is the oracle tier: the
 historical arithmetic, under which every golden digest is pinned too.
-``"int8"`` selects
-:class:`_QuantizedVectorStore`: scalar quantization with per-row
-scale/offset (4x smaller again), dequantized chunk-by-chunk at query
-time.
+Either way a stored row cast back to float32 is the descriptor vector
+it was inserted from, bit for bit, so the store is the one copy of a
+cached vector (:meth:`~repro.core.cache.ICCache.descriptor`).
 """
 
 from __future__ import annotations
@@ -36,27 +33,32 @@ from repro.core.distance import cosine_distance_batch
 DEFAULT_DTYPE = "float32"
 
 #: Valid ``dtype`` arguments for vector stores / indexes.
-STORE_DTYPES = ("float32", "float64", "int8")
+STORE_DTYPES = ("float32", "float64")
 
 
-class _RowStore:
-    """The swap-compact row table both vector stores are built on.
+class _VectorStore:
+    """Contiguous dense vector storage with cached per-row norms.
 
-    Live rows are the dense prefix ``[:n]`` of every per-row array.
+    Live rows are the dense prefix ``[:n]`` of the matrix and the norms.
     Inserts append; capacity doubles when full (amortized O(dim) per
     insert).  Removes swap the last live row into the freed slot
     (O(dim), order not preserved).  ``norms[:n]`` always mirrors the
     live rows.
 
-    A subclass names its per-row arrays in :attr:`_COLUMNS` (plain
-    attributes, ``_norms`` among them), creates them in ``_allocate``
-    and fills one row of each in ``_set_row``.
+    Args:
+        dtype: ``"float32"`` (default) or ``"float64"``; the matrix,
+            norms, and all query arithmetic run in this dtype.
     """
 
     MIN_CAPACITY = 64
-    _COLUMNS: tuple[str, ...] = ()
 
-    def __init__(self):
+    def __init__(self, dtype: str = DEFAULT_DTYPE):
+        if dtype not in STORE_DTYPES:
+            raise ValueError(f"dtype must be float32/float64, got {dtype!r}")
+        self.dtype = dtype
+        #: The float dtype queries are cast to before any arithmetic.
+        self.compute_dtype = np.dtype(dtype)
+        self._matrix: np.ndarray | None = None  # (capacity, dim)
         self._norms: np.ndarray | None = None   # (capacity,)
         self._row_ids: list[int] = []           # row -> entry_id
         self._row_of: dict[int, int] = {}       # entry_id -> row
@@ -67,6 +69,11 @@ class _RowStore:
 
     def __contains__(self, entry_id: int) -> bool:
         return entry_id in self._row_of
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense (n, dim) view of the live rows."""
+        return self._matrix[:len(self._row_ids)]
 
     @property
     def norms(self) -> np.ndarray:
@@ -80,17 +87,32 @@ class _RowStore:
         return np.fromiter((self._row_of[i] for i in entry_ids),
                            dtype=np.intp, count=len(entry_ids))
 
+    def get(self, entry_id: int) -> np.ndarray:
+        """The stored vector (a copy) for ``entry_id``."""
+        return np.array(self._matrix[self._row_of[entry_id]])
+
+    def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(vectors, norms)`` of the given rows, in row order."""
+        return self._matrix[rows], self._norms[rows]
+
+    def distances(self, queries: np.ndarray) -> np.ndarray:
+        """(Q, n) cosine distances of a query block to every live row."""
+        return cosine_distance_batch(self.matrix, queries,
+                                     row_norms=self.norms)
+
     def memory_bytes(self) -> int:
-        """Allocated bytes of the per-row arrays."""
+        """Allocated bytes of the matrix and the norms."""
         if self._norms is None:
             return 0
-        return sum(getattr(self, name).nbytes for name in self._COLUMNS)
+        return self._matrix.nbytes + self._norms.nbytes
 
     def _reserve(self, k: int, dim: int) -> None:
         """Make room for ``k`` more rows, doubling capacity as needed."""
         if self._norms is None:
             self.dim = dim
-            self._allocate(max(self.MIN_CAPACITY, k), dim)
+            capacity = max(self.MIN_CAPACITY, k)
+            self._matrix = np.empty((capacity, dim), dtype=self.compute_dtype)
+            self._norms = np.empty(capacity, dtype=self.compute_dtype)
             return
         n = len(self._row_ids)
         capacity = len(self._norms)
@@ -98,11 +120,11 @@ class _RowStore:
             return
         while capacity < n + k:
             capacity *= 2
-        for name in self._COLUMNS:
-            old = getattr(self, name)
-            grown = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
-            grown[:n] = old[:n]
-            setattr(self, name, grown)
+        matrix = np.empty((capacity, self.dim), dtype=self.compute_dtype)
+        matrix[:n] = self._matrix[:n]
+        norms = np.empty(capacity, dtype=self.compute_dtype)
+        norms[:n] = self._norms[:n]
+        self._matrix, self._norms = matrix, norms
 
     def add(self, entry_id: int, vec: np.ndarray) -> None:
         n = len(self._row_ids)
@@ -121,8 +143,8 @@ class _RowStore:
         instead of (potentially) several times across k inserts.  Rows
         are written one at a time on purpose: an axis-1 norm reduction
         rounds differently than the BLAS norm ``add`` uses, and cached
-        norms (like int8 codes) feed simulated match decisions — batch
-        and scalar inserts must stay bit-identical.
+        norms feed simulated match decisions — batch and scalar inserts
+        must stay bit-identical.
         """
         if len(entry_ids) == 0:
             return
@@ -138,55 +160,10 @@ class _RowStore:
         last = len(self._row_ids) - 1
         last_id = self._row_ids.pop()
         if row != last:
-            for name in self._COLUMNS:
-                column = getattr(self, name)
-                column[row] = column[last]
+            self._matrix[row] = self._matrix[last]
+            self._norms[row] = self._norms[last]
             self._row_ids[row] = last_id
             self._row_of[last_id] = row
-
-    def _allocate(self, capacity: int, dim: int) -> None:
-        raise NotImplementedError
-
-    def _set_row(self, row: int, vec: np.ndarray) -> None:
-        raise NotImplementedError
-
-
-class _VectorStore(_RowStore):
-    """Contiguous dense vector storage with cached per-row norms.
-
-    Args:
-        dtype: ``"float32"`` (default) or ``"float64"``; the matrix,
-            norms, and all query arithmetic run in this dtype.
-    """
-
-    _COLUMNS = ("_matrix", "_norms")
-
-    def __init__(self, dtype: str = DEFAULT_DTYPE):
-        if dtype not in ("float32", "float64"):
-            raise ValueError(f"dtype must be float32/float64, got {dtype!r}")
-        super().__init__()
-        self.dtype = dtype
-        #: The float dtype queries are cast to before any arithmetic.
-        self.compute_dtype = np.dtype(dtype)
-        self._matrix: np.ndarray | None = None  # (capacity, dim)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense (n, dim) view of the live rows."""
-        return self._matrix[:len(self._row_ids)]
-
-    def get(self, entry_id: int) -> np.ndarray:
-        """The stored vector (a copy) for ``entry_id``."""
-        return np.array(self._matrix[self._row_of[entry_id]])
-
-    def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(vectors, norms)`` of the given rows, in row order."""
-        return self._matrix[rows], self._norms[rows]
-
-    def distances(self, queries: np.ndarray) -> np.ndarray:
-        """(Q, n) cosine distances of a query block to every live row."""
-        return cosine_distance_batch(self.matrix, queries,
-                                     row_norms=self.norms)
 
     def nearest_cosine(self, query: np.ndarray,
                        eps: float) -> tuple[int, float] | None:
@@ -236,114 +213,8 @@ class _VectorStore(_RowStore):
                 return None
         return self._row_ids[best], distance
 
-    def _allocate(self, capacity: int, dim: int) -> None:
-        self._matrix = np.empty((capacity, dim), dtype=self.compute_dtype)
-        self._norms = np.empty(capacity, dtype=self.compute_dtype)
-
     def _set_row(self, row: int, vec: np.ndarray) -> None:
         self._matrix[row] = vec
         # ``np.linalg.norm`` of a 1-D vector, without its dispatch.
         row_vec = self._matrix[row]
         self._norms[row] = np.sqrt(row_vec.dot(row_vec))
-
-
-class _QuantizedVectorStore(_RowStore):
-    """int8 scalar-quantized vector storage with per-row scale/offset.
-
-    Same interface as :class:`_VectorStore`, a quarter of its float32
-    bytes: each row is stored as int8 codes in [-127, 127] plus a
-    float32 affine ``(scale, offset)`` pair, so a stored value
-    reconstructs as ``code * scale + offset`` with at most half a
-    quantization step of error.  Norms are cached from the
-    *dequantized* rows, so query-time distances are self-consistent.
-    Queries dequantize chunk-by-chunk (:data:`CHUNK` rows at a time) to
-    bound the float32 temporary, then run the normal BLAS kernel —
-    approximate storage, exact arithmetic over it.
-    """
-
-    #: Rows dequantized per query chunk; bounds the float32 temporary
-    #: at CHUNK * dim * 4 bytes (32 MB at 128-d) regardless of n.
-    CHUNK = 65536
-
-    _COLUMNS = ("_codes", "_scales", "_offsets", "_norms")
-
-    dtype = "int8"
-    compute_dtype = np.dtype(np.float32)
-
-    def __init__(self):
-        super().__init__()
-        self._codes: np.ndarray | None = None    # (capacity, dim) int8
-        self._scales: np.ndarray | None = None   # (capacity,) float32
-        self._offsets: np.ndarray | None = None  # (capacity,) float32
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dequantized (n, dim) float32 matrix of the live rows.
-
-        Materializes the whole store — fine for small stores and tests;
-        queries should go through :meth:`distances`, which chunks.
-        """
-        return self._dequant(np.arange(len(self._row_ids), dtype=np.intp))
-
-    def get(self, entry_id: int) -> np.ndarray:
-        """The stored (dequantized) vector for ``entry_id``."""
-        return self._dequant(np.array([self._row_of[entry_id]],
-                                      dtype=np.intp))[0]
-
-    def _dequant(self, rows: np.ndarray) -> np.ndarray:
-        out = self._codes[rows].astype(np.float32)
-        out *= self._scales[rows, None]
-        out += self._offsets[rows, None]
-        return out
-
-    def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._dequant(np.asarray(rows, dtype=np.intp)), \
-            self._norms[rows]
-
-    def distances(self, queries: np.ndarray) -> np.ndarray:
-        """(Q, n) cosine distances, dequantized :data:`CHUNK` rows at a time.
-
-        Chunk boundaries depend only on the row count, never on the
-        query count.
-        """
-        n = len(self._row_ids)
-        blocks = []
-        for start in range(0, n, self.CHUNK):
-            rows = np.arange(start, min(start + self.CHUNK, n),
-                             dtype=np.intp)
-            blocks.append(cosine_distance_batch(
-                self._dequant(rows), queries, row_norms=self._norms[rows]))
-        return np.concatenate(blocks, axis=1)
-
-    def _quantize(self, vec: np.ndarray
-                  ) -> tuple[np.ndarray, np.float32, np.float32]:
-        lo = float(vec.min())
-        hi = float(vec.max())
-        offset = np.float32((hi + lo) / 2.0)
-        scale = np.float32((hi - lo) / 254.0)
-        if scale == 0:
-            return np.zeros(vec.shape[0], dtype=np.int8), scale, offset
-        codes = np.clip(np.rint((vec - offset) / scale), -127, 127)
-        return codes.astype(np.int8), scale, offset
-
-    def _allocate(self, capacity: int, dim: int) -> None:
-        self._codes = np.empty((capacity, dim), dtype=np.int8)
-        self._scales = np.empty(capacity, dtype=np.float32)
-        self._offsets = np.empty(capacity, dtype=np.float32)
-        self._norms = np.empty(capacity, dtype=np.float32)
-
-    def _set_row(self, row: int, vec: np.ndarray) -> None:
-        codes, scale, offset = self._quantize(
-            np.asarray(vec, dtype=np.float32))
-        self._codes[row] = codes
-        self._scales[row] = scale
-        self._offsets[row] = offset
-        row_vec = self._dequant(np.array([row], dtype=np.intp))[0]
-        self._norms[row] = np.sqrt(row_vec.dot(row_vec))
-
-
-def make_store(dtype: str) -> _VectorStore | _QuantizedVectorStore:
-    """The store for a ``dtype`` in :data:`STORE_DTYPES`."""
-    if dtype == "int8":
-        return _QuantizedVectorStore()
-    return _VectorStore(dtype=dtype)

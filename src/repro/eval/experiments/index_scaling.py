@@ -229,14 +229,11 @@ class TierRow:
     n_entries: int
     float64_perkind_us: float
     float32_perkind_us: float
-    int8_us: float
     ivf_us: float
     float64_memory_mb: float
     float32_memory_mb: float
-    int8_memory_mb: float
     ivf_memory_mb: float
     float32_recall: float
-    int8_recall: float
     ivf_recall: float
     ivf_candidates: float
     ivf_trainings: int
@@ -251,7 +248,7 @@ def _time_interleaved(thunks: dict[str, typing.Callable[[], object]],
                       reps: int) -> dict[str, float]:
     """Min wall time per thunk over ``reps`` round-robin passes.
 
-    Interleaving the tiers (ABCD ABCD ...) instead of timing each one in
+    Interleaving the tiers (ABC ABC ...) instead of timing each one in
     a block means a load spike or thermal dip hits every tier, not
     whichever one happened to be running; the per-tier minimum then
     compares like against like.
@@ -283,7 +280,6 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
     * per-kind float64 ``LinearIndex`` — the oracle tier and the
       timing/recall baseline;
     * per-kind float32 ``LinearIndex`` — the deployment default;
-    * int8 ``LinearIndex`` — scalar-quantized storage, the memory tier;
     * float32 ``IvfIndex`` (auto-sized) — the sublinear tier.
     """
     if n_queries < 1:
@@ -336,10 +332,6 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
         # rate for every dtype, so the single-burst memory ratio is the
         # deployed ratio.
         #
-        # int8 tier: scalar-quantized storage, one store for all rows.
-        int8 = LinearIndex(dtype="int8")
-        int8.insert_batch(items)
-
         # IVF tier: auto-sized coarse quantizer over all rows.
         ivf = IvfIndex(dim=dim, dtype="float32", seed=seed)
         ivf.insert_batch(items)
@@ -356,7 +348,6 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
         walls = _time_interleaved({
             "f64": lambda: per_kind(f64_rec, f64_aux),
             "f32": lambda: per_kind(f32_rec, f32_aux),
-            "int8": lambda: one_index(int8),
             "ivf": lambda: one_index(ivf),
         }, timing_reps)
 
@@ -371,23 +362,19 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
                        if b is not None and b[0] == a[0]) / len(matched)
 
         f32_results = per_kind(f32_rec, f32_aux)
-        int8_results = one_index(int8)
         ivf_results = one_index(ivf)
 
         rows.append(TierRow(
             n_entries=n_entries,
             float64_perkind_us=walls["f64"] / n_queries * 1e6,
             float32_perkind_us=walls["f32"] / n_queries * 1e6,
-            int8_us=walls["int8"] / n_queries * 1e6,
             ivf_us=walls["ivf"] / n_queries * 1e6,
             float64_memory_mb=(f64_rec.memory_bytes()
                                + f64_aux.memory_bytes()) / 1e6,
             float32_memory_mb=(f32_rec.memory_bytes()
                                + f32_aux.memory_bytes()) / 1e6,
-            int8_memory_mb=int8.memory_bytes() / 1e6,
             ivf_memory_mb=ivf.memory_bytes() / 1e6,
             float32_recall=recall_of(f32_results),
-            int8_recall=recall_of(int8_results),
             ivf_recall=recall_of(ivf_results),
             ivf_candidates=float(ivf.last_candidates),
             ivf_trainings=ivf.trainings))

@@ -45,7 +45,9 @@ _MEMO_CLASSES = 1024
 # drawing from it, so for a class and key in [0, 2**32) -- one entropy
 # word each -- :func:`_noise_seed` computes the ``(state, inc)`` the
 # PCG64 would start from, and :meth:`EmbeddingSpace.observe` sets it on
-# one reused bit generator.  What follows is numpy's ``SeedSequence``
+# one reused bit generator.  Its class half (:func:`_class_seed`) is
+# kept beside the class's memo slot, so an observation runs only the key
+# half (:func:`_key_seed`).  What follows is numpy's ``SeedSequence``
 # (pool size 4; ``mix_entropy`` then ``generate_state(4, uint64)``) and
 # PCG64's ``srandom``, with every step that reads only the constant word
 # ``0x5EED`` or the zero padding word folded into a constant below.
@@ -98,6 +100,12 @@ _R_H4, _R_H5 = _MIX_R * _hashmix(_POOL0, 4), _MIX_R * _hashmix(_POOL0, 5)
 def _noise_seed(object_class: int, key: int) -> tuple[int, int]:
     """``(state, inc)`` of ``PCG64(SeedSequence([0x5EED, object_class,
     key]))`` for ``object_class`` and ``key`` in [0, 2**32)."""
+    return _key_seed(_class_seed(object_class), key)
+
+
+def _class_seed(object_class: int) -> tuple[int, int, int, int]:
+    """The half of :func:`_noise_seed` that reads only the class word:
+    ``(p0, p1, h8, p3)`` for :func:`_key_seed`."""
     # Class word: pool word 1, its first round, and what source word 1
     # mixes into words 0 and 3 (and, via ``h8``, into word 2).
     v = (object_class ^ _A1) * _A2 & _M32
@@ -110,7 +118,14 @@ def _noise_seed(object_class: int, key: int) -> tuple[int, int]:
     h8 = v ^ v >> 16
     v = (p1 ^ _A9) * _A10 & _M32
     v = (_L_POOL3 - _MIX_R * (v ^ v >> 16)) & _M32
-    p3 = v ^ v >> 16
+    return p0, p1, h8, v ^ v >> 16
+
+
+def _key_seed(class_seed: tuple[int, int, int, int],
+              key: int) -> tuple[int, int]:
+    """:func:`_noise_seed`'s ``(state, inc)`` from the class half
+    :func:`_class_seed` returned and the key."""
+    p0, p1, h8, p3 = class_seed
     # Key word: pool word 2 through rounds 0 and 1, then source words 2
     # and 3 into the other three.
     v = (key ^ _A2) * _A3 & _M32
@@ -275,6 +290,9 @@ class EmbeddingSpace:
         fits = n_classes <= _MEMO_CLASSES
         self._slot_class = (list(range(n_classes)) if fits
                             else [-1] * self._slots)
+        # Beside each slot's class, the class half of its noise seed.
+        self._slot_seed = ([_class_seed(c) for c in range(n_classes)]
+                           if fits else [None] * self._slots)
         block = np.empty((_BLOCK_ROWS, dim))
         for lo in range(0, n_classes, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n_classes)
@@ -335,6 +353,7 @@ class EmbeddingSpace:
                          self._anchors[slot:slot + 1],
                          self._drift[slot:slot + 1])
             self._slot_class[slot] = object_class
+            self._slot_seed[slot] = _class_seed(object_class)
         return slot
 
     def _rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -376,8 +395,9 @@ class EmbeddingSpace:
         Keyed noise is the first ``dim`` normals of numpy's
         ``Generator(PCG64(SeedSequence([0x5EED, object_class,
         noise_key])))``.  For a class and key in [0, 2**32) the
-        generator's starting state is computed by :func:`_noise_seed`
-        and set on one reused generator instead of built;
+        generator's starting state is computed from the class half
+        of :func:`_noise_seed` the memo keeps beside the class's slot
+        and the key, and set on one reused generator instead of built;
         ``tests/property/test_noise_seed_properties.py`` pins both the
         state and the observation to that reference.  A larger key
         builds the ``SeedSequence``; a negative one raises
@@ -389,7 +409,7 @@ class EmbeddingSpace:
             key, cls = int(noise_key), int(object_class)
             if key >> 32 == 0 and cls >> 32 == 0:
                 noise_rng = self._rng
-                state, inc = _noise_seed(cls, key)
+                state, inc = _key_seed(self._slot_seed[slot], key)
                 self._words[self._word_order] = (
                     state & _M64, state >> 64, inc & _M64, inc >> 64)
             else:

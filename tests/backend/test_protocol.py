@@ -1,6 +1,7 @@
 """Frame-level tests for the real backend's wire protocol and codec."""
 
 import asyncio
+import json
 import math
 import struct
 
@@ -15,6 +16,7 @@ from repro.backend.edge_server import EdgeService
 from repro.backend.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
+    bad_frame_reply,
     call,
     decode_body,
     decode_reply,
@@ -351,6 +353,48 @@ class TestCodec:
             assert reply.payload.label == 3
         else:
             assert reply.payload == payload
+
+
+def every_op_frames() -> dict[str, dict]:
+    """One frame of each op in the vocabulary, built as the backend
+    builds them (non-ASCII text and float32-derived lists included)."""
+    vector = np.linspace(-1.0, 1.0, 16, dtype=np.float32) / 3
+    request = encode_request(recognition_request(
+        descriptor=VectorDescriptor(kind="recognition", vector=vector),
+        has_input=True, force_forward=True,
+        sketch=np.linspace(0.5, -0.5, SKETCH_DIM) / 7))
+    counters = {"hit": 3, "miss": 1, "edge": "edge-\u00e9\u2603",
+                "cpu_s": 0.1 + 0.2}
+    return {
+        "recognize": request,
+        "result": encode_reply(
+            "ic_result", RecognitionResult(label=3, confidence=0.97),
+            {"outcome": "hit", "served_by": "edge0"}),
+        "shed": encode_reply("shed", None, {
+            "outcome": "shed", "served_by": "edge0",
+            "retry_after_s": 1 / 3}),
+        "need_input": encode_reply("need_input", None, {
+            "outcome": "miss", "served_by": "edge0"}),
+        "error": encode_reply("error", "cloud unreachable: \u00e9", {
+            "outcome": "error", "served_by": "edge0"}),
+        "bad_frame": bad_frame_reply("recognize", KeyError("capture_id")),
+        "resolve": {"op": "resolve", "object_class": 2, "capture_id": 7,
+                    "input_bytes": 1 << 20},
+        "resolved": {"op": "resolved", "label": 3},
+        "stats": {"op": "stats"},
+        "counters": {"op": "counters", **counters},
+        "shutdown": {"op": "shutdown"},
+        "bye": {"op": "bye", **counters},
+    }
+
+
+@pytest.mark.parametrize("op", sorted(every_op_frames()))
+def test_encode_frame_bytes_are_json_dumps_bytes(op):
+    """The shared encoder writes what ``json.dumps`` with the compact
+    separators writes, byte for byte, for every frame op."""
+    frame = every_op_frames()[op]
+    body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
+    assert encode_frame(frame) == struct.pack(">I", len(body)) + body
 
 
 #: Values a well-formed 16-d descriptor or 32-d sketch never has.

@@ -189,12 +189,12 @@ class TestHottestFilters:
     def test_kind_prefix_selects_namespace(self):
         cache = self._cache()
         layers = cache.hottest(10, kind_prefix=LAYER_KIND_PREFIX)
-        assert [e.descriptor.kind for e in layers] == ["layer:conv1"]
+        assert [e.kind for e in layers] == ["layer:conv1"]
 
     def test_exclude_prefix_drops_namespace(self):
         cache = self._cache()
         rest = cache.hottest(10, exclude_prefix=LAYER_KIND_PREFIX)
-        assert {e.descriptor.kind for e in rest} == \
+        assert {e.kind for e in rest} == \
             {"model_load", "recognition"}
 
 
@@ -502,7 +502,7 @@ class TestLayerPrewarmTransport:
         dep.run_for(5.0)
         assert sum(p.pushed for p in dep.prewarm_log) == 1
         assert sum(p.layer_entries for p in dep.prewarm_log) == 0
-        kinds = {e.descriptor.kind
+        kinds = {e.kind
                  for e in dep.cache_by_name["edge1"].entries()}
         assert kinds == {"recognition"}
 
@@ -515,5 +515,5 @@ class TestLayerPrewarmTransport:
         assert len(dep.cache_by_name["edge1"]) == 0
         copied = dep.sync_federation(include_layers=True)
         assert copied == len(manager.tap_layers)
-        assert all(e.descriptor.kind.startswith(LAYER_KIND_PREFIX)
+        assert all(e.kind.startswith(LAYER_KIND_PREFIX)
                    for e in dep.cache_by_name["edge1"].entries())

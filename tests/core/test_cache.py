@@ -1,5 +1,8 @@
 """Unit tests for repro.core.cache (the edge IC cache)."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -291,12 +294,8 @@ class TestStorageTiers:
     def test_vector_dtype_validated(self):
         with pytest.raises(ValueError):
             ICCache(capacity_bytes=1000, vector_dtype="float16")
-
-    def test_int8_cache_still_matches(self):
-        cache = ICCache(capacity_bytes=1000, vector_dtype="int8",
-                        default_threshold=0.1)
-        cache.insert(vd([1, 0, 0]), "obj", 10)
-        assert cache.lookup(vd([0.99, 0.05, 0])) is not None
+        with pytest.raises(ValueError):
+            ICCache(capacity_bytes=1000, vector_dtype="int8")
 
     def test_index_memory_bytes_sums_per_kind_stores(self):
         cache = ICCache(capacity_bytes=100_000)
@@ -320,3 +319,61 @@ class TestStorageTiers:
             return cache.index_memory_bytes()
 
         assert filled("float32") <= 0.55 * filled("float64")
+
+
+class TestOneCopy:
+    """A cached vector is kept once, in its kind's row store: the entry
+    keeps the kind and :meth:`ICCache.descriptor` reads the key back."""
+
+    def test_a_128d_entry_retains_under_two_float32_rows(self):
+        n, dim = 8192, 128
+        source = np.random.default_rng(3).normal(size=(n, dim))
+        cache = ICCache(capacity_bytes=10 * n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for row in source:
+                cache.insert(VectorDescriptor("recognition", row), None, 10)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == n
+        # 512 B of float32 row, its norm, the entry and the cache's
+        # per-entry bookkeeping; a second copy of the row (a kept
+        # descriptor) alone would cross the bound.
+        assert retained / n < 2 * dim * 4
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_descriptor_reads_the_key_back(self, dtype):
+        cache = ICCache(capacity_bytes=1000, vector_dtype=dtype)
+        vector = np.array([1 / 3, -0.0, 1e-40, 7.5e15])
+        stored = cache.insert(vd(vector), "v", 10)
+        hashed = cache.insert(hd("ab12"), "h", 10)
+        got = cache.descriptor(stored)
+        assert got == vd(vector) and got.vector.dtype == np.float32
+        assert got.vector.tobytes() == vd(vector).vector.tobytes()
+        assert cache.descriptor(hashed) == hd("ab12")
+        assert cache.key(stored) == ("recognition",
+                                     vd(vector).vector.tobytes())
+        assert cache.key(hashed) == ("model_load", "ab12")
+        assert cache.keys() == {stored.entry_id: cache.key(stored),
+                                hashed.entry_id: cache.key(hashed)}
+        # A rebuilt key is a copy: the store's row does not move with it.
+        got.vector[0] = 5.0
+        assert cache.descriptor(stored) == vd(vector)
+
+    def test_keys_skip_an_index_never_filled(self):
+        cache = ICCache(capacity_bytes=1000)
+        # The burst is refused after its kind's index was made.
+        with pytest.raises(ValueError):
+            cache.insert_batch([(vd([1, 0]), "v", 10),
+                                (vd([1, 0, 0]), "w", 10)])
+        assert cache.keys() == {} and len(cache) == 0
+
+    def test_an_entry_keeps_no_descriptor(self):
+        entry = ICCache(capacity_bytes=1000).insert(vd([1, 0]), "v", 10)
+        assert entry.kind == "recognition"
+        assert not hasattr(entry, "descriptor")
+        assert not hasattr(entry, "__dict__")

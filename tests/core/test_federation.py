@@ -183,7 +183,7 @@ class TestAffinityProbeOrder:
     def test_probe_order_unchanged_without_summaries(self, config):
         dep = self._metro(config)
         edge0 = dep.edges[0]
-        descriptor = dep.caches[3].entries()[0].descriptor
+        descriptor = dep.caches[3].descriptor(dep.caches[3].entries()[0])
         assert probe_order(edge0, descriptor) == edge0.peers
 
     def test_cold_summaries_fall_back_to_spec_order(self, config):
@@ -195,7 +195,7 @@ class TestAffinityProbeOrder:
 
         for peer in edge0.peers:
             edge0.peer_summaries[peer] = CacheSummary(kinds={}, sketches={})
-        descriptor = dep.caches[3].entries()[0].descriptor
+        descriptor = dep.caches[3].descriptor(dep.caches[3].entries()[0])
         assert probe_order(edge0, descriptor) == edge0.peers
 
 

@@ -180,7 +180,8 @@ class TestMakeIndex:
         assert full.n_centroids == 64 and full.nprobe == 4
 
     def test_dtype_passthrough(self):
-        assert make_index("linear", dtype="int8")._store.dtype == "int8"
+        assert make_index("linear",
+                          dtype="float64")._store.dtype == "float64"
         assert make_index("lsh", dim=32,
                           dtype="float64")._store.dtype == "float64"
         assert make_index("ivf", dim=32,
@@ -241,7 +242,7 @@ class TestContiguousStore:
         "ivf": lambda dtype: IvfIndex(dim=8, min_train=32, dtype=dtype),
     }
 
-    @pytest.mark.parametrize("dtype", ["float32", "float64", "int8"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("tier", ["linear", "lsh", "ivf"])
     def test_lsh_store_survives_churn(self, tier, dtype):
         """Interleaved insert / insert_batch / remove leaves every tier
@@ -361,12 +362,6 @@ class TestMemoryFootprint:
         # for bookkeeping while any float64 regression (ratio ~1.0)
         # fails loudly.
         assert default.memory_bytes() <= 0.55 * compat.memory_bytes()
-
-    def test_int8_store_is_quarter_of_float32(self):
-        quantized = self._filled(dtype="int8")
-        default = self._filled()
-        # 1 B codes + per-row float32 scale/offset/norm vs 4 B floats.
-        assert quantized.memory_bytes() <= 0.35 * default.memory_bytes()
 
     def test_ivf_accounts_centroids(self):
         rng = np.random.default_rng(12)

@@ -87,7 +87,7 @@ class TestPartialServing:
         device = edge.recognizer.device
         deepest = max(
             (e for e in dep.caches[0].entries()
-             if e.descriptor.kind.startswith("layer:")),
+             if e.kind.startswith("layer:")),
             key=lambda e: e.cost_s)
         assert deepest.cost_s == pytest.approx(
             device.seconds_for_gflops(

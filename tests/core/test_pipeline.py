@@ -242,7 +242,7 @@ class TestPrewarmSelection:
         cache.lookup(HashDescriptor("model_load", "d1"), now=11.0)
         cache.lookup(HashDescriptor("model_load", "d3"), now=12.0)
         top = cache.hottest(2)
-        assert [e.descriptor.digest for e in top] == ["d1", "d3"]
+        assert [cache.descriptor(e).digest for e in top] == ["d1", "d3"]
         # k larger than the cache: everything, hottest first.
         assert len(cache.hottest(99)) == 4
         assert cache.hottest(0) == []
@@ -253,9 +253,9 @@ class TestPrewarmSelection:
         cache.insert(HashDescriptor("panorama", "bb"), "r", 100, now=8.0)
         cache.insert(HashDescriptor("model_load", "cc"), "r", 100, now=8.0)
         live = cache.hottest(10, now=9.0)  # "aa" expired at t=5
-        assert {e.descriptor.digest for e in live} == {"bb", "cc"}
+        assert {cache.descriptor(e).digest for e in live} == {"bb", "cc"}
         only_models = cache.hottest(10, kind="model_load", now=9.0)
-        assert [e.descriptor.digest for e in only_models] == ["cc"]
+        assert [cache.descriptor(e).digest for e in only_models] == ["cc"]
 
 
 def prewarm_metro(prewarm_top_k: int):

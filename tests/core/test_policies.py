@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.cache import CacheEntry
-from repro.core.descriptors import HashDescriptor
 from repro.core.policies import (
     FifoPolicy,
     GdsfPolicy,
@@ -17,7 +16,7 @@ from repro.core.policies import (
 
 def entry(entry_id, size=100, cost=1.0, hits=0, expires_at=None):
     e = CacheEntry(entry_id=entry_id,
-                   descriptor=HashDescriptor("m", f"{entry_id:x}"),
+                   kind="m",
                    result=None, size_bytes=size, cost_s=cost,
                    expires_at=expires_at)
     e.hits = hits

@@ -46,7 +46,7 @@ def test_capacity_and_accounting_invariants(ops, policy, capacity):
             entry = cache.lookup(HashDescriptor("m", digest(idx)),
                                  now=clock)
             if entry is not None:
-                assert entry.descriptor.digest == digest(idx)
+                assert cache.descriptor(entry).digest == digest(idx)
         # Core invariants after every operation:
         assert cache.size_bytes <= capacity
         assert cache.size_bytes == sum(e.size_bytes

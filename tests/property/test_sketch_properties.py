@@ -45,10 +45,11 @@ def expected_sketches(cache: ICCache, exclude_prefix):
     """kind -> (n, counts) over the live vector entries, from scratch."""
     counts = collections.defaultdict(collections.Counter)
     for entry in cache.entries():
-        kind = entry.descriptor.kind
-        if isinstance(entry.descriptor, VectorDescriptor) and not (
+        kind = entry.kind
+        descriptor = cache.descriptor(entry)
+        if isinstance(descriptor, VectorDescriptor) and not (
                 exclude_prefix and kind.startswith(exclude_prefix)):
-            counts[kind][SIGN.signature(entry.descriptor.vector)] += 1
+            counts[kind][SIGN.signature(descriptor.vector)] += 1
     return {kind: (sum(c.values()), dict(c)) for kind, c in counts.items()}
 
 
@@ -57,9 +58,9 @@ def check_summary(cache: ICCache, exclude_prefix) -> None:
     want = expected_sketches(cache, exclude_prefix)
     assert {kind: (s.n, s.counts) for kind, s in summary.sketches.items()} \
         == want
-    live = collections.Counter(e.descriptor.kind for e in cache.entries()
+    live = collections.Counter(e.kind for e in cache.entries()
                                if not (exclude_prefix and
-                                       e.descriptor.kind.startswith(
+                                       e.kind.startswith(
                                            exclude_prefix)))
     assert summary.kinds == dict(live)
     assert summary.size_bytes == (
