@@ -21,4 +21,4 @@ Entry point: :func:`repro.backend.runner.run_real_scenario`.
 
 from repro.backend.runner import run_real_scenario, run_simulated_trace
 
-__all__ = ["run_real_scenario", "run_simulated_trace"]
+__all__: list[str] = []

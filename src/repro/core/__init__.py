@@ -6,7 +6,7 @@ The cooperative immersive-computing framework, assembled from:
   recognition (threshold matching), content hashes for 3D models and
   panoramas (exact matching).
 * :mod:`~repro.core.index` — descriptor indexes: exact table, linear
-  scan, hyperplane LSH and IVF, over the row stores of
+  scan and hyperplane LSH, over the row stores of
   :mod:`~repro.core.store`; :mod:`~repro.core.sketch` — input and
   affinity sketches.
 * :mod:`~repro.core.cache` / :mod:`~repro.core.policies` — the edge IC
@@ -43,4 +43,4 @@ from repro.core.cluster import ClusterDeployment
 from repro.core.config import CoICConfig
 from repro.core.scenario import ScenarioSpec
 
-__all__ = ["ClusterDeployment", "CoICConfig", "ICCache", "ScenarioSpec"]
+__all__ = ["ClusterDeployment", "CoICConfig", "ScenarioSpec"]

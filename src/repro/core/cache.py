@@ -9,13 +9,14 @@ edge box's memory.
 
 One read path: :meth:`ICCache.lookup` answers one descriptor with one
 index ``query`` — a request is one lookup.  Writes also come in bursts
-(warm-up, pre-warm pushes, federation sync), so :meth:`ICCache.insert`
-has a batched sibling, :meth:`ICCache.insert_batch`.
+(warm-up, pre-warm pushes), so :meth:`ICCache.insert` has a batched
+sibling, :meth:`ICCache.insert_batch`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 import typing
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from repro.core.descriptors import Descriptor, HashDescriptor, VectorDescriptor
 from repro.core.index import DescriptorIndex, ExactIndex, make_index
-from repro.core.policies import EvictionPolicy, LruPolicy, TtlPolicy
+from repro.core.policies import EvictionPolicy, LruPolicy
 from repro.core.sketch import AffinitySketch, SketchSummary
 from repro.core.store import DEFAULT_DTYPE, STORE_DTYPES
 
@@ -46,7 +47,6 @@ class CacheEntry:
         created_at: Simulated insert time.
         last_access: Simulated time of the most recent hit.
         hits: Number of lookups served by this entry.
-        expires_at: Absolute expiry time, or None.
         sketch_signature: The affinity-sketch bucket a vector descriptor
             was counted into (None for hash kinds, and for every entry
             until the cache's first :meth:`ICCache.summary`), kept so the
@@ -61,11 +61,7 @@ class CacheEntry:
     created_at: float = 0.0
     last_access: float = 0.0
     hits: int = 0
-    expires_at: float | None = None
     sketch_signature: int | None = None
-
-    def expired(self, now: float) -> bool:
-        return self.expires_at is not None and now >= self.expires_at
 
 
 @dataclasses.dataclass
@@ -77,7 +73,6 @@ class CacheStats:
     misses: int = 0
     insertions: int = 0
     evictions: int = 0
-    expirations: int = 0
     rejected: int = 0  # entries larger than total capacity
 
     @property
@@ -126,10 +121,7 @@ class ICCache:
         default_threshold: Vector-match threshold when the caller does not
             pass one explicitly.
         vector_index: Spec for vector-kind indexes ("linear", "lsh",
-            "lsh:T:B", "ivf", "ivf:K:P") — hash kinds always use the
-            exact index.
-        ttl_s: Optional lifetime, > 0 (``inf``: never expires; NaN
-            raises); expired entries never hit and are purged lazily.
+            "lsh:T:B") — hash kinds always use the exact index.
         vector_dtype: Storage dtype for vector indexes ("float32"
             default, "float64" oracle tier); see :mod:`repro.core.store`.
     """
@@ -138,21 +130,17 @@ class ICCache:
                  policy: EvictionPolicy | None = None,
                  default_threshold: float = 0.1,
                  vector_index: str = "linear",
-                 ttl_s: float | None = None,
                  vector_dtype: str = DEFAULT_DTYPE):
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be > 0")
         if default_threshold < 0:
             raise ValueError("default_threshold must be >= 0")
-        if ttl_s is not None and not ttl_s > 0:
-            raise ValueError("ttl_s must be > 0 when given")
         if vector_dtype not in STORE_DTYPES:
             raise ValueError(f"vector_dtype must be one of {STORE_DTYPES}, "
                              f"got {vector_dtype!r}")
         self.capacity_bytes = int(capacity_bytes)
         self.policy = policy if policy is not None else LruPolicy()
         self.default_threshold = default_threshold
-        self.ttl_s = ttl_s
         self.stats = CacheStats()
         self._vector_index_spec = vector_index
         self.vector_dtype = vector_dtype
@@ -164,10 +152,6 @@ class ICCache:
         self._sketches: dict[str, AffinitySketch] | None = None
         self._ids = itertools.count(1)
         self._bytes = 0
-        # If the policy is TTL-based and no cache-level ttl was given,
-        # inherit the policy's, so expiry checks agree with eviction order.
-        if ttl_s is None and isinstance(self.policy, TtlPolicy):
-            self.ttl_s = self.policy.ttl_s
 
     # -- introspection -----------------------------------------------------------
 
@@ -184,18 +168,17 @@ class ICCache:
         return list(self._entries.values())
 
     def hottest(self, k: int, kind: str | None = None,
-                now: float | None = None,
                 kind_prefix: str | None = None,
                 exclude_prefix: str | None = None) -> list[CacheEntry]:
         """The top-``k`` entries by hit count (recency breaks ties).
 
         What predictive handoff pre-warm pushes to the next edge: the
         entries that proved themselves under this cell's workload.
-        Expired entries are skipped when ``now`` is given; ``kind``
-        restricts the ranking to one descriptor kind, ``kind_prefix`` to
-        a kind namespace (e.g. ``"layer:"`` for activation entries) and
-        ``exclude_prefix`` drops a namespace (so result pre-warm can
-        skip layer entries, which travel under their own budget).
+        ``kind`` restricts the ranking to one descriptor kind,
+        ``kind_prefix`` to a kind namespace (e.g. ``"layer:"`` for
+        activation entries) and ``exclude_prefix`` drops a namespace (so
+        result pre-warm can skip layer entries, which travel under their
+        own budget).
         Deterministic: remaining ties go to the older ``entry_id``.
         """
         if k <= 0:
@@ -205,10 +188,9 @@ class ICCache:
             if (kind is None or entry.kind == kind)
             and (kind_prefix is None or entry.kind.startswith(kind_prefix))
             and (exclude_prefix is None
-                 or not entry.kind.startswith(exclude_prefix))
-            and (now is None or not entry.expired(now))]
-        candidates.sort(key=lambda e: (-e.hits, -e.last_access, e.entry_id))
-        return candidates[:k]
+                 or not entry.kind.startswith(exclude_prefix))]
+        return heapq.nsmallest(
+            k, candidates, key=lambda e: (-e.hits, -e.last_access, e.entry_id))
 
     def summary(self, exclude_prefix: str | None = None) -> CacheSummary:
         """Snapshot this cache's contents for affinity gossip.
@@ -272,26 +254,31 @@ class ICCache:
             return HashDescriptor(entry.kind, index.digest(entry.entry_id))
         return VectorDescriptor(entry.kind, index.vector(entry.entry_id))
 
-    def key(self, entry: CacheEntry) -> tuple[str, str | bytes]:
-        """``(kind, digest)`` or ``(kind, float32 vector bytes)`` of
-        ``entry``'s key: equal for two entries exactly when their
-        descriptors are, without building either descriptor
-        (:func:`key_descriptor` builds it)."""
-        index = self._indexes[entry.kind]
-        if isinstance(index, ExactIndex):
-            return entry.kind, index.digest(entry.entry_id)
-        return entry.kind, index.vector(entry.entry_id).tobytes()
+    def missing(self, source: "ICCache",
+                entries: typing.Sequence[CacheEntry]) -> list[CacheEntry]:
+        """The ``entries`` of ``source`` whose key this cache holds no
+        entry under, in order — what a pre-warm push ships.
 
-    def keys(self) -> dict[int, tuple[str, str | bytes]]:
-        """``{entry_id: key(entry)}`` over every live entry, a whole
-        index at a time."""
-        keys = {}
-        for kind, index in self._indexes.items():
-            values = (index.digests() if isinstance(index, ExactIndex)
-                      else index.vector_bytes())
-            for entry_id, value in values.items():
-                keys[entry_id] = (kind, value)
-        return keys
+        Only those keys are looked up: a digest among the digests of
+        this cache's exact index of its kind, and a kind's vectors in
+        one vectorised compare with its row store
+        (:meth:`~repro.core.index._VectorIndex.holds`).
+        """
+        groups: dict[str, list[CacheEntry]] = {}
+        for entry in entries:
+            groups.setdefault(entry.kind, []).append(entry)
+        held: set[int] = set()
+        for kind, group in groups.items():
+            mine, theirs = self._indexes.get(kind), source._indexes[kind]
+            if isinstance(theirs, ExactIndex):
+                if isinstance(mine, ExactIndex):
+                    held.update(e.entry_id for e in group
+                                if mine.holds(theirs.digest(e.entry_id)))
+            elif mine is not None and not isinstance(mine, ExactIndex):
+                found = mine.holds(np.stack(
+                    [theirs.vector(e.entry_id) for e in group]))
+                held.update(e.entry_id for e, f in zip(group, found) if f)
+        return [entry for entry in entries if entry.entry_id not in held]
 
     def index_memory_bytes(self) -> int:
         """Allocated bytes across all vector index storage."""
@@ -309,7 +296,7 @@ class ICCache:
         """Find a cached result matching ``descriptor``.
 
         Returns the entry on a hit (updating recency/frequency state) or
-        None on a miss.  Expired matches are purged and count as misses.
+        None on a miss.
         """
         self.stats.lookups += 1
         index = self._indexes.get(descriptor.kind)
@@ -323,11 +310,6 @@ class ICCache:
             self.stats.misses += 1
             return None
         entry = self._entries[found[0]]
-        if entry.expired(now):
-            self._drop(entry)
-            self.stats.expirations += 1
-            self.stats.misses += 1
-            return None
         entry.hits += 1
         entry.last_access = now
         self.policy.on_access(entry)
@@ -386,8 +368,7 @@ class ICCache:
         entry = CacheEntry(
             entry_id=next(self._ids), kind=descriptor.kind, result=result,
             size_bytes=int(size_bytes), cost_s=cost_s, created_at=now,
-            last_access=now,
-            expires_at=(now + self.ttl_s) if self.ttl_s is not None else None)
+            last_access=now)
         self.index_for(descriptor.kind, descriptor).insert(
             entry.entry_id, descriptor)
         self._entries[entry.entry_id] = entry
@@ -464,9 +445,7 @@ class ICCache:
             entry = CacheEntry(
                 entry_id=next(self._ids), kind=descriptor.kind,
                 result=result, size_bytes=int(size_bytes), cost_s=item_cost,
-                created_at=now, last_access=now,
-                expires_at=(now + self.ttl_s) if self.ttl_s is not None
-                else None)
+                created_at=now, last_access=now)
             pending.setdefault(descriptor.kind, []).append(
                 (entry.entry_id, descriptor))
             pending_descriptor[descriptor.kind] = descriptor
@@ -484,14 +463,6 @@ class ICCache:
         if entry.entry_id not in self._entries:
             raise KeyError(f"entry {entry.entry_id} not in cache")
         self._drop(entry)
-
-    def purge_expired(self, now: float) -> int:
-        """Eagerly drop all expired entries; returns how many."""
-        victims = [e for e in self._entries.values() if e.expired(now)]
-        for entry in victims:
-            self._drop(entry)
-            self.stats.expirations += 1
-        return len(victims)
 
     def clear(self) -> None:
         """Empty the cache (stats are preserved)."""
@@ -527,15 +498,6 @@ class ICCache:
         return (f"ICCache({len(self)} entries, "
                 f"{self._bytes / 1e6:.1f}/{self.capacity_bytes / 1e6:.1f} MB, "
                 f"policy={self.policy.name})")
-
-
-def key_descriptor(key: tuple[str, str | bytes]) -> Descriptor:
-    """The descriptor whose :meth:`ICCache.key` is ``key``."""
-    kind, value = key
-    if isinstance(value, str):
-        return HashDescriptor(kind=kind, digest=value)
-    return VectorDescriptor(kind=kind,
-                            vector=np.frombuffer(value, dtype=np.float32))
 
 
 def _vector_of(descriptor: Descriptor) -> np.ndarray | None:

@@ -18,8 +18,8 @@ edges mid-run:
 * :meth:`start_mobility` replays
   :class:`~repro.workload.mobility.RandomWaypointUser` itineraries and
   hands each client to its nearest edge as it moves;
-* cache warm-up and federation sync go through the vectorized
-  ``insert_batch`` path — one signature matmul per burst.
+* cache warm-up goes through the vectorized ``insert_batch`` path —
+  one signature matmul per burst.
 
 Inter-edge messages and what they cost
 ======================================
@@ -51,9 +51,7 @@ when no metro path exists) and all paying real transfer time for their
   against the target's load.
 
 ``peer_lookup`` probes (federation) are documented in
-:mod:`repro.core.federation`.  :meth:`ClusterDeployment.sync_federation`
-is the one *out-of-band* replication path: a build-time bootstrap that
-charges no simulated transfer time.
+:mod:`repro.core.federation`.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ import typing
 
 from repro.core.balancer import AffinityLoadBalancer, PeerLoadBalancer
 from repro.core.baselines import LocalClient, OriginClient
-from repro.core.cache import ICCache, key_descriptor
+from repro.core.cache import ICCache
 from repro.core.client import CoICClient
 from repro.core.cloud import CloudNode
 from repro.core.config import CacheConfig, CoICConfig
@@ -128,7 +126,7 @@ def edge_cache(edge: EdgeSpec, cache: CacheConfig) -> ICCache:
         capacity_bytes=(int(edge.cache_mb * 1e6) if edge.cache_mb is not None
                         else cache.capacity_bytes),
         policy=make_policy(cache.policy),
-        vector_index=cache.vector_index, ttl_s=cache.ttl_s,
+        vector_index=cache.vector_index,
         vector_dtype=cache.vector_dtype)
 
 
@@ -573,13 +571,6 @@ class ClusterDeployment:
             self.topology.remove_link(client.name, old_edge)
             self.topology.remove_link(old_edge, client.name)
 
-    def attachment_timeline(self) -> list[tuple[float, str, str]]:
-        """Every (time_s, client, edge) attachment, in time order."""
-        events = [(when, client.name, edge)
-                  for client in self.all_clients
-                  for when, edge in client.attachments]
-        return sorted(events)
-
     # -- background cross-traffic --------------------------------------------
 
     def _background_traffic(self):
@@ -662,16 +653,10 @@ class ClusterDeployment:
         hops between places with exponential dwell (gravity-biased when
         the spec carries ``bias``/``bias_schedule``), and is re-attached
         to the nearest edge after every hop (a no-op when the nearest
-        edge did not change).  Clients named in the spec's
-        ``itinerary_trace`` replay their recorded stops verbatim
-        instead.  Returns the itineraries, which are fully determined
-        by the scenario seed (plus the trace).
+        edge did not change).  Returns the itineraries, which are fully
+        determined by the scenario seed.
         """
-        from repro.workload.mobility import (
-            Gravity,
-            RandomWaypointUser,
-            load_itineraries,
-        )
+        from repro.workload.mobility import Gravity, RandomWaypointUser
 
         if self.spec.mobility is None:
             raise ValueError("scenario has no mobility spec")
@@ -679,30 +664,18 @@ class ClusterDeployment:
             raise RuntimeError("mobility already started")
         m = self.spec.mobility
         duration = m.duration_s if duration_s is None else duration_s
-        traced: dict[str, list[tuple[float, int]]] = {}
-        if m.itinerary_trace is not None:
-            traced = load_itineraries(m.itinerary_trace,
-                                      n_places=m.n_places)
-            unknown = set(traced) - set(self.client_names)
-            if unknown:
-                raise ValueError(
-                    f"itinerary_trace names unknown clients: "
-                    f"{sorted(unknown)}")
         # One gravity timetable for the whole crowd: weights checked
         # once, draw rows built once per (segment, place).
         gravity = (None if m.bias is None and m.bias_schedule is None
                    else Gravity(m.n_places, m.bias, m.bias_schedule))
         for client in self.all_clients:
-            if client.name in traced:
-                itinerary = traced[client.name]
-            else:
-                user = RandomWaypointUser(
-                    client.name, self.world,
-                    self.rng.stream(f"mobility.user.{client.name}"),
-                    mean_dwell_s=m.mean_dwell_s,
-                    home_place=self._home_place(client), gravity=gravity)
-                itinerary = user.itinerary(duration)
-                self.users[client.name] = user
+            user = RandomWaypointUser(
+                client.name, self.world,
+                self.rng.stream(f"mobility.user.{client.name}"),
+                mean_dwell_s=m.mean_dwell_s,
+                home_place=self._home_place(client), gravity=gravity)
+            itinerary = user.itinerary(duration)
+            self.users[client.name] = user
             self.itineraries[client.name] = itinerary
             self.client_places[client.name] = itinerary[0][1]
             self.env.process(self._replay(client, itinerary))
@@ -797,18 +770,11 @@ class ClusterDeployment:
         layer_k = policy.prewarm_layers if policy is not None else 0
         src_cache = self.cache_by_name[src_edge]
         dst_cache = self.cache_by_name[dst_edge]
-        hottest = src_cache.hottest(top_k, now=self.env.now,
-                                    exclude_prefix=LAYER_KIND_PREFIX)
-        hottest += src_cache.hottest(layer_k, now=self.env.now,
-                                     kind_prefix=LAYER_KIND_PREFIX)
-        if not hottest:
-            return False
-        have = set(dst_cache.keys().values())
+        hottest = src_cache.hottest(top_k, exclude_prefix=LAYER_KIND_PREFIX)
+        hottest += src_cache.hottest(layer_k, kind_prefix=LAYER_KIND_PREFIX)
         items = []
         n_layers = 0
-        for entry in hottest:
-            if src_cache.key(entry) in have:
-                continue
+        for entry in dst_cache.missing(src_cache, hottest):
             items.append((src_cache.descriptor(entry), entry.result,
                           entry.size_bytes, entry.cost_s))
             if entry.kind.startswith(LAYER_KIND_PREFIX):
@@ -860,7 +826,7 @@ class ClusterDeployment:
             raise ValueError("scenario has no mobility spec")
         return self.world.place(self.client_places[client.name]).object_classes
 
-    # -- cache warm-up / federation sync (batched insert path) ---------------
+    # -- cache warm-up (batched insert path) ---------------------------------
 
     def warm_caches(self, warmup: WarmupSpec) -> int:
         """Pre-populate edge caches through ``ICCache.insert_batch``.
@@ -887,48 +853,6 @@ class ClusterDeployment:
                 items, now=self.env.now)
             inserted += sum(1 for e in entries if e is not None)
         return inserted
-
-    def sync_federation(self, include_layers: bool = False) -> int:
-        """Bulk-replicate each edge's entries to every other edge.
-
-        An out-of-band bootstrap (think nightly rsync between sites —
-        no simulated transfer time is charged, unlike the pre-warm
-        path): entries a destination already holds — same digest, or
-        same vector bit-for-bit — are skipped; the rest land through
-        one ``insert_batch`` per destination edge.  ``layer:*``
-        activation entries are excluded unless ``include_layers`` is
-        set — they are typically orders of magnitude larger than IC
-        results, and shipping them is a deliberate choice (the same
-        choice ``EdgePolicySpec.prewarm_layers`` makes for the online
-        path).  Returns the number of entries copied.
-        """
-        # Each entry's key is read once, before any copy lands (an
-        # insert may evict), and a descriptor is built only for an entry
-        # that is copied.
-        snapshots = []
-        for cache in self.caches:
-            keys = cache.keys()
-            snapshots.append([(keys[entry.entry_id], entry)
-                              for entry in cache.entries()
-                              if include_layers or not entry.kind
-                              .startswith(LAYER_KIND_PREFIX)])
-        copied = 0
-        for k, cache in enumerate(self.caches):
-            have = {key for key, _ in snapshots[k]}
-            items = []
-            for j, snapshot in enumerate(snapshots):
-                if j == k:
-                    continue
-                for key, entry in snapshot:
-                    if key in have:
-                        continue
-                    have.add(key)
-                    items.append((key_descriptor(key), entry.result,
-                                  entry.size_bytes))
-            if items:
-                inserted = cache.insert_batch(items, now=self.env.now)
-                copied += sum(1 for e in inserted if e is not None)
-        return copied
 
     # -- running -------------------------------------------------------------
 

@@ -166,7 +166,6 @@ class CacheConfig:
     capacity_mb: float = 2048.0
     policy: str = "lru"
     vector_index: str = "linear"
-    ttl_s: float | None = None
     #: Fixed edge-side bookkeeping time charged per insert.
     insert_ms: float = 1.0
     #: Vector storage dtype ("float32" or "float64").  Descriptors are
@@ -181,8 +180,6 @@ class CacheConfig:
             raise ValueError("capacity_mb must be finite and > 0")
         if not 0 <= self.insert_ms < math.inf:
             raise ValueError("insert_ms must be finite and >= 0")
-        if self.ttl_s is not None and not self.ttl_s > 0:
-            raise ValueError("ttl_s must be > 0 when given")
         if self.vector_dtype not in ("float32", "float64"):
             raise ValueError(
                 f"vector_dtype must be float32/float64, "

@@ -49,8 +49,7 @@ Message formats and backhaul cost
 Every byte rides the scenario's inter-edge links (or the cloud WAN
 when no metro path exists) with real serialization + propagation time;
 nothing about federation is free.  Bulk state movement between edges —
-handoff pre-warm pushes, affinity cache-summary gossip, and the
-out-of-band ``sync_federation`` bootstrap — is owned by
+handoff pre-warm pushes and affinity cache-summary gossip — is owned by
 :mod:`repro.core.cluster`, whose module docstring specifies those
 message formats and their cost accounting.
 """

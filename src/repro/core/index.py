@@ -1,6 +1,6 @@
 """Descriptor indexes: how the edge finds "a result close enough".
 
-Four implementations behind one interface:
+Three implementations behind one interface:
 
 * :class:`ExactIndex` — hash table for :class:`HashDescriptor` keys
   (3D models, panoramas).  O(1) lookups.
@@ -9,14 +9,9 @@ Four implementations behind one interface:
 * :class:`LshIndex` — random-hyperplane locality-sensitive hashing.
   Sub-linear candidate sets at the price of missed borderline matches;
   the index-scaling ablation quantifies the trade.
-* :class:`IvfIndex` — inverted-file coarse quantizer: k-means centroids
-  over the stored vectors, an ``nprobe``-wide probe list per query, and
-  exact re-ranking of the probed cells' members.  The million-entry
-  tier: per-query work grows with ``K + n * nprobe / K`` instead of
-  ``n``.
 
 Vector descriptors live in the row stores of :mod:`repro.core.store`;
-the three vector indexes share one skeleton, :class:`_VectorIndex`
+the two vector indexes share one skeleton, :class:`_VectorIndex`
 (validation, atomic insert/remove, the exact scan), and add only their
 search structure.  Every vector index ranks by cosine distance
 (:func:`~repro.core.distance.cosine_distance_batch`).  ``query``
@@ -138,9 +133,13 @@ class ExactIndex(DescriptorIndex):
         """The digest ``entry_id`` was inserted under."""
         return self._by_entry[entry_id]
 
-    def digests(self) -> dict[int, str]:
-        """``{entry_id: digest(entry_id)}`` for every stored entry."""
-        return dict(self._by_entry)
+    def holds(self, digest: str) -> bool:
+        """Whether some stored entry was inserted under ``digest``.
+
+        ``_by_digest`` alone would not do: it forgets a digest when the
+        newest of its entries leaves, even while an older one stays.
+        """
+        return digest in self._by_digest or digest in self._by_entry.values()
 
     def remove(self, entry_id: int) -> None:
         digest = self._by_entry.pop(entry_id, None)
@@ -167,7 +166,7 @@ class ExactIndex(DescriptorIndex):
 
 
 class _VectorIndex(DescriptorIndex):
-    """What the three vector indexes share.
+    """What the two vector indexes share.
 
     Vectors live in one row store (:class:`~repro.core.store._VectorStore`:
     contiguous matrix, amortized-doubling growth, swap-compacted
@@ -178,9 +177,9 @@ class _VectorIndex(DescriptorIndex):
     store, the ``_added`` / ``_removing`` hooks.
     """
 
-    #: Vector dimension: fixed at construction by LSH/IVF (they draw
-    #: hyperplanes / train centroids in it); None means "whatever the
-    #: first stored vector has".
+    #: Vector dimension: fixed at construction by LSH (it draws its
+    #: hyperplanes in it); None means "whatever the first stored vector
+    #: has".
     dim: int | None = None
 
     def __init__(self, dtype: str = DEFAULT_DTYPE):
@@ -214,9 +213,9 @@ class _VectorIndex(DescriptorIndex):
         """Insert a burst in one validated store append.
 
         The search structure then sees the whole burst at once
-        (``_added``): a warm-up flood or federation sync of k vectors
-        costs LSH one ``(k, n_tables * n_bits)`` signature matmul, IVF
-        one cell assignment, instead of k small ones.
+        (``_added``): a warm-up flood or pre-warm push of k vectors
+        costs LSH one ``(k, n_tables * n_bits)`` signature matmul instead
+        of k small ones.
         """
         ids: list[int] = []
         vecs: list[np.ndarray] = []
@@ -286,15 +285,25 @@ class _VectorIndex(DescriptorIndex):
         """
         return self._store.get(entry_id).astype(np.float32, copy=False)
 
-    def vector_bytes(self) -> dict[int, bytes]:
-        """``{entry_id: vector(entry_id).tobytes()}`` for every stored
-        row, narrowed and copied out in one pass."""
-        if len(self._store) == 0:
-            return {}
-        rows = self._store.matrix.astype(np.float32, copy=False)
-        blob, width = rows.tobytes(), rows.shape[1] * rows.itemsize
-        return {self._store.id_at(row): blob[row * width:(row + 1) * width]
-                for row in range(len(rows))}
+    def holds(self, vectors: np.ndarray) -> np.ndarray:
+        """Which rows of the ``(m, dim)`` block ``vectors``, as float32,
+        equal some stored :meth:`vector` bit for bit.
+
+        The stored rows' first words pick the candidates; only those
+        rows are narrowed and compared whole, as bytes.
+        """
+        wanted = np.ascontiguousarray(vectors, dtype=np.float32)
+        held = np.zeros(len(wanted), dtype=bool)
+        if len(self._store) == 0 or self._store.dim != wanted.shape[1]:
+            return held
+        matrix = self._store.matrix
+        wanted = wanted.view(np.uint32)
+        first = np.ascontiguousarray(matrix[:, 0], dtype=np.float32)
+        rows = matrix[np.isin(first.view(np.uint32), wanted[:, 0])]
+        rows = rows.astype(np.float32, copy=False).view(np.uint32)
+        for j, word in enumerate(wanted):
+            held[j] = (rows == word).all(axis=1).any()
+        return held
 
     def memory_bytes(self) -> int:
         """Allocated storage bytes (the store's arrays)."""
@@ -446,220 +455,13 @@ class LshIndex(_VectorIndex):
 _EMPTY_BUCKET: frozenset[int] = frozenset()
 
 
-class IvfIndex(_VectorIndex):
-    """Inverted-file index: k-means coarse quantizer + exact re-ranking.
-
-    The million-entry tier.  Training runs Lloyd's algorithm over a
-    deterministic subsample of the stored vectors (seeded from
-    ``(seed, dim, n, K)``, so a given store always trains the same
-    centroids); each stored vector is assigned to its nearest centroid's
-    inverted list.  A query ranks the ``K`` centroids, gathers the
-    members of the ``nprobe`` nearest cells, and re-ranks them exactly —
-    per-query work grows with ``K + n * nprobe / K`` instead of ``n``.
-
-    Lifecycle: below ``min_train`` entries the index is an exact linear
-    scan (nothing to quantize yet).  The first insert at or past
-    ``min_train`` trains; afterwards inserts assign incrementally, and
-    the index re-trains whenever occupancy has grown by
-    ``retrain_growth``x since the last training — centroids follow the
-    catalog as it drifts, with amortized-constant re-train cost.
-
-    Recall: with auto-sized ``K ~ sqrt(n)`` and the default ``nprobe``
-    the near-duplicate drift workloads hold recall >= 0.95 against
-    :class:`LinearIndex` ground truth (asserted by the index-scaling
-    bench and the property suite).  More ``nprobe`` buys recall
-    linearly in candidate cost.
-
-    Args:
-        dim: Vector dimension.
-        n_centroids: Cells to train (0 = auto, ``~sqrt(n)``).
-        nprobe: Cells probed per query (0 = auto, a small constant — a
-            *fixed* probe width is what keeps scaling sublinear).
-        seed: Training seed (subsample choice + centroid init).
-        dtype: Storage dtype, as :class:`~repro.core.store._VectorStore`.
-        min_train: Occupancy at which the first training runs.
-        retrain_growth: Growth factor that triggers re-training.
-        kmeans_iters: Lloyd iterations per training.
-        train_sample: Max vectors fed to Lloyd (subsampled above this).
-    """
-
-    BASE_COST_S = 6e-5
-    PER_CENTROID_COST_S = 1.2e-7
-    PER_CANDIDATE_COST_S = 2.5e-7
-    DEFAULT_NPROBE = 8
-
-    def __init__(self, dim: int, n_centroids: int = 0, nprobe: int = 0,
-                 seed: int = 13, dtype: str = DEFAULT_DTYPE,
-                 min_train: int = 256, retrain_growth: float = 4.0,
-                 kmeans_iters: int = 8, train_sample: int = 20000):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if n_centroids < 0 or nprobe < 0:
-            raise ValueError("n_centroids and nprobe must be >= 0")
-        if min_train < 2:
-            raise ValueError("min_train must be >= 2")
-        if retrain_growth <= 1.0:
-            raise ValueError("retrain_growth must be > 1.0")
-        super().__init__(dtype)
-        self.dim = dim
-        self.n_centroids = n_centroids
-        self.nprobe = nprobe
-        self.seed = seed
-        self.min_train = min_train
-        self.retrain_growth = retrain_growth
-        self.kmeans_iters = kmeans_iters
-        self.train_sample = train_sample
-        self._centroids: np.ndarray | None = None
-        self._centroid_norms: np.ndarray | None = None
-        self._lists: list[set[int]] = []
-        self._cell_of: dict[int, int] = {}
-        self._trained_n = 0
-        self.trainings = 0
-        self.last_candidates = 0
-
-    # -- maintenance -----------------------------------------------------------
-
-    @property
-    def trained(self) -> bool:
-        return self._centroids is not None
-
-    def _effective_nprobe(self) -> int:
-        probe = self.nprobe or self.DEFAULT_NPROBE
-        if self._centroids is not None:
-            probe = min(probe, len(self._centroids))
-        return probe
-
-    def _assign(self, ids: typing.Sequence[int]) -> None:
-        """File the stored rows of ``ids`` under their nearest centroid."""
-        block, _ = self._store.take(self._store.rows_for(ids))
-        cells = np.argmin(cosine_distance_batch(
-            self._centroids, block, row_norms=self._centroid_norms), axis=1)
-        for entry_id, cell in zip(ids, cells.tolist()):
-            self._lists[cell].add(entry_id)
-            self._cell_of[entry_id] = cell
-
-    def _train(self) -> None:
-        n = len(self._store)
-        k = self.n_centroids or max(4, int(round(np.sqrt(n))))
-        k = min(k, n)
-        sample_n = min(self.train_sample, n)
-        # Deterministic stride subsample: stable under append-order and
-        # cheap at 10^7 rows.
-        sample_rows = np.unique(np.linspace(
-            0, n - 1, sample_n).round().astype(np.intp))
-        data, _ = self._store.take(sample_rows)
-        data = np.asarray(data, dtype=np.float64)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            [self.seed, self.dim, n, k])))
-        centroids = data[rng.choice(len(data), size=k, replace=False)]
-        centroids = np.array(centroids)
-        cnorms = np.linalg.norm(centroids, axis=1)
-        for _ in range(self.kmeans_iters):
-            assign = np.empty(len(data), dtype=np.intp)
-            mindist = np.empty(len(data), dtype=np.float64)
-            for s in range(0, len(data), 4096):
-                block = data[s:s + 4096]
-                d = cosine_distance_batch(centroids, block, row_norms=cnorms)
-                assign[s:s + len(block)] = np.argmin(d, axis=1)
-                mindist[s:s + len(block)] = d[
-                    np.arange(len(block)), assign[s:s + len(block)]]
-            counts = np.bincount(assign, minlength=k)
-            sums = np.zeros_like(centroids)
-            np.add.at(sums, assign, data)
-            live = counts > 0
-            centroids[live] = sums[live] / counts[live, None]
-            empty = np.flatnonzero(~live)
-            if len(empty):
-                # Re-seed dead cells to the worst-served points.
-                farthest = np.argsort(-mindist, kind="stable")[:len(empty)]
-                centroids[empty] = data[farthest]
-            cnorms = np.linalg.norm(centroids, axis=1)
-        self._centroids = np.asarray(centroids,
-                                     dtype=self._store.compute_dtype)
-        self._centroid_norms = np.linalg.norm(self._centroids, axis=1)
-        self._trained_n = n
-        self.trainings += 1
-        self._lists = [set() for _ in range(k)]
-        self._cell_of = {}
-        for s in range(0, n, 4096):
-            self._assign([self._store.id_at(row)
-                          for row in range(s, min(s + 4096, n))])
-
-    def _added(self, ids: typing.Sequence[int]) -> None:
-        """Assign the new rows, then (re-)train if occupancy warrants."""
-        n = len(self._store)
-        if self._centroids is None:
-            due = n >= self.min_train
-        else:
-            self._assign(ids)
-            due = n >= self.retrain_growth * max(1, self._trained_n)
-        if due:
-            self._train()
-
-    def _removing(self, entry_id: int) -> None:
-        cell = self._cell_of.pop(entry_id, None)
-        if cell is not None:
-            self._lists[cell].discard(entry_id)
-
-    # -- queries ---------------------------------------------------------------
-
-    def query(self, descriptor: Descriptor,
-              threshold: float) -> tuple[int, float] | None:
-        vec = self._validate(descriptor)
-        if self._centroids is None or len(self._store) == 0:
-            self.last_candidates = len(self._store)
-            self.last_query_cost_s = self.lookup_cost_s()
-            return self._exact_scan(vec, threshold)
-        order = np.argsort(cosine_distance_batch(
-            self._centroids, vec[None, :],
-            row_norms=self._centroid_norms)[0], kind="stable")
-        candidates: set[int] = set()
-        for cell in order[:self._effective_nprobe()]:
-            candidates |= self._lists[int(cell)]
-        self.last_candidates = len(candidates)
-        self.last_query_cost_s = self._price(len(candidates))
-        return self._rerank(sorted(candidates), vec, threshold)
-
-    # -- pricing / introspection -----------------------------------------------
-
-    def _price(self, n_candidates: float) -> float:
-        return (self.BASE_COST_S
-                + self.PER_CENTROID_COST_S * len(self._centroids)
-                + self.PER_CANDIDATE_COST_S * n_candidates)
-
-    def lookup_cost_s(self) -> float:
-        """Expected per-query cost at current occupancy.
-
-        Untrained, the index is a linear scan and prices like one.
-        Trained, it pays the centroid ranking plus the expected
-        candidate set under uniform cell loading
-        (``n * nprobe / K``, capped at occupancy).
-        """
-        n = len(self._store)
-        if self._centroids is None:
-            return (LinearIndex.BASE_COST_S
-                    + LinearIndex.PER_VECTOR_COST_S * n)
-        k = len(self._centroids)
-        expected = min(float(n), n * self._effective_nprobe() / float(k))
-        return self._price(expected)
-
-    def memory_bytes(self) -> int:
-        """Allocated storage bytes (store arrays + centroids)."""
-        total = super().memory_bytes()
-        if self._centroids is not None:
-            total += self._centroids.nbytes + self._centroid_norms.nbytes
-        return total
-
-
 def make_index(spec: str, dim: int = 128,
                dtype: str = DEFAULT_DTYPE) -> DescriptorIndex:
     """Build an index from a config string.
 
     ``"exact"`` -> :class:`ExactIndex`; ``"linear"`` -> :class:`LinearIndex`;
-    ``"lsh"`` or ``"lsh:T:B"`` -> :class:`LshIndex` with T tables, B bits;
-    ``"ivf"``, ``"ivf:K"`` or ``"ivf:K:P"`` -> :class:`IvfIndex` with K
-    centroids probing P cells (0 = auto for either).  ``dtype`` selects
-    the vector storage mode (ignored by ``"exact"``).
+    ``"lsh"`` or ``"lsh:T:B"`` -> :class:`LshIndex` with T tables, B bits.
+    ``dtype`` selects the vector storage mode (ignored by ``"exact"``).
     """
     if spec == "exact":
         return ExactIndex()
@@ -673,14 +475,4 @@ def make_index(spec: str, dim: int = 128,
             raise ValueError(f"bad lsh spec {spec!r}; use 'lsh:TABLES:BITS'")
         return LshIndex(dim=dim, n_tables=int(parts[1]), n_bits=int(parts[2]),
                         dtype=dtype)
-    if spec == "ivf":
-        return IvfIndex(dim=dim, dtype=dtype)
-    if spec.startswith("ivf:"):
-        parts = spec.split(":")
-        if len(parts) not in (2, 3):
-            raise ValueError(
-                f"bad ivf spec {spec!r}; use 'ivf:CENTROIDS[:NPROBE]'")
-        nprobe = int(parts[2]) if len(parts) == 3 else 0
-        return IvfIndex(dim=dim, n_centroids=int(parts[1]),
-                        nprobe=nprobe, dtype=dtype)
     raise ValueError(f"unknown index spec {spec!r}")

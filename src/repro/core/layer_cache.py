@@ -35,7 +35,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 __all__ = ["LAYER_KIND_PREFIX", "LayerReusePlan", "LayerCacheManager"]
 
 #: Descriptor-kind namespace of layer-activation entries; the transport
-#: layer (handoff pre-warm, federation sync) filters on this prefix.
+#: layer (handoff pre-warm) filters on this prefix.
 LAYER_KIND_PREFIX = "layer:"
 
 

@@ -139,23 +139,6 @@ class LatencySummary:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class PartialSummary:
-    """Per-edge partial-inference aggregate.
-
-    Attributes:
-        served: Cache-served requests (hit + miss + partial) at the edge.
-        partials: How many of them partial inference answered.
-        ratio: ``partials / served``.
-        saved_s: Summed compute seconds saved vs full inference.
-    """
-
-    served: int
-    partials: int
-    ratio: float
-    saved_s: float
-
-
 class MetricsRecorder:
     """Collects request records and computes figure-level aggregates."""
 
@@ -271,30 +254,6 @@ class MetricsRecorder:
         return sum(r.saved_s for r in self.select(
             task_kind=task_kind, outcome=OUTCOME_PARTIAL, edge=edge))
 
-    def per_edge_partials(self, task_kind: str | None = None
-                          ) -> dict[str, "PartialSummary"]:
-        """Partial-inference breakdown keyed by serving edge id.
-
-        Which box is actually resuming from cached layers once prewarm
-        and federation move activation entries around.  Edges that
-        served requests but no partials report a zero row; baseline
-        records (no edge tag) group under ``""``.
-        """
-        groups: dict[str, list[RequestRecord]] = {}
-        for record in self.select(task_kind=task_kind):
-            if record.outcome not in (OUTCOME_HIT, OUTCOME_MISS,
-                                      OUTCOME_PARTIAL):
-                continue
-            groups.setdefault(record.edge, []).append(record)
-        out = {}
-        for edge, records in groups.items():
-            partials = [r for r in records if r.outcome == OUTCOME_PARTIAL]
-            out[edge] = PartialSummary(
-                served=len(records), partials=len(partials),
-                ratio=len(partials) / len(records),
-                saved_s=sum(r.saved_s for r in partials))
-        return out
-
     def outcome_counts(self, task_kind: str | None = None) -> dict[str, int]:
         """Record counts keyed by outcome, sorted by outcome name.
 
@@ -317,35 +276,3 @@ class MetricsRecorder:
         if not checked:
             return float("nan")
         return sum(r.correct for r in checked) / len(checked)
-
-    @staticmethod
-    def reduction(baseline_s: float, measured_s: float) -> float:
-        """Fractional latency reduction of ``measured`` vs ``baseline``.
-
-        Positive = faster than baseline.  The paper's headline numbers
-        (52.28%, 75.86%) are this, times 100.
-        """
-        if baseline_s <= 0:
-            raise ValueError("baseline must be > 0")
-        return 1.0 - measured_s / baseline_s
-
-    def group_summaries(self, key: typing.Callable[[RequestRecord], typing.Hashable]
-                        ) -> dict[typing.Hashable, LatencySummary]:
-        """Latency summaries grouped by an arbitrary record key."""
-        groups: dict[typing.Hashable, list[float]] = {}
-        for record in self.records:
-            groups.setdefault(key(record), []).append(record.latency_s)
-        return {k: LatencySummary.of(v) for k, v in groups.items()}
-
-    def per_edge_summaries(self, task_kind: str | None = None
-                           ) -> dict[str, LatencySummary]:
-        """Latency summaries keyed by serving edge id.
-
-        What the overload bench reads: which box actually absorbed the
-        work once shedding/offload/handoff start moving requests around.
-        Records without an edge tag (baselines) group under ``""``.
-        """
-        groups: dict[str, list[float]] = {}
-        for record in self.select(task_kind=task_kind):
-            groups.setdefault(record.edge, []).append(record.latency_s)
-        return {k: LatencySummary.of(v) for k, v in groups.items()}

@@ -137,9 +137,9 @@ class Stage:
 class LayerReuseStage(Stage):
     """Serve recognition by partial inference from cached DNN layers.
 
-    The missing half of the Potluck-style reuse loop (paper §4): PR 4
-    *transports* ``layer:*`` activation entries between edges (handoff
-    pre-warm, federation sync) but the serving path never read them.
+    The missing half of the Potluck-style reuse loop (paper §4): handoff
+    pre-warm *transports* ``layer:*`` activation entries between edges,
+    and this stage is what reads them on the serving path.
     This stage sits just before lookup when
     ``EdgePolicySpec.layer_reuse`` is set and short-circuits the
     expensive extract -> lookup -> cloud-forward path whenever a cached

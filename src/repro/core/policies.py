@@ -7,7 +7,6 @@ the eviction ablation (bench A3) can compare them:
 * :class:`LruPolicy` — least recently used (the paper-faithful default).
 * :class:`LfuPolicy` — least frequently used, LRU tie-break.
 * :class:`FifoPolicy` — insertion order.
-* :class:`TtlPolicy` — LRU among expired-first entries, plus age cap.
 * :class:`SizePolicy` — evict largest first (byte-pressure relief).
 * :class:`GdsfPolicy` — GreedyDual-Size-Frequency: value = age offset +
   hits x recompute-cost / size; the right policy when results differ
@@ -145,31 +144,6 @@ class SizePolicy(_HeapPolicy):
         pass
 
 
-class TtlPolicy(_HeapPolicy):
-    """Expired entries first (oldest expiry), then LRU among the rest.
-
-    Args:
-        ttl_s: Lifetime assigned to entries at insert, > 0 (``inf``:
-            never expires; NaN raises).  The cache also refuses to serve
-            entries past expiry regardless of policy.
-    """
-
-    name = "ttl"
-
-    def __init__(self, ttl_s: float):
-        if not ttl_s > 0:
-            raise ValueError("ttl_s must be > 0")
-        super().__init__()
-        self.ttl_s = ttl_s
-
-    def on_insert(self, entry: "CacheEntry") -> None:
-        self._push(entry, (entry.expires_at if entry.expires_at is not None
-                           else float("inf"),))
-
-    def on_access(self, entry: "CacheEntry") -> None:
-        pass
-
-
 class GdsfPolicy(_HeapPolicy):
     """GreedyDual-Size-Frequency.
 
@@ -204,8 +178,7 @@ class GdsfPolicy(_HeapPolicy):
 def make_policy(spec: str) -> EvictionPolicy:
     """Build a policy from a config string.
 
-    ``"lru"``, ``"lfu"``, ``"fifo"``, ``"size"``, ``"gdsf"``, or
-    ``"ttl:SECONDS"``.
+    ``"lru"``, ``"lfu"``, ``"fifo"``, ``"size"`` or ``"gdsf"``.
     """
     if spec == "lru":
         return LruPolicy()
@@ -217,6 +190,4 @@ def make_policy(spec: str) -> EvictionPolicy:
         return SizePolicy()
     if spec == "gdsf":
         return GdsfPolicy()
-    if spec.startswith("ttl:"):
-        return TtlPolicy(ttl_s=float(spec.split(":", 1)[1]))
     raise ValueError(f"unknown policy spec {spec!r}")

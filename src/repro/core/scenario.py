@@ -41,6 +41,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import numbers
 import types
 import typing
 
@@ -74,9 +75,8 @@ def _decode(annotation: typing.Any, value: typing.Any) -> typing.Any:
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None
-        args = tuple(a for a in args if a is not type(None))
-        # ``str | dict`` (an itinerary trace) passes through as given.
-        return _decode(args[0], value) if len(args) == 1 else value
+        (inner,) = (a for a in args if a is not type(None))
+        return _decode(inner, value)
     _require(value is not None, "must not be null")
     if origin is tuple:
         if args[-1] is Ellipsis:
@@ -85,7 +85,18 @@ def _decode(annotation: typing.Any, value: typing.Any) -> typing.Any:
         return tuple(_decode(a, item) for a, item in zip(args, value))
     if isinstance(annotation, type) and issubclass(annotation, _Spec):
         return annotation.from_dict(value)
+    if annotation is int:
+        return _integer(value)
     return float(value) if annotation is float else value
+
+
+def _integer(value: typing.Any) -> int:
+    """``value`` as an ``int``: a bool, a non-finite number or a
+    fraction raises."""
+    _require(isinstance(value, numbers.Real) and not isinstance(value, bool)
+             and math.isfinite(value) and value == int(value),
+             f"expected an integer, got {value!r}")
+    return int(value)
 
 
 class _Spec:
@@ -319,13 +330,6 @@ class MobilitySpec(_Spec):
             so crowds migrate over the day — the stadium fills before
             full time and empties after it.  Before the first segment
             (or with no schedule) the static ``bias`` applies.
-        itinerary_trace: Optional trace-driven itineraries — a mapping
-            ``{client_name: [[arrival_s, place_id], ...]}`` or a path
-            to a JSON file holding one (see
-            :func:`repro.workload.mobility.load_itineraries`).  Clients
-            named in the trace replay it verbatim; unnamed clients keep
-            the synthetic random-waypoint model, so a measured city
-            trace and synthetic background users can share a scenario.
     """
 
     n_places: int = 16
@@ -337,7 +341,6 @@ class MobilitySpec(_Spec):
     handoff_latency_s: float = 0.05
     bias: tuple[float, ...] | None = None
     bias_schedule: tuple[tuple[float, tuple[float, ...]], ...] | None = None
-    itinerary_trace: str | dict | None = None
 
     def __post_init__(self) -> None:
         _require(self.n_places >= 1, "n_places must be >= 1")
@@ -369,9 +372,6 @@ class MobilitySpec(_Spec):
             for k, (start, weights) in enumerate(segments):
                 _require(start >= 0, "bias_schedule starts must be >= 0")
                 self._check_weights(weights, f"bias_schedule[{k}]")
-        if self.itinerary_trace is not None:
-            _require(isinstance(self.itinerary_trace, (str, dict)),
-                     "itinerary_trace must be a mapping or a file path")
 
     def _check_weights(self, weights: tuple[float, ...], label: str) -> None:
         _require(len(weights) == self.n_places,

@@ -6,11 +6,7 @@ exposes a ``run_*`` function that returns plain-dataclass rows.
 ``tests/eval`` asserts each experiment's shape claims at reduced sizes.
 """
 
-from repro.eval.stats import (
-    mean_confidence_interval,
-    reduction_pct,
-    summarize,
-)
+from repro.eval.stats import reduction_pct, summarize
 from repro.eval.tables import format_table, series_block
 
 __all__ = [

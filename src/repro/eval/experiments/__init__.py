@@ -11,7 +11,7 @@ Module                    Reproduces
 ``layers``                A4 — fine-grained DNN-layer cache (paper §4)
 ``privacy_exp``           A5 — descriptor privacy / utility trade-off (§4)
 ``panorama_exp``          A6 — VR panorama streaming benefit
-``index_scaling``         A7 — linear vs LSH scaling; A7b — index tiers
+``index_scaling``         A7 — linear vs LSH scaling
 ``speculative``           A8 — speculative cloud forwarding on misses
 ``federation_exp``        A9 — cache cooperation between edges
 ``mobility_exp``          A10 — mobile multi-edge metro with handoff

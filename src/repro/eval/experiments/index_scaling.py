@@ -14,7 +14,6 @@ what BENCH json files track as the before/after trajectory.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import time
 import typing
 
@@ -22,14 +21,11 @@ import numpy as np
 
 from repro.core.descriptors import VectorDescriptor
 from repro.core.distance import cosine_distance_batch
-from repro.core.index import IvfIndex, LinearIndex, LshIndex
+from repro.core.index import LinearIndex, LshIndex
 from repro.sim.rng import RngStreams
 from repro.vision.features import EmbeddingSpace
 
 DEFAULT_SIZES = (100, 1_000, 5_000, 10_000, 20_000)
-DEFAULT_TIER_SIZES = (100_000, 1_000_000)
-#: Rows normalised at a time when building a tier population.
-_NORM_ROWS = 8192
 
 
 class _LegacyLinearScan:
@@ -208,174 +204,4 @@ def run_index_scaling(sizes: typing.Sequence[int] = DEFAULT_SIZES,
             lsh_model_us=lsh.last_query_cost_s * 1e6,
             lsh_recall=recall,
             lsh_candidates=float(candidates)))
-    return rows
-
-
-@dataclasses.dataclass(frozen=True)
-class TierRow:
-    """One occupancy level of the storage/index tier comparison.
-
-    The workload mirrors a metro aggregation cache: one dominant vector
-    kind (recognition descriptors, 95% of rows) plus a thin secondary
-    kind sharing the same dimension, probed by near-duplicate queries.
-    ``float64_perkind_us`` is the oracle-tier baseline (one float64
-    LinearIndex per kind); ``float32_perkind_us`` is the same layout in
-    the deployment-default dtype, so their ratio isolates storage
-    width.  Memory columns are the allocated store bytes for the same
-    population inserted in one burst (so capacity equals occupancy and
-    dtypes compare like for like).
-    """
-
-    n_entries: int
-    float64_perkind_us: float
-    float32_perkind_us: float
-    ivf_us: float
-    float64_memory_mb: float
-    float32_memory_mb: float
-    ivf_memory_mb: float
-    float32_recall: float
-    ivf_recall: float
-    ivf_candidates: float
-    ivf_trainings: int
-
-    @property
-    def float32_speedup(self) -> float:
-        """Per-kind float32 per-query time over per-kind float64."""
-        return self.float64_perkind_us / self.float32_perkind_us
-
-
-def _time_interleaved(thunks: dict[str, typing.Callable[[], object]],
-                      reps: int) -> dict[str, float]:
-    """Min wall time per thunk over ``reps`` round-robin passes.
-
-    Interleaving the tiers (ABC ABC ...) instead of timing each one in
-    a block means a load spike or thermal dip hits every tier, not
-    whichever one happened to be running; the per-tier minimum then
-    compares like against like.
-    """
-    gc.collect()
-    best = {name: np.inf for name in thunks}
-    for _ in range(reps):
-        for name, fn in thunks.items():
-            start = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - start)
-    return best
-
-
-def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
-                     dim: int = 128, n_queries: int = 200,
-                     threshold: float = 0.05, aux_every: int = 20,
-                     noise: float = 0.02, seed: int = 0,
-                     timing_reps: int = 3) -> list[TierRow]:
-    """Measure the storage/index tiers at 10^5-10^6 occupancy.
-
-    Population: ``n`` unit vectors, every ``aux_every``-th row tagged as
-    a secondary kind sharing the dimension (the realistic shape — the
-    recognition namespace dominates a deployed cache).  Queries are
-    near-duplicates of stored rows (``noise`` perturbation, well inside
-    ``threshold``), so exact search always matches and approximate
-    recall is measured against real positives.  Tiers:
-
-    * per-kind float64 ``LinearIndex`` — the oracle tier and the
-      timing/recall baseline;
-    * per-kind float32 ``LinearIndex`` — the deployment default;
-    * float32 ``IvfIndex`` (auto-sized) — the sublinear tier.
-    """
-    if n_queries < 1:
-        raise ValueError("n_queries must be >= 1")
-    rng = np.random.default_rng(seed)
-    rows = []
-    for n_entries in sizes:
-        population = rng.standard_normal((n_entries, dim),
-                                         dtype=np.float32)
-        # Row by row is bit-identical; block by block keeps the norm's
-        # squared copy to one block (a whole one is 512 MB at 10^6 rows).
-        for lo in range(0, n_entries, _NORM_ROWS):
-            block = population[lo:lo + _NORM_ROWS]
-            block /= np.linalg.norm(block, axis=1, keepdims=True)
-        is_aux = np.arange(n_entries) % aux_every == aux_every - 1
-        descriptors = [
-            VectorDescriptor(kind="aux" if is_aux[i] else "recognition",
-                             vector=population[i])
-            for i in range(n_entries)]
-        items = list(enumerate(descriptors))
-        rec_items = [it for it in items if it[1].kind == "recognition"]
-        aux_items = [it for it in items if it[1].kind == "aux"]
-
-        probe_rows = rng.integers(0, n_entries, size=n_queries)
-        jitter = rng.standard_normal((n_queries, dim),
-                                     dtype=np.float32) * noise
-        queries = [
-            VectorDescriptor(kind=descriptors[probe_rows[q]].kind,
-                             vector=population[probe_rows[q]] + jitter[q])
-            for q in range(n_queries)]
-
-        # Build every tier up front, then time them interleaved so the
-        # comparisons share environmental conditions.
-        #
-        # Baseline tier: one float64 LinearIndex per kind — the
-        # historical arithmetic every other tier is compared against.
-        f64_rec = LinearIndex(dtype="float64")
-        f64_rec.insert_batch(rec_items)
-        f64_aux = LinearIndex(dtype="float64")
-        f64_aux.insert_batch(aux_items)
-
-        # Deployment-default tier: the same per-kind layout in float32.
-        f32_rec = LinearIndex(dtype="float32")
-        f32_rec.insert_batch(rec_items)
-        f32_aux = LinearIndex(dtype="float32")
-        f32_aux.insert_batch(aux_items)
-
-        # Every store is filled in a single burst (capacity ==
-        # occupancy); incremental growth doubles capacity at the same
-        # rate for every dtype, so the single-burst memory ratio is the
-        # deployed ratio.
-        #
-        # IVF tier: auto-sized coarse quantizer over all rows.
-        ivf = IvfIndex(dim=dim, dtype="float32", seed=seed)
-        ivf.insert_batch(items)
-
-        def per_kind(rec_index, aux_index):
-            """Each probe against its own kind's index, in query order."""
-            return [(rec_index if q.kind == "recognition"
-                     else aux_index).query(q, threshold) for q in queries]
-
-        def one_index(index):
-            return [index.query(q, threshold) for q in queries]
-
-        # One ``query`` per probe, as a served request issues them.
-        walls = _time_interleaved({
-            "f64": lambda: per_kind(f64_rec, f64_aux),
-            "f32": lambda: per_kind(f32_rec, f32_aux),
-            "ivf": lambda: one_index(ivf),
-        }, timing_reps)
-
-        truth = per_kind(f64_rec, f64_aux)
-
-        def recall_of(results):
-            matched = [(a, b) for a, b in zip(truth, results)
-                       if a is not None]
-            if not matched:
-                return float("nan")
-            return sum(1 for a, b in matched
-                       if b is not None and b[0] == a[0]) / len(matched)
-
-        f32_results = per_kind(f32_rec, f32_aux)
-        ivf_results = one_index(ivf)
-
-        rows.append(TierRow(
-            n_entries=n_entries,
-            float64_perkind_us=walls["f64"] / n_queries * 1e6,
-            float32_perkind_us=walls["f32"] / n_queries * 1e6,
-            ivf_us=walls["ivf"] / n_queries * 1e6,
-            float64_memory_mb=(f64_rec.memory_bytes()
-                               + f64_aux.memory_bytes()) / 1e6,
-            float32_memory_mb=(f32_rec.memory_bytes()
-                               + f32_aux.memory_bytes()) / 1e6,
-            ivf_memory_mb=ivf.memory_bytes() / 1e6,
-            float32_recall=recall_of(f32_results),
-            ivf_recall=recall_of(ivf_results),
-            ivf_candidates=float(ivf.last_candidates),
-            ivf_trainings=ivf.trainings))
     return rows

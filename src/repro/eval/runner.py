@@ -1,22 +1,14 @@
-"""Experiment registry and seed-replication runner.
+"""Experiment registry.
 
 Gives every experiment a name, so scripts, the CLI and notebooks can do
 
     from repro.eval.runner import run_experiment
     rows = run_experiment("fig2a")
-
-and replicate any of them across seeds with confidence intervals::
-
-    replicate("sharing", seeds=range(5),
-              metric=lambda rows: rows[-1].hit_ratio)
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing
-
-from repro.eval.stats import mean_confidence_interval
 
 #: name -> zero-config callable returning that experiment's rows/result.
 _REGISTRY: dict[str, typing.Callable] = {}
@@ -99,37 +91,3 @@ def run_experiment(name: str, **kwargs) -> typing.Any:
             f"unknown experiment {name!r}; "
             f"choose from {experiment_names()}") from None
     return runner(**kwargs)
-
-
-@dataclasses.dataclass(frozen=True)
-class Replication:
-    """Outcome of a seed sweep over one scalar metric."""
-
-    experiment: str
-    seeds: tuple
-    values: tuple
-    mean: float
-    ci_low: float
-    ci_high: float
-
-
-def replicate(name: str, seeds: typing.Iterable[int],
-              metric: typing.Callable[[typing.Any], float],
-              confidence: float = 0.95, **kwargs) -> Replication:
-    """Run an experiment once per seed, summarize one metric.
-
-    Args:
-        name: Registered experiment.
-        seeds: Seeds to sweep.
-        metric: Extracts the scalar of interest from the result.
-        confidence: CI level.
-        kwargs: Forwarded to the experiment on every run.
-    """
-    seeds = tuple(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    values = tuple(float(metric(run_experiment(name, seed=seed, **kwargs)))
-                   for seed in seeds)
-    mean, low, high = mean_confidence_interval(values, confidence)
-    return Replication(experiment=name, seeds=seeds, values=values,
-                       mean=mean, ci_low=low, ci_high=high)

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import math
 import typing
-
-import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.core.metrics import LatencySummary
 
@@ -14,29 +10,6 @@ from repro.core.metrics import LatencySummary
 def summarize(values: typing.Sequence[float]) -> LatencySummary:
     """Distribution summary (mean/std/percentiles) of a sample."""
     return LatencySummary.of(values)
-
-
-def mean_confidence_interval(values: typing.Sequence[float],
-                             confidence: float = 0.95
-                             ) -> tuple[float, float, float]:
-    """(mean, lower, upper) Student-t confidence interval.
-
-    Degenerate samples (n < 2 or zero variance) return a zero-width
-    interval around the mean.
-    """
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("need at least one value")
-    mean = float(arr.mean())
-    if arr.size < 2:
-        return mean, mean, mean
-    sem = float(arr.std(ddof=1) / math.sqrt(arr.size))
-    if sem == 0:
-        return mean, mean, mean
-    half = float(sem * _scipy_stats.t.ppf((1 + confidence) / 2, arr.size - 1))
-    return mean, mean - half, mean + half
 
 
 def reduction_pct(baseline: float, measured: float) -> float:

@@ -5,8 +5,8 @@ draw it) and VR panorama streaming (crop a panoramic frame to the user's
 viewport).  This package provides both, with the cost structure that
 Figure 2b measures:
 
-* :mod:`~repro.render.mesh` — a procedural mesh generator and a compact
-  binary format ("RMSH") so models have real bytes to hash and parse.
+* :mod:`~repro.render.mesh` — a procedural mesh generator: real
+  geometry of about a requested file size.
 * :mod:`~repro.render.loader` — the three-stage load pipeline
   (fetch -> parse -> GPU upload) whose *parse* stage is what the edge
   cache of loaded data eliminates.
@@ -16,8 +16,8 @@ Figure 2b measures:
   viewport cropping, the cloud-VR representation of FlashBack/Furion.
 """
 
-from repro.render.loader import GpuProfile, LoadCost, LoadedModel, ModelLoader
-from repro.render.mesh import MeshModel, generate_mesh, pack_rmsh, unpack_rmsh
+from repro.render.loader import GpuProfile, LoadCost, ModelLoader
+from repro.render.mesh import MeshModel, generate_mesh
 from repro.render.panorama import Panorama, PanoramaGrid, Viewport
 from repro.render.renderer import RenderProfile, Renderer
 

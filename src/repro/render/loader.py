@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.render.mesh import LOADED_EXPANSION, MeshModel, unpack_rmsh
+from repro.render.mesh import LOADED_EXPANSION
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,28 +64,11 @@ class LoadCost:
         return self.parse_s + self.upload_s
 
 
-@dataclasses.dataclass
-class LoadedModel:
-    """Engine-ready geometry: what the edge actually caches.
-
-    Attributes:
-        mesh: The parsed mesh.
-        digest: Content hash of the source file (the cache key).
-        loaded_bytes: In-memory footprint (moves on the wire on a hit).
-    """
-
-    mesh: MeshModel
-    digest: str
-    loaded_bytes: int
-
-
 class ModelLoader:
-    """Computes stage costs and performs functional parsing for a device."""
+    """Computes the stage costs of loading a model on a device."""
 
     def __init__(self, profile: GpuProfile):
         self.profile = profile
-
-    # -- timing -----------------------------------------------------------------
 
     def parse_time(self, file_bytes: int) -> float:
         """Seconds to decode ``file_bytes`` of RMSH on this device."""
@@ -109,11 +92,3 @@ class ModelLoader:
     def load_cost_from_loaded(self, loaded_bytes: int) -> LoadCost:
         """Cost when parsed data arrives ready-made (cache hit)."""
         return LoadCost(parse_s=0.0, upload_s=self.upload_time(loaded_bytes))
-
-    # -- functional behaviour -----------------------------------------------------
-
-    def parse(self, blob: bytes, model_id: int = -1) -> LoadedModel:
-        """Actually decode an RMSH blob (used by tests and examples)."""
-        mesh = unpack_rmsh(blob, model_id=model_id)
-        return LoadedModel(mesh=mesh, digest=mesh.digest(),
-                           loaded_bytes=mesh.loaded_bytes)

@@ -1,34 +1,29 @@
-"""Procedural 3D meshes and the RMSH binary format.
+"""Procedural 3D meshes.
 
 CoIC keys rendering tasks by "the hash value of the required 3D model", so
 models need actual bytes.  :func:`generate_mesh` builds a deterministic
-procedural mesh (a displaced icosphere-style lattice) of approximately a
-requested file size; :func:`pack_rmsh`/:func:`unpack_rmsh` serialize it to
-a compact binary format with a checksummed header, giving the loader a
-real parse stage and the cache a real digest.
+procedural mesh (a displaced icosphere-style lattice) whose RMSH file — a
+checksummed header, then the vertex and triangle arrays — is about a
+requested size; :attr:`MeshModel.file_bytes` is that size and
+:meth:`MeshModel.digest` a content hash of the geometry.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import struct
 
 import numpy as np
 
-#: RMSH header: magic, version, vertex count, triangle count, payload crc.
-_HEADER = struct.Struct("<4sIQQ16s")
+#: RMSH header bytes: magic (4), version (4), vertex count (8),
+#: triangle count (8), payload md5 (16).
+_HEADER_BYTES = 40
 _MAGIC = b"RMSH"
-_VERSION = 1
 
 #: Bytes per vertex: position (3f) + normal (3f) + uv (2f).
 VERTEX_BYTES = 8 * 4
 #: Bytes per triangle: three uint32 indices.
 TRIANGLE_BYTES = 3 * 4
-
-
-class MeshFormatError(ValueError):
-    """The byte blob is not a valid RMSH payload."""
 
 
 @dataclasses.dataclass
@@ -64,7 +59,7 @@ class MeshModel:
     @property
     def file_bytes(self) -> int:
         """Size of the serialized (on-disk / on-wire) form."""
-        return (_HEADER.size + self.n_vertices * VERTEX_BYTES
+        return (_HEADER_BYTES + self.n_vertices * VERTEX_BYTES
                 + self.n_triangles * TRIANGLE_BYTES)
 
     @property
@@ -103,7 +98,7 @@ def generate_mesh(model_id: int, target_file_kb: float,
         raise ValueError("target_file_kb must be > 0")
     target_bytes = target_file_kb * 1024
     # n vertices from: header + n*VERTEX + 2n*TRIANGLE ~= target.
-    n_vertices = max(12, int((target_bytes - _HEADER.size)
+    n_vertices = max(12, int((target_bytes - _HEADER_BYTES)
                              / (VERTEX_BYTES + 2 * TRIANGLE_BYTES)))
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([seed, model_id, n_vertices])))
@@ -138,39 +133,4 @@ def generate_mesh(model_id: int, target_file_kb: float,
             quads.append((a, b, d))
             quads.append((b, e, d))
     triangles = np.asarray(quads, dtype=np.uint32)
-    return MeshModel(model_id=model_id, vertices=vertices, triangles=triangles)
-
-
-def pack_rmsh(mesh: MeshModel) -> bytes:
-    """Serialize a mesh to the RMSH wire/disk format."""
-    vert_blob = np.ascontiguousarray(mesh.vertices, dtype=np.float32).tobytes()
-    tri_blob = np.ascontiguousarray(mesh.triangles, dtype=np.uint32).tobytes()
-    payload = vert_blob + tri_blob
-    crc = hashlib.md5(payload).digest()
-    header = _HEADER.pack(_MAGIC, _VERSION, mesh.n_vertices,
-                          mesh.n_triangles, crc)
-    return header + payload
-
-
-def unpack_rmsh(blob: bytes, model_id: int = -1) -> MeshModel:
-    """Parse an RMSH blob back into a mesh, verifying the checksum."""
-    if len(blob) < _HEADER.size:
-        raise MeshFormatError("blob shorter than RMSH header")
-    magic, version, n_vert, n_tri, crc = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise MeshFormatError(f"bad magic {magic!r}")
-    if version != _VERSION:
-        raise MeshFormatError(f"unsupported RMSH version {version}")
-    expected = _HEADER.size + n_vert * VERTEX_BYTES + n_tri * TRIANGLE_BYTES
-    if len(blob) != expected:
-        raise MeshFormatError(
-            f"size mismatch: header says {expected}, blob is {len(blob)}")
-    payload = blob[_HEADER.size:]
-    if hashlib.md5(payload).digest() != crc:
-        raise MeshFormatError("payload checksum mismatch")
-    vert_end = n_vert * VERTEX_BYTES
-    vertices = np.frombuffer(payload[:vert_end],
-                             dtype=np.float32).reshape(n_vert, 8).copy()
-    triangles = np.frombuffer(payload[vert_end:],
-                              dtype=np.uint32).reshape(n_tri, 3).copy()
     return MeshModel(model_id=model_id, vertices=vertices, triangles=triangles)

@@ -11,16 +11,11 @@ generators:
 * :mod:`~repro.workload.ar_trace` — AR recognition request streams.
 * :mod:`~repro.workload.render_trace` — shared-arena 3D model loads.
 * :mod:`~repro.workload.vr_trace` — multi-viewer panorama streams.
-* :mod:`~repro.workload.apps` — a synthetic population in the image of
-  the paper's 30-app study, with a redundancy report.
+* :mod:`~repro.workload.apps` — the redundancy report behind the
+  paper's 30-app study.
 """
 
-from repro.workload.apps import (
-    AppProfile,
-    RedundancyStats,
-    build_app_population,
-    redundancy_report,
-)
+from repro.workload.apps import RedundancyStats, redundancy_report
 from repro.workload.ar_trace import ArRequest, ArTraceGenerator
 from repro.workload.mobility import Gravity, Place, RandomWaypointUser, World
 from repro.workload.render_trace import ArenaTraceGenerator, LoadRequest

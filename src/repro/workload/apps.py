@@ -1,75 +1,17 @@
-"""A synthetic app population in the image of the paper's 30-app study.
+"""The redundancy measurement behind the paper's 30-app study.
 
 Section 1.2: "we analyzed more than 30 popular mobile VR/AR applications
 ... to understand the user interactions and computation workload",
 deriving three insights (shared recognition inputs, shared 3D models,
-shared panoramas).  We cannot re-crawl 2018 app stores; instead this
-module builds a population of app *profiles* whose task mixes span the
-same categories, and provides the measurement that motivated CoIC: how
-much of the offered IC workload is redundant.
+shared panoramas).  We cannot re-crawl 2018 app stores; this module
+provides the measurement that motivated CoIC: how much of an offered IC
+request stream is redundant.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import typing
-
-import numpy as np
-
-#: App categories and their typical IC task mixes
-#: (recognition, model_load, panorama) weights.
-CATEGORY_MIXES: dict[str, tuple[float, float, float]] = {
-    "vision-assistant": (0.95, 0.05, 0.0),   # safe-driving, translation
-    "ar-game": (0.40, 0.60, 0.0),            # Pokemon-style shared worlds
-    "ar-social": (0.55, 0.45, 0.0),          # CARS-style shared annotations
-    "vr-video": (0.0, 0.05, 0.95),           # 360 streaming
-    "vr-game": (0.0, 0.45, 0.55),            # rendered cloud VR
-}
-
-
-@dataclasses.dataclass(frozen=True)
-class AppProfile:
-    """One app's IC workload profile.
-
-    Attributes:
-        name: App identifier.
-        category: One of :data:`CATEGORY_MIXES`.
-        task_mix: (recognition, model_load, panorama) probabilities.
-        request_rate_hz: Aggregate IC request rate of an active session.
-    """
-
-    name: str
-    category: str
-    task_mix: tuple[float, float, float]
-    request_rate_hz: float
-
-    def __post_init__(self) -> None:
-        if abs(sum(self.task_mix) - 1.0) > 1e-9:
-            raise ValueError(f"task_mix must sum to 1, got {self.task_mix}")
-        if self.request_rate_hz <= 0:
-            raise ValueError("request_rate_hz must be > 0")
-
-
-def build_app_population(n_apps: int,
-                         rng: np.random.Generator) -> list[AppProfile]:
-    """``n_apps`` profiles spread over the categories (30 = the study)."""
-    if n_apps < 1:
-        raise ValueError("n_apps must be >= 1")
-    categories = list(CATEGORY_MIXES)
-    profiles = []
-    for index in range(n_apps):
-        category = categories[int(rng.integers(len(categories)))]
-        base = np.asarray(CATEGORY_MIXES[category], dtype=float)
-        # Per-app jitter on the mix, renormalized.
-        jitter = np.clip(base + rng.normal(0, 0.05, size=3), 0, None)
-        if jitter.sum() == 0:
-            jitter = base
-        mix = tuple(float(x) for x in jitter / jitter.sum())
-        rate = float(rng.uniform(0.2, 2.0))
-        profiles.append(AppProfile(name=f"app{index:02d}",
-                                   category=category, task_mix=mix,
-                                   request_rate_hz=rate))
-    return profiles
 
 
 @dataclasses.dataclass(frozen=True)

@@ -86,11 +86,6 @@ class World:
     def __len__(self) -> int:
         return len(self.places)
 
-    def shared_classes(self, place_a: int, place_b: int) -> set[int]:
-        """Object classes visible at both places."""
-        return (set(self.places[place_a].object_classes)
-                & set(self.places[place_b].object_classes))
-
 
 class Gravity:
     """One read-only gravity timetable that a whole crowd draws from.
@@ -272,69 +267,3 @@ class RandomWaypointUser:
                 break
             place = place_id
         return place
-
-
-def load_itineraries(source: typing.Union[str, dict],
-                     n_places: int | None = None,
-                     ) -> dict[str, list[tuple[float, int]]]:
-    """Parse trace-driven itineraries from JSON.
-
-    Accepts a mapping ``{client_name: [[arrival_s, place_id], ...]}`` as
-    a dict, a JSON string, or a path to a JSON file — the format a
-    measured mobility trace (or another simulator) exports.  Each
-    itinerary must start at time 0, be sorted by arrival, and (when
-    ``n_places`` is given) stay inside the world.
-
-    Returns the itineraries in :meth:`RandomWaypointUser.itinerary`'s
-    shape, so trace-driven and synthetic users replay identically.
-    """
-    import json
-    import os
-
-    if isinstance(source, str):
-        if os.path.exists(source):
-            with open(source, "r", encoding="utf-8") as fh:
-                source = json.load(fh)
-        else:
-            source = json.loads(source)
-    if not isinstance(source, dict):
-        raise ValueError(f"itinerary trace must be a mapping, "
-                         f"got {type(source).__name__}")
-    out: dict[str, list[tuple[float, int]]] = {}
-    for name, stops in source.items():
-        if not stops:
-            raise ValueError(f"itinerary for {name!r} is empty")
-        parsed = [(float(t), int(p)) for t, p in stops]
-        if parsed[0][0] != 0.0:
-            raise ValueError(
-                f"itinerary for {name!r} must start at time 0, "
-                f"got {parsed[0][0]}")
-        times = [t for t, _ in parsed]
-        if times != sorted(times):
-            raise ValueError(f"itinerary for {name!r} is not time-sorted")
-        if n_places is not None:
-            for t, p in parsed:
-                if not 0 <= p < n_places:
-                    raise ValueError(
-                        f"itinerary for {name!r} visits place {p} outside "
-                        f"the {n_places}-place world")
-        out[name] = parsed
-    return out
-
-
-def colocation_matrix(itineraries: dict[str, list[tuple[float, int]]],
-                      times: typing.Sequence[float]) -> dict[float, dict[int, list[str]]]:
-    """Who shares a place at each sample time.
-
-    Returns {time: {place_id: [user names]}} including only places with
-    two or more users — the co-location events CoIC feeds on.
-    """
-    out: dict[float, dict[int, list[str]]] = {}
-    for when in times:
-        groups: dict[int, list[str]] = {}
-        for name, itin in itineraries.items():
-            groups.setdefault(
-                RandomWaypointUser.place_at(itin, when), []).append(name)
-        out[when] = {pid: names for pid, names in groups.items()
-                     if len(names) >= 2}
-    return out

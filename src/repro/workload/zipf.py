@@ -30,30 +30,9 @@ class ZipfSampler:
         self._rng = rng
         ranks = np.arange(1, n_items + 1, dtype=np.float64)
         weights = ranks ** -alpha
-        self._pmf = weights / weights.sum()
-        self._cdf = np.cumsum(self._pmf)
-
-    def pmf(self) -> np.ndarray:
-        """Probability of each item, most popular first."""
-        return self._pmf.copy()
+        self._cdf = np.cumsum(weights / weights.sum())
 
     def sample(self) -> int:
         """Draw one item index."""
         return int(np.searchsorted(self._cdf, self._rng.random(),
                                    side="right"))
-
-    def sample_many(self, size: int) -> np.ndarray:
-        """Draw ``size`` item indices."""
-        if size < 0:
-            raise ValueError("size must be >= 0")
-        draws = self._rng.random(size)
-        return np.searchsorted(self._cdf, draws, side="right").astype(int)
-
-    def expected_unique(self, n_draws: int) -> float:
-        """Expected number of distinct items in ``n_draws`` samples.
-
-        Useful to size caches: the working set of a Zipf stream.
-        """
-        if n_draws < 0:
-            raise ValueError("n_draws must be >= 0")
-        return float(np.sum(1.0 - (1.0 - self._pmf) ** n_draws))

@@ -505,15 +505,3 @@ class TestLayerPrewarmTransport:
         kinds = {e.kind
                  for e in dep.cache_by_name["edge1"].entries()}
         assert kinds == {"recognition"}
-
-    def test_sync_federation_layer_switch(self, make_deployment):
-        dep = make_deployment(spec=layer_spec(), edge_workers=2)
-        manager = dep.layer_managers["edge0"]
-        sketch = input_sketch(dep.space.observe(5, 0.0).vector)
-        manager.insert(sketch, now=0.0)
-        assert dep.sync_federation() == 0  # layers excluded by default
-        assert len(dep.cache_by_name["edge1"]) == 0
-        copied = dep.sync_federation(include_layers=True)
-        assert copied == len(manager.tap_layers)
-        assert all(e.kind.startswith(LAYER_KIND_PREFIX)
-                   for e in dep.cache_by_name["edge1"].entries())

@@ -116,41 +116,13 @@ class TestCapacity:
         assert cache.lookup(hd("b2")) is None
 
 
-class TestTtl:
-    def test_expired_entries_miss_and_purge(self):
-        cache = ICCache(capacity_bytes=1000, ttl_s=10.0)
-        cache.insert(hd("aa"), "x", 10, now=0.0)
-        assert cache.lookup(hd("aa"), now=5.0) is not None
-        assert cache.lookup(hd("aa"), now=15.0) is None
-        assert len(cache) == 0
-        assert cache.stats.expirations == 1
-
-    def test_purge_expired_bulk(self):
-        cache = ICCache(capacity_bytes=1000, ttl_s=10.0)
-        for i in range(5):
-            cache.insert(hd(f"{i:x}"), i, 10, now=float(i))
-        assert cache.purge_expired(now=12.0) == 3  # inserted at 0,1,2
-        assert len(cache) == 2
-
-    def test_ttl_policy_propagates_cache_ttl(self):
-        cache = ICCache(capacity_bytes=1000, policy=make_policy("ttl:5"))
-        assert cache.ttl_s == 5.0
-
+class TestValidation:
     def test_validation(self):
         with pytest.raises(ValueError):
             ICCache(capacity_bytes=0)
-        with pytest.raises(ValueError):
-            ICCache(capacity_bytes=10, ttl_s=0)
 
-    @pytest.mark.parametrize("ttl_s", [0.0, -1.0, float("nan"),
-                                       float("-inf")])
-    def test_rejects_a_ttl_that_is_not_positive(self, ttl_s):
-        # NaN used to build: ``now + nan`` never compares expired.
-        with pytest.raises(ValueError, match="ttl_s"):
-            ICCache(capacity_bytes=10, ttl_s=ttl_s)
-
-    def test_infinite_ttl_never_expires(self):
-        cache = ICCache(capacity_bytes=1000, ttl_s=float("inf"))
+    def test_an_entry_never_expires(self):
+        cache = ICCache(capacity_bytes=1000)
         cache.insert(hd("aa"), "x", 10, now=0.0)
         assert cache.lookup(hd("aa"), now=1e12) is not None
 
@@ -175,7 +147,7 @@ class TestLookupCost:
 
         assert isinstance(cache.index_for("recognition"), LshIndex)
 
-    @pytest.mark.parametrize("spec", ["linear", "lsh", "ivf"])
+    @pytest.mark.parametrize("spec", ["linear", "lsh"])
     def test_each_kind_indexed_at_its_own_dimension(self, spec):
         # Recognition descriptors are 128-d, layer-reuse keys are 32-d
         # input sketches: every tier builds each kind's index at the
@@ -231,19 +203,6 @@ class TestLookupBatch:
         got = cache.lookup_batch([vd([0.9, 0.1])], threshold=0.5)
         assert got[0] is not None
 
-    def test_expired_entry_purged_once_mid_batch(self):
-        cache = ICCache(capacity_bytes=1000, ttl_s=5.0)
-        cache.insert(vd([1, 0, 0]), "stale", 10, now=0.0)
-        cache.insert(vd([0, 1, 0]), "fresh", 10, now=8.0)
-        probes = [vd([1, 0, 0]), vd([0.99, 0.01, 0]), vd([0, 1, 0])]
-        got = cache.lookup_batch(probes, now=10.0)
-        # Both probes of the expired entry miss; only one purge; the
-        # fresh entry still hits after the mid-batch index mutation.
-        assert [e and e.result for e in got] == [None, None, "fresh"]
-        assert cache.stats.expirations == 1
-        assert (cache.stats.hits, cache.stats.misses) == (1, 2)
-        assert len(cache) == 1
-
 
 class TestPerItemThresholds:
     """lookup_batch accepts one threshold per descriptor."""
@@ -268,14 +227,12 @@ class TestPerItemThresholds:
             cache.lookup_batch([vd([1, 0])], thresholds=[0.1, 0.2])
 
     def test_matches_sequential_per_threshold(self):
-        """The one ``lookup_batch == [lookup ...]`` case: mixed kinds,
-        per-item thresholds and an entry that expires mid-burst."""
-        batched = ICCache(capacity_bytes=10_000, default_threshold=0.0,
-                          ttl_s=5.0)
-        sequential = ICCache(capacity_bytes=10_000, default_threshold=0.0,
-                             ttl_s=5.0)
+        """The one ``lookup_batch == [lookup ...]`` case: mixed kinds and
+        per-item thresholds."""
+        batched = ICCache(capacity_bytes=10_000, default_threshold=0.0)
+        sequential = ICCache(capacity_bytes=10_000, default_threshold=0.0)
         for cache in (batched, sequential):
-            cache.insert(vd([1, 0, 0]), "stale", 10, now=0.0)
+            cache.insert(vd([1, 0, 0]), "a", 10, now=0.0)
             cache.insert(vd([0, 1, 0], kind="pano"), "b", 10, now=8.0)
             cache.insert(hd("aa"), "model", 10, now=8.0)
         probes = [vd([0.9, 0.1, 0]), vd([0.1, 0.9, 0], kind="pano"),
@@ -285,9 +242,8 @@ class TestPerItemThresholds:
         want = [sequential.lookup(p, now=10.0, threshold=t)
                 for p, t in zip(probes, thresholds)]
         assert [e and e.result for e in got] == \
-            [e and e.result for e in want] == [None, "b", "model", None, None]
+            [e and e.result for e in want] == ["a", "b", "model", "a", None]
         assert batched.stats == sequential.stats
-        assert batched.stats.expirations == 1
 
 
 class TestStorageTiers:
@@ -355,25 +311,88 @@ class TestOneCopy:
         assert got == vd(vector) and got.vector.dtype == np.float32
         assert got.vector.tobytes() == vd(vector).vector.tobytes()
         assert cache.descriptor(hashed) == hd("ab12")
-        assert cache.key(stored) == ("recognition",
-                                     vd(vector).vector.tobytes())
-        assert cache.key(hashed) == ("model_load", "ab12")
-        assert cache.keys() == {stored.entry_id: cache.key(stored),
-                                hashed.entry_id: cache.key(hashed)}
         # A rebuilt key is a copy: the store's row does not move with it.
         got.vector[0] = 5.0
         assert cache.descriptor(stored) == vd(vector)
 
-    def test_keys_skip_an_index_never_filled(self):
+    def test_an_index_never_filled_holds_nothing(self):
         cache = ICCache(capacity_bytes=1000)
+        source = ICCache(capacity_bytes=1000)
+        pushed = [source.insert(vd([1, 0]), "v", 10)]
         # The burst is refused after its kind's index was made.
         with pytest.raises(ValueError):
             cache.insert_batch([(vd([1, 0]), "v", 10),
                                 (vd([1, 0, 0]), "w", 10)])
-        assert cache.keys() == {} and len(cache) == 0
+        assert len(cache) == 0
+        assert cache.missing(source, pushed) == pushed
 
     def test_an_entry_keeps_no_descriptor(self):
         entry = ICCache(capacity_bytes=1000).insert(vd([1, 0]), "v", 10)
         assert entry.kind == "recognition"
         assert not hasattr(entry, "descriptor")
         assert not hasattr(entry, "__dict__")
+
+
+def key_of(cache: ICCache, entry) -> tuple:
+    """``(kind, digest)`` or ``(kind, float32 vector bytes)``."""
+    descriptor = cache.descriptor(entry)
+    if isinstance(descriptor, HashDescriptor):
+        return descriptor.kind, descriptor.digest
+    return descriptor.kind, descriptor.vector.tobytes()
+
+
+class TestMissing:
+    """``missing`` checks only the pushed entries, and ships exactly
+    what the rule it replaced shipped: the entries whose key is not in
+    the set of every key the destination holds."""
+
+    @staticmethod
+    def key_set_rule(source, destination, entries):
+        have = {key_of(destination, e) for e in destination.entries()}
+        return [e for e in entries if key_of(source, e) not in have]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ships_what_the_key_set_rule_ships(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(24, 6)) * 10.0 ** rng.integers(
+            -15, 15, size=(24, 1))
+        vectors[rng.random(vectors.shape) < 0.1] = -0.0
+        vectors[rng.random(vectors.shape) < 0.05] = 0.0
+        kinds = ("recognition", "layer:conv1")
+        source, destination = (
+            ICCache(capacity_bytes=10**6, vector_dtype=dtype)
+            for _ in range(2))
+        for cache in (source, destination):
+            for _ in range(80):
+                if rng.random() < 0.4:
+                    # Few digests: duplicates in one cache are common.
+                    cache.insert(hd(f"{rng.integers(12):x}"), None, 1)
+                else:
+                    cache.insert(vd(vectors[rng.integers(24)],
+                                    kind=kinds[rng.integers(2)]), None, 1)
+            # Dropping the newer of two same-digest entries makes the
+            # exact index's digest table forget an entry that stays.
+            for entry in cache.entries():
+                if rng.random() < 0.3:
+                    cache.remove(entry)
+        entries = source.entries()
+        rng.shuffle(entries)
+        want = self.key_set_rule(source, destination, entries)
+        assert destination.missing(source, entries) == want
+        assert 0 < len(want) < len(entries)
+
+    def test_an_older_duplicate_digest_still_counts(self):
+        source, destination = (ICCache(capacity_bytes=1000)
+                               for _ in range(2))
+        destination.insert(hd("aa"), "old", 10)
+        destination.remove(destination.insert(hd("aa"), "new", 10))
+        pushed = [source.insert(hd("aa"), "x", 10),
+                  source.insert(hd("bb"), "y", 10)]
+        assert destination.missing(source, pushed) == pushed[1:]
+
+    def test_a_kind_the_destination_lacks_is_missing(self):
+        source = ICCache(capacity_bytes=1000)
+        pushed = [source.insert(vd([1, 0]), "v", 10),
+                  source.insert(hd("aa"), "h", 10)]
+        assert ICCache(capacity_bytes=1000).missing(source, pushed) == pushed

@@ -469,6 +469,13 @@ def metro_spec(seed_places=16, federate=True, warmup=None):
                               warmup=warmup)
 
 
+def attachment_timeline(dep) -> list[tuple[float, str, str]]:
+    """Every (time_s, client, edge) attachment, in time order."""
+    return sorted((when, client.name, edge)
+                  for client in dep.all_clients
+                  for when, edge in client.attachments)
+
+
 class TestMobility:
     def test_itineraries_drive_handoffs(self, make_deployment):
         dep = make_deployment(spec=metro_spec())
@@ -478,7 +485,7 @@ class TestMobility:
         for event in dep.handoff_log:
             per_client[event.client] += 1
         assert min(per_client.values()) >= 1
-        timeline = dep.attachment_timeline()
+        timeline = attachment_timeline(dep)
         # Initial attachments for everyone plus one entry per handoff.
         assert len(timeline) == len(dep.client_names) + len(dep.handoff_log)
 
@@ -487,7 +494,7 @@ class TestMobility:
             dep = make_deployment(spec=metro_spec())
             dep.start_mobility()
             dep.run_for(60.0)
-            return dep.attachment_timeline(), recorder_digest(dep.recorder)
+            return attachment_timeline(dep), recorder_digest(dep.recorder)
 
         first_timeline, first_digest = run_once()
         second_timeline, second_digest = run_once()
@@ -501,7 +508,7 @@ class TestMobility:
             dep = make_deployment(spec=metro_spec(), seed=seed)
             dep.start_mobility()
             dep.run_for(60.0)
-            return dep.attachment_timeline()
+            return attachment_timeline(dep)
 
         assert timeline(0) != timeline(1)
 
@@ -567,7 +574,7 @@ class TestMobility:
         assert hosts[client.name].inbox.items == [note]
 
 
-class TestWarmupAndSync:
+class TestWarmup:
     def test_warmup_turns_first_request_into_a_hit(self, make_deployment):
         warmup = WarmupSpec(classes=(3,), models=(0,))
         spec = ScenarioSpec.federated(n_edges=2)
@@ -590,18 +597,6 @@ class TestWarmupAndSync:
         dep = make_deployment(spec=spec)
         assert len(dep.caches[0]) == 2
         assert len(dep.caches[1]) == 0
-
-    def test_sync_federation_diffuses_and_dedups(self, make_deployment):
-        spec = ScenarioSpec.from_dict({
-            **ScenarioSpec.federated(n_edges=3).to_dict(),
-            "warmup": WarmupSpec(classes=(1, 2), models=(0,),
-                                 edges=("edge0",)).to_dict()})
-        dep = make_deployment(spec=spec)
-        copied = dep.sync_federation()
-        assert copied == 6  # 3 entries to each of 2 empty edges
-        assert all(len(cache) == 3 for cache in dep.caches)
-        # A second sync finds nothing new anywhere.
-        assert dep.sync_federation() == 0
 
 
 def mixed_access_spec():
@@ -695,45 +690,6 @@ class TestLteAccess:
             assert link.loss_rate == (0.01 if impairments else 0.0)
         assert uplink._rng is downlink._rng
         assert uplink._rng.name == "net.wifi.wifi0.edge0"
-
-
-def traced_metro_spec(trace, **mobility_kwargs):
-    mobility = MobilitySpec(n_places=16, mean_dwell_s=10.0,
-                            duration_s=60.0, handoff_latency_s=0.05,
-                            itinerary_trace=trace, **mobility_kwargs)
-    return ScenarioSpec.metro(n_edges=4, clients_per_edge=1,
-                              federate=True, mobility=mobility)
-
-
-class TestItineraryTrace:
-    def test_traced_client_replays_verbatim(self, make_deployment):
-        trace = {"mobile0_0": [[0.0, 1], [5.0, 9], [30.0, 2]]}
-        dep = make_deployment(spec=traced_metro_spec(trace))
-        itineraries = dep.start_mobility()
-        assert itineraries["mobile0_0"] == [(0.0, 1), (5.0, 9), (30.0, 2)]
-        # The traced client gets no synthetic user; the others do.
-        assert "mobile0_0" not in dep.users
-        assert set(dep.users) == set(dep.client_names) - {"mobile0_0"}
-
-    def test_fully_traced_scenario_creates_no_users(self, make_deployment):
-        trace = {name: [[0.0, i]] for i, name in enumerate(
-            f"mobile{k}_0" for k in range(4))}
-        dep = make_deployment(spec=traced_metro_spec(trace))
-        dep.start_mobility()
-        assert dep.users == {}
-        dep.run_for(60.0)  # replay runs to completion without synthesis
-
-    def test_unknown_client_in_trace_rejected(self, make_deployment):
-        dep = make_deployment(
-            spec=traced_metro_spec({"nobody": [[0.0, 0]]}))
-        with pytest.raises(ValueError, match="nobody"):
-            dep.start_mobility()
-
-    def test_trace_places_validated_against_world(self, make_deployment):
-        dep = make_deployment(
-            spec=traced_metro_spec({"mobile0_0": [[0.0, 99]]}))
-        with pytest.raises(ValueError):
-            dep.start_mobility()
 
 
 class TestBackgroundTraffic:

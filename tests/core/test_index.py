@@ -7,7 +7,6 @@ from repro.core.descriptors import HashDescriptor, VectorDescriptor
 from repro.core.index import (
     ExactIndex,
     IndexEntryExists,
-    IvfIndex,
     LinearIndex,
     LshIndex,
     make_index,
@@ -170,21 +169,12 @@ class TestMakeIndex:
         custom = make_index("lsh:4:6", dim=32)
         assert custom.n_tables == 4 and custom.n_bits == 6
 
-    def test_ivf_specs(self):
-        assert isinstance(make_index("ivf", dim=32), IvfIndex)
-        auto = make_index("ivf", dim=32)
-        assert auto.n_centroids == 0 and auto.nprobe == 0
-        sized = make_index("ivf:64", dim=32)
-        assert sized.n_centroids == 64
-        full = make_index("ivf:64:4", dim=32)
-        assert full.n_centroids == 64 and full.nprobe == 4
-
     def test_dtype_passthrough(self):
         assert make_index("linear",
                           dtype="float64")._store.dtype == "float64"
         assert make_index("lsh", dim=32,
                           dtype="float64")._store.dtype == "float64"
-        assert make_index("ivf", dim=32,
+        assert make_index("lsh", dim=32,
                           dtype="float32")._store.dtype == "float32"
 
     def test_bad_specs(self):
@@ -192,8 +182,9 @@ class TestMakeIndex:
             make_index("btree")
         with pytest.raises(ValueError):
             make_index("lsh:4")
-        with pytest.raises(ValueError):
-            make_index("ivf:x", dim=32)
+        for gone in ("ivf", "ivf:64", "ivf:64:4"):
+            with pytest.raises(ValueError, match="unknown index spec"):
+                make_index(gone, dim=32)
 
 
 class TestContiguousStore:
@@ -237,13 +228,10 @@ class TestContiguousStore:
         "linear": lambda dtype: LinearIndex(dtype=dtype),
         "lsh": lambda dtype: LshIndex(dim=8, n_tables=4, n_bits=4,
                                       dtype=dtype),
-        # min_train=32: the churn crosses the first training (32 rows)
-        # and a re-training (128), so the inverted lists churn too.
-        "ivf": lambda dtype: IvfIndex(dim=8, min_train=32, dtype=dtype),
     }
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("tier", ["linear", "lsh", "ivf"])
+    @pytest.mark.parametrize("tier", ["linear", "lsh"])
     def test_lsh_store_survives_churn(self, tier, dtype):
         """Interleaved insert / insert_batch / remove leaves every tier
         and store indistinguishable from an index built in one go."""
@@ -362,13 +350,3 @@ class TestMemoryFootprint:
         # for bookkeeping while any float64 regression (ratio ~1.0)
         # fails loudly.
         assert default.memory_bytes() <= 0.55 * compat.memory_bytes()
-
-    def test_ivf_accounts_centroids(self):
-        rng = np.random.default_rng(12)
-        ivf = IvfIndex(dim=self.DIM)
-        items = [(i, VectorDescriptor("r", rng.normal(size=self.DIM)))
-                 for i in range(512)]
-        ivf.insert_batch(items)
-        assert ivf.trained
-        linear = self._filled()
-        assert ivf.memory_bytes() > linear.memory_bytes()

@@ -347,19 +347,6 @@ class TestPartialMetrics:
         assert MetricsRecorder().partial_ratio() == 0.0
         assert MetricsRecorder().saved_compute_s() == 0.0
 
-    def test_per_edge_partials(self):
-        recorder = MetricsRecorder()
-        recorder.record(self.record(OUTCOME_PARTIAL, edge="a", saved=1.0))
-        recorder.record(self.record(OUTCOME_MISS, edge="a"))
-        recorder.record(self.record(OUTCOME_HIT, edge="b"))
-        per_edge = recorder.per_edge_partials()
-        assert per_edge["a"].partials == 1
-        assert per_edge["a"].served == 2
-        assert per_edge["a"].ratio == pytest.approx(0.5)
-        assert per_edge["a"].saved_s == pytest.approx(1.0)
-        assert per_edge["b"].partials == 0
-        assert per_edge["b"].ratio == 0.0
-
 
 class TestShedRetryAfter:
     def shed_dep(self, make_deployment, **policy_kwargs):

@@ -247,15 +247,17 @@ class TestPrewarmSelection:
         assert len(cache.hottest(99)) == 4
         assert cache.hottest(0) == []
 
-    def test_hottest_filters_kind_and_expiry(self):
-        cache = ICCache(capacity_bytes=10_000, ttl_s=5.0)
+    def test_hottest_filters_kind(self):
+        cache = ICCache(capacity_bytes=10_000)
         cache.insert(HashDescriptor("model_load", "aa"), "r", 100, now=0.0)
         cache.insert(HashDescriptor("panorama", "bb"), "r", 100, now=8.0)
         cache.insert(HashDescriptor("model_load", "cc"), "r", 100, now=8.0)
-        live = cache.hottest(10, now=9.0)  # "aa" expired at t=5
-        assert {cache.descriptor(e).digest for e in live} == {"bb", "cc"}
-        only_models = cache.hottest(10, kind="model_load", now=9.0)
-        assert [cache.descriptor(e).digest for e in only_models] == ["cc"]
+        every = cache.hottest(10)
+        assert [cache.descriptor(e).digest for e in every] == \
+            ["bb", "cc", "aa"]
+        only_models = cache.hottest(10, kind="model_load")
+        assert [cache.descriptor(e).digest for e in only_models] == \
+            ["cc", "aa"]
 
 
 def prewarm_metro(prewarm_top_k: int):
@@ -304,9 +306,6 @@ class TestServingEdgeTag:
         assert all(r.edge == "edge" for r in dep.recorder.records)
         assert len(dep.recorder.select(edge="edge")) == 3
         assert dep.recorder.select(edge="elsewhere") == []
-        per_edge = dep.recorder.per_edge_summaries()
-        assert set(per_edge) == {"edge"}
-        assert per_edge["edge"].n == 3
 
     def test_baseline_records_have_no_edge(self):
         dep = ClusterDeployment(ScenarioSpec.single_edge(1),

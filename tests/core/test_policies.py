@@ -9,16 +9,14 @@ from repro.core.policies import (
     LfuPolicy,
     LruPolicy,
     SizePolicy,
-    TtlPolicy,
     make_policy,
 )
 
 
-def entry(entry_id, size=100, cost=1.0, hits=0, expires_at=None):
+def entry(entry_id, size=100, cost=1.0, hits=0):
     e = CacheEntry(entry_id=entry_id,
                    kind="m",
-                   result=None, size_bytes=size, cost_s=cost,
-                   expires_at=expires_at)
+                   result=None, size_bytes=size, cost_s=cost)
     e.hits = hits
     return e
 
@@ -87,33 +85,6 @@ class TestSize:
         assert policy.select_victim() is large
 
 
-class TestTtl:
-    def test_earliest_expiry_first(self):
-        policy = TtlPolicy(ttl_s=10)
-        soon = entry(1, expires_at=5.0)
-        later = entry(2, expires_at=50.0)
-        policy.on_insert(later)
-        policy.on_insert(soon)
-        assert policy.select_victim() is soon
-
-    def test_validates_ttl(self):
-        with pytest.raises(ValueError):
-            TtlPolicy(ttl_s=0)
-
-    @pytest.mark.parametrize("ttl_s", [0.0, -1.0, float("nan")])
-    def test_rejects_a_ttl_that_is_not_positive(self, ttl_s):
-        with pytest.raises(ValueError, match="ttl_s"):
-            TtlPolicy(ttl_s=ttl_s)
-
-    @pytest.mark.parametrize("spec", ["ttl:nan", "ttl:0", "ttl:-5"])
-    def test_make_policy_rejects_a_ttl_that_is_not_positive(self, spec):
-        with pytest.raises(ValueError, match="ttl_s"):
-            make_policy(spec)
-
-    def test_make_policy_keeps_an_infinite_ttl(self):
-        assert make_policy("ttl:inf").ttl_s == float("inf")
-
-
 class TestGdsf:
     def test_prefers_keeping_costly_small_entries(self):
         policy = GdsfPolicy()
@@ -160,9 +131,8 @@ class TestFactory:
         assert isinstance(make_policy("fifo"), FifoPolicy)
         assert isinstance(make_policy("size"), SizePolicy)
         assert isinstance(make_policy("gdsf"), GdsfPolicy)
-        ttl = make_policy("ttl:30")
-        assert isinstance(ttl, TtlPolicy) and ttl.ttl_s == 30.0
 
-    def test_bad_spec(self):
-        with pytest.raises(ValueError):
-            make_policy("random")
+    @pytest.mark.parametrize("spec", ["random", "ttl:30"])
+    def test_bad_spec(self, spec):
+        with pytest.raises(ValueError, match="unknown policy spec"):
+            make_policy(spec)

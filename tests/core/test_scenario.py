@@ -232,18 +232,15 @@ class TestSerialization:
         restored = self._roundtrip(spec)
         assert restored.mobility.bias == (8.0, 1.0, 1.0, 1.0)
 
-    def test_roundtrip_bias_schedule_and_trace(self):
+    def test_roundtrip_bias_schedule(self):
         mobility = MobilitySpec(
             n_places=4,
             bias_schedule=((0.0, (1.0, 1.0, 1.0, 1.0)),
-                           (30.0, (8.0, 1.0, 1.0, 1.0))),
-            itinerary_trace={"mobile0_0": [[0.0, 1], [9.5, 3]]})
+                           (30.0, (8.0, 1.0, 1.0, 1.0))))
         spec = ScenarioSpec.metro(n_edges=2, mobility=mobility)
         restored = self._roundtrip(spec)
         assert restored.mobility.bias_schedule == (
             (0.0, (1.0, 1.0, 1.0, 1.0)), (30.0, (8.0, 1.0, 1.0, 1.0)))
-        assert restored.mobility.itinerary_trace == {
-            "mobile0_0": [[0.0, 1], [9.5, 3]]}
 
     def test_roundtrip_background_traffic(self):
         background = BackgroundTrafficSpec(period_s=120.0, peak_util=0.3,
@@ -332,6 +329,17 @@ class TestSpecFilesAreCheckedInput:
         with pytest.raises(ValueError, match="unknown key"):
             ScenarioSpec.from_dict({"edges": [{"name": "e"}],
                                     "vision_streams": False})
+
+    @pytest.mark.parametrize("trace", [
+        {"mobile0_0": [[0.0, 1], [9.5, 3]]}, "trace.json", None])
+    def test_the_removed_itinerary_trace_fails_loudly(self, trace):
+        # Every client's itinerary is synthetic: a spec that still
+        # names a trace must not load as if it were replayed.
+        with pytest.raises(ValueError, match="unknown key"):
+            MobilitySpec.from_dict({"itinerary_trace": trace})
+        with pytest.raises(ValueError, match="unknown key"):
+            load_spec({"edges": [{"name": "e"}],
+                       "mobility": {"itinerary_trace": trace}})
 
     def test_null_and_non_mapping_values_are_errors(self):
         with pytest.raises(ValueError, match="federate"):

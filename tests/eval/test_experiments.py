@@ -18,10 +18,7 @@ from repro.eval.experiments.federation_economics import (
 from repro.eval.experiments.federation_exp import run_federation
 from repro.eval.experiments.fig2a import PAPER_BANDWIDTH_PAIRS, run_fig2a
 from repro.eval.experiments.fig2b import PAPER_MODEL_SIZES_KB, run_fig2b
-from repro.eval.experiments.index_scaling import (
-    run_index_scaling,
-    run_tier_scaling,
-)
+from repro.eval.experiments.index_scaling import run_index_scaling
 from repro.eval.experiments.layer_reuse_exp import run_layer_reuse
 from repro.eval.experiments.layers import run_layer_cache
 from repro.eval.experiments.mobility_exp import run_mobility
@@ -73,7 +70,6 @@ class TestFig2a:
 
 @pytest.mark.parametrize("run, kwargs", [
     (run_index_scaling, {"n_queries": 0}),
-    (run_tier_scaling, {"n_queries": 0}),
     (run_federation, {"metro_delays_ms": ()}),
     (run_overload, {"intervals_s": (0.0,)}),
     (run_overload, {"intervals_s": (-1.0,)}),
@@ -228,22 +224,6 @@ class TestAblations:
                        row.lsh_wall_us) > 0.0
         # Candidate sets stay tiny relative to occupancy.
         assert large.lsh_candidates < 0.05 * large.n_entries
-
-    def test_tier_scaling(self):
-        tiers = run_tier_scaling(sizes=(500, 1000), n_queries=16,
-                                 timing_reps=1)
-        assert [t.n_entries for t in tiers] == [500, 1000]
-        for t in tiers:
-            # The exact tier agrees with the float64 baseline; coarse
-            # probing gives up at most a bounded sliver.
-            assert t.float32_recall == 1.0
-            assert 0.95 <= t.ivf_recall <= 1.0
-            assert t.ivf_trainings >= 1  # sizes are past min_train
-            assert t.ivf_candidates < t.n_entries
-            # Storage width is the memory story: float32 is half.
-            assert t.float32_memory_mb <= 0.55 * t.float64_memory_mb
-            assert min(t.float64_perkind_us, t.float32_perkind_us,
-                       t.ivf_us, t.ivf_memory_mb) > 0.0
 
     def test_speculative_saves_miss_latency(self):
         rows = run_speculative(pairs=((100, 10),))

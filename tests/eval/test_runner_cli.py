@@ -1,14 +1,9 @@
-"""Tests for the experiment registry, replication runner and CLI."""
+"""Tests for the experiment registry and CLI."""
 
 import pytest
 
 from repro.cli import main
-from repro.eval.runner import (
-    Replication,
-    experiment_names,
-    replicate,
-    run_experiment,
-)
+from repro.eval.runner import experiment_names, run_experiment
 
 
 class TestRegistry:
@@ -42,20 +37,6 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown experiment"):
             run_experiment("fig99")
-
-
-class TestReplicate:
-    def test_seed_sweep_summary(self):
-        rep = replicate("sharing", seeds=(0, 1),
-                        metric=lambda rows: rows[-1].hit_ratio,
-                        user_counts=(1, 4), requests_per_user=4)
-        assert isinstance(rep, Replication)
-        assert len(rep.values) == 2
-        assert rep.ci_low <= rep.mean <= rep.ci_high
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            replicate("fig2a", seeds=(), metric=lambda r: 0.0)
 
 
 class TestCli:

@@ -1,13 +1,8 @@
 """Unit tests for repro.eval.stats and repro.eval.tables."""
 
-import numpy as np
 import pytest
 
-from repro.eval.stats import (
-    mean_confidence_interval,
-    reduction_pct,
-    summarize,
-)
+from repro.eval.stats import reduction_pct, summarize
 from repro.eval.tables import format_table, series_block
 
 
@@ -18,33 +13,6 @@ class TestStats:
         assert s.p50 == pytest.approx(50.5)
         assert s.p99 == pytest.approx(99.01)
         assert s.n == 100
-
-    def test_confidence_interval_contains_mean(self):
-        rng = np.random.default_rng(0)
-        values = rng.normal(10, 2, size=100)
-        mean, lo, hi = mean_confidence_interval(values)
-        assert lo < mean < hi
-        assert mean == pytest.approx(values.mean())
-
-    def test_confidence_interval_narrows_with_n(self):
-        rng = np.random.default_rng(1)
-        small = rng.normal(0, 1, size=10)
-        large = rng.normal(0, 1, size=1000)
-        _, lo_s, hi_s = mean_confidence_interval(small)
-        _, lo_l, hi_l = mean_confidence_interval(large)
-        assert (hi_l - lo_l) < (hi_s - lo_s)
-
-    def test_degenerate_samples(self):
-        mean, lo, hi = mean_confidence_interval([5.0])
-        assert mean == lo == hi == 5.0
-        mean, lo, hi = mean_confidence_interval([3.0, 3.0, 3.0])
-        assert lo == hi == 3.0
-
-    def test_confidence_validation(self):
-        with pytest.raises(ValueError):
-            mean_confidence_interval([1.0], confidence=1.5)
-        with pytest.raises(ValueError):
-            mean_confidence_interval([])
 
     def test_reduction_pct_matches_paper_metric(self):
         # 2400 ms origin -> 1145 ms hit is the paper's 52.28%.

@@ -6,9 +6,9 @@ index.  For float32 and float64 caches, under any mix of single and
 batched inserts, evictions, explicit removals, row-store growth (past
 its 64-row start) and swap-compaction, :meth:`ICCache.descriptor` of
 every live entry equals the descriptor it was inserted with, byte for
-byte (kind and ``vector.tobytes()``; a hash entry's digest), and
-:meth:`ICCache.key`, :meth:`ICCache.keys` and
-:func:`~repro.core.cache.key_descriptor` agree with it.  Vectors come
+byte (kind and ``vector.tobytes()``; a hash entry's digest), and each
+kind's index ``holds`` exactly the keys of the live entries, of every
+key ever inserted.  Vectors come
 from float64 values, some of them float32-representable edge cases
 (-0.0, subnormals, large magnitudes), so the descriptor's own float32
 cast is exercised too.
@@ -18,7 +18,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.core.cache import ICCache, key_descriptor
+from repro.core.cache import ICCache
 from repro.core.descriptors import HashDescriptor, VectorDescriptor
 
 DIM = 6
@@ -88,16 +88,21 @@ def identity(descriptor) -> tuple:
 
 
 def check(cache: ICCache, inserted: dict) -> None:
-    keys = cache.keys()
-    assert len(keys) == len(cache)
+    live = set()
     for entry in cache.entries():
         want = inserted[entry.entry_id]
-        got = cache.descriptor(entry)
-        assert identity(got) == identity(want)
-        assert cache.key(entry) == keys[entry.entry_id] \
-            == (want.kind, identity(want)[-1])
-        assert identity(key_descriptor(keys[entry.entry_id])) \
-            == identity(want)
+        assert identity(cache.descriptor(entry)) == identity(want)
+        live.add(identity(want))
+    for kind in VECTOR_KINDS + (HASH_KIND,):
+        probes = [d for d in inserted.values() if d.kind == kind]
+        if not probes:
+            continue
+        index = cache.index_for(kind)
+        if kind == HASH_KIND:
+            held = [index.holds(d.digest) for d in probes]
+        else:
+            held = index.holds(np.stack([d.vector for d in probes])).tolist()
+        assert held == [identity(d) in live for d in probes]
 
 
 @given(ops=operations, dtype=st.sampled_from(["float32", "float64"]),

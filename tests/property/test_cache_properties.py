@@ -17,7 +17,7 @@ from repro.core.cache import ICCache
 from repro.core.descriptors import HashDescriptor
 from repro.core.policies import make_policy
 
-POLICIES = ("lru", "lfu", "fifo", "size", "gdsf", "ttl:50")
+POLICIES = ("lru", "lfu", "fifo", "size", "gdsf")
 
 # An operation is (op, digest_index, size) with op in insert/lookup.
 operations = st.lists(
@@ -84,16 +84,3 @@ def test_clear_always_empties(sizes):
     cache.clear()
     assert len(cache) == 0
     assert cache.size_bytes == 0
-
-
-@given(ttl=st.floats(min_value=0.5, max_value=100.0),
-       probe_offset=st.floats(min_value=0.0, max_value=200.0))
-@settings(max_examples=50, deadline=None)
-def test_ttl_expiry_is_exact(ttl, probe_offset):
-    cache = ICCache(capacity_bytes=1000, ttl_s=ttl)
-    cache.insert(HashDescriptor("m", "aa"), "x", 10, now=0.0)
-    entry = cache.lookup(HashDescriptor("m", "aa"), now=probe_offset)
-    if probe_offset >= ttl:
-        assert entry is None
-    else:
-        assert entry is not None

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 
 from repro.core.descriptors import VectorDescriptor
 from repro.core.distance import pairwise
-from repro.core.index import (
-    IvfIndex,
-    LinearIndex,
-    LshIndex,
-    _decision_eps,
-)
+from repro.core.index import LinearIndex, LshIndex, _decision_eps
 
 DIM = 8
 
@@ -107,8 +102,7 @@ def test_single_query_kernel_identical_to_full_kernel(
 
     A LinearIndex holds ``occupancy`` rows — optionally with an exact
     duplicate pair and an all-zero row.  Exact ties and the all-zero
-    query must take the fallback branch.  An IvfIndex too small to have
-    trained runs the same scan, so it must give the same answers.
+    query must take the fallback branch.
     """
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(occupancy, DIM)).astype(np.float32)
@@ -120,11 +114,8 @@ def test_single_query_kernel_identical_to_full_kernel(
         np.array_equal(rows[0], r) for r in rows[1:])
 
     index = LinearIndex(dtype=dtype)
-    untrained = IvfIndex(dim=DIM, dtype=dtype, min_train=occupancy + 2)
     for i, row in enumerate(rows):
         index.insert(i, VectorDescriptor("a", row))
-        untrained.insert(i, VectorDescriptor("a", row))
-    assert not untrained.trained
     store = index._store
     eps = _decision_eps(dtype)
 
@@ -143,8 +134,6 @@ def test_single_query_kernel_identical_to_full_kernel(
             want = full_kernel_answer(store, cast, threshold=threshold)
             got = index.query(VectorDescriptor("a", q), threshold)
             assert got == want
-            assert untrained.query(VectorDescriptor("a", q),
-                                   threshold) == want
         if occupancy:
             declined = store.nearest_cosine(cast, eps) is None
             if not q.any() or (tied and np.array_equal(q, rows[0])):
@@ -180,57 +169,6 @@ def test_single_query_kernel_divides_by_no_zero_norm(seed, dtype,
             assert nearest == full_kernel_answer(store, cast, threshold=2.0)
         if not q.any():
             assert nearest is None
-
-
-@given(stored=st.lists(finite_vector, min_size=2, max_size=20),
-       removals=st.data())
-@settings(max_examples=40, deadline=None)
-def test_ivf_insert_remove_round_trip(stored, removals):
-    """Under swap-compaction, removed ids never surface and every
-    survivor still answers its own vector (small sets probe all cells,
-    so the search is exhaustive)."""
-    index = IvfIndex(dim=DIM, min_train=8, seed=5)
-    for i, vec in enumerate(stored):
-        index.insert(i, vd(vec))
-    to_remove = removals.draw(st.sets(
-        st.integers(min_value=0, max_value=len(stored) - 1),
-        max_size=len(stored) - 1))
-    for i in to_remove:
-        index.remove(i)
-    assert len(index) == len(stored) - len(to_remove)
-    survivors = [i for i in range(len(stored)) if i not in to_remove]
-    for i in survivors:
-        hit = index.query(vd(stored[i]), threshold=1e-5)
-        assert hit is not None and hit[0] not in to_remove
-    # Re-inserting a removed id round-trips cleanly.
-    for i in sorted(to_remove):
-        index.insert(i, vd(stored[i]))
-    assert len(index) == len(stored)
-
-
-def test_ivf_recall_floor_vs_exact_across_seeds():
-    """IVF recall vs LinearIndex ground truth stays >= the acceptance
-    floor (0.95) on near-duplicate workloads, across seeds, with the
-    trained coarse quantizer actually in play."""
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        population = rng.normal(size=(2000, 64))
-        population /= np.linalg.norm(population, axis=1, keepdims=True)
-        linear = LinearIndex()
-        ivf = IvfIndex(dim=64, seed=seed)
-        items = [(i, vd(vec)) for i, vec in enumerate(population)]
-        linear.insert_batch(items)
-        ivf.insert_batch(items)
-        assert ivf.trained, f"seed {seed}: expected a trained quantizer"
-        probes = [vd(population[i] + rng.normal(0, 0.02, 64))
-                  for i in range(100)]
-        truth = [linear.query(p, threshold=0.05) for p in probes]
-        got = [ivf.query(p, threshold=0.05) for p in probes]
-        matched = [(a, b) for a, b in zip(truth, got) if a is not None]
-        assert matched, f"seed {seed}: ground truth found no matches"
-        recall = sum(1 for a, b in matched
-                     if b is not None and b[0] == a[0]) / len(matched)
-        assert recall >= 0.95, f"seed {seed}: recall {recall:.2f} < 0.95"
 
 
 def test_lsh_recall_floor_across_seeds():

@@ -7,14 +7,24 @@ nine classes.  The strategies were run against the hand-written
 ``to_dict`` / ``from_dict`` pairs first, so the field-driven codec that
 replaced them is pinned to that format.  Runs under the derandomized
 ``tier1`` profile.
+
+Every ``int`` field of every spec class — inside ``| None`` and
+``tuple[int, ...]`` too — decodes an integral number as an ``int`` and
+rejects a bool, a non-finite value or a fraction with a ``ValueError``
+that names ``Class.field``.
 """
 
 import dataclasses
 import json
+import math
+import re
+import typing
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+from repro.core import scenario
 from repro.core.scenario import (
     BackgroundTrafficSpec,
     ClientSpec,
@@ -79,19 +89,13 @@ def mobilities(draw):
     starts = draw(st.lists(non_negative, min_size=1, max_size=3,
                            unique=True).map(sorted))
     schedule = tuple((start, draw(weights)) for start in starts)
-    trace = st.one_of(
-        st.none(), st.just("trace.json"),
-        st.dictionaries(names, st.lists(
-            st.tuples(non_negative, st.integers(0, n_places - 1)).map(list),
-            max_size=3), max_size=2))
     return MobilitySpec(
         n_places=n_places,
         objects_per_place=draw(st.integers(min_value=1, max_value=8)),
         extent_m=draw(positive), popularity_alpha=draw(reals(0.0, 3.0)),
         mean_dwell_s=draw(positive), duration_s=draw(positive),
         handoff_latency_s=draw(non_negative), bias=draw(optional(weights)),
-        bias_schedule=draw(optional(st.just(schedule))),
-        itinerary_trace=draw(trace))
+        bias_schedule=draw(optional(st.just(schedule))))
 
 
 backgrounds = st.builds(
@@ -170,3 +174,56 @@ def test_spec_round_trips_through_its_plain_json_dict(spec):
     assert type(spec).from_dict(data).to_dict() == data
     assert list(data) == [f.name for f in dataclasses.fields(spec)]
 
+
+STRATEGIES = {
+    ClientSpec: clients, EdgeSpec: edges, OperatorSpec: operators,
+    InterEdgeLinkSpec: links, MobilitySpec: mobilities(),
+    BackgroundTrafficSpec: backgrounds, EdgePolicySpec: policies,
+    WarmupSpec: warmups, ScenarioSpec: scenarios()}
+
+
+def _names_int(annotation) -> bool:
+    return annotation is int or any(
+        _names_int(arg) for arg in typing.get_args(annotation))
+
+
+INT_FIELDS = [
+    (cls, field.name)
+    for cls in scenario._Spec.__subclasses__()
+    for field in dataclasses.fields(cls)
+    if _names_int(typing.get_type_hints(cls)[field.name])]
+
+not_integers = st.one_of(
+    st.booleans(),
+    st.floats().filter(lambda x: not math.isfinite(x)
+                       or not x.is_integer()))
+
+
+def test_every_spec_class_has_a_strategy_and_int_fields_are_found():
+    assert set(STRATEGIES) == set(scenario._Spec.__subclasses__())
+    assert {("MobilitySpec", "n_places"), ("EdgePolicySpec", "queue_limit"),
+            ("EdgePolicySpec", "prewarm_top_k"), ("WarmupSpec", "classes")} \
+        <= {(cls.__name__, name) for cls, name in INT_FIELDS}
+
+
+@pytest.mark.parametrize("cls, name", INT_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n in INT_FIELDS])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_an_int_field_takes_only_an_integral_number(cls, name, data):
+    spec = data.draw(STRATEGIES[cls])
+    payload = spec.to_dict()
+    value = payload[name]
+    many = isinstance(value, list)
+    # An integral float builds as the int it names.
+    as_float = ([float(v) for v in value] if many
+                else None if value is None else float(value))
+    rebuilt = cls.from_dict({**payload, name: as_float})
+    assert rebuilt == spec
+    got = getattr(rebuilt, name)
+    assert all(type(v) is int for v in (got if many else [got])
+               if v is not None)
+    # A bool, a non-finite value or a fraction is refused by name.
+    bad = data.draw(not_integers)
+    with pytest.raises(ValueError, match=re.escape(f"{cls.__name__}.{name}")):
+        cls.from_dict({**payload, name: [bad] if many else bad})

@@ -1,4 +1,4 @@
-"""Property-based tests for vision geometry and mesh serialization."""
+"""Property-based tests for vision geometry and mesh sizing."""
 
 import hypothesis.strategies as st
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.distance import pairwise
-from repro.render.mesh import generate_mesh, pack_rmsh, unpack_rmsh
+from repro.render.mesh import generate_mesh
 from repro.vision.features import EmbeddingSpace
 from repro.vision.image import RESOLUTIONS, jpeg_size_bytes
 
@@ -86,14 +86,14 @@ def test_noise_free_distance_monotone_in_viewpoint(cls, d1, d2):
        target_kb=st.floats(min_value=10, max_value=5000),
        seed=st.integers(min_value=0, max_value=100))
 @settings(max_examples=30, deadline=None)
-def test_rmsh_roundtrip_any_size(model_id, target_kb, seed):
+def test_mesh_file_size_tracks_its_target_any_size(model_id, target_kb,
+                                                   seed):
     mesh = generate_mesh(model_id, target_kb, seed=seed)
-    blob = pack_rmsh(mesh)
-    restored = unpack_rmsh(blob, model_id=model_id)
-    assert restored.digest() == mesh.digest()
-    assert len(blob) == mesh.file_bytes
+    assert generate_mesh(model_id, target_kb, seed=seed).digest() \
+        == mesh.digest()
     # Size model holds within tolerance at every scale.
-    assert len(blob) / 1024 == pytest.approx(target_kb, rel=0.25, abs=16)
+    assert mesh.file_bytes / 1024 == pytest.approx(target_kb, rel=0.25,
+                                                   abs=16)
 
 
 @given(q1=st.integers(min_value=1, max_value=100),

@@ -8,7 +8,7 @@ from repro.render.loader import (
     MOBILE_GPU_2018,
     ModelLoader,
 )
-from repro.render.mesh import LOADED_EXPANSION, generate_mesh, pack_rmsh
+from repro.render.mesh import LOADED_EXPANSION
 
 
 @pytest.fixture
@@ -49,15 +49,6 @@ class TestTiming:
             loader.parse_time(-1)
         with pytest.raises(ValueError):
             loader.upload_time(-1)
-
-
-class TestFunctionalParse:
-    def test_parse_real_blob(self, loader):
-        mesh = generate_mesh(9, 400, seed=0)
-        loaded = loader.parse(pack_rmsh(mesh), model_id=9)
-        assert loaded.digest == mesh.digest()
-        assert loaded.loaded_bytes == mesh.loaded_bytes
-        assert loaded.mesh.n_vertices == mesh.n_vertices
 
 
 class TestProfileValidation:

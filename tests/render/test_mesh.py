@@ -1,23 +1,16 @@
-"""Unit tests for repro.render.mesh (RMSH format + generator)."""
+"""Unit tests for repro.render.mesh (generator and RMSH file size)."""
 
 import numpy as np
 import pytest
 
-from repro.render.mesh import (
-    LOADED_EXPANSION,
-    MeshFormatError,
-    MeshModel,
-    generate_mesh,
-    pack_rmsh,
-    unpack_rmsh,
-)
+from repro.render.mesh import LOADED_EXPANSION, MeshModel, generate_mesh
 
 
 class TestGenerate:
     def test_size_close_to_target(self):
         for target_kb in (100, 1000, 8000):
             mesh = generate_mesh(1, target_kb)
-            actual_kb = len(pack_rmsh(mesh)) / 1024
+            actual_kb = mesh.file_bytes / 1024
             assert actual_kb == pytest.approx(target_kb, rel=0.05)
 
     def test_deterministic_for_same_inputs(self):
@@ -43,44 +36,16 @@ class TestGenerate:
             generate_mesh(1, 0)
 
 
-class TestRoundTrip:
-    def test_pack_unpack_identity(self):
-        mesh = generate_mesh(3, 700, seed=2)
-        restored = unpack_rmsh(pack_rmsh(mesh), model_id=3)
-        assert np.array_equal(restored.vertices, mesh.vertices)
-        assert np.array_equal(restored.triangles, mesh.triangles)
-        assert restored.digest() == mesh.digest()
-
-    def test_file_bytes_matches_packed_length(self):
+class TestSizes:
+    def test_file_bytes_is_header_plus_arrays(self):
+        # A 40-byte header, 8 float32 per vertex, 3 uint32 per triangle.
         mesh = generate_mesh(1, 400)
-        assert mesh.file_bytes == len(pack_rmsh(mesh))
+        assert mesh.file_bytes == (40 + 32 * mesh.n_vertices
+                                   + 12 * mesh.n_triangles)
 
     def test_loaded_bytes_expansion(self):
         mesh = generate_mesh(1, 400)
         assert mesh.loaded_bytes == int(mesh.file_bytes * LOADED_EXPANSION)
-
-
-class TestFormatErrors:
-    def test_truncated_blob(self):
-        with pytest.raises(MeshFormatError):
-            unpack_rmsh(b"RM")
-
-    def test_bad_magic(self):
-        blob = bytearray(pack_rmsh(generate_mesh(1, 100)))
-        blob[:4] = b"XXXX"
-        with pytest.raises(MeshFormatError, match="magic"):
-            unpack_rmsh(bytes(blob))
-
-    def test_corrupt_payload_detected(self):
-        blob = bytearray(pack_rmsh(generate_mesh(1, 100)))
-        blob[-1] ^= 0xFF
-        with pytest.raises(MeshFormatError, match="checksum"):
-            unpack_rmsh(bytes(blob))
-
-    def test_size_mismatch_detected(self):
-        blob = pack_rmsh(generate_mesh(1, 100))
-        with pytest.raises(MeshFormatError, match="size"):
-            unpack_rmsh(blob + b"extra")
 
 
 class TestMeshModelValidation:

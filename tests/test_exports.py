@@ -16,7 +16,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEARCHED = ("src", "bench", "examples", "tests", "tools")
-PACKAGES = ("sim", "net", "vision", "workload", "render", "eval")
+PACKAGES = ("sim", "net", "vision", "workload", "render", "eval", "core",
+            "backend")
 
 
 def _python_files():

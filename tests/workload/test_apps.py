@@ -1,38 +1,8 @@
-"""Unit tests for repro.workload.apps (the 30-app study stand-in)."""
+"""Unit tests for repro.workload.apps (the 30-app study's measurement)."""
 
-import numpy as np
 import pytest
 
-from repro.workload.apps import (
-    AppProfile,
-    CATEGORY_MIXES,
-    build_app_population,
-    redundancy_report,
-)
-
-
-class TestAppPopulation:
-    def test_population_size(self):
-        apps = build_app_population(30, np.random.default_rng(0))
-        assert len(apps) == 30
-
-    def test_mixes_normalized(self):
-        for app in build_app_population(30, np.random.default_rng(1)):
-            assert sum(app.task_mix) == pytest.approx(1.0)
-
-    def test_categories_from_registry(self):
-        apps = build_app_population(50, np.random.default_rng(2))
-        assert {a.category for a in apps} <= set(CATEGORY_MIXES)
-
-    def test_profile_validation(self):
-        with pytest.raises(ValueError):
-            AppProfile("x", "ar-game", (0.5, 0.2, 0.2), 1.0)  # != 1
-        with pytest.raises(ValueError):
-            AppProfile("x", "ar-game", (1.0, 0.0, 0.0), 0.0)
-
-    def test_population_validation(self):
-        with pytest.raises(ValueError):
-            build_app_population(0, np.random.default_rng(0))
+from repro.workload.apps import redundancy_report
 
 
 class TestRedundancyReport:

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.scenario import MobilitySpec
-from repro.workload.mobility import (
-    Gravity,
-    load_itineraries,
-    Place,
-    RandomWaypointUser,
-    World,
-    colocation_matrix,
-)
+from repro.workload.mobility import Gravity, Place, RandomWaypointUser, World
 
 
 @pytest.fixture
@@ -41,12 +34,6 @@ class TestWorld:
             for cls in place.object_classes:
                 counts[cls] = counts.get(cls, 0) + 1
         assert max(counts.values()) >= 3
-
-    def test_shared_classes_helper(self, world):
-        shared = world.shared_classes(0, 1)
-        expected = (set(world.place(0).object_classes)
-                    & set(world.place(1).object_classes))
-        assert shared == expected
 
     def test_validation(self):
         rng = np.random.default_rng(0)
@@ -165,21 +152,6 @@ class TestGravityBias:
                                gravity=Gravity(4, bias=(1.0,) * 4))
 
 
-class TestColocation:
-    def test_detects_shared_place(self, world):
-        itineraries = {
-            "a": [(0.0, 1)],
-            "b": [(0.0, 1)],
-            "c": [(0.0, 2)],
-        }
-        groups = colocation_matrix(itineraries, times=[5.0])
-        assert groups[5.0] == {1: ["a", "b"]}
-
-    def test_no_groups_when_spread(self, world):
-        itineraries = {"a": [(0.0, 1)], "b": [(0.0, 2)]}
-        assert colocation_matrix(itineraries, [0.0])[0.0] == {}
-
-
 class TestBiasSchedule:
     def test_schedule_segments_take_effect_at_their_start(self, world):
         # Act 1 (t < 1000): uniform.  Act 2 (t >= 1000): place 0 has
@@ -226,42 +198,6 @@ class TestBiasSchedule:
         with pytest.raises(ValueError, match=r"bias_schedule\[0\] needs "
                            r"one weight per place \(5\), got shape \(2,\)"):
             Gravity(5, schedule=((0.0, (1.0, 2.0)),))
-
-
-class TestLoadItineraries:
-    def test_accepts_dict_json_string_and_file(self, tmp_path):
-        import json
-
-        trace = {"alice": [[0.0, 1], [4.5, 3]], "bob": [[0.0, 2]]}
-        expect = {"alice": [(0.0, 1), (4.5, 3)], "bob": [(0.0, 2)]}
-        assert load_itineraries(trace) == expect
-        assert load_itineraries(json.dumps(trace)) == expect
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps(trace))
-        assert load_itineraries(str(path)) == expect
-
-    def test_rejects_bad_traces(self):
-        with pytest.raises(ValueError):
-            load_itineraries({"u": []})  # empty
-        with pytest.raises(ValueError):
-            load_itineraries({"u": [[1.0, 0]]})  # does not start at 0
-        with pytest.raises(ValueError):
-            load_itineraries({"u": [[0.0, 0], [5.0, 1], [2.0, 0]]})
-        with pytest.raises(ValueError):
-            load_itineraries("[1, 2]")  # not a mapping
-
-    def test_place_range_checked_against_world(self):
-        trace = {"u": [[0.0, 0], [3.0, 9]]}
-        assert load_itineraries(trace, n_places=10)["u"][1] == (3.0, 9)
-        with pytest.raises(ValueError):
-            load_itineraries(trace, n_places=9)
-
-    def test_traced_replay_matches_place_at(self):
-        trace = {"u": [[0.0, 4], [2.0, 1], [7.0, 2]]}
-        itinerary = load_itineraries(trace)["u"]
-        assert RandomWaypointUser.place_at(itinerary, 1.9) == 4
-        assert RandomWaypointUser.place_at(itinerary, 2.0) == 1
-        assert RandomWaypointUser.place_at(itinerary, 100.0) == 2
 
 
 _INF, _NAN = float("inf"), float("nan")
