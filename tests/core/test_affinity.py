@@ -505,3 +505,24 @@ class TestLayerPrewarmTransport:
         kinds = {e.kind
                  for e in dep.cache_by_name["edge1"].entries()}
         assert kinds == {"recognition"}
+
+    def test_prewarm_skips_entries_the_destination_holds(self,
+                                                          make_deployment):
+        dep = make_deployment(spec=layer_spec(prewarm_layers=0,
+                                              prewarm_top_k=5),
+                              edge_workers=2)
+        source, destination = (dep.cache_by_name[name]
+                               for name in ("edge0", "edge1"))
+        for cache in (source, destination):
+            cache.insert(HashDescriptor("model_load", "bb"), "m", 100)
+            cache.insert(VectorDescriptor(kind="recognition",
+                                          vector=vec(3)), "r", 100)
+        source.insert(HashDescriptor("model_load", "aa"), "m", 100)
+        assert dep.prewarm("edge0", "edge1")
+        dep.run_for(5.0)
+        assert [p.pushed for p in dep.prewarm_log] == [1]
+        assert len(destination) == 3
+        # Once the destination holds every hot key, nothing travels.
+        assert not dep.prewarm("edge0", "edge1")
+        dep.run_for(5.0)
+        assert len(dep.prewarm_log) == 1

@@ -121,6 +121,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             ICCache(capacity_bytes=0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: ICCache(capacity_bytes=1000, ttl_s=5.0),
+        lambda: ICCache(capacity_bytes=1000).hottest(1, now=0.0),
+    ], ids=["ICCache-ttl_s", "hottest-now"])
+    def test_the_removed_expiry_arguments_are_refused(self, call):
+        with pytest.raises(TypeError):
+            call()
+
     def test_an_entry_never_expires(self):
         cache = ICCache(capacity_bytes=1000)
         cache.insert(hd("aa"), "x", 10, now=0.0)
@@ -351,9 +359,10 @@ class TestMissing:
         have = {key_of(destination, e) for e in destination.entries()}
         return [e for e in entries if key_of(source, e) not in have]
 
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_ships_what_the_key_set_rule_ships(self, dtype, seed):
+    @staticmethod
+    def filled_pair(seed, **cache_kwargs):
+        """Two caches over one pool of hashes and vectors, with
+        duplicates and drops."""
         rng = np.random.default_rng(seed)
         vectors = rng.normal(size=(24, 6)) * 10.0 ** rng.integers(
             -15, 15, size=(24, 1))
@@ -361,7 +370,7 @@ class TestMissing:
         vectors[rng.random(vectors.shape) < 0.05] = 0.0
         kinds = ("recognition", "layer:conv1")
         source, destination = (
-            ICCache(capacity_bytes=10**6, vector_dtype=dtype)
+            ICCache(capacity_bytes=10**6, **cache_kwargs)
             for _ in range(2))
         for cache in (source, destination):
             for _ in range(80):
@@ -378,6 +387,22 @@ class TestMissing:
                     cache.remove(entry)
         entries = source.entries()
         rng.shuffle(entries)
+        return source, destination, entries
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ships_what_the_key_set_rule_ships(self, dtype, seed):
+        source, destination, entries = self.filled_pair(
+            seed, vector_dtype=dtype)
+        want = self.key_set_rule(source, destination, entries)
+        assert destination.missing(source, entries) == want
+        assert 0 < len(want) < len(entries)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ships_what_the_key_set_rule_ships_between_lsh_caches(self,
+                                                                  seed):
+        source, destination, entries = self.filled_pair(
+            seed, vector_index="lsh:4:6")
         want = self.key_set_rule(source, destination, entries)
         assert destination.missing(source, entries) == want
         assert 0 < len(want) < len(entries)

@@ -5,6 +5,7 @@ The default chain's byte-exact goldens live in ``tests/core/test_cluster.py``
 pins that the default chain is exactly lookup, resolve, respond.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import CoICConfig
@@ -258,6 +259,35 @@ class TestPrewarmSelection:
         only_models = cache.hottest(10, kind="model_load")
         assert [cache.descriptor(e).digest for e in only_models] == \
             ["cc", "aa"]
+
+    @pytest.mark.parametrize("where", [
+        {}, {"kind": "model_load"}, {"kind_prefix": "layer:"},
+        {"exclude_prefix": "layer:"}], ids=lambda w: "-".join(w) or "all")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hottest_is_the_head_of_a_full_sort(self, seed, where):
+        # Few distinct hit counts and times: ties on both are common,
+        # so the entry id must settle the order.
+        rng = np.random.default_rng(seed)
+        kinds = ("model_load", "panorama", "layer:conv1", "layer:fc")
+        cache = ICCache(capacity_bytes=10**6)
+        for i in range(60):
+            cache.insert(HashDescriptor(kinds[rng.integers(4)], f"{i:x}"),
+                         i, 10, now=float(rng.integers(3)))
+        entries = cache.entries()
+        for _ in range(90):
+            entry = entries[rng.integers(len(entries))]
+            cache.lookup(cache.descriptor(entry),
+                         now=float(rng.integers(3, 6)))
+        kind = where.get("kind")
+        prefix = where.get("kind_prefix", "")
+        excluded = where.get("exclude_prefix")
+        ranked = sorted(
+            (e for e in entries
+             if (kind is None or e.kind == kind) and e.kind.startswith(prefix)
+             and not (excluded and e.kind.startswith(excluded))),
+            key=lambda e: (-e.hits, -e.last_access, e.entry_id))
+        for k in (1, 3, 10, len(ranked), len(ranked) + 5):
+            assert cache.hottest(k, **where) == ranked[:k]
 
 
 def prewarm_metro(prewarm_top_k: int):

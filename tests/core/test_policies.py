@@ -1,8 +1,10 @@
 """Unit tests for repro.core.policies (eviction orderings)."""
 
+import numpy as np
 import pytest
 
-from repro.core.cache import CacheEntry
+from repro.core.cache import CacheEntry, ICCache
+from repro.core.descriptors import HashDescriptor
 from repro.core.policies import (
     FifoPolicy,
     GdsfPolicy,
@@ -136,3 +138,60 @@ class TestFactory:
     def test_bad_spec(self, spec):
         with pytest.raises(ValueError, match="unknown policy spec"):
             make_policy(spec)
+
+
+POLICY_SPECS = ("lru", "lfu", "fifo", "size", "gdsf")
+
+
+class TestEveryPolicy:
+    """The contract the cache relies on, for each shipped policy."""
+
+    @pytest.mark.parametrize("spec", POLICY_SPECS)
+    def test_victims_drain_exactly_the_live_entries(self, spec):
+        rng = np.random.default_rng(7)
+        policy = make_policy(spec)
+        entries = [entry(i, size=int(rng.integers(1, 500)),
+                         cost=float(rng.uniform(0.01, 2.0)))
+                   for i in range(1, 31)]
+        for e in entries:
+            policy.on_insert(e)
+        for i in rng.integers(0, len(entries), size=60):
+            entries[i].hits += 1
+            policy.on_access(entries[i])
+        removed = {e.entry_id for e in entries[::4]}
+        for e in entries[::4]:
+            policy.on_remove(e)
+        live = {e.entry_id for e in entries} - removed
+        victims = []
+        while True:
+            try:
+                victim = policy.select_victim()
+            except LookupError:
+                break
+            assert victim.entry_id in live - set(victims)
+            victims.append(victim.entry_id)
+            policy.on_remove(victim)
+        assert sorted(victims) == sorted(live)
+
+    @pytest.mark.parametrize("spec", POLICY_SPECS)
+    def test_a_cache_under_the_policy_stays_within_capacity(self, spec):
+        rng = np.random.default_rng(11)
+        cache = ICCache(capacity_bytes=2_000, policy=make_policy(spec))
+        removed = 0
+        for step in range(400):
+            digest = f"{rng.integers(60):x}"
+            if rng.random() < 0.5:
+                cache.insert(HashDescriptor("m", digest), step,
+                             int(rng.integers(1, 600)), now=float(step),
+                             cost_s=float(rng.uniform(0.01, 1.0)))
+            elif rng.random() < 0.9:
+                cache.lookup(HashDescriptor("m", digest), now=float(step))
+            elif len(cache):
+                cache.remove(cache.entries()[0])
+                removed += 1
+            assert cache.size_bytes <= cache.capacity_bytes
+            assert cache.size_bytes == sum(
+                e.size_bytes for e in cache.entries())
+        stats = cache.stats
+        assert stats.evictions > 0
+        assert len(cache) == stats.insertions - stats.evictions - removed

@@ -88,6 +88,28 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             load_spec(data)
 
+    @pytest.mark.parametrize("cls, data, field", [
+        (MobilitySpec, {"n_places": 2.5}, "n_places"),
+        (MobilitySpec, {"n_places": math.inf}, "n_places"),
+        (EdgePolicySpec, {"queue_limit": 1.5}, "queue_limit"),
+        (EdgePolicySpec, {"prewarm_top_k": True}, "prewarm_top_k"),
+        (EdgePolicySpec, {"shed_retries": "2"}, "shed_retries"),
+        (WarmupSpec, {"classes": [1, 2.5]}, "classes"),
+    ], ids=["fraction", "inf", "fraction-in-optional", "bool", "string",
+            "fraction-in-tuple"])
+    def test_an_int_field_refuses_a_non_integer(self, cls, data, field):
+        # Each of these used to build: a place count of 2.5 or inf, a
+        # fractional queue limit, a bool as a count.
+        with pytest.raises(ValueError, match=f"{cls.__name__}.{field}"):
+            cls.from_dict(data)
+
+    def test_an_integral_float_builds_as_an_int(self):
+        mobility = MobilitySpec.from_dict({"n_places": 3.0})
+        assert mobility.n_places == 3 and type(mobility.n_places) is int
+        warmup = WarmupSpec.from_dict({"classes": [1.0, 2]})
+        assert warmup.classes == (1, 2)
+        assert all(type(c) is int for c in warmup.classes)
+
     @pytest.mark.parametrize("a,b", [("edge0", "edge1"), ("edge1", "edge0")])
     def test_duplicate_inter_edge_pair_rejected(self, a, b):
         # Either orientation names the same duplex; building both would

@@ -32,6 +32,12 @@ class TestZipfSampler:
         assert np.allclose(frequencies(sampler, 50_000), zipf_pmf(10, 1.0),
                            atol=0.01)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.5, 2.0])
+    def test_empirical_matches_pmf_at_other_skews(self, alpha):
+        sampler = ZipfSampler(10, alpha, np.random.default_rng(4))
+        assert np.allclose(frequencies(sampler, 50_000),
+                           zipf_pmf(10, alpha), atol=0.01)
+
     def test_higher_alpha_more_skew(self):
         flat = ZipfSampler(100, 0.2, np.random.default_rng(3))
         skewed = ZipfSampler(100, 1.5, np.random.default_rng(3))
