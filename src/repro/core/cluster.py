@@ -111,7 +111,7 @@ from repro.vision.recognition import RecognitionResult, Recognizer
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Link
-    from repro.workload.mobility import RandomWaypointUser, World
+    from repro.workload.mobility import World
 
 CLOUD = "cloud"
 
@@ -432,7 +432,6 @@ class ClusterDeployment:
         self.handoff_log: list[HandoffEvent] = []
         self.prewarm_log: list[PrewarmEvent] = []
         self.world: "World | None" = None
-        self.users: dict[str, "RandomWaypointUser"] = {}
         self.itineraries: dict[str, list[tuple[float, int]]] = {}
         self.client_places: dict[str, int] = {}
         if spec.mobility is not None:
@@ -654,7 +653,9 @@ class ClusterDeployment:
         the spec carries ``bias``/``bias_schedule``), and is re-attached
         to the nearest edge after every hop (a no-op when the nearest
         edge did not change).  Returns the itineraries, which are fully
-        determined by the scenario seed.
+        determined by the scenario seed.  A client's mobility stream is
+        taken, not kept: it and its walker are freed once the itinerary
+        is drawn.
         """
         from repro.workload.mobility import Gravity, RandomWaypointUser
 
@@ -669,13 +670,12 @@ class ClusterDeployment:
         gravity = (None if m.bias is None and m.bias_schedule is None
                    else Gravity(m.n_places, m.bias, m.bias_schedule))
         for client in self.all_clients:
-            user = RandomWaypointUser(
+            itinerary = RandomWaypointUser(
                 client.name, self.world,
-                self.rng.stream(f"mobility.user.{client.name}"),
+                self.rng.take(f"mobility.user.{client.name}"),
                 mean_dwell_s=m.mean_dwell_s,
-                home_place=self._home_place(client), gravity=gravity)
-            itinerary = user.itinerary(duration)
-            self.users[client.name] = user
+                home_place=self._home_place(client),
+                gravity=gravity).itinerary(duration)
             self.itineraries[client.name] = itinerary
             self.client_places[client.name] = itinerary[0][1]
             self.env.process(self._replay(client, itinerary))

@@ -115,7 +115,11 @@ class ExactIndex(DescriptorIndex):
     PROBE_COST_S = 2e-5
 
     def __init__(self):
+        # The newest entry per digest; older entries that share a digest
+        # wait in ``_older`` (oldest first), so removing the newest hands
+        # the digest back to the next newest live one.
         self._by_digest: dict[str, int] = {}
+        self._older: dict[str, list[int]] = {}
         self._by_entry: dict[int, str] = {}
         self.last_query_cost_s: float | None = None
 
@@ -126,27 +130,35 @@ class ExactIndex(DescriptorIndex):
             raise IndexEntryExists(f"entry {entry_id} already indexed")
         # Last write wins for duplicate digests: the newer entry supersedes
         # the older one, which the cache evicts independently.
-        self._by_digest[descriptor.digest] = entry_id
-        self._by_entry[entry_id] = descriptor.digest
+        digest = descriptor.digest
+        newest = self._by_digest.get(digest)
+        if newest is not None:
+            self._older.setdefault(digest, []).append(newest)
+        self._by_digest[digest] = entry_id
+        self._by_entry[entry_id] = digest
 
     def digest(self, entry_id: int) -> str:
         """The digest ``entry_id`` was inserted under."""
         return self._by_entry[entry_id]
 
     def holds(self, digest: str) -> bool:
-        """Whether some stored entry was inserted under ``digest``.
-
-        ``_by_digest`` alone would not do: it forgets a digest when the
-        newest of its entries leaves, even while an older one stays.
-        """
-        return digest in self._by_digest or digest in self._by_entry.values()
+        """Whether some stored entry was inserted under ``digest``."""
+        return digest in self._by_digest
 
     def remove(self, entry_id: int) -> None:
         digest = self._by_entry.pop(entry_id, None)
         if digest is None:
             raise KeyError(f"entry {entry_id} not in index")
-        if self._by_digest.get(digest) == entry_id:
-            del self._by_digest[digest]
+        older = self._older.get(digest)
+        if self._by_digest[digest] == entry_id:
+            if older is None:
+                del self._by_digest[digest]
+                return
+            self._by_digest[digest] = older.pop()
+        else:
+            older.remove(entry_id)
+        if not older:
+            del self._older[digest]
 
     def query(self, descriptor: Descriptor,
               threshold: float) -> tuple[int, float] | None:

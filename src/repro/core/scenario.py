@@ -79,6 +79,8 @@ def _decode(annotation: typing.Any, value: typing.Any) -> typing.Any:
         return _decode(inner, value)
     _require(value is not None, "must not be null")
     if origin is tuple:
+        _require(isinstance(value, (list, tuple)),
+                 f"expected a list, got {value!r}")
         if args[-1] is Ellipsis:
             return tuple(_decode(args[0], item) for item in value)
         _require(len(value) == len(args), f"expected {len(args)} items")
@@ -87,7 +89,16 @@ def _decode(annotation: typing.Any, value: typing.Any) -> typing.Any:
         return annotation.from_dict(value)
     if annotation is int:
         return _integer(value)
-    return float(value) if annotation is float else value
+    if annotation is float:
+        _require(isinstance(value, numbers.Real)
+                 and not isinstance(value, bool),
+                 f"expected a number, got {value!r}")
+        return float(value)
+    # bool and str: the JSON type must match, so "no" is not a truthy
+    # switch and 0.5 not a flag.
+    _require(isinstance(value, annotation),
+             f"expected a {annotation.__name__}, got {value!r}")
+    return value
 
 
 def _integer(value: typing.Any) -> int:

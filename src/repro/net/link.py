@@ -40,7 +40,7 @@ class LinkDown(Exception):
     """The link was administratively disabled mid-transfer."""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class LinkStats:
     """Counters accumulated over a link's lifetime."""
 
@@ -67,7 +67,14 @@ class Link:
         loss_rate: Probability a message is dropped (0..1).
         rng: Random generator for jitter/loss draws (required if either
             ``jitter_s`` > 0 or ``loss_rate`` > 0).
+
+    Slotted, like its stats and its transmitter: a city builds a link
+    per client and direction, and most of them idle.
     """
+
+    __slots__ = ("env", "name", "bandwidth_bps", "propagation_s",
+                 "jitter_s", "loss_rate", "up", "stats", "_rng",
+                 "_transmitter")
 
     def __init__(self, env: Environment, name: str, bandwidth_bps: float,
                  propagation_s: float = 0.0, jitter_s: float = 0.0,
@@ -95,9 +102,6 @@ class Link:
         self.stats = LinkStats()
         self._rng = rng
         self._transmitter = Resource(env, capacity=1)
-        #: Invoked whenever routing-relevant state (rate, admin status)
-        #: changes; Topology hooks this to drop cached routes.
-        self._on_change: "typing.Callable[[], None] | None" = None
 
     # -- configuration -------------------------------------------------------
 
@@ -105,14 +109,19 @@ class Link:
         """Change the transmit rate; affects transfers that start later."""
         _check_bandwidth(bandwidth_bps)
         self.bandwidth_bps = float(bandwidth_bps)
-        if self._on_change is not None:
-            self._on_change()
+        self._changed()
 
     def set_up(self, up: bool) -> None:
         """Administratively enable/disable the link."""
         self.up = bool(up)
-        if self._on_change is not None:
-            self._on_change()
+        self._changed()
+
+    def _changed(self) -> None:
+        """Routing-relevant state (rate, admin status) changed.
+
+        A standalone link has no one to tell; a topology's links
+        override this to drop cached routes.
+        """
 
     # -- timing model --------------------------------------------------------
 

@@ -52,6 +52,27 @@ class Host:
         return f"Host({self.name!r})"
 
 
+class _RoutedLink(Link):
+    """A link wired into a :class:`Topology`.
+
+    It knows its ends and its topology, so a change reaches the routing
+    views without a closure per link.  ``remove_link`` unhooks it.
+    """
+
+    __slots__ = ("_topology", "_src", "_dst")
+
+    def __init__(self, topology: Topology, src: str, dst: str,
+                 *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._topology: Topology | None = topology
+        self._src = src
+        self._dst = dst
+
+    def _changed(self) -> None:
+        if self._topology is not None:
+            self._topology._link_changed(self._src, self._dst, self)
+
+
 class Topology:
     """A mutable graph of hosts and directed links."""
 
@@ -139,11 +160,9 @@ class Topology:
             raise ValueError(f"link {src}->{dst} already exists")
         self.add_host(src)
         self.add_host(dst)
-        link = Link(self.env, f"{src}->{dst}", bandwidth_bps,
-                    propagation_s=propagation_s, jitter_s=jitter_s,
-                    loss_rate=loss_rate, rng=rng)
-        link._on_change = functools.partial(self._link_changed,
-                                            src, dst, link)
+        link = _RoutedLink(self, src, dst, self.env, f"{src}->{dst}",
+                           bandwidth_bps, propagation_s=propagation_s,
+                           jitter_s=jitter_s, loss_rate=loss_rate, rng=rng)
         self._adj[src][dst] = link
         self._radj[dst][src] = link
         self._raise_link(src, dst, link)
@@ -163,7 +182,7 @@ class Topology:
         """
         link = self._adj[src][dst]
         link.set_up(False)
-        link._on_change = None
+        link._topology = None
         del self._adj[src][dst]
         del self._radj[dst][src]
         return link

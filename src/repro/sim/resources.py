@@ -42,15 +42,24 @@ class Request(Event):
 
 
 class Resource:
-    """A semaphore with ``capacity`` slots and a FIFO wait queue."""
+    """A semaphore with ``capacity`` slots and a FIFO wait queue.
+
+    Slotted and lean, because most resources sit idle: a city builds one
+    transmitter per link direction, and nearly all of them belong to
+    client access links that rarely carry two messages at once.  The
+    holders live in a list (a holder count is at most ``capacity``),
+    and the wait queue is built on the first contention.
+    """
+
+    __slots__ = ("env", "capacity", "_users", "_waiters")
 
     def __init__(self, env: "Environment", capacity: int = 1):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self._users: set[Request] = set()
-        self._waiters: deque[Request] = deque()
+        self._users: list[Request] = []
+        self._waiters: deque[Request] | None = None
 
     @property
     def count(self) -> int:
@@ -60,15 +69,17 @@ class Resource:
     @property
     def queue_length(self) -> int:
         """Number of requests waiting for a slot."""
-        return len(self._waiters)
+        return len(self._waiters) if self._waiters else 0
 
     def request(self) -> Request:
         """Claim a slot; the returned event fires when the slot is granted
         (a free slot on the spot: the event is born processed)."""
         req = Request(self.env)
         if len(self._users) < self.capacity:
-            self._users.add(req)
+            self._users.append(req)
             return req._settle()
+        if self._waiters is None:
+            self._waiters = deque()
         self._waiters.append(req)
         return req
 
@@ -76,7 +87,7 @@ class Resource:
         """Return a previously granted slot and wake the next waiter."""
         if request in self._users:
             self._users.remove(request)
-        elif request in self._waiters:
+        elif self._waiters and request in self._waiters:
             # Cancelling a queued request is allowed (e.g. timeout races).
             self._waiters.remove(request)
             return
@@ -86,7 +97,7 @@ class Resource:
             nxt = self._waiters.popleft()
             if nxt.triggered:  # already cancelled via fail elsewhere
                 continue
-            self._users.add(nxt)
+            self._users.append(nxt)
             nxt.succeed()
             break
 

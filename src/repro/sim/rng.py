@@ -43,24 +43,47 @@ class RngStreams:
             rest >>= 32
         self._seed_words = np.array(words, dtype=np.uint32)
         self._streams: dict[str, np.random.Generator] = {}
+        # Names handed out by ``take``: their generators are not kept,
+        # so asking for one again must fail rather than restart it.
+        self._taken: set[str] = set()
 
     def stream(self, name: str) -> np.random.Generator:
         """Return (creating on first use) the generator for ``name``."""
-        if not name:
-            raise ValueError("stream name must be non-empty")
         gen = self._streams.get(name)
         if gen is None:
-            # Key the child sequence on the UTF-8 bytes of the name so the
-            # mapping is stable across runs and python versions.  The
-            # words of ``[seed, *name_bytes]`` go in as one uint32 array:
-            # the entropy numpy makes of that list, which it would
-            # convert word by word.
-            entropy = np.concatenate((
-                self._seed_words,
-                np.frombuffer(name.encode("utf-8"), dtype=np.uint8)))
-            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-            self._streams[name] = gen
+            gen = self._streams[name] = self._build(name)
         return gen
+
+    def take(self, name: str) -> np.random.Generator:
+        """The generator for ``name``, handed over rather than kept.
+
+        Draws exactly what ``stream(name)`` would, but the factory keeps
+        no reference, so a stream read once (a mobility itinerary) is
+        freed with its reader.  A name can be taken once, and not
+        if ``stream`` built it already: either way a second reader
+        would replay the stream from its start.
+        """
+        if name in self._streams:
+            raise ValueError(f"stream {name!r} is already built")
+        gen = self._build(name)
+        self._taken.add(name)
+        return gen
+
+    def _build(self, name: str) -> np.random.Generator:
+        if not name:
+            raise ValueError("stream name must be non-empty")
+        if name in self._taken:
+            raise ValueError(f"stream {name!r} was taken already")
+        # Key the child sequence on the UTF-8 bytes of the name so the
+        # mapping is stable across runs and python versions.  The words
+        # of ``[seed, *name_bytes]`` go in as one uint32 array: the
+        # entropy numpy makes of that list, which it would convert word
+        # by word.
+        entropy = np.concatenate((
+            self._seed_words,
+            np.frombuffer(name.encode("utf-8"), dtype=np.uint8)))
+        return np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy)))
 
     def deferred(self, name: str) -> "DeferredStream":
         """A handle on ``stream(name)`` that builds the stream on first use.

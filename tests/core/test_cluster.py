@@ -524,7 +524,18 @@ class TestMobility:
             dep.start_mobility()
 
     def test_users_share_one_read_only_gravity_timetable(self,
-                                                         make_deployment):
+                                                         make_deployment,
+                                                         monkeypatch):
+        from repro.workload import mobility as mobility_module
+
+        walkers = []
+
+        class Spy(mobility_module.RandomWaypointUser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                walkers.append((self.name, self.gravity))
+
+        monkeypatch.setattr(mobility_module, "RandomWaypointUser", Spy)
         n = 16
         uniform = (1.0,) * n
         stadium = (9.0,) + uniform[1:]
@@ -535,9 +546,15 @@ class TestMobility:
                                   mobility=mobility)
         dep = make_deployment(spec=spec, seed=7)
         dep.start_mobility()
-        gravity = dep.users[dep.all_clients[0].name].gravity
-        for client in dep.all_clients:
-            assert dep.users[client.name].gravity is gravity
+        # One walker per client, all on one timetable; the deployment
+        # keeps the itineraries, not the walkers or their streams.
+        assert [name for name, _ in walkers] == [
+            client.name for client in dep.all_clients]
+        gravity = walkers[0][1]
+        assert all(g is gravity for _, g in walkers)
+        assert not hasattr(dep, "users")
+        assert not [name for name in dep.rng._streams
+                    if name.startswith("mobility.user.")]
         assert not gravity.bias.flags.writeable
         assert len(gravity.segments) == 3
         assert not any(w.flags.writeable for w in gravity.segments)

@@ -43,6 +43,30 @@ class TestExactIndex:
         index.remove(1)
         assert index.query(d, 0.0) == (2, 0.0)
 
+    def test_removing_the_newest_hands_the_digest_to_the_next_newest(self):
+        index = ExactIndex()
+        d = HashDescriptor("m", "aa")
+        for entry_id in (1, 2, 3):
+            index.insert(entry_id, d)
+        index.remove(3)
+        assert index.query(d, 0.0) == (2, 0.0)
+        index.remove(1)
+        assert index.query(d, 0.0) == (2, 0.0) and index.holds("aa")
+        index.remove(2)
+        assert index.query(d, 0.0) is None and not index.holds("aa")
+        assert len(index) == 0 and not index._older
+
+    def test_cache_finds_an_older_entry_once_the_newer_leaves(self):
+        from repro.core.cache import ICCache
+
+        cache = ICCache(capacity_bytes=100)
+        key = HashDescriptor("m", "aa")
+        older = cache.insert(key, result="old", size_bytes=10)
+        newer = cache.insert(key, result="new", size_bytes=10)
+        cache.remove(newer)
+        assert cache.lookup(key) is older
+        assert cache.size_bytes == 10
+
     def test_type_checked(self):
         index = ExactIndex()
         with pytest.raises(TypeError):

@@ -110,6 +110,27 @@ class TestValidation:
         assert warmup.classes == (1, 2)
         assert all(type(c) is int for c in warmup.classes)
 
+    @pytest.mark.parametrize("cls, data, field", [
+        (ScenarioSpec, {"edges": [{"name": "e"}], "federate": "no"},
+         "federate"),
+        (EdgePolicySpec, {"layer_reuse": 0.5}, "layer_reuse"),
+        (EdgePolicySpec, {"layer_reuse": 1}, "layer_reuse"),
+        (MobilitySpec, {"extent_m": True}, "extent_m"),
+        (MobilitySpec, {"extent_m": "500"}, "extent_m"),
+        (ClientSpec, {"name": 7}, "name"),
+        (EdgeSpec, {"name": "e", "peers": "ab"}, "peers"),
+    ], ids=["str-as-bool", "float-as-bool", "int-as-bool", "bool-as-float",
+            "str-as-float", "int-as-str", "str-as-list"])
+    def test_a_field_refuses_a_value_of_another_type(self, cls, data, field):
+        # Each of these used to build: "no" as a truthy federate switch,
+        # True as an extent of 1 m, "ab" as the peers ("a", "b").
+        with pytest.raises(ValueError, match=f"{cls.__name__}.{field}"):
+            cls.from_dict(data)
+
+    def test_an_integer_builds_as_a_float(self):
+        mobility = MobilitySpec.from_dict({"extent_m": 500})
+        assert mobility.extent_m == 500.0 and type(mobility.extent_m) is float
+
     @pytest.mark.parametrize("a,b", [("edge0", "edge1"), ("edge1", "edge0")])
     def test_duplicate_inter_edge_pair_rejected(self, a, b):
         # Either orientation names the same duplex; building both would

@@ -30,6 +30,21 @@ def deliver(env, link, message):
     return outcome
 
 
+class TestFootprint:
+    def test_a_link_and_its_stats_carry_no_instance_dict(self, env):
+        link = Link(env, "l", bandwidth_bps=8e6)
+        assert not hasattr(link, "__dict__")
+        assert not hasattr(link.stats, "__dict__")
+        with pytest.raises(AttributeError):
+            link.color = "red"
+
+    def test_a_standalone_link_changes_rate_and_state(self, env):
+        link = Link(env, "l", bandwidth_bps=8e6)
+        link.set_bandwidth(4e6)
+        link.set_up(False)
+        assert link.bandwidth_bps == 4e6 and not link.up
+
+
 class TestTiming:
     def test_serialization_plus_propagation(self, env):
         link = Link(env, "l", bandwidth_bps=8e6, propagation_s=0.05)

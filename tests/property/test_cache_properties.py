@@ -7,7 +7,9 @@ hold for *any* workload and policy:
 * stored bytes never exceed capacity;
 * stored bytes always equal the sum of live entry sizes;
 * hits + misses == lookups;
-* a hash descriptor lookup returns an entry with that digest or nothing.
+* a hash descriptor lookup returns an entry with that digest or nothing;
+* a digest is found exactly while some live entry holds it, and then
+  resolves to the newest such entry.
 """
 
 import hypothesis.strategies as st
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 
 from repro.core.cache import ICCache
 from repro.core.descriptors import HashDescriptor
+from repro.core.index import ExactIndex
 from repro.core.policies import make_policy
 
 POLICIES = ("lru", "lfu", "fifo", "size", "gdsf")
@@ -84,3 +87,35 @@ def test_clear_always_empties(sizes):
     cache.clear()
     assert len(cache) == 0
     assert cache.size_bytes == 0
+
+
+# An index operation is (insert?, digest_index, pick): an insert adds a
+# fresh entry under the digest, a remove drops the live entry ``pick``
+# lands on.
+index_operations = st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=0, max_value=3),
+              st.integers(min_value=0, max_value=1000)),
+    min_size=1, max_size=60)
+
+
+@given(ops=index_operations)
+@settings(max_examples=100, deadline=None)
+def test_a_digest_is_found_exactly_while_a_live_entry_holds_it(ops):
+    index = ExactIndex()
+    live: dict[int, str] = {}          # entry id -> digest, oldest first
+    next_id = 0
+    for insert, idx, pick in ops:
+        if insert or not live:
+            index.insert(next_id, HashDescriptor("m", digest(idx)))
+            live[next_id] = digest(idx)
+            next_id += 1
+        else:
+            gone = list(live)[pick % len(live)]
+            index.remove(gone)
+            del live[gone]
+        for i in range(4):
+            holders = [e for e, d in live.items() if d == digest(i)]
+            found = index.query(HashDescriptor("m", digest(i)), 0.0)
+            assert index.holds(digest(i)) == bool(holders)
+            assert found == ((holders[-1], 0.0) if holders else None)
+        assert len(index) == len(live)

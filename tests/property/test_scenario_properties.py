@@ -11,7 +11,9 @@ replaced them is pinned to that format.  Runs under the derandomized
 Every ``int`` field of every spec class — inside ``| None`` and
 ``tuple[int, ...]`` too — decodes an integral number as an ``int`` and
 rejects a bool, a non-finite value or a fraction with a ``ValueError``
-that names ``Class.field``.
+that names ``Class.field``.  Every ``bool``, ``str`` and ``float``
+field, nested ones included, rejects a value of another JSON type the
+same way (a ``float`` field takes any number but a bool).
 """
 
 import dataclasses
@@ -182,16 +184,28 @@ STRATEGIES = {
     WarmupSpec: warmups, ScenarioSpec: scenarios()}
 
 
-def _names_int(annotation) -> bool:
-    return annotation is int or any(
-        _names_int(arg) for arg in typing.get_args(annotation))
+def _names(annotation, kind: type) -> bool:
+    return annotation is kind or any(
+        _names(arg, kind) for arg in typing.get_args(annotation))
 
 
-INT_FIELDS = [
-    (cls, field.name)
-    for cls in scenario._Spec.__subclasses__()
-    for field in dataclasses.fields(cls)
-    if _names_int(typing.get_type_hints(cls)[field.name])]
+def _fields_naming(kind: type) -> list:
+    return [(cls, field.name)
+            for cls in scenario._Spec.__subclasses__()
+            for field in dataclasses.fields(cls)
+            if _names(typing.get_type_hints(cls)[field.name], kind)]
+
+
+INT_FIELDS = _fields_naming(int)
+
+#: Values of other JSON types, per scalar kind.
+WRONG_TYPE = {
+    bool: st.one_of(st.integers(), reals(-1e3, 1e3), st.text(max_size=3)),
+    str: st.one_of(st.integers(), reals(-1e3, 1e3), st.booleans()),
+    float: st.one_of(st.booleans(), st.text(max_size=3)),
+}
+SCALAR_FIELDS = [(kind, cls, name) for kind in WRONG_TYPE
+                 for cls, name in _fields_naming(kind)]
 
 not_integers = st.one_of(
     st.booleans(),
@@ -204,6 +218,14 @@ def test_every_spec_class_has_a_strategy_and_int_fields_are_found():
     assert {("MobilitySpec", "n_places"), ("EdgePolicySpec", "queue_limit"),
             ("EdgePolicySpec", "prewarm_top_k"), ("WarmupSpec", "classes")} \
         <= {(cls.__name__, name) for cls, name in INT_FIELDS}
+    assert {(bool, "ScenarioSpec", "federate"),
+            (bool, "EdgePolicySpec", "layer_reuse"),
+            (str, "OperatorSpec", "agreements"),
+            (str, "WarmupSpec", "edges"),
+            (float, "MobilitySpec", "bias_schedule"),
+            (float, "EdgeSpec", "cache_mb")} \
+        <= {(kind, cls.__name__, name)
+            for kind, cls, name in SCALAR_FIELDS}
 
 
 @pytest.mark.parametrize("cls, name", INT_FIELDS,
@@ -227,3 +249,32 @@ def test_an_int_field_takes_only_an_integral_number(cls, name, data):
     bad = data.draw(not_integers)
     with pytest.raises(ValueError, match=re.escape(f"{cls.__name__}.{name}")):
         cls.from_dict({**payload, name: [bad] if many else bad})
+
+
+def _holding(annotation, kind: type, bad):
+    """A smallest JSON value of ``annotation`` whose ``kind`` leaves are
+    all ``bad`` (other leaves valid)."""
+    args = typing.get_args(annotation)
+    if annotation is kind:
+        return bad
+    if typing.get_origin(annotation) is tuple:
+        items = args[:1] if args[-1] is Ellipsis else args
+        return [_holding(a, kind, bad) for a in items]
+    if args:                                   # X | None
+        (inner,) = (a for a in args if a is not type(None))
+        return _holding(inner, kind, bad)
+    return {bool: True, str: "a", float: 1.0, int: 1}[annotation]
+
+
+@pytest.mark.parametrize(
+    "kind, cls, name", SCALAR_FIELDS,
+    ids=[f"{k.__name__}-{c.__name__}.{n}" for k, c, n in SCALAR_FIELDS])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_a_scalar_field_takes_only_its_own_type(kind, cls, name, data):
+    spec = data.draw(STRATEGIES[cls])
+    payload = spec.to_dict()
+    annotation = typing.get_type_hints(cls)[name]
+    bad = data.draw(WRONG_TYPE[kind])
+    with pytest.raises(ValueError, match=re.escape(f"{cls.__name__}.{name}")):
+        cls.from_dict({**payload, name: _holding(annotation, kind, bad)})

@@ -1,6 +1,7 @@
 """Property-based tests for the event kernel's ordering guarantees."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.sim import Environment, Resource, Store
@@ -69,6 +70,77 @@ def test_resource_never_oversubscribed(holds, capacity):
     env.run()
     assert peak[0] <= capacity
     assert active[0] == 0
+
+
+# A resource operation is (op, pick): ``pick`` chooses among the
+# requests the op applies to.  "release" returns a held slot, "cancel"
+# withdraws a queued request, "fail" fails a queued request elsewhere
+# (a timeout race), and "stale" releases a request that is neither
+# held nor queued.
+resource_ops = st.lists(
+    st.tuples(st.sampled_from(["request", "request", "release", "cancel",
+                               "fail", "stale"]),
+              st.integers(min_value=0, max_value=100)),
+    min_size=1, max_size=60)
+
+
+@given(ops=resource_ops, capacity=st.integers(min_value=1, max_value=3))
+@settings(max_examples=100, deadline=None)
+def test_resource_grants_like_a_reference_fifo(ops, capacity):
+    env = Environment()
+    resource = Resource(env, capacity=capacity)
+    requests = []
+    # The reference: ids of holders, a FIFO of waiting ids (a failed
+    # one stays queued until a grant passes it over), ids failed, ids
+    # done with, and every grant in order.
+    held, queue, failed, gone, model_grants = [], [], set(), [], []
+    seen = set()
+    grants = []
+
+    def grant_next():
+        while queue:
+            nxt = queue.pop(0)
+            if nxt not in failed:
+                held.append(nxt)
+                model_grants.append(nxt)
+                return
+
+    for op, pick in ops:
+        waiting = [i for i in queue if i not in failed]
+        if op == "request":
+            requests.append(resource.request())
+            rid = len(requests) - 1
+            if len(held) < capacity:
+                held.append(rid)
+                model_grants.append(rid)
+            else:
+                queue.append(rid)
+        elif op == "release" and held:
+            rid = held.pop(pick % len(held))
+            resource.release(requests[rid])
+            gone.append(rid)
+            grant_next()
+        elif op == "cancel" and waiting:
+            rid = waiting[pick % len(waiting)]
+            resource.release(requests[rid])
+            queue.remove(rid)
+            gone.append(rid)
+        elif op == "fail" and waiting:
+            rid = waiting[pick % len(waiting)]
+            requests[rid].fail(TimeoutError("gave up"))
+            requests[rid].defuse()
+            failed.add(rid)
+        elif op == "stale" and gone:
+            with pytest.raises(ValueError):
+                resource.release(requests[gone[pick % len(gone)]])
+        for rid, req in enumerate(requests):
+            if rid not in seen and rid not in failed and req.triggered:
+                seen.add(rid)
+                grants.append(rid)
+        assert grants == model_grants
+        assert resource.count == len(held)
+        assert resource.queue_length == len(queue)
+    env.run()
 
 
 @given(items=st.lists(st.integers(), min_size=1, max_size=30))

@@ -91,6 +91,25 @@ class TestResource:
         env.run()
         assert not abandoned.ok
 
+    def test_wait_queue_is_built_on_the_first_contention(self, env):
+        res = Resource(env, capacity=1)
+        assert not hasattr(res, "__dict__") and res._waiters is None
+        held = res.request()
+        res.release(held)
+        assert res._waiters is None and res.queue_length == 0
+        held = res.request()
+        queued = res.request()
+        assert res._waiters is not None and res.queue_length == 1
+        res.release(held)
+        assert queued.triggered and res.count == 1
+
+    def test_release_of_nothing_raises_before_any_contention(self, env):
+        res = Resource(env, capacity=2)
+        held = res.request()
+        res.release(held)
+        with pytest.raises(ValueError, match="not held or queued"):
+            res.release(held)
+
     def test_release_grants_one_waiter_per_freed_slot(self, env):
         res = Resource(env, capacity=2)
         holders = [res.request(), res.request()]

@@ -73,6 +73,38 @@ class TestRngStreams:
                     == expected.bit_generator.state)
 
 
+class TestTake:
+    def test_draws_what_stream_would_and_is_not_kept(self):
+        rng = RngStreams(3)
+        taken = rng.take("mobility.user.m0")
+        assert "mobility.user.m0" not in rng._streams
+        assert np.array_equal(taken.random(4),
+                              RngStreams(3).stream("mobility.user.m0")
+                              .random(4))
+
+    def test_a_taken_name_is_not_handed_out_again(self):
+        # Either way a second reader would replay the taken stream
+        # from its start.
+        rng = RngStreams(3)
+        rng.take("mobility.user.m0")
+        with pytest.raises(ValueError, match="taken"):
+            rng.take("mobility.user.m0")
+        with pytest.raises(ValueError, match="taken"):
+            rng.stream("mobility.user.m0")
+        with pytest.raises(ValueError, match="taken"):
+            rng.deferred("mobility.user.m0").random()
+
+    def test_a_built_stream_cannot_be_taken(self):
+        rng = RngStreams(3)
+        rng.stream("net.x")
+        with pytest.raises(ValueError, match="already built"):
+            rng.take("net.x")
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValueError):
+            RngStreams(0).take("")
+
+
 class TestDeferredStream:
     def test_built_on_first_draw_and_bit_identical(self):
         rng = RngStreams(5)
