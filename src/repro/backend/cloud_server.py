@@ -54,7 +54,17 @@ class CloudService(FrameServer):
         return (int(message["object_class"]),
                 int(message.get("input_bytes", 0)))
 
-    async def _resolve(self, label: int, input_bytes: int) -> dict:
-        await asyncio.sleep(cloud_latency_s(self.shim, input_bytes))
+    def _resolve(self, label: int, input_bytes: int):
+        """The ``resolved`` frame: at once with no shim, else after it."""
+        delay = cloud_latency_s(self.shim, input_bytes)
+        if delay > 0.0:
+            return self._resolve_after(label, delay)
+        return self._resolved(label)
+
+    async def _resolve_after(self, label: int, delay: float) -> dict:
+        await asyncio.sleep(delay)
+        return self._resolved(label)
+
+    def _resolved(self, label: int) -> dict:
         self.resolved += 1
         return {"op": "resolved", "label": label}

@@ -6,9 +6,11 @@ socket server around the simulator's own
 — cache tier and dtype, embedding geometry, match threshold and the
 policy's stage chain.  :func:`~repro.backend.protocol.decode_request`
 turns a ``recognize`` frame into the ``ic_request`` message that
-``EdgeNode._handle`` serves through :func:`repro.backend.runtime.drive`;
-the reply frame the chain's response produced is written back.  No
-request handling lives here.
+``EdgeNode._handle`` serves through :func:`repro.backend.runtime.start`;
+the reply frame the chain's response produced is written back — inside
+the socket's read callback when the request never waited (a hit, a
+shed), from a task when it did (a miss's cloud leg).  No request
+handling lives here.
 
 A ``shutdown`` frame drains first — an admit stage that sheds every
 recognition request heads the chain (in place of the policy's own) and
@@ -123,18 +125,25 @@ class EdgeService(FrameServer):
 
     async def _shutdown(self) -> dict:
         await self.drain()
-        return await super()._shutdown()
+        return super()._shutdown()
 
     def _decode(self, frame: dict) -> tuple[Message]:
         return (decode_request(frame, self._n_classes, self._dim),)
 
-    async def _recognize(self, msg: Message) -> dict:
+    def _recognize(self, msg: Message):
+        """The reply frame, or a coroutine of it when the request waits."""
+        rest = runtime.start(self.edge._handle(msg))
+        if rest is None:
+            return self.rpc.replies.pop(msg.msg_id)
+        return self._finish(rest, msg.msg_id)
+
+    async def _finish(self, rest: runtime.Waiting, msg_id: int) -> dict:
         self.active += 1
         self._idle.clear()
         try:
-            await runtime.drive(self.edge._handle(msg))
+            await rest
         finally:
             self.active -= 1
             if self.active == 0:
                 self._idle.set()
-        return self.rpc.replies.pop(msg.msg_id)
+        return self.rpc.replies.pop(msg_id)

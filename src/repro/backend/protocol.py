@@ -61,6 +61,7 @@ from repro.vision.recognition import RecognitionResult
 
 #: Length-prefix layout: 4-byte big-endian unsigned.
 _PREFIX = struct.Struct(">I")
+PREFIX_BYTES = _PREFIX.size
 
 #: Refuse frames past this size (a corrupt prefix must not OOM us).
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -108,18 +109,30 @@ def bad_frame_reply(op: str, exc: Exception) -> dict:
     return {"op": "error", "error": f"bad {op} frame: {exc!r}"}
 
 
+def frame_length(data, offset: int = 0) -> int:
+    """The body length the prefix at ``data[offset:]`` announces; a
+    :class:`ProtocolError` past :data:`MAX_FRAME_BYTES`, before any of
+    the body is read."""
+    (length,) = _PREFIX.unpack_from(data, offset)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds "
+                            f"MAX_FRAME_BYTES={MAX_FRAME_BYTES}")
+    return length
+
+
+# -- the client side's stream helpers (the server cuts frames itself, in
+# ``repro.backend.server``) ---------------------------------------------------
+
+
 async def read_frame(reader: asyncio.StreamReader) -> dict | None:
     """Read one frame; ``None`` on a clean EOF at a frame boundary."""
     try:
-        prefix = await reader.readexactly(_PREFIX.size)
+        prefix = await reader.readexactly(PREFIX_BYTES)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None
         raise ProtocolError("connection closed mid-prefix") from exc
-    (length,) = _PREFIX.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds "
-                            f"MAX_FRAME_BYTES={MAX_FRAME_BYTES}")
+    length = frame_length(prefix)
     try:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:

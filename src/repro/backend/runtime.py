@@ -4,11 +4,17 @@ The stages reach the runtime only through what they yield — a bare
 number ("charge this many modelled seconds") or something to wait for
 — and through the edge's ``env``, ``compute`` and ``rpc``.  The
 simulator's :class:`~repro.sim.process.Process` interprets them on the
-event kernel; :func:`drive` does on asyncio, with :class:`Env`,
-:class:`Compute` and :class:`Rpc` exposing only the names the
-recognition path touches.  A real edge charges no modelled time, so no
-request holds a worker slot across an ``await`` and none ever waits
+event kernel; :func:`start` and :func:`drive` do on asyncio, with
+:class:`Env`, :class:`Compute` and :class:`Rpc` exposing only the names
+the recognition path touches.  A real edge charges no modelled time, so
+no request holds a worker slot across an ``await`` and none ever waits
 for one: ``Compute.queue_length`` is always 0.
+
+:func:`start` runs a generator up to its first real wait without a
+loop turn: a hit, a shed or an error reply finishes there, and the
+edge answers it inside the socket's read callback.  Only what waits (a
+miss's cloud leg) comes back as a :class:`Waiting`, the awaitable of the
+rest; :func:`drive` is :func:`start` and that ``await``.
 
 The client's side runs the same way: ``CoICClient.perform`` under
 :func:`drive`, its request sent by :meth:`Rpc.call` to its edge.  A
@@ -42,26 +48,57 @@ CONNECT_RETRIES = 3
 CONNECT_BACKOFF_S = 0.05
 
 
-async def drive(generator: typing.Generator) -> typing.Any:
-    """Run a stage generator to completion; its return value.
+def start(generator: typing.Generator, value: typing.Any = None,
+          error: BaseException | None = None) -> typing.Any:
+    """Step a stage generator to its next real wait, synchronously.
 
-    A yielded number is skipped; anything else is awaited, and what it
-    raises is thrown back into the generator (cancellation too, so the
-    generator's ``finally`` blocks run).
+    The generator is resumed with ``value`` (or has ``error`` thrown
+    in), and yielded numbers are skipped on the spot.  A generator that
+    finishes without waiting gives its return value here, with no task
+    and no loop turn; one that yields something to wait for gives a
+    :class:`Waiting`, which awaits that and runs the rest.
     """
-    send, throw = generator.send, generator.throw
-    value = error = None
-    while True:
-        try:
-            target = send(value) if error is None else throw(error)
-        except StopIteration as stop:
-            return stop.value
-        value = error = None
-        if target.__class__ is not float and target.__class__ is not int:
+    try:
+        target = (generator.send(value) if error is None
+                  else generator.throw(error))
+        while target.__class__ is float or target.__class__ is int:
+            target = generator.send(None)
+    except StopIteration as stop:
+        return stop.value
+    return Waiting(generator, target)
+
+
+async def drive(generator: typing.Generator) -> typing.Any:
+    """Run a stage generator to completion; its return value."""
+    result = start(generator)
+    return await result if result.__class__ is Waiting else result
+
+
+class Waiting:
+    """The rest of a stage generator that yielded ``target`` to wait
+    for.  Awaiting it awaits ``target``, sends its value back (or throws
+    what it raised, cancellation too, so the generator's ``finally``
+    blocks run) and so on to the generator's return value."""
+
+    __slots__ = ("generator", "target")
+
+    def __init__(self, generator: typing.Generator, target: typing.Any):
+        self.generator = generator
+        self.target = target
+
+    def __await__(self):
+        return self._finish().__await__()
+
+    async def _finish(self) -> typing.Any:
+        result = self
+        while result.__class__ is Waiting:
+            value = error = None
             try:
-                value = await target
+                value = await result.target
             except BaseException as exc:  # thrown into the generator next
                 error = exc
+            result = start(self.generator, value, error)
+        return result
 
 
 class Env:
@@ -79,7 +116,7 @@ class Compute:
     """``compute``: worker slots, granted on the spot.
 
     The slot :meth:`request` returns is what a stage yields to wait for
-    it: here a zero-second charge, which :func:`drive` skips.
+    it: here a zero-second charge, which :func:`start` skips.
     """
 
     queue_length = 0

@@ -98,7 +98,7 @@ from repro.render.loader import (
 )
 from repro.render.panorama import Panorama
 from repro.sim.kernel import Environment
-from repro.sim.rng import RngStreams
+from repro.sim.rng import DeferredStream, RngStreams
 from repro.vision.features import EmbeddingSpace
 from repro.vision.image import CameraFrame, RESOLUTIONS
 from repro.vision.model_zoo import (
@@ -256,22 +256,22 @@ class ClusterDeployment:
             for cspec in espec.clients:
                 self._add_access(cspec.name, espec.name,
                                  stream=cspec.wifi_stream or None)
+            jitter_s = (net.backhaul_jitter_ms / 1e3
+                        if spec.impairments else 0.0)
+            loss_rate = net.loss_rate if spec.impairments else 0.0
             self.backhaul[espec.name] = self.topology.add_duplex(
                 espec.name, CLOUD, net.backhaul_mbps * 1e6,
                 propagation_s=net.backhaul_delay_ms / 1e3,
-                jitter_s=(net.backhaul_jitter_ms / 1e3
-                          if spec.impairments else 0.0),
-                loss_rate=net.loss_rate if spec.impairments else 0.0,
-                rng=self.rng.deferred(espec.backhaul_stream
-                                      or f"net.backhaul.{espec.name}"))
+                jitter_s=jitter_s, loss_rate=loss_rate,
+                rng=self._link_rng(jitter_s, loss_rate,
+                                   espec.backhaul_stream
+                                   or f"net.backhaul.{espec.name}"))
         self.inter_edge_links: dict[tuple[str, str], tuple["Link", "Link"]] = {}
         for lspec in spec.inter_edge:
             self.inter_edge_links[(lspec.a, lspec.b)] = \
                 self.topology.add_duplex(
                     lspec.a, lspec.b, lspec.mbps * 1e6,
-                    propagation_s=lspec.delay_ms / 1e3,
-                    rng=self.rng.deferred(lspec.stream
-                                          or f"net.metro.{lspec.a}.{lspec.b}"))
+                    propagation_s=lspec.delay_ms / 1e3)
 
         # -- background cross-traffic ----------------------------------------
         # One driver process re-shapes the affected links along the
@@ -471,6 +471,15 @@ class ClusterDeployment:
 
     # -- access-link management ---------------------------------------------
 
+    def _link_rng(self, jitter_s: float, loss_rate: float,
+                  name: str) -> DeferredStream | None:
+        """A link's draw stream, or None for a link that never draws (no
+        jitter, no loss).  A stream depends only on ``(seed, name)``, so
+        skipping one moves no other draw."""
+        if jitter_s > 0 or loss_rate > 0:
+            return self.rng.deferred(name)
+        return None
+
     def _add_access(self, client_name: str, edge_name: str,
                     stream: str | None = None) -> tuple["Link", "Link"]:
         """The access duplex client<->edge, built unless already held.
@@ -495,8 +504,8 @@ class ClusterDeployment:
                        + net.lte_core_delay_ms / 1e3)
             jitter_s = net.lte_jitter_ms / 1e3 if impaired else 0.0
             loss_rate = net.loss_rate if impaired else 0.0
-            rng = self.rng.deferred(
-                stream or f"net.lte.{client_name}.{edge_name}")
+            rng = self._link_rng(jitter_s, loss_rate, stream
+                                 or f"net.lte.{client_name}.{edge_name}")
             links = (
                 self.topology.add_link(
                     client_name, edge_name, net.lte_uplink_mbps * 1e6,
@@ -507,13 +516,14 @@ class ClusterDeployment:
                     propagation_s=delay_s, jitter_s=jitter_s,
                     loss_rate=loss_rate, rng=rng))
         else:
+            jitter_s = net.wifi_jitter_ms / 1e3 if impaired else 0.0
+            loss_rate = net.loss_rate if impaired else 0.0
             links = self.topology.add_duplex(
                 client_name, edge_name, net.wifi_mbps * 1e6,
                 propagation_s=net.wifi_delay_ms / 1e3,
-                jitter_s=net.wifi_jitter_ms / 1e3 if impaired else 0.0,
-                loss_rate=net.loss_rate if impaired else 0.0,
-                rng=self.rng.deferred(stream
-                                      or f"net.wifi.{client_name}.{edge_name}"))
+                jitter_s=jitter_s, loss_rate=loss_rate,
+                rng=self._link_rng(jitter_s, loss_rate, stream
+                                   or f"net.wifi.{client_name}.{edge_name}"))
         self.access_links[key] = links
         # A client is an access endpoint, never metro transit — even
         # while briefly dual-homed mid-handoff.  Marking it keeps every

@@ -13,7 +13,10 @@ process:
   caller's ``call`` event fires at the moment of delivery.
 * ``call(msg, timeout)`` — an event that fires with the peer's response.
   The request travels in one process of its own (it must outlive the
-  caller's deadline) which fails the call itself if delivery does.
+  caller's deadline) which fails the call itself if delivery does.  A
+  host's calls start delivering in the order they were made, so the
+  order same-instant process starts pop in never reorders its requests
+  on a link.
 
 Handlers are plain simulation processes: a server loops on
 ``rpc.serve(host)`` pulling requests, computes, then
@@ -58,6 +61,12 @@ class Rpc:
         self.max_retries = max_retries
         self._rpc_ids = itertools.count(1)
         self._pending: dict[int, Event] = {}
+        #: Per source host with a call not yet started: calls made and
+        #: calls whose delivery began, and the event each call
+        #: :meth:`_request` holds back waits on.
+        self._called: dict[str, int] = {}
+        self._started: dict[str, int] = {}
+        self._held: dict[tuple[str, int], Event] = {}
 
     # -- one-way delivery ----------------------------------------------------
 
@@ -117,7 +126,10 @@ class Rpc:
         """
         rpc_id = next(self._rpc_ids)
         msg.headers["rpc_id"] = rpc_id
-        self.env.process(self._request(rpc_id, self.send(msg)))
+        src = msg.src
+        ticket = self._called.get(src, 0)
+        self._called[src] = ticket + 1
+        self.env.process(self._request(rpc_id, src, ticket, self.send(msg)))
         response = self._pending[rpc_id] = self.env.event()
         if timeout is not None:
             # The deadline runs from the moment of the call, like a real
@@ -127,7 +139,25 @@ class Rpc:
                     f"timed out after {timeout}s")))
         return response
 
-    def _request(self, rpc_id: int, delivery: typing.Generator):
+    def _request(self, rpc_id: int, src: str, ticket: int,
+                 delivery: typing.Generator):
+        # A host's calls leave in call order: its ``ticket``-th call
+        # starts delivering (takes its place on the first link) only
+        # after every earlier one did, whatever order same-instant
+        # process starts pop in.
+        if self._started.get(src, 0) != ticket:
+            held = self._held[src, ticket] = self.env.event()
+            yield held
+        started = ticket + 1
+        if self._called[src] == started:
+            # Every call from src has started: its count starts over.
+            del self._called[src]
+            self._started.pop(src, None)
+        else:
+            self._started[src] = started
+            held = self._held.pop((src, started), None)
+            if held is not None:
+                held.succeed()
         try:
             yield from delivery
         except RpcError as exc:

@@ -1,24 +1,21 @@
 """Procedural 3D meshes.
 
-CoIC keys rendering tasks by "the hash value of the required 3D model", so
-models need actual bytes.  :func:`generate_mesh` builds a deterministic
-procedural mesh (a displaced icosphere-style lattice) whose RMSH file — a
-checksummed header, then the vertex and triangle arrays — is about a
-requested size; :attr:`MeshModel.file_bytes` is that size and
-:meth:`MeshModel.digest` a content hash of the geometry.
+:func:`generate_mesh` builds a deterministic procedural mesh (a
+displaced icosphere-style lattice) whose packed form — a 40-byte header,
+then the vertex and triangle arrays — is about a requested size.  The
+renderer reads a mesh's triangle count; the cost model prices a model by
+its catalog size (``RenderingConfig.catalog_sizes_kb``), not by a mesh.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 
 import numpy as np
 
-#: RMSH header bytes: magic (4), version (4), vertex count (8),
-#: triangle count (8), payload md5 (16).
+#: Packed header bytes the size target counts: magic (4), version (4),
+#: vertex count (8), triangle count (8), payload md5 (16).
 _HEADER_BYTES = 40
-_MAGIC = b"RMSH"
 
 #: Bytes per vertex: position (3f) + normal (3f) + uv (2f).
 VERTEX_BYTES = 8 * 4
@@ -56,39 +53,18 @@ class MeshModel:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    @property
-    def file_bytes(self) -> int:
-        """Size of the serialized (on-disk / on-wire) form."""
-        return (_HEADER_BYTES + self.n_vertices * VERTEX_BYTES
-                + self.n_triangles * TRIANGLE_BYTES)
 
-    @property
-    def loaded_bytes(self) -> int:
-        """Size of the parsed in-memory form.
-
-        Deserialized engine-ready geometry is larger than the packed file:
-        de-indexed attribute streams, alignment, and acceleration
-        structures roughly multiply the footprint by 2.5x — this is why a
-        cache hit on 'loaded data' still moves real bytes in Figure 2b.
-        """
-        return int(self.file_bytes * LOADED_EXPANSION)
-
-    def digest(self) -> str:
-        """Content hash — CoIC's descriptor for rendering tasks."""
-        h = hashlib.sha256()
-        h.update(_MAGIC)
-        h.update(np.ascontiguousarray(self.vertices).tobytes())
-        h.update(np.ascontiguousarray(self.triangles).tobytes())
-        return h.hexdigest()
-
-
-#: parsed-form expansion factor (see MeshModel.loaded_bytes).
+#: Parsed-form expansion factor: deserialized engine-ready geometry
+#: (de-indexed attribute streams, alignment, acceleration structures) is
+#: about 2.5x the packed file — why a cache hit on 'loaded data' still
+#: moves real bytes in Figure 2b.
 LOADED_EXPANSION = 2.5
 
 
 def generate_mesh(model_id: int, target_file_kb: float,
                   seed: int = 0) -> MeshModel:
-    """Build a deterministic procedural mesh of ~``target_file_kb``.
+    """Build a deterministic procedural mesh whose packed form (header
+    plus arrays) is ~``target_file_kb``.
 
     The mesh is a displaced UV-sphere lattice: realistic vertex/triangle
     ratios (roughly 2 triangles per vertex) at any size, fully determined

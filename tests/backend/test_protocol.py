@@ -26,7 +26,7 @@ from repro.backend.protocol import (
     encode_request,
     read_frame,
 )
-from repro.backend.server import FrameServer
+from repro.backend.server import READ_LIMIT, FrameServer
 from repro.core.client import CoICClient
 from repro.core.config import CoICConfig
 from repro.core.descriptors import VectorDescriptor
@@ -36,6 +36,8 @@ from repro.core.tasks import RecognitionTask
 from repro.net.message import Message
 from repro.vision.image import RESOLUTIONS, CameraFrame
 from repro.vision.recognition import RecognitionResult
+
+from frame_peer import Echo, connect
 
 
 def read_from_bytes(data: bytes, eof: bool = True):
@@ -465,3 +467,162 @@ class TestRecognizeFrameFuzz:
         assert good["outcome"] == OUTCOME_MISS and good["label"] == 2
         assert service.counters()["served"] == 1
         assert service.active == 0
+
+
+def echo(n: int) -> dict:
+    return {"op": "echo", "n": n}
+
+
+class TestConnectionLoop:
+    """The server's frame loop: frames cut from any chunks, answered in
+    order, inline when the handler need not wait."""
+
+    FRAMES = [echo(0), {"op": "stats"}, echo(1), {"op": "frobnicate"},
+              echo(2)]
+
+    @staticmethod
+    def expected(frames):
+        return [{"op": "echoed", "frame": frame} if frame["op"] == "echo"
+                else {"op": "counters"} if frame["op"] == "stats"
+                else {"op": "error", "error": f"unknown op {frame['op']!r}"}
+                for frame in frames]
+
+    def test_frames_in_one_write_get_their_replies_in_order(self):
+        async def _run():
+            server = Echo()
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            try:
+                writer.write(b"".join(map(encode_frame, self.FRAMES)))
+                return [await read_frame(reader) for _ in self.FRAMES]
+            finally:
+                writer.close()
+                await server.stop()
+
+        assert asyncio.run(_run()) == self.expected(self.FRAMES)
+
+    def test_the_same_bytes_one_byte_per_read_get_the_same_replies(self):
+        # Every frame here is answered inline: no event loop is needed.
+        connection, transport = connect(Echo())
+        for byte in b"".join(map(encode_frame, self.FRAMES)):
+            connection.data_received(bytes([byte]))
+        assert transport.replies() == self.expected(self.FRAMES)
+        assert transport.reading and not transport.closed
+
+    def test_a_waiting_reply_leaves_before_a_pipelined_inline_one(self):
+        # ``wait`` becomes a task; the ``echo`` behind it in the same
+        # write is not answered until the waited reply is written.
+        async def _run():
+            server = Echo()
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            try:
+                writer.write(encode_frame({"op": "wait", "n": 7})
+                             + encode_frame(echo(8)))
+                early = asyncio.ensure_future(read_frame(reader))
+                await asyncio.sleep(0.05)
+                assert not early.done()
+                server.release.set()
+                return [await early, await read_frame(reader)]
+            finally:
+                writer.close()
+                await server.stop()
+
+        assert asyncio.run(_run()) == [
+            {"op": "waited", "n": 7}, {"op": "echoed", "frame": echo(8)}]
+
+    @pytest.mark.parametrize("bad", [
+        struct.pack(">I", MAX_FRAME_BYTES + 1),
+        struct.pack(">I", 9) + b"{not json",
+    ], ids=["oversized-prefix", "undecodable-body"])
+    def test_a_bad_frame_closes_only_its_connection(self, bad):
+        async def _run():
+            server = Echo()
+            await server.start()
+            bad_peer = await asyncio.open_connection("127.0.0.1", server.port)
+            good_peer = await asyncio.open_connection("127.0.0.1",
+                                                      server.port)
+            try:
+                bad_peer[1].write(encode_frame(echo(0)) + bad)
+                answered = await read_frame(bad_peer[0])
+                closed = await read_frame(bad_peer[0])
+                served = await call(*good_peer, echo(1))
+                return answered, closed, served
+            finally:
+                bad_peer[1].close()
+                good_peer[1].close()
+                await server.stop()
+
+        answered, closed, served = asyncio.run(_run())
+        assert answered == {"op": "echoed", "frame": echo(0)}
+        assert closed is None  # a clean EOF: the server hung up
+        assert served == {"op": "echoed", "frame": echo(1)}
+
+    def test_a_peer_gone_mid_miss_leaves_nothing_in_flight(
+            self, edge_payload):
+        # The cloud takes 30 s; the peer hangs up while its miss waits.
+        # The EOF ends the connection and cancels the request, so
+        # drain() finds the edge idle at once.
+        import time
+
+        async def _run():
+            cloud = CloudService({"backhaul_mbps": 1000.0,
+                                  "backhaul_delay_ms": 0.0,
+                                  "inference_s": 30.0})
+            await cloud.start()
+            edge = EdgeService(edge_payload(cloud=("127.0.0.1", cloud.port)))
+            await edge.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", edge.port)
+                writer.write(encode_frame({"op": "recognize",
+                                           "capture_id": 1,
+                                           "object_class": 2}))
+                while edge.active == 0:
+                    await asyncio.sleep(0.005)
+                writer.close()
+                started = time.monotonic()
+                await edge.drain(timeout_s=10.0)
+                return edge.active, time.monotonic() - started
+            finally:
+                await edge.stop()
+                await cloud.stop()
+
+        active, drained_s = asyncio.run(_run())
+        assert active == 0
+        assert drained_s < 1.0
+
+    def test_reading_stops_while_a_reply_is_owed_or_writing_is_paused(self):
+        # Owing a reply, the connection reads on (a hang-up is seen)
+        # until READ_LIMIT bytes wait; paused writing stops it at once.
+        pipelined = encode_frame({"op": "echo", "pad": "x" * READ_LIMIT})
+
+        async def _run():
+            server = Echo()
+            connection, transport = connect(server)
+            seen = []
+
+            def look():
+                seen.append((transport.reading, len(transport.replies())))
+
+            connection.data_received(encode_frame({"op": "wait", "n": 1}))
+            look()
+            connection.data_received(pipelined)
+            look()
+            server.release.set()
+            await asyncio.sleep(0)  # the task writes the reply it owed
+            look()
+            connection.pause_writing()
+            connection.data_received(encode_frame(echo(3)))
+            look()
+            connection.resume_writing()
+            look()
+            return seen, transport.replies()
+
+        seen, replies = asyncio.run(_run())
+        assert seen == [(True, 0), (False, 0), (True, 2), (False, 2),
+                        (True, 3)]
+        assert [reply["op"] for reply in replies] == [
+            "waited", "echoed", "echoed"]

@@ -104,3 +104,57 @@ def test_rpc_has_no_route_for_peer_traffic():
     probe = Message(size_bytes=96, kind="peer_lookup", dst="edge1")
     with pytest.raises(RpcError, match="no route"):
         runtime.Rpc(cloud=None, edges=[("127.0.0.1", 1)]).call(probe)
+
+
+def test_start_finishes_a_generator_of_numbers_without_a_loop():
+    # No event loop runs here: a generator that yields only charges
+    # finishes inside start(), which returns its value.
+    def stages():
+        yield 0.5
+        yield 2
+        return "answered"
+
+    assert runtime.start(stages()) == "answered"
+
+
+def test_start_stops_at_the_first_wait_and_the_rest_throws_errors_in():
+    seen = []
+
+    def stages():
+        seen.append("charged")
+        yield 1.0
+        try:
+            yield _fail()
+        except RpcError as exc:
+            seen.append(str(exc))
+        seen.append((yield asyncio.sleep(0, result="slept")))
+        return "done"
+
+    async def _run():
+        rest = runtime.start(stages())
+        assert isinstance(rest, runtime.Waiting)
+        assert seen == ["charged"]
+        return await rest
+
+    assert asyncio.run(_run()) == "done"
+    assert seen == ["charged", "down", "slept"]
+
+
+def test_cancelling_the_rest_runs_the_generators_finally():
+    seen = []
+
+    def stages():
+        try:
+            yield asyncio.sleep(30)
+        finally:
+            seen.append("released")
+
+    async def _run():
+        task = asyncio.ensure_future(runtime.start(stages()))
+        await asyncio.sleep(0)
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+
+    asyncio.run(_run())
+    assert seen == ["released"]

@@ -331,6 +331,8 @@ class TestDeferredLinkStreams:
         for name in ("net.wifi.m0.edge0", "net.backhaul.edge0",
                      "net.metro.edge0.edge1"):
             assert name not in built
+        # A link with no jitter and no loss holds no stream handle.
+        assert all(link._rng is None for link in dep.topology.links())
         dep.run_tasks(dep.client_by_name["m0"], [dep.recognition_task(1)])
         assert "net.wifi.m0.edge0" not in dep.rng._streams
 
@@ -681,9 +683,14 @@ class TestLteAccess:
             assert link.propagation_s == 0.051000000000000004
             assert link.jitter_s == (0.0035 if impairments else 0.0)
             assert link.loss_rate == (0.02 if impairments else 0.0)
-        # One deferred stream, shared by both directions, built on no draw.
+        # Impaired: one deferred stream, shared by both directions,
+        # built on no draw.  Unimpaired: a link that never draws holds
+        # no stream handle at all.
         assert uplink._rng is downlink._rng
-        assert uplink._rng.name == "net.lte.lte0.edge0"
+        if impairments:
+            assert uplink._rng.name == "net.lte.lte0.edge0"
+        else:
+            assert uplink._rng is None
         assert "net.lte.lte0.edge0" not in dep.rng._streams
 
 
@@ -706,7 +713,10 @@ class TestLteAccess:
             assert link.jitter_s == (0.0004 if impairments else 0.0)
             assert link.loss_rate == (0.01 if impairments else 0.0)
         assert uplink._rng is downlink._rng
-        assert uplink._rng.name == "net.wifi.wifi0.edge0"
+        if impairments:
+            assert uplink._rng.name == "net.wifi.wifi0.edge0"
+        else:
+            assert uplink._rng is None
 
 
 class TestBackgroundTraffic:

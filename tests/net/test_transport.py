@@ -7,6 +7,8 @@ import pytest
 from repro.net import Message, Rpc, RpcError, RpcTimeout, Topology
 from repro.sim import Environment, RngStreams, SimulationError
 
+from ordering import shuffle_ties
+
 
 @pytest.fixture
 def env():
@@ -353,3 +355,35 @@ class TestFaultMatrix:
         assert completed == [("reply", "mobile")]
         assert not rpc._pending
         assert topo.hosts["mobile"].inbox.items == []
+
+
+class TestCallOrder:
+    @pytest.mark.parametrize("shuffle_seed", [None, *range(8)])
+    def test_a_hosts_calls_leave_in_call_order(self, shuffle_seed):
+        # Three calls made in one instant each start delivering in a
+        # process of their own; whatever order those same-instant starts
+        # pop in, the requests take the link in call order.
+        env = Environment()
+        topo = Topology(env)
+        topo.add_duplex("mobile", "edge", 100e6, propagation_s=0.001)
+        rpc = Rpc(env, topo)
+        if shuffle_seed is not None:
+            shuffle_ties(env, shuffle_seed)
+        arrived = []
+
+        def server():
+            while True:
+                msg = yield rpc.serve(topo.hosts["edge"])
+                arrived.append(msg.payload)
+
+        def client():
+            yield 0.5
+            for n in range(3):
+                rpc.call(Message(size_bytes=1000, src="mobile", dst="edge",
+                                 payload=n))
+
+        env.process(server())
+        env.process(client())
+        env.run(until=1.0)
+        assert arrived == [0, 1, 2]
+        assert not (rpc._called or rpc._started or rpc._held)

@@ -1,26 +1,37 @@
-"""Unit tests for repro.render.mesh (generator and RMSH file size)."""
+"""Unit tests for repro.render.mesh (the generator and its size target)."""
 
 import numpy as np
 import pytest
 
-from repro.render.mesh import LOADED_EXPANSION, MeshModel, generate_mesh
+from repro.render.mesh import MeshModel, generate_mesh
+
+
+def packed_bytes(mesh: MeshModel) -> int:
+    """A 40-byte header plus the arrays: 8 float32 per vertex, 3 uint32
+    per triangle."""
+    return 40 + mesh.vertices.nbytes + mesh.triangles.nbytes
+
+
+def same_geometry(a: MeshModel, b: MeshModel) -> bool:
+    return (np.array_equal(a.vertices, b.vertices)
+            and np.array_equal(a.triangles, b.triangles))
 
 
 class TestGenerate:
     def test_size_close_to_target(self):
         for target_kb in (100, 1000, 8000):
             mesh = generate_mesh(1, target_kb)
-            actual_kb = mesh.file_bytes / 1024
+            actual_kb = packed_bytes(mesh) / 1024
             assert actual_kb == pytest.approx(target_kb, rel=0.05)
 
     def test_deterministic_for_same_inputs(self):
         a = generate_mesh(4, 500, seed=1)
         b = generate_mesh(4, 500, seed=1)
-        assert a.digest() == b.digest()
+        assert same_geometry(a, b)
 
     def test_different_ids_different_content(self):
-        assert (generate_mesh(1, 500, seed=1).digest()
-                != generate_mesh(2, 500, seed=1).digest())
+        assert not same_geometry(generate_mesh(1, 500, seed=1),
+                                 generate_mesh(2, 500, seed=1))
 
     def test_triangle_indices_valid(self):
         mesh = generate_mesh(1, 300)
@@ -34,18 +45,6 @@ class TestGenerate:
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
             generate_mesh(1, 0)
-
-
-class TestSizes:
-    def test_file_bytes_is_header_plus_arrays(self):
-        # A 40-byte header, 8 float32 per vertex, 3 uint32 per triangle.
-        mesh = generate_mesh(1, 400)
-        assert mesh.file_bytes == (40 + 32 * mesh.n_vertices
-                                   + 12 * mesh.n_triangles)
-
-    def test_loaded_bytes_expansion(self):
-        mesh = generate_mesh(1, 400)
-        assert mesh.loaded_bytes == int(mesh.file_bytes * LOADED_EXPANSION)
 
 
 class TestMeshModelValidation:
