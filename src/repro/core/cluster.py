@@ -245,7 +245,6 @@ class ClusterDeployment:
         # -- network ---------------------------------------------------------
         net = cfg.network
         self.edge_names = spec.edge_names
-        self.access_links: dict[tuple[str, str], tuple["Link", "Link"]] = {}
         self.backhaul: dict[str, tuple["Link", "Link"]] = {}
         #: client name -> access technology ("wifi" | "lte"); handoffs
         #: re-create the same kind of link at the new edge.
@@ -481,8 +480,8 @@ class ClusterDeployment:
         return None
 
     def _add_access(self, client_name: str, edge_name: str,
-                    stream: str | None = None) -> tuple["Link", "Link"]:
-        """The access duplex client<->edge, built unless already held.
+                    stream: str | None = None) -> None:
+        """Attach the client to the edge, unless it is already attached.
 
         The link pair matches the client's configured access technology:
         a symmetric 802.11ac WiFi duplex, or an asymmetric LTE EPC pair
@@ -492,46 +491,28 @@ class ClusterDeployment:
         :meth:`_retire_access`), so a return to a past edge builds a
         fresh one; its link stream continues, being cached by name.
         """
-        key = (client_name, edge_name)
-        links = self.access_links.get(key)
-        if links is not None:
-            return links
+        leaf = self.topology.leaves.get(client_name)
+        if leaf is not None and edge_name in leaf.attachments:
+            return
         net = self.config.network
         impaired = self.spec.impairments
+        loss_rate = net.loss_rate if impaired else 0.0
         if self.client_access.get(client_name, "wifi") == "lte":
+            kind, jitter_ms = "lte", net.lte_jitter_ms
+            uplink, downlink = net.lte_uplink_mbps, net.lte_downlink_mbps
             # Radio hop plus EPC core, each in seconds before the sum.
             delay_s = (net.lte_radio_delay_ms / 1e3
                        + net.lte_core_delay_ms / 1e3)
-            jitter_s = net.lte_jitter_ms / 1e3 if impaired else 0.0
-            loss_rate = net.loss_rate if impaired else 0.0
-            rng = self._link_rng(jitter_s, loss_rate, stream
-                                 or f"net.lte.{client_name}.{edge_name}")
-            links = (
-                self.topology.add_link(
-                    client_name, edge_name, net.lte_uplink_mbps * 1e6,
-                    propagation_s=delay_s, jitter_s=jitter_s,
-                    loss_rate=loss_rate, rng=rng),
-                self.topology.add_link(
-                    edge_name, client_name, net.lte_downlink_mbps * 1e6,
-                    propagation_s=delay_s, jitter_s=jitter_s,
-                    loss_rate=loss_rate, rng=rng))
         else:
-            jitter_s = net.wifi_jitter_ms / 1e3 if impaired else 0.0
-            loss_rate = net.loss_rate if impaired else 0.0
-            links = self.topology.add_duplex(
-                client_name, edge_name, net.wifi_mbps * 1e6,
-                propagation_s=net.wifi_delay_ms / 1e3,
-                jitter_s=jitter_s, loss_rate=loss_rate,
-                rng=self._link_rng(jitter_s, loss_rate, stream
-                                   or f"net.wifi.{client_name}.{edge_name}"))
-        self.access_links[key] = links
-        # A client is an access endpoint, never metro transit — even
-        # while briefly dual-homed mid-handoff.  Marking it keeps every
-        # other host's cached routes alive across this client's
-        # attachment churn.
-        if not self.topology.is_terminal(client_name):
-            self.topology.mark_terminal(client_name)
-        return links
+            kind, jitter_ms = "wifi", net.wifi_jitter_ms
+            uplink = downlink = net.wifi_mbps
+            delay_s = net.wifi_delay_ms / 1e3
+        jitter_s = jitter_ms / 1e3 if impaired else 0.0
+        self.topology.attach(
+            client_name, edge_name, uplink * 1e6, downlink * 1e6,
+            propagation_s=delay_s, jitter_s=jitter_s, loss_rate=loss_rate,
+            rng=self._link_rng(jitter_s, loss_rate, stream
+                               or f"net.{kind}.{client_name}.{edge_name}"))
 
     # -- handoff -------------------------------------------------------------
 
@@ -576,9 +557,8 @@ class ClusterDeployment:
             yield client.drained()
         if client.edge_name == old_edge:
             return
-        if self.access_links.pop((client.name, old_edge), None) is not None:
-            self.topology.remove_link(client.name, old_edge)
-            self.topology.remove_link(old_edge, client.name)
+        if old_edge in self.topology.leaves[client.name].attachments:
+            self.topology.detach(client.name, old_edge)
 
     # -- background cross-traffic --------------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 
 # Each range check below is one chained comparison against ``math.inf``,
@@ -209,7 +210,13 @@ class CoICConfig:
     request_timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.edge_workers < 1 or self.cloud_workers < 1:
-            raise ValueError("worker counts must be >= 1")
+        # A worker count sizes a Resource, which admits while fewer
+        # than ``capacity`` hold it: 2.5 would serve as 3, inf as
+        # unbounded.
+        for name in ("edge_workers", "cloud_workers"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < 1):
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         if not 0 < self.request_timeout_s < math.inf:
             raise ValueError("request_timeout_s must be finite and > 0")

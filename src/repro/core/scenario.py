@@ -220,6 +220,11 @@ class EdgeSpec(_Spec):
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "edge name must be non-empty")
+        # A NaN position is nearest to no place: the first move would
+        # hand off to no edge.
+        for axis in ("x", "y"):
+            _require(math.isfinite(getattr(self, axis)),
+                     f"edge {axis} must be finite")
         object.__setattr__(self, "clients", tuple(self.clients))
         if self.peers is not None:
             object.__setattr__(self, "peers", tuple(self.peers))
@@ -307,7 +312,6 @@ class InterEdgeLinkSpec(_Spec):
     b: str
     mbps: float = 1000.0
     delay_ms: float = 2.0
-    stream: str = ""
 
     def __post_init__(self) -> None:
         _require(self.a != self.b, "inter-edge link endpoints must differ")
@@ -749,8 +753,7 @@ class ScenarioSpec(_Spec):
                 backhaul_stream=f"net.backhaul.{k}",
                 peers=tuple(n for n in names if n != name)))
         inter = tuple(InterEdgeLinkSpec(a=a, b=b, mbps=metro_mbps,
-                                        delay_ms=metro_delay_ms,
-                                        stream=f"net.metro.{a}.{b}")
+                                        delay_ms=metro_delay_ms)
                       for a, b in itertools.combinations(names, 2))
         return cls(edges=tuple(edges), inter_edge=inter, federate=federate,
                    impairments=False)

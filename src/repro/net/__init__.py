@@ -8,8 +8,9 @@ with a simulated equivalent:
   propagation delay, optional jitter and random loss; messages are
   serialized FIFO exactly like a NIC transmit queue.  Its rate can be
   re-set mid-run, as ``tc`` reshapes a backhaul.
-* :class:`~repro.net.topology.Topology` — named hosts joined by duplex
-  links, with latency-weighted shortest-path routing.
+* :class:`~repro.net.topology.Topology` — sites joined by links, with
+  clients attached as leaves, and latency-weighted shortest-path
+  routing.
 * :class:`~repro.net.transport.Rpc` — request/response messaging over a
   multi-hop store-and-forward path, with timeouts and retries.
 

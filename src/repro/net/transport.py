@@ -113,7 +113,7 @@ class Rpc:
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(msg)
         else:
-            self.topology.hosts[msg.dst].inbox.put(msg)
+            self.topology.host(msg.dst).inbox.put(msg)
         return msg
 
     # -- request/response ----------------------------------------------------

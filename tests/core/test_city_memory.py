@@ -16,16 +16,18 @@ from repro.core.cluster import ClusterDeployment
 from repro.core.scenario import MobilitySpec, ScenarioSpec
 
 #: Bytes the network layer (links, their stats and transmitters, the
-#: topology's hosts and maps) may keep per idle link: about 1 080 B on
-#: CPython 3.11, and 2 400 B while links, their stats and transmitters
-#: carried instance dicts, an empty wait queue and holder set, and a
-#: change hook closure each.
+#: topology's sites, leaves and maps) may keep per idle link: about
+#: 540 B on CPython 3.11; 1 084 B while every client was a host with
+#: five per-host routing maps, and 2 400 B while links, their stats and
+#: transmitters carried instance dicts, an empty wait queue and holder
+#: set, and a change hook closure each.
 LINK_BUDGET_B = 1600
 
-#: Marginal bytes a moving client may keep (its client, host, access
-#: pair, itinerary and replay process): about 4 300 B on CPython 3.11,
-#: and 8 100 B while the network layer was unslotted and the
-#: deployment kept the client's mobility stream.
+#: Marginal bytes a moving client may keep (its client, leaf, access
+#: pair, itinerary and replay process): about 2 990 B on CPython 3.11;
+#: 4 167 B while a client was a routed host held in the deployment's
+#: access-link map too, and 8 100 B while the network layer was
+#: unslotted and the deployment kept the client's mobility stream.
 CLIENT_BUDGET_B = 6000
 
 NETWORK_FILES = ("*/repro/net/*", "*/repro/sim/resources.py")

@@ -340,7 +340,7 @@ class TestDeferredLinkStreams:
         config = CoICConfig()
         config.network.wifi_jitter_ms = 2.0
         dep = ClusterDeployment(line_spec(), config=config)
-        uplink, _ = dep.access_links[("m0", "edge0")]
+        uplink, _ = dep.topology.leaves["m0"].attachments["edge0"]
         assert uplink.jitter_s == 0.002
         assert "net.wifi.m0.edge0" not in dep.rng._streams
         reference = Link(
@@ -388,11 +388,11 @@ class TestHandoff:
         assert (event.src_edge, event.dst_edge) == ("edge0", "edge2")
         assert event.completed_s == pytest.approx(0.1)
         # Old access duplex removed, new one up.
-        assert ("m0", "edge0") not in dep.access_links
+        assert "edge0" not in dep.topology.leaves["m0"].attachments
         for src, dst in (("m0", "edge0"), ("edge0", "m0")):
             with pytest.raises(KeyError):
                 dep.topology.link(src, dst)
-        new_up, new_down = dep.access_links[("m0", "edge2")]
+        new_up, new_down = dep.topology.leaves["m0"].attachments["edge2"]
         assert new_up.up and new_down.up
         assert new_up is dep.topology.link("m0", "edge2")
         assert new_down is dep.topology.link("edge2", "m0")
@@ -579,18 +579,18 @@ class TestMobility:
         dep = make_deployment(spec=metro_spec())
         drive_scenario(dep, 30.0, request_interval_s=2.0)
         assert dep.recorder.records and dep.handoff_log
-        hosts = dep.topology.hosts
+        host = dep.topology.host
         for name in dep.client_names:
-            assert "inbox" not in vars(hosts[name]), name
+            assert "inbox" not in vars(host(name)), name
         for name in dep.edge_names:
-            assert "inbox" in vars(hosts[name]), name
+            assert "inbox" in vars(host(name)), name
         # A one-way message to a client still lands: the first put
         # builds the inbox.
         client = dep.all_clients[0]
         note = Message(size_bytes=100, kind="note", src=client.edge_name,
                        dst=client.name)
         dep.env.run(until=dep.env.process(dep.rpc.send(note)))
-        assert hosts[client.name].inbox.items == [note]
+        assert host(client.name).inbox.items == [note]
 
 
 class TestWarmup:
@@ -631,13 +631,13 @@ class TestLteAccess:
     def test_lte_clients_get_asymmetric_epc_links(self, make_deployment):
         dep = make_deployment(spec=mixed_access_spec())
         net = dep.config.network
-        uplink, downlink = dep.access_links[("lte0", "edge0")]
+        uplink, downlink = dep.topology.leaves["lte0"].attachments["edge0"]
         assert uplink.bandwidth_bps == net.lte_uplink_mbps * 1e6
         assert downlink.bandwidth_bps == net.lte_downlink_mbps * 1e6
         # Radio + EPC core traversal, not the WiFi ~1 ms.
         expected = (net.lte_radio_delay_ms + net.lte_core_delay_ms) / 1e3
         assert uplink.propagation_s == pytest.approx(expected)
-        wifi_up, wifi_down = dep.access_links[("wifi0", "edge0")]
+        wifi_up, wifi_down = dep.topology.leaves["wifi0"].attachments["edge0"]
         assert wifi_up.bandwidth_bps == net.wifi_mbps * 1e6
 
     def test_lte_round_trip_is_slower_than_wifi(self, make_deployment):
@@ -658,7 +658,7 @@ class TestLteAccess:
         dep.env.run(until=dep.env.process(
             dep.handoff(client, "edge1", latency_s=0.1)))
         dep.env.run()
-        uplink, downlink = dep.access_links[("lte0", "edge1")]
+        uplink, downlink = dep.topology.leaves["lte0"].attachments["edge1"]
         net = dep.config.network
         assert uplink.bandwidth_bps == net.lte_uplink_mbps * 1e6
         assert downlink.bandwidth_bps == net.lte_downlink_mbps * 1e6
@@ -676,7 +676,7 @@ class TestLteAccess:
         spec = dataclasses.replace(mixed_access_spec(),
                                    impairments=impairments)
         dep = make_deployment(spec=spec, config=config)
-        uplink, downlink = dep.access_links[("lte0", "edge0")]
+        uplink, downlink = dep.topology.leaves["lte0"].attachments["edge0"]
         assert (uplink.bandwidth_bps, downlink.bandwidth_bps) == (12.5e6, 75e6)
         for link in (uplink, downlink):
             # radio/1e3 + core/1e3; the folded (radio + core)/1e3 is 0.051.
@@ -705,7 +705,7 @@ class TestLteAccess:
         spec = dataclasses.replace(mixed_access_spec(),
                                    impairments=impairments)
         dep = make_deployment(spec=spec, config=config)
-        uplink, downlink = dep.access_links[("wifi0", "edge0")]
+        uplink, downlink = dep.topology.leaves["wifi0"].attachments["edge0"]
         for link in (uplink, downlink):
             # A symmetric duplex at the configured 802.11ac rate.
             assert link.bandwidth_bps == 250e6

@@ -88,6 +88,20 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             load_spec(data)
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_edge_position_rejected(self, axis, value):
+        # A NaN position built: nearest_edge_name then returned None
+        # for every place, and the first move died on edge None.
+        with pytest.raises(ValueError, match=f"{axis} must be finite"):
+            EdgeSpec(name="e", **{axis: value})
+        with pytest.raises(ValueError, match=f"{axis} must be finite"):
+            EdgeSpec.from_dict({"name": "e", axis: value})
+        with pytest.raises(ValueError, match=f"{axis} must be finite"):
+            load_spec({"edges": [{"name": "e0"},
+                                 {"name": "e1", axis: value}]})
+
     @pytest.mark.parametrize("cls, data, field", [
         (MobilitySpec, {"n_places": 2.5}, "n_places"),
         (MobilitySpec, {"n_places": math.inf}, "n_places"),
@@ -166,7 +180,14 @@ class TestBuilders:
         assert spec.edges[1].peers == ("edge0", "edge2")
         # Full metro mesh: C(3, 2) duplex links.
         assert len(spec.inter_edge) == 3
-        assert spec.inter_edge[0].stream == "net.metro.edge0.edge1"
+        assert (spec.inter_edge[0].a, spec.inter_edge[0].b) == (
+            "edge0", "edge1")
+        # An inter-edge link never draws (no jitter, no loss), so a spec
+        # cannot name a stream for it.
+        with pytest.raises(ValueError, match="unknown key 'stream'"):
+            InterEdgeLinkSpec.from_dict(
+                {"a": "edge0", "b": "edge1",
+                 "stream": "net.metro.edge0.edge1"})
         assert spec.federate
         assert not spec.impairments
 

@@ -1,5 +1,6 @@
 """Unit tests for repro.core.tasks, config and metrics."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import (
@@ -130,6 +131,16 @@ class TestConfig:
     def test_worker_validation(self):
         with pytest.raises(ValueError):
             CoICConfig(edge_workers=0)
+
+    @pytest.mark.parametrize("field", ["edge_workers", "cloud_workers"])
+    @pytest.mark.parametrize("value", [True, 2.5, 3.0, float("inf"), NAN],
+                             ids=["bool", "fraction", "float", "inf", "nan"])
+    def test_worker_count_is_a_whole_int(self, field, value):
+        # A Resource admits while fewer than ``capacity`` hold it, so
+        # 2.5 workers used to serve as 3 and inf as unbounded.
+        with pytest.raises(ValueError, match=field):
+            CoICConfig(**{field: value})
+        assert getattr(CoICConfig(**{field: np.int64(2)}), field) == 2
 
 
 class TestConfigRejectsNonFinite:

@@ -63,14 +63,12 @@ class TestRemoveLink:
         assert not stale.up
         assert len(topo.links()) == 5
         assert topo.shortest_path("a", "b") == ["a", "c", "b"]
-        views = (dict(topo._up_adj["a"]), dict(topo._transit_adj["a"]),
-                 dict(topo._up_radj["b"]))
-        routes = dict(topo._route_cache)
+        views = dict(topo._adj["a"])
+        routes = dict(topo._routes)
         stale.set_up(True)
         stale.set_bandwidth(1e9)
-        assert (topo._up_adj["a"], topo._transit_adj["a"],
-                topo._up_radj["b"]) == views
-        assert topo._route_cache == routes
+        assert topo._adj["a"] == views
+        assert topo._routes == routes
         assert topo.shortest_path("a", "b") == ["a", "c", "b"]
 
     def test_removed_pair_can_be_added_afresh(self, topo):
@@ -143,7 +141,7 @@ class TestRouting:
         assert topo.shortest_path("a", "b") == ["a", "b"]
 
     def test_down_interior_link_reroutes(self, topo):
-        """A mid-path link going down leaves no stale transit entry."""
+        """A mid-path link going down leaves no stale cached route."""
         for a, b in (("a", "b"), ("b", "c"), ("c", "d")):
             topo.add_duplex(a, b, 1e9, propagation_s=0.001)
         topo.add_duplex("b", "e", 1e8, propagation_s=0.005)
@@ -183,73 +181,139 @@ class TestRouting:
         assert topo.neighbors("a") == ["b"]
 
 
-class TestTerminalHosts:
-    def test_terminal_host_never_transits(self, topo):
+class TestLeaves:
+    def test_attach_builds_the_access_pair(self, topo):
+        up, down = topo.attach("phone", "edge", 5e6, 20e6,
+                               propagation_s=0.01)
+        assert (up.name, down.name) == ("phone->edge", "edge->phone")
+        assert (up.bandwidth_bps, down.bandwidth_bps) == (5e6, 20e6)
+        assert up.propagation_s == down.propagation_s == 0.01
+        assert topo.link("phone", "edge") is up
+        assert topo.link("edge", "phone") is down
+        assert set(topo.links()) == {up, down}
+        assert topo.neighbors("phone") == ["edge"]
+        assert topo.neighbors("edge") == ["phone"]
+        assert list(topo.hosts) == ["edge"]
+        assert topo.leaves["phone"].attachments == {"edge": (up, down)}
+        assert topo.host("phone") is topo.leaves["phone"]
+
+    def test_leaf_and_site_names_do_not_mix(self, topo):
+        topo.add_duplex("edgeA", "edgeB", 1e6)
+        topo.attach("phone", "edgeA", 1e8, 1e8)
+        with pytest.raises(ValueError, match="is a leaf"):
+            topo.add_link("phone", "edgeB", 1e6)
+        with pytest.raises(ValueError, match="is a leaf"):
+            topo.add_duplex("edgeB", "phone", 1e6)
+        with pytest.raises(ValueError, match="is a leaf"):
+            topo.attach("other", "phone", 1e8, 1e8)
+        with pytest.raises(ValueError, match="is a site"):
+            topo.attach("edgeB", "edgeA", 1e8, 1e8)
+        with pytest.raises(ValueError, match="already attached"):
+            topo.attach("phone", "edgeA", 1e8, 1e8)
+        with pytest.raises(KeyError):
+            topo.remove_link("phone", "edgeA")
+        with pytest.raises(KeyError):
+            topo.detach("phone", "edgeB")
+        with pytest.raises(KeyError):
+            topo.detach("ghost", "edgeA")
+        assert "other" not in topo.leaves and "phone" not in topo.hosts
+
+    def test_leaf_never_transits(self, topo):
         # Dual-homed phone between two edges: the two fast hops through
-        # it would beat the slow metro link, but a terminal host may
-        # only start or end routes.
+        # it would beat the slow metro link, but a leaf may only start
+        # or end routes.
         topo.add_duplex("edgeA", "edgeB", 1e6, propagation_s=0.5)
-        topo.add_duplex("phone", "edgeA", 1e9, propagation_s=0.001)
-        topo.add_duplex("phone", "edgeB", 1e9, propagation_s=0.001)
-        assert topo.shortest_path("edgeA", "edgeB") == [
-            "edgeA", "phone", "edgeB"]
-        topo.mark_terminal("phone")
+        topo.attach("phone", "edgeA", 1e9, 1e9, propagation_s=0.001)
+        topo.attach("phone", "edgeB", 1e9, 1e9, propagation_s=0.001)
         assert topo.shortest_path("edgeA", "edgeB") == ["edgeA", "edgeB"]
         # Routes from/to the phone itself still work.
         assert topo.shortest_path("phone", "edgeB") == ["phone", "edgeB"]
         assert topo.shortest_path("edgeA", "phone") == ["edgeA", "phone"]
 
-    def test_forced_hop_through_terminal_is_no_route(self, topo):
-        # The only way out of "a" (and into "c") is the phone: a forced
-        # hop, but still not one a route may take.
-        topo.add_link("a", "phone", 1e9)
-        topo.add_link("phone", "c", 1e9)
-        topo.mark_terminal("phone")
+    def test_hop_through_a_leaf_is_no_route(self, topo):
+        # The only way from "a" to "c" is the phone: still not one a
+        # route may take.
+        topo.attach("phone", "a", 1e9, 1e9)
+        topo.attach("phone", "c", 1e9, 1e9)
         with pytest.raises(NoRouteError):
             topo.shortest_path("a", "c")
         assert topo.shortest_path("a", "phone") == ["a", "phone"]
         assert topo.shortest_path("phone", "c") == ["phone", "c"]
 
-    def test_unmark_restores_transit(self, topo):
-        topo.add_duplex("edgeA", "edgeB", 1e6, propagation_s=0.5)
-        topo.add_duplex("phone", "edgeA", 1e9, propagation_s=0.001)
-        topo.add_duplex("phone", "edgeB", 1e9, propagation_s=0.001)
-        topo.mark_terminal("phone")
-        topo.mark_terminal("phone", False)
-        assert not topo.is_terminal("phone")
-        assert topo.shortest_path("edgeA", "edgeB") == [
-            "edgeA", "phone", "edgeB"]
-
-    def test_unknown_host_rejected(self, topo):
-        with pytest.raises(KeyError):
-            topo.mark_terminal("ghost")
-
-    def test_terminal_link_change_keeps_other_routes_cached(self, topo):
-        # A terminal host's access-link churn must only invalidate its
-        # own routes; the interior route survives in the cache.
-        topo.add_duplex("edgeA", "edgeB", 1e6, propagation_s=0.002)
-        up, down = topo.add_duplex("phone", "edgeA", 1e8)
-        topo.mark_terminal("phone")
-        topo.shortest_path("edgeA", "edgeB")
-        topo.shortest_path("phone", "edgeB")
-        assert ("edgeA", "edgeB") in topo._route_cache
+    def test_down_access_link_is_no_route(self, topo):
+        topo.add_duplex("edgeA", "edgeB", 1e6)
+        up, down = topo.attach("phone", "edgeA", 1e8, 1e8)
         up.set_up(False)
-        assert ("edgeA", "edgeB") in topo._route_cache
-        assert ("phone", "edgeB") not in topo._route_cache
-        # A metro-link change still flushes everything.
-        topo.link("edgeA", "edgeB").set_bandwidth(2e6)
-        assert topo._route_cache == {}
+        with pytest.raises(NoRouteError):
+            topo.shortest_path("phone", "edgeB")
+        assert topo.shortest_path("edgeB", "phone") == [
+            "edgeB", "edgeA", "phone"]
+        down.set_up(False)
+        with pytest.raises(NoRouteError):
+            topo.shortest_path("edgeB", "phone")
+        up.set_up(True)
+        assert topo.shortest_path("phone", "edgeB") == [
+            "phone", "edgeA", "edgeB"]
 
-    def test_routes_correct_after_terminal_handoff(self, topo):
+    def test_leaf_churn_keeps_the_site_route_cached(self, topo):
+        # Nothing a leaf does can change a site route: attach, detach,
+        # dual-homed routes and access-link changes keep the cached
+        # (edgeA, edgeB) entry; a backhaul rate change drops it.
+        topo.add_duplex("edgeA", "edgeB", 1e6, propagation_s=0.002)
+        backhaul = topo.add_duplex("edgeB", "cloud", 1e7)
+        up, down = topo.attach("phone", "edgeA", 1e8, 1e8)
+        assert topo.shortest_path("phone", "edgeB") == [
+            "phone", "edgeA", "edgeB"]
+        route = topo._routes[("edgeA", "edgeB")]
+        up.set_bandwidth(1e6)
+        down.set_up(False)
+        down.set_up(True)
+        topo.attach("phone", "edgeB", 1e8, 1e8)
+        assert topo.shortest_path("phone", "cloud") == [
+            "phone", "edgeB", "cloud"]
+        assert topo.shortest_path("cloud", "phone") == [
+            "cloud", "edgeB", "phone"]
+        topo.detach("phone", "edgeB")
+        topo.attach("tablet", "edgeB", 1e8, 1e8)
+        assert topo.shortest_path("phone", "tablet") == [
+            "phone", "edgeA", "edgeB", "tablet"]
+        assert topo._routes[("edgeA", "edgeB")] is route
+        backhaul[0].set_bandwidth(2e7)
+        assert ("edgeA", "edgeB") not in topo._routes
+
+    def test_dual_homed_leaf_takes_the_first_named_of_equal_routes(
+            self, topo):
+        # From the cloud over two equal-cost backhauls, with equal
+        # access pairs, the tie goes to the lower-named site, whatever
+        # the order the phone attached in — as when a phone was a host
+        # on plain duplex links.
+        for edge in ("edgeB", "edgeA"):
+            topo.add_duplex(edge, "cloud", 1e7, propagation_s=0.005)
+        topo.attach("phone", "edgeB", 1e8, 1e8, propagation_s=0.001)
+        topo.attach("phone", "edgeA", 1e8, 1e8, propagation_s=0.001)
+        assert topo.shortest_path("cloud", "phone") == [
+            "cloud", "edgeA", "phone"]
+        assert topo.shortest_path("phone", "cloud") == [
+            "phone", "edgeA", "cloud"]
+
+    def test_routes_correct_after_handoff(self, topo):
         # Make-before-break: attach to edgeB, tear down edgeA, and the
         # phone's fresh routes go via the new attachment.
         topo.add_duplex("edgeA", "edgeB", 1e6, propagation_s=0.002)
-        old = topo.add_duplex("phone", "edgeA", 1e8)
-        topo.mark_terminal("phone")
+        topo.attach("phone", "edgeA", 1e8, 1e8)
         assert topo.shortest_path("phone", "edgeB") == [
             "phone", "edgeA", "edgeB"]
-        topo.add_duplex("phone", "edgeB", 1e8)
-        for link in old:
-            link.set_up(False)
+        topo.attach("phone", "edgeB", 1e8, 1e8)
+        old = topo.detach("phone", "edgeA")
+        assert not any(link.up for link in old)
         assert topo.shortest_path("phone", "edgeB") == ["phone", "edgeB"]
         assert topo.shortest_path("edgeB", "phone") == ["edgeB", "phone"]
+        assert topo.shortest_path("phone", "edgeA") == [
+            "phone", "edgeB", "edgeA"]
+        # The detached handles are inert.
+        for link in old:
+            link.set_up(True)
+        assert topo.shortest_path("phone", "edgeA") == [
+            "phone", "edgeB", "edgeA"]
+        with pytest.raises(KeyError):
+            topo.link("phone", "edgeA")

@@ -6,8 +6,8 @@ issuing stops and the deployment drains.  Whatever the churn did on the
 way, the end state must balance: every issued request has a terminal
 record, nothing is in flight, each client holds exactly one access
 duplex, up and to its current edge, the topology holds only those plus
-the spec's backhaul and inter-edge links, and the maintained transit
-view equals the one derived from scratch.  A drawn-seed property checks
+the spec's backhaul and inter-edge links, and the site views equal the
+ones derived from scratch.  A drawn-seed property checks
 the same on a 2x2 grid with short dwells, and a ping-pong case hands a
 client back before its first drain ends.
 """
@@ -25,7 +25,7 @@ from repro.core.scenario import (
     ScenarioSpec,
 )
 
-from test_net_properties import assert_transit_is_live
+from test_net_properties import assert_site_views_are_live
 
 HORIZON_S = 60.0
 INTERVAL_S = 2.0
@@ -81,18 +81,20 @@ def run_city(dep: ClusterDeployment, horizon_s: float, seed: int) -> int:
 def assert_quiescent(dep: ClusterDeployment, issued: int) -> None:
     """Every request ended and only the live set of links is left."""
     assert issued == len(dep.recorder.records)
-    assert set(dep.access_links) == {(c.name, c.edge_name)
-                                     for c in dep.all_clients}
+    leaves = dep.topology.leaves
+    assert {(name, site) for name, leaf in leaves.items()
+            for site in leaf.attachments} == {(c.name, c.edge_name)
+                                              for c in dep.all_clients}
     for client in dep.all_clients:
         assert client.inflight == 0, client.name
-        pair = dep.access_links[(client.name, client.edge_name)]
+        pair = leaves[client.name].attachments[client.edge_name]
         assert all(link.up for link in pair), client.name
         assert pair == (dep.topology.link(client.name, client.edge_name),
                         dep.topology.link(client.edge_name, client.name))
     spec = dep.spec
     assert len(dep.topology.links()) == 2 * (
         len(dep.all_clients) + len(spec.edges) + len(spec.inter_edge))
-    assert_transit_is_live(dep.topology)
+    assert_site_views_are_live(dep.topology)
 
 
 def test_city_handoffs_conserve_requests_and_links():
@@ -124,7 +126,8 @@ def test_ping_pong_keeps_the_held_duplex():
     client = dep.all_clients[0]
     home = client.edge_name
     away = next(name for name in dep.edge_names if name != home)
-    pair = dep.access_links[(client.name, home)]
+    attachments = dep.topology.leaves[client.name].attachments
+    pair = attachments[home]
     request = dep.env.process(client.perform(dep.recognition_task(1)))
     bounced = []
 
@@ -140,8 +143,7 @@ def test_ping_pong_keeps_the_held_duplex():
     assert bounced == [1]  # both handoffs ended before the first drain
     assert dep.recorder.records[0].outcome in ("hit", "miss")
     assert client.edge_name == home
-    assert [(key, links) for key, links in dep.access_links.items()
-            if key[0] == client.name] == [((client.name, home), pair)]
+    assert attachments == {home: pair}
     assert all(link.up for link in pair)
     with pytest.raises(KeyError):
         dep.topology.link(client.name, away)

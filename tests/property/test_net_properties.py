@@ -68,15 +68,16 @@ def test_path_latency_is_sum_of_hops(hops, size):
     assert total == pytest.approx(hops * per_hop)
 
 
-def _reference_route_cost(topo, src, dst):
-    """Plain Dijkstra over up links; terminal hosts are never interior."""
+def _reference_costs(topo, src):
+    """Plain Dijkstra over every up link from ``src``; a leaf is never
+    interior.  Returns the cost to each reachable host."""
     dist, frontier, done = {src: 0.0}, [(0.0, src)], set()
     while frontier:
         d, here = heapq.heappop(frontier)
         if here in done:
             continue
         done.add(here)
-        if here != src and topo.is_terminal(here):
+        if here != src and here in topo.leaves:
             continue
         for nxt in topo.neighbors(here):
             nd = d + topo.link(here, nxt).one_way_delay(
@@ -84,74 +85,79 @@ def _reference_route_cost(topo, src, dst):
             if nd < dist.get(nxt, float("inf")):
                 dist[nxt] = nd
                 heapq.heappush(frontier, (nd, nxt))
-    return dist.get(dst)
+    return dist
 
 
-def reference_transit(topo):
-    """The transit view derived from scratch: p's entry for n is the up
-    link p->n iff n is not terminal and has an up out-link other than
-    straight back to p."""
-    up = {a: set(topo.neighbors(a)) for a in topo.hosts}
-    return {p: {n: topo.link(p, n) for n in up[p]
-                if not topo.is_terminal(n) and up[n] - {p}}
-            for p in topo.hosts}
+def assert_site_views_are_live(topo):
+    """The site map holds sites only and, for each, its live site links
+    (up or down), derived from scratch from ``links()``; every cached
+    site route is what a fresh search finds; and each leaf holds its
+    attachments and no site map entry."""
+    named = {link.name: link for link in topo.links()}
+    expected = {a: {} for a in topo.hosts}
+    for a in topo.hosts:
+        for b in topo.hosts:
+            if f"{a}->{b}" in named:
+                expected[a][b] = named[f"{a}->{b}"]
+    assert topo._adj == expected
+    assert not set(topo.leaves) & set(topo.hosts)
+    for (a, b), route in topo._routes.items():
+        assert a in topo.hosts and b in topo.hosts
+        assert route == topo._dijkstra(a, b)
+    for name, leaf in topo.leaves.items():
+        for site, (up, down) in leaf.attachments.items():
+            assert site in topo.hosts
+            assert named[f"{name}->{site}"] is up
+            assert named[f"{site}->{name}"] is down
 
 
-def assert_transit_is_live(topo):
-    """``_transit_adj`` equals :func:`reference_transit` and holds the
-    live ``Link`` objects themselves."""
-    expected = reference_transit(topo)
-    assert topo._transit_adj == expected
-    for p, view in topo._transit_adj.items():
-        for n, link in view.items():
-            assert link is topo.link(p, n)
-
-
-#: Hosts h0..h6 take every op; h0 is also a hub with a fixed fan of
-#: spokes (half of them terminal, like attached clients), so a change on
-#: h0 has many in-neighbours whose views it must leave alone.
-_N_HOSTS, _N_SPOKES = 7, 8
+#: Sites h0..h6 take every site op; h0 is also a hub with a fixed fan
+#: of site spokes, so a change on h0 has many in-neighbours.  Leaves
+#: l0..l3 start on h0, h0, h1 and h2 and attach, detach and re-weight
+#: all run long, dual-homed (or cut off) included.
+_N_HOSTS, _N_SPOKES, _N_LEAVES = 7, 4, 4
 _HOST = st.integers(min_value=0, max_value=_N_HOSTS - 1)
-_ANY_HOST = st.integers(min_value=0, max_value=_N_HOSTS + _N_SPOKES - 1)
+_LEAF = st.integers(min_value=0, max_value=_N_LEAVES - 1)
+_RATE = st.sampled_from([1e6, 1e7, 1e8])
 _CHURN = st.lists(st.one_of(
-    st.tuples(st.just("add"), _HOST, _HOST,
-              st.sampled_from([1e6, 1e7, 1e8]),
+    st.tuples(st.just("add"), _HOST, _HOST, _RATE,
               st.sampled_from([0.0, 0.001, 0.01])),
     st.tuples(st.just("up"), st.integers(min_value=0), st.booleans()),
     st.tuples(st.just("repeat"), st.integers(min_value=0), st.booleans()),
-    st.tuples(st.just("rate"), st.integers(min_value=0),
-              st.sampled_from([1e6, 1e7, 1e8])),
-    st.tuples(st.just("terminal"), _ANY_HOST, st.booleans()),
-    st.tuples(st.just("remark"), _ANY_HOST),
+    st.tuples(st.just("rate"), st.integers(min_value=0), _RATE),
     st.tuples(st.just("remove"), st.integers(min_value=0)),
     st.tuples(st.just("readd"), st.integers(min_value=0)),
+    st.tuples(st.just("attach"), _LEAF, _HOST, _RATE, _RATE),
+    st.tuples(st.just("detach"), _LEAF, st.integers(min_value=0)),
 ), min_size=1, max_size=30)
 
 
 @given(ops=_CHURN)
 @settings(max_examples=200, deadline=None)
 def test_routes_match_reference_under_churn(ops):
-    """After every topology change the transit view equals the one derived
-    from scratch, and every route is a cheapest path over live links.
+    """After every topology change the site views equal the ones derived
+    from scratch, and every route is a cheapest path over live links
+    with no leaf inside.
 
-    ``links`` keeps every link ever made, removed ones included, so the
-    admin and rate ops also hit stale handles, which must change nothing.
+    ``links`` keeps every link ever made, removed and detached ones
+    included, so the admin and rate ops also hit stale handles, which
+    must change nothing.
     """
     topo = Topology(Environment())
     names = [f"h{i}" for i in range(_N_HOSTS)]
     spokes = [f"s{i}" for i in range(_N_SPOKES)]
-    everyone = names + spokes
+    leaves = [f"l{i}" for i in range(_N_LEAVES)]
     for name in names:
         topo.add_host(name)
     links = []
-    for k, spoke in enumerate(spokes):
+    for spoke in spokes:
         links.extend(topo.add_duplex(names[0], spoke, 1e7,
                                      propagation_s=0.001))
-        if k % 2:
-            topo.mark_terminal(spoke)
+    for leaf, site in zip(leaves, ("h0", "h0", "h1", "h2")):
+        links.extend(topo.attach(leaf, site, 1e7, 1e8, propagation_s=0.001))
     live = {link.name: link for link in links}
     removed: list[tuple[str, str, float, float]] = []
-    assert_transit_is_live(topo)
+    assert_site_views_are_live(topo)
 
     def add(a, b, bandwidth, propagation):
         if f"{a}->{b}" in live:
@@ -169,9 +175,12 @@ def test_routes_match_reference_under_churn(ops):
                 continue
             add(a, b, op[3], op[4])
         elif op[0] == "remove":
-            if not live:
+            sited = [l for l in live.values()
+                     if l.name.split("->")[0] in topo.hosts
+                     and l.name.split("->")[1] in topo.hosts]
+            if not sited:
                 continue
-            link = list(live.values())[op[1] % len(live)]
+            link = sited[op[1] % len(sited)]
             a, b = link.name.split("->")
             assert topo.remove_link(a, b) is link
             del live[link.name]
@@ -180,11 +189,24 @@ def test_routes_match_reference_under_churn(ops):
             if not removed:
                 continue
             add(*removed.pop(op[1] % len(removed)))
-        elif op[0] == "terminal":
-            topo.mark_terminal(everyone[op[1]], op[2])
-        elif op[0] == "remark":
-            topo.mark_terminal(everyone[op[1]], False)
-            topo.mark_terminal(everyone[op[1]], True)
+        elif op[0] == "attach":
+            leaf, site = leaves[op[1]], names[op[2]]
+            if f"{leaf}->{site}" in live:
+                with pytest.raises(ValueError, match="already attached"):
+                    topo.attach(leaf, site, op[3], op[4])
+                continue
+            pair = topo.attach(leaf, site, op[3], op[4],
+                               propagation_s=0.001)
+            links.extend(pair)
+            live.update((link.name, link) for link in pair)
+        elif op[0] == "detach":
+            held = list(topo.leaves[leaves[op[1]]].attachments)
+            if not held:
+                continue
+            site = held[op[2] % len(held)]
+            for link in topo.detach(leaves[op[1]], site):
+                assert not link.up
+                del live[link.name]
         elif op[0] in ("up", "repeat"):
             # "repeat" re-sends the same admin state: a no-op transition.
             for _ in range(1 if op[0] == "up" else 2):
@@ -193,24 +215,21 @@ def test_routes_match_reference_under_churn(ops):
             links[op[1] % len(links)].set_bandwidth(op[2])
 
         assert {link.name: link for link in topo.links()} == live
-        up = {a: {b: topo.link(a, b) for b in topo.neighbors(a)}
-              for a in everyone}
-        assert topo._up_adj == up
-        assert_transit_is_live(topo)
-        # Routes among the core hosts and two spokes (one terminal).
-        for src in names + spokes[:2]:
-            for dst in names + spokes[:2]:
+        assert_site_views_are_live(topo)
+        ends = names + spokes[:1] + leaves
+        for src in ends:
+            costs = _reference_costs(topo, src)
+            for dst in ends:
                 if src == dst:
                     continue
-                cost = _reference_route_cost(topo, src, dst)
-                if cost is None:
+                if dst not in costs:
                     with pytest.raises(NoRouteError):
                         topo.shortest_path(src, dst)
                     continue
                 path = topo.shortest_path(src, dst)
                 assert path[0] == src and path[-1] == dst
-                assert not any(map(topo.is_terminal, path[1:-1]))
+                assert not set(path[1:-1]) & set(leaves)
                 hops = topo.path_links(src, dst)
                 assert all(link.up for link in hops)
                 assert sum(link.one_way_delay(Topology.ROUTE_PROBE_BYTES)
-                           for link in hops) == pytest.approx(cost)
+                           for link in hops) == pytest.approx(costs[dst])

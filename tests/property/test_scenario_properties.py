@@ -80,7 +80,7 @@ operators = st.builds(
 
 links = st.builds(
     InterEdgeLinkSpec, a=st.just("a"), b=names.filter(lambda n: n != "a"),
-    mbps=positive, delay_ms=non_negative, stream=streams)
+    mbps=positive, delay_ms=non_negative)
 
 
 @st.composite
