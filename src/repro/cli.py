@@ -101,8 +101,12 @@ def cmd_demo(args: argparse.Namespace) -> int:
     from repro.core import ClusterDeployment, CoICConfig, ScenarioSpec
 
     config = CoICConfig(seed=args.seed or 0)
-    config.network.wifi_mbps = args.wifi
-    config.network.backhaul_mbps = args.backhaul
+    try:
+        config.network.wifi_mbps = args.wifi
+        config.network.backhaul_mbps = args.backhaul
+    except ValueError as exc:
+        print(f"bad option: {exc}", file=sys.stderr)
+        return 2
     config.recognition.speculative_forward = True
     deployment = ClusterDeployment(ScenarioSpec.single_edge(2), config=config)
 
@@ -127,6 +131,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def cmd_scenario(args: argparse.Namespace) -> int:
     from repro.core import CoICConfig
     from repro.core.cluster import ClusterDeployment
+    from repro.core.config import NonNegative, Positive, check
     from repro.core.scenario import load_spec
     from repro.eval.experiments.mobility_exp import drive_scenario
 
@@ -136,10 +141,17 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         print(f"bad scenario spec: {exc}", file=sys.stderr)
         return 2
     config = CoICConfig(seed=args.seed or 0)
-    if args.wifi is not None:
-        config.network.wifi_mbps = args.wifi
-    if args.backhaul is not None:
-        config.network.backhaul_mbps = args.backhaul
+    try:
+        if args.wifi is not None:
+            config.network.wifi_mbps = args.wifi
+        if args.backhaul is not None:
+            config.network.backhaul_mbps = args.backhaul
+        if args.duration is not None:
+            check(Positive, args.duration, "--duration")
+        check(NonNegative, args.interval, "--interval")
+    except ValueError as exc:
+        print(f"bad option: {exc}", file=sys.stderr)
+        return 2
     backend = args.backend or spec.backend
     if backend == "real":
         return _run_real_scenario(spec, config, args)

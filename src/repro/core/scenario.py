@@ -38,12 +38,25 @@ constructors the golden digests were captured on.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
-import numbers
 import types
 import typing
+from typing import Annotated, Literal
+
+from repro.core.config import (
+    Count,
+    Declared,
+    Finite,
+    Name,
+    Natural,
+    NonNegative,
+    Positive,
+    Probability,
+    Unbounded,
+    _checks,
+    check,
+)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -55,7 +68,9 @@ def _require(condition: bool, message: str) -> None:
 #
 # One field-driven pair of functions serializes every spec class: the
 # dataclass fields name the keys and supply the defaults, the field
-# annotations say how to rebuild each value.
+# annotations say how to reshape each value.  What a value may be is
+# the constructor's check (``Declared``), the same for a dict as for a
+# direct call.
 
 
 def _encode(value: typing.Any) -> typing.Any:
@@ -69,48 +84,34 @@ def _encode(value: typing.Any) -> typing.Any:
 
 
 def _decode(annotation: typing.Any, value: typing.Any) -> typing.Any:
-    """Plain JSON ``value`` as the field type ``annotation`` describes."""
+    """Plain JSON ``value`` reshaped as the field type ``annotation``
+    describes: lists become tuples, mappings nested specs, an integral
+    float an int and an int a float.  Anything else passes as it is."""
     origin = typing.get_origin(annotation)
     args = typing.get_args(annotation)
+    if value is None:
+        return None
+    if origin is Annotated:
+        return _decode(args[0], value)
     if origin in (typing.Union, types.UnionType):
-        if value is None and type(None) in args:
-            return None
         (inner,) = (a for a in args if a is not type(None))
         return _decode(inner, value)
-    _require(value is not None, "must not be null")
     if origin is tuple:
-        _require(isinstance(value, (list, tuple)),
-                 f"expected a list, got {value!r}")
-        if args[-1] is Ellipsis:
-            return tuple(_decode(args[0], item) for item in value)
-        _require(len(value) == len(args), f"expected {len(args)} items")
-        return tuple(_decode(a, item) for a, item in zip(args, value))
+        if isinstance(value, (list, tuple)):
+            kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+            if len(kinds) == len(value):
+                return tuple(map(_decode, kinds, value))
+        return value
     if isinstance(annotation, type) and issubclass(annotation, _Spec):
         return annotation.from_dict(value)
-    if annotation is int:
-        return _integer(value)
-    if annotation is float:
-        _require(isinstance(value, numbers.Real)
-                 and not isinstance(value, bool),
-                 f"expected a number, got {value!r}")
+    if annotation is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if annotation is float and type(value) is int:
         return float(value)
-    # bool and str: the JSON type must match, so "no" is not a truthy
-    # switch and 0.5 not a flag.
-    _require(isinstance(value, annotation),
-             f"expected a {annotation.__name__}, got {value!r}")
     return value
 
 
-def _integer(value: typing.Any) -> int:
-    """``value`` as an ``int``: a bool, a non-finite number or a
-    fraction raises."""
-    _require(isinstance(value, numbers.Real) and not isinstance(value, bool)
-             and math.isfinite(value) and value == int(value),
-             f"expected an integer, got {value!r}")
-    return int(value)
-
-
-class _Spec:
+class _Spec(Declared):
     """Dict serialization shared by every spec dataclass."""
 
     def to_dict(self) -> dict:
@@ -122,22 +123,21 @@ class _Spec:
         """Rebuild from :meth:`to_dict` output; omitted keys default.
 
         Spec files come from outside the program: an unknown key, a
-        missing required key or a null where none is allowed raises
-        ``ValueError`` naming the key and the spec class.
+        missing required key or a value outside its field's domain
+        raises ``ValueError`` naming the key and the spec class.
         """
         _require(isinstance(data, dict),
                  f"{cls.__name__}: expected a mapping, got {data!r}")
-        annotations = _annotations(cls)
+        fields = _checks(cls)
         for key in data:
-            _require(key in annotations,
-                     f"{cls.__name__}: unknown key {key!r}")
+            _require(key in fields, f"{cls.__name__}: unknown key {key!r}")
         kwargs = {}
         for field in dataclasses.fields(cls):
             if field.name in data:
                 try:
-                    kwargs[field.name] = _decode(annotations[field.name],
+                    kwargs[field.name] = _decode(fields[field.name][1],
                                                  data[field.name])
-                except (TypeError, ValueError) as exc:
+                except ValueError as exc:
                     raise ValueError(
                         f"{cls.__name__}.{field.name}: {exc}") from exc
             else:
@@ -145,11 +145,6 @@ class _Spec:
                          f"{cls.__name__}: missing required key "
                          f"{field.name!r}")
         return cls(**kwargs)
-
-
-@functools.cache
-def _annotations(cls: type) -> dict[str, typing.Any]:
-    return typing.get_type_hints(cls)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,14 +162,9 @@ class ClientSpec(_Spec):
             draws.  Empty selects ``net.wifi.<name>``.
     """
 
-    name: str
-    access: str = "wifi"
+    name: Name
+    access: Literal["wifi", "lte"] = "wifi"
     wifi_stream: str = ""
-
-    def __post_init__(self) -> None:
-        _require(bool(self.name), "client name must be non-empty")
-        _require(self.access in ("wifi", "lte"),
-                 f"access must be 'wifi' or 'lte', got {self.access!r}")
 
     @classmethod
     def from_dict(cls, data: "dict | str") -> "ClientSpec":
@@ -209,28 +199,16 @@ class EdgeSpec(_Spec):
             :class:`~repro.core.market.FederationBroker`.
     """
 
-    name: str
+    name: Name
     clients: tuple[ClientSpec, ...] = ()
-    x: float = 0.0
-    y: float = 0.0
+    #: A NaN position is nearest to no place: the first move would hand
+    #: off to no edge.
+    x: Finite = 0.0
+    y: Finite = 0.0
     backhaul_stream: str = ""
     peers: tuple[str, ...] | None = None
-    cache_mb: float | None = None
+    cache_mb: Positive | None = None
     operator: str = ""
-
-    def __post_init__(self) -> None:
-        _require(bool(self.name), "edge name must be non-empty")
-        # A NaN position is nearest to no place: the first move would
-        # hand off to no edge.
-        for axis in ("x", "y"):
-            _require(math.isfinite(getattr(self, axis)),
-                     f"edge {axis} must be finite")
-        object.__setattr__(self, "clients", tuple(self.clients))
-        if self.peers is not None:
-            object.__setattr__(self, "peers", tuple(self.peers))
-        if self.cache_mb is not None:
-            _require(0 < self.cache_mb < math.inf,
-                     "cache_mb must be finite and > 0")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -259,29 +237,18 @@ class OperatorSpec(_Spec):
             overriding the floor price for specific consumers.
     """
 
-    name: str
-    price: float = 0.0
-    budget: float | None = None
+    name: Name
+    price: Unbounded = 0.0
+    budget: Unbounded | None = None
     allow: tuple[str, ...] | None = None
     deny: tuple[str, ...] = ()
-    agreements: tuple[tuple[str, float], ...] = ()
+    agreements: tuple[tuple[str, Unbounded], ...] = ()
 
     def __post_init__(self) -> None:
-        _require(bool(self.name), "operator name must be non-empty")
-        _require(self.price >= 0, "operator price must be >= 0")
-        if self.budget is not None:
-            _require(self.budget >= 0, "operator budget must be >= 0")
-        if self.allow is not None:
-            object.__setattr__(self, "allow", tuple(self.allow))
-        object.__setattr__(self, "deny", tuple(self.deny))
-        agreements = tuple((str(peer), float(price))
-                           for peer, price in self.agreements)
-        object.__setattr__(self, "agreements", agreements)
-        peers = [peer for peer, _ in agreements]
+        super().__post_init__()
+        peers = [peer for peer, _ in self.agreements]
         _require(len(set(peers)) == len(peers),
                  "duplicate bilateral agreement peer")
-        for peer, price in agreements:
-            _require(price >= 0, f"agreement price for {peer!r} must be >= 0")
 
     def quote_for(self, consumer: str) -> float:
         """Price this operator charges ``consumer`` per job."""
@@ -310,15 +277,12 @@ class InterEdgeLinkSpec(_Spec):
 
     a: str
     b: str
-    mbps: float = 1000.0
-    delay_ms: float = 2.0
+    mbps: Positive = 1000.0
+    delay_ms: NonNegative = 2.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _require(self.a != self.b, "inter-edge link endpoints must differ")
-        _require(0 < self.mbps < math.inf,
-                 "inter-edge mbps must be finite and > 0")
-        _require(0 <= self.delay_ms < math.inf,
-                 "inter-edge delay_ms must be finite and >= 0")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -347,52 +311,33 @@ class MobilitySpec(_Spec):
             (or with no schedule) the static ``bias`` applies.
     """
 
-    n_places: int = 16
-    objects_per_place: int = 4
-    extent_m: float = 1000.0
-    popularity_alpha: float = 0.8
-    mean_dwell_s: float = 30.0
-    duration_s: float = 120.0
-    handoff_latency_s: float = 0.05
-    bias: tuple[float, ...] | None = None
-    bias_schedule: tuple[tuple[float, tuple[float, ...]], ...] | None = None
+    n_places: Count = 16
+    objects_per_place: Count = 4
+    extent_m: Positive = 1000.0
+    popularity_alpha: NonNegative = 0.8
+    mean_dwell_s: Positive = 30.0
+    duration_s: Positive = 120.0
+    handoff_latency_s: NonNegative = 0.05
+    bias: tuple[NonNegative, ...] | None = None
+    bias_schedule: tuple[tuple[NonNegative, tuple[NonNegative, ...]],
+                         ...] | None = None
 
     def __post_init__(self) -> None:
-        _require(self.n_places >= 1, "n_places must be >= 1")
-        _require(self.objects_per_place >= 1,
-                 "objects_per_place must be >= 1")
-        for name in ("extent_m", "mean_dwell_s", "duration_s",
-                     "handoff_latency_s"):
-            _require(math.isfinite(getattr(self, name)),
-                     f"{name} must be finite")
-        _require(self.extent_m > 0, "extent_m must be > 0")
-        _require(self.mean_dwell_s > 0, "mean_dwell_s must be > 0")
-        _require(self.duration_s > 0, "duration_s must be > 0")
-        _require(self.handoff_latency_s >= 0,
-                 "handoff_latency_s must be >= 0")
+        super().__post_init__()
         if self.bias is not None:
-            object.__setattr__(self, "bias",
-                               tuple(float(w) for w in self.bias))
             self._check_weights(self.bias, "bias")
         if self.bias_schedule is not None:
-            segments = tuple(
-                (float(start), tuple(float(w) for w in weights))
-                for start, weights in self.bias_schedule)
-            object.__setattr__(self, "bias_schedule", segments)
-            _require(len(segments) >= 1,
+            _require(len(self.bias_schedule) >= 1,
                      "bias_schedule must have at least one segment")
-            starts = [s for s, _ in segments]
+            starts = [s for s, _ in self.bias_schedule]
             _require(starts == sorted(starts),
                      "bias_schedule must be sorted by start time")
-            for k, (start, weights) in enumerate(segments):
-                _require(start >= 0, "bias_schedule starts must be >= 0")
+            for k, (_, weights) in enumerate(self.bias_schedule):
                 self._check_weights(weights, f"bias_schedule[{k}]")
 
     def _check_weights(self, weights: tuple[float, ...], label: str) -> None:
         _require(len(weights) == self.n_places,
                  f"{label} needs one weight per place")
-        _require(all(0 <= w < math.inf for w in weights),
-                 f"{label} weights must be finite and >= 0")
         _require(sum(weights) > 0, f"{label} weights must not all be zero")
 
 
@@ -417,34 +362,20 @@ class BackgroundTrafficSpec(_Spec):
             traffic consumes at the peak of the cycle, in [0, 1).
         update_s: How often link rates are refreshed along the curve.
         phase_s: Offset into the cycle at time 0 — lets a scenario
-            start at rush hour instead of dawn.  It, ``period_s`` and
-            ``update_s`` must be finite.
+            start at rush hour instead of dawn.
         scope: Which links carry the cross-traffic — ``"backhaul"``
             (edge<->cloud), ``"inter_edge"`` (the metro graph), or
             ``"all"``.
     """
 
-    period_s: float = 3600.0
-    peak_util: float = 0.5
-    update_s: float = 60.0
-    phase_s: float = 0.0
-    scope: str = "backhaul"
-
-    def __post_init__(self) -> None:
-        _require(0 < self.period_s < math.inf,
-                 "period_s must be finite and > 0")
-        _require(0.0 <= self.peak_util < 1.0, "peak_util must be in [0, 1)")
-        _require(0 < self.update_s < math.inf,
-                 "update_s must be finite and > 0")
-        _require(0 <= self.phase_s < math.inf,
-                 "phase_s must be finite and >= 0")
-        _require(self.scope in ("backhaul", "inter_edge", "all"),
-                 f"scope must be backhaul/inter_edge/all, got {self.scope!r}")
+    period_s: Positive = 3600.0
+    peak_util: Probability = 0.5
+    update_s: Positive = 60.0
+    phase_s: NonNegative = 0.0
+    scope: Literal["backhaul", "inter_edge", "all"] = "backhaul"
 
     def level(self, when: float) -> float:
         """The load curve in [0, 1] at simulated time ``when``."""
-        import math
-
         angle = 2.0 * math.pi * (when + self.phase_s) / self.period_s
         return 0.5 * (1.0 - math.cos(angle))
 
@@ -518,34 +449,16 @@ class EdgePolicySpec(_Spec):
             sees the ``shed`` outcome immediately.
     """
 
-    admission: str = "none"
-    queue_limit: int | None = 8
-    offload: str = "none"
-    offload_margin: int = 2
-    summary_refresh_s: float = 5.0
-    prewarm_top_k: int = 0
-    prewarm_layers: int = 0
+    admission: Literal["none", "shed", "redirect"] = "none"
+    queue_limit: Natural | None = 8
+    offload: Literal["none", "least_loaded", "affinity"] = "none"
+    offload_margin: Natural = 2
+    summary_refresh_s: Positive = 5.0
+    prewarm_top_k: Natural = 0
+    prewarm_layers: Natural = 0
     layer_reuse: bool = False
-    layer_plan_margin_s: float = 0.0
-    shed_retries: int = 0
-
-    def __post_init__(self) -> None:
-        _require(self.admission in ("none", "shed", "redirect"),
-                 f"admission must be none/shed/redirect, "
-                 f"got {self.admission!r}")
-        _require(self.offload in ("none", "least_loaded", "affinity"),
-                 f"offload must be none/least_loaded/affinity, "
-                 f"got {self.offload!r}")
-        if self.queue_limit is not None:
-            _require(self.queue_limit >= 0, "queue_limit must be >= 0")
-        _require(self.offload_margin >= 0, "offload_margin must be >= 0")
-        _require(0 < self.summary_refresh_s < math.inf,
-                 "summary_refresh_s must be finite and > 0")
-        _require(self.prewarm_top_k >= 0, "prewarm_top_k must be >= 0")
-        _require(self.prewarm_layers >= 0, "prewarm_layers must be >= 0")
-        _require(0 <= self.layer_plan_margin_s < math.inf,
-                 "layer_plan_margin_s must be finite and >= 0")
-        _require(self.shed_retries >= 0, "shed_retries must be >= 0")
+    layer_plan_margin_s: NonNegative = 0.0
+    shed_retries: Natural = 0
 
     @property
     def gates_admission(self) -> bool:
@@ -569,15 +482,9 @@ class WarmupSpec(_Spec):
         edges: Edge names to warm; None warms every edge.
     """
 
-    classes: tuple[int, ...] = ()
-    models: tuple[int, ...] = ()
+    classes: tuple[Natural, ...] = ()
+    models: tuple[Natural, ...] = ()
     edges: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "models", tuple(self.models))
-        if self.edges is not None:
-            object.__setattr__(self, "edges", tuple(self.edges))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -618,7 +525,7 @@ class ScenarioSpec(_Spec):
     edges: tuple[EdgeSpec, ...]
     inter_edge: tuple[InterEdgeLinkSpec, ...] = ()
     federate: bool = False
-    peer_timeout_s: float = 1.0
+    peer_timeout_s: Positive = 1.0
     impairments: bool = True
     baselines: bool = False
     mobility: MobilitySpec | None = None
@@ -626,17 +533,11 @@ class ScenarioSpec(_Spec):
     policy: EdgePolicySpec | None = None
     background: BackgroundTrafficSpec | None = None
     operators: tuple[OperatorSpec, ...] = ()
-    backend: str = "sim"
+    backend: Literal["sim", "real"] = "sim"
 
     def __post_init__(self) -> None:
-        _require(self.backend in ("sim", "real"),
-                 f"backend must be 'sim' or 'real', got {self.backend!r}")
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "inter_edge", tuple(self.inter_edge))
-        object.__setattr__(self, "operators", tuple(self.operators))
+        super().__post_init__()
         _require(len(self.edges) >= 1, "a scenario needs at least one edge")
-        _require(0 < self.peer_timeout_s < math.inf,
-                 "peer_timeout_s must be finite and > 0")
         names = [e.name for e in self.edges]
         _require(len(set(names)) == len(names), "edge names must be unique")
         client_names = [c.name for e in self.edges for c in e.clients]
@@ -722,7 +623,7 @@ class ScenarioSpec(_Spec):
         constructor the golden digests were captured on (seed-identical
         metrics).
         """
-        _require(n_clients >= 1, "n_clients must be >= 1")
+        check(Count, n_clients, "n_clients")
         clients = tuple(ClientSpec(name=f"mobile{i}",
                                    wifi_stream=f"net.wifi.mobile{i}")
                         for i in range(n_clients))
@@ -740,8 +641,8 @@ class ScenarioSpec(_Spec):
         hand-wired federated constructor the golden digests were
         captured on (seed-identical metrics).
         """
-        _require(n_edges >= 1, "n_edges must be >= 1")
-        _require(clients_per_edge >= 1, "clients_per_edge must be >= 1")
+        check(Count, n_edges, "n_edges")
+        check(Count, clients_per_edge, "clients_per_edge")
         names = [f"edge{k}" for k in range(n_edges)]
         edges = []
         for k, name in enumerate(names):
@@ -781,15 +682,12 @@ class ScenarioSpec(_Spec):
         in the placement grid — the metro-aggregation shape a city-sized
         deployment would actually run, with multi-hop inter-edge routes.
         """
-        _require(n_edges >= 1, "n_edges must be >= 1")
-        _require(clients_per_edge >= 0, "clients_per_edge must be >= 0")
-        _require(mesh in ("full", "grid"),
-                 f"mesh must be 'full' or 'grid', got {mesh!r}")
+        check(Count, n_edges, "n_edges")
+        check(Natural, clients_per_edge, "clients_per_edge")
+        check(Literal["full", "grid"], mesh, "mesh")
         if mobility is None:
             mobility = MobilitySpec()
-        side = 1
-        while side * side < n_edges:
-            side += 1
+        side = math.isqrt(n_edges - 1) + 1
         cell = mobility.extent_m / side
         edges = []
         for k in range(n_edges):

@@ -20,7 +20,7 @@ import dataclasses
 import typing
 
 from repro.core.cluster import ClusterDeployment
-from repro.core.config import CoICConfig
+from repro.core.config import CoICConfig, NonNegative, Positive, check
 from repro.core.scenario import MobilitySpec, ScenarioSpec
 
 DEFAULT_HANDOFF_LATENCIES_MS = (0.0, 50.0, 250.0)
@@ -75,6 +75,8 @@ def drive_scenario(deployment: ClusterDeployment,
     if duration_s is None:
         duration_s = (deployment.spec.mobility.duration_s
                       if deployment.spec.mobility is not None else 60.0)
+    check(Positive, duration_s, "duration_s")
+    check(NonNegative, request_interval_s, "request_interval_s")
     if deployment.spec.mobility is not None and not deployment.itineraries:
         deployment.start_mobility(duration_s)
     for client in deployment.all_clients:

@@ -26,6 +26,7 @@ where the work actually landed once policies start moving it around.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 from repro.core.cluster import ClusterDeployment
@@ -116,9 +117,7 @@ def build_rush_hour(seed: int = 0, policy: EdgePolicySpec | None = None,
         # resource admission control gates.
         config.network.backhaul_mbps = 100
         config.edge_workers = 2
-    side = 1
-    while side * side < n_edges:
-        side += 1
+    side = math.isqrt(n_edges - 1) + 1
     cell = extent_m / side
     edges = []
     for k in range(n_edges):

@@ -268,9 +268,10 @@ class Environment:
             until.callbacks.append(_stop_callback)
         else:
             stop_at = float(until)
-            if stop_at < self._now:
+            if not stop_at >= self._now:  # a NaN fails too
                 raise ValueError(
-                    f"until={stop_at} is in the past (now={self._now})")
+                    f"until={stop_at} is not a time at or after "
+                    f"now={self._now}")
 
         try:
             if self._trace is not None:

@@ -240,6 +240,42 @@ class TestBuilders:
         with pytest.raises(ValueError):
             ScenarioSpec.federated(clients_per_edge=0)
 
+    # ``metro(n_edges=inf)`` used to loop forever sizing its grid and
+    # ``metro(n_edges=True)`` built a 1-edge city: each builder count
+    # now takes the ``Count`` check (``Natural`` where 0 clients is a
+    # city with no users yet).
+    BAD_COUNTS = [math.inf, math.nan, True, 2.5, -1, "3"]
+
+    @pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+    @pytest.mark.parametrize("name", ["n_edges", "clients_per_edge"])
+    def test_metro_refuses_a_count_that_is_not_an_int(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an int >= "):
+            ScenarioSpec.metro(**{name: value})
+
+    @pytest.mark.parametrize("value", BAD_COUNTS + [0], ids=repr)
+    @pytest.mark.parametrize("name", ["n_edges", "clients_per_edge"])
+    def test_federated_refuses_a_count_that_is_not_an_int(self, name,
+                                                          value):
+        with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+            ScenarioSpec.federated(**{name: value})
+
+    @pytest.mark.parametrize("value", BAD_COUNTS + [0], ids=repr)
+    def test_single_edge_refuses_a_count_that_is_not_an_int(self, value):
+        with pytest.raises(ValueError, match="n_clients must be an int >= 1"):
+            ScenarioSpec.single_edge(value)
+
+    @pytest.mark.parametrize("n_edges, side", [(1, 1), (2, 2), (4, 2),
+                                               (5, 3), (9, 3), (10, 4),
+                                               (36, 6), (37, 7)])
+    def test_metro_places_edges_on_the_smallest_square_grid(self, n_edges,
+                                                            side):
+        spec = ScenarioSpec.metro(n_edges=n_edges, clients_per_edge=0)
+        cell = MobilitySpec().extent_m / side
+        assert {e.x for e in spec.edges} == {
+            (col + 0.5) * cell for col in range(min(n_edges, side))}
+        assert max(e.y for e in spec.edges) == (
+            (n_edges - 1) // side + 0.5) * cell
+
 
 class TestSerialization:
     def _roundtrip(self, spec):
@@ -425,6 +461,14 @@ class TestAccessAndBiasValidation:
     def test_unknown_access_rejected(self):
         with pytest.raises(ValueError, match="access"):
             ClientSpec(name="m0", access="5g")
+
+    @pytest.mark.parametrize("cls", [ClientSpec, EdgeSpec, OperatorSpec],
+                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("name", ["", None, 7])
+    def test_a_host_or_operator_name_is_a_non_empty_str(self, cls, name):
+        with pytest.raises(ValueError, match=f"{cls.__name__}.name must be "
+                                             f"a non-empty str"):
+            cls(name=name)
 
     def test_bias_length_must_match_places(self):
         with pytest.raises(ValueError, match="bias"):

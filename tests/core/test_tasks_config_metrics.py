@@ -186,6 +186,22 @@ class TestConfigRejectsNonFinite:
                            match="request_timeout_s must be finite"):
             CoICConfig(request_timeout_s=value)
 
+    @pytest.mark.parametrize("value", [INF, NAN, 0.0, -1.0],
+                             ids=["inf", "nan", "zero", "negative"])
+    def test_assigning_a_field_is_checked_too(self, value):
+        # Experiments and the CLI set config fields after construction.
+        config = CoICConfig()
+        with pytest.raises(ValueError,
+                           match=r"NetworkConfig\.wifi_mbps must be finite"):
+            config.network.wifi_mbps = value
+        assert config.network.wifi_mbps == 400.0
+        config.network.wifi_mbps = 100
+        assert config.network.wifi_mbps == 100
+
+    def test_assigning_an_unknown_field_is_refused(self):
+        with pytest.raises(AttributeError, match="wifi_mpbs"):
+            NetworkConfig().wifi_mpbs = 100.0
+
 
 class TestLatencySummary:
     def test_of_values(self):

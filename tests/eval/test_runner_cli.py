@@ -1,9 +1,13 @@
 """Tests for the experiment registry and CLI."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
 from repro.eval.runner import experiment_names, run_experiment
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 class TestRegistry:
@@ -103,3 +107,45 @@ class TestScenarioCli:
         assert "cumulative" in out  # the pstats table header
         assert "_run_wheel" in out  # the kernel hot loop is visible
         assert "hit ratio" in out   # the normal report still follows
+
+    @pytest.mark.parametrize("option, named", [
+        (["--duration", "inf"], "--duration"),
+        (["--duration", "nan"], "--duration"),
+        (["--interval", "-1"], "--interval"),
+        (["--interval", "nan"], "--interval"),
+        (["--wifi", "0"], "NetworkConfig.wifi_mbps"),
+        (["--wifi", "nan"], "NetworkConfig.wifi_mbps"),
+        (["--wifi", "-5"], "NetworkConfig.wifi_mbps"),
+        (["--backhaul", "inf"], "NetworkConfig.backhaul_mbps"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_scenario_bad_option_exits_2(self, option, named, capsys):
+        # An infinite or NaN duration used to hang, a bad interval to
+        # crash the first request loop, and a --wifi override, set on
+        # the built config, to crash building the first link.
+        spec = ROOT / "examples" / "specs" / "cafes_federated.json"
+        assert main(["scenario", str(spec), *option]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad option: ") and named in err
+
+    @pytest.mark.parametrize("option", [["--wifi", "0"],
+                                        ["--backhaul", "nan"]],
+                             ids=["wifi-0", "backhaul-nan"])
+    def test_demo_bad_option_exits_2(self, option, capsys):
+        assert main(["demo", *option]) == 2
+        assert capsys.readouterr().err.startswith("bad option: ")
+
+
+def test_drive_scenario_refuses_a_duration_or_interval_out_of_domain():
+    from repro.core import ClusterDeployment, ScenarioSpec
+    from repro.eval.experiments.mobility_exp import drive_scenario
+
+    deployment = ClusterDeployment(ScenarioSpec.single_edge(1))
+    for kwargs, named in (({"duration_s": float("inf")}, "duration_s"),
+                          ({"duration_s": 0.0}, "duration_s"),
+                          ({"request_interval_s": -1.0},
+                           "request_interval_s"),
+                          ({"request_interval_s": float("nan")},
+                           "request_interval_s")):
+        with pytest.raises(ValueError, match=f"{named} must be finite"):
+            drive_scenario(deployment, **kwargs)
+    assert deployment.env.now == 0.0 and not deployment.recorder.records

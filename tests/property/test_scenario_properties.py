@@ -14,6 +14,13 @@ rejects a bool, a non-finite value or a fraction with a ``ValueError``
 that names ``Class.field``.  Every ``bool``, ``str`` and ``float``
 field, nested ones included, rejects a value of another JSON type the
 same way (a ``float`` field takes any number but a bool).
+
+Every number field of every config and spec class, enumerated from the
+domain its annotation declares, builds from a drawn value inside that
+domain and refuses one outside it with a ``ValueError`` naming
+``Class.field``, through the constructor and through ``from_dict``
+alike.  Every ``Literal`` choice field builds each choice and refuses
+any other string.
 """
 
 import dataclasses
@@ -26,7 +33,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.core import scenario
+from repro.core import config, scenario
 from repro.core.scenario import (
     BackgroundTrafficSpec,
     ClientSpec,
@@ -185,6 +192,10 @@ STRATEGIES = {
 
 
 def _names(annotation, kind: type) -> bool:
+    """Does ``annotation`` hold ``kind`` values?  A ``Literal`` choice
+    of strings is a ``str`` field."""
+    if typing.get_origin(annotation) is typing.Literal:
+        return all(isinstance(a, kind) for a in typing.get_args(annotation))
     return annotation is kind or any(
         _names(arg, kind) for arg in typing.get_args(annotation))
 
@@ -255,7 +266,7 @@ def _holding(annotation, kind: type, bad):
     """A smallest JSON value of ``annotation`` whose ``kind`` leaves are
     all ``bad`` (other leaves valid)."""
     args = typing.get_args(annotation)
-    if annotation is kind:
+    if annotation is kind or typing.get_origin(annotation) is typing.Literal:
         return bad
     if typing.get_origin(annotation) is tuple:
         items = args[:1] if args[-1] is Ellipsis else args
@@ -278,3 +289,149 @@ def test_a_scalar_field_takes_only_its_own_type(kind, cls, name, data):
     bad = data.draw(WRONG_TYPE[kind])
     with pytest.raises(ValueError, match=re.escape(f"{cls.__name__}.{name}")):
         cls.from_dict({**payload, name: _holding(annotation, kind, bad)})
+
+
+# -- declared domains ---------------------------------------------------------
+#
+# Each number field's annotation declares its domain (``Positive``,
+# ``Count``, ...).  The fields are enumerated from those declarations
+# across every config and spec class; what lies inside and outside each
+# kind is written out here, apart from the predicate the program uses.
+
+INF = math.inf
+NON_NUMBERS = st.one_of(st.booleans(), st.just("1"))
+fractions = st.floats().filter(lambda v: not v.is_integer())
+
+#: kind -> (values inside, values outside).  An integral float is left
+#: out of an int kind's outside: a spec dict decodes 3.0 as the int 3.
+DOMAINS = {
+    config.Positive: (
+        st.floats(min_value=0.0, max_value=1e9, exclude_min=True),
+        st.one_of(st.floats(max_value=0.0), st.sampled_from([INF, math.nan]),
+                  NON_NUMBERS)),
+    config.NonNegative: (
+        st.floats(min_value=0.0, max_value=1e9),
+        st.one_of(st.floats(max_value=0.0, exclude_max=True),
+                  st.sampled_from([INF, math.nan]), NON_NUMBERS)),
+    config.Finite: (
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.one_of(st.sampled_from([INF, -INF, math.nan]), NON_NUMBERS)),
+    config.Probability: (
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.one_of(st.floats(max_value=0.0, exclude_max=True),
+                  st.floats(min_value=1.0), st.just(math.nan), NON_NUMBERS)),
+    config.Unbounded: (
+        st.floats(min_value=0.0),
+        st.one_of(st.floats(max_value=0.0, exclude_max=True),
+                  st.just(math.nan), NON_NUMBERS)),
+    config.Count: (
+        st.integers(min_value=1, max_value=10**6),
+        st.one_of(st.integers(max_value=0), fractions, NON_NUMBERS)),
+    config.Natural: (
+        st.integers(min_value=0, max_value=10**6),
+        st.one_of(st.integers(max_value=-1), fractions, NON_NUMBERS)),
+    config.Quality: (
+        st.integers(min_value=1, max_value=100),
+        st.one_of(st.integers(max_value=0), st.integers(min_value=101),
+                  fractions, NON_NUMBERS)),
+}
+
+#: The fields without a default, for a smallest instance of each class.
+REQUIRED = {ClientSpec: {"name": "m"}, EdgeSpec: {"name": "e"},
+            OperatorSpec: {"name": "o"},
+            InterEdgeLinkSpec: {"a": "e0", "b": "e1"},
+            ScenarioSpec: {"edges": (EdgeSpec(name="e"),)}}
+
+
+def _declared(cls: type) -> list:
+    """``(field, kind, optional)`` for each field of ``cls`` declared as
+    a number kind, alone or ``| None``."""
+    found = []
+    hints = typing.get_type_hints(cls, include_extras=True)
+    for field in dataclasses.fields(cls):
+        hint = hints[field.name]
+        args = typing.get_args(hint)
+        optional = type(None) in args
+        if optional:
+            (hint,) = (a for a in args if a is not type(None))
+        if (typing.get_origin(hint) is typing.Annotated
+                and typing.get_args(hint)[0] in (int, float)):
+            found.append((field.name, hint, optional))
+    return found
+
+
+def _classes(base: type) -> list:
+    classes = [cls for cls in base.__subclasses__()
+               if dataclasses.is_dataclass(cls)]
+    return classes + [c for cls in base.__subclasses__()
+                      for c in _classes(cls)]
+
+
+NUMBER_FIELDS = [(cls, name, kind, optional)
+                 for cls in _classes(config.Declared)
+                 for name, kind, optional in _declared(cls)]
+
+
+def test_every_number_field_is_declared_and_every_kind_has_draws():
+    assert {(cls.__name__, name) for cls, name, _, _ in NUMBER_FIELDS} >= {
+        ("NetworkConfig", "wifi_mbps"), ("RecognitionConfig", "quality"),
+        ("CoICConfig", "seed"), ("MobilitySpec", "n_places"),
+        ("EdgeSpec", "cache_mb"), ("OperatorSpec", "budget")}
+    # The 15 classes hold 57 int and float fields; none is left plain.
+    assert len(NUMBER_FIELDS) == 57
+    assert {kind for _, _, kind, _ in NUMBER_FIELDS} <= set(DOMAINS)
+
+
+@pytest.mark.parametrize(
+    "cls, name, kind, optional", NUMBER_FIELDS,
+    ids=[f"{c.__name__}.{n}" for c, n, _, _ in NUMBER_FIELDS])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_a_number_field_builds_inside_its_domain_and_only_there(
+        cls, name, kind, optional, data):
+    inside, outside = DOMAINS[kind]
+    if optional:
+        inside = st.one_of(st.none(), inside)
+    good, bad = data.draw(inside), data.draw(outside)
+    required = REQUIRED.get(cls, {})
+    built = cls(**required, **{name: good})
+    assert getattr(built, name) == good
+    refusal = re.escape(f"{cls.__name__}.{name} must be ")
+    with pytest.raises(ValueError, match=refusal):
+        cls(**required, **{name: bad})
+    if issubclass(cls, scenario._Spec):
+        payload = cls(**required).to_dict()
+        assert cls.from_dict({**payload, name: good}) == built
+        with pytest.raises(ValueError, match=refusal):
+            cls.from_dict({**payload, name: bad})
+
+
+CHOICE_FIELDS = [(cls, field.name, typing.get_args(hint))
+                 for cls in _classes(config.Declared)
+                 for field in dataclasses.fields(cls)
+                 for hint in [typing.get_type_hints(cls)[field.name]]
+                 if typing.get_origin(hint) is typing.Literal]
+
+
+def test_every_choice_field_is_declared():
+    assert {(cls.__name__, name) for cls, name, _ in CHOICE_FIELDS} == {
+        ("RecognitionConfig", "descriptor_source"),
+        ("CacheConfig", "vector_dtype"), ("ClientSpec", "access"),
+        ("BackgroundTrafficSpec", "scope"), ("EdgePolicySpec", "admission"),
+        ("EdgePolicySpec", "offload"), ("ScenarioSpec", "backend")}
+
+
+@pytest.mark.parametrize(
+    "cls, name, choices", CHOICE_FIELDS,
+    ids=[f"{c.__name__}.{n}" for c, n, _ in CHOICE_FIELDS])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_a_choice_field_builds_each_choice_and_refuses_other_strings(
+        cls, name, choices, data):
+    required = REQUIRED.get(cls, {})
+    good = data.draw(st.sampled_from(choices))
+    assert getattr(cls(**required, **{name: good}), name) == good
+    bad = data.draw(st.text(max_size=8).filter(lambda s: s not in choices))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{cls.__name__}.{name} must be one of {choices[0]!r}")):
+        cls(**required, **{name: bad})

@@ -50,6 +50,20 @@ class TestRunUntil:
         with pytest.raises(ValueError):
             env.run(until=0.5)
 
+    def test_run_until_nan_raises_instead_of_running_forever(self, env):
+        # A NaN passed the old ``stop_at < now`` test and the run loop,
+        # which stops only once the next event lies past ``stop_at``,
+        # then never stopped with a ticker on the queue.
+        def ticker(env):
+            while True:
+                yield env.timeout(1.0)
+
+        env.process(ticker(env))
+        with pytest.raises(ValueError, match="until=nan"):
+            env.run(until=float("nan"))
+        env.run(until=3.0)
+        assert env.now == 3.0
+
     def test_run_until_event_returns_value(self, env):
         def proc(env):
             yield env.timeout(2)

@@ -128,6 +128,47 @@ def test_scenario_spec_doc_names_only_fields_the_dataclass_has():
             f"do not exist: {sorted(set(rows) - fields)}")
 
 
+def _number_domains(hint) -> list:
+    """The number domains an annotation declares, nested ones too."""
+    import typing
+
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Annotated:
+        return [hint.__metadata__[0]] if args[0] in (int, float) else []
+    return [domain for arg in args for domain in _number_domains(arg)]
+
+
+def _spec_classes() -> list:
+    from repro.core import scenario
+
+    return scenario._Spec.__subclasses__()
+
+
+@pytest.mark.parametrize("cls", _spec_classes(),
+                         ids=lambda cls: cls.__name__)
+def test_scenario_spec_doc_states_each_number_fields_domain(cls):
+    """Each number field's "Type / default" cell names the domain its
+    annotation declares, so the table and the check cannot drift."""
+    import dataclasses
+    import typing
+
+    text = SPEC_DOC.read_text(encoding="utf-8")
+    table = re.split(rf"\n## {cls.__name__}\b.*\n", text)[1]
+    table = table.split("\n## ", 1)[0]
+    cells = {}
+    for names, cell in re.findall(r"^\| (`\w+`(?:, `\w+`)*) \| ([^|]*) \|",
+                                  table, flags=re.MULTILINE):
+        for name in re.findall(r"`(\w+)`", names):
+            cells[name] = cell
+    hints = typing.get_type_hints(cls, include_extras=True)
+    for field in dataclasses.fields(cls):
+        for domain in _number_domains(hints[field.name]):
+            assert domain.text in cells.get(field.name, ""), (
+                f"docs/scenario_spec.md: {cls.__name__}.{field.name} is "
+                f"{domain.text!r}, the cell says "
+                f"{cells.get(field.name)!r}")
+
+
 @pytest.mark.parametrize("spec_name", ["cafes_federated.json"])
 def test_cli_scenario_runs_a_shipped_spec(spec_name):
     env_path = str(ROOT / "src")
