@@ -3,8 +3,16 @@
 Every message is one *frame*: a 4-byte big-endian unsigned length
 prefix followed by that many bytes of UTF-8 JSON (an object).  The
 prefix covers the JSON body only.  One TCP connection carries any
-number of frames in each direction; requests are answered in order on
-the carrying connection, so no correlation ids are needed.
+number of frames in each direction.
+
+A request may carry an ``id``, an integer >= 0 unique among the
+sender's requests in flight on that connection; its reply echoes it,
+and replies to requests with ids may come back in any order.  A
+request without an ``id`` is answered in order: nothing behind it on
+the connection is answered before it.  A bad ``id`` (not an integer, a
+boolean, negative) or one already in flight is answered with an
+``error`` frame that carries no ``id``, and the connection keeps
+serving.
 
 Frame vocabulary (the ``op`` field):
 
@@ -29,10 +37,13 @@ Frame vocabulary (the ``op`` field):
 ``shutdown``   -> edge/cloud: drain in-flight work, answer ``bye``
                with final counters, close and exit.
 ``error``      edge/cloud -> sender: the frame named an unknown ``op``
-               or lacked a (well-typed, in-range) field, or the request
-               failed; ``error`` says which.  The connection stays
-               usable.
+               or lacked a (well-typed, in-range) field, had a bad or
+               duplicate ``id``, or the request failed; ``error`` says
+               which.  The connection stays usable.
 ============== =====================================================
+
+Any request frame may add ``id`` (see above), and its reply then carries
+the same ``id``.  Clients and edges always send one.
 
 Ground truth rides inside the request (``object_class``) exactly as it
 does in the simulated :class:`~repro.vision.image.CameraFrame` — the
@@ -120,8 +131,10 @@ def frame_length(data, offset: int = 0) -> int:
     return length
 
 
-# -- the client side's stream helpers (the server cuts frames itself, in
-# ``repro.backend.server``) ---------------------------------------------------
+# -- stream helpers: an ordered round trip without ids.  Nothing in
+# ``src/`` uses them (``repro.backend.server.Connection`` cuts frames and
+# matches replies itself); ``bench/real_driver.py`` and the frame-split
+# property call them, so they stay as they are. -------------------------------
 
 
 async def read_frame(reader: asyncio.StreamReader) -> dict | None:

@@ -20,6 +20,12 @@ The client's side runs the same way: ``CoICClient.perform`` under
 :func:`drive`, its request sent by :meth:`Rpc.call` to its edge.  A
 wait that is real on every backend (a shed's backoff) is yielded as
 ``env.timeout(delay)``, which here is ``asyncio.sleep``.
+
+Both legs, a client's to its edge and an edge's to the cloud, are a
+:class:`Route`: one :class:`~repro.backend.server.Connection` that any
+number of calls share at once, each waiting for the reply that echoes
+its ``id``.  So an edge's concurrent misses overlap on the cloud leg, as
+they do in the simulator.
 """
 
 from __future__ import annotations
@@ -29,10 +35,10 @@ import random
 import time
 import typing
 
+from repro.backend import server
 from repro.backend.protocol import (
     BAD_FIELD,
     ProtocolError,
-    call,
     decode_reply,
     encode_reply,
     encode_request,
@@ -134,9 +140,15 @@ class Compute:
 
 
 class Route:
-    """One persistent connection to the first live address of a
-    failover order; a round trip gets ``retries`` re-attempts, the first
-    after ``backoff_s`` (doubling, jittered; 0 re-attempts at once)."""
+    """One shared connection to the first live address of a failover
+    order; a call gets ``retries`` re-attempts, the first after
+    ``backoff_s`` (doubling, jittered; 0 re-attempts at once).
+
+    Calls share the connection and hold nothing across a round trip:
+    each waits for the reply that echoes its own ``id``.  Only opening
+    the connection is serialized, so the callers a lost connection
+    fails reconnect once between them.  :meth:`close` is final.
+    """
 
     def __init__(self, name: str, addresses: list[tuple[str, int]],
                  retries: int, backoff_s: float):
@@ -145,46 +157,60 @@ class Route:
         self.retries = retries
         self.backoff_s = backoff_s
         self.attached = 0  # index into addresses
-        self.streams: tuple | None = None
-        self.lock = asyncio.Lock()
+        self.connection: server.Connection | None = None
+        self.closed = False
+        self._connecting = asyncio.Lock()
 
     def close(self) -> None:
-        if self.streams is not None:
-            self.streams[1].close()
-            self.streams = None
+        """Hang up; each pending call raises :class:`RpcError`."""
+        self.closed = True
+        if self.connection is not None:
+            self.connection.close(RpcError, f"{self.name} route closed")
+            self.connection = None
 
     async def call(self, frame: dict) -> dict:
-        """One round trip.  A failed attempt drops the connection; only a
-        refused connect walks on, so a broken stream first reconnects to
-        the attached address.  Pauses are taken outside the lock, so
-        callers sharing the connection never wait out each other's."""
+        """One round trip (``frame`` gains its ``id``).  Only a refused
+        connect walks on, so a lost connection first reconnects to the
+        attached address.  A cancelled call leaves the connection open
+        to the other callers."""
         start, refused, error = self.attached, 0, None
         for attempt in range(self.retries + 1):
             if attempt and self.backoff_s:
                 await asyncio.sleep(self.backoff_s * 2 ** (attempt - 1)
                                     * random.uniform(1.0, 1.5))
-            async with self.lock:
+            connection = self.connection
+            if connection is None or connection.closed:
                 try:
-                    if self.streams is None:
-                        index = (start + refused) % len(self.addresses)
-                        self.streams = await asyncio.open_connection(
-                            *self.addresses[index])
-                        self.attached = index
-                    return await call(*self.streams, frame)
-                except (ProtocolError, OSError) as exc:
+                    connection = await self._connect(
+                        (start + refused) % len(self.addresses))
+                except OSError as exc:
                     error = exc
-                    refused += self.streams is None
-                    self.close()
-                except BaseException:
-                    # Cancelled mid-exchange: the reply may still come,
-                    # and must never be paired with the next request.
-                    self.close()
-                    raise
+                    refused += 1
+                    continue
+            try:
+                return await connection.call(frame)
+            except ProtocolError as exc:
+                error = exc
         raise RpcError(f"{self.name} unreachable: {error}")
+
+    async def _connect(self, index: int) -> server.Connection:
+        """The live connection, opened to ``addresses[index]`` unless
+        another caller opened one while this one waited its turn."""
+        async with self._connecting:
+            connection = self.connection
+            if connection is None or connection.closed:
+                if self.closed:
+                    raise RpcError(f"{self.name} route closed")
+                connection = await server.connect(*self.addresses[index])
+                if self.closed:
+                    connection.close(RpcError, f"{self.name} route closed")
+                    raise RpcError(f"{self.name} route closed")
+                self.connection, self.attached = connection, index
+            return connection
 
 
 class Rpc:
-    """``rpc``: each call over the persistent connection its kind names.
+    """``rpc``: each call over the shared connection its kind names.
 
     An ``ic_request`` goes to a client's attached edge (failing over
     along ``edges``) and is answered within its ``timeout``; a

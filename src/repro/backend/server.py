@@ -1,26 +1,36 @@
-"""The connection loop every real-backend service runs.
+"""The one connection every real-backend service and caller runs.
 
 :class:`FrameServer` owns what an edge and the cloud stub have in
 common: the listening socket's lifecycle (``start`` / ``stop`` /
-``port`` / ``wait_stopped``), the per-connection loop with its error
-contract — an unknown ``op`` or a badly typed field is answered with an
-``error`` frame and the connection keeps serving; a malformed frame or a
-dropped peer costs that one connection, never the process — and the
-``stats`` / ``shutdown`` ops.  A service adds its own ops to
-``self.ops``.
+``port`` / ``wait_stopped``), the error contract — an unknown ``op``, a
+badly typed field or a bad ``id`` is answered with an ``error`` frame
+and the connection keeps serving; a malformed frame or a dropped peer
+costs that one connection, never the process — and the ``stats`` /
+``shutdown`` ops.  A service adds its own ops to ``self.ops``.
 
-Each connection is an :class:`asyncio.Protocol` (:class:`_Connection`):
-its read callback cuts the length-prefixed frames out of the bytes that
-arrived, dispatches each one and, when the handler answers at once
-(a hit, a shed, ``stats``), writes the reply inside that same callback.
-A handler that has to wait (a miss's cloud leg, ``shutdown``'s drain, a
-cloud shim with a delay) returns a coroutine, which becomes the
-connection's one task; the connection answers no further frame until
-that reply is written, so replies leave in request order.  Meanwhile it
-buffers up to :data:`READ_LIMIT` bytes, then stops reading; it stops
-reading, too, while the transport has paused writing, so a peer that
-does not read its replies stops being read.  A peer's EOF ends the
-connection and cancels the request it was owed a reply for.
+Each connection is an :class:`asyncio.Protocol` (:class:`Connection`),
+and the same class serves and calls.  Its read callback cuts the
+length-prefixed frames out of the bytes that arrived.  A frame whose
+``id`` is one of the connection's own pending calls is that call's
+reply: it resolves the call's future on the spot, with no lock and no
+reader task.  Any other frame is a request:
+
+* A handler that answers at once (a hit, a shed, ``stats``) has its
+  reply written inside that same callback.
+* A handler that has to wait (a miss's cloud leg, ``shutdown``'s drain,
+  a cloud shim with a delay) returns a coroutine, which becomes a task.
+  A frame with an ``id`` gets a task of its own, up to :data:`WINDOW`
+  of them per connection, and its reply, which echoes the ``id``, may
+  overtake earlier ones.  A frame without an ``id`` keeps the in-order
+  contract: the connection answers no further frame until its reply is
+  written.
+
+While it answers no further frame (the in-order task, a full window)
+it buffers up to :data:`READ_LIMIT` bytes, then stops reading; a
+serving connection stops reading, too, while the transport has paused
+writing, so a peer that does not read its replies stops being read.  A
+peer's EOF ends the connection, cancels the requests it was owed
+replies for and fails the calls still waiting for theirs.
 """
 
 from __future__ import annotations
@@ -37,10 +47,14 @@ from repro.backend.protocol import (
 )
 
 
-#: What a connection buffers while it owes a reply before it stops
-#: reading (the limit ``asyncio.StreamReader`` keeps by default).  It
-#: reads on below it, so a peer that hangs up is seen at once.
+#: What a connection buffers while it answers no further frame before it
+#: stops reading (the limit ``asyncio.StreamReader`` keeps by default).
+#: It reads on below it, so a peer that hangs up is seen at once.
 READ_LIMIT = 64 * 1024
+
+#: Waiting handlers of frames with an ``id`` that one connection runs at
+#: once; the frames behind a full window wait in the buffer.
+WINDOW = 64
 
 
 def _no_fields(message: dict) -> tuple:
@@ -75,7 +89,7 @@ class FrameServer:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Bind and start accepting; returns the bound port."""
         self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Connection(self), host, port)
+            lambda: Connection(self), host, port)
         return self.port
 
     async def stop(self) -> None:
@@ -105,17 +119,37 @@ class FrameServer:
         return {"op": "bye", **self.counters()}
 
 
-class _Connection(asyncio.Protocol):
-    """One peer's frames, answered in order (see the module docstring)."""
+async def connect(host: str, port: int) -> Connection:
+    """A calling connection to ``(host, port)``: the one place a route
+    opens a socket.  A refused connect raises ``OSError``."""
+    _, connection = await asyncio.get_running_loop().create_connection(
+        Connection, host, port)
+    return connection
 
-    def __init__(self, server: FrameServer):
+
+class Connection(asyncio.Protocol):
+    """One peer's frames, both ways (see the module docstring).
+
+    Args:
+        server: Whose ``ops`` answer the requests that arrive, or None
+            for a connection that only calls (it drops any frame that
+            is not a reply it waits for).
+    """
+
+    def __init__(self, server: FrameServer | None = None):
         self._server = server
-        self._ops = server.ops
+        self._ops = server.ops if server is not None else {}
         self._buffer = bytearray()
         self._transport: asyncio.Transport | None = None
-        #: The task waiting for the reply owed, if one is.
+        #: The task owing the in-order reply (a frame without ``id``).
         self._task: asyncio.Task | None = None
+        #: ``id -> task`` of the frames with an ``id`` whose handler waits.
+        self._window: dict[int, asyncio.Task] = {}
         self._writing_paused = False
+        #: ``id -> future`` of this side's calls awaiting their replies.
+        self._pending: dict[int, asyncio.Future] = {}
+        self._last_id = 0
+        self.closed = False
 
     # -- transport callbacks -------------------------------------------------
 
@@ -128,28 +162,72 @@ class _Connection(asyncio.Protocol):
 
     def connection_lost(self, exc: Exception | None) -> None:
         # An EOF ends the connection too (the base class's
-        # ``eof_received``): nobody is left to read the reply, so stop
-        # waiting for it.
+        # ``eof_received``): nobody is left to read the replies, so stop
+        # waiting for them, and no reply will come to the calls.
+        self.closed = True
         if self._task is not None:
             self._task.cancel()
+        for task in self._window.values():
+            task.cancel()
+        self._fail(ProtocolError, f"connection lost before the reply"
+                                  f"{f': {exc}' if exc else ''}")
 
     def pause_writing(self) -> None:
-        self._writing_paused = True
-        self._transport.pause_reading()
+        # A connection that only calls reads on: its peer's replies are
+        # what lets the peer read again.
+        if self._ops:
+            self._writing_paused = True
+            self._transport.pause_reading()
 
     def resume_writing(self) -> None:
-        self._writing_paused = False
-        self._resume()
+        if self._writing_paused:
+            self._writing_paused = False
+            self._resume()
+
+    # -- calling -------------------------------------------------------------
+
+    async def call(self, frame: dict) -> dict:
+        """Send ``frame``, which gains a fresh ``id``, and return the
+        reply that echoes it (without the ``id``).  A lost connection
+        raises :class:`ProtocolError`; a cancelled call forgets its
+        ``id``, and a reply that comes for it later is dropped."""
+        if self.closed:
+            raise ProtocolError("connection closed")
+        self._last_id = call_id = self._last_id + 1
+        frame["id"] = call_id
+        data = protocol.encode_frame(frame)
+        future = self._pending[call_id] = (
+            asyncio.get_running_loop().create_future())
+        self._transport.write(data)
+        try:
+            return await future
+        finally:
+            self._pending.pop(call_id, None)
+
+    def close(self, error: type[Exception], text: str) -> None:
+        """Hang up; each pending call raises ``error(text)``."""
+        self.closed = True
+        self._fail(error, text)
+        self._transport.close()
+
+    def _fail(self, error: type[Exception], text: str) -> None:
+        pending, self._pending = self._pending, {}
+        for future in pending.values():
+            if not future.done():
+                future.set_exception(error(text))
 
     # -- frames --------------------------------------------------------------
 
     def _serve(self) -> None:
-        """Answer the buffer's complete frames in order until one waits
-        or writing pauses; stop reading while writing is paused or a
-        reply is owed and :data:`READ_LIMIT` bytes are waiting."""
+        """Resolve the replies and answer the requests among the buffer's
+        complete frames, until a request waits in order, the window is
+        full or writing pauses; then stop reading once :data:`READ_LIMIT`
+        bytes are waiting (at once while writing is paused)."""
         buffer, transport, start = self._buffer, self._transport, 0
+        pending, window = self._pending, self._window
         try:
-            while self._task is None and not self._writing_paused:
+            while (self._task is None and len(window) < WINDOW
+                   and not self._writing_paused):
                 if len(buffer) - start < PREFIX_BYTES:
                     break
                 end = (start + PREFIX_BYTES
@@ -158,23 +236,43 @@ class _Connection(asyncio.Protocol):
                     break
                 body = buffer[start + PREFIX_BYTES:end]
                 start = end
-                self._answer(protocol.decode_body(body))
-                if transport.is_closing():
-                    return
+                message = protocol.decode_body(body)
+                call_id = message.get("id")
+                if call_id.__class__ is int and call_id in pending:
+                    del message["id"]
+                    future = pending.pop(call_id)
+                    if not future.done():  # not cancelled meanwhile
+                        future.set_result(message)
+                elif self._ops:
+                    self._answer(message, call_id)
+                    if transport.is_closing():
+                        return
+                # else: a reply no call waits for any more; dropped.
         except ProtocolError:
             # A bad frame costs this connection only.
             transport.close()
             return
         finally:
             del buffer[:start]
-        if self._writing_paused or (self._task is not None
-                                    and len(buffer) > READ_LIMIT):
+        if self._writing_paused or (
+                (self._task is not None or len(window) >= WINDOW)
+                and len(buffer) > READ_LIMIT):
             transport.pause_reading()
 
-    def _answer(self, message: dict) -> None:
+    def _answer(self, message: dict, call_id: typing.Any) -> None:
         op = message.get("op")
         entry = self._ops.get(op) if op.__class__ is str else None
-        if entry is None:
+        if call_id is not None and (call_id.__class__ is not int
+                                    or call_id < 0):
+            # The reply cannot echo an id that is none, so it goes out
+            # in order, like a frame without one.
+            reply, call_id = {"op": "error", "error": (
+                f"bad id {call_id!r}: an id is an integer >= 0")}, None
+        elif call_id in self._window:
+            reply, call_id = {"op": "error", "error": (
+                f"duplicate id {call_id}: a request with it is in "
+                f"flight")}, None
+        elif entry is None:
             reply = {"op": "error", "error": f"unknown op {op!r}"}
         else:
             read_fields, handler = entry
@@ -185,10 +283,16 @@ class _Connection(asyncio.Protocol):
             else:
                 reply = handler(*fields)
         if reply.__class__ is dict:
+            if call_id is not None:
+                reply["id"] = call_id
             self._reply(op, reply)
+            return
+        task = asyncio.get_running_loop().create_task(
+            self._await_reply(op, reply, call_id))
+        if call_id is None:
+            self._task = task
         else:
-            self._task = asyncio.get_running_loop().create_task(
-                self._await_reply(op, reply))
+            self._window[call_id] = task
 
     def _reply(self, op: str, reply: dict) -> None:
         self._transport.write(protocol.encode_frame(reply))
@@ -196,13 +300,18 @@ class _Connection(asyncio.Protocol):
             self._transport.close()
             self._server._stop_soon()
 
-    async def _await_reply(self, op: str, pending: typing.Awaitable) -> None:
-        """The connection's task: the owed reply, written as soon as it
-        is ready, then the frames that arrived meanwhile."""
+    async def _await_reply(self, op: str, pending: typing.Awaitable,
+                           call_id: int | None) -> None:
+        """A waiting handler's task: its reply, written as soon as it is
+        ready, then the frames that arrived meanwhile."""
         transport = self._transport
         try:
             reply = await pending
-            self._task = None
+            if call_id is None:
+                self._task = None
+            else:
+                del self._window[call_id]
+                reply["id"] = call_id
             if not transport.is_closing():
                 self._reply(op, reply)
                 self._resume()
@@ -217,8 +326,9 @@ class _Connection(asyncio.Protocol):
     def _resume(self) -> None:
         """Serve what arrived meanwhile, then read again if it may."""
         self._serve()
-        if not self._writing_paused and (self._task is None
-                                         or len(self._buffer) <= READ_LIMIT):
+        if not self._writing_paused and (
+                (self._task is None and len(self._window) < WINDOW)
+                or len(self._buffer) <= READ_LIMIT):
             self._transport.resume_reading()
 
 

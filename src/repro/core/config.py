@@ -67,10 +67,12 @@ def _rule(hint: typing.Any) -> tuple[str, typing.Callable]:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Annotated:
         kind, domain = args[0], hint.__metadata__[0]
-        # A bool is not a number, and an int field takes no float.
+        # A bool is not a number, and an int field takes no float.  The
+        # exact type, the common case, skips the ABC check.
         base = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
         return domain.text, lambda v: (
-            v if isinstance(v, base) and not isinstance(v, bool)
+            v if (v.__class__ is kind or isinstance(v, base)
+                  and not isinstance(v, bool))
             and domain.admits(v) else _refuse())
     if origin is Literal:
         return (f"one of {', '.join(map(repr, args))}",
@@ -101,6 +103,8 @@ def _rule(hint: typing.Any) -> tuple[str, typing.Callable]:
 def _items(value: typing.Any) -> tuple:
     """A tuple field's items: any iterable but a string or a mapping,
     whose iteration would build a wrong value that looks right."""
+    if value.__class__ is tuple:
+        return value
     if (isinstance(value, (str, bytes, collections.abc.Mapping))
             or not isinstance(value, collections.abc.Iterable)):
         _refuse()
@@ -113,7 +117,11 @@ def _hold(label: str, rule: tuple[str, typing.Callable],
     try:
         return admit(value)
     except ValueError:
-        raise ValueError(f"{label} must be {text}, got {value!r}") from None
+        raise _refusal(label, text, value) from None
+
+
+def _refusal(label: str, text: str, value: typing.Any) -> ValueError:
+    return ValueError(f"{label} must be {text}, got {value!r}")
 
 
 def check(kind: typing.Any, value: typing.Any, label: str) -> typing.Any:
@@ -132,6 +140,14 @@ def _checks(cls: type) -> dict:
             for f in dataclasses.fields(cls)}
 
 
+@functools.cache
+def _each(cls: type) -> tuple:
+    """``(field, "Class.field", text, admit)`` per field of ``cls``,
+    flat: what a frozen instance's construction walks."""
+    return tuple((name, label, text, admit) for name, (label, _, (
+        text, admit)) in _checks(cls).items())
+
+
 class Declared:
     """Base of every config and spec dataclass: each field is held to
     its annotation whenever it is set, and a list is stored as a
@@ -142,11 +158,15 @@ class Declared:
         # __setattr__, which holds it; a frozen one's bypasses it.
         if not self.__dataclass_params__.frozen:
             return
-        for name, (label, _, rule) in _checks(type(self)).items():
-            value = getattr(self, name)
-            held = _hold(label, rule, value)
+        fields = self.__dict__
+        for name, label, text, admit in _each(type(self)):
+            value = fields[name]
+            try:
+                held = admit(value)
+            except ValueError:
+                raise _refusal(label, text, value) from None
             if held is not value:
-                object.__setattr__(self, name, held)
+                fields[name] = held
 
     def __setattr__(self, name: str, value: typing.Any) -> None:
         checks = _checks(type(self))

@@ -26,7 +26,8 @@ from repro.backend.protocol import (
     encode_request,
     read_frame,
 )
-from repro.backend.server import READ_LIMIT, FrameServer
+from repro.backend import server as server_module
+from repro.backend.server import READ_LIMIT, Connection, FrameServer
 from repro.core.client import CoICClient
 from repro.core.config import CoICConfig
 from repro.core.descriptors import VectorDescriptor
@@ -37,7 +38,7 @@ from repro.net.message import Message
 from repro.vision.image import RESOLUTIONS, CameraFrame
 from repro.vision.recognition import RecognitionResult
 
-from frame_peer import Echo, connect
+from frame_peer import Echo, FakeTransport, connect
 
 
 def read_from_bytes(data: bytes, eof: bool = True):
@@ -626,3 +627,135 @@ class TestConnectionLoop:
                         (True, 3)]
         assert [reply["op"] for reply in replies] == [
             "waited", "echoed", "echoed"]
+
+
+def settle():
+    """A few loop turns: a released handler's task writes its reply."""
+    async def _settle():
+        for _ in range(5):
+            await asyncio.sleep(0)
+    return _settle()
+
+
+class TestCallIds:
+    """A request frame may carry an ``id``; its reply echoes it, and a
+    waiting handler with one runs beside the others."""
+
+    @pytest.mark.parametrize("bad", ["7", True, -1, 1.5, [1], {"n": 1}])
+    def test_a_bad_id_costs_an_error_reply_only(self, bad):
+        connection, transport = connect(Echo())
+        connection.data_received(encode_frame({**echo(0), "id": bad})
+                                 + encode_frame({**echo(1), "id": 4}))
+        error, served = transport.replies()
+        assert error["op"] == "error" and "id" not in error
+        assert error["error"].startswith(f"bad id {bad!r}")
+        assert served == {"op": "echoed", "frame": {**echo(1), "id": 4},
+                          "id": 4}
+        assert transport.reading and not transport.closed
+
+    def test_a_duplicate_in_flight_id_costs_an_error_reply(self):
+        async def _run():
+            server = Echo()
+            connection, transport = connect(server)
+            connection.data_received(
+                encode_frame({"op": "wait", "n": 1, "id": 5})
+                + encode_frame({"op": "wait", "n": 2, "id": 5}))
+            before = transport.replies()
+            server.release.set()
+            await settle()
+            return before, transport.replies()
+
+        before, after = asyncio.run(_run())
+        assert [reply["op"] for reply in before] == ["error"]
+        assert before[0]["error"].startswith("duplicate id 5")
+        assert "id" not in before[0]
+        assert after == [*before, {"op": "waited", "n": 1, "id": 5}]
+
+    def test_waiting_frames_with_ids_do_not_hold_the_ones_behind(self):
+        # Two waits with ids run side by side and the echo behind them is
+        # answered at once; a wait without an id still holds what follows.
+        async def _run():
+            server = Echo()
+            connection, transport = connect(server)
+            connection.data_received(b"".join(map(encode_frame, [
+                {"op": "wait", "n": 1, "id": 1},
+                {"op": "wait", "n": 2, "id": 2}, {**echo(3), "id": 3},
+                {"op": "wait", "n": 4}, echo(5)])))
+            early = transport.replies()
+            server.release.set()
+            await settle()
+            return early, transport.replies()
+
+        early, replies = asyncio.run(_run())
+        assert early == [{"op": "echoed", "frame": {**echo(3), "id": 3},
+                          "id": 3}]
+        assert replies[1:] == [
+            {"op": "waited", "n": 1, "id": 1},
+            {"op": "waited", "n": 2, "id": 2}, {"op": "waited", "n": 4},
+            {"op": "echoed", "frame": echo(5)}]
+
+    def test_a_full_window_holds_the_frames_behind_it(self, monkeypatch):
+        monkeypatch.setattr(server_module, "WINDOW", 2)
+
+        async def _run():
+            server = Echo()
+            connection, transport = connect(server)
+            connection.data_received(b"".join(
+                encode_frame({"op": "wait", "n": n, "id": n})
+                for n in range(3)) + encode_frame({**echo(9), "id": 9}))
+            early = transport.replies()
+            server.release.set()
+            await settle()
+            return early, transport.replies()
+
+        # Two waits fill the window: neither the third wait nor the echo
+        # is answered until a slot frees.
+        early, replies = asyncio.run(_run())
+        assert early == []
+        assert [reply["id"] for reply in replies] == [0, 1, 9, 2]
+
+    def test_a_reply_no_call_waits_for_is_dropped(self):
+        # A calling connection drops a reply for an id it never sent, one
+        # whose call was cancelled and one without an id, stays open and
+        # resolves the call the right reply echoes.
+        async def _run():
+            connection, transport = Connection(), FakeTransport()
+            connection.connection_made(transport)
+            gone = asyncio.ensure_future(connection.call({"op": "echo"}))
+            kept = asyncio.ensure_future(connection.call({"op": "echo"}))
+            await asyncio.sleep(0)
+            gone.cancel()
+            await asyncio.sleep(0)
+            connection.data_received(b"".join(map(encode_frame, [
+                {"op": "echoed", "id": 99}, {"op": "echoed", "id": 1},
+                {"op": "echoed"}, {"op": "echoed", "id": 2, "n": 2}])))
+            return (transport.replies(), await kept, gone.cancelled(),
+                    connection._pending, transport.closed)
+
+        sent, reply, cancelled, pending, closed = asyncio.run(_run())
+        assert sent == [{"op": "echo", "id": 1}, {"op": "echo", "id": 2}]
+        assert reply == {"op": "echoed", "n": 2}
+        assert cancelled and pending == {} and not closed
+
+    def test_a_lost_connection_fails_the_calls_waiting_on_it(self):
+        async def _run():
+            connection, transport = Connection(), FakeTransport()
+            connection.connection_made(transport)
+            waiting = asyncio.ensure_future(connection.call({"op": "echo"}))
+            await asyncio.sleep(0)
+            connection.connection_lost(None)
+            with pytest.raises(ProtocolError, match="connection lost"):
+                await waiting
+            with pytest.raises(ProtocolError, match="closed"):
+                await connection.call({"op": "echo"})
+
+        asyncio.run(_run())
+
+    def test_a_calling_connection_reads_on_while_writing_is_paused(self):
+        # Its peer's replies are what lets the peer read again.
+        connection, transport = Connection(), FakeTransport()
+        connection.connection_made(transport)
+        connection.pause_writing()
+        connection.data_received(encode_frame({"op": "echoed", "id": 1}))
+        connection.resume_writing()
+        assert transport.reading and not transport.closed

@@ -13,12 +13,15 @@ import sys
 
 import pytest
 
-from repro.backend import runtime
+from repro.backend import runtime, server
+from repro.backend.cloud_server import CloudService
 from repro.backend.edge_server import EdgeService
-from repro.backend.loadgen import build_workload
-from repro.backend.protocol import call
+from repro.backend.loadgen import WorkloadItem, build_workload
+from repro.backend.protocol import call, encode_frame, read_frame
 from repro.backend.runner import (
     _drive_clients,
+    build_cloud_payload,
+    build_edge_payload,
     run_real_scenario,
     run_simulated_trace,
 )
@@ -40,7 +43,7 @@ from repro.core.scenario import (
     ScenarioSpec,
     WarmupSpec,
 )
-from repro.core.tasks import KIND_RECOGNITION
+from repro.core.tasks import KIND_RECOGNITION, RecognitionTask
 from repro.eval.experiments.mobility_exp import drive_scenario
 from repro.eval.experiments.overload_exp import build_rush_hour
 from repro.sim.kernel import Environment
@@ -214,6 +217,129 @@ class TestSimRealParity:
         assert all("need_input" not in c for c in real.edge_counters)
 
 
+class TestConcurrentMisses:
+    """Misses on one edge share its one cloud connection and overlap: a
+    cloud call waits for the reply that echoes its id, holding no lock."""
+
+    SHIM = {"backhaul_mbps": 1000.0, "backhaul_delay_ms": 0.0,
+            "inference_s": 0.05}
+
+    def test_eight_misses_finish_within_one_and_a_half_of_one(self):
+        # 8 cold captures on 8 connections behind a 50 ms cloud: they
+        # overlap, so the slowest takes at most 1.5x one miss alone.
+        import time
+
+        spec = small_spec(warm=(), clients=(("m0",),))
+        config = fast_config(n_classes=16)
+
+        async def one(port, object_class):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            started = time.monotonic()
+            try:
+                reply = await call(reader, writer, {
+                    "op": "recognize", "capture_id": object_class + 1,
+                    "object_class": object_class})
+            finally:
+                writer.close()
+            return reply, time.monotonic() - started
+
+        async def _run():
+            cloud = CloudService(self.SHIM)
+            await cloud.start()
+            edge = EdgeService(build_edge_payload(
+                spec, "edge0", config, ("127.0.0.1", cloud.port)))
+            await edge.start()
+            try:
+                alone = await one(edge.port, 0)
+                together = await asyncio.gather(
+                    *(one(edge.port, k) for k in range(1, 9)))
+                return alone, together, cloud.resolved
+            finally:
+                await edge.stop()
+                await cloud.stop()
+
+        (reply, alone_s), together, resolved = asyncio.run(_run())
+        assert reply["outcome"] == OUTCOME_MISS
+        assert [r["outcome"] for r, _ in together] == [OUTCOME_MISS] * 8
+        assert [r["label"] for r, _ in together] == list(range(1, 9))
+        assert resolved == 9
+        assert max(elapsed for _, elapsed in together) <= 1.5 * alone_s
+
+    def test_stopping_the_edge_fails_its_pending_cloud_call(
+            self, edge_payload):
+        # A miss waits on a 30 s cloud.  EdgeService.stop closes the
+        # cloud route, which fails the pending call with RpcError: the
+        # miss is answered with an error at once, not left hanging.
+        import time
+
+        async def _run():
+            cloud = CloudService(dict(self.SHIM, inference_s=30.0))
+            await cloud.start()
+            edge = EdgeService(edge_payload(cloud=("127.0.0.1", cloud.port)))
+            await edge.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", edge.port)
+            stopping = None
+            try:
+                writer.write(encode_frame({"op": "recognize",
+                                           "capture_id": 1,
+                                           "object_class": 2}))
+                while edge.active == 0:
+                    await asyncio.sleep(0.005)
+                started = time.monotonic()
+                stopping = asyncio.ensure_future(edge.stop())
+                reply = await asyncio.wait_for(read_frame(reader), 5.0)
+                elapsed = time.monotonic() - started
+            finally:
+                writer.close()
+                await (stopping or edge.stop())
+                await cloud.stop()
+            return reply, elapsed, edge.active
+
+        reply, elapsed, active = asyncio.run(_run())
+        assert reply["op"] == "error"
+        assert reply["error"] == "cloud route closed"
+        assert elapsed < 1.0 and active == 0
+
+    def test_concurrent_misses_match_the_simulation(self):
+        # Eight clients of one cold edge fire at once, two per class: the
+        # same outcomes, the same edge counts and the same number of
+        # cloud resolves on both backends.
+        spec = small_spec(warm=(),
+                          clients=(tuple(f"m{k}" for k in range(8)),))
+        config = fast_config()
+        items = [WorkloadItem(client=f"m{k}", edge="edge0", seq=0,
+                              capture_id=k + 1, object_class=k % 4,
+                              viewpoint=0.0) for k in range(8)]
+
+        sim = ClusterDeployment(spec, config=config)
+        sim.run_concurrent([
+            (0.0, sim.client_by_name[item.client],
+             RecognitionTask(frame=item.frame(config))) for item in items])
+
+        async def _real():
+            recorder = MetricsRecorder()
+            cloud = CloudService(build_cloud_payload(config))
+            await cloud.start()
+            edge = EdgeService(build_edge_payload(
+                spec, "edge0", config, ("127.0.0.1", cloud.port)))
+            await edge.start()
+            try:
+                await _drive_clients(spec, config, items,
+                                     {"edge0": edge.port}, recorder,
+                                     pace_s=0.0, sequential=False)
+                return recorder, edge.counters(), cloud.resolved
+            finally:
+                await edge.stop()
+                await cloud.stop()
+
+        recorder, counters, resolved = asyncio.run(_real())
+        assert sorted(triples(recorder)) == sorted(triples(sim.recorder))
+        assert recorder.outcome_counts() == {OUTCOME_MISS: 8}
+        assert edge_outcomes(counters) == edge_outcomes(sim.edges[0].counts)
+        assert resolved == sim.cloud.counts["requests_served"] == 8
+
+
 class TestEdgeCountsMatchRecorder:
     """Every reply that ends a request is counted once, by the edge that
     sent it — the client's ``served_by`` attribution, seen from the
@@ -317,13 +443,13 @@ class TestRobustness:
                 probe.bind(("127.0.0.1", 0))
                 ports[name] = probe.getsockname()[1]
         attempts = []
-        open_connection = asyncio.open_connection
+        connect = server.connect
 
-        async def counted(host, port, *args, **kwargs):
+        async def counted(host, port):
             attempts.append(port)
-            return await open_connection(host, port, *args, **kwargs)
+            return await connect(host, port)
 
-        monkeypatch.setattr(asyncio, "open_connection", counted)
+        monkeypatch.setattr(server, "connect", counted)
         monkeypatch.setattr(runtime, "CONNECT_BACKOFF_S", 0.001)
         spec = small_spec(clients=(("m0",), ("m1",)))
         config = fast_config()

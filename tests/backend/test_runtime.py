@@ -4,9 +4,13 @@ import asyncio
 
 import pytest
 
-from repro.backend import runtime
+from repro.backend import runtime, server
+from repro.backend.cloud_server import CloudService
+from repro.backend.server import FrameServer
+from repro.core.tasks import RecognitionTask
 from repro.net.message import Message
 from repro.net.transport import RpcError
+from repro.vision.image import CameraFrame
 
 
 async def _fail():
@@ -67,8 +71,9 @@ def test_a_broken_stream_reconnects_to_the_attached_address_first():
 
     def answering(name, once):
         async def handle(reader, writer):
-            while await read_frame(reader) is not None:
-                await write_frame(writer, {"op": "ok", "by": name})
+            while (frame := await read_frame(reader)) is not None:
+                await write_frame(writer, {"op": "ok", "by": name,
+                                           "id": frame["id"]})
                 if once:
                     break
             writer.close()
@@ -158,3 +163,94 @@ def test_cancelling_the_rest_runs_the_generators_finally():
 
     asyncio.run(_run())
     assert seen == ["released"]
+
+
+class Sleepy(FrameServer):
+    """``sleep`` answers ``{"op": "slept", "n": n}`` after ``s`` seconds."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ops["sleep"] = (lambda frame: (frame["s"], frame["n"]),
+                             self._sleep)
+
+    def counters(self) -> dict:
+        return {}
+
+    @staticmethod
+    async def _sleep(seconds: float, n: int) -> dict:
+        await asyncio.sleep(seconds)
+        return {"op": "slept", "n": n}
+
+
+def test_a_timed_out_call_leaves_the_other_call_and_the_connection(
+        monkeypatch):
+    # Two calls share the route's one connection.  The first times out:
+    # it drops only its own id, its late reply is dropped, and the
+    # second's reply arrives intact, with no second connection opened.
+    connects = []
+    connect = server.connect
+
+    async def counted(host, port):
+        connects.append(port)
+        return await connect(host, port)
+
+    monkeypatch.setattr(server, "connect", counted)
+
+    async def _run():
+        service = Sleepy()
+        await service.start()
+        route = runtime.Route("svc", [("127.0.0.1", service.port)], 0, 0.0)
+        try:
+            late = asyncio.wait_for(
+                route.call({"op": "sleep", "s": 0.05, "n": 1}), 0.01)
+            kept = route.call({"op": "sleep", "s": 0.1, "n": 2})
+            results = await asyncio.gather(late, kept,
+                                           return_exceptions=True)
+            connection = route.connection
+            after = await route.call({"op": "sleep", "s": 0.0, "n": 3})
+            return (results, after, connection is route.connection,
+                    connection.closed, dict(connection._pending))
+        finally:
+            route.close()
+            await service.stop()
+
+    results, after, same, closed, pending = asyncio.run(_run())
+    assert isinstance(results[0], asyncio.TimeoutError)
+    assert results[1] == {"op": "slept", "n": 2}
+    assert after == {"op": "slept", "n": 3}
+    assert same and not closed and pending == {}
+    assert len(connects) == 1
+
+
+def _cloud_request(object_class: int) -> Message:
+    task = RecognitionTask(frame=CameraFrame(
+        object_class=object_class, viewpoint=0.0, capture_id=1))
+    return Message(size_bytes=task.input_bytes, kind="cloud_request",
+                   payload=task)
+
+
+def test_closing_an_rpc_fails_its_pending_calls_with_rpc_error():
+    async def _run():
+        cloud = CloudService({"backhaul_mbps": 1000.0,
+                              "backhaul_delay_ms": 0.0, "inference_s": 30.0})
+        await cloud.start()
+        rpc = runtime.Rpc(cloud=("127.0.0.1", cloud.port))
+        try:
+            waiting = [asyncio.ensure_future(rpc.call(_cloud_request(k)))
+                       for k in range(2)]
+            route = rpc._routes["cloud_request"]
+            while route.connection is None or len(
+                    route.connection._pending) < 2:
+                await asyncio.sleep(0.005)
+            rpc.close()
+            outcomes = await asyncio.wait_for(asyncio.gather(
+                *waiting, return_exceptions=True), 1.0)
+            with pytest.raises(RpcError, match="closed"):
+                await rpc.call(_cloud_request(0))
+            return outcomes
+        finally:
+            await cloud.stop()
+
+    outcomes = asyncio.run(_run())
+    assert [type(o) for o in outcomes] == [RpcError, RpcError]
+    assert all("cloud route closed" in str(o) for o in outcomes)

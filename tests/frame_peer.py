@@ -10,7 +10,7 @@ test can feed it bytes in any chunks and read the reply frames back.
 import asyncio
 
 from repro.backend.protocol import PREFIX_BYTES, decode_body, frame_length
-from repro.backend.server import FrameServer, _Connection
+from repro.backend.server import Connection, FrameServer
 
 
 class Echo(FrameServer):
@@ -71,8 +71,8 @@ class FakeTransport(asyncio.Transport):
         return frames
 
 
-def connect(server: FrameServer) -> tuple[_Connection, FakeTransport]:
+def connect(server: FrameServer) -> tuple[Connection, FakeTransport]:
     """A connection of ``server`` over a fresh :class:`FakeTransport`."""
-    connection, transport = _Connection(server), FakeTransport()
+    connection, transport = Connection(server), FakeTransport()
     connection.connection_made(transport)
     return connection, transport

@@ -22,10 +22,12 @@ JSON = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12)
 
+#: A drawn frame's own keys: any but the protocol's ``op`` and ``id``.
+KEYS = st.text(max_size=8).filter(lambda key: key not in ("op", "id"))
+
 FRAMES = st.lists(
-    st.dictionaries(st.text(max_size=8).filter(lambda key: key != "op"),
-                    JSON, max_size=4).map(lambda body: {"op": "echo",
-                                                        **body}),
+    st.dictionaries(KEYS, JSON, max_size=4).map(lambda body: {"op": "echo",
+                                                              **body}),
     min_size=1, max_size=8)
 
 
