@@ -8,9 +8,9 @@ share one byte budget under one eviction policy, because they share the
 edge box's memory.
 
 One read path: :meth:`ICCache.lookup` answers one descriptor with one
-index ``query`` — a request is one lookup.  Writes also come in bursts
-(warm-up, pre-warm pushes), so :meth:`ICCache.insert` has a batched
-sibling, :meth:`ICCache.insert_batch`.
+index ``query`` — a request is one lookup.  One write path:
+:meth:`ICCache.insert` stores every entry; a burst (warm-up, a pre-warm
+push) is :meth:`ICCache.insert_batch`, a loop over it.
 """
 
 from __future__ import annotations
@@ -353,24 +353,25 @@ class ICCache:
         """Store a result, evicting as needed.
 
         Returns the new entry, or None if the object exceeds the entire
-        cache capacity (counted in ``stats.rejected``).
+        cache capacity (counted in ``stats.rejected``).  The key is
+        indexed before any victim is evicted, so a descriptor its
+        kind's index refuses raises with the cache unchanged.
         """
         if size_bytes < 0:
             raise ValueError("size_bytes must be >= 0")
         if size_bytes > self.capacity_bytes:
             self.stats.rejected += 1
             return None
-        while self._bytes + size_bytes > self.capacity_bytes:
-            victim = self.policy.select_victim()
-            self._drop(victim)
-            self.stats.evictions += 1
-
         entry = CacheEntry(
             entry_id=next(self._ids), kind=descriptor.kind, result=result,
             size_bytes=int(size_bytes), cost_s=cost_s, created_at=now,
             last_access=now)
         self.index_for(descriptor.kind, descriptor).insert(
             entry.entry_id, descriptor)
+        while self._bytes + size_bytes > self.capacity_bytes:
+            victim = self.policy.select_victim()
+            self._drop(victim)
+            self.stats.evictions += 1
         self._entries[entry.entry_id] = entry
         self._bytes += entry.size_bytes
         self.policy.on_insert(entry)
@@ -381,81 +382,30 @@ class ICCache:
     def insert_batch(self, items: typing.Sequence[tuple],
                      now: float = 0.0,
                      cost_s: float = 0.0) -> list[CacheEntry | None]:
-        """Store a burst of ``(descriptor, result, size_bytes)`` triples.
+        """Store a burst of ``(descriptor, result, size_bytes)`` triples
+        through :meth:`insert`, one item at a time.
 
         Each item may carry an optional fourth element — its own
         ``cost_s`` (what producing the result originally cost), which
         overrides the batch-wide ``cost_s`` so cost-aware eviction
         policies (GDSF) see the real value; replication paths like
-        handoff pre-warm rely on this.
-
-        Capacity accounting, eviction order, stats and the resulting
-        entry set match the equivalent sequence of :meth:`insert` calls,
-        but per-kind *index* insertions are batched — a warm-up flood of
-        vector descriptors costs one signature matmul
-        (:meth:`~repro.core.index.DescriptorIndex.insert_batch`) instead
-        of one per entry.  Pending index insertions are flushed before
-        any eviction, so victims are always present in their index; if
-        an index rejects a pending burst (bad descriptor), the entries
-        not yet indexed are rolled back out of the cache bookkeeping
-        before the error propagates, so the cache is never left holding
-        unfindable entries.  Returns one entry-or-None (rejected
-        oversize) per item.
+        handoff pre-warm rely on this.  Returns one entry-or-None
+        (rejected oversize) per item.  If an item raises, the entries
+        this call stored are dropped again before the error propagates;
+        the victims they evicted stay evicted.
         """
-        pending: dict[str, list[tuple[int, Descriptor]]] = {}
-        pending_descriptor: dict[str, Descriptor] = {}
-
-        def flush() -> None:
-            try:
-                for kind in list(pending):
-                    self.index_for(kind, pending_descriptor[kind]
-                                   ).insert_batch(pending[kind])
-                    del pending[kind]
-            except Exception:
-                # Index insert_batch is atomic per kind: everything
-                # still in ``pending`` is absent from its index.  Undo
-                # its cache-side registration and re-raise.
-                for batch in pending.values():
-                    for entry_id, _ in batch:
-                        entry = self._entries.pop(entry_id)
-                        self._bytes -= entry.size_bytes
-                        self.policy.on_remove(entry)
-                        self._sketch_remove(entry)
-                        self.stats.insertions -= 1
-                pending.clear()
-                raise
-
         out: list[CacheEntry | None] = []
-        for item in items:
-            descriptor, result, size_bytes = item[0], item[1], item[2]
-            item_cost = item[3] if len(item) > 3 else cost_s
-            if size_bytes < 0:
-                flush()
-                raise ValueError("size_bytes must be >= 0")
-            if size_bytes > self.capacity_bytes:
-                self.stats.rejected += 1
-                out.append(None)
-                continue
-            if self._bytes + size_bytes > self.capacity_bytes:
-                flush()
-                while self._bytes + size_bytes > self.capacity_bytes:
-                    victim = self.policy.select_victim()
-                    self._drop(victim)
-                    self.stats.evictions += 1
-            entry = CacheEntry(
-                entry_id=next(self._ids), kind=descriptor.kind,
-                result=result, size_bytes=int(size_bytes), cost_s=item_cost,
-                created_at=now, last_access=now)
-            pending.setdefault(descriptor.kind, []).append(
-                (entry.entry_id, descriptor))
-            pending_descriptor[descriptor.kind] = descriptor
-            self._entries[entry.entry_id] = entry
-            self._bytes += entry.size_bytes
-            self.policy.on_insert(entry)
-            self._sketch_add(entry, _vector_of(descriptor))
-            self.stats.insertions += 1
-            out.append(entry)
-        flush()
+        try:
+            for descriptor, result, size_bytes, *own_cost in items:
+                out.append(self.insert(
+                    descriptor, result, size_bytes, now,
+                    own_cost[0] if own_cost else cost_s))
+        except Exception:
+            for entry in out:
+                if entry is not None and entry.entry_id in self._entries:
+                    self._drop(entry)
+                    self.stats.insertions -= 1
+            raise
         return out
 
     def remove(self, entry: CacheEntry) -> None:

@@ -18,8 +18,8 @@ edges mid-run:
 * :meth:`start_mobility` replays
   :class:`~repro.workload.mobility.RandomWaypointUser` itineraries and
   hands each client to its nearest edge as it moves;
-* cache warm-up goes through the vectorized ``insert_batch`` path —
-  one signature matmul per burst.
+* cache warm-up stores its burst through ``ICCache.insert_batch``, a
+  loop over the cache's one write path, ``ICCache.insert``.
 
 Inter-edge messages and what they cost
 ======================================
@@ -36,7 +36,7 @@ when no metro path exists) and all paying real transfer time for their
   activation entries.  Wire size is 256 B framing plus the *sum of all
   entry payloads* — raw activation bytes included, which is exactly why
   shipping layer state is a policy decision and not free.  The receiver
-  absorbs the batch through one ``insert_batch`` (entries keep their
+  stores the batch through ``ICCache.insert_batch`` (entries keep their
   original ``cost_s`` for cost-aware eviction) and logs a
   :class:`PrewarmEvent` carrying the bytes paid.
 * ``cache_summary`` (:meth:`ClusterDeployment._gossip_summaries`) — the
@@ -98,7 +98,7 @@ from repro.render.loader import (
 )
 from repro.render.panorama import Panorama
 from repro.sim.kernel import Environment
-from repro.sim.rng import DeferredStream, RngStreams
+from repro.sim.rng import RngStreams
 from repro.vision.features import EmbeddingSpace
 from repro.vision.image import CameraFrame, RESOLUTIONS
 from repro.vision.model_zoo import (
@@ -110,6 +110,8 @@ from repro.vision.model_zoo import (
 from repro.vision.recognition import RecognitionResult, Recognizer
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.net.link import Link
     from repro.workload.mobility import World
 
@@ -471,12 +473,12 @@ class ClusterDeployment:
     # -- access-link management ---------------------------------------------
 
     def _link_rng(self, jitter_s: float, loss_rate: float,
-                  name: str) -> DeferredStream | None:
+                  name: str) -> np.random.Generator | None:
         """A link's draw stream, or None for a link that never draws (no
         jitter, no loss).  A stream depends only on ``(seed, name)``, so
         skipping one moves no other draw."""
         if jitter_s > 0 or loss_rate > 0:
-            return self.rng.deferred(name)
+            return self.rng.stream(name)
         return None
 
     def _add_access(self, client_name: str, edge_name: str,
@@ -816,15 +818,15 @@ class ClusterDeployment:
             raise ValueError("scenario has no mobility spec")
         return self.world.place(self.client_places[client.name]).object_classes
 
-    # -- cache warm-up (batched insert path) ---------------------------------
+    # -- cache warm-up ---------------------------------------------------------
 
     def warm_caches(self, warmup: WarmupSpec) -> int:
         """Pre-populate edge caches through ``ICCache.insert_batch``.
 
         Recognition classes are inserted as their noise-free prototype
         descriptors (what a zero-viewpoint capture embeds to); models as
-        their parsed, engine-ready form.  One signature matmul per edge
-        per burst.  Returns the number of entries inserted.
+        their parsed, engine-ready form, each through ``ICCache.insert``.
+        Returns the number of entries inserted.
         """
         targets = (warmup.edges if warmup.edges is not None
                    else self.edge_names)

@@ -289,8 +289,9 @@ class EdgeNode:
         self.counts["requests_served"] += 1
 
     def _handle_prewarm(self, msg: Message):
-        """Absorb a peer's pre-warm batch: one bookkeeping charge, one
-        ``insert_batch`` (items carry their original ``cost_s``)."""
+        """Absorb a peer's pre-warm batch: one bookkeeping charge, then
+        ``insert_batch``, one ``insert`` per item (items carry their
+        original ``cost_s``)."""
         yield self.config.cache.insert_ms / 1e3
         inserted = self.cache.insert_batch(msg.payload, now=self.env.now)
         self.counts["prewarm_received"] += sum(1 for entry in inserted

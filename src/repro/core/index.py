@@ -34,8 +34,6 @@ query atomically with that query.
 
 from __future__ import annotations
 
-import typing
-
 import numpy as np
 
 from repro.core.descriptors import Descriptor, HashDescriptor, VectorDescriptor
@@ -67,25 +65,6 @@ class DescriptorIndex:
 
     def insert(self, entry_id: int, descriptor: Descriptor) -> None:
         raise NotImplementedError
-
-    def insert_batch(self, items: typing.Sequence[
-            tuple[int, Descriptor]]) -> None:
-        """Insert many ``(entry_id, descriptor)`` pairs at once.
-
-        Equivalent to inserting them one by one, but atomic — a
-        validation failure leaves the index untouched — and vectorized
-        where the index can amortize work across the burst: the vector
-        indexes compute one signature matmul for the whole batch.
-        """
-        done: list[int] = []
-        try:
-            for entry_id, descriptor in items:
-                self.insert(entry_id, descriptor)
-                done.append(entry_id)
-        except Exception:
-            for entry_id in reversed(done):
-                self.remove(entry_id)
-            raise
 
     def remove(self, entry_id: int) -> None:
         raise NotImplementedError
@@ -183,10 +162,10 @@ class _VectorIndex(DescriptorIndex):
     Vectors live in one row store (:class:`~repro.core.store._VectorStore`:
     contiguous matrix, amortized-doubling growth, swap-compacted
     removal, cached row norms).  This base validates descriptors, keeps
-    ``insert``/``insert_batch``/``remove`` atomic over that store, and
-    owns the exact scan; a subclass adds its search structure by
-    implementing ``query`` and, to keep the structure in step with the
-    store, the ``_added`` / ``_removing`` hooks.
+    ``insert``/``remove`` atomic over that store, and owns the exact
+    scan; a subclass adds its search structure by implementing
+    ``query`` and, to keep the structure in step with the store, the
+    ``_added`` / ``_removing`` hooks.
     """
 
     #: Vector dimension: fixed at construction by LSH (it draws its
@@ -218,30 +197,7 @@ class _VectorIndex(DescriptorIndex):
         if entry_id in self._store:
             raise IndexEntryExists(f"entry {entry_id} already indexed")
         self._store.add(entry_id, vec)
-        self._added((entry_id,))
-
-    def insert_batch(self, items: typing.Sequence[
-            tuple[int, Descriptor]]) -> None:
-        """Insert a burst in one validated store append.
-
-        The search structure then sees the whole burst at once
-        (``_added``): a warm-up flood or pre-warm push of k vectors
-        costs LSH one ``(k, n_tables * n_bits)`` signature matmul instead
-        of k small ones.
-        """
-        ids: list[int] = []
-        vecs: list[np.ndarray] = []
-        seen: set[int] = set()
-        for entry_id, descriptor in items:
-            if entry_id in self._store or entry_id in seen:
-                raise IndexEntryExists(f"entry {entry_id} already indexed")
-            seen.add(entry_id)
-            ids.append(entry_id)
-            vecs.append(self._validate(descriptor))
-        if not ids:
-            return
-        self._store.add_batch(ids, np.stack(vecs))
-        self._added(ids)
+        self._added(entry_id)
 
     def remove(self, entry_id: int) -> None:
         if entry_id not in self._store:
@@ -249,10 +205,10 @@ class _VectorIndex(DescriptorIndex):
         self._removing(entry_id)
         self._store.remove(entry_id)
 
-    def _added(self, ids: typing.Sequence[int]) -> None:
-        """Hook: ``ids`` were just appended to the store.
+    def _added(self, entry_id: int) -> None:
+        """Hook: ``entry_id`` was just appended to the store.
 
-        Subclasses read the rows back from the store rather than keep
+        Subclasses read the row back from the store rather than keep
         the input — ``_removing`` only has the store.
         """
 
@@ -351,10 +307,9 @@ class LshIndex(_VectorIndex):
     """Random-hyperplane LSH with exact re-ranking of candidates.
 
     All hyperplanes live in one ``(n_tables * n_bits, dim)`` matrix, so
-    the signatures of a query — or of a whole insert burst — are a
-    single matmul followed by vectorized bit-packing, no per-bit Python
-    loop anywhere.  Candidate re-ranking reuses the store's matrix and
-    its cached norms.
+    the signatures of a vector are a single matmul followed by
+    vectorized bit-packing, no per-bit Python loop anywhere.  Candidate
+    re-ranking reuses the store's matrix and its cached norms.
 
     Recall floor: on near-duplicate workloads (query within a small
     perturbation of a stored vector) the default configuration holds
@@ -399,24 +354,16 @@ class LshIndex(_VectorIndex):
             {} for _ in range(n_tables)]
         self.last_candidates = 0
 
-    def _signatures_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Bucket keys of a (Q, dim) block; (Q, n_tables) int64 matrix."""
-        projections = queries @ self._planes.T
-        bits = projections.reshape(
-            queries.shape[0], self.n_tables, self.n_bits) > 0
-        return bits @ self._bit_weights
-
     def _signatures(self, vec: np.ndarray) -> np.ndarray:
         """Bucket key of ``vec`` in each table (sign pattern as an int)."""
-        return self._signatures_batch(vec[None, :])[0]
+        projections = vec[None, :] @ self._planes.T
+        bits = projections.reshape(self.n_tables, self.n_bits) > 0
+        return bits @ self._bit_weights
 
-    def _added(self, ids: typing.Sequence[int]) -> None:
-        stored, _ = self._store.take(self._store.rows_for(ids))
-        signatures = self._signatures_batch(stored)
-        for j, entry_id in enumerate(ids):
-            for table in range(self.n_tables):
-                self._tables[table].setdefault(
-                    int(signatures[j, table]), set()).add(entry_id)
+    def _added(self, entry_id: int) -> None:
+        signatures = self._signatures(self._store.get(entry_id))
+        for table, sig in enumerate(signatures):
+            self._tables[table].setdefault(int(sig), set()).add(entry_id)
 
     def _removing(self, entry_id: int) -> None:
         signatures = self._signatures(self._store.get(entry_id))

@@ -148,8 +148,11 @@ class LayerReuseStage(Stage):
     1. Compute the request's cheap input sketch (milliseconds, not a
        backbone pass) — or reuse the ``sketch`` header affinity-enabled
        clients already attach.
-    2. :meth:`~repro.core.layer_cache.LayerCacheManager.plan` against
-       the edge's layer cache, paying one lookup per probed tap.
+    2. Walk the taps deep-to-shallow
+       (:meth:`~repro.core.layer_cache.LayerCacheManager.probe_sequence`)
+       against the edge's layer cache, paying one lookup per probed tap;
+       the deepest servable match picks the plan
+       (:meth:`~repro.core.layer_cache.LayerCacheManager.plan_for`).
     3. If the plan resumes at some layer and saves at least
        ``layer_plan_margin_s`` versus full inference on this device,
        run only the remaining layers on the worker pool and answer with

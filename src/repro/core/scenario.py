@@ -416,8 +416,8 @@ class EdgePolicySpec(_Spec):
             unless ``offload="affinity"``.
         prewarm_top_k: Before a mobility handoff completes, push this
             many of the hottest cache entries from the old edge to the
-            next edge (``ICCache.hottest`` -> ``insert_batch``).  0
-            disables pre-warm.
+            next edge (``ICCache.hottest`` -> ``ICCache.insert_batch``,
+            one ``insert`` per entry).  0 disables pre-warm.
         prewarm_layers: Also ship up to this many of the hottest
             DNN-layer activation entries (``layer:*`` kinds, see
             :mod:`repro.core.layer_cache`) in the same pre-warm push,
@@ -473,7 +473,8 @@ class EdgePolicySpec(_Spec):
 
 @dataclasses.dataclass(frozen=True)
 class WarmupSpec(_Spec):
-    """Cache pre-population applied at build time via ``insert_batch``.
+    """Cache pre-population applied at build time, one ``ICCache.insert``
+    per entry (through ``ICCache.insert_batch``).
 
     Attributes:
         classes: Object classes whose recognition prototypes are

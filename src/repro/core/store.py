@@ -106,54 +106,30 @@ class _VectorStore:
             return 0
         return self._matrix.nbytes + self._norms.nbytes
 
-    def _reserve(self, k: int, dim: int) -> None:
-        """Make room for ``k`` more rows, doubling capacity as needed."""
+    def _grow(self, dim: int) -> None:
+        """Make room for one more row: the first row allocates
+        ``MIN_CAPACITY`` rows, a full store doubles."""
         if self._norms is None:
             self.dim = dim
-            capacity = max(self.MIN_CAPACITY, k)
-            self._matrix = np.empty((capacity, dim), dtype=self.compute_dtype)
-            self._norms = np.empty(capacity, dtype=self.compute_dtype)
+            self._matrix = np.empty((self.MIN_CAPACITY, dim),
+                                    dtype=self.compute_dtype)
+            self._norms = np.empty(self.MIN_CAPACITY,
+                                   dtype=self.compute_dtype)
             return
         n = len(self._row_ids)
-        capacity = len(self._norms)
-        if n + k <= capacity:
-            return
-        while capacity < n + k:
-            capacity *= 2
-        matrix = np.empty((capacity, self.dim), dtype=self.compute_dtype)
-        matrix[:n] = self._matrix[:n]
-        norms = np.empty(capacity, dtype=self.compute_dtype)
-        norms[:n] = self._norms[:n]
+        matrix = np.empty((2 * n, self.dim), dtype=self.compute_dtype)
+        matrix[:n] = self._matrix
+        norms = np.empty(2 * n, dtype=self.compute_dtype)
+        norms[:n] = self._norms
         self._matrix, self._norms = matrix, norms
 
     def add(self, entry_id: int, vec: np.ndarray) -> None:
         n = len(self._row_ids)
         if self._norms is None or n == len(self._norms):
-            self._reserve(1, vec.shape[0])
+            self._grow(vec.shape[0])
         self._set_row(n, vec)
         self._row_ids.append(entry_id)
         self._row_of[entry_id] = n
-
-    def add_batch(self, entry_ids: typing.Sequence[int],
-                  matrix: np.ndarray) -> None:
-        """Append many rows at once, with at most one growth.
-
-        ``matrix`` is (k, dim) and row j belongs to ``entry_ids[j]``.
-        Capacity still grows by doubling, but at most once per burst
-        instead of (potentially) several times across k inserts.  Rows
-        are written one at a time on purpose: an axis-1 norm reduction
-        rounds differently than the BLAS norm ``add`` uses, and cached
-        norms feed simulated match decisions — batch and scalar inserts
-        must stay bit-identical.
-        """
-        if len(entry_ids) == 0:
-            return
-        self._reserve(len(entry_ids), matrix.shape[1])
-        n = len(self._row_ids)
-        for j, entry_id in enumerate(entry_ids):
-            self._set_row(n + j, matrix[j])
-            self._row_ids.append(entry_id)
-            self._row_of[entry_id] = n + j
 
     def remove(self, entry_id: int) -> None:
         row = self._row_of.pop(entry_id)

@@ -85,18 +85,6 @@ class RngStreams:
         return np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy)))
 
-    def deferred(self, name: str) -> "DeferredStream":
-        """A handle on ``stream(name)`` that builds the stream on first use.
-
-        A stream depends only on ``(seed, name)``, so drawing through the
-        handle is bit-identical to drawing from ``stream(name)``; a
-        component that may never draw (an unimpaired link) skips the
-        build altogether.
-        """
-        if not name:
-            raise ValueError("stream name must be non-empty")
-        return DeferredStream(self, name)
-
     def fork(self, salt: int) -> "RngStreams":
         """A new factory whose streams are independent of this one's.
 
@@ -107,27 +95,3 @@ class RngStreams:
     def __repr__(self) -> str:
         return f"RngStreams(seed={self.seed}, streams={sorted(self._streams)})"
 
-
-class DeferredStream:
-    """A named stream of an :class:`RngStreams`, resolved on first draw.
-
-    Stands in for the :class:`numpy.random.Generator`: any generator
-    method (``random``, ``normal``, ...) resolves ``stream(name)`` and is
-    then bound on the handle, so later draws call it directly.
-    """
-
-    def __init__(self, streams: RngStreams, name: str):
-        self._streams = streams
-        self.name = name
-
-    def __getattr__(self, attr: str):
-        # Private and dunder probes (deepcopy's ``__deepcopy__``, pickle's
-        # ``__setstate__``) must see the handle, not build the stream.
-        if attr.startswith("_"):
-            raise AttributeError(attr)
-        value = getattr(self._streams.stream(self.name), attr)
-        setattr(self, attr, value)
-        return value
-
-    def __repr__(self) -> str:
-        return f"DeferredStream({self.name!r})"

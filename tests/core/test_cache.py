@@ -1,5 +1,6 @@
 """Unit tests for repro.core.cache (the edge IC cache)."""
 
+import dataclasses
 import gc
 import tracemalloc
 
@@ -106,6 +107,22 @@ class TestCapacity:
         cache.insert(hd("bb"), "b", 100)  # evicts aa
         assert cache.lookup(hd("aa")) is None
         assert cache.lookup(hd("bb")) is not None
+
+    @pytest.mark.parametrize("refused", [
+        vd([1, 0, 0, 0, 0, 0, 0, 0]),               # wrong dimension
+        hd("aa", kind="recognition")],              # wrong key type
+        ids=["dimension", "key_type"])
+    def test_a_refused_descriptor_evicts_nothing(self, refused):
+        cache = ICCache(capacity_bytes=100)
+        kept = cache.insert(vd([1, 0, 0, 0]), "kept", 60)
+        stats = dataclasses.replace(cache.stats)
+        with pytest.raises((ValueError, TypeError)):
+            cache.insert(refused, "refused", 60)
+        assert cache.entries() == [kept]
+        assert cache.size_bytes == 60
+        assert cache.stats == stats
+        assert len(cache.index_for("recognition")) == 1
+        assert cache.lookup(vd([1, 0, 0, 0]), threshold=1e-5) is kept
 
     def test_policy_plugging(self):
         cache = ICCache(capacity_bytes=200, policy=make_policy("size"))

@@ -324,7 +324,7 @@ def _flight_times(link, n=5):
     return times
 
 
-class TestDeferredLinkStreams:
+class TestLinkStreams:
     def test_unimpaired_links_build_no_stream(self):
         dep = ClusterDeployment(line_spec())
         built = set(dep.rng._streams)
@@ -342,13 +342,11 @@ class TestDeferredLinkStreams:
         dep = ClusterDeployment(line_spec(), config=config)
         uplink, _ = dep.topology.leaves["m0"].attachments["edge0"]
         assert uplink.jitter_s == 0.002
-        assert "net.wifi.m0.edge0" not in dep.rng._streams
         reference = Link(
             Environment(), "ref", uplink.bandwidth_bps,
             propagation_s=uplink.propagation_s, jitter_s=uplink.jitter_s,
             rng=RngStreams(dep.config.seed).stream("net.wifi.m0.edge0"))
         assert _flight_times(uplink) == _flight_times(reference)
-        assert "net.wifi.m0.edge0" in dep.rng._streams
 
 
 class TestOneNoiseSource:
@@ -683,15 +681,14 @@ class TestLteAccess:
             assert link.propagation_s == 0.051000000000000004
             assert link.jitter_s == (0.0035 if impairments else 0.0)
             assert link.loss_rate == (0.02 if impairments else 0.0)
-        # Impaired: one deferred stream, shared by both directions,
-        # built on no draw.  Unimpaired: a link that never draws holds
-        # no stream handle at all.
+        # Impaired: the link's named stream, shared by both directions.
+        # Unimpaired: a link that never draws holds no stream at all.
         assert uplink._rng is downlink._rng
         if impairments:
-            assert uplink._rng.name == "net.lte.lte0.edge0"
+            assert uplink._rng is dep.rng.stream("net.lte.lte0.edge0")
         else:
             assert uplink._rng is None
-        assert "net.lte.lte0.edge0" not in dep.rng._streams
+            assert "net.lte.lte0.edge0" not in dep.rng._streams
 
 
     @pytest.mark.parametrize("impairments", [True, False],
@@ -714,9 +711,10 @@ class TestLteAccess:
             assert link.loss_rate == (0.01 if impairments else 0.0)
         assert uplink._rng is downlink._rng
         if impairments:
-            assert uplink._rng.name == "net.wifi.wifi0.edge0"
+            assert uplink._rng is dep.rng.stream("net.wifi.wifi0.edge0")
         else:
             assert uplink._rng is None
+            assert "net.wifi.wifi0.edge0" not in dep.rng._streams
 
 
 class TestBackgroundTraffic:

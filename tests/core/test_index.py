@@ -1,5 +1,7 @@
 """Unit tests for repro.core.index."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -257,35 +259,33 @@ class TestContiguousStore:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("tier", ["linear", "lsh"])
     def test_lsh_store_survives_churn(self, tier, dtype):
-        """Interleaved insert / insert_batch / remove leaves every tier
-        and store indistinguishable from an index built in one go."""
+        """Interleaved inserts and removes leave every tier and store
+        indistinguishable from an index built in one go."""
         rng = np.random.default_rng(7)
         population = rng.normal(size=(200, 8))
         live: dict[int, np.ndarray] = {}
 
-        def batch(ids_rows):
+        def insert(index, ids_rows):
             live.update(ids_rows)
-            return [(i, vec("r", row)) for i, row in ids_rows]
+            for i, row in ids_rows:
+                index.insert(i, vec("r", row))
 
         index = self.BUILDERS[tier](dtype)
-        for item in batch([(i, population[i]) for i in range(80)]):
-            index.insert(*item)                   # grows 64 -> 128
-        index.insert_batch(batch([(i, population[i])
-                                  for i in range(80, 150)]))  # -> 256
+        insert(index, [(i, population[i]) for i in range(80)])  # 64 -> 128
+        insert(index, [(i, population[i]) for i in range(80, 150)])  # -> 256
         for i in range(0, 150, 3):                # swap-compaction
             index.remove(i)
             del live[i]
         # Removed vectors come back under new ids, in freed slots.
-        index.insert_batch(batch([(1000 + i, population[i])
-                                  for i in range(0, 60, 3)]))
-        for item in batch([(i, population[i]) for i in range(150, 200)]):
-            index.insert(*item)
+        insert(index, [(1000 + i, population[i]) for i in range(0, 60, 3)])
+        insert(index, [(i, population[i]) for i in range(150, 200)])
         for i in range(151, 200, 2):
             index.remove(i)
             del live[i]
 
         fresh = self.BUILDERS[tier](dtype)
-        fresh.insert_batch([(i, vec("r", row)) for i, row in live.items()])
+        for i, row in live.items():
+            fresh.insert(i, vec("r", row))
         assert len(index) == len(fresh) == len(live)
         for i, row in enumerate(population):
             got = index.query(vec("r", row), threshold=1e-3)
@@ -298,6 +298,67 @@ class TestContiguousStore:
             if got is not None:
                 assert got[0] == want[0] == owners[-1]
                 assert got[1] == pytest.approx(want[1], abs=1e-6)
+
+
+class TestVectorIndexInsert:
+    """``insert`` is the only way into a vector index: growth, refusal
+    and removal as a warm-up flood or a pre-warm push meets them."""
+
+    BUILDERS = TestContiguousStore.BUILDERS
+
+    def test_growth_across_doubling_boundary(self):
+        rng = np.random.default_rng(1)
+        index = LinearIndex()
+        for i in range(70):  # MIN_CAPACITY is 64: one doubling
+            index.insert(i, vec("r", rng.normal(size=16)))
+        assert len(index._store._norms) == 128
+        for i in range(70, 140):  # and across the next boundary
+            index.insert(i, vec("r", rng.normal(size=16)))
+        assert len(index) == 140 and len(index._store._norms) == 256
+        probe = vec("r", rng.normal(size=16))
+        index.insert(999, probe)
+        assert index.query(probe, 1e-5)[0] == 999
+
+    @pytest.mark.parametrize("tier", ["linear", "lsh"])
+    def test_duplicate_id_refused_with_store_unchanged(self, tier):
+        rng = np.random.default_rng(2)
+        index = self.BUILDERS[tier]("float32")
+        kept = vec("r", rng.normal(size=8))
+        index.insert(7, kept)
+        tables = copy.deepcopy(getattr(index, "_tables", None))
+        refused = vec("r", rng.normal(size=8))
+        with pytest.raises(IndexEntryExists):
+            index.insert(7, refused)
+        assert len(index) == 1
+        assert np.array_equal(index.vector(7), kept.vector)
+        assert getattr(index, "_tables", None) == tables
+        assert index.query(refused, 1e-5) is None
+
+    def test_remove_after_inserts(self):
+        rng = np.random.default_rng(3)
+        items = [(i, vec("r", rng.normal(size=16))) for i in range(10)]
+        index = LinearIndex()
+        for entry_id, descriptor in items:
+            index.insert(entry_id, descriptor)
+        index.remove(3)
+        assert len(index) == 9
+        assert index.query(items[3][1], 1e-5) is None
+        assert index.query(items[4][1], 1e-5)[0] == 4
+
+    def test_lsh_remove_empties_its_buckets(self):
+        rng = np.random.default_rng(5)
+        items = [(i, vec("r", rng.normal(size=16))) for i in range(12)]
+        index = LshIndex(dim=16)
+        for entry_id, descriptor in items:
+            index.insert(entry_id, descriptor)
+        index.remove(0)
+        assert len(index) == 11
+        assert index.query(items[0][1], 1e-5) is None
+        assert all(0 not in bucket
+                   for table in index._tables for bucket in table.values())
+        for entry_id, _ in items[1:]:
+            index.remove(entry_id)
+        assert index._tables == [{} for _ in range(index.n_tables)]
 
 
 class TestLshCostModel:
@@ -360,9 +421,8 @@ class TestMemoryFootprint:
     def _filled(self, dtype=None):
         index = LinearIndex() if dtype is None else LinearIndex(dtype=dtype)
         rng = np.random.default_rng(11)
-        items = [(i, VectorDescriptor("r", rng.normal(size=self.DIM)))
-                 for i in range(512)]
-        index.insert_batch(items)
+        for i in range(512):
+            index.insert(i, VectorDescriptor("r", rng.normal(size=self.DIM)))
         return index
 
     def test_default_store_is_half_of_float64(self):

@@ -1,9 +1,9 @@
-"""Tests for the batched insert path: indexes and the IC cache.
+"""Tests for ``ICCache.insert_batch``: a burst stored through ``insert``.
 
 Contract: ``insert_batch`` produces the same observable state as the
 equivalent sequence of ``insert`` calls — same entries, same match
-decisions, same stats and eviction order — while amortizing the
-signature/norm work into one vectorized pass per burst.
+decisions, same stats and eviction order — and a burst that raises
+leaves none of its own entries behind.
 """
 
 import numpy as np
@@ -11,121 +11,12 @@ import pytest
 
 from repro.core.cache import ICCache
 from repro.core.descriptors import HashDescriptor, VectorDescriptor
-from repro.core.index import (
-    ExactIndex,
-    IndexEntryExists,
-    LinearIndex,
-    LshIndex,
-)
 
 DIM = 16
 
 
 def vec_descriptor(rng, kind="recognition"):
     return VectorDescriptor(kind=kind, vector=rng.normal(size=DIM))
-
-
-def batch_items(rng, n, start_id=0):
-    return [(start_id + i, vec_descriptor(rng)) for i in range(n)]
-
-
-class TestLinearIndexBatch:
-    def test_matches_sequential_inserts(self):
-        rng = np.random.default_rng(0)
-        items = batch_items(rng, 40)
-        batched = LinearIndex()
-        batched.insert_batch(items)
-        sequential = LinearIndex()
-        for entry_id, descriptor in items:
-            sequential.insert(entry_id, descriptor)
-
-        assert len(batched) == len(sequential) == 40
-        for _, descriptor in items:
-            assert (batched.query(descriptor, 0.1)
-                    == sequential.query(descriptor, 0.1))
-
-    def test_growth_across_doubling_boundary(self):
-        rng = np.random.default_rng(1)
-        index = LinearIndex()
-        # MIN_CAPACITY is 64: a 70-row burst must grow mid-batch once,
-        # then a second burst crosses the next boundary too.
-        index.insert_batch(batch_items(rng, 70))
-        index.insert_batch(batch_items(rng, 70, start_id=70))
-        assert len(index) == 140
-        probe = vec_descriptor(rng)
-        index.insert(999, probe)
-        assert index.query(probe, 1e-5)[0] == 999
-
-    def test_duplicate_id_rejected(self):
-        rng = np.random.default_rng(2)
-        index = LinearIndex()
-        index.insert(7, vec_descriptor(rng))
-        with pytest.raises(IndexEntryExists):
-            index.insert_batch([(8, vec_descriptor(rng)),
-                                (7, vec_descriptor(rng))])
-        with pytest.raises(IndexEntryExists):
-            index.insert_batch([(9, vec_descriptor(rng)),
-                                (9, vec_descriptor(rng))])
-
-    def test_empty_batch_is_noop(self):
-        index = LinearIndex()
-        index.insert_batch([])
-        assert len(index) == 0
-
-    def test_remove_after_batch_insert(self):
-        rng = np.random.default_rng(3)
-        items = batch_items(rng, 10)
-        index = LinearIndex()
-        index.insert_batch(items)
-        index.remove(items[3][0])
-        assert len(index) == 9
-        assert index.query(items[3][1], 1e-5) is None
-        assert index.query(items[4][1], 1e-5)[0] == items[4][0]
-
-
-class TestLshIndexBatch:
-    def test_matches_sequential_inserts(self):
-        rng = np.random.default_rng(4)
-        items = batch_items(rng, 40)
-        batched = LshIndex(dim=DIM)
-        batched.insert_batch(items)
-        sequential = LshIndex(dim=DIM)
-        for entry_id, descriptor in items:
-            sequential.insert(entry_id, descriptor)
-
-        assert len(batched) == len(sequential) == 40
-        assert batched._tables == sequential._tables
-        for _, descriptor in items:
-            assert (batched.query(descriptor, 0.5)
-                    == sequential.query(descriptor, 0.5))
-
-    def test_remove_after_batch_insert(self):
-        rng = np.random.default_rng(5)
-        items = batch_items(rng, 12)
-        index = LshIndex(dim=DIM)
-        index.insert_batch(items)
-        index.remove(items[0][0])
-        assert len(index) == 11
-        assert index.query(items[0][1], 1e-5) is None
-
-    def test_duplicate_id_rejected_atomically(self):
-        rng = np.random.default_rng(6)
-        index = LshIndex(dim=DIM)
-        with pytest.raises(IndexEntryExists):
-            index.insert_batch([(1, vec_descriptor(rng)),
-                                (1, vec_descriptor(rng))])
-        # Validation happens before any mutation: nothing landed.
-        assert len(index) == 0
-
-
-class TestExactIndexBatch:
-    def test_default_batch_path(self):
-        index = ExactIndex()
-        items = [(i, HashDescriptor(kind="model_load", digest=f"d{i}"))
-                 for i in range(5)]
-        index.insert_batch(items)
-        assert len(index) == 5
-        assert index.query(items[2][1], 0.0) == (2, 0.0)
 
 
 class TestCacheInsertBatch:

@@ -9,14 +9,21 @@ hold for *any* workload and policy:
 * hits + misses == lookups;
 * a hash descriptor lookup returns an entry with that digest or nothing;
 * a digest is found exactly while some live entry holds it, and then
-  resolves to the newest such entry.
+  resolves to the newest such entry;
+* a burst that raises (a key its kind's index refuses) leaves none of
+  its own entries behind, and bytes and index lengths stay in step with
+  the live entries.
 """
 
+import collections
+
 import hypothesis.strategies as st
+import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from repro.core.cache import ICCache
-from repro.core.descriptors import HashDescriptor
+from repro.core.descriptors import HashDescriptor, VectorDescriptor
 from repro.core.index import ExactIndex
 from repro.core.policies import make_policy
 
@@ -119,3 +126,54 @@ def test_a_digest_is_found_exactly_while_a_live_entry_holds_it(ops):
             assert index.holds(digest(i)) == bool(holders)
             assert found == ((holders[-1], 0.0) if holders else None)
         assert len(index) == len(live)
+
+
+BURST_CAPACITY = 500
+
+# A burst item is (what, key, size): a "valid" 4-d vector or digest key,
+# an "oversize" one (rejected, never stored) or a "refused" 8-d vector
+# (the 4-d kind's index raises on it).
+burst_item = st.tuples(
+    st.sampled_from(["valid", "valid", "hash", "oversize", "refused"]),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=1, max_value=BURST_CAPACITY))
+bursts = st.lists(st.lists(burst_item, max_size=8), min_size=1, max_size=12)
+
+
+def burst_key(what: str, key: int):
+    if what == "hash":
+        return HashDescriptor("m", digest(key))
+    dim = 8 if what == "refused" else 4
+    vector = np.random.default_rng(key).normal(size=dim)
+    return VectorDescriptor("r", vector.astype(np.float32))
+
+
+@given(bursts=bursts, policy=st.sampled_from(POLICIES))
+@settings(max_examples=60, deadline=None)
+def test_a_burst_that_raises_leaves_none_of_its_entries(bursts, policy):
+    cache = ICCache(capacity_bytes=BURST_CAPACITY,
+                    policy=make_policy(policy))
+    # Warm the vector kind at 4-d so an 8-d key is refused.
+    cache.insert(burst_key("valid", 0), ("warm", 0), 1)
+    for n, burst in enumerate(bursts):
+        items = [(burst_key(what, key),
+                  (n, j),
+                  BURST_CAPACITY + size if what == "oversize" else size)
+                 for j, (what, key, size) in enumerate(burst)]
+        raises = any(what == "refused" for what, _, _ in burst)
+        if raises:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                cache.insert_batch(items, now=float(n))
+        else:
+            cache.insert_batch(items, now=float(n))
+        live = cache.entries()
+        assert cache.size_bytes == sum(e.size_bytes for e in live)
+        assert cache.size_bytes <= BURST_CAPACITY
+        counts = collections.Counter(e.kind for e in live)
+        for kind in ("r", "m"):
+            try:
+                assert len(cache.index_for(kind)) == counts[kind]
+            except KeyError:  # no key of the kind came yet
+                assert counts[kind] == 0
+        if raises:
+            assert not [e for e in live if e.result[0] == n]

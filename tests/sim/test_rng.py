@@ -58,7 +58,7 @@ class TestRngStreams:
 
     def test_negative_seed_rejected_at_construction(self):
         # numpy would only refuse it at the first stream(), which for a
-        # deferred link stream can come mid-run.
+        # handoff's new access link comes mid-run.
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             RngStreams(-1)
 
@@ -91,8 +91,6 @@ class TestTake:
             rng.take("mobility.user.m0")
         with pytest.raises(ValueError, match="taken"):
             rng.stream("mobility.user.m0")
-        with pytest.raises(ValueError, match="taken"):
-            rng.deferred("mobility.user.m0").random()
 
     def test_a_built_stream_cannot_be_taken(self):
         rng = RngStreams(3)
@@ -104,22 +102,3 @@ class TestTake:
         with pytest.raises(ValueError):
             RngStreams(0).take("")
 
-
-class TestDeferredStream:
-    def test_built_on_first_draw_and_bit_identical(self):
-        rng = RngStreams(5)
-        handle = rng.deferred("net.x")
-        assert "net.x" not in rng._streams
-        first = handle.normal(0.0, 1.0, 3)
-        assert "net.x" in rng._streams
-        # The handle and the named stream are one sequence.
-        mixed = np.concatenate([first, [rng.stream("net.x").random()],
-                                [handle.random()]])
-        up_front = RngStreams(5).stream("net.x")
-        expected = np.concatenate([up_front.normal(0.0, 1.0, 3),
-                                   up_front.random(2)])
-        assert np.array_equal(mixed, expected)
-
-    def test_empty_name_rejected_up_front(self):
-        with pytest.raises(ValueError):
-            RngStreams(0).deferred("")

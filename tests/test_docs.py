@@ -72,6 +72,18 @@ def test_symbol_check_flags_only_names_the_source_lacks(tmp_path):
     assert check_links.broken_paths(history) == []
 
 
+def test_symbol_check_resolves_private_class_names(tmp_path):
+    check_links = _check_links()
+    doc = tmp_path / "guide.md"
+    doc.write_text("\n".join([
+        "`_VectorIndex`, `_VectorStore.nearest_cosine` and `_Initialize`",
+        "exist; `_VectorStore.add_batch` and `_GoneStore` do not.",
+        "`__init__`, `_drop` and `__Dunder` are not class names.",
+    ]), encoding="utf-8")
+    assert check_links.broken_symbols(doc) == [
+        (2, "_VectorStore.add_batch"), (2, "_GoneStore")]
+
+
 def test_every_readme_experiment_is_registered():
     from repro.eval.runner import experiment_names
 

@@ -15,13 +15,14 @@ still names a deleted bench or experiment file fails too.  Placeholders
 skipped.
 
 A code span that is a CamelCase identifier — `` `EdgeNode` ``,
-`` `EdgeNode.probe_log` ``, `` `ClusterDeployment(spec)` `` — must be a
-class, function or module-level name defined under `src/repro`, so a
-doc cannot go on naming a class that was deleted; and when it is a
-class, a following `.attr` must be something that class (or a base
-under `src/repro`) defines — an annotated field, a method or property,
-a class-level name or a `self.attr` assignment — so a doc cannot go on
-naming a deleted field either.
+`` `EdgeNode.probe_log` ``, `` `ClusterDeployment(spec)` ``, or a
+private one with one leading underscore, `` `_VectorStore.add` `` —
+must be a class, function or module-level name defined under
+`src/repro`, so a doc cannot go on naming a class that was deleted;
+and when it is a class, a following `.attr` must be something that
+class (or a base under `src/repro`) defines — an annotated field, a
+method or property, a class-level name or a `self.attr` assignment —
+so a doc cannot go on naming a deleted field either.
 
 `docs/pr*.md` are per-PR history: they name the files and classes they
 deleted, so both quoted-code checks skip them.  Their markdown links
@@ -50,9 +51,10 @@ _CODE_SPAN = re.compile(r"`([^`]+)`")
 _ROOTED_PATH = re.compile(
     r"(?<![\w./-])((?:benchmarks|src|tests|examples|tools|bench)/[^\s:,;)]*)")
 _PLACEHOLDER_CHARS = frozenset("<>*{}…")
-#: A whole code span naming a CamelCase identifier, optionally followed
-#: by an attribute or a call.
-_SYMBOL = re.compile(r"([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:[.(].*)?")
+#: A whole code span naming a CamelCase identifier (public, or private
+#: with one leading underscore), optionally followed by an attribute or
+#: a call.
+_SYMBOL = re.compile(r"(_?[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:[.(].*)?")
 _ATTRIBUTE = re.compile(r"\.([A-Za-z_]\w*)")
 
 
