@@ -306,16 +306,17 @@ class TestVectorIndexInsert:
 
     BUILDERS = TestContiguousStore.BUILDERS
 
-    def test_growth_across_doubling_boundary(self):
+    @pytest.mark.parametrize("tier", ["linear", "lsh"])
+    def test_growth_across_doubling_boundary(self, tier):
         rng = np.random.default_rng(1)
-        index = LinearIndex()
+        index = self.BUILDERS[tier]("float32")
         for i in range(70):  # MIN_CAPACITY is 64: one doubling
-            index.insert(i, vec("r", rng.normal(size=16)))
+            index.insert(i, vec("r", rng.normal(size=8)))
         assert len(index._store._norms) == 128
         for i in range(70, 140):  # and across the next boundary
-            index.insert(i, vec("r", rng.normal(size=16)))
+            index.insert(i, vec("r", rng.normal(size=8)))
         assert len(index) == 140 and len(index._store._norms) == 256
-        probe = vec("r", rng.normal(size=16))
+        probe = vec("r", rng.normal(size=8))
         index.insert(999, probe)
         assert index.query(probe, 1e-5)[0] == 999
 
@@ -334,10 +335,11 @@ class TestVectorIndexInsert:
         assert getattr(index, "_tables", None) == tables
         assert index.query(refused, 1e-5) is None
 
-    def test_remove_after_inserts(self):
+    @pytest.mark.parametrize("tier", ["linear", "lsh"])
+    def test_remove_after_inserts(self, tier):
         rng = np.random.default_rng(3)
-        items = [(i, vec("r", rng.normal(size=16))) for i in range(10)]
-        index = LinearIndex()
+        items = [(i, vec("r", rng.normal(size=8))) for i in range(10)]
+        index = self.BUILDERS[tier]("float32")
         for entry_id, descriptor in items:
             index.insert(entry_id, descriptor)
         index.remove(3)

@@ -106,3 +106,12 @@ class TestCacheInsertBatch:
         refill = [(vec_descriptor(rng), f"r{i}", 100) for i in range(120)]
         assert all(e is not None for e in cache.insert_batch(refill))
         assert cache.size_bytes <= 10_000
+
+
+def test_an_empty_burst_changes_nothing():
+    rng = np.random.default_rng(12)
+    cache = ICCache(capacity_bytes=1_000)
+    cache.insert(vec_descriptor(rng), "seed", 100)
+    assert cache.insert_batch([]) == []
+    assert len(cache) == 1 and cache.size_bytes == 100
+    assert cache.stats.insertions == 1 and cache.stats.evictions == 0
